@@ -25,22 +25,17 @@
 //! Pass `--phase2` to measure Phase 2 matching cost instead: large
 //! candidate sets (raised `top_candidates`) over wide generated schemas,
 //! per-candidate matching wall time (p50/p95/p99) and an
-//! allocations-per-query proxy (a counting global allocator), for four
-//! configurations — naive (prepared path disabled), cold artifact cache
-//! (every query invalidated), warm, and exhaustive (warm cache with the
-//! ensemble early exit disabled). Results land in
-//! `results/e2_matching.json`. Combine with `--check-speedup` to exit
+//! allocations-per-query proxy (a counting global allocator), with a cold
+//! artifact cache (every query invalidated) and a warm one. Results land
+//! in `results/e2_matching.json`. Combine with `--check-speedup` to exit
 //! nonzero unless warm-cache matching is at least 2x faster per candidate
-//! than cold — the CI guard on the prepared-matching pipeline. Combine
-//! with `--check-kernel` to also gate the intersection kernel and the
-//! early exit: a synthetic count oracle checks `intersection_size`
-//! against a bench-local scalar merge across dense / asymmetric / large
-//! regimes, an engine-level oracle checks that the early exit returns
-//! bitwise-identical top-k lists over the whole workload, both before
-//! anything is timed; then a paired microbenchmark of the kernel against
-//! the scalar reference must clear its speedup bar (when the `simd`
-//! feature is compiled in) and the early exit must not regress warm
-//! matching.
+//! than cold — the CI guard on the artifact cache. Combine with
+//! `--check-kernel` to also gate the intersection kernel: a synthetic
+//! count oracle checks `intersection_size` against a bench-local scalar
+//! merge across dense / asymmetric / large regimes before anything is
+//! timed; then a paired microbenchmark of the kernel against the scalar
+//! reference must clear its speedup bar (when the `simd` feature is
+//! compiled in).
 //!
 //! Pass `--phase1-pruning` to compare WAND/MaxScore top-k pruning against
 //! the exhaustive Phase 1 scan at top-n 10 and 50: per-query p50/p95/p99,
@@ -670,12 +665,10 @@ fn kernel_oracle_and_microbench() -> f64 {
     best_ref / best_kernel.max(1e-12)
 }
 
-/// `--phase2`: per-candidate Phase 2 cost — naive vs cold vs warm
-/// artifact cache, plus an exhaustive arm (warm cache, ensemble early
-/// exit disabled) pricing the early exit. Returns the process exit code
-/// (nonzero only under `--check-speedup` when the warm cache misses the
-/// 2x bar, or under `--check-kernel` when the intersection kernel or the
-/// early exit misses its bar).
+/// `--phase2`: per-candidate Phase 2 cost with a cold and a warm
+/// artifact cache. Returns the process exit code (nonzero only under
+/// `--check-speedup` when the warm cache misses the 2x bar, or under
+/// `--check-kernel` when the intersection kernel misses its bar).
 fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
     let size = if quick { 400 } else { 2_000 };
     let queries = if quick { 12 } else { 30 };
@@ -688,10 +681,6 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
     // equivalent scalar merge and the microbenchmark is reported but not
     // gated.
     const KERNEL_BAR: f64 = 1.2;
-    // The early exit must never make warm matching slower: where no
-    // bound clears the floor it degenerates to the plain prepared run
-    // plus a cheap θ load, so a regression past noise is a bug.
-    const EXIT_BAR: f64 = 0.9;
 
     // Wide schemas: more elements per candidate → matching dominates.
     let corpus = Corpus::generate(&CorpusConfig {
@@ -715,122 +704,44 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
     // Sequential matching so per-candidate wall time is not divided
     // across threads, and a raised candidate budget so Phase 2 is the
     // bulk of every search.
-    let build = |artifact_bytes: usize, early_exit: bool| {
-        Testbed::build_with_config(
-            &corpus,
-            EngineConfig {
-                top_candidates: top,
-                match_threads: 1,
-                match_artifact_cache_bytes: artifact_bytes,
-                phase2_early_exit: early_exit,
-                ..EngineConfig::default()
-            },
-        )
-    };
-    let naive_bed = build(0, true);
-    let prepared_bed = build(64 * 1024 * 1024, true);
-    let exhaustive_bed = build(64 * 1024 * 1024, false);
+    let bed = Testbed::build_with_config(
+        &corpus,
+        EngineConfig {
+            top_candidates: top,
+            match_threads: 1,
+            match_artifact_cache_bytes: 64 * 1024 * 1024,
+            ..EngineConfig::default()
+        },
+    );
 
-    // Inline bitwise oracles, before anything is timed. First the
-    // synthetic kernel oracle (which also microbenchmarks the merge
-    // kernel against a bench-local scalar reference), then an
-    // engine-level pass: the early exit must return the exact top-k the
-    // exhaustive engine returns — same ids, same order, bitwise-equal
-    // scores — for every workload query, or the performance numbers
-    // could be bought with a ranking change.
+    // The synthetic kernel oracle runs before anything is timed (it also
+    // microbenchmarks the merge kernel against a bench-local scalar
+    // reference).
     let kernel_speedup = kernel_oracle_and_microbench();
-    for (qi, q) in workload.queries.iter().enumerate() {
-        let req = Testbed::to_request(q, 10);
-        let a = prepared_bed.engine.search(&req).expect("nonempty query");
-        let b = exhaustive_bed.engine.search(&req).expect("nonempty query");
-        assert_eq!(
-            a.len(),
-            b.len(),
-            "query {qi}: early exit changed the result count"
-        );
-        for (rank, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(
-                x.id, y.id,
-                "query {qi}, rank {rank}: early exit reordered results"
-            );
-            assert_eq!(
-                x.score.to_bits(),
-                y.score.to_bits(),
-                "query {qi}, rank {rank}: early exit changed a score bit pattern"
-            );
-            assert_eq!(x.coarse_score.to_bits(), y.coarse_score.to_bits());
-        }
-    }
 
-    // Warm the OS/caches once on each engine before any timing.
-    run_workload(&naive_bed, &workload);
-    run_workload(&prepared_bed, &workload);
-    run_workload(&exhaustive_bed, &workload);
+    // Warm the OS/caches once before any timing.
+    run_workload(&bed, &workload);
 
-    let mut naive = Phase2Segment {
+    let segment = || Phase2Segment {
         samples: Vec::new(),
         allocs: 0,
         queries: 0,
     };
-    let mut cold = Phase2Segment {
-        samples: Vec::new(),
-        allocs: 0,
-        queries: 0,
-    };
-    let mut warm = Phase2Segment {
-        samples: Vec::new(),
-        allocs: 0,
-        queries: 0,
-    };
-    let mut exhaustive = Phase2Segment {
-        samples: Vec::new(),
-        allocs: 0,
-        queries: 0,
-    };
+    let (mut cold, mut warm) = (segment(), segment());
     for _ in 0..rounds {
-        phase2_pass(&naive_bed, &workload, false, &mut naive);
-        phase2_pass(&prepared_bed, &workload, true, &mut cold);
+        phase2_pass(&bed, &workload, true, &mut cold);
     }
     // Prime once after the cold segment's final invalidation, then
-    // measure warm rounds — every candidate served from the cache. The
-    // exhaustive engine's warm passes are interleaved so the exit-on /
-    // exit-off comparison is paired against the same machine state.
-    run_workload(&prepared_bed, &workload);
+    // measure warm rounds — every candidate served from the cache.
+    run_workload(&bed, &workload);
     for _ in 0..rounds {
-        phase2_pass(&prepared_bed, &workload, false, &mut warm);
-        phase2_pass(&exhaustive_bed, &workload, false, &mut exhaustive);
+        phase2_pass(&bed, &workload, false, &mut warm);
     }
-    // The exit ratio is gated, so it gets the robust estimator: per-query
-    // best-of-rounds on both arms (samples arrive in the same query order
-    // every round), then the median of the paired per-query ratios. The
-    // pooled-quantile speedups below keep their historical definition.
-    let best_of_rounds = |samples: &[f64]| -> Vec<f64> {
-        let nq = samples.len() / rounds;
-        let mut best = samples[..nq].to_vec();
-        for r in 1..rounds {
-            for (b, s) in best.iter_mut().zip(&samples[r * nq..(r + 1) * nq]) {
-                *b = b.min(*s);
-            }
-        }
-        best
-    };
-    let speedup_exit = {
-        let w = best_of_rounds(&warm.samples);
-        let e = best_of_rounds(&exhaustive.samples);
-        let mut ratios: Vec<f64> = e.iter().zip(&w).map(|(e, w)| e / w.max(1e-12)).collect();
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        ratios[ratios.len() / 2]
-    };
-
-    let naive = naive.sorted();
     let cold = cold.sorted();
     let warm = warm.sorted();
-    let exhaustive = exhaustive.sorted();
-
     let speedup_vs_cold = cold.us(0.50) / warm.us(0.50);
-    let speedup_vs_naive = naive.us(0.50) / warm.us(0.50);
 
-    let reg = prepared_bed.engine.metrics_registry();
+    let reg = bed.engine.metrics_registry();
     let counter = |name: &str| reg.counter_value(name, &[]).unwrap_or(0);
     let (hits, misses) = (
         counter("schemr_match_artifact_cache_hits_total"),
@@ -844,10 +755,6 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
         counter("schemr_match_artifact_cache_bytes_inserted_total"),
         counter("schemr_match_artifact_cache_bytes_evicted_total"),
     );
-    let (pruned, skipped) = (
-        counter("schemr_match_candidates_pruned_total"),
-        counter("schemr_match_matchers_skipped_total"),
-    );
 
     println!(
         "E1 --phase2: per-candidate matching cost, corpus {size}, top-n {top}, {} queries x {rounds} rounds\n",
@@ -860,12 +767,7 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
         "p99 (us)",
         "allocs/query",
     ]);
-    for (name, seg) in [
-        ("naive", &naive),
-        ("cache cold", &cold),
-        ("cache warm", &warm),
-        ("warm, no exit", &exhaustive),
-    ] {
+    for (name, seg) in [("cache cold", &cold), ("cache warm", &warm)] {
         table.row(&[
             name.into(),
             format!("{:.2}", seg.us(0.50)),
@@ -875,15 +777,11 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
         ]);
     }
     table.print();
-    println!(
-        "\nwarm vs cold speedup: {speedup_vs_cold:.2}x; warm vs naive: {speedup_vs_naive:.2}x; \
-         exit vs no-exit: {speedup_exit:.2}x"
-    );
+    println!("\nwarm vs cold speedup: {speedup_vs_cold:.2}x");
     println!(
         "kernel: simd {}, {kernel_speedup:.2}x vs scalar reference on merge-path regimes",
         if cfg!(feature = "simd") { "on" } else { "off" },
     );
-    println!("early exit: {pruned} candidates pruned, {skipped} matcher invocations skipped");
     println!(
         "artifact cache: {hits} hits, {misses} misses, {evictions} evictions, {invalidations} invalidations, {bytes_in} bytes in, {bytes_out} bytes evicted"
     );
@@ -898,12 +796,10 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
         )
     };
     let json = format!(
-        "{{\n  \"experiment\": \"e2_matching\",\n  \"corpus\": {size},\n  \"top_candidates\": {top},\n  \"queries\": {},\n  \"rounds\": {rounds},\n  \"naive\": {},\n  \"cold\": {},\n  \"warm\": {},\n  \"exhaustive\": {},\n  \"speedup_warm_vs_cold\": {speedup_vs_cold:.2},\n  \"speedup_warm_vs_naive\": {speedup_vs_naive:.2},\n  \"speedup_exit\": {speedup_exit:.2},\n  \"kernel\": {{\"simd_compiled\": {}, \"speedup_vs_scalar\": {kernel_speedup:.2}}},\n  \"early_exit\": {{\"candidates_pruned\": {pruned}, \"matchers_skipped\": {skipped}}},\n  \"artifact_cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": {evictions}, \"invalidations\": {invalidations}, \"bytes_inserted\": {bytes_in}, \"bytes_evicted\": {bytes_out}}}\n}}\n",
+        "{{\n  \"experiment\": \"e2_matching\",\n  \"corpus\": {size},\n  \"top_candidates\": {top},\n  \"queries\": {},\n  \"rounds\": {rounds},\n  \"cold\": {},\n  \"warm\": {},\n  \"speedup_warm_vs_cold\": {speedup_vs_cold:.2},\n  \"kernel\": {{\"simd_compiled\": {}, \"speedup_vs_scalar\": {kernel_speedup:.2}}},\n  \"artifact_cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": {evictions}, \"invalidations\": {invalidations}, \"bytes_inserted\": {bytes_in}, \"bytes_evicted\": {bytes_out}}}\n}}\n",
         workload.queries.len(),
-        seg_json(&naive),
         seg_json(&cold),
         seg_json(&warm),
-        seg_json(&exhaustive),
         cfg!(feature = "simd"),
     );
     let out_path = std::path::Path::new("results").join("e2_matching.json");
@@ -918,24 +814,16 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
             "warm cache is only {speedup_vs_cold:.2}x faster than cold (bar {SPEEDUP_BAR}x)"
         ));
     }
-    if check_kernel {
-        if cfg!(feature = "simd") && kernel_speedup < KERNEL_BAR {
-            failures.push(format!(
-                "simd kernel is only {kernel_speedup:.2}x vs the scalar reference (bar {KERNEL_BAR}x)"
-            ));
-        }
-        if speedup_exit < EXIT_BAR {
-            failures.push(format!(
-                "early exit regressed warm matching to {speedup_exit:.2}x (bar {EXIT_BAR}x)"
-            ));
-        }
+    if check_kernel && cfg!(feature = "simd") && kernel_speedup < KERNEL_BAR {
+        failures.push(format!(
+            "simd kernel is only {kernel_speedup:.2}x vs the scalar reference (bar {KERNEL_BAR}x)"
+        ));
     }
     if check_speedup || check_kernel {
         if failures.is_empty() {
             println!(
-                "\nPASS: bars cleared with bitwise-identical results \
-                 (warm vs cold {speedup_vs_cold:.2}x, kernel {kernel_speedup:.2}x, \
-                 exit {speedup_exit:.2}x)"
+                "\nPASS: bars cleared (warm vs cold {speedup_vs_cold:.2}x, \
+                 kernel {kernel_speedup:.2}x, counts equal to the scalar reference)"
             );
             0
         } else {
@@ -948,8 +836,7 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
         println!(
             "\nExpected shape: warm-cache matching skips all text analysis (hashed\n\
              signatures + sorted merges only), so its per-candidate cost and\n\
-             allocations sit well below both the naive path and the cold cache;\n\
-             the early exit keeps warm matching at or below the exhaustive arm."
+             allocations sit well below the cold cache's."
         );
         0
     }

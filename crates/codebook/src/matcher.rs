@@ -6,7 +6,7 @@
 //! name match between a `latitude` and a `longitude` column is suspicious
 //! — the codebook scores those down through family partial credit.
 
-use schemr_match::{Matcher, SimilarityMatrix};
+use schemr_match::{Matcher, PreparedQuery, PreparedSchema, SimilarityMatrix};
 use schemr_model::{ElementKind, QueryGraph, QueryTerm, Schema};
 
 use crate::recognize::recognize;
@@ -50,8 +50,10 @@ impl Matcher for CodebookMatcher {
 
     fn score(
         &self,
+        _prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
         query: &QueryGraph,
+        _prepared: &PreparedSchema,
         candidate: &Schema,
     ) -> SimilarityMatrix {
         let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
@@ -86,6 +88,17 @@ mod tests {
     use super::*;
     use schemr_model::{DataType, SchemaBuilder};
 
+    /// The codebook matcher reads no artifacts: empty ones are its own.
+    fn score(terms: &[QueryTerm], q: &QueryGraph, candidate: &Schema) -> SimilarityMatrix {
+        CodebookMatcher::new().score(
+            &PreparedQuery::default(),
+            terms,
+            q,
+            &PreparedSchema::default(),
+            candidate,
+        )
+    }
+
     fn keyword_terms(words: &[&str]) -> (QueryGraph, Vec<QueryTerm>) {
         let mut q = QueryGraph::new();
         for w in words {
@@ -102,7 +115,7 @@ mod tests {
         let candidate = SchemaBuilder::new("c")
             .entity("person", |e| e.attr("born", DataType::Date))
             .build_unchecked();
-        let m = CodebookMatcher::new().score(&terms, &q, &candidate);
+        let m = score(&terms, &q, &candidate);
         assert_eq!(m.get(0, 1), 1.0);
         // And the name matcher indeed misses it.
         let nm = schemr_match::NameMatcher::new();
@@ -117,7 +130,7 @@ mod tests {
                 e.attr("lat", DataType::Real).attr("lon", DataType::Real)
             })
             .build_unchecked();
-        let m = CodebookMatcher::new().score(&terms, &q, &candidate);
+        let m = score(&terms, &q, &candidate);
         assert_eq!(m.get(0, 1), 1.0); // latitude × lat
         assert_eq!(m.get(0, 2), 0.5); // latitude × lon: same geo family
     }
@@ -128,7 +141,7 @@ mod tests {
         let candidate = SchemaBuilder::new("c")
             .entity("site", |e| e.attr("lat", DataType::Real))
             .build_unchecked();
-        let m = CodebookMatcher::new().score(&terms, &q, &candidate);
+        let m = score(&terms, &q, &candidate);
         assert_eq!(m.row_max(0), 0.0);
     }
 
@@ -144,7 +157,7 @@ mod tests {
         let candidate = SchemaBuilder::new("c")
             .entity("invoice", |e| e.attr("amount", DataType::Decimal))
             .build_unchecked();
-        let m = CodebookMatcher::new().score(&terms, &q, &candidate);
+        let m = score(&terms, &q, &candidate);
         // total(Decimal) and amount(Decimal) both recognize as Currency.
         assert_eq!(m.get(1, 1), 1.0);
         // Entity rows are zero.

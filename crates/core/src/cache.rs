@@ -30,10 +30,10 @@ use schemr_obs::Counter;
 
 /// The cache key: analyzed query terms plus a fingerprint of every
 /// [`SearchOptions`] field. `proximity_weight` is folded in by bit
-/// pattern so the key stays `Eq + Hash` despite the f64. `prune` and
-/// `phase2_early_exit` are included defensively even though pruned and
-/// exhaustive results are bitwise identical by contract — if a bound
-/// bug ever broke either contract, the cache must not paper over it.
+/// pattern so the key stays `Eq + Hash` despite the f64. `prune` is
+/// included defensively even though pruned and exhaustive results are
+/// bitwise identical by contract — if a bound bug ever broke the
+/// contract, the cache must not paper over it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
     terms: Vec<String>,
@@ -41,22 +41,16 @@ pub(crate) struct CacheKey {
     coordination: bool,
     proximity_bits: u64,
     prune: bool,
-    phase2_early_exit: bool,
 }
 
 impl CacheKey {
-    pub(crate) fn new(
-        terms: Vec<String>,
-        options: &SearchOptions,
-        phase2_early_exit: bool,
-    ) -> Self {
+    pub(crate) fn new(terms: Vec<String>, options: &SearchOptions) -> Self {
         CacheKey {
             terms,
             top_n: options.top_n,
             coordination: options.coordination,
             proximity_bits: options.proximity_weight.to_bits(),
             prune: options.prune,
-            phase2_early_exit,
         }
     }
 }
@@ -289,8 +283,8 @@ pub(crate) struct ArtifactStamp {
 /// A byte-budgeted LRU cache of [`PreparedCandidate`] artifact bundles,
 /// keyed by schema id and stamped with [`ArtifactStamp`]. Survives across
 /// searches and is shared by the parallel `match_chunk` workers.
-/// `budget_bytes == 0` disables it entirely (and, in the engine, the
-/// whole prepared scoring path).
+/// `budget_bytes == 0` disables it entirely: every lookup misses without
+/// being counted and nothing is admitted.
 pub(crate) struct MatchArtifactCache {
     budget_bytes: usize,
     state: Mutex<LruCore<SchemaId, Arc<PreparedCandidate>, ArtifactStamp>>,
@@ -423,7 +417,7 @@ mod tests {
     }
 
     fn key(word: &str) -> CacheKey {
-        CacheKey::new(vec![word.to_string()], &SearchOptions::default(), true)
+        CacheKey::new(vec![word.to_string()], &SearchOptions::default())
     }
 
     fn rev(mutations: u64) -> IndexRevision {
@@ -491,7 +485,6 @@ mod tests {
                 top_n: 5,
                 ..Default::default()
             },
-            true,
         );
         c.put(narrow.clone(), rev(1), vec![hit(1)]);
         assert!(c.get(&key("a"), rev(1)).is_none(), "different top_n");

@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use schemr_index::{codec, Index, IndexDocument, IndexRevision, IndexStats, SearchOptions};
-use schemr_match::{BoundedRun, Ensemble, PreparedCandidate};
-use schemr_model::QueryGraph;
+use schemr_match::{Ensemble, EnsembleQuery, PreparedCandidate};
+use schemr_model::{QueryGraph, QueryTerm};
 use schemr_obs::{
     CpuProbeDepth, DeepSize, EventResult, LedgerProbe, MetricsRegistry, Profiler, ResourceLedger,
     SearchEvent, SearchOutcome, SpanGuard, SpanTimer, StackSource, Tracer, TracerConfig,
@@ -41,15 +41,6 @@ pub struct EngineConfig {
     /// identical either way; `false` forces the exhaustive scan (used by
     /// the pruning bench's baseline arm).
     pub phase1_pruning: bool,
-    /// Ensemble early exit in Phase 2: once the top-k result floor is
-    /// established, skip a candidate's remaining matchers when its
-    /// per-matcher upper bounds prove it cannot enter the top k — the
-    /// Phase 1 θ-floor discipline at the ensemble level. The returned
-    /// top k is bitwise identical either way; `false` forces every
-    /// matcher to run on every candidate (the e2 bench's baseline arm).
-    /// Only active on the prepared path under mean tightness
-    /// aggregation (a summed score is unbounded by any per-cell bound).
-    pub phase2_early_exit: bool,
     /// Phase 3 parameters.
     pub tightness: TightnessConfig,
     /// Threads for Phase 2 matching (1 = sequential).
@@ -62,8 +53,8 @@ pub struct EngineConfig {
     /// 0 disables caching entirely.
     pub candidate_cache_entries: usize,
     /// Byte budget of the revision-keyed Phase 2 match-artifact cache.
-    /// 0 disables the cache *and* the prepared scoring path — Phase 2
-    /// falls back to the per-candidate naive ensemble pass.
+    /// 0 means only "don't cache": every search then builds its
+    /// candidates' artifacts itself and scores them through the same path.
     pub match_artifact_cache_bytes: usize,
 }
 
@@ -74,7 +65,6 @@ impl Default for EngineConfig {
             coordination: true,
             proximity_weight: 0.25,
             phase1_pruning: true,
-            phase2_early_exit: true,
             tightness: TightnessConfig::default(),
             match_threads: std::thread::available_parallelism()
                 .map_or(1, |n| n.get())
@@ -329,6 +319,12 @@ impl SchemrEngine {
         self.index.read().stats()
     }
 
+    /// `(live, total)` document slots of the live index, in O(1) — what
+    /// `/healthz` reads instead of the full [`SchemrEngine::index_stats`].
+    pub fn index_doc_counts(&self) -> (usize, usize) {
+        self.index.read().doc_counts()
+    }
+
     /// Revision of the live index (instance id + mutation count). Moves
     /// only on logical mutations — background merges leave it in place.
     pub fn index_revision(&self) -> IndexRevision {
@@ -424,7 +420,7 @@ impl SchemrEngine {
             let hits = index.search_terms_traced(&terms, &options, span);
             return (hits, terms);
         }
-        let key = CacheKey::new(terms.clone(), &options, self.config.phase2_early_exit);
+        let key = CacheKey::new(terms.clone(), &options);
         // A revision observed *before* the lookup can only be older than
         // the entry's true state, which makes a stale hit impossible and
         // at worst turns a usable entry into a miss.
@@ -449,7 +445,9 @@ impl SchemrEngine {
 
     /// Resolve the prepared match artifacts for `stored` through the
     /// revision-keyed artifact cache, building and admitting them on a
-    /// miss. Returns the artifacts and whether the lookup was a hit.
+    /// miss. Returns the artifacts and whether the lookup was a hit. A
+    /// disabled cache (zero budget) never hits, admits nothing and counts
+    /// nothing, so the artifacts are simply built here every time.
     /// Concurrent `match_chunk` workers may race on a cold entry; both
     /// build the same deterministic bundle and the second put replaces
     /// the first, so the race costs work but never correctness.
@@ -472,6 +470,61 @@ impl SchemrEngine {
         (artifacts, false)
     }
 
+    /// Phase 2 over one contiguous run of candidates, on the calling
+    /// thread: resolve each candidate's artifacts, run the ensemble, and
+    /// score tightness-of-fit on the combined matrix where it was
+    /// produced (so tightness parallelizes with matching and the matrix
+    /// never leaves its thread). Sequential matching calls this once
+    /// with every candidate; parallel matching once per worker.
+    #[allow(clippy::too_many_arguments)]
+    fn match_chunk(
+        &self,
+        ensemble: &Ensemble,
+        generation: u64,
+        equery: &EnsembleQuery,
+        terms: &[QueryTerm],
+        graph: &QueryGraph,
+        cands: &[(schemr_index::Hit, schemr_repo::StoredSchema)],
+        with_strengths: bool,
+    ) -> ChunkMatch {
+        let mut done = ChunkMatch {
+            scores: Vec::with_capacity(cands.len()),
+            strengths: Vec::with_capacity(cands.len()),
+            matcher_wall: vec![Duration::ZERO; ensemble.len()],
+            tightness_wall: Duration::ZERO,
+            artifact_hits: 0,
+            artifact_misses: 0,
+        };
+        for (_, stored) in cands {
+            let (artifacts, was_hit) = self.prepared_for(ensemble, generation, stored);
+            if was_hit {
+                done.artifact_hits += 1;
+            } else {
+                done.artifact_misses += 1;
+            }
+            let run = ensemble.run(
+                equery,
+                terms,
+                graph,
+                &artifacts,
+                &stored.schema,
+                with_strengths,
+            );
+            for (acc, d) in done.matcher_wall.iter_mut().zip(run.timings) {
+                *acc += d;
+            }
+            done.strengths.push(run.strengths);
+            let tstart = Instant::now();
+            done.scores.push(tightness_of_fit(
+                &stored.schema,
+                &run.matrix,
+                &self.config.tightness,
+            ));
+            done.tightness_wall += tstart.elapsed();
+        }
+        done
+    }
+
     /// Merge the index's tombstoned segments when the tombstone ratio
     /// reaches `threshold` (0 < threshold ≤ 1). Returns whether a merge
     /// committed. The scheduler calls this every tick so put/delete churn
@@ -485,12 +538,14 @@ impl SchemrEngine {
             return false;
         }
         let index = self.index.read();
-        let stats = index.stats();
-        let deleted = stats.total_docs - stats.live_docs;
-        if deleted == 0 || (deleted as f64) < threshold * stats.total_docs as f64 {
+        // Runs on every scheduler tick: the O(1) counts, not `stats()`,
+        // which walks every segment's term dictionary.
+        let (live, total) = index.doc_counts();
+        let deleted = total - live;
+        if deleted == 0 || (deleted as f64) < threshold * total as f64 {
             return false;
         }
-        let before_ratio = deleted as f64 / stats.total_docs as f64;
+        let before_ratio = deleted as f64 / total as f64;
         let started = Instant::now();
         let Some(outcome) = index.merge(threshold) else {
             // A concurrent forced vacuum beat the merge to the segments;
@@ -504,11 +559,11 @@ impl SchemrEngine {
         // reader of ordinary search lines (it replaces the seed's
         // `<vacuum>` marker — same shape, new maintenance verb).
         if let Some(log) = self.tracer.event_log() {
-            let after = index.stats();
-            let after_ratio = if after.total_docs == 0 {
+            let (live, total) = index.doc_counts();
+            let after_ratio = if total == 0 {
                 0.0
             } else {
-                (after.total_docs - after.live_docs) as f64 / after.total_docs as f64
+                (total - live) as f64 / total as f64
             };
             let event = SearchEvent {
                 trace_id: format!("merge-r{}", index.revision().mutations),
@@ -620,255 +675,105 @@ impl SchemrEngine {
         if let Some(s) = &p2 {
             s.annotate("candidates", candidates.len());
         }
-        // Prepared matching: query-side artifacts are built once per
-        // search, candidate-side artifacts resolve through the
-        // revision-keyed cache. A zero byte budget disables the whole
-        // prepared path and Phase 2 runs the naive per-candidate pass.
+        // Query-side artifacts are built once per search; candidate-side
+        // artifacts resolve through the revision-keyed cache.
         let ensemble_generation = self.ensemble_generation.load(Ordering::Acquire);
-        let equery = self
-            .artifact_cache
-            .enabled()
-            .then(|| ensemble.prepare_query(&terms, &graph));
-        // Ensemble early exit: tightness-of-fit runs inside the
-        // per-candidate loop so each final score can feed the running
-        // top-k floor, and candidates whose matcher bounds fall below
-        // the floor skip their remaining matchers. Sound only under
-        // mean aggregation (a summed score exceeds any per-cell bound)
-        // and on the prepared path (the bounds read prepared
-        // artifacts); inactive, θ stays 0 and every candidate is
-        // scored in full — bitwise the same either way.
-        let k = request.limit.unwrap_or(self.config.default_limit);
-        let floor = (self.config.phase2_early_exit
-            && self.config.tightness.mean_aggregation
-            && equery.is_some()
-            && k > 0)
-            .then(|| TopKFloor::new(k));
-        let min_element_score = self.config.tightness.min_element_score;
-        // Candidates pruned before every matcher ran, and the matcher
-        // invocations those prunes skipped.
-        let mut candidates_pruned = 0u64;
-        let mut matchers_skipped = 0u64;
-        // Per-matcher wall time, accumulated across candidates (and,
-        // under parallel matching, summed over threads).
-        let mut matcher_wall: Vec<Duration> = vec![Duration::ZERO; ensemble.len()];
-        // Per-candidate per-matcher strengths for the event log; only
-        // collected while tracing.
-        let mut strengths: Vec<Vec<f64>> = vec![Vec::new(); candidates.len()];
-        // Per-thread resource deltas from parallel matching workers,
-        // merged into the request ledger after the scope joins.
-        let mut worker_ledgers: Vec<ResourceLedger> = Vec::new();
-        let threads_used: usize;
-        // Wall time spent in tightness-of-fit calls inside the Phase 2
-        // loop. Tightness executes there (the early-exit floor needs
-        // final scores as they stream in) but is *accounted* to Phase 3,
-        // so the matching/scoring split keeps its meaning — Phase 2 =
-        // matchers, Phase 3 = tightness + assembly — across engine
-        // versions. Under parallel matching this is summed over workers.
-        let mut tightness_wall = Duration::ZERO;
-        // Per-candidate final scores; `None` marks a candidate the
-        // early exit pruned (provably outside the top k, so it carries
-        // no result row).
-        let scores: Vec<Option<TightnessScore>> = if self.config.match_threads > 1
-            && candidates.len() > 1
+        let equery = ensemble.prepare_query(&terms, &graph);
+        let cache_artifacts = self.artifact_cache.enabled();
+        let threads_used = if self.config.match_threads > 1 && candidates.len() > 1 {
+            self.config.match_threads.min(candidates.len())
+        } else {
+            1
+        };
+        // `worker_ledgers`: per-thread resource deltas from parallel
+        // matching workers, merged into the request ledger below.
+        let (chunks, worker_ledgers): (Vec<ChunkMatch>, Vec<ResourceLedger>) = if threads_used == 1
         {
-            let threads = self.config.match_threads.min(candidates.len());
-            threads_used = threads;
-            let chunk = candidates.len().div_ceil(threads);
-            let mut out: Vec<Option<TightnessScore>> = vec![None; candidates.len()];
-            let mut chunk_walls: Vec<Vec<Duration>> =
-                vec![vec![Duration::ZERO; ensemble.len()]; candidates.len().div_ceil(chunk)];
-            let mut chunk_ledgers: Vec<ResourceLedger> =
-                vec![ResourceLedger::default(); candidates.len().div_ceil(chunk)];
-            // Per-chunk (pruned candidates, skipped matcher calls,
-            // in-loop tightness wall).
-            let mut chunk_prunes: Vec<(u64, u64, Duration)> =
-                vec![(0, 0, Duration::ZERO); candidates.len().div_ceil(chunk)];
+            let done = self.match_chunk(
+                &ensemble,
+                ensemble_generation,
+                &equery,
+                &terms,
+                &graph,
+                &candidates,
+                want_trace,
+            );
+            if let (Some(s), true) = (&p2, cache_artifacts) {
+                // The sequential pass is one candidate batch.
+                cs_annotate_batch(s, done.artifact_hits, done.artifact_misses);
+            }
+            (vec![done], Vec::new())
+        } else {
+            let chunk = candidates.len().div_ceil(threads_used);
             // Span plumbing that crosses into the scoped threads: the
             // context reference and the matching span's index are both
             // Copy, so each worker opens its own `match_chunk` child.
             let tctx = ctx.as_ref();
             let p2_idx = p2.as_ref().map(|s| s.index());
-            let equery = equery.as_ref();
-            let floor = floor.as_ref();
-            let engine = self;
+            let (ensemble, equery, terms, graph) = (&*ensemble, &equery, &terms[..], &graph);
             crossbeam::thread::scope(|scope| {
-                for (((((slots, strength_slots), cands), wall), ledger_slot), prune_slot) in out
-                    .chunks_mut(chunk)
-                    .zip(strengths.chunks_mut(chunk))
-                    .zip(candidates.chunks(chunk))
-                    .zip(chunk_walls.iter_mut())
-                    .zip(chunk_ledgers.iter_mut())
-                    .zip(chunk_prunes.iter_mut())
-                {
-                    let terms = &terms;
-                    let graph = &graph;
-                    let ensemble = &ensemble;
-                    scope.spawn(move |_| {
-                        let chunk_span =
-                            tctx.and_then(|c| p2_idx.map(|p| c.child_of(p, "match_chunk")));
-                        // Worker-thread resource delta; probes are
-                        // per-thread, so each worker opens its own.
-                        let wprobe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
-                        if let Some(cs) = &chunk_span {
-                            cs.annotate("candidates", cands.len());
-                        }
-                        let mut cache_hits = 0u64;
-                        let mut cache_misses = 0u64;
-                        for ((slot, strength_slot), (_, stored)) in
-                            slots.iter_mut().zip(strength_slots.iter_mut()).zip(cands)
-                        {
-                            let run = match equery {
-                                Some(eq) => {
-                                    let (artifacts, was_hit) =
-                                        engine.prepared_for(ensemble, ensemble_generation, stored);
-                                    if was_hit {
-                                        cache_hits += 1;
-                                    } else {
-                                        cache_misses += 1;
-                                    }
-                                    let theta = floor.map_or(0.0, |f| f.theta(min_element_score));
-                                    ensemble.run_prepared_bounded(
-                                        eq,
-                                        terms,
-                                        graph,
-                                        &artifacts,
-                                        &stored.schema,
-                                        want_trace,
-                                        theta,
-                                    )
-                                }
-                                None => BoundedRun::Scored(ensemble.run(
-                                    terms,
-                                    graph,
-                                    &stored.schema,
-                                    want_trace,
-                                )),
-                            };
-                            match run {
-                                BoundedRun::Scored(run) => {
-                                    for (acc, d) in wall.iter_mut().zip(run.timings) {
-                                        *acc += d;
-                                    }
-                                    *strength_slot = run.strengths;
-                                    let tstart = Instant::now();
-                                    let t = tightness_of_fit(
-                                        &stored.schema,
-                                        &run.matrix,
-                                        &engine.config.tightness,
-                                    );
-                                    prune_slot.2 += tstart.elapsed();
-                                    if let Some(f) = floor {
-                                        f.observe(t.score);
-                                    }
-                                    *slot = Some(t);
-                                }
-                                BoundedRun::Pruned { timings, skipped } => {
-                                    for (acc, d) in wall.iter_mut().zip(timings) {
-                                        *acc += d;
-                                    }
-                                    prune_slot.0 += 1;
-                                    prune_slot.1 += skipped as u64;
-                                }
-                            }
-                        }
-                        if let (Some(cs), Some(_)) = (&chunk_span, equery) {
-                            // One batch per chunk: "hit" only when every
-                            // candidate's artifacts came from the cache.
-                            cs_annotate_batch(cs, cache_hits, cache_misses);
-                        }
-                        if let Some(pr) = &wprobe {
-                            let d = pr.delta();
+                let workers: Vec<_> = candidates
+                    .chunks(chunk)
+                    .map(|cands| {
+                        scope.spawn(move |_| {
+                            let chunk_span =
+                                tctx.and_then(|c| p2_idx.map(|p| c.child_of(p, "match_chunk")));
+                            // Worker-thread resource delta; probes are
+                            // per-thread, so each worker opens its own.
+                            let wprobe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
                             if let Some(cs) = &chunk_span {
-                                annotate_ledger(cs, &d);
+                                cs.annotate("candidates", cands.len());
                             }
-                            *ledger_slot = d;
-                        }
-                    });
-                }
+                            let done = self.match_chunk(
+                                ensemble,
+                                ensemble_generation,
+                                equery,
+                                terms,
+                                graph,
+                                cands,
+                                want_trace,
+                            );
+                            if let (Some(cs), true) = (&chunk_span, cache_artifacts) {
+                                // One batch per chunk: "hit" only when every
+                                // candidate's artifacts came from the cache.
+                                cs_annotate_batch(cs, done.artifact_hits, done.artifact_misses);
+                            }
+                            let ledger =
+                                wprobe.map_or_else(ResourceLedger::default, |pr| pr.delta());
+                            if let Some(cs) = &chunk_span {
+                                annotate_ledger(cs, &ledger);
+                            }
+                            (done, ledger)
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("matcher threads do not panic"))
+                    .unzip()
             })
-            .expect("matcher threads do not panic");
-            for wall in chunk_walls {
-                for (acc, d) in matcher_wall.iter_mut().zip(wall) {
-                    *acc += d;
-                }
-            }
-            for (pruned, skipped, tight) in chunk_prunes {
-                candidates_pruned += pruned;
-                matchers_skipped += skipped;
-                tightness_wall += tight;
-            }
-            worker_ledgers = chunk_ledgers;
-            out
-        } else {
-            threads_used = 1;
-            let mut cache_hits = 0u64;
-            let mut cache_misses = 0u64;
-            let mut out: Vec<Option<TightnessScore>> = Vec::with_capacity(candidates.len());
-            for (i, (_, stored)) in candidates.iter().enumerate() {
-                let run = match &equery {
-                    Some(eq) => {
-                        let (artifacts, was_hit) =
-                            self.prepared_for(&ensemble, ensemble_generation, stored);
-                        if was_hit {
-                            cache_hits += 1;
-                        } else {
-                            cache_misses += 1;
-                        }
-                        let theta = floor.as_ref().map_or(0.0, |f| f.theta(min_element_score));
-                        ensemble.run_prepared_bounded(
-                            eq,
-                            &terms,
-                            &graph,
-                            &artifacts,
-                            &stored.schema,
-                            want_trace,
-                            theta,
-                        )
-                    }
-                    None => {
-                        BoundedRun::Scored(ensemble.run(&terms, &graph, &stored.schema, want_trace))
-                    }
-                };
-                match run {
-                    BoundedRun::Scored(run) => {
-                        for (acc, d) in matcher_wall.iter_mut().zip(run.timings) {
-                            *acc += d;
-                        }
-                        strengths[i] = run.strengths;
-                        let tstart = Instant::now();
-                        let t =
-                            tightness_of_fit(&stored.schema, &run.matrix, &self.config.tightness);
-                        tightness_wall += tstart.elapsed();
-                        if let Some(f) = &floor {
-                            f.observe(t.score);
-                        }
-                        out.push(Some(t));
-                    }
-                    BoundedRun::Pruned { timings, skipped } => {
-                        for (acc, d) in matcher_wall.iter_mut().zip(timings) {
-                            *acc += d;
-                        }
-                        candidates_pruned += 1;
-                        matchers_skipped += skipped as u64;
-                        out.push(None);
-                    }
-                }
-            }
-            if let (Some(s), Some(_)) = (&p2, &equery) {
-                // The sequential pass is one candidate batch.
-                cs_annotate_batch(s, cache_hits, cache_misses);
-            }
-            out
+            .expect("matcher threads do not panic")
         };
+        // Fold the chunks back together in candidate order. Matcher and
+        // tightness walls are summed over chunks — under parallel
+        // matching, over threads.
+        let mut scores: Vec<TightnessScore> = Vec::with_capacity(candidates.len());
+        let mut strengths: Vec<Vec<f64>> = Vec::with_capacity(candidates.len());
+        let mut matcher_wall: Vec<Duration> = vec![Duration::ZERO; ensemble.len()];
+        let mut tightness_wall = Duration::ZERO;
+        for done in chunks {
+            scores.extend(done.scores);
+            strengths.extend(done.strengths);
+            for (acc, d) in matcher_wall.iter_mut().zip(done.matcher_wall) {
+                *acc += d;
+            }
+            tightness_wall += done.tightness_wall;
+        }
         // Materialize each matcher's accumulated wall as a closed child
         // of the matching span.
         if let Some(s) = &p2 {
             for (name, wall) in matcher_names.iter().zip(&matcher_wall) {
                 s.add_closed_child(&format!("matcher:{name}"), *wall);
-            }
-            if floor.is_some() {
-                s.annotate("candidates_pruned", candidates_pruned);
-                s.annotate("matchers_skipped", matchers_skipped);
             }
         }
         if let (Some(s), Some(pr)) = (&p2, &p2_probe) {
@@ -880,10 +785,9 @@ impl SchemrEngine {
         // loop's elapsed wall under parallel matching.
         let matching = t1.elapsed().saturating_sub(tightness_wall);
 
-        // Phase 3: final ranking. Tightness-of-fit itself ran inside the
-        // Phase 2 loop (the early-exit floor needs final scores as they
-        // stream in); its wall was accumulated there and is added back to
-        // this phase, which otherwise assembles, sorts, and truncates.
+        // Phase 3: final ranking. Tightness-of-fit itself ran inside
+        // `match_chunk`; its wall was accumulated there and is added back
+        // to this phase, which otherwise assembles, sorts, and truncates.
         let t2 = Instant::now();
         let p3 = root.as_ref().map(|r| r.child("tightness_scoring"));
         let p3_probe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
@@ -898,17 +802,15 @@ impl SchemrEngine {
         let mut results: Vec<SearchResult> = candidates
             .into_iter()
             .zip(scores)
-            .filter_map(|((hit, stored), tight)| {
-                tight.map(|t| SearchResult {
-                    id: stored.metadata.id,
-                    title: stored.metadata.title,
-                    summary: stored.metadata.summary,
-                    score: t.score,
-                    coarse_score: hit.score,
-                    matched_terms: hit.matched_terms,
-                    stats: schemr_model::SchemaStats::of(&stored.schema),
-                    matches: t.matched,
-                })
+            .map(|((hit, stored), t)| SearchResult {
+                id: stored.metadata.id,
+                title: stored.metadata.title,
+                summary: stored.metadata.summary,
+                score: t.score,
+                coarse_score: hit.score,
+                matched_terms: hit.matched_terms,
+                stats: schemr_model::SchemaStats::of(&stored.schema),
+                matches: t.matched,
             })
             .collect();
         results.sort_by(rank_order);
@@ -945,8 +847,6 @@ impl SchemrEngine {
         m.candidates_evaluated_total
             .add(candidates_evaluated as u64);
         m.match_threads_used_total.add(threads_used as u64);
-        m.match_candidates_pruned_total.add(candidates_pruned);
-        m.match_matchers_skipped_total.add(matchers_skipped);
         // Offer each observation as its bucket's exemplar: a p99 spike on
         // `/metrics` then links straight to `/debug/traces/{id}`. With
         // tracing off the id is empty and the histogram records plainly.
@@ -1041,78 +941,23 @@ impl SchemrEngine {
     }
 }
 
-/// The running top-k floor shared by Phase 2 workers when the ensemble
-/// early exit is active.
-///
-/// Holds the k best *final* (tightness) scores seen so far in a min-heap
-/// and publishes the k-th best as a lock-free snapshot once the heap is
-/// full. The pruning floor θ handed to
-/// [`Ensemble::run_prepared_bounded`] is `max(kth_best,
-/// min_element_score)` — a candidate whose combined-matrix bound is
-/// below `min_element_score` matches nothing and scores exactly 0, so it
-/// cannot displace any of k already-positive results. Until the heap is
-/// full θ stays 0 and nothing is pruned: with fewer than k scored
-/// candidates, even a zero-scoring candidate appears in the final list,
-/// so every candidate must be scored exactly.
-///
-/// Soundness does not depend on thread interleavings: the snapshot is
-/// monotonically non-decreasing (scores are only ever added), so a
-/// candidate pruned against a stale (lower) floor was prunable against
-/// the final floor too, and the pruning comparison is strict so a
-/// would-be tie with the k-th result (decided by coarse score and id)
-/// is never pruned.
-struct TopKFloor {
-    k: usize,
-    /// Min-heap over score bit patterns. Final scores are finite and
-    /// non-negative, where `f64::to_bits` is monotone in the value.
-    heap: Mutex<std::collections::BinaryHeap<std::cmp::Reverse<u64>>>,
-    /// Bits of the k-th best score once `k` candidates are scored; 0
-    /// (i.e. 0.0) before that.
-    floor_bits: AtomicU64,
-}
-
-impl TopKFloor {
-    fn new(k: usize) -> Self {
-        TopKFloor {
-            k,
-            heap: Mutex::new(std::collections::BinaryHeap::with_capacity(k + 1)),
-            floor_bits: AtomicU64::new(0),
-        }
-    }
-
-    /// The pruning floor θ for the next candidate: 0.0 (prune nothing)
-    /// until k candidates have scored and the k-th best is positive.
-    fn theta(&self, min_element_score: f64) -> f64 {
-        let f = f64::from_bits(self.floor_bits.load(Ordering::Relaxed));
-        if f > 0.0 {
-            f.max(min_element_score)
-        } else {
-            0.0
-        }
-    }
-
-    /// Fold one scored candidate's final score into the floor.
-    fn observe(&self, score: f64) {
-        // NaN and negative zero cannot occur (the tightness aggregation
-        // sanitizes), but both would corrupt the bit-pattern ordering,
-        // so scrub them to 0 rather than trust the invariant.
-        let bits = if score > 0.0 { score.to_bits() } else { 0 };
-        let mut heap = self.heap.lock();
-        if heap.len() < self.k {
-            heap.push(std::cmp::Reverse(bits));
-        } else if heap
-            .peek()
-            .is_some_and(|&std::cmp::Reverse(min)| bits > min)
-        {
-            heap.pop();
-            heap.push(std::cmp::Reverse(bits));
-        }
-        if heap.len() == self.k {
-            if let Some(&std::cmp::Reverse(min)) = heap.peek() {
-                self.floor_bits.store(min, Ordering::Relaxed);
-            }
-        }
-    }
+/// What [`SchemrEngine::match_chunk`] produced for one contiguous run of
+/// candidates, in candidate order.
+struct ChunkMatch {
+    /// Final (tightness-of-fit) score per candidate.
+    scores: Vec<TightnessScore>,
+    /// Per-candidate per-matcher strengths for the event log; each empty
+    /// unless the search is traced.
+    strengths: Vec<Vec<f64>>,
+    /// Per-matcher wall time, accumulated over the chunk's candidates.
+    matcher_wall: Vec<Duration>,
+    /// Wall time spent in tightness-of-fit calls. Tightness executes in
+    /// the chunk but is *accounted* to Phase 3, so the matching/scoring
+    /// split keeps its meaning — Phase 2 = matchers, Phase 3 = tightness
+    /// + assembly.
+    tightness_wall: Duration,
+    artifact_hits: u64,
+    artifact_misses: u64,
 }
 
 /// Stamp a thread's resource delta onto a span as annotations. Zero
@@ -1639,38 +1484,89 @@ mod tests {
     }
 
     #[test]
-    fn warm_artifact_cache_reproduces_cold_and_naive_results_bitwise() {
+    fn warm_artifact_cache_reproduces_cold_and_uncached_results_bitwise() {
         let repo = clinic_repo();
-        let prepared = SchemrEngine::new(repo.clone());
-        prepared.reindex_full();
-        let naive = SchemrEngine::with_config(
+        let cached = SchemrEngine::new(repo.clone());
+        cached.reindex_full();
+        let uncached = SchemrEngine::with_config(
             repo,
             EngineConfig {
                 match_artifact_cache_bytes: 0,
                 ..Default::default()
             },
         );
-        naive.reindex_full();
+        uncached.reindex_full();
         let request = SearchRequest::keywords(["patient", "gender", "height"]);
-        let cold = prepared.search(&request).unwrap();
-        let cold_misses = prepared.metrics().match_artifact_cache_misses.get();
+        let cold = cached.search(&request).unwrap();
+        let cold_misses = cached.metrics().match_artifact_cache_misses.get();
         assert!(cold_misses > 0, "first search prepares artifacts");
-        let warm = prepared.search(&request).unwrap();
+        let warm = cached.search(&request).unwrap();
         assert!(
-            prepared.metrics().match_artifact_cache_hits.get() >= cold_misses,
+            cached.metrics().match_artifact_cache_hits.get() >= cold_misses,
             "second search reuses every prepared candidate"
         );
-        let reference = naive.search(&request).unwrap();
+        let reference = uncached.search(&request).unwrap();
         assert_eq!(cold.len(), reference.len());
         for ((c, w), n) in cold.iter().zip(&warm).zip(&reference) {
             assert_eq!(c.id, w.id);
             assert_eq!(c.id, n.id);
             assert_eq!(c.score.to_bits(), w.score.to_bits());
-            assert_eq!(c.score.to_bits(), n.score.to_bits(), "prepared vs naive");
+            assert_eq!(c.score.to_bits(), n.score.to_bits(), "cached vs uncached");
         }
-        // The naive engine never touched its (disabled) artifact cache.
-        assert_eq!(naive.metrics().match_artifact_cache_misses.get(), 0);
-        assert_eq!(naive.metrics().match_artifact_cache_hits.get(), 0);
+        // A zero budget means only "don't cache": nothing was looked up
+        // or admitted.
+        assert_eq!(uncached.metrics().match_artifact_cache_misses.get(), 0);
+        assert_eq!(uncached.metrics().match_artifact_cache_hits.get(), 0);
+    }
+
+    #[test]
+    fn artifact_less_matchers_score_the_same_bits_cached_uncached_and_restamped() {
+        // `edit` prepares nothing: its (empty) artifacts ride the same
+        // bundles, cache and stamps as the name and context matchers'.
+        let with_edit = || {
+            let mut e = Ensemble::standard();
+            e.push(Box::new(schemr_match::EditDistanceMatcher::new()), 0.5);
+            e
+        };
+        let repo = clinic_repo();
+        let cached = SchemrEngine::new(repo.clone());
+        let uncached = SchemrEngine::with_config(
+            repo,
+            EngineConfig {
+                match_artifact_cache_bytes: 0,
+                ..Default::default()
+            },
+        );
+        for engine in [&cached, &uncached] {
+            engine.reindex_full();
+            engine.set_ensemble(with_edit());
+        }
+        let request = SearchRequest::keywords(["patient", "gender", "hieght"]).with_explain();
+        let reference = uncached.search_detailed(&request).unwrap();
+        let names: Vec<&str> = reference
+            .trace
+            .as_ref()
+            .unwrap()
+            .matchers
+            .iter()
+            .map(|m| m.name.as_str())
+            .collect();
+        assert_eq!(names, ["name", "context", "edit"]);
+        assert!(!reference.results.is_empty());
+        let cold = cached.search(&request).unwrap();
+        let warm = cached.search(&request).unwrap();
+        assert!(cached.metrics().match_artifact_cache_hits.get() > 0);
+        // A generation bump makes every cached bundle stale.
+        cached.set_ensemble(with_edit());
+        let restamped = cached.search(&request).unwrap();
+        assert!(cached.metrics().match_artifact_cache_invalidations.get() >= 1);
+        for (what, got) in [("cold", &cold), ("warm", &warm), ("restamped", &restamped)] {
+            assert_eq!(got.len(), reference.results.len(), "{what}");
+            for (x, y) in got.iter().zip(&reference.results) {
+                assert_eq!(x.id, y.id, "{what}");
+                assert_eq!(x.score.to_bits(), y.score.to_bits(), "{what}");
+            }
+        }
     }
 
     #[test]
@@ -1772,12 +1668,10 @@ mod tests {
             .any(|(k, v)| k == "artifact_cache" && v == "hit"));
     }
 
-    /// A corpus engineered so the ensemble early exit must fire: a few
-    /// schemas match the query exactly (they fill the top-k floor at
-    /// ~1.0), while many others reach Phase 2 only through their summary
-    /// text — their element names are long alien words whose name-matcher
-    /// bound sits far below the floor.
-    fn prunable_repo() -> Arc<Repository> {
+    /// Fifteen schemas that all reach Phase 2 for `patient archive`:
+    /// three match the query exactly, twelve only through their summary
+    /// text — enough candidates that eight workers get uneven chunks.
+    fn wide_repo() -> Arc<Repository> {
         use schemr_model::{DataType, SchemaBuilder};
         let repo = Arc::new(Repository::new());
         for name in ["one", "two", "three"] {
@@ -1804,76 +1698,37 @@ mod tests {
     }
 
     #[test]
-    fn ensemble_early_exit_prunes_hopeless_candidates_and_preserves_the_top_k() {
-        let repo = prunable_repo();
-        let exit = SchemrEngine::with_config(
-            repo.clone(),
-            EngineConfig {
-                match_threads: 1,
-                ..Default::default()
-            },
-        );
-        let full = SchemrEngine::with_config(
-            repo,
-            EngineConfig {
-                match_threads: 1,
-                phase2_early_exit: false,
-                ..Default::default()
-            },
-        );
-        exit.reindex_full();
-        full.reindex_full();
-        let request = SearchRequest::keywords(["patient"]).with_limit(2);
-        let a = exit.search(&request).unwrap();
-        let b = full.search(&request).unwrap();
-        assert_eq!(a.len(), b.len(), "early exit changed the result count");
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.id, y.id, "early exit changed the ranking");
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-            assert_eq!(x.coarse_score.to_bits(), y.coarse_score.to_bits());
-        }
-        let pruned = exit.metrics().match_candidates_pruned_total.get();
-        let skipped = exit.metrics().match_matchers_skipped_total.get();
-        assert!(pruned > 0, "no candidate was pruned");
-        assert!(
-            skipped >= pruned,
-            "a pruned candidate skips at least its first matcher: {skipped} < {pruned}"
-        );
-        assert_eq!(full.metrics().match_candidates_pruned_total.get(), 0);
-        assert_eq!(full.metrics().match_matchers_skipped_total.get(), 0);
-    }
-
-    #[test]
-    fn parallel_early_exit_matches_the_exhaustive_engine() {
-        let repo = prunable_repo();
-        let exit = SchemrEngine::with_config(
-            repo.clone(),
-            EngineConfig {
-                match_threads: 4,
-                ..Default::default()
-            },
-        );
-        let full = SchemrEngine::with_config(
-            repo,
-            EngineConfig {
-                match_threads: 4,
-                phase2_early_exit: false,
-                ..Default::default()
-            },
-        );
-        exit.reindex_full();
-        full.reindex_full();
-        // The floor fills in nondeterministic order across workers, so
-        // how *much* is pruned varies run to run — the returned top k
-        // must not.
-        for limit in [1, 2, 5] {
+    fn match_threads_1_and_8_return_identical_bits() {
+        let repo = wide_repo();
+        let engine_with = |match_threads| {
+            let engine = SchemrEngine::with_config(
+                repo.clone(),
+                EngineConfig {
+                    match_threads,
+                    ..Default::default()
+                },
+            );
+            engine.reindex_full();
+            engine
+        };
+        let (seq, par) = (engine_with(1), engine_with(8));
+        // Chunking decides which thread scores a candidate, never what it
+        // scores or where its row lands.
+        for limit in [1, 2, 5, 15] {
             let request = SearchRequest::keywords(["patient", "archive"]).with_limit(limit);
-            let a = exit.search(&request).unwrap();
-            let b = full.search(&request).unwrap();
-            assert_eq!(a.len(), b.len(), "limit {limit}");
-            for (x, y) in a.iter().zip(&b) {
+            let a = seq
+                .search_detailed(&request.clone().with_explain())
+                .unwrap();
+            let b = par.search_detailed(&request.with_explain()).unwrap();
+            assert_eq!(a.trace.unwrap().match_threads_used, 1);
+            assert_eq!(b.trace.unwrap().match_threads_used, 8);
+            assert_eq!(a.results.len(), limit, "limit {limit}");
+            assert_eq!(a.results.len(), b.results.len(), "limit {limit}");
+            for (x, y) in a.results.iter().zip(&b.results) {
                 assert_eq!(x.id, y.id, "limit {limit}");
                 assert_eq!(x.score.to_bits(), y.score.to_bits(), "limit {limit}");
+                assert_eq!(x.coarse_score.to_bits(), y.coarse_score.to_bits());
+                assert_eq!(x.matches, y.matches, "limit {limit}");
             }
         }
     }

@@ -21,8 +21,6 @@ use schemr_obs::{Counter, Histogram, MetricsRegistry, LATENCY_BUCKETS};
 /// | `schemr_search_errors_total` | counter | searches rejected (empty query) |
 /// | `schemr_search_empty_total` | counter | searches that returned zero results |
 /// | `schemr_candidates_evaluated_total` | counter | Phase 1 survivors matched in Phase 2 |
-/// | `schemr_match_candidates_pruned_total` | counter | candidates the ensemble early exit pruned below the top-k floor |
-/// | `schemr_match_matchers_skipped_total` | counter | matcher invocations those prunes skipped |
 /// | `schemr_match_threads_used_total` | counter | threads used by Phase 2, summed per search |
 /// | `schemr_phase_seconds{phase=…}` | histogram | per-phase wall time per search |
 /// | `schemr_matcher_seconds{matcher=…}` | histogram | per-matcher wall time per search |
@@ -43,14 +41,6 @@ pub struct EngineMetrics {
     pub search_empty_total: Arc<Counter>,
     /// Candidates that reached the Phase 2 matcher ensemble.
     pub candidates_evaluated_total: Arc<Counter>,
-    /// Candidates the ensemble early exit pruned: their matcher bounds
-    /// proved they could not enter the top k, so their remaining
-    /// matchers never ran. Divide by `candidates_evaluated_total` for
-    /// the Phase 2 prune rate.
-    pub match_candidates_pruned_total: Arc<Counter>,
-    /// Matcher invocations skipped by those prunes (a candidate pruned
-    /// before matcher i of n skips n−i invocations).
-    pub match_matchers_skipped_total: Arc<Counter>,
     /// Threads used by Phase 2, summed over searches; divide by
     /// `searches_total` for mean utilization.
     pub match_threads_used_total: Arc<Counter>,
@@ -119,14 +109,6 @@ impl EngineMetrics {
             candidates_evaluated_total: registry.counter(
                 "schemr_candidates_evaluated_total",
                 "Phase 1 candidates evaluated by the Phase 2 matcher ensemble.",
-            ),
-            match_candidates_pruned_total: registry.counter(
-                "schemr_match_candidates_pruned_total",
-                "Candidates pruned by the Phase 2 ensemble early exit before all matchers ran.",
-            ),
-            match_matchers_skipped_total: registry.counter(
-                "schemr_match_matchers_skipped_total",
-                "Matcher invocations skipped by the Phase 2 ensemble early exit.",
             ),
             match_threads_used_total: registry.counter(
                 "schemr_match_threads_used_total",
@@ -222,8 +204,6 @@ mod tests {
             "schemr_search_errors_total",
             "schemr_search_empty_total",
             "schemr_candidates_evaluated_total",
-            "schemr_match_candidates_pruned_total",
-            "schemr_match_matchers_skipped_total",
             "schemr_match_threads_used_total",
             "schemr_phase_seconds",
             "schemr_reindex_seconds",

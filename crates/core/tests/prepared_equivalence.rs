@@ -1,22 +1,22 @@
-//! The prepared-vs-naive equivalence oracle.
+//! The artifact-cache equivalence oracle.
 //!
-//! Prepared matching (hashed gram signatures + the revision-keyed match-
-//! artifact cache) is a pure performance optimization: it must never
-//! change a single bit of any similarity matrix or final score. Two
-//! layers of checks enforce that over a generated corpus:
+//! Phase 2 has one scoring path; what varies is where a candidate's
+//! prepared artifacts come from — the revision-keyed cache, a fresh
+//! build, or a rebuild after a stale bundle. None of that may change a
+//! single bit of any similarity matrix or final score. Two layers of
+//! checks enforce it over a generated corpus:
 //!
-//! * matcher level — `Ensemble::run_prepared` reproduces
-//!   `Ensemble::run`'s combined matrix bitwise for keyword and fragment
-//!   queries across corpus schemas;
+//! * ensemble level — `Ensemble::run` handed stale bundles (built for a
+//!   different matcher set, so a length mismatch) rebuilds them and
+//!   reproduces the fresh-artifact matrices bitwise, for keyword and
+//!   fragment queries across corpus schemas; and the name and token
+//!   matchers' matrices equal their public string-set scalar references
+//!   cell by cell (the context matcher's reference is private to its
+//!   own unit tests);
 //! * engine level — an engine with the artifact cache enabled and one
-//!   with it disabled (`match_artifact_cache_bytes: 0`, which also turns
-//!   off the prepared path) return identical result lists — same ids,
-//!   bitwise-equal scores — through cold/warm passes and add / replace /
-//!   remove churn;
-//! * early-exit level — the ensemble early exit
-//!   (`EngineConfig::phase2_early_exit`) must likewise never change a
-//!   bit of the returned top k, across a top-k grid and the same churn
-//!   sequence.
+//!   with it disabled (`match_artifact_cache_bytes: 0`: artifacts built
+//!   per search) return identical result lists — same ids, bitwise-equal
+//!   scores — through cold/warm passes and add / replace / remove churn.
 //!
 //! Deterministic by construction (seeded corpus, fixed query derivation).
 
@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use schemr::{EngineConfig, SchemrEngine, SearchRequest};
 use schemr_corpus::{Corpus, CorpusConfig};
-use schemr_match::{Ensemble, TokenMatcher};
+use schemr_match::{Ensemble, NameMatcher, TokenMatcher};
 use schemr_model::{QueryGraph, SchemaId};
 use schemr_repo::Repository;
 
@@ -62,12 +62,16 @@ fn query_for(corpus: &Corpus, i: usize) -> SearchRequest {
 }
 
 #[test]
-fn prepared_matchers_reproduce_naive_matrices_bitwise() {
+fn stale_bundles_rebuild_and_matrices_equal_their_scalar_references_bitwise() {
     let corpus = Corpus::generate(&CorpusConfig::small(11));
     let n = corpus.schemas.len();
     assert!(n >= 10, "corpus too small to be a test");
     let mut ensemble = Ensemble::standard();
     ensemble.push(Box::new(TokenMatcher::new()), 0.5);
+    // Bundles as the two-matcher standard ensemble prepares them: what a
+    // cache entry from before a matcher-set change would hold.
+    let old_set = Ensemble::standard();
+    let (name, token) = (NameMatcher::new(), TokenMatcher::new());
 
     for i in (0..n).step_by(4) {
         // A mixed query: one keyword plus a schema fragment, so the
@@ -77,38 +81,63 @@ fn prepared_matchers_reproduce_naive_matrices_bitwise() {
         q.add_fragment(corpus.schemas[(i + 1) % n].schema.clone());
         let terms = q.terms();
         let equery = ensemble.prepare_query(&terms, &q);
+        let stale_query = old_set.prepare_query(&terms, &q);
         for j in (0..n).step_by(3) {
             let candidate = &corpus.schemas[j].schema;
             let pcand = ensemble.prepare(candidate);
-            let naive = ensemble.run(&terms, &q, candidate, true);
-            let prepared = ensemble.run_prepared(&equery, &terms, &q, &pcand, candidate, true);
-            assert_eq!(naive.matrix.rows(), prepared.matrix.rows());
-            assert_eq!(naive.matrix.cols(), prepared.matrix.cols());
-            for r in 0..naive.matrix.rows() {
-                for c in 0..naive.matrix.cols() {
+            let stale_cand = old_set.prepare(candidate);
+            let fresh = ensemble.run(&equery, &terms, &q, &pcand, candidate, true);
+            let rebuilt = ensemble.run(&stale_query, &terms, &q, &stale_cand, candidate, true);
+            assert_eq!(fresh.matrix.rows(), rebuilt.matrix.rows());
+            assert_eq!(fresh.matrix.cols(), rebuilt.matrix.cols());
+            for r in 0..fresh.matrix.rows() {
+                for c in 0..fresh.matrix.cols() {
                     assert_eq!(
-                        prepared.matrix.get(r, c).to_bits(),
-                        naive.matrix.get(r, c).to_bits(),
+                        rebuilt.matrix.get(r, c).to_bits(),
+                        fresh.matrix.get(r, c).to_bits(),
                         "query {i} × candidate {j}, cell ({r},{c})"
                     );
                 }
             }
-            for (s, t) in prepared.strengths.iter().zip(naive.strengths.iter()) {
+            assert_eq!(rebuilt.strengths.len(), 3);
+            for (s, t) in rebuilt.strengths.iter().zip(fresh.strengths.iter()) {
                 assert_eq!(s.to_bits(), t.to_bits(), "query {i} × candidate {j}");
+            }
+            // The string-set references are slow; every other candidate
+            // is plenty.
+            if j % 2 == 1 {
+                continue;
+            }
+            let per = ensemble.individual(&terms, &q, candidate);
+            assert_eq!((per[0].0, per[2].0), ("name", "token"));
+            for (r, term) in terms.iter().enumerate() {
+                for (c, el) in candidate.ids().enumerate() {
+                    let el_name = &candidate.element(el).name;
+                    assert_eq!(
+                        per[0].1.get(r, c).to_bits(),
+                        name.similarity(&term.text, el_name).to_bits(),
+                        "name: query {i} × candidate {j}, cell ({r},{c})"
+                    );
+                    assert_eq!(
+                        per[2].1.get(r, c).to_bits(),
+                        token.similarity(&term.text, el_name).to_bits(),
+                        "token: query {i} × candidate {j}, cell ({r},{c})"
+                    );
+                }
             }
         }
     }
 }
 
 fn assert_same_results(
-    prepared: &SchemrEngine,
-    naive: &SchemrEngine,
+    cached: &SchemrEngine,
+    uncached: &SchemrEngine,
     queries: &[SearchRequest],
     what: &str,
 ) {
     for (qi, request) in queries.iter().enumerate() {
-        let a = prepared.search(request).unwrap();
-        let b = naive.search(request).unwrap();
+        let a = cached.search(request).unwrap();
+        let b = uncached.search(request).unwrap();
         assert_eq!(a.len(), b.len(), "{what}, query {qi}: result count differs");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.id, y.id, "{what}, query {qi}: ranking differs");
@@ -125,40 +154,40 @@ fn assert_same_results(
 }
 
 #[test]
-fn prepared_engine_matches_naive_engine_across_churn() {
+fn cached_engine_matches_uncached_engine_across_churn() {
     let corpus = Corpus::generate(&CorpusConfig::small(23));
     let n = corpus.schemas.len();
     let (repo, ids) = build_repo(&corpus);
 
-    let prepared = SchemrEngine::with_config(
+    let cached = SchemrEngine::with_config(
         repo.clone(),
         EngineConfig {
             match_artifact_cache_bytes: 4 * 1024 * 1024,
             ..Default::default()
         },
     );
-    let naive = SchemrEngine::with_config(
+    let uncached = SchemrEngine::with_config(
         repo.clone(),
         EngineConfig {
             match_artifact_cache_bytes: 0,
             ..Default::default()
         },
     );
-    prepared.reindex_full();
-    naive.reindex_full();
+    cached.reindex_full();
+    uncached.reindex_full();
 
     let mut queries: Vec<SearchRequest> =
         (0..n).step_by(2).map(|i| query_for(&corpus, i)).collect();
-    // One fragment query so the context matcher's prepared path runs end
+    // One fragment query so the context matcher scores nonzero rows end
     // to end.
     queries.push(
         SearchRequest::parse("", &["CREATE TABLE patient (height REAL, gender TEXT)"]).unwrap(),
     );
 
     // Cold pass fills the artifact cache; warm pass serves from it.
-    assert_same_results(&prepared, &naive, &queries, "cold pass");
-    assert_same_results(&prepared, &naive, &queries, "warm pass");
-    let reg = prepared.metrics_registry();
+    assert_same_results(&cached, &uncached, &queries, "cold pass");
+    assert_same_results(&cached, &uncached, &queries, "warm pass");
+    let reg = cached.metrics_registry();
     assert!(
         reg.counter_value("schemr_match_artifact_cache_hits_total", &[])
             .unwrap()
@@ -177,10 +206,10 @@ fn prepared_engine_matches_naive_engine_across_churn() {
     repo.update(ids[0], corpus.schemas[n - 1].schema.clone())
         .unwrap();
     repo.remove(ids[2]).unwrap();
-    prepared.reindex_incremental();
-    naive.reindex_incremental();
+    cached.reindex_incremental();
+    uncached.reindex_incremental();
 
-    assert_same_results(&prepared, &naive, &queries, "post-churn pass");
+    assert_same_results(&cached, &uncached, &queries, "post-churn pass");
     assert!(
         reg.counter_value("schemr_match_artifact_cache_invalidations_total", &[])
             .unwrap()
@@ -191,101 +220,10 @@ fn prepared_engine_matches_naive_engine_across_churn() {
     let hits_before = reg
         .counter_value("schemr_match_artifact_cache_hits_total", &[])
         .unwrap();
-    assert_same_results(&prepared, &naive, &queries, "post-churn warm pass");
+    assert_same_results(&cached, &uncached, &queries, "post-churn warm pass");
     assert!(
         reg.counter_value("schemr_match_artifact_cache_hits_total", &[])
             .unwrap()
             > hits_before
     );
-}
-
-/// The early-exit bitwise oracle: an engine with the ensemble early exit
-/// on and one with it off must return identical top-k lists — same ids,
-/// same order, bitwise-equal scores — for every query in a top-k grid,
-/// before and after repository churn. The exit engine runs sequentially
-/// so the floor fills in a deterministic order and the prune rate is
-/// reproducible; the parallel case is covered by the engine's unit
-/// tests.
-#[test]
-fn early_exit_engine_matches_exhaustive_engine_across_topk_and_churn() {
-    let corpus = Corpus::generate(&CorpusConfig::small(31));
-    let n = corpus.schemas.len();
-    let (repo, ids) = build_repo(&corpus);
-
-    let exit = SchemrEngine::with_config(
-        repo.clone(),
-        EngineConfig {
-            match_threads: 1,
-            phase2_early_exit: true,
-            ..Default::default()
-        },
-    );
-    let full = SchemrEngine::with_config(
-        repo.clone(),
-        EngineConfig {
-            match_threads: 1,
-            phase2_early_exit: false,
-            ..Default::default()
-        },
-    );
-    exit.reindex_full();
-    full.reindex_full();
-
-    // The grid: every second corpus query × {1, 3, 10, default} result
-    // limits, plus one fragment query per limit.
-    let base: Vec<SearchRequest> = (0..n).step_by(2).map(|i| query_for(&corpus, i)).collect();
-    let queries: Vec<SearchRequest> = base
-        .iter()
-        .flat_map(|q| {
-            [
-                q.clone().with_limit(1),
-                q.clone().with_limit(3),
-                q.clone().with_limit(10),
-                q.clone(),
-            ]
-        })
-        .chain([
-            SearchRequest::parse("", &["CREATE TABLE patient (height REAL, gender TEXT)"])
-                .unwrap()
-                .with_limit(3),
-        ])
-        .collect();
-
-    assert_same_results(&exit, &full, &queries, "pre-churn grid");
-
-    // The exhaustive arm must never prune; the exit arm's prune counter
-    // only moves when a bound actually cleared the floor, which the
-    // corpus does not guarantee — so assert the invariant, not a rate.
-    let reg = exit.metrics_registry();
-    assert_eq!(
-        full.metrics_registry()
-            .counter_value("schemr_match_candidates_pruned_total", &[]),
-        Some(0)
-    );
-    let pruned = reg
-        .counter_value("schemr_match_candidates_pruned_total", &[])
-        .unwrap();
-    let skipped = reg
-        .counter_value("schemr_match_matchers_skipped_total", &[])
-        .unwrap();
-    assert!(
-        skipped >= pruned,
-        "each pruned candidate skips at least one matcher"
-    );
-
-    // Churn: add, replace, remove — revisions move, cached artifacts for
-    // the touched schemas go stale, and the grid must still agree.
-    repo.insert(
-        "churn new".to_string(),
-        "added mid-test".to_string(),
-        corpus.schemas[1].schema.clone(),
-    )
-    .unwrap();
-    repo.update(ids[0], corpus.schemas[n - 1].schema.clone())
-        .unwrap();
-    repo.remove(ids[2]).unwrap();
-    exit.reindex_incremental();
-    full.reindex_incremental();
-
-    assert_same_results(&exit, &full, &queries, "post-churn grid");
 }

@@ -404,6 +404,16 @@ impl Index {
         self.len() == 0
     }
 
+    /// `(live, total)` document slots — the two [`IndexStats`] fields the
+    /// published snapshot already holds, read in O(1). A liveness probe
+    /// or a per-tick tombstone-ratio check wants only these; the full
+    /// [`Index::stats`] merges every segment's term dictionary to count
+    /// terms and postings.
+    pub fn doc_counts(&self) -> (usize, usize) {
+        let snap = self.published.read();
+        (snap.live_docs, snap.total_docs)
+    }
+
     /// Is `id` currently indexed (live)?
     pub fn contains(&self, id: SchemaId) -> bool {
         let snap = self.snapshot();
@@ -1083,6 +1093,45 @@ mod tests {
         }
         // Below-threshold state: nothing left to do.
         assert!(index.merge(0.3).is_none());
+    }
+
+    #[test]
+    fn doc_counts_track_stats_across_every_mutation() {
+        let index = Index::new().with_seal_threshold(3);
+        let check = |what: &str| {
+            let st = index.stats();
+            assert_eq!(
+                index.doc_counts(),
+                (st.live_docs, st.total_docs),
+                "after {what}"
+            );
+        };
+        check("construction");
+        for i in 0..7 {
+            index.add(&doc(i, "t", &["patient", "height"]));
+            check("add");
+        }
+        assert!(index.segment_count() > 1, "threshold 3 must have sealed");
+        index.add(&doc(2, "t2", &["patient"]));
+        check("replace in a sealed segment");
+        index.add(&doc(6, "t2", &["patient"]));
+        check("replace in the head");
+        for i in 0..4 {
+            assert!(index.remove(SchemaId(i)));
+            check("remove");
+        }
+        assert!(!index.remove(SchemaId(0)));
+        check("failed remove");
+        let (live, total) = index.doc_counts();
+        assert!(live < total, "tombstones are still counted as slots");
+        index
+            .merge(0.1)
+            .expect("over half the slots are tombstones");
+        check("merge");
+        assert_eq!(index.doc_counts(), (3, 3));
+        index.remove(SchemaId(4));
+        index.vacuum();
+        check("vacuum");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! likewise in the candidate schema. Keywords carry no context, so their
 //! rows are zero — the ensemble lets the name matcher carry them.
 
+#[cfg(test)]
 use std::collections::HashSet;
 
 use schemr_model::{ElementId, QueryGraph, QueryTerm, Schema};
@@ -40,7 +41,11 @@ impl ContextMatcher {
 
     /// The analyzed term set of an element's neighborhood: parent +
     /// siblings + children (the element's own name is excluded — the name
-    /// matcher covers it).
+    /// matcher covers it). With [`ContextMatcher::set_similarity`], the
+    /// string-set reference each cell of [`Matcher::score`]'s matrix is
+    /// tested against bit for bit; compiled for tests only, so no scoring
+    /// path can select it.
+    #[cfg(test)]
     fn neighbor_terms(&self, schema: &Schema, id: ElementId) -> HashSet<String> {
         let mut names: Vec<&str> = Vec::new();
         let el = schema.element(id);
@@ -61,7 +66,8 @@ impl ContextMatcher {
             .collect()
     }
 
-    /// Dice similarity of two neighborhood term sets.
+    /// Dice similarity of two neighborhood term sets (reference).
+    #[cfg(test)]
     fn set_similarity(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
         if a.is_empty() || b.is_empty() {
             return 0.0;
@@ -80,8 +86,9 @@ impl ContextMatcher {
             .all(|t| t.fragment.is_none() || t.element.is_none())
     }
 
-    /// The hashed term-id form of an element's neighborhood — the
-    /// prepared counterpart of [`ContextMatcher::neighbor_terms`].
+    /// The hashed term-id form of an element's neighborhood: parent +
+    /// siblings + children (the element's own name is excluded — the name
+    /// matcher covers it).
     fn neighbor_signature(&self, schema: &Schema, id: ElementId) -> GramSet {
         let mut names: Vec<&str> = Vec::new();
         let el = schema.element(id);
@@ -102,61 +109,11 @@ impl ContextMatcher {
             .collect();
         GramSet::of_terms(analyzed.iter().map(String::as_str))
     }
-
-    /// `score` with instrumentation: also returns how many candidate
-    /// neighborhoods were derived. The keyword-only regression test
-    /// asserts this stays zero when no term carries fragment context.
-    pub fn score_with_stats(
-        &self,
-        terms: &[QueryTerm],
-        query: &QueryGraph,
-        candidate: &Schema,
-    ) -> (SimilarityMatrix, usize) {
-        let m = SimilarityMatrix::zeros(terms.len(), candidate.len());
-        // Keyword-only queries produce an all-zero matrix; return before
-        // any candidate traversal happens.
-        if Self::no_fragment_terms(terms) {
-            return (m, 0);
-        }
-        let mut m = m;
-        // Candidate neighborhoods, precomputed per column.
-        let cand_ctx: Vec<HashSet<String>> = candidate
-            .ids()
-            .map(|id| self.neighbor_terms(candidate, id))
-            .collect();
-        let traversed = cand_ctx.len();
-        for (row, term) in terms.iter().enumerate() {
-            let (Some(frag_ix), Some(el)) = (term.fragment, term.element) else {
-                continue; // keywords have no context
-            };
-            let fragment = &query.fragments()[frag_ix];
-            let query_ctx = self.neighbor_terms(fragment, el);
-            if query_ctx.is_empty() {
-                continue;
-            }
-            for (col, ctx) in cand_ctx.iter().enumerate() {
-                let s = Self::set_similarity(&query_ctx, ctx);
-                if s > 0.0 {
-                    m.set(row, col, s);
-                }
-            }
-        }
-        (m, traversed)
-    }
 }
 
 impl Matcher for ContextMatcher {
     fn name(&self) -> &'static str {
         "context"
-    }
-
-    fn score(
-        &self,
-        terms: &[QueryTerm],
-        query: &QueryGraph,
-        candidate: &Schema,
-    ) -> SimilarityMatrix {
-        self.score_with_stats(terms, query, candidate).0
     }
 
     fn prepare(&self, schema: &Schema) -> PreparedSchema {
@@ -189,7 +146,7 @@ impl Matcher for ContextMatcher {
         }
     }
 
-    fn score_prepared(
+    fn score(
         &self,
         prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
@@ -198,7 +155,8 @@ impl Matcher for ContextMatcher {
         candidate: &Schema,
     ) -> SimilarityMatrix {
         let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
-        // The keyword-only early return applies on the prepared path too.
+        // Keyword-only queries produce an all-zero matrix; return before
+        // any artifact is read or rebuilt.
         if Self::no_fragment_terms(terms) {
             return m;
         }
@@ -226,8 +184,9 @@ impl Matcher for ContextMatcher {
                 continue; // keyword or empty neighborhood
             };
             for (col, ctx) in cand_ctx.iter().enumerate() {
-                // Dice over hashed term ids, arithmetic-identical to
-                // `set_similarity` (an empty side yields 0 either way).
+                // Dice over hashed term ids, arithmetic-identical to the
+                // reference `set_similarity` (an empty side yields 0
+                // either way).
                 let s = query_ctx.dice(ctx);
                 if s > 0.0 {
                     m.set(row, col, s);
@@ -235,46 +194,6 @@ impl Matcher for ContextMatcher {
             }
         }
         m
-    }
-
-    /// Matcher-level bound: each cell is a Dice coefficient, so it cannot
-    /// exceed `2·min/(|a|+|b|)` for its (term context, neighborhood) set
-    /// sizes — maximized over all pairs. Keyword-only queries bound to
-    /// exactly 0.0 (the matrix is all-zero by construction); missing
-    /// artifacts fall back to the trivial `1.0`.
-    fn score_upper_bound(
-        &self,
-        prepared_query: &PreparedQuery,
-        terms: &[QueryTerm],
-        prepared: &PreparedSchema,
-        candidate: &Schema,
-    ) -> f64 {
-        if Self::no_fragment_terms(terms) {
-            return 0.0;
-        }
-        let (Some(term_contexts), Some(neighborhoods)) =
-            (&prepared_query.term_contexts, &prepared.neighborhoods)
-        else {
-            return 1.0;
-        };
-        if term_contexts.len() != terms.len() || neighborhoods.len() != candidate.len() {
-            return 1.0;
-        }
-        let mut best = 0.0f64;
-        for ctx in term_contexts.iter().flatten() {
-            for nb in neighborhoods {
-                if nb.is_empty() {
-                    continue; // dice against an empty neighborhood is 0
-                }
-                let min = ctx.len().min(nb.len());
-                let bound = 2.0 * min as f64 / (ctx.len() + nb.len()) as f64;
-                best = best.max(bound);
-                if best >= 1.0 {
-                    return best;
-                }
-            }
-        }
-        best
     }
 }
 
@@ -309,7 +228,7 @@ mod tests {
                     .attr("gender", DataType::Text)
             })
             .build_unchecked();
-        let m = ContextMatcher::new().score(&terms, &q, &candidate);
+        let m = crate::score_fresh(&ContextMatcher::new(), &terms, &q, &candidate);
         // Query "height"'s neighborhood is {patient, gender}; candidate
         // "height"'s is {person, gender}. The shared sibling "gender" gives
         // a positive context score even though the entity was renamed.
@@ -328,7 +247,7 @@ mod tests {
         let candidate = SchemaBuilder::new("cand")
             .entity("patient", |e| e.attr("height", DataType::Real))
             .build_unchecked();
-        let m = ContextMatcher::new().score(&terms, &q, &candidate);
+        let m = crate::score_fresh(&ContextMatcher::new(), &terms, &q, &candidate);
         let kw_row = terms.iter().position(|t| t.is_keyword()).unwrap();
         assert_eq!(m.row_max(kw_row), 0.0);
     }
@@ -339,7 +258,7 @@ mod tests {
         let candidate = SchemaBuilder::new("cand")
             .entity("invoice", |e| e.attr("total", DataType::Decimal))
             .build_unchecked();
-        let m = ContextMatcher::new().score(&terms, &q, &candidate);
+        let m = crate::score_fresh(&ContextMatcher::new(), &terms, &q, &candidate);
         let entries: Vec<_> = m.nonzero().collect();
         assert!(
             entries.is_empty(),
@@ -348,10 +267,10 @@ mod tests {
     }
 
     #[test]
-    fn keyword_only_queries_skip_candidate_traversal() {
-        // Regression: `score` used to derive every candidate column's
-        // neighborhood even when the query had no fragment terms and the
-        // matrix was guaranteed all-zero.
+    fn keyword_only_queries_score_zero_without_artifacts() {
+        // Regression: a query with no fragment terms has an all-zero
+        // matrix by construction, so `score` returns before it reads or
+        // rebuilds a single neighborhood — empty artifacts included.
         let mut q = QueryGraph::new();
         q.add_keyword("patient");
         q.add_keyword("diagnosis");
@@ -363,18 +282,19 @@ mod tests {
             })
             .entity("doctor", |e| e.attr("specialty", DataType::Text))
             .build_unchecked();
-        let (m, traversed) = ContextMatcher::new().score_with_stats(&terms, &q, &candidate);
-        assert_eq!(traversed, 0, "no candidate neighborhood may be derived");
+        let m = ContextMatcher::new().score(
+            &PreparedQuery::default(),
+            &terms,
+            &q,
+            &PreparedSchema::default(),
+            &candidate,
+        );
         assert!(m.nonzero().next().is_none());
         assert_eq!((m.rows(), m.cols()), (terms.len(), candidate.len()));
-        // Fragment queries still traverse.
-        let (q2, terms2) = fragment_query();
-        let (_, traversed2) = ContextMatcher::new().score_with_stats(&terms2, &q2, &candidate);
-        assert_eq!(traversed2, candidate.len());
     }
 
     #[test]
-    fn prepared_matrix_is_bitwise_equal_to_naive() {
+    fn matrix_is_bitwise_equal_to_the_scalar_reference() {
         let (q, terms) = fragment_query();
         let candidate = SchemaBuilder::new("cand")
             .entity("person", |e| {
@@ -384,55 +304,37 @@ mod tests {
             .entity("doctor", |e| e.attr("gender", DataType::Text))
             .build_unchecked();
         let matcher = ContextMatcher::new();
-        let naive = matcher.score(&terms, &q, &candidate);
-        let pq = matcher.prepare_query(&terms, &q);
-        let ps = matcher.prepare(&candidate);
-        let prepared = matcher.score_prepared(&pq, &terms, &q, &ps, &candidate);
-        for r in 0..naive.rows() {
-            for c in 0..naive.cols() {
-                assert_eq!(
-                    prepared.get(r, c).to_bits(),
-                    naive.get(r, c).to_bits(),
-                    "cell ({r},{c})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matcher_bound_dominates_matrix_max_and_zeroes_keyword_queries() {
-        let (q, terms) = fragment_query();
-        let candidate = SchemaBuilder::new("cand")
-            .entity("person", |e| {
-                e.attr("height", DataType::Real)
-                    .attr("gender", DataType::Text)
-            })
-            .build_unchecked();
-        let matcher = ContextMatcher::new();
-        let pq = matcher.prepare_query(&terms, &q);
-        let ps = matcher.prepare(&candidate);
-        let bound = matcher.score_upper_bound(&pq, &terms, &ps, &candidate);
-        let max = matcher
-            .score_prepared(&pq, &terms, &q, &ps, &candidate)
-            .max_value();
-        assert!(max <= bound, "matrix max {max} exceeds bound {bound}");
-        // Keyword-only queries bound to exactly zero, artifacts or not.
-        let mut kq = QueryGraph::new();
-        kq.add_keyword("patient");
-        let kterms = kq.terms();
-        let kpq = matcher.prepare_query(&kterms, &kq);
-        assert_eq!(
-            matcher.score_upper_bound(&kpq, &kterms, &ps, &candidate),
-            0.0
-        );
-        // Missing artifacts (with fragment terms) degrade to 1.0.
-        let trivial = matcher.score_upper_bound(
-            &crate::prepare::PreparedQuery::default(),
+        let prepared = crate::score_fresh(&matcher, &terms, &q, &candidate);
+        // Empty artifacts on both sides are rebuilt inside `score`.
+        let rebuilt = matcher.score(
+            &PreparedQuery::default(),
             &terms,
-            &crate::prepare::PreparedSchema::default(),
+            &q,
+            &PreparedSchema::default(),
             &candidate,
         );
-        assert_eq!(trivial, 1.0);
+        let mut nonzero = 0;
+        for (r, term) in terms.iter().enumerate() {
+            // Keywords carry no context: their reference row is zero.
+            let query_ctx = match (term.fragment, term.element) {
+                (Some(f), Some(el)) => matcher.neighbor_terms(&q.fragments()[f], el),
+                _ => HashSet::new(),
+            };
+            for (c, id) in candidate.ids().enumerate() {
+                let reference = ContextMatcher::set_similarity(
+                    &query_ctx,
+                    &matcher.neighbor_terms(&candidate, id),
+                );
+                assert_eq!(
+                    prepared.get(r, c).to_bits(),
+                    reference.to_bits(),
+                    "cell ({r},{c})"
+                );
+                assert_eq!(rebuilt.get(r, c).to_bits(), reference.to_bits());
+                nonzero += usize::from(reference > 0.0);
+            }
+        }
+        assert!(nonzero > 0, "the fixture must exercise the kernel");
     }
 
     #[test]
@@ -450,7 +352,7 @@ mod tests {
                     .attr("gender", DataType::Text)
             })
             .build_unchecked();
-        let m = ContextMatcher::new().score(&terms, &q, &candidate);
+        let m = crate::score_fresh(&ContextMatcher::new(), &terms, &q, &candidate);
         let gender_row = 2; // fragment order: patient, height, gender
                             // Candidate ids: 0 patient, 1 height, 2 gender, 3 doctor, 4 specialty, 5 gender
         assert!(

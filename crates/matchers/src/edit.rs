@@ -10,6 +10,7 @@ use schemr_text::normalize::fold_case;
 use schemr_text::tokenize::words;
 
 use crate::matrix::SimilarityMatrix;
+use crate::prepare::{PreparedQuery, PreparedSchema};
 use crate::Matcher;
 
 /// Levenshtein distance between two strings (character-wise), O(|a|·|b|)
@@ -74,8 +75,10 @@ impl Matcher for EditDistanceMatcher {
 
     fn score(
         &self,
+        _prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
         _query: &QueryGraph,
+        _prepared: &PreparedSchema,
         candidate: &Schema,
     ) -> SimilarityMatrix {
         let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());

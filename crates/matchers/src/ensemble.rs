@@ -34,33 +34,6 @@ pub struct EnsembleRun {
     pub strengths: Vec<f64>,
 }
 
-/// The output of a bounded ensemble pass
-/// ([`Ensemble::run_prepared_bounded`]): either a full scored run, or
-/// proof that the candidate's combined matrix cannot contain a cell
-/// reaching the caller's floor, with the remaining matchers skipped.
-pub enum BoundedRun {
-    /// All matchers ran; identical to [`Ensemble::run_prepared`] output.
-    Scored(EnsembleRun),
-    /// The candidate was proven unable to reach the floor. No combined
-    /// matrix exists; every cell it would contain is `< theta`, so the
-    /// tightness score would have no matched elements.
-    Pruned {
-        /// Per-matcher wall time in registration order — skipped
-        /// matchers report [`Duration::ZERO`], so the engine's
-        /// per-matcher wall aggregation stays meaningful.
-        timings: Vec<Duration>,
-        /// How many trailing matchers were never evaluated.
-        skipped: usize,
-    },
-}
-
-/// Relative slack applied to upper bounds before comparing against the
-/// floor: per-cell bounds dominate exactly, but the averaging inside the
-/// name matcher and the weighted combination accumulate a few ulps of
-/// IEEE rounding. 1e-9 is ~10⁶ × that accumulation and far below any
-/// score gap that matters for pruning effectiveness.
-const BOUND_SLACK: f64 = 1e-9;
-
 impl Ensemble {
     /// An empty ensemble. Add matchers with [`Ensemble::push`].
     pub fn empty() -> Self {
@@ -115,74 +88,6 @@ impl Ensemble {
         }
     }
 
-    /// Run every matcher and combine the matrices with the current
-    /// weights. Matchers whose [`Matcher::abstains`] is true only
-    /// participate in cells where they produced a nonzero score.
-    pub fn combined(
-        &self,
-        terms: &[QueryTerm],
-        query: &QueryGraph,
-        candidate: &Schema,
-    ) -> SimilarityMatrix {
-        self.combined_traced(terms, query, candidate).0
-    }
-
-    /// Like [`Ensemble::combined`], but also returns each matcher's wall
-    /// time (in registration order — align with
-    /// [`Ensemble::matcher_names`]). The engine aggregates these per
-    /// search to expose the name-vs-context cost split.
-    pub fn combined_traced(
-        &self,
-        terms: &[QueryTerm],
-        query: &QueryGraph,
-        candidate: &Schema,
-    ) -> (SimilarityMatrix, Vec<Duration>) {
-        let run = self.run(terms, query, candidate, false);
-        (run.matrix, run.timings)
-    }
-
-    /// The full instrumented pass: combined matrix, per-matcher wall
-    /// times, and (when `with_strengths`) each matcher's
-    /// [`SimilarityMatrix::mean_row_max`] strength for the event log.
-    pub fn run(
-        &self,
-        terms: &[QueryTerm],
-        query: &QueryGraph,
-        candidate: &Schema,
-        with_strengths: bool,
-    ) -> EnsembleRun {
-        let mut timings = Vec::with_capacity(self.matchers.len());
-        let matrices: Vec<(SimilarityMatrix, f64, bool)> = self
-            .matchers
-            .iter()
-            .map(|(m, w)| {
-                let start = Instant::now();
-                let scored = m.score(terms, query, candidate);
-                timings.push(start.elapsed());
-                (scored, *w, m.abstains())
-            })
-            .collect();
-        let strengths = if with_strengths {
-            matrices.iter().map(|(m, _, _)| m.mean_row_max()).collect()
-        } else {
-            Vec::new()
-        };
-        if matrices.is_empty() {
-            return EnsembleRun {
-                matrix: SimilarityMatrix::zeros(terms.len(), candidate.len()),
-                timings,
-                strengths,
-            };
-        }
-        let refs: Vec<(&SimilarityMatrix, f64, bool)> =
-            matrices.iter().map(|(m, w, a)| (m, *w, *a)).collect();
-        EnsembleRun {
-            matrix: SimilarityMatrix::combine_with_abstention(&refs),
-            timings,
-            strengths,
-        }
-    }
-
     /// Build the query-side prepared artifacts for every matcher, once
     /// per search.
     pub fn prepare_query(&self, terms: &[QueryTerm], query: &QueryGraph) -> EnsembleQuery {
@@ -197,12 +102,50 @@ impl Ensemble {
         PreparedCandidate::build(&refs, schema)
     }
 
-    /// Like [`Ensemble::run`], but scoring through each matcher's
-    /// prepared path. The combined matrix is bitwise-identical to the
-    /// unprepared [`Ensemble::run`]. If either artifact bundle was built
-    /// for a different matcher set (length mismatch), the whole pass
-    /// falls back to the unprepared path.
-    pub fn run_prepared(
+    /// Every matcher's matrix and wall time, in registration order. An
+    /// artifact bundle built for a different matcher set (length
+    /// mismatch) must not be zipped positionally; it is rebuilt here.
+    fn score_each(
+        &self,
+        equery: &EnsembleQuery,
+        terms: &[QueryTerm],
+        query: &QueryGraph,
+        pcand: &PreparedCandidate,
+        candidate: &Schema,
+    ) -> Vec<(SimilarityMatrix, Duration)> {
+        let rebuilt_query;
+        let equery = if equery.per_matcher.len() == self.matchers.len() {
+            equery
+        } else {
+            rebuilt_query = self.prepare_query(terms, query);
+            &rebuilt_query
+        };
+        let rebuilt_cand;
+        let pcand = if pcand.per_matcher.len() == self.matchers.len() {
+            pcand
+        } else {
+            rebuilt_cand = self.prepare(candidate);
+            &rebuilt_cand
+        };
+        self.matchers
+            .iter()
+            .zip(equery.per_matcher.iter().zip(&pcand.per_matcher))
+            .map(|((m, _), (pq, ps))| {
+                let start = Instant::now();
+                let scored = m.score(pq, terms, query, ps, candidate);
+                (scored, start.elapsed())
+            })
+            .collect()
+    }
+
+    /// The ensemble pass over one candidate: run every matcher on its
+    /// prepared artifacts and combine the matrices with the current
+    /// weights. Matchers whose [`Matcher::abstains`] is true only
+    /// participate in cells where they produced a nonzero score. Also
+    /// reports per-matcher wall times and (when `with_strengths`) each
+    /// matcher's [`SimilarityMatrix::mean_row_max`] strength for the
+    /// event log.
+    pub fn run(
         &self,
         equery: &EnsembleQuery,
         terms: &[QueryTerm],
@@ -211,166 +154,48 @@ impl Ensemble {
         candidate: &Schema,
         with_strengths: bool,
     ) -> EnsembleRun {
-        if equery.per_matcher.len() != self.matchers.len()
-            || pcand.per_matcher.len() != self.matchers.len()
-        {
-            return self.run(terms, query, candidate, with_strengths);
-        }
-        let mut timings = Vec::with_capacity(self.matchers.len());
-        let matrices: Vec<(SimilarityMatrix, f64, bool)> = self
-            .matchers
-            .iter()
-            .zip(equery.per_matcher.iter().zip(pcand.per_matcher.iter()))
-            .map(|((m, w), (pq, ps))| {
-                let start = Instant::now();
-                let scored = m.score_prepared(pq, terms, query, ps, candidate);
-                timings.push(start.elapsed());
-                (scored, *w, m.abstains())
-            })
-            .collect();
+        let scored = self.score_each(equery, terms, query, pcand, candidate);
         let strengths = if with_strengths {
-            matrices.iter().map(|(m, _, _)| m.mean_row_max()).collect()
+            scored.iter().map(|(m, _)| m.mean_row_max()).collect()
         } else {
             Vec::new()
         };
-        if matrices.is_empty() {
-            return EnsembleRun {
-                matrix: SimilarityMatrix::zeros(terms.len(), candidate.len()),
-                timings,
-                strengths,
-            };
-        }
-        let refs: Vec<(&SimilarityMatrix, f64, bool)> =
-            matrices.iter().map(|(m, w, a)| (m, *w, *a)).collect();
+        let matrix = if scored.is_empty() {
+            SimilarityMatrix::zeros(terms.len(), candidate.len())
+        } else {
+            let refs: Vec<(&SimilarityMatrix, f64, bool)> = scored
+                .iter()
+                .zip(&self.matchers)
+                .map(|((matrix, _), (m, w))| (matrix, *w, m.abstains()))
+                .collect();
+            SimilarityMatrix::combine_with_abstention(&refs)
+        };
         EnsembleRun {
-            matrix: SimilarityMatrix::combine_with_abstention(&refs),
-            timings,
+            matrix,
+            timings: scored.into_iter().map(|(_, wall)| wall).collect(),
             strengths,
         }
     }
 
-    /// Like [`Ensemble::run_prepared`], but with ensemble-level early
-    /// exit against `theta`, the caller's current score floor (the
-    /// engine's running top-k admission threshold, already clamped to at
-    /// least the tightness scorer's `min_element_score`).
-    ///
-    /// Matchers are evaluated in registration order. Before each, the
-    /// best possible combined-matrix cell is bounded by the max of (a)
-    /// the actual matrix maxima of matchers already scored and (b) the
-    /// cheap [`Matcher::score_upper_bound`] of matchers not yet scored —
-    /// the weighted combination is a convex blend of participating
-    /// values, so no combined cell can exceed that max. When the bound
-    /// (plus rounding slack) drops below `theta`, no element of this
-    /// candidate can reach `theta`, the tightness score is exactly zero,
-    /// and the remaining matchers are skipped.
-    ///
-    /// With `theta <= 0` the pass is exactly [`Ensemble::run_prepared`];
-    /// survivors always score every matcher in registration order, so
-    /// their output is bitwise-identical to the unbounded pass.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_prepared_bounded(
-        &self,
-        equery: &EnsembleQuery,
-        terms: &[QueryTerm],
-        query: &QueryGraph,
-        pcand: &PreparedCandidate,
-        candidate: &Schema,
-        with_strengths: bool,
-        theta: f64,
-    ) -> BoundedRun {
-        if theta.is_nan()
-            || theta <= 0.0
-            || self.matchers.is_empty()
-            || equery.per_matcher.len() != self.matchers.len()
-            || pcand.per_matcher.len() != self.matchers.len()
-        {
-            return BoundedRun::Scored(self.run_prepared(
-                equery,
-                terms,
-                query,
-                pcand,
-                candidate,
-                with_strengths,
-            ));
-        }
-        let n = self.matchers.len();
-        // Per-matcher cheap bounds, zero for weightless matchers (they
-        // never participate in a combined cell).
-        let bounds: Vec<f64> = self
-            .matchers
-            .iter()
-            .zip(equery.per_matcher.iter().zip(pcand.per_matcher.iter()))
-            .map(|((m, w), (pq, ps))| {
-                if *w > 0.0 {
-                    m.score_upper_bound(pq, terms, ps, candidate)
-                        .clamp(0.0, 1.0)
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        // suffix_max[i] = max bound over matchers i.. (0.0 past the end).
-        let mut suffix_max = vec![0.0f64; n + 1];
-        for i in (0..n).rev() {
-            suffix_max[i] = suffix_max[i + 1].max(bounds[i]);
-        }
-        let mut timings = vec![Duration::ZERO; n];
-        let mut scored: Vec<(SimilarityMatrix, f64, bool)> = Vec::with_capacity(n);
-        let mut done_max = 0.0f64;
-        for (i, ((m, w), (pq, ps))) in self
-            .matchers
-            .iter()
-            .zip(equery.per_matcher.iter().zip(pcand.per_matcher.iter()))
-            .enumerate()
-        {
-            let cell_cap = done_max.max(suffix_max[i]);
-            if cell_cap + cell_cap * BOUND_SLACK < theta {
-                return BoundedRun::Pruned {
-                    timings,
-                    skipped: n - i,
-                };
-            }
-            let start = Instant::now();
-            let matrix = m.score_prepared(pq, terms, query, ps, candidate);
-            timings[i] = start.elapsed();
-            if *w > 0.0 {
-                done_max = done_max.max(matrix.max_value());
-            }
-            scored.push((matrix, *w, m.abstains()));
-        }
-        // All matchers ran, but the actual maxima may still prove the
-        // candidate floor-bound — skip the combine + downstream scoring.
-        if done_max + done_max * BOUND_SLACK < theta {
-            return BoundedRun::Pruned {
-                timings,
-                skipped: 0,
-            };
-        }
-        let strengths = if with_strengths {
-            scored.iter().map(|(m, _, _)| m.mean_row_max()).collect()
-        } else {
-            Vec::new()
-        };
-        let refs: Vec<(&SimilarityMatrix, f64, bool)> =
-            scored.iter().map(|(m, w, a)| (m, *w, *a)).collect();
-        BoundedRun::Scored(EnsembleRun {
-            matrix: SimilarityMatrix::combine_with_abstention(&refs),
-            timings,
-            strengths,
-        })
-    }
-
-    /// Run every matcher and return the individual matrices (the learner's
-    /// feature extraction path).
+    /// Run every matcher, on artifacts prepared here, and return the
+    /// individual matrices (the learner's feature extraction path).
     pub fn individual(
         &self,
         terms: &[QueryTerm],
         query: &QueryGraph,
         candidate: &Schema,
     ) -> Vec<(&'static str, SimilarityMatrix)> {
+        let scored = self.score_each(
+            &self.prepare_query(terms, query),
+            terms,
+            query,
+            &self.prepare(candidate),
+            candidate,
+        );
         self.matchers
             .iter()
-            .map(|(m, _)| (m.name(), m.score(terms, query, candidate)))
+            .zip(scored)
+            .map(|((m, _), (matrix, _))| (m.name(), matrix))
             .collect()
     }
 }
@@ -408,6 +233,37 @@ mod tests {
         (q, terms, candidate)
     }
 
+    /// One pass on artifacts prepared on the spot.
+    fn run_fresh(
+        e: &Ensemble,
+        terms: &[QueryTerm],
+        q: &QueryGraph,
+        candidate: &Schema,
+        with_strengths: bool,
+    ) -> EnsembleRun {
+        e.run(
+            &e.prepare_query(terms, q),
+            terms,
+            q,
+            &e.prepare(candidate),
+            candidate,
+            with_strengths,
+        )
+    }
+
+    fn assert_same_bits(a: &SimilarityMatrix, b: &SimilarityMatrix) {
+        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
+        for r in 0..a.rows() {
+            for c in 0..a.cols() {
+                assert_eq!(
+                    a.get(r, c).to_bits(),
+                    b.get(r, c).to_bits(),
+                    "cell ({r},{c})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn standard_ensemble_has_name_and_context() {
         let e = Ensemble::standard();
@@ -420,7 +276,7 @@ mod tests {
     fn combined_matrix_blends_matchers() {
         let (q, terms, candidate) = query_and_candidate();
         let e = Ensemble::standard();
-        let m = e.combined(&terms, &q, &candidate);
+        let m = run_fresh(&e, &terms, &q, &candidate, false).matrix;
         assert_eq!((m.rows(), m.cols()), (terms.len(), candidate.len()));
         // Perfect name + strong context → high combined diagonal.
         assert!(m.get(1, 1) > 0.7, "height×height = {}", m.get(1, 1));
@@ -432,12 +288,12 @@ mod tests {
         let mut name_only = Ensemble::empty();
         name_only.push(Box::new(NameMatcher::new()), 1.0);
         name_only.push(Box::new(ContextMatcher::new()), 0.0);
-        let m_name = name_only.combined(&terms, &q, &candidate);
+        let m_name = run_fresh(&name_only, &terms, &q, &candidate, false).matrix;
 
         let mut ctx_heavy = Ensemble::empty();
         ctx_heavy.push(Box::new(NameMatcher::new()), 0.0);
         ctx_heavy.push(Box::new(ContextMatcher::new()), 1.0);
-        let m_ctx = ctx_heavy.combined(&terms, &q, &candidate);
+        let m_ctx = run_fresh(&ctx_heavy, &terms, &q, &candidate, false).matrix;
 
         // Query "height" (row 1) vs candidate "gender" (col 2): the names
         // differ (low name score) but the neighborhoods are identical
@@ -466,39 +322,45 @@ mod tests {
         Ensemble::standard().set_weights(&[1.0]);
     }
 
+    fn four_matcher_ensemble() -> Ensemble {
+        // Two matchers with artifacts of their own beside the standard
+        // pair's, and one (edit) that reads none.
+        let mut e = Ensemble::standard();
+        e.push(Box::new(TokenMatcher::new()), 0.5);
+        e.push(Box::new(EditDistanceMatcher::new()), 0.25);
+        e
+    }
+
     #[test]
     fn individual_returns_one_matrix_per_matcher() {
         let (q, terms, candidate) = query_and_candidate();
-        let mut e = Ensemble::standard();
-        e.push(Box::new(TokenMatcher::new()), 1.0);
-        e.push(Box::new(EditDistanceMatcher::new()), 1.0);
+        let e = four_matcher_ensemble();
         let per = e.individual(&terms, &q, &candidate);
-        assert_eq!(per.len(), 4);
         let names: Vec<_> = per.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["name", "context", "token", "edit"]);
+        // `run` combines exactly these matrices.
+        let refs: Vec<(&SimilarityMatrix, f64, bool)> = per
+            .iter()
+            .zip(e.weights())
+            .map(|((_, m), w)| (m, w, false))
+            .collect();
+        assert_same_bits(
+            &run_fresh(&e, &terms, &q, &candidate, false).matrix,
+            &SimilarityMatrix::combine_with_abstention(&refs),
+        );
     }
 
     #[test]
-    fn combined_traced_times_every_matcher_and_matches_combined() {
+    fn run_times_every_matcher_and_collects_strengths_only_on_request() {
         let (q, terms, candidate) = query_and_candidate();
-        let e = Ensemble::standard();
-        let (traced, timings) = e.combined_traced(&terms, &q, &candidate);
-        assert_eq!(timings.len(), e.len());
-        let plain = e.combined(&terms, &q, &candidate);
-        for r in 0..plain.rows() {
-            for c in 0..plain.cols() {
-                assert!((traced.get(r, c) - plain.get(r, c)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn run_collects_strengths_only_on_request() {
-        let (q, terms, candidate) = query_and_candidate();
-        let e = Ensemble::standard();
-        let bare = e.run(&terms, &q, &candidate, false);
+        let e = four_matcher_ensemble();
+        let pcand = e.prepare(&candidate);
+        assert_eq!(pcand.per_matcher.len(), e.len());
+        assert!(pcand.bytes > 0, "prepared artifacts report a footprint");
+        let bare = run_fresh(&e, &terms, &q, &candidate, false);
+        assert_eq!(bare.timings.len(), e.len());
         assert!(bare.strengths.is_empty());
-        let full = e.run(&terms, &q, &candidate, true);
+        let full = run_fresh(&e, &terms, &q, &candidate, true);
         assert_eq!(full.strengths.len(), e.len());
         // Identical query and candidate → the name matcher's rows all max
         // at 1.0.
@@ -509,61 +371,29 @@ mod tests {
         );
         assert!(full.strengths.iter().all(|s| (0.0..=1.0).contains(s)));
         // The combined matrix is unaffected by strength collection.
-        for r in 0..bare.matrix.rows() {
-            for c in 0..bare.matrix.cols() {
-                assert!((bare.matrix.get(r, c) - full.matrix.get(r, c)).abs() < 1e-12);
-            }
-        }
+        assert_same_bits(&bare.matrix, &full.matrix);
     }
 
     #[test]
-    fn run_prepared_is_bitwise_equal_to_run() {
+    fn run_rebuilds_artifacts_on_shape_mismatch() {
         let (q, terms, candidate) = query_and_candidate();
-        let mut e = Ensemble::standard();
-        // Include a matcher with a prepared port (token) and one without
-        // (edit — exercises the default fall-through inside the prepared
-        // pass).
-        e.push(Box::new(TokenMatcher::new()), 0.5);
-        e.push(Box::new(EditDistanceMatcher::new()), 0.25);
-        let naive = e.run(&terms, &q, &candidate, true);
-        let equery = e.prepare_query(&terms, &q);
-        let pcand = e.prepare(&candidate);
-        assert_eq!(equery.per_matcher.len(), e.len());
-        assert_eq!(pcand.per_matcher.len(), e.len());
-        assert!(pcand.bytes > 0, "prepared artifacts report a footprint");
-        let prepared = e.run_prepared(&equery, &terms, &q, &pcand, &candidate, true);
-        assert_eq!(prepared.timings.len(), e.len());
-        assert_eq!(prepared.strengths.len(), e.len());
-        for r in 0..naive.matrix.rows() {
-            for c in 0..naive.matrix.cols() {
-                assert_eq!(
-                    prepared.matrix.get(r, c).to_bits(),
-                    naive.matrix.get(r, c).to_bits(),
-                    "cell ({r},{c})"
-                );
-            }
-        }
-        for (s, n) in prepared.strengths.iter().zip(naive.strengths.iter()) {
-            assert_eq!(s.to_bits(), n.to_bits());
-        }
-    }
-
-    #[test]
-    fn run_prepared_falls_back_on_artifact_shape_mismatch() {
-        let (q, terms, candidate) = query_and_candidate();
-        let e = Ensemble::standard();
-        let naive = e.run(&terms, &q, &candidate, false);
+        let e = four_matcher_ensemble();
+        let fresh = run_fresh(&e, &terms, &q, &candidate, true);
         // Artifacts built for a different matcher count must not be
-        // zipped positionally — the pass reverts to the unprepared path.
-        let stale_query = crate::prepare::EnsembleQuery::default();
-        let stale_cand = crate::prepare::PreparedCandidate::default();
-        let out = e.run_prepared(&stale_query, &terms, &q, &stale_cand, &candidate, false);
-        for r in 0..naive.matrix.rows() {
-            for c in 0..naive.matrix.cols() {
-                assert_eq!(
-                    out.matrix.get(r, c).to_bits(),
-                    naive.matrix.get(r, c).to_bits()
-                );
+        // zipped positionally — each stale side is rebuilt, alone or
+        // together, and the pass scores the same bits.
+        let stale_query = EnsembleQuery::default();
+        let stale_cand = Ensemble::standard().prepare(&candidate);
+        let (equery, pcand) = (e.prepare_query(&terms, &q), e.prepare(&candidate));
+        for (eq, pc) in [
+            (&stale_query, &pcand),
+            (&equery, &stale_cand),
+            (&stale_query, &stale_cand),
+        ] {
+            let out = e.run(eq, &terms, &q, pc, &candidate, true);
+            assert_same_bits(&out.matrix, &fresh.matrix);
+            for (s, f) in out.strengths.iter().zip(&fresh.strengths) {
+                assert_eq!(s.to_bits(), f.to_bits());
             }
         }
     }
@@ -572,177 +402,8 @@ mod tests {
     fn empty_ensemble_yields_zero_matrix() {
         let (q, terms, candidate) = query_and_candidate();
         let e = Ensemble::empty();
-        let m = e.combined(&terms, &q, &candidate);
+        let m = run_fresh(&e, &terms, &q, &candidate, false).matrix;
+        assert_eq!((m.rows(), m.cols()), (terms.len(), candidate.len()));
         assert_eq!(m.element_scores().iter().sum::<f64>(), 0.0);
-    }
-
-    fn four_matcher_ensemble() -> Ensemble {
-        let mut e = Ensemble::standard();
-        e.push(Box::new(TokenMatcher::new()), 0.5);
-        e.push(Box::new(EditDistanceMatcher::new()), 0.25);
-        e
-    }
-
-    #[test]
-    fn bounded_run_with_zero_theta_is_bitwise_equal_to_run_prepared() {
-        let (q, terms, candidate) = query_and_candidate();
-        let e = four_matcher_ensemble();
-        let equery = e.prepare_query(&terms, &q);
-        let pcand = e.prepare(&candidate);
-        let plain = e.run_prepared(&equery, &terms, &q, &pcand, &candidate, true);
-        let BoundedRun::Scored(bounded) =
-            e.run_prepared_bounded(&equery, &terms, &q, &pcand, &candidate, true, 0.0)
-        else {
-            panic!("theta 0 must never prune");
-        };
-        for r in 0..plain.matrix.rows() {
-            for c in 0..plain.matrix.cols() {
-                assert_eq!(
-                    bounded.matrix.get(r, c).to_bits(),
-                    plain.matrix.get(r, c).to_bits(),
-                    "cell ({r},{c})"
-                );
-            }
-        }
-        for (b, p) in bounded.strengths.iter().zip(plain.strengths.iter()) {
-            assert_eq!(b.to_bits(), p.to_bits());
-        }
-        assert_eq!(bounded.timings.len(), e.len());
-    }
-
-    #[test]
-    fn bounded_run_survivors_match_run_prepared_for_any_theta() {
-        let (q, terms, candidate) = query_and_candidate();
-        let e = four_matcher_ensemble();
-        let equery = e.prepare_query(&terms, &q);
-        let pcand = e.prepare(&candidate);
-        let plain = e.run_prepared(&equery, &terms, &q, &pcand, &candidate, false);
-        let plain_max = plain.matrix.max_value();
-        for theta in [0.1, 0.45, 0.7, 0.9, 0.999, 2.0] {
-            match e.run_prepared_bounded(&equery, &terms, &q, &pcand, &candidate, false, theta) {
-                BoundedRun::Scored(run) => {
-                    for r in 0..plain.matrix.rows() {
-                        for c in 0..plain.matrix.cols() {
-                            assert_eq!(
-                                run.matrix.get(r, c).to_bits(),
-                                plain.matrix.get(r, c).to_bits(),
-                                "theta {theta}, cell ({r},{c})"
-                            );
-                        }
-                    }
-                }
-                BoundedRun::Pruned { timings, skipped } => {
-                    // Pruning is only sound when no cell reaches theta.
-                    assert!(
-                        plain_max < theta,
-                        "theta {theta} pruned but max cell is {plain_max}"
-                    );
-                    assert_eq!(timings.len(), e.len());
-                    assert!(skipped <= e.len());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_run_prunes_hopeless_candidates_before_scoring() {
-        let (q, terms, _) = query_and_candidate();
-        // A candidate with long, alien names: every name-matcher size
-        // bound is far below the floor, and the context bound collapses
-        // because the neighborhoods share no plausible size advantage.
-        let candidate = SchemaBuilder::new("junk")
-            .entity("xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx", |e| {
-                e.attr("yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy", DataType::Text)
-            })
-            .build_unchecked();
-        let e = Ensemble::standard();
-        let equery = e.prepare_query(&terms, &q);
-        let pcand = e.prepare(&candidate);
-        let run = e.run_prepared_bounded(&equery, &terms, &q, &pcand, &candidate, false, 0.95);
-        match run {
-            BoundedRun::Pruned { skipped, .. } => {
-                assert!(skipped >= 1, "expected at least one matcher skipped");
-            }
-            BoundedRun::Scored(run) => {
-                panic!("junk candidate scored: max {}", run.matrix.max_value());
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_run_falls_back_on_artifact_shape_mismatch() {
-        let (q, terms, candidate) = query_and_candidate();
-        let e = Ensemble::standard();
-        let naive = e.run(&terms, &q, &candidate, false);
-        let stale_query = crate::prepare::EnsembleQuery::default();
-        let stale_cand = crate::prepare::PreparedCandidate::default();
-        // Even with a high theta, mismatched artifacts must score fully.
-        let BoundedRun::Scored(out) = e.run_prepared_bounded(
-            &stale_query,
-            &terms,
-            &q,
-            &stale_cand,
-            &candidate,
-            false,
-            0.99,
-        ) else {
-            panic!("shape mismatch must fall back to a full scored run");
-        };
-        for r in 0..naive.matrix.rows() {
-            for c in 0..naive.matrix.cols() {
-                assert_eq!(
-                    out.matrix.get(r, c).to_bits(),
-                    naive.matrix.get(r, c).to_bits()
-                );
-            }
-        }
-    }
-
-    /// Across a small corpus of candidates and a sweep of floors, the
-    /// bounded pass must never prune a candidate whose true combined
-    /// matrix has a cell ≥ theta — the soundness invariant the engine's
-    /// bitwise top-k oracle rests on.
-    #[test]
-    fn bounded_run_never_prunes_a_candidate_that_could_reach_theta() {
-        let (q, terms, _) = query_and_candidate();
-        let candidates = [
-            ("exact", vec![("patient", vec!["height", "gender"])]),
-            ("close", vec![("patients", vec!["heights", "sex"])]),
-            ("partial", vec![("person", vec!["height", "age"])]),
-            ("far", vec![("invoice", vec!["total", "currency"])]),
-            (
-                "alien",
-                vec![("zzzzzzzzzzzzzzzz", vec!["qqqqqqqqqqqqqqqq"])],
-            ),
-        ];
-        let e = four_matcher_ensemble();
-        let equery = e.prepare_query(&terms, &q);
-        for (name, entities) in &candidates {
-            let mut b = SchemaBuilder::new(*name);
-            for (ent, attrs) in entities {
-                b = b.entity(*ent, |mut eb| {
-                    for a in attrs {
-                        eb = eb.attr(*a, DataType::Text);
-                    }
-                    eb
-                });
-            }
-            let candidate = b.build_unchecked();
-            let pcand = e.prepare(&candidate);
-            let truth = e
-                .run_prepared(&equery, &terms, &q, &pcand, &candidate, false)
-                .matrix
-                .max_value();
-            for theta in [0.2, 0.45, 0.6, 0.8, 0.95] {
-                if let BoundedRun::Pruned { .. } =
-                    e.run_prepared_bounded(&equery, &terms, &q, &pcand, &candidate, false, theta)
-                {
-                    assert!(
-                        truth < theta,
-                        "candidate {name} pruned at theta {theta} but max cell {truth}"
-                    );
-                }
-            }
-        }
     }
 }

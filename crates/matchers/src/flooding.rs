@@ -16,6 +16,7 @@ use schemr_model::{ElementId, QueryGraph, QueryTerm, Schema};
 
 use crate::matrix::SimilarityMatrix;
 use crate::name::NameMatcher;
+use crate::prepare::{PreparedQuery, PreparedSchema};
 use crate::Matcher;
 
 /// Flooding parameters.
@@ -189,8 +190,10 @@ impl Matcher for FloodingMatcher {
 
     fn score(
         &self,
+        _prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
         query: &QueryGraph,
+        _prepared: &PreparedSchema,
         candidate: &Schema,
     ) -> SimilarityMatrix {
         let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
@@ -248,8 +251,8 @@ mod tests {
             })
             .build_unchecked();
         let matcher = FloodingMatcher::new();
-        let ma = matcher.score(&terms, &q, &a);
-        let mb = matcher.score(&terms, &q, &b);
+        let ma = crate::score_fresh(&matcher, &terms, &q, &a);
+        let mb = crate::score_fresh(&matcher, &terms, &q, &b);
         // Row 0 = visit; col 0 = encounter in both candidates.
         assert!(
             ma.get(0, 0) > mb.get(0, 0) + 0.1,
@@ -271,7 +274,7 @@ mod tests {
         };
         let (q, terms) = fragment_query(build);
         let candidate = build();
-        let m = FloodingMatcher::new().score(&terms, &q, &candidate);
+        let m = crate::score_fresh(&FloodingMatcher::new(), &terms, &q, &candidate);
         for i in 0..candidate.len() {
             let diag = m.get(i, i);
             for j in 0..candidate.len() {
@@ -299,7 +302,7 @@ mod tests {
         let candidate = SchemaBuilder::new("c")
             .entity("diagnosis", |e| e.attr("code", DataType::Text))
             .build_unchecked();
-        let m = FloodingMatcher::new().score(&terms, &q, &candidate);
+        let m = crate::score_fresh(&FloodingMatcher::new(), &terms, &q, &candidate);
         let kw_row = terms.iter().position(|t| t.is_keyword()).unwrap();
         assert_eq!(m.row_max(kw_row), 0.0);
     }
@@ -322,7 +325,7 @@ mod tests {
             })
             .foreign_key("b", &[], "a", &[])
             .build_unchecked();
-        let m = FloodingMatcher::new().score(&terms, &q, &candidate);
+        let m = crate::score_fresh(&FloodingMatcher::new(), &terms, &q, &candidate);
         for (_, _, v) in m.nonzero() {
             assert!((0.0..=1.0).contains(&v), "{v}");
         }
@@ -337,7 +340,7 @@ mod tests {
         let candidate = SchemaBuilder::new("c")
             .entity("t", |e| e.attr("x", DataType::Text))
             .build_unchecked();
-        let m = FloodingMatcher::new().score(&terms, &q, &candidate);
+        let m = crate::score_fresh(&FloodingMatcher::new(), &terms, &q, &candidate);
         assert_eq!(m.rows(), 1); // just the keyword
         assert_eq!(m.row_max(0), 0.0);
     }

@@ -24,6 +24,13 @@
 //!   member,
 //! * [`TypeMatcher`] — data-type compatibility for fragment queries.
 //!
+//! Scoring has one path: [`Matcher::score`] over the artifacts of
+//! [`prepare`], driven per candidate by [`Ensemble::run`]. The string-set
+//! scalar kernels the hashed kernels are tested against, bit for bit —
+//! [`NameMatcher::similarity`], [`TokenMatcher::similarity`], the context
+//! matcher's test-only `neighbor_terms` + `set_similarity` — are inherent
+//! functions that no trait, ensemble or engine code can select.
+//!
 //! [`Ensemble`] combines matcher outputs with per-matcher weights;
 //! [`learner::WeightLearner`] fits those weights by logistic regression
 //! over labeled matches, reproducing the meta-learning approach the paper cites
@@ -42,7 +49,7 @@ pub mod typematch;
 
 pub use context::ContextMatcher;
 pub use edit::EditDistanceMatcher;
-pub use ensemble::{BoundedRun, Ensemble, EnsembleRun};
+pub use ensemble::{Ensemble, EnsembleRun};
 pub use flooding::FloodingMatcher;
 pub use matrix::SimilarityMatrix;
 pub use name::NameMatcher;
@@ -58,15 +65,6 @@ pub trait Matcher: Send + Sync {
     /// Short identifier used in ensemble reports and learned-weight tables.
     fn name(&self) -> &'static str;
 
-    /// Score `query` against `candidate`. Row *i* corresponds to
-    /// `terms[i]`; column *j* to the candidate's element with id *j*.
-    fn score(
-        &self,
-        terms: &[QueryTerm],
-        query: &QueryGraph,
-        candidate: &Schema,
-    ) -> SimilarityMatrix;
-
     /// Whether a zero cell from this matcher means "no opinion" rather
     /// than "dissimilar". Sparse, high-precision matchers (data-type /
     /// codebook agreement) return true so their silence does not dilute
@@ -78,58 +76,51 @@ pub trait Matcher: Send + Sync {
     /// Precompute this matcher's candidate-side artifacts for `schema`.
     /// Candidate schemas are immutable between repository revisions, so
     /// the engine caches the result per (schema id, revision) and feeds
-    /// it back through [`Matcher::score_prepared`]. The default returns
-    /// an empty artifact, which makes `score_prepared` fall back to the
-    /// unprepared path — third-party matchers keep working unchanged.
+    /// it back through [`Matcher::score`]. The default returns an empty
+    /// artifact — a valid artifact for a matcher that reads only the
+    /// schema itself.
     fn prepare(&self, schema: &Schema) -> PreparedSchema {
         let _ = schema;
         PreparedSchema::default()
     }
 
-    /// Precompute this matcher's query-side artifacts, once per search
-    /// (the unprepared path rebuilds them once per *candidate*).
+    /// Precompute this matcher's query-side artifacts, once per search.
     fn prepare_query(&self, terms: &[QueryTerm], query: &QueryGraph) -> PreparedQuery {
         let _ = (terms, query);
         PreparedQuery::default()
     }
 
-    /// Score using prepared artifacts. Implementations must produce a
-    /// matrix bitwise-identical to [`Matcher::score`] — the engine
-    /// switches between the two paths based on cache configuration, and
-    /// the prepared-vs-naive equivalence oracle enforces the contract.
-    /// The default ignores the artifacts and calls `score`.
-    fn score_prepared(
+    /// Score `query` against `candidate`. Row *i* corresponds to
+    /// `terms[i]`; column *j* to the candidate's element with id *j*.
+    /// `prepared_query` and `prepared` are what this matcher's
+    /// [`Matcher::prepare_query`] and [`Matcher::prepare`] returned for
+    /// the same inputs; an artifact that is missing or sized for another
+    /// input is rebuilt here, so the matrix depends only on `terms`,
+    /// `query` and `candidate`.
+    fn score(
         &self,
         prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
         query: &QueryGraph,
         prepared: &PreparedSchema,
         candidate: &Schema,
-    ) -> SimilarityMatrix {
-        let _ = (prepared_query, prepared);
-        self.score(terms, query, candidate)
-    }
+    ) -> SimilarityMatrix;
+}
 
-    /// A cheap upper bound on the maximum cell this matcher's
-    /// [`Matcher::score_prepared`] matrix can contain for this
-    /// (query, candidate) pair — from artifact set *sizes* alone, no
-    /// intersections. The ensemble's early-exit pass compares the bound
-    /// against the engine's running top-k floor to skip matchers that
-    /// cannot lift a candidate into the top-k.
-    ///
-    /// Implementations must dominate every matrix cell (`score_prepared`
-    /// max ≤ bound); over-estimating only costs speed, under-estimating
-    /// breaks the bitwise top-k oracle. The default is the trivially safe
-    /// `1.0`, which disables early exit for this matcher — third-party
-    /// matchers keep working unchanged.
-    fn score_upper_bound(
-        &self,
-        prepared_query: &PreparedQuery,
-        terms: &[QueryTerm],
-        prepared: &PreparedSchema,
-        candidate: &Schema,
-    ) -> f64 {
-        let _ = (prepared_query, terms, prepared, candidate);
-        1.0
-    }
+/// Score with artifacts prepared on the spot — what the unit tests of the
+/// matchers call where the production path goes through [`Ensemble::run`].
+#[cfg(test)]
+pub(crate) fn score_fresh(
+    m: &dyn Matcher,
+    terms: &[QueryTerm],
+    query: &QueryGraph,
+    candidate: &Schema,
+) -> SimilarityMatrix {
+    m.score(
+        &m.prepare_query(terms, query),
+        terms,
+        query,
+        &m.prepare(candidate),
+        candidate,
+    )
 }

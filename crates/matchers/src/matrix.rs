@@ -76,13 +76,6 @@ impl SimilarityMatrix {
         (0..self.cols).map(|c| self.get(row, c)).fold(0.0, f64::max)
     }
 
-    /// The maximum cell in the whole matrix (0.0 when empty). The
-    /// ensemble's early-exit pass uses this to refine a matcher's size
-    /// bound with its actual score once computed.
-    pub fn max_value(&self) -> f64 {
-        self.values.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Mean of the row maxima: how well the *average* query term matched
     /// anywhere in the schema. This is the per-matcher strength signal
     /// the search-history event log records for each ranked result — a
@@ -218,16 +211,6 @@ mod tests {
         let mut m = SimilarityMatrix::zeros(1, 3);
         m.set(0, 2, 0.7);
         assert_eq!(m.row_max(0), 0.7);
-    }
-
-    #[test]
-    fn max_value_scans_the_whole_matrix() {
-        let mut m = SimilarityMatrix::zeros(2, 3);
-        assert_eq!(m.max_value(), 0.0);
-        m.set(0, 1, 0.3);
-        m.set(1, 2, 0.9);
-        assert_eq!(m.max_value(), 0.9);
-        assert_eq!(SimilarityMatrix::zeros(0, 0).max_value(), 0.0);
     }
 
     #[test]

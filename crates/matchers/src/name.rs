@@ -101,15 +101,16 @@ impl NameMatcher {
         }
     }
 
-    /// Public scalar entry point: similarity of two raw names in `[0,1]`.
-    /// Used directly by experiment E3 and by the context matcher's
-    /// neighbor comparison.
+    /// Public scalar entry point: similarity of two raw names in `[0,1]`,
+    /// over `HashSet<String>` gram sets. Used directly by experiment E3,
+    /// and the reference each cell of [`Matcher::score`]'s matrix is
+    /// tested against bit for bit — no scoring path can select it.
     pub fn similarity(&self, a: &str, b: &str) -> f64 {
         self.name_similarity(&self.gram_sets(a), &self.gram_sets(b))
     }
 
     /// Decompose a raw name into per-word hashed gram signatures — the
-    /// prepared counterpart of [`NameMatcher::gram_sets`].
+    /// hashed counterpart of [`NameMatcher::gram_sets`].
     fn signatures(&self, name: &str) -> Vec<GramSet> {
         self.analyzer
             .analyze(name)
@@ -141,7 +142,7 @@ impl NameMatcher {
         (1.0 - alpha) * dice_bound + alpha
     }
 
-    /// Prepared name similarity: greedy best word alignment over hashed
+    /// The scoring kernel: greedy best word alignment over hashed
     /// signatures, with size-ratio pruning of word pairs that cannot beat
     /// the running best. Bitwise-identical to
     /// [`NameMatcher::name_similarity`] on the same analyzed words.
@@ -176,31 +177,6 @@ impl Matcher for NameMatcher {
         "name"
     }
 
-    fn score(
-        &self,
-        terms: &[QueryTerm],
-        _query: &QueryGraph,
-        candidate: &Schema,
-    ) -> SimilarityMatrix {
-        let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
-        // Query-side gram sets are built once per call; the per-search
-        // hoist lives in `prepare_query`, which the engine's prepared
-        // path uses so this runs once per search instead of once per
-        // candidate.
-        let term_grams: Vec<Vec<HashSet<String>>> =
-            terms.iter().map(|t| self.gram_sets(&t.text)).collect();
-        for (col, id) in candidate.ids().enumerate() {
-            let el_grams = self.gram_sets(&candidate.element(id).name);
-            for (row, tg) in term_grams.iter().enumerate() {
-                let s = self.name_similarity(tg, &el_grams);
-                if s > 0.0 {
-                    m.set(row, col, s);
-                }
-            }
-        }
-        m
-    }
-
     fn prepare(&self, schema: &Schema) -> PreparedSchema {
         PreparedSchema {
             name_grams: Some(
@@ -220,7 +196,7 @@ impl Matcher for NameMatcher {
         }
     }
 
-    fn score_prepared(
+    fn score(
         &self,
         prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
@@ -229,7 +205,7 @@ impl Matcher for NameMatcher {
         candidate: &Schema,
     ) -> SimilarityMatrix {
         // Query grams: from the per-search artifact when present, else
-        // built here — still once per candidate at worst, and hashed.
+        // built here.
         let built_terms: Vec<Vec<GramSet>>;
         let term_grams: &[Vec<GramSet>] = match &prepared_query.term_grams {
             Some(tg) if tg.len() == terms.len() => tg,
@@ -240,8 +216,7 @@ impl Matcher for NameMatcher {
         };
         // Element grams: from the cached candidate artifact when present
         // (the warm path — zero analysis, zero allocation), else built
-        // on the fly (the non-prepared fallback, which still benefits
-        // from the hoisted query side).
+        // on the fly.
         let built_elements: Vec<Vec<GramSet>>;
         let el_grams: &[Vec<GramSet>] = match &prepared.name_grams {
             Some(eg) if eg.len() == candidate.len() => eg,
@@ -263,42 +238,6 @@ impl Matcher for NameMatcher {
             }
         }
         m
-    }
-
-    /// Matcher-level bound: every matrix cell is an average of per-word
-    /// bests, so no cell exceeds the largest
-    /// [`NameMatcher::word_pair_upper_bound`] over all (term word,
-    /// element word) pairs — O(1) per pair, set sizes only. Falls back to
-    /// the trivial `1.0` when either artifact side is missing (bounds
-    /// must stay cheap; they never build artifacts).
-    fn score_upper_bound(
-        &self,
-        prepared_query: &PreparedQuery,
-        terms: &[QueryTerm],
-        prepared: &PreparedSchema,
-        candidate: &Schema,
-    ) -> f64 {
-        let (Some(term_grams), Some(el_grams)) = (&prepared_query.term_grams, &prepared.name_grams)
-        else {
-            return 1.0;
-        };
-        if term_grams.len() != terms.len() || el_grams.len() != candidate.len() {
-            return 1.0;
-        }
-        let mut best = 0.0f64;
-        for tg in term_grams {
-            for eg in el_grams {
-                for x in tg {
-                    for y in eg {
-                        best = best.max(self.word_pair_upper_bound(x, y));
-                        if best >= 1.0 {
-                            return best;
-                        }
-                    }
-                }
-            }
-        }
-        best
     }
 }
 
@@ -373,7 +312,7 @@ mod tests {
             .build_unchecked();
         let matcher = NameMatcher::new();
         let q = QueryGraph::new();
-        let m = matcher.score(&terms(&["height", "nonsense"]), &q, &schema);
+        let m = crate::score_fresh(&matcher, &terms(&["height", "nonsense"]), &q, &schema);
         assert_eq!((m.rows(), m.cols()), (2, 2));
         // Row 0 = "height" matches element 1 (patient.height) strongly.
         assert!(m.get(0, 1) > 0.9);
@@ -398,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_matrix_is_bitwise_equal_to_naive() {
+    fn matrix_is_bitwise_equal_to_the_scalar_reference() {
         let schema = SchemaBuilder::new("s")
             .entity("patient", |e| {
                 e.attr("height", DataType::Real)
@@ -410,75 +349,27 @@ mod tests {
         let matcher = NameMatcher::new();
         let q = QueryGraph::new();
         let ts = terms(&["pat_ht", "height", "description", "xyzzy"]);
-        let naive = matcher.score(&ts, &q, &schema);
-        let pq = matcher.prepare_query(&ts, &q);
-        let ps = matcher.prepare(&schema);
-        let prepared = matcher.score_prepared(&pq, &ts, &q, &ps, &schema);
-        for r in 0..naive.rows() {
-            for c in 0..naive.cols() {
-                assert_eq!(
-                    prepared.get(r, c).to_bits(),
-                    naive.get(r, c).to_bits(),
-                    "cell ({r},{c}): prepared {} vs naive {}",
-                    prepared.get(r, c),
-                    naive.get(r, c)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn score_prepared_falls_back_without_artifacts() {
-        let schema = SchemaBuilder::new("s")
-            .entity("patient", |e| e.attr("height", DataType::Real))
-            .build_unchecked();
-        let matcher = NameMatcher::new();
-        let q = QueryGraph::new();
-        let ts = terms(&["height"]);
-        let naive = matcher.score(&ts, &q, &schema);
-        // Empty artifacts on both sides: the hashed fallback must still
-        // agree bitwise.
-        let prepared = matcher.score_prepared(
-            &crate::prepare::PreparedQuery::default(),
+        let prepared = crate::score_fresh(&matcher, &ts, &q, &schema);
+        // Empty artifacts on both sides are rebuilt inside `score`.
+        let rebuilt = matcher.score(
+            &PreparedQuery::default(),
             &ts,
             &q,
-            &crate::prepare::PreparedSchema::default(),
+            &PreparedSchema::default(),
             &schema,
         );
-        for r in 0..naive.rows() {
-            for c in 0..naive.cols() {
-                assert_eq!(prepared.get(r, c).to_bits(), naive.get(r, c).to_bits());
+        for (r, term) in ts.iter().enumerate() {
+            for (c, id) in schema.ids().enumerate() {
+                let reference = matcher.similarity(&term.text, &schema.element(id).name);
+                assert_eq!(
+                    prepared.get(r, c).to_bits(),
+                    reference.to_bits(),
+                    "cell ({r},{c}): matrix {} vs reference {reference}",
+                    prepared.get(r, c)
+                );
+                assert_eq!(rebuilt.get(r, c).to_bits(), reference.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn matcher_bound_dominates_matrix_max() {
-        let schema = SchemaBuilder::new("s")
-            .entity("patient", |e| {
-                e.attr("height", DataType::Real)
-                    .attr("patient_height_cm", DataType::Real)
-            })
-            .entity("doctor", |e| e.attr("specialty", DataType::Text))
-            .build_unchecked();
-        let matcher = NameMatcher::new();
-        let q = QueryGraph::new();
-        let ts = terms(&["pat_ht", "height", "xyzzy"]);
-        let pq = matcher.prepare_query(&ts, &q);
-        let ps = matcher.prepare(&schema);
-        let bound = matcher.score_upper_bound(&pq, &ts, &ps, &schema);
-        let max = matcher
-            .score_prepared(&pq, &ts, &q, &ps, &schema)
-            .max_value();
-        assert!(max <= bound, "matrix max {max} exceeds bound {bound}");
-        // Missing artifacts degrade to the trivially safe bound.
-        let trivial = matcher.score_upper_bound(
-            &crate::prepare::PreparedQuery::default(),
-            &ts,
-            &crate::prepare::PreparedSchema::default(),
-            &schema,
-        );
-        assert_eq!(trivial, 1.0);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! precomputation that makes Phase 2 allocation-free on the hot path.
 //!
 //! The matcher ensemble scores every (query term × candidate element)
-//! pair, and the raw [`crate::Matcher::score`] path re-analyzes every
-//! element name and rebuilds its gram sets for every query. Candidate
-//! schemas are immutable between repository revisions, so all of that
-//! text analysis can be hoisted:
+//! pair. Candidate schemas are immutable between repository revisions,
+//! so the text analysis behind each pair — name analysis, gram sets,
+//! neighborhood sets — is hoisted out of [`crate::Matcher::score`]:
 //!
 //! * [`PreparedQuery`] — one matcher's query-side artifacts, built once
 //!   per search (term gram signatures, per-term analyzed context sets,
@@ -17,10 +16,9 @@
 //!   [`PreparedSchema`] per matcher, the unit the engine's
 //!   revision-keyed artifact cache stores.
 //!
-//! Matchers without a prepared path leave their artifact structs empty;
-//! [`crate::Matcher::score_prepared`]'s default implementation falls back
-//! to the unprepared [`crate::Matcher::score`], so third-party matchers
-//! keep working unchanged.
+//! A matcher that reads only the schema itself leaves its artifact
+//! structs empty: an empty artifact is a valid artifact, and there is no
+//! second scoring path for it to select.
 
 use schemr_model::{QueryGraph, QueryTerm, Schema};
 use schemr_text::GramSet;

@@ -41,13 +41,16 @@ impl TokenMatcher {
     /// Hashed exact-token signature: one 64-bit id per distinct analyzed
     /// token. Set cardinalities and intersection counts match the string
     /// sets (absent 64-bit hash collisions), so the Jaccard score is
-    /// bitwise-identical to the unprepared path.
+    /// bitwise-identical to [`TokenMatcher::similarity`].
     fn signature(&self, name: &str) -> GramSet {
         let tokens = self.analyzer.analyze(name);
         GramSet::of_terms(tokens.iter().map(String::as_str))
     }
 
-    /// Jaccard similarity of exact token sets.
+    /// Jaccard similarity of exact token sets, over `HashSet<String>` —
+    /// the scalar entry point, and the reference each cell of
+    /// [`Matcher::score`]'s matrix is tested against bit for bit; no
+    /// scoring path can select it.
     pub fn similarity(&self, a: &str, b: &str) -> f64 {
         let ta = self.tokens(a);
         let tb = self.tokens(b);
@@ -63,31 +66,6 @@ impl TokenMatcher {
 impl Matcher for TokenMatcher {
     fn name(&self) -> &'static str {
         "token"
-    }
-
-    fn score(
-        &self,
-        terms: &[QueryTerm],
-        _query: &QueryGraph,
-        candidate: &Schema,
-    ) -> SimilarityMatrix {
-        let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
-        let term_tokens: Vec<HashSet<String>> =
-            terms.iter().map(|t| self.tokens(&t.text)).collect();
-        for (col, id) in candidate.ids().enumerate() {
-            let el = self.tokens(&candidate.element(id).name);
-            for (row, tt) in term_tokens.iter().enumerate() {
-                if tt.is_empty() || el.is_empty() {
-                    continue;
-                }
-                let inter = tt.intersection(&el).count();
-                if inter > 0 {
-                    let union = tt.len() + el.len() - inter;
-                    m.set(row, col, inter as f64 / union as f64);
-                }
-            }
-        }
-        m
     }
 
     fn prepare(&self, schema: &Schema) -> PreparedSchema {
@@ -109,7 +87,7 @@ impl Matcher for TokenMatcher {
         }
     }
 
-    fn score_prepared(
+    fn score(
         &self,
         prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
@@ -154,48 +132,6 @@ impl Matcher for TokenMatcher {
         }
         m
     }
-
-    /// Matcher-level bound: Jaccard with `inter = min(|a|, |b|)` is
-    /// `min/max`, the largest value any cell can reach for its pair of
-    /// token-set sizes — maximized over all pairs. Missing artifacts fall
-    /// back to the trivial `1.0`.
-    fn score_upper_bound(
-        &self,
-        prepared_query: &PreparedQuery,
-        terms: &[QueryTerm],
-        prepared: &PreparedSchema,
-        candidate: &Schema,
-    ) -> f64 {
-        let (Some(term_tokens), Some(element_tokens)) =
-            (&prepared_query.term_tokens, &prepared.tokens)
-        else {
-            return 1.0;
-        };
-        if term_tokens.len() != terms.len() || element_tokens.len() != candidate.len() {
-            return 1.0;
-        }
-        let mut best = 0.0f64;
-        for tt in term_tokens {
-            if tt.is_empty() {
-                continue;
-            }
-            for el in element_tokens {
-                if el.is_empty() {
-                    continue;
-                }
-                let min = tt.len().min(el.len());
-                // Same ops as the cell with the largest possible
-                // intersection, so the domination is exact under IEEE
-                // rounding.
-                let bound = min as f64 / (tt.len() + el.len() - min) as f64;
-                best = best.max(bound);
-                if best >= 1.0 {
-                    return best;
-                }
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -229,37 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn matcher_bound_dominates_matrix_max() {
-        use schemr_model::{DataType, QueryGraph, SchemaBuilder};
-        let mut q = QueryGraph::new();
-        q.add_keyword("patient height");
-        q.add_keyword("visit date");
-        let terms = q.terms();
-        let candidate = SchemaBuilder::new("cand")
-            .entity("patient", |e| {
-                e.attr("patient_height", DataType::Real)
-                    .attr("gender", DataType::Text)
-            })
-            .build_unchecked();
-        let matcher = TokenMatcher::new();
-        let pq = matcher.prepare_query(&terms, &q);
-        let ps = matcher.prepare(&candidate);
-        let bound = matcher.score_upper_bound(&pq, &terms, &ps, &candidate);
-        let max = matcher
-            .score_prepared(&pq, &terms, &q, &ps, &candidate)
-            .max_value();
-        assert!(max <= bound, "matrix max {max} exceeds bound {bound}");
-        let trivial = matcher.score_upper_bound(
-            &crate::prepare::PreparedQuery::default(),
-            &terms,
-            &crate::prepare::PreparedSchema::default(),
-            &candidate,
-        );
-        assert_eq!(trivial, 1.0);
-    }
-
-    #[test]
-    fn prepared_matrix_is_bitwise_equal_to_naive() {
+    fn matrix_is_bitwise_equal_to_the_scalar_reference() {
         use schemr_model::{DataType, QueryGraph, SchemaBuilder};
         let mut q = QueryGraph::new();
         q.add_keyword("patient height");
@@ -273,22 +179,24 @@ mod tests {
             .entity("visit", |e| e.attr("visit_date", DataType::Date))
             .build_unchecked();
         let matcher = TokenMatcher::new();
-        let naive = matcher.score(&terms, &q, &candidate);
-        let pq = matcher.prepare_query(&terms, &q);
-        let ps = matcher.prepare(&candidate);
-        let prepared = matcher.score_prepared(&pq, &terms, &q, &ps, &candidate);
-        // And the fallback build (empty artifacts) must agree too.
-        let fallback = matcher.score_prepared(
-            &crate::prepare::PreparedQuery::default(),
+        let prepared = crate::score_fresh(&matcher, &terms, &q, &candidate);
+        // Empty artifacts on both sides are rebuilt inside `score`.
+        let rebuilt = matcher.score(
+            &PreparedQuery::default(),
             &terms,
             &q,
-            &crate::prepare::PreparedSchema::default(),
+            &PreparedSchema::default(),
             &candidate,
         );
-        for r in 0..naive.rows() {
-            for c in 0..naive.cols() {
-                assert_eq!(prepared.get(r, c).to_bits(), naive.get(r, c).to_bits());
-                assert_eq!(fallback.get(r, c).to_bits(), naive.get(r, c).to_bits());
+        for (r, term) in terms.iter().enumerate() {
+            for (c, id) in candidate.ids().enumerate() {
+                let reference = matcher.similarity(&term.text, &candidate.element(id).name);
+                assert_eq!(
+                    prepared.get(r, c).to_bits(),
+                    reference.to_bits(),
+                    "cell ({r},{c})"
+                );
+                assert_eq!(rebuilt.get(r, c).to_bits(), reference.to_bits());
             }
         }
     }

@@ -8,6 +8,7 @@
 use schemr_model::{DataType, ElementKind, QueryGraph, QueryTerm, Schema};
 
 use crate::matrix::SimilarityMatrix;
+use crate::prepare::{PreparedQuery, PreparedSchema};
 use crate::Matcher;
 
 /// Compatibility of two data types, in `[0, 1]`.
@@ -61,8 +62,10 @@ impl Matcher for TypeMatcher {
 
     fn score(
         &self,
+        _prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
         query: &QueryGraph,
+        _prepared: &PreparedSchema,
         candidate: &Schema,
     ) -> SimilarityMatrix {
         let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
@@ -151,7 +154,7 @@ mod tests {
         let candidate = SchemaBuilder::new("c")
             .entity("person", |e| e.attr("stature", DataType::Real))
             .build_unchecked();
-        let m = TypeMatcher::new().score(&terms, &q, &candidate);
+        let m = crate::score_fresh(&TypeMatcher::new(), &terms, &q, &candidate);
         // Row 0 = entity "patient": zero. Row 2 = keyword: zero.
         assert_eq!(m.row_max(0), 0.0);
         assert_eq!(m.row_max(2), 0.0);

@@ -69,7 +69,13 @@ proptest! {
             Box::new(EditDistanceMatcher::new()),
         ];
         for m in &matchers {
-            let matrix = m.score(&terms, &q, &candidate);
+            let matrix = m.score(
+                &m.prepare_query(&terms, &q),
+                &terms,
+                &q,
+                &m.prepare(&candidate),
+                &candidate,
+            );
             prop_assert_eq!(matrix.rows(), terms.len());
             prop_assert_eq!(matrix.cols(), candidate.len());
             for (_, _, v) in matrix.nonzero() {
@@ -154,7 +160,16 @@ proptest! {
             })
             .build_unchecked();
         let ensemble = Ensemble::standard();
-        let combined = ensemble.combined(&terms, &q, &candidate);
+        let combined = ensemble
+            .run(
+                &ensemble.prepare_query(&terms, &q),
+                &terms,
+                &q,
+                &ensemble.prepare(&candidate),
+                &candidate,
+                false,
+            )
+            .matrix;
         let members = ensemble.individual(&terms, &q, &candidate);
         for r in 0..combined.rows() {
             for c in 0..combined.cols() {

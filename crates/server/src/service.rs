@@ -800,7 +800,9 @@ fn handle_memory(engine: &SchemrEngine) -> Response {
 }
 
 fn handle_healthz(engine: &SchemrEngine, slo: &SloTracker) -> Response {
-    let live_docs = engine.index_stats().live_docs;
+    // A liveness probe: the O(1) counts, not `index_stats()`, which
+    // walks every segment's term dictionary.
+    let (live_docs, _) = engine.index_doc_counts();
     // Three states: `unavailable` (nothing to serve, 503), `degraded`
     // (serving, but burning SLO budget faster than provisioned — still
     // 200 so orchestrators don't amplify an incident by killing capacity)

@@ -12,6 +12,11 @@ use schemr_repo::{import::import_str, Repository};
 use schemr_server::{SchemrServer, ServerConfig};
 
 fn start_server() -> (SchemrServer, schemr_model::SchemaId) {
+    let (server, _, clinic) = start_server_with_engine();
+    (server, clinic)
+}
+
+fn start_server_with_engine() -> (SchemrServer, Arc<SchemrEngine>, schemr_model::SchemaId) {
     let repo = Arc::new(Repository::new());
     let clinic = import_str(
         &repo,
@@ -30,8 +35,8 @@ fn start_server() -> (SchemrServer, schemr_model::SchemaId) {
     .unwrap();
     let engine = Arc::new(SchemrEngine::new(repo));
     engine.reindex_full();
-    let server = SchemrServer::start(engine, ServerConfig::default()).unwrap();
-    (server, clinic)
+    let server = SchemrServer::start(engine.clone(), ServerConfig::default()).unwrap();
+    (server, engine, clinic)
 }
 
 fn get(addr: std::net::SocketAddr, target: &str) -> String {
@@ -104,6 +109,24 @@ fn healthz_reports_revision_and_indexed_docs() {
     assert!(body.contains("\"status\":\"ok\""), "{body}");
     assert!(body.contains("\"revision\":2"), "{body}");
     assert!(body.contains("\"indexed_docs\":2"), "{body}");
+    server.shutdown();
+}
+
+#[test]
+fn healthz_counts_live_docs_before_and_after_a_tombstone() {
+    let (server, engine, clinic) = start_server_with_engine();
+    let body = get(server.addr(), "/healthz");
+    assert!(body.contains("\"indexed_docs\":2"), "{body}");
+    // Removing a schema tombstones its slot: the probe reports live
+    // documents, not slots, and agrees with the full statistics.
+    engine.repository().remove(clinic).unwrap();
+    assert_eq!(engine.reindex_incremental(), 1);
+    let body = get(server.addr(), "/healthz");
+    assert!(body.contains("\"status\":\"ok\""), "{body}");
+    assert!(body.contains("\"indexed_docs\":1"), "{body}");
+    let stats = engine.index_stats();
+    assert_eq!((stats.live_docs, stats.total_docs), (1, 2));
+    assert_eq!(engine.index_doc_counts(), (1, 2));
     server.shutdown();
 }
 
