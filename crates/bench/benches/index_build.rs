@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use schemr_corpus::{Corpus, CorpusConfig};
-use schemr_index::{codec, Index, IndexDocument};
+use schemr_index::{codec, Index, IndexChange, IndexDocument};
 use schemr_model::SchemaId;
 use std::hint::black_box;
 
@@ -30,13 +30,13 @@ fn bench_index_build(c: &mut Criterion) {
     group.bench_function("build_1k_docs", |b| {
         b.iter(|| {
             let index = Index::new();
-            index.add_all(&docs);
+            index.apply(docs.iter().map(IndexChange::Put));
             black_box(index.stats())
         })
     });
 
     let built = Index::new();
-    built.add_all(&docs);
+    built.apply(docs.iter().map(IndexChange::Put));
     group.bench_function("codec_encode_1k", |b| {
         b.iter(|| black_box(codec::encode(&built)))
     });

@@ -17,9 +17,9 @@
 //! keeps `schemr-trace` honest about being cheap enough to leave on.
 //!
 //! Pass `--churn` to measure Phase 1 under index churn instead: ~20% of
-//! the corpus is tombstoned without vacuuming, repeated queries exercise
+//! the corpus is tombstoned without merging, repeated queries exercise
 //! the revision-keyed candidate cache, and an interleaved
-//! put/delete/search segment runs through the scheduler (which vacuums
+//! put/delete/search segment runs through the scheduler (which merges
 //! past the tombstone threshold). Results land in `results/e1_churn.json`.
 //!
 //! Pass `--phase2` to measure Phase 2 matching cost instead: large
@@ -36,14 +36,6 @@
 //! timed; then a paired microbenchmark of the kernel against the scalar
 //! reference must clear its speedup bar (when the `simd` feature is
 //! compiled in).
-//!
-//! Pass `--phase1-pruning` to compare WAND/MaxScore top-k pruning against
-//! the exhaustive Phase 1 scan at top-n 10 and 50: per-query p50/p95/p99,
-//! postings-scanned deltas, and an inline bitwise result-identity oracle.
-//! Results land in `results/e4_pruning.json`. Combine with
-//! `--check-pruning` to exit nonzero unless pruning cuts postings scanned
-//! by at least 2x or wins at least 30% on p50 at top-n 50 — the CI guard
-//! that keeps the pruner actually pruning.
 //!
 //! Pass `--serve` to exercise the HTTP serving path instead: a loadgen
 //! over real sockets measures keep-alive search latency (p50/p99, 5xx
@@ -332,13 +324,13 @@ fn check_overhead(quick: bool) -> i32 {
 /// Three segments, all over the same generated corpus and workload:
 ///
 /// 1. **tombstoned, no cache** — the raw Phase 1 scan cost with 20% of
-///    the corpus deleted but not vacuumed (live-df bookkeeping at work).
+///    the corpus deleted but not merged (live-df bookkeeping at work).
 /// 2. **tombstoned, cache cold/warm** — the same engine with the
 ///    revision-keyed cache; the warm passes are served without touching
 ///    the postings at all.
 /// 3. **interleaved** — rounds of delete + insert + scheduler tick +
 ///    search; every mutation moves the index revision, so the cache
-///    invalidates and refills, and the scheduler vacuums once tombstones
+///    invalidates and refills, and the scheduler merges once tombstones
 ///    cross the threshold.
 fn run_churn(quick: bool) {
     let size = if quick { 1_000 } else { 5_000 };
@@ -370,7 +362,7 @@ fn run_churn(quick: bool) {
         },
     );
 
-    // Tombstone ~20% of documents without vacuuming — the state the
+    // Tombstone ~20% of documents without merging — the state the
     // incremental live-df accounting exists for.
     for bed in [&cached, &uncached] {
         for id in bed.ids.iter().step_by(5) {
@@ -404,7 +396,7 @@ fn run_churn(quick: bool) {
     let mut warm_ms: Vec<f64> = (0..rounds).map(|_| phase1_pass(&cached)).collect();
 
     // Interleaved put/delete/search on the cached engine, through the
-    // scheduler so vacuuming kicks in once tombstones accumulate.
+    // scheduler so merging kicks in once tombstones accumulate.
     let scheduler = IndexScheduler::new(cached.engine.clone());
     let mut live: Vec<SchemaId> = cached
         .ids
@@ -1139,300 +1131,6 @@ fn run_serving(quick: bool, check: bool) -> i32 {
     }
 }
 
-/// Latency quantile (ms) over sorted per-query timings (seconds).
-fn q_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let i = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[i] * 1e3
-}
-
-/// Index scan-work counters for one engine: `(postings_scanned,
-/// pruned_postings, pruned_lists)`.
-fn scan_counters(bed: &Testbed) -> (u64, u64, u64) {
-    let reg = bed.engine.metrics_registry();
-    let counter = |name: &str| reg.counter_value(name, &[]).unwrap_or(0);
-    (
-        counter("schemr_index_postings_scanned_total"),
-        counter("schemr_index_postings_pruned_total"),
-        counter("schemr_index_lists_pruned_total"),
-    )
-}
-
-/// One Phase 1 mode's measurements at one `top_n`.
-struct PruneModeReport {
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    postings_scanned: u64,
-    pruned_postings: u64,
-    pruned_lists: u64,
-    /// Mean allocator calls per `extract_candidates` call — Phase 1 only
-    /// (the query graph is prebuilt), so this is the number that verifies
-    /// the zero-allocation dictionary-lookup claim: it must stay a small
-    /// constant, not grow with terms × fields the way the old
-    /// clone-per-lookup path did.
-    allocs_per_query: f64,
-}
-
-impl PruneModeReport {
-    fn json(&self) -> String {
-        format!(
-            "{{\"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \"postings_scanned\": {}, \"pruned_postings\": {}, \"pruned_lists\": {}, \"allocs_per_query\": {:.1}}}",
-            self.p50_ms,
-            self.p95_ms,
-            self.p99_ms,
-            self.postings_scanned,
-            self.pruned_postings,
-            self.pruned_lists,
-            self.allocs_per_query
-        )
-    }
-}
-
-/// `--phase1-pruning`: WAND/MaxScore top-k pruning vs the exhaustive
-/// Phase 1 scan, on identical corpora at top-n 10 and 50.
-///
-/// For each top-n, two cache-disabled engines (pruning on / pruning off)
-/// run the same workload. Every query is first checked for *bitwise*
-/// result identity between the two modes — ids, score bit patterns,
-/// matched-term counts, order — so the performance numbers can never be
-/// bought with a ranking change. Then one counted pass per engine
-/// captures postings-scanned deltas, and paired best-of-rounds timings
-/// give per-query Phase 1 p50/p95/p99. Results land in
-/// `results/e4_pruning.json`.
-///
-/// With `--check-pruning` the run exits nonzero unless pruning cuts
-/// postings scanned by at least 2x **or** wins at least 30% on p50
-/// latency — the CI guard that keeps the pruner actually pruning. The
-/// gate reads the top-n 50 row at full size; `--quick` gates at top-n
-/// 10 instead, because on its 1k-document corpus a 50-slot floor keeps
-/// most of the corpus in contention and pruning has no headroom by
-/// construction. Returns the process exit code.
-fn run_phase1_pruning(quick: bool, check: bool) -> i32 {
-    let size = if quick { 1_000 } else { 10_000 };
-    let queries = if quick { 20 } else { 60 };
-    let rounds = if quick { 5 } else { 9 };
-    let gate_top_n = if quick { 10 } else { 50 };
-    const SCAN_BAR: f64 = 2.0;
-    const SPEEDUP_BAR: f64 = 1.3;
-
-    let corpus = Corpus::generate(&CorpusConfig {
-        target_size: size,
-        seed: 42,
-        ..CorpusConfig::default()
-    });
-    let workload = Workload::generate(
-        &corpus,
-        &WorkloadConfig {
-            queries,
-            seed: 7,
-            ..Default::default()
-        },
-    );
-    let n_queries = workload.queries.len();
-
-    println!(
-        "E1 --phase1-pruning: WAND/MaxScore vs exhaustive Phase 1, corpus {size}, \
-         {n_queries} queries x {rounds} rounds\n"
-    );
-
-    let measure = |top_n: usize| -> (PruneModeReport, PruneModeReport) {
-        // The candidate cache is disabled on both sides so every query
-        // pays the real postings scan this mode is pricing.
-        let build = |prune: bool| {
-            Testbed::build_with_config(
-                &corpus,
-                EngineConfig {
-                    top_candidates: top_n,
-                    phase1_pruning: prune,
-                    candidate_cache_entries: 0,
-                    ..EngineConfig::default()
-                },
-            )
-        };
-        let pruned = build(true);
-        let exhaustive = build(false);
-
-        // Inline equivalence oracle: pruning must be invisible in the
-        // results before its performance is worth measuring.
-        for (qi, q) in workload.queries.iter().enumerate() {
-            let graph = Testbed::to_request(q, 10).query_graph();
-            let a = pruned.engine.extract_candidates(&graph);
-            let b = exhaustive.engine.extract_candidates(&graph);
-            assert_eq!(
-                a.len(),
-                b.len(),
-                "top_n {top_n}, query {qi}: pruning changed the candidate count"
-            );
-            for (rank, (x, y)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(
-                    x.id, y.id,
-                    "top_n {top_n}, query {qi}, rank {rank}: pruning reordered candidates"
-                );
-                assert_eq!(
-                    x.score.to_bits(),
-                    y.score.to_bits(),
-                    "top_n {top_n}, query {qi}, rank {rank}: pruning changed a score bit pattern"
-                );
-                assert_eq!(x.matched_terms, y.matched_terms);
-            }
-        }
-
-        // One counted pass per engine: scan-work deltas, plus a Phase
-        // 1-only allocation count (graphs prebuilt so graph construction
-        // is not charged to the extraction loop).
-        let pass = |bed: &Testbed| -> f64 {
-            let graphs: Vec<_> = workload
-                .queries
-                .iter()
-                .map(|q| Testbed::to_request(q, 10).query_graph())
-                .collect();
-            let mut hits = 0usize;
-            let a0 = process_alloc_count();
-            for graph in &graphs {
-                hits += bed.engine.extract_candidates(graph).len();
-            }
-            let allocs = process_alloc_count() - a0;
-            assert!(hits > 0, "workload found no candidates");
-            allocs as f64 / graphs.len() as f64
-        };
-        let p0 = scan_counters(&pruned);
-        let p_allocs = pass(&pruned);
-        let p1 = scan_counters(&pruned);
-        let e0 = scan_counters(&exhaustive);
-        let e_allocs = pass(&exhaustive);
-        let e1 = scan_counters(&exhaustive);
-
-        // Paired per-query timings, best-of-rounds (see --check-overhead
-        // for why: additive interference makes the minimum the closest
-        // observation to the intrinsic cost).
-        let time_p1 = |bed: &Testbed, q: &GeneratedQuery| -> f64 {
-            let graph = Testbed::to_request(q, 10).query_graph();
-            let start = Instant::now();
-            let hits = bed.engine.extract_candidates(&graph);
-            let elapsed = start.elapsed().as_secs_f64();
-            assert!(hits.len() <= top_n);
-            elapsed
-        };
-        let mut best_p = vec![f64::INFINITY; n_queries];
-        let mut best_e = vec![f64::INFINITY; n_queries];
-        for round in 0..rounds {
-            for (qi, q) in workload.queries.iter().enumerate() {
-                let (tp, te) = if (round + qi) % 2 == 0 {
-                    let tp = time_p1(&pruned, q);
-                    let te = time_p1(&exhaustive, q);
-                    (tp, te)
-                } else {
-                    let te = time_p1(&exhaustive, q);
-                    let tp = time_p1(&pruned, q);
-                    (tp, te)
-                };
-                best_p[qi] = best_p[qi].min(tp);
-                best_e[qi] = best_e[qi].min(te);
-            }
-        }
-        best_p.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        best_e.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-
-        let report =
-            |sorted: &[f64], before: (u64, u64, u64), after: (u64, u64, u64), allocs: f64| {
-                PruneModeReport {
-                    p50_ms: q_ms(sorted, 0.50),
-                    p95_ms: q_ms(sorted, 0.95),
-                    p99_ms: q_ms(sorted, 0.99),
-                    postings_scanned: after.0 - before.0,
-                    pruned_postings: after.1 - before.1,
-                    pruned_lists: after.2 - before.2,
-                    allocs_per_query: allocs,
-                }
-            };
-        (
-            report(&best_p, p0, p1, p_allocs),
-            report(&best_e, e0, e1, e_allocs),
-        )
-    };
-
-    let mut table = Table::new(&[
-        "top-n",
-        "mode",
-        "p50 (ms)",
-        "p95 (ms)",
-        "p99 (ms)",
-        "postings scanned",
-        "postings pruned",
-        "lists pruned",
-        "allocs/query",
-    ]);
-    let mut blocks = Vec::new();
-    let mut gate = None;
-    for top_n in [10usize, 50] {
-        let (p, e) = measure(top_n);
-        let scan_reduction = e.postings_scanned as f64 / (p.postings_scanned.max(1)) as f64;
-        let p50_speedup = e.p50_ms / p.p50_ms.max(1e-9);
-        for (name, m) in [("exhaustive", &e), ("pruned", &p)] {
-            table.row(&[
-                top_n.to_string(),
-                name.into(),
-                format!("{:.4}", m.p50_ms),
-                format!("{:.4}", m.p95_ms),
-                format!("{:.4}", m.p99_ms),
-                m.postings_scanned.to_string(),
-                m.pruned_postings.to_string(),
-                m.pruned_lists.to_string(),
-                format!("{:.1}", m.allocs_per_query),
-            ]);
-        }
-        blocks.push(format!(
-            "    {{\"top_n\": {top_n}, \"exhaustive\": {}, \"pruned\": {}, \"scan_reduction\": {scan_reduction:.2}, \"p50_speedup\": {p50_speedup:.2}}}",
-            e.json(),
-            p.json()
-        ));
-        if top_n == gate_top_n {
-            gate = Some((scan_reduction, p50_speedup));
-        }
-    }
-    table.print();
-
-    let (scan_reduction, p50_speedup) = gate.expect("gate top-n measured");
-    println!(
-        "\ntop-n {gate_top_n}: {scan_reduction:.2}x fewer postings scanned, {p50_speedup:.2}x \
-         p50 speedup (bars: {SCAN_BAR}x scan or {SPEEDUP_BAR}x p50)"
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e4_pruning\",\n  \"corpus\": {size},\n  \"queries\": {n_queries},\n  \"rounds\": {rounds},\n  \"configs\": [\n{}\n  ]\n}}\n",
-        blocks.join(",\n")
-    );
-    let out_path = std::path::Path::new("results").join("e4_pruning.json");
-    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&out_path, &json)) {
-        Ok(()) => println!("wrote pruning measurements to {}", out_path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out_path.display()),
-    }
-
-    if check {
-        if scan_reduction >= SCAN_BAR || p50_speedup >= SPEEDUP_BAR {
-            println!("\nPASS: pruning clears the bar with bitwise-identical results");
-            0
-        } else {
-            println!(
-                "\nFAIL: pruning cleared neither bar ({scan_reduction:.2}x scan, \
-                 {p50_speedup:.2}x p50)"
-            );
-            1
-        }
-    } else {
-        println!(
-            "\nExpected shape: identical hits bit for bit, while the pruned side\n\
-             skips the bulk of the common-term postings once rare terms have\n\
-             filled the top-n floor — fewer postings scanned and a lower p50\n\
-             at both top-n settings."
-        );
-        0
-    }
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     if std::env::args().any(|a| a == "--check-overhead") {
@@ -1446,10 +1144,6 @@ fn main() {
         let check = std::env::args().any(|a| a == "--check-speedup");
         let check_kernel = std::env::args().any(|a| a == "--check-kernel");
         std::process::exit(run_phase2(quick, check, check_kernel));
-    }
-    if std::env::args().any(|a| a == "--phase1-pruning") {
-        let check = std::env::args().any(|a| a == "--check-pruning");
-        std::process::exit(run_phase1_pruning(quick, check));
     }
     if std::env::args().any(|a| a == "--churn") {
         run_churn(quick);

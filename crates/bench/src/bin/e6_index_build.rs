@@ -7,366 +7,16 @@
 //! batch through the change journal.
 //!
 //! Run with `cargo run --release -p schemr-bench --bin e6_index_build`.
-//!
-//! Pass `--snapshot` to instead measure the segmented index's lock-free
-//! snapshot reads under concurrent maintenance: search p99 while a
-//! writer churns and a background merger compacts, against the seed's
-//! shape — a monolithic index behind an external `RwLock` whose vacuum
-//! holds the write lock (stop-the-world). A bitwise segmented-vs-
-//! monolith oracle runs before anything is timed; results go to
-//! `results/e6_snapshot.json`. Combine with `--check-snapshot` to exit
-//! nonzero unless snapshot-read p99 beats the vacuum-blocked p99 by
-//! ≥1.5x (or the oracle fails).
 
 use schemr::{IndexScheduler, SchemrEngine};
 use schemr_bench::Table;
-use schemr_corpus::{Corpus, CorpusConfig, Workload, WorkloadConfig};
-use schemr_index::{Index, IndexDocument, SearchOptions};
-use schemr_model::SchemaId;
+use schemr_corpus::{Corpus, CorpusConfig};
 use schemr_repo::Repository;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
-
-/// Build the per-schema index documents for a corpus.
-fn corpus_docs(corpus: &Corpus) -> Vec<IndexDocument> {
-    corpus
-        .schemas
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            IndexDocument::from_schema(SchemaId(i as u64), &s.title, &s.summary, &s.schema)
-        })
-        .collect()
-}
-
-/// Keyword query term lists drawn from the corpus workload generator.
-fn keyword_queries(corpus: &Corpus, n: usize) -> Vec<Vec<String>> {
-    let workload = Workload::generate(
-        corpus,
-        &WorkloadConfig {
-            queries: n,
-            seed: 7,
-            kind_mix: (1.0, 0.0, 0.0),
-            ..Default::default()
-        },
-    );
-    workload
-        .queries
-        .into_iter()
-        .map(|q| q.keywords)
-        .filter(|k| !k.is_empty())
-        .collect()
-}
-
-/// Bitwise comparison of two indexes over `queries`, pruning on and off.
-/// Segmentation must change where postings live, never what a query
-/// returns — any drift fails the whole bench before timing starts.
-fn bitwise_oracle(
-    segmented: &Index,
-    monolith: &Index,
-    queries: &[Vec<String>],
-) -> Result<(), String> {
-    for prune in [true, false] {
-        let options = SearchOptions {
-            top_n: 20,
-            prune,
-            ..Default::default()
-        };
-        for (qi, q) in queries.iter().enumerate() {
-            let terms: Vec<&str> = q.iter().map(String::as_str).collect();
-            let a = segmented.search(&terms, &options);
-            let b = monolith.search(&terms, &options);
-            if a.len() != b.len() {
-                return Err(format!(
-                    "query {qi} (prune={prune}): {} vs {} hits",
-                    a.len(),
-                    b.len()
-                ));
-            }
-            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                if x.id != y.id
-                    || x.matched_terms != y.matched_terms
-                    || x.score.to_bits() != y.score.to_bits()
-                {
-                    return Err(format!(
-                        "query {qi} (prune={prune}) rank {i}: ({:?}, {}, {:x}) vs ({:?}, {}, {:x})",
-                        x.id,
-                        x.matched_terms,
-                        x.score.to_bits(),
-                        y.id,
-                        y.matched_terms,
-                        y.score.to_bits()
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Latency percentile (µs) from an unsorted sample set.
-fn percentile(samples: &mut [u64], p: f64) -> u64 {
-    assert!(!samples.is_empty());
-    samples.sort_unstable();
-    let idx = ((samples.len() as f64 * p).ceil() as usize).saturating_sub(1);
-    samples[idx.min(samples.len() - 1)]
-}
-
-/// One measurement arm: a searcher thread times queries for `duration`
-/// while `churn` runs concurrently. Returns (latencies µs, maintenance
-/// runs) — `churn` is handed a stop flag and reports how many vacuums or
-/// merges it committed.
-fn timed_arm(
-    duration: Duration,
-    search: impl Fn(&[&str], &SearchOptions) -> usize + Send,
-    churn: impl FnOnce(&AtomicBool) -> u64 + Send,
-    queries: &[Vec<String>],
-) -> (Vec<u64>, u64) {
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let maintenance = scope.spawn(|| churn(&stop));
-        let options = SearchOptions {
-            top_n: 20,
-            ..Default::default()
-        };
-        let mut samples = Vec::with_capacity(1 << 16);
-        let deadline = Instant::now() + duration;
-        let mut qi = 0usize;
-        while Instant::now() < deadline {
-            let terms: Vec<&str> = queries[qi % queries.len()]
-                .iter()
-                .map(String::as_str)
-                .collect();
-            qi += 1;
-            let t0 = Instant::now();
-            let hits = search(&terms, &options);
-            samples.push(t0.elapsed().as_micros() as u64);
-            std::hint::black_box(hits);
-            // Pace like a client instead of spinning: a saturating
-            // searcher floods the percentile window with back-to-back
-            // fast samples, diluting maintenance pauses below the p99
-            // cutoff and hiding exactly the stalls under measurement.
-            std::thread::sleep(Duration::from_micros(500));
-        }
-        stop.store(true, Ordering::Relaxed);
-        let runs = maintenance.join().unwrap();
-        (samples, runs)
-    })
-}
-
-/// `--snapshot`: lock-free snapshot reads vs. the seed's vacuum-blocked
-/// shape. Returns the process exit code (nonzero only under
-/// `--check-snapshot`, or when the inline oracle fails).
-fn run_snapshot(quick: bool, check: bool) -> i32 {
-    let size = if quick { 2_000 } else { 8_000 };
-    let duration = Duration::from_millis(if quick { 1_500 } else { 4_000 });
-    let corpus = Corpus::generate(&CorpusConfig {
-        target_size: size,
-        seed: 61,
-        ..CorpusConfig::default()
-    });
-    let docs = corpus_docs(&corpus);
-    let queries = keyword_queries(&corpus, 64);
-    assert!(!queries.is_empty(), "workload produced no keyword queries");
-
-    // --- Inline bitwise oracle: before anything is timed. ---
-    // A segmented index (small threshold, churned, merged) must agree
-    // bit for bit with a monolith over the same live set — both on the
-    // many-segment state and again after a background merge compacts it.
-    {
-        let segmented = Index::new().with_seal_threshold((size / 16).max(8));
-        segmented.add_all(&docs);
-        for d in docs.iter().step_by(5) {
-            segmented.remove(d.id);
-        }
-        let segments = segmented.segment_count();
-        assert!(segments > 1, "oracle index must actually be segmented");
-        let monolith = Index::new().with_seal_threshold(usize::MAX);
-        monolith.add_all(
-            docs.iter()
-                .enumerate()
-                .filter(|(i, _)| i % 5 != 0)
-                .map(|(_, d)| d),
-        );
-        if let Err(e) = bitwise_oracle(&segmented, &monolith, &queries) {
-            eprintln!("E6 --snapshot: bitwise oracle FAILED before timing: {e}");
-            return 1;
-        }
-        segmented.merge(0.05);
-        if let Err(e) = bitwise_oracle(&segmented, &monolith, &queries) {
-            eprintln!("E6 --snapshot: bitwise oracle FAILED after merge: {e}");
-            return 1;
-        }
-        println!(
-            "E6 --snapshot: bitwise oracle clean across {segments} segments x {} queries x prune on/off, pre- and post-merge\n",
-            queries.len()
-        );
-    }
-
-    // Both arms run the IDENTICAL maintenance schedule: churn for a
-    // short gap, then run one maintenance pass (stop-the-world vacuum /
-    // off-lock merge), back to back for the whole window. The arms
-    // differ in whether maintenance blocks searches — and in how much it
-    // must touch: vacuum rebuilds the whole corpus, merge only the
-    // tombstoned segments. The gap is deliberately short so a meaningful
-    // fraction (>1%) of the blocked arm's samples absorb a whole pause —
-    // with sparse maintenance a single searcher's p99 would undersample
-    // the stalls and hide exactly the behavior under test. Each arm runs
-    // exactly two threads — searcher + writer/maintenance — so the
-    // comparison stays fair on small machines.
-    let churn_gap = Duration::from_millis(2);
-
-    // The snapshot arm is measured FIRST: the blocked arm's monolith
-    // churn deep-clones the whole corpus per mutation, and the heap
-    // fragmentation it leaves behind would tax whichever arm runs after
-    // it.
-    //
-    // --- Arm B: segmented snapshots. Searches grab one Arc and never
-    // block; merge captures victims under a brief writer lock, compacts
-    // off-lock, and publishes as a single pointer swap. Continuous
-    // merging also keeps the segment count bounded against churn (every
-    // threshold puts seals a new segment). Small seal threshold = the
-    // segmented operating point: per-mutation publish clones only a
-    // small head.
-    let (mut snapshot, merges) = {
-        let index = Index::new().with_seal_threshold(64);
-        index.add_all(&docs);
-        let churn_docs = &docs;
-        let index_ref = &index;
-        timed_arm(
-            duration,
-            |terms, options| index_ref.search(terms, options).len(),
-            move |stop| {
-                let mut i = 0usize;
-                let mut merges = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let gap_end = Instant::now() + churn_gap;
-                    while Instant::now() < gap_end && !stop.load(Ordering::Relaxed) {
-                        let d = &churn_docs[i % churn_docs.len()];
-                        index_ref.remove(d.id);
-                        index_ref.add(d);
-                        i += 1;
-                    }
-                    // Off-lock compaction: searches keep flowing. Near-
-                    // zero threshold = compact as soon as any tombstone
-                    // exists, the analogue of the blocked arm's
-                    // unconditional vacuum — except merge touches only
-                    // tombstoned segments and never the clean bulk.
-                    if index_ref.merge(1e-6).is_some() {
-                        merges += 1;
-                    }
-                }
-                merges
-            },
-            &queries,
-        )
-    };
-
-    // --- Arm A: the seed's shape. A monolithic index behind an external
-    // RwLock; every search holds the read lock for its whole scan and
-    // vacuum() runs stop-the-world under the write lock.
-    let (mut blocked, vacuums) = {
-        let index = Index::new().with_seal_threshold(usize::MAX);
-        index.add_all(&docs);
-        let gate = RwLock::new(index);
-        let gate = &gate;
-        let churn_docs = &docs;
-        timed_arm(
-            duration,
-            |terms, options| gate.read().unwrap().search(terms, options).len(),
-            move |stop| {
-                let mut i = 0usize;
-                let mut vacuums = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let gap_end = Instant::now() + churn_gap;
-                    while Instant::now() < gap_end && !stop.load(Ordering::Relaxed) {
-                        let d = &churn_docs[i % churn_docs.len()];
-                        let index = gate.read().unwrap();
-                        index.remove(d.id);
-                        index.add(d);
-                        i += 1;
-                    }
-                    // Stop the world: searches queue behind this.
-                    gate.write().unwrap().vacuum();
-                    vacuums += 1;
-                }
-                vacuums
-            },
-            &queries,
-        )
-    };
-
-    let blocked_p50 = percentile(&mut blocked, 0.50);
-    let blocked_p99 = percentile(&mut blocked, 0.99);
-    let snapshot_p50 = percentile(&mut snapshot, 0.50);
-    let snapshot_p99 = percentile(&mut snapshot, 0.99);
-    let ratio = blocked_p99 as f64 / (snapshot_p99 as f64).max(1.0);
-
-    println!(
-        "E6 --snapshot: corpus {size}, {}ms per arm, continuous maintenance with {}ms churn gaps\n",
-        duration.as_millis(),
-        churn_gap.as_millis()
-    );
-    let mut table = Table::new(&["arm", "queries", "p50 (µs)", "p99 (µs)", "maintenance"]);
-    table.row(&[
-        "vacuum-blocked (seed shape)".into(),
-        blocked.len().to_string(),
-        blocked_p50.to_string(),
-        blocked_p99.to_string(),
-        format!("{vacuums} vacuums"),
-    ]);
-    table.row(&[
-        "snapshot reads (segmented)".into(),
-        snapshot.len().to_string(),
-        snapshot_p50.to_string(),
-        snapshot_p99.to_string(),
-        format!("{merges} merges"),
-    ]);
-    table.print();
-    println!("\np99 ratio (blocked / snapshot): {ratio:.2}x");
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e6_snapshot\",\n  \"corpus\": {size},\n  \"arm_ms\": {},\n  \"blocked\": {{\"queries\": {}, \"p50_us\": {blocked_p50}, \"p99_us\": {blocked_p99}, \"vacuums\": {vacuums}}},\n  \"snapshot\": {{\"queries\": {}, \"p50_us\": {snapshot_p50}, \"p99_us\": {snapshot_p99}, \"merges\": {merges}}},\n  \"p99_ratio\": {ratio:.4}\n}}\n",
-        duration.as_millis(),
-        blocked.len(),
-        snapshot.len()
-    );
-    let out_path = std::path::Path::new("results").join("e6_snapshot.json");
-    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&out_path, &json)) {
-        Ok(()) => println!("wrote snapshot measurements to {}", out_path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out_path.display()),
-    }
-    println!(
-        "\nExpected shape: the blocked arm's p99 absorbs whole vacuum pauses (searches\n\
-         queue behind the write lock); snapshot reads never block on maintenance, so\n\
-         their p99 stays near p50 while the merger runs."
-    );
-
-    if check {
-        if vacuums == 0 || merges == 0 {
-            eprintln!(
-                "E6 --check-snapshot: FAIL — maintenance never ran ({vacuums} vacuums, {merges} merges); nothing was gated"
-            );
-            return 1;
-        }
-        if ratio < 1.5 {
-            eprintln!(
-                "E6 --check-snapshot: FAIL — snapshot p99 {snapshot_p99}µs must beat blocked p99 {blocked_p99}µs by ≥1.5x (got {ratio:.2}x)"
-            );
-            return 1;
-        }
-        println!("\nE6 --check-snapshot: PASS ({ratio:.2}x ≥ 1.5x, oracle clean)");
-    }
-    0
-}
+use std::sync::Arc;
+use std::time::Instant;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    if std::env::args().any(|a| a == "--snapshot") {
-        let check = std::env::args().any(|a| a == "--check-snapshot");
-        std::process::exit(run_snapshot(quick, check));
-    }
     let sizes: &[usize] = if quick {
         &[500, 1_000]
     } else {

@@ -576,7 +576,7 @@ fn fmt_bytes(b: f64) -> String {
 fn cmd_doctor(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
     use schemr_obs::json::Json;
     const TIMEOUT_MS: u64 = 5_000;
-    /// Tombstone fraction past which a vacuum is overdue.
+    /// Tombstone fraction past which a merge is overdue.
     const TOMBSTONE_WARN: f64 = 0.30;
     /// Zero-result fraction that signals a corpus/workload mismatch…
     const ZERO_RATE_WARN: f64 = 0.50;
@@ -683,7 +683,7 @@ fn cmd_doctor(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
         writeln!(out, "  workload   analytics off (http {wl_status})")?;
     }
 
-    // /debug/index — postings statistics; tombstone ratio is the vacuum
+    // /debug/index — postings statistics; tombstone ratio is the merge
     // pressure gauge.
     let (_, index) = fetch("/debug/index?limit=1")?;
     let tombstone = get_f64(&index, "tombstone_ratio");
@@ -697,7 +697,7 @@ fn cmd_doctor(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
     )?;
     if tombstone > TOMBSTONE_WARN {
         problems.push(format!(
-            "index tombstone ratio {:.0}% — vacuum is overdue",
+            "index tombstone ratio {:.0}% — merge is overdue",
             tombstone * 100.0
         ));
     }

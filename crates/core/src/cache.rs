@@ -6,9 +6,9 @@
 //! current state matches; any mutation changes the stamp, so stale
 //! entries can never be returned and are dropped on the next lookup.
 //!
-//! * [`CandidateCache`] stores `(terms, options) → hits` stamped with the
-//!   [`IndexRevision`] — any index mutation (add, tombstone, vacuum,
-//!   swap) changes it.
+//! * [`CandidateCache`] stores `terms → hits` stamped with the
+//!   [`IndexRevision`] — any index mutation (add, tombstone, swap)
+//!   changes it.
 //! * [`MatchArtifactCache`] stores `schema id → prepared matcher
 //!   artifacts` stamped with the schema's repository revision plus the
 //!   engine's ensemble generation — a schema update or a matcher-set
@@ -23,37 +23,17 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use schemr_index::{Hit, IndexRevision, SearchOptions};
+use schemr_index::{Hit, IndexRevision};
 use schemr_match::PreparedCandidate;
 use schemr_model::SchemaId;
 use schemr_obs::Counter;
 
-/// The cache key: analyzed query terms plus a fingerprint of every
-/// [`SearchOptions`] field. `proximity_weight` is folded in by bit
-/// pattern so the key stays `Eq + Hash` despite the f64. `prune` is
-/// included defensively even though pruned and exhaustive results are
-/// bitwise identical by contract — if a bound bug ever broke the
-/// contract, the cache must not paper over it.
+/// The cache key: the analyzed query terms. Everything else Phase 1
+/// depends on — candidate budget, coordination, proximity weight — is a
+/// constant of the engine's immutable `EngineConfig`, and the cache
+/// lives and dies with its engine.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct CacheKey {
-    terms: Vec<String>,
-    top_n: usize,
-    coordination: bool,
-    proximity_bits: u64,
-    prune: bool,
-}
-
-impl CacheKey {
-    pub(crate) fn new(terms: Vec<String>, options: &SearchOptions) -> Self {
-        CacheKey {
-            terms,
-            top_n: options.top_n,
-            coordination: options.coordination,
-            proximity_bits: options.proximity_weight.to_bits(),
-            prune: options.prune,
-        }
-    }
-}
+pub(crate) struct CacheKey(pub(crate) Vec<String>);
 
 struct LruEntry<V, S> {
     value: V,
@@ -161,7 +141,8 @@ impl<K: Eq + Hash + Clone, V: Clone, S: PartialEq> LruCore<K, V, S> {
 }
 
 /// A small LRU cache of Phase 1 results, safe under concurrent searches
-/// and writers. `capacity == 0` disables it entirely.
+/// and writers. `capacity == 0` is a cache that always misses: nothing is
+/// admitted and nothing is counted.
 pub(crate) struct CandidateCache {
     capacity: usize,
     state: Mutex<LruCore<CacheKey, Vec<Hit>, IndexRevision>>,
@@ -193,7 +174,7 @@ impl CandidateCache {
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
+    fn enabled(&self) -> bool {
         self.capacity > 0
     }
 
@@ -417,7 +398,7 @@ mod tests {
     }
 
     fn key(word: &str) -> CacheKey {
-        CacheKey::new(vec![word.to_string()], &SearchOptions::default())
+        CacheKey(vec![word.to_string()])
     }
 
     fn rev(mutations: u64) -> IndexRevision {
@@ -474,21 +455,6 @@ mod tests {
         assert!(c.get(&key("a"), rev(1)).is_some());
         assert!(c.get(&key("b"), rev(1)).is_none());
         assert!(c.get(&key("c"), rev(1)).is_some());
-    }
-
-    #[test]
-    fn options_are_part_of_the_key() {
-        let c = cache(4);
-        let narrow = CacheKey::new(
-            vec!["a".into()],
-            &SearchOptions {
-                top_n: 5,
-                ..Default::default()
-            },
-        );
-        c.put(narrow.clone(), rev(1), vec![hit(1)]);
-        assert!(c.get(&key("a"), rev(1)).is_none(), "different top_n");
-        assert!(c.get(&narrow, rev(1)).is_some());
     }
 
     #[test]

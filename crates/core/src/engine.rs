@@ -11,7 +11,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
-use schemr_index::{codec, Index, IndexDocument, IndexRevision, IndexStats, SearchOptions};
+use schemr_index::{
+    codec, Index, IndexChange, IndexDocument, IndexRevision, IndexStats, SearchOptions,
+};
 use schemr_match::{Ensemble, EnsembleQuery, PreparedCandidate};
 use schemr_model::{QueryGraph, QueryTerm};
 use schemr_obs::{
@@ -19,7 +21,7 @@ use schemr_obs::{
     SearchEvent, SearchOutcome, SpanGuard, SpanTimer, StackSource, Tracer, TracerConfig,
     WorkloadSnapshot,
 };
-use schemr_repo::{ChangeKind, Repository};
+use schemr_repo::{ChangeKind, Repository, StoredSchema};
 
 use crate::cache::{ArtifactStamp, CacheKey, CandidateCache, MatchArtifactCache};
 use crate::metrics::EngineMetrics;
@@ -36,11 +38,6 @@ pub struct EngineConfig {
     pub coordination: bool,
     /// Proximity-bonus weight in Phase 1 (0 disables; ablated in E5).
     pub proximity_weight: f64,
-    /// WAND/MaxScore top-n pruning in Phase 1: skip postings that
-    /// provably cannot place a document in the top n. Results are bitwise
-    /// identical either way; `false` forces the exhaustive scan (used by
-    /// the pruning bench's baseline arm).
-    pub phase1_pruning: bool,
     /// Phase 3 parameters.
     pub tightness: TightnessConfig,
     /// Threads for Phase 2 matching (1 = sequential).
@@ -50,7 +47,7 @@ pub struct EngineConfig {
     /// Request-tracing configuration (trace ring, slowlog, event log).
     pub trace: TracerConfig,
     /// Capacity of the revision-keyed Phase 1 candidate cache (entries).
-    /// 0 disables caching entirely.
+    /// 0 means only "don't cache": every lookup misses, same path.
     pub candidate_cache_entries: usize,
     /// Byte budget of the revision-keyed Phase 2 match-artifact cache.
     /// 0 means only "don't cache": every search then builds its
@@ -64,7 +61,6 @@ impl Default for EngineConfig {
             top_candidates: 50,
             coordination: true,
             proximity_weight: 0.25,
-            phase1_pruning: true,
             tightness: TightnessConfig::default(),
             match_threads: std::thread::available_parallelism()
                 .map_or(1, |n| n.get())
@@ -260,58 +256,43 @@ impl SchemrEngine {
         let _span = SpanTimer::start(self.metrics.reindex_seconds.clone());
         let revision = self.repo.revision();
         let fresh = Index::new().with_metrics(self.metrics.index.clone());
-        // Batch the whole corpus through one writer lock and a single
-        // snapshot publish instead of re-publishing per document.
-        let docs: Vec<IndexDocument> = self
-            .repo
-            .snapshot()
-            .iter()
-            .map(|stored| {
-                IndexDocument::from_schema(
-                    stored.metadata.id,
-                    &stored.metadata.title,
-                    &stored.metadata.summary,
-                    &stored.schema,
-                )
-            })
-            .collect();
-        fresh.add_all(&docs);
+        let docs: Vec<IndexDocument> = self.repo.snapshot().iter().map(index_document).collect();
+        fresh.apply(docs.iter().map(IndexChange::Put));
         *self.index.write() = fresh;
         *self.last_indexed_revision.lock() = revision;
     }
 
     /// Apply repository changes since the last (re)index — the "scheduled
-    /// intervals" incremental path. Returns how many changes were applied.
+    /// intervals" incremental path. The whole journal tail goes to the
+    /// index as one batch in journal order, so a tick costs one snapshot
+    /// publish however many changes it carries. Returns how many changes
+    /// were applied.
     pub fn reindex_incremental(&self) -> usize {
         let mut last = self.last_indexed_revision.lock();
         let changes = self.repo.changes_since(*last);
         if changes.is_empty() {
             return 0;
         }
-        let index = self.index.read();
-        let mut applied = 0usize;
-        let mut max_rev = *last;
-        for change in &changes {
-            match change.kind {
-                ChangeKind::Put => {
-                    if let Some(stored) = self.repo.get(change.id) {
-                        index.add(&IndexDocument::from_schema(
-                            stored.metadata.id,
-                            &stored.metadata.title,
-                            &stored.metadata.summary,
-                            &stored.schema,
-                        ));
-                    }
-                }
-                ChangeKind::Delete => {
-                    index.remove(change.id);
-                }
-            }
-            applied += 1;
-            max_rev = max_rev.max(change.revision);
-        }
-        *last = max_rev;
-        applied
+        // A put indexes the schema as the repository holds it now; one
+        // removed again since has nothing to index, and its delete
+        // follows in the journal.
+        let docs: Vec<Option<IndexDocument>> = changes
+            .iter()
+            .map(|change| match change.kind {
+                ChangeKind::Put => self.repo.get(change.id).as_ref().map(index_document),
+                ChangeKind::Delete => None,
+            })
+            .collect();
+        let batch = changes
+            .iter()
+            .zip(&docs)
+            .filter_map(|(change, doc)| match change.kind {
+                ChangeKind::Put => doc.as_ref().map(IndexChange::Put),
+                ChangeKind::Delete => Some(IndexChange::Delete(change.id)),
+            });
+        self.index.read().apply(batch);
+        *last = changes.iter().map(|c| c.revision).fold(*last, u64::max);
+        changes.len()
     }
 
     /// Statistics of the live index.
@@ -408,7 +389,7 @@ impl SchemrEngine {
             top_n: self.config.top_candidates,
             coordination: self.config.coordination,
             proximity_weight: self.config.proximity_weight,
-            prune: self.config.phase1_pruning,
+            ..SearchOptions::default()
         };
         let index = self.index.read();
         let terms: Vec<String> = graph
@@ -416,11 +397,7 @@ impl SchemrEngine {
             .iter()
             .flat_map(|t| index.name_analyzer().analyze(t))
             .collect();
-        if !self.candidate_cache.enabled() {
-            let hits = index.search_terms_traced(&terms, &options, span);
-            return (hits, terms);
-        }
-        let key = CacheKey::new(terms.clone(), &options);
+        let key = CacheKey(terms.clone());
         // A revision observed *before* the lookup can only be older than
         // the entry's true state, which makes a stale hit impossible and
         // at worst turns a usable entry into a miss.
@@ -530,9 +507,9 @@ impl SchemrEngine {
     /// committed. The scheduler calls this every tick so put/delete churn
     /// cannot degrade Phase 1 indefinitely.
     ///
-    /// Unlike the old stop-the-world vacuum, the compaction runs entirely
-    /// off-lock — searches keep reading their published snapshots
-    /// throughout, and the new layout lands with a single pointer swap.
+    /// The compaction runs entirely off-lock — searches keep reading
+    /// their published snapshots throughout, and the new layout lands with
+    /// a single pointer swap.
     pub fn maybe_merge(&self, threshold: f64) -> bool {
         if threshold <= 0.0 {
             return false;
@@ -548,16 +525,15 @@ impl SchemrEngine {
         let before_ratio = deleted as f64 / total as f64;
         let started = Instant::now();
         let Some(outcome) = index.merge(threshold) else {
-            // A concurrent forced vacuum beat the merge to the segments;
-            // nothing was lost and nothing needs recording.
+            // A concurrent merge beat this one to the segments; nothing
+            // was lost and nothing needs recording.
             return false;
         };
         let took = started.elapsed();
         // Leave a maintenance record in the event log so offline analysis
         // of a latency window can see the merge that ran inside it. The
         // `<merge>` query marker keeps the record parseable by every
-        // reader of ordinary search lines (it replaces the seed's
-        // `<vacuum>` marker — same shape, new maintenance verb).
+        // reader of ordinary search lines.
         if let Some(log) = self.tracer.event_log() {
             let (live, total) = index.doc_counts();
             let after_ratio = if total == 0 {
@@ -939,6 +915,17 @@ impl SchemrEngine {
             ledger: want_trace.then_some(ledger),
         })
     }
+}
+
+/// Flatten one stored schema into its index document — the one place
+/// both indexer passes (full and incremental) build it.
+fn index_document(stored: &StoredSchema) -> IndexDocument {
+    IndexDocument::from_schema(
+        stored.metadata.id,
+        &stored.metadata.title,
+        &stored.metadata.summary,
+        &stored.schema,
+    )
 }
 
 /// What [`SchemrEngine::match_chunk`] produced for one contiguous run of

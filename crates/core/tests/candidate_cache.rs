@@ -1,13 +1,13 @@
 //! Property-style check: the revision-keyed candidate cache never changes
 //! what Phase 1 returns. A cached engine and an uncached engine walk the
 //! same generated corpus through queries, repeats, mutations, and a
-//! vacuum, and their ranked candidate lists must stay identical at every
+//! merge, and their ranked candidate lists must stay identical at every
 //! step. Deterministic by construction (seeded corpus, fixed query
 //! derivation) — no property-testing framework needed.
 
 use std::sync::Arc;
 
-use schemr::{EngineConfig, SchemrEngine, SearchRequest};
+use schemr::{EngineConfig, IndexScheduler, SchemrEngine, SearchRequest};
 use schemr_corpus::{Corpus, CorpusConfig};
 use schemr_index::Hit;
 use schemr_model::SchemaId;
@@ -172,4 +172,66 @@ fn repeated_search_is_a_cache_hit_with_identical_response() {
         hits_after > hits_before,
         "second search should hit the cache"
     );
+}
+
+/// `(id, score bits, coarse-score bits)` of every result of every query.
+fn ranked(engine: &SchemrEngine, queries: &[SearchRequest]) -> Vec<Vec<(SchemaId, u64, u64)>> {
+    let rank = |request| {
+        let results = engine.search(request).unwrap();
+        let bits = |r: &schemr::SearchResult| (r.id, r.score.to_bits(), r.coarse_score.to_bits());
+        results.iter().map(bits).collect()
+    };
+    queries.iter().map(rank).collect()
+}
+
+#[test]
+fn one_tick_applies_the_whole_journal_as_one_batch() {
+    let corpus = Corpus::generate(&CorpusConfig::small(11));
+    let (repo, ids) = build_repo(&corpus);
+    let engine = Arc::new(SchemrEngine::new(repo.clone()));
+    engine.reindex_full();
+    let scheduler = IndexScheduler::new(engine.clone()).with_merge_threshold(0.0);
+    let queries: Vec<SearchRequest> = (0..corpus.schemas.len())
+        .step_by(3)
+        .map(|i| query_for(&corpus, i))
+        .collect();
+    let fresh = |what: &str| {
+        let fresh = SchemrEngine::new(repo.clone());
+        fresh.reindex_full();
+        assert_eq!(
+            ranked(&engine, &queries),
+            ranked(&fresh, &queries),
+            "{what}"
+        );
+    };
+    fresh("before the tick");
+
+    // A journal of 11 changes, 9 of which take effect in the index:
+    // 4 deletes, 3 replacements (one schema twice — both puts count), 2
+    // inserts, and an insert removed again before the tick — its put finds
+    // nothing to index and its delete finds nothing to tombstone.
+    for id in &ids[..4] {
+        repo.remove(*id).unwrap();
+    }
+    let graph = |i: usize| corpus.schemas[i].schema.clone();
+    repo.update(ids[5], graph(6)).unwrap();
+    repo.update(ids[5], graph(7)).unwrap();
+    repo.update(ids[8], graph(9)).unwrap();
+    repo.insert("late arrival", "", graph(0)).unwrap();
+    repo.insert("later arrival", "", graph(1)).unwrap();
+    let fleeting = repo.insert("fleeting", "", graph(2)).unwrap();
+    repo.remove(fleeting).unwrap();
+
+    let before = engine.index_revision();
+    assert_eq!(scheduler.tick(), 11, "every journal entry was consumed");
+    let after = engine.index_revision();
+    assert_eq!(
+        after.instance, before.instance,
+        "same index, updated in place"
+    );
+    assert_eq!(after.mutations, before.mutations + 9);
+    assert_eq!(engine.index_doc_counts().0, repo.len());
+    fresh("after the tick");
+    assert_eq!(scheduler.tick(), 0, "the journal tail was consumed once");
+    assert_eq!(engine.index_revision(), after);
 }

@@ -1,5 +1,5 @@
 //! The workload/introspection plane end to end at the engine level:
-//! zero-result accounting, the workload sketch feed, vacuum maintenance
+//! zero-result accounting, the workload sketch feed, merge maintenance
 //! records in the event log, and the deep-memory report.
 
 use std::sync::Arc;

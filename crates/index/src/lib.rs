@@ -39,7 +39,8 @@ mod snapshot;
 pub use document::{IndexDocument, ELEMENT_POSITION_GAP};
 pub use field::Field;
 pub use memory::{
-    Index, IndexIntrospection, IndexRevision, IndexStats, MergeOutcome, PostingsListStats,
+    Index, IndexChange, IndexIntrospection, IndexRevision, IndexStats, MergeOutcome,
+    PostingsListStats,
 };
 pub use metrics::IndexMetrics;
 pub use search::{Hit, ProbeStats, SearchOptions};

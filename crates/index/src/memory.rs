@@ -4,30 +4,30 @@
 //! ## Write path
 //!
 //! A single writer state (head segment, sealed segments, overlay
-//! tombstones) lives behind a `Mutex`. Every logical mutation — add,
-//! tombstone, forced vacuum — mutates it and then *publishes*: builds a
+//! tombstones) lives behind a `Mutex`, and every logical mutation reaches
+//! it through one function: [`Index::apply`] takes a batch of
+//! [`IndexChange`]s, analyzes the documents off-lock, applies the changes
+//! in order under one lock hold, and then *publishes* once: builds a
 //! fresh immutable [`IndexSnapshot`] (sealed `Arc`s are reused; the head
-//! is cloned, bounded by the seal threshold) and swaps it into place.
-//! When the head reaches the seal threshold it is frozen into a sealed
-//! segment in O(1).
+//! is cloned, bounded by the seal threshold) and swaps it into place. A
+//! batch in which nothing took effect publishes nothing. When the head
+//! reaches the seal threshold it is frozen into a sealed segment in O(1).
 //!
 //! ## Read path
 //!
 //! Searches clone the published `Arc` once and never touch a lock again:
-//! a background merge, a vacuum, or a churning writer can all run
-//! concurrently without blocking a single query. Queries in flight keep
-//! their old snapshot alive through the `Arc`.
+//! a background merge and a churning writer can both run concurrently
+//! without blocking a single query. Queries in flight keep their old
+//! snapshot alive through the `Arc`.
 //!
 //! ## Merge
 //!
-//! [`Index::merge`] replaces the old stop-the-world vacuum on the
-//! maintenance path: it captures the tombstoned segments under the writer
-//! lock, compacts them **off-lock**, then re-acquires the lock only to
-//! re-apply tombstones that raced the compaction and swap the segment
-//! list. Merges do not bump the epoch — they are bitwise invisible to
-//! search — so revision-keyed caches stay warm across them. The forced
-//! [`Index::vacuum`] still exists, compacts everything, and *does* count
-//! as a mutation.
+//! [`Index::merge`] is the only compactor: it captures the tombstoned
+//! segments under the writer lock, compacts them **off-lock**, then
+//! re-acquires the lock only to re-apply tombstones that raced the
+//! compaction and swap the segment list. Merges do not bump the epoch —
+//! they are bitwise invisible to search — so revision-keyed caches stay
+//! warm across them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,7 +50,7 @@ use crate::DocOrd;
 
 /// Documents the mutable head accumulates before it is sealed into an
 /// immutable segment. Bounds the head-clone cost of a publish; small
-/// enough that per-mutation publishing stays cheap, large enough that a
+/// enough that per-batch publishing stays cheap, large enough that a
 /// typical corpus spans only a handful of segments.
 const DEFAULT_SEAL_THRESHOLD: usize = 1024;
 
@@ -68,12 +68,23 @@ const MAX_SEGMENTS: usize = 8;
 pub struct IndexRevision {
     /// Process-unique id of the index instance.
     pub instance: u64,
-    /// Logical mutations (adds, tombstones, forced vacuums) applied so far.
+    /// Logical mutations (adds and tombstones) applied so far.
     pub mutations: u64,
 }
 
 /// Source of process-unique index instance ids.
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
+
+/// One logical change to the index — the unit [`Index::apply`] takes a
+/// batch of.
+#[derive(Debug, Clone, Copy)]
+pub enum IndexChange<'a> {
+    /// Add the document, replacing any live copy of the same id.
+    Put(&'a IndexDocument),
+    /// Tombstone the live copy of the id. Deleting an id that is not
+    /// live is not a mutation.
+    Delete(SchemaId),
+}
 
 /// What a background merge accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,8 +263,8 @@ impl Index {
 
     /// The index's current revision: `(instance, mutation count)`. Two
     /// equal revisions guarantee identical search results, so callers can
-    /// key caches on it; any add, tombstone, or forced vacuum changes it,
-    /// and a freshly built or loaded index gets a new `instance`.
+    /// key caches on it; any add or tombstone changes it, and a freshly
+    /// built or loaded index gets a new `instance`.
     /// Background merges keep it — their results are bitwise identical.
     pub fn revision(&self) -> IndexRevision {
         IndexRevision {
@@ -356,42 +367,59 @@ impl Index {
         drop(stale);
     }
 
-    /// Add (or replace) a document.
-    pub fn add(&self, doc: &IndexDocument) {
-        let analyzed = self.analyze(doc);
-        let mut w = self.writer.lock();
-        w.put(analyzed);
-        if w.head.docs.len() >= self.seal_threshold {
-            w.seal();
+    /// Apply a batch of changes in order — the one way into the index.
+    /// Documents are analyzed before the writer lock is taken; the batch
+    /// then runs under a single lock hold (the head seals whenever it
+    /// reaches the threshold) and is made visible by **one** publish.
+    /// Returns how many changes took effect, which is also how far the
+    /// revision moved: every put counts, a delete only when the id was
+    /// live. A batch in which nothing took effect publishes nothing.
+    pub fn apply<'a>(&self, changes: impl IntoIterator<Item = IndexChange<'a>>) -> usize {
+        enum Analyzed {
+            Put(AnalyzedDoc),
+            Delete(SchemaId),
         }
-        self.publish(&mut w);
-    }
-
-    /// Add many documents under one writer lock with one publish at the
-    /// end — the bulk build path (full reindex, codec-scale loads).
-    pub fn add_all<'a>(&self, docs: impl IntoIterator<Item = &'a IndexDocument>) {
-        let analyzed: Vec<AnalyzedDoc> = docs.into_iter().map(|d| self.analyze(d)).collect();
+        let analyzed: Vec<Analyzed> = changes
+            .into_iter()
+            .map(|change| match change {
+                IndexChange::Put(doc) => Analyzed::Put(self.analyze(doc)),
+                IndexChange::Delete(id) => Analyzed::Delete(id),
+            })
+            .collect();
         let mut w = self.writer.lock();
-        for a in analyzed {
-            w.put(a);
-            if w.head.docs.len() >= self.seal_threshold {
-                w.seal();
+        let before = w.epoch;
+        for change in analyzed {
+            match change {
+                Analyzed::Put(doc) => {
+                    w.put(doc);
+                    if w.head.docs.len() >= self.seal_threshold {
+                        w.seal();
+                    }
+                }
+                Analyzed::Delete(id) => {
+                    if w.tombstone_existing(id) {
+                        w.epoch += 1;
+                    }
+                }
             }
         }
-        self.publish(&mut w);
+        let took_effect = (w.epoch - before) as usize;
+        if took_effect > 0 {
+            self.publish(&mut w);
+        }
+        took_effect
     }
 
-    /// Tombstone a document by schema id. Returns whether it was present.
-    /// A failed remove is not a mutation and does not move the revision.
+    /// Add (or replace) one document: a one-element [`Index::apply`].
+    pub fn add(&self, doc: &IndexDocument) {
+        self.apply([IndexChange::Put(doc)]);
+    }
+
+    /// Tombstone a document by schema id: a one-element [`Index::apply`].
+    /// Returns whether it was present. A failed remove is not a mutation
+    /// and does not move the revision.
     pub fn remove(&self, id: SchemaId) -> bool {
-        let mut w = self.writer.lock();
-        if w.tombstone_existing(id) {
-            w.epoch += 1;
-            self.publish(&mut w);
-            true
-        } else {
-            false
-        }
+        self.apply([IndexChange::Delete(id)]) == 1
     }
 
     /// Number of live (non-deleted) documents.
@@ -428,41 +456,22 @@ impl Index {
     /// Search with raw query strings (each analyzed through the name
     /// pipeline — queries are element names and keywords).
     pub fn search(&self, query: &[&str], options: &SearchOptions) -> Vec<Hit> {
-        self.search_traced(query, options, None)
-    }
-
-    /// [`Index::search`] with an optional trace span to annotate with
-    /// probe statistics (distinct terms, postings scanned, hits).
-    pub fn search_traced(
-        &self,
-        query: &[&str],
-        options: &SearchOptions,
-        span: Option<&SpanGuard<'_>>,
-    ) -> Vec<Hit> {
         let terms: Vec<String> = query.iter().flat_map(|q| self.names.analyze(q)).collect();
-        self.search_terms_traced(&terms, options, span)
+        self.search_terms(&terms, options)
     }
 
     /// Search with pre-analyzed terms.
     pub fn search_terms(&self, terms: &[String], options: &SearchOptions) -> Vec<Hit> {
-        self.search_terms_traced(terms, options, None)
+        self.search_terms_versioned(terms, options, None).0
     }
 
-    /// [`Index::search_terms`] with an optional trace span to annotate.
-    pub fn search_terms_traced(
-        &self,
-        terms: &[String],
-        options: &SearchOptions,
-        span: Option<&SpanGuard<'_>>,
-    ) -> Vec<Hit> {
-        self.search_terms_versioned(terms, options, span).0
-    }
-
-    /// [`Index::search_terms_traced`], also returning the [`IndexRevision`]
-    /// the results were computed against. The snapshot carries its epoch,
-    /// so the pair is consistent by construction even while writers,
-    /// sealers, and mergers run concurrently — no lock is held during the
-    /// scan. This is the safe way to populate a revision-keyed cache.
+    /// [`Index::search_terms`] with an optional trace span to annotate
+    /// with probe statistics (distinct terms, postings scanned, hits),
+    /// also returning the [`IndexRevision`] the results were computed
+    /// against. The snapshot carries its epoch, so the pair is consistent
+    /// by construction even while writers, sealers, and mergers run
+    /// concurrently — no lock is held during the scan. This is the safe
+    /// way to populate a revision-keyed cache.
     pub fn search_terms_versioned(
         &self,
         terms: &[String],
@@ -494,7 +503,7 @@ impl Index {
 
     /// Document frequency of an (already analyzed) term in a field,
     /// summed across segments and including tombstoned postings (they
-    /// stay until a merge or vacuum reclaims them). Exposed for tests and
+    /// stay until a merge reclaims them). Exposed for tests and
     /// the ablation benches. Borrowed lookup — no per-call allocation.
     pub fn doc_freq(&self, field: Field, term: &str) -> usize {
         self.snapshot()
@@ -505,37 +514,11 @@ impl Index {
             .sum()
     }
 
-    /// Drop all tombstoned documents everywhere and rebuild contiguous
-    /// ordinals in one sealed segment — the forced, synchronous
-    /// compaction. Counts as a mutation (the revision moves). The
-    /// maintenance path uses [`Index::merge`] instead, which compacts
-    /// off-lock and leaves the revision alone.
-    pub fn vacuum(&self) {
-        let mut w = self.writer.lock();
-        let mut parts: Vec<(Arc<SegmentData>, Vec<u64>)> = w
-            .sealed
-            .iter()
-            .map(|s| (s.data.clone(), s.dead_bits().to_vec()))
-            .collect();
-        if !w.head.docs.is_empty() {
-            parts.push((Arc::new(std::mem::take(&mut w.head)), Vec::new()));
-        }
-        let compacted = compact(&parts);
-        w.sealed.clear();
-        w.head = SegmentData::default();
-        if !compacted.docs.is_empty() {
-            w.sealed.push(SealedSegment::new(Arc::new(compacted)));
-        }
-        w.epoch += 1;
-        self.metrics.vacuums.inc();
-        self.publish(&mut w);
-    }
-
     /// Background merge: compact tombstoned segments off-lock and publish
     /// the new layout with a single pointer swap. Returns what was done,
     /// or `None` when the tombstone ratio is below `threshold` (and the
-    /// segment count is within bounds), or when a concurrent vacuum
-    /// replaced the captured segments mid-merge (the merge simply aborts;
+    /// segment count is within bounds), or when a concurrent merge
+    /// replaced the captured segments first (this one simply aborts;
     /// nothing was lost).
     ///
     /// The writer lock is held only to capture victims and to commit —
@@ -592,9 +575,9 @@ impl Index {
                 .get(*slot)
                 .is_some_and(|s| Arc::ptr_eq(&s.data, data));
             if !still_there {
-                // A concurrent vacuum rebuilt the segment list; this
-                // merge's inputs are stale. Abort — the vacuum already
-                // reclaimed everything.
+                // A concurrent merge committed first and rewrote the
+                // segment list; this merge's inputs are stale. Abort —
+                // the other merge already reclaimed them.
                 return None;
             }
         }
@@ -786,6 +769,9 @@ pub struct IndexStats {
 mod tests {
     use super::*;
 
+    /// A merge threshold any single tombstone clears.
+    const ANY_TOMBSTONE: f64 = 1e-9;
+
     fn doc(id: u64, title: &str, elements: &[&str]) -> IndexDocument {
         IndexDocument {
             id: SchemaId(id),
@@ -835,6 +821,25 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_in_which_nothing_took_effect_publishes_nothing() {
+        let index = Index::new();
+        index.add(&doc(1, "a", &["x"]));
+        let (published, revision) = (index.snapshot(), index.revision());
+        assert_eq!(index.apply([]), 0);
+        let failed = [7, 9].map(|id| IndexChange::Delete(SchemaId(id)));
+        assert_eq!(index.apply(failed), 0);
+        assert_eq!(
+            index.revision(),
+            revision,
+            "failed deletes are not mutations"
+        );
+        assert!(
+            Arc::ptr_eq(&index.snapshot(), &published),
+            "nothing published"
+        );
+    }
+
+    #[test]
     fn stats_count_terms_and_postings() {
         let index = Index::new();
         index.add(&doc(1, "clinic", &["patient"]));
@@ -845,26 +850,6 @@ mod tests {
         assert_eq!(st.distinct_terms, 3);
         assert_eq!(st.postings, 5);
         assert_eq!(st.occurrences, 5);
-    }
-
-    #[test]
-    fn vacuum_preserves_search_results() {
-        let index = Index::new();
-        index.add(&doc(1, "a", &["patient"]));
-        index.add(&doc(2, "b", &["patient", "doctor"]));
-        index.add(&doc(1, "a2", &["patient"])); // replaces 1
-        index.remove(SchemaId(2));
-        index.vacuum();
-        let st = index.stats();
-        assert_eq!(st.live_docs, 1);
-        assert_eq!(st.total_docs, 1);
-        let hits = index.search(&["patient"], &SearchOptions::default());
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].id, SchemaId(1));
-        assert!(index
-            .search(&["doctor"], &SearchOptions::default())
-            .is_empty());
-        assert!(index.contains(SchemaId(1)));
     }
 
     #[test]
@@ -951,7 +936,7 @@ mod tests {
     fn stored_bound_dominates_tight_max_impact() {
         // The incrementally-maintained bound the pruner consults must
         // dominate the introspection plane's tight recomputation — under
-        // fresh builds, churn, vacuum, and codec-style rebuilds alike.
+        // fresh builds, churn, merges, and codec-style rebuilds alike.
         let index = Index::new();
         index.add(&doc(1, "clinic", &["patient", "patient.height", "share"]));
         index.add(&doc(2, "hospital", &["patient", "ward", "share"]));
@@ -959,8 +944,8 @@ mod tests {
         index.remove(SchemaId(2));
         for (label, report) in [
             ("churned", index.introspect(usize::MAX)),
-            ("vacuumed", {
-                index.vacuum();
+            ("merged", {
+                index.merge(ANY_TOMBSTONE).expect("two tombstones");
                 index.introspect(usize::MAX)
             }),
         ] {
@@ -997,7 +982,7 @@ mod tests {
     }
 
     #[test]
-    fn introspection_tracks_tombstones_and_vacuum() {
+    fn introspection_tracks_tombstones_and_merge() {
         let index = Index::new();
         index.add(&doc(1, "v1", &["alpha", "shared"]));
         index.add(&doc(2, "other", &["shared"]));
@@ -1020,7 +1005,7 @@ mod tests {
         assert_eq!(alpha.live_doc_freq, 0);
         assert_eq!(alpha.max_impact, 0.0);
         assert!(alpha.stored_bound > 0.0);
-        index.vacuum();
+        index.merge(ANY_TOMBSTONE).expect("one tombstone");
         let after = index.introspect(usize::MAX);
         assert_eq!(after.tombstone_ratio, 0.0);
         assert!(after.top_lists.iter().all(|l| l.tombstone_ratio == 0.0));
@@ -1130,8 +1115,8 @@ mod tests {
         check("merge");
         assert_eq!(index.doc_counts(), (3, 3));
         index.remove(SchemaId(4));
-        index.vacuum();
-        check("vacuum");
+        index.merge(ANY_TOMBSTONE).expect("one tombstone");
+        check("merge of a single tombstone");
     }
 
     #[test]
@@ -1145,16 +1130,5 @@ mod tests {
         assert_eq!(outcome.docs_reclaimed, 0, "no tombstones to drop");
         assert!(index.segment_count() <= 2);
         assert_eq!(index.stats().live_docs, 20);
-    }
-
-    #[test]
-    fn vacuum_still_moves_the_revision() {
-        let index = Index::new();
-        index.add(&doc(1, "t", &["patient"]));
-        index.remove(SchemaId(1));
-        let before = index.revision();
-        index.vacuum();
-        assert_ne!(index.revision(), before, "forced vacuum is a mutation");
-        assert_eq!(index.stats().total_docs, 0);
     }
 }

@@ -20,8 +20,6 @@ pub struct IndexMetrics {
     pub postings_scanned: Arc<Counter>,
     /// Candidate hits returned to the caller after top-*n* selection.
     pub candidates_returned: Arc<Counter>,
-    /// Vacuum compactions performed (tombstone reclamation).
-    pub vacuums: Arc<Counter>,
     /// Background segment merges committed (off-lock tombstone
     /// reclamation and segment-count compaction).
     pub merges: Arc<Counter>,
@@ -40,7 +38,6 @@ impl Default for IndexMetrics {
             terms_looked_up: Arc::new(Counter::new()),
             postings_scanned: Arc::new(Counter::new()),
             candidates_returned: Arc::new(Counter::new()),
-            vacuums: Arc::new(Counter::new()),
             merges: Arc::new(Counter::new()),
             lists_pruned: Arc::new(Counter::new()),
             postings_pruned: Arc::new(Counter::new()),
@@ -63,10 +60,6 @@ impl IndexMetrics {
             candidates_returned: registry.counter(
                 "schemr_index_candidates_returned_total",
                 "Candidate hits returned by Phase 1 after top-n selection.",
-            ),
-            vacuums: registry.counter(
-                "schemr_index_vacuums_total",
-                "Forced vacuum compactions that reclaimed tombstoned documents.",
             ),
             merges: registry.counter(
                 "schemr_index_merges_total",
@@ -101,7 +94,6 @@ mod tests {
         );
         assert!(text.contains("schemr_index_candidates_returned_total 1"));
         assert!(text.contains("schemr_index_postings_scanned_total 0"));
-        assert!(text.contains("schemr_index_vacuums_total 0"));
         assert!(text.contains("schemr_index_merges_total 0"));
         assert!(text.contains("schemr_index_lists_pruned_total 0"));
         assert!(text.contains("schemr_index_postings_pruned_total 0"));

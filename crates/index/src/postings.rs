@@ -49,7 +49,7 @@ impl Posting {
 /// the largest `√tf/√field_len` over the whole list and per 64-posting
 /// block. Bounds grow incrementally on `push_occurrence`; tombstoning
 /// leaves them stale-high (still a valid upper bound, merely loose), and
-/// `vacuum()` / the codec load path rebuild them tight over live postings.
+/// a merge / the codec load path rebuild them tight over live postings.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PostingsList {
     postings: Vec<Posting>,
@@ -65,7 +65,7 @@ impl PostingsList {
     }
 
     /// Document frequency: how many documents contain the term, including
-    /// tombstoned ones still awaiting vacuum.
+    /// tombstoned ones still awaiting a merge.
     pub fn doc_freq(&self) -> usize {
         self.postings.len()
     }
@@ -141,7 +141,7 @@ impl PostingsList {
     /// One of this list's documents was tombstoned: drop it from the live
     /// document frequency. The impact bounds are deliberately left alone —
     /// a stale-high bound is still a valid upper bound — and are rebuilt
-    /// tight by vacuum or a codec reload.
+    /// tight by a merge or a codec reload.
     pub(crate) fn note_doc_tombstoned(&mut self) {
         debug_assert!(self.live > 0, "live df underflow");
         self.live = self.live.saturating_sub(1);
@@ -241,7 +241,7 @@ impl PostingsList {
     }
 
     /// Tombstone ratio: the fraction of postings whose document awaits
-    /// vacuum. 0 for an empty list.
+    /// a merge. 0 for an empty list.
     pub fn tombstone_ratio(&self) -> f64 {
         if self.postings.is_empty() {
             return 0.0;
@@ -330,7 +330,7 @@ mod tests {
         assert_eq!(pl.live_doc_freq(), 3);
         pl.note_doc_tombstoned();
         assert_eq!(pl.live_doc_freq(), 2);
-        assert_eq!(pl.doc_freq(), 3, "postings themselves stay until vacuum");
+        assert_eq!(pl.doc_freq(), 3, "postings themselves stay until a merge");
         pl.set_live_doc_freq(1);
         assert_eq!(pl.live_doc_freq(), 1);
     }

@@ -94,7 +94,8 @@ pub struct SearchOptions {
     /// Enable WAND/MaxScore top-n pruning: skip postings (whole lists and
     /// whole blocks) that provably cannot place a document in the top n.
     /// Results are bitwise identical either way; `false` forces the
-    /// exhaustive scan (the pruning bench's baseline).
+    /// exhaustive scan (the reference `tests/pruning_oracle.rs` compares
+    /// the pruner against).
     pub prune: bool,
 }
 
@@ -458,9 +459,8 @@ pub(crate) fn search_postings(
     // count), never on physical index state, so per-document accumulation
     // sequences — and therefore result bit patterns — are identical
     // between the pruned and exhaustive modes and across churned,
-    // sealed, merged, vacuumed, and freshly loaded copies of the same
-    // corpus, which ordering by the stale-high stored bounds could not
-    // guarantee.
+    // sealed, merged, and freshly loaded copies of the same corpus, which
+    // ordering by the stale-high stored bounds could not guarantee.
     let mut term_prio = vec![0.0f64; total_terms];
     for l in &lists {
         let p = l.field.boost() * l.idf;
@@ -913,7 +913,7 @@ fn scan_segment(
 mod tests {
     use super::*;
     use crate::document::IndexDocument;
-    use crate::memory::Index;
+    use crate::memory::{Index, IndexChange};
 
     fn doc(id: u64, elements: &[&str]) -> IndexDocument {
         IndexDocument {
@@ -927,7 +927,7 @@ mod tests {
 
     fn build(docs: &[IndexDocument]) -> Index {
         let index = Index::new();
-        index.add_all(docs);
+        index.apply(docs.iter().map(IndexChange::Put));
         index
     }
 

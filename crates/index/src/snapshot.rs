@@ -1,15 +1,15 @@
 //! The atomically published, fully immutable view of the index.
 //!
-//! Every mutation builds a fresh [`IndexSnapshot`] and publishes it with a
-//! single `Arc` swap. A search clones the `Arc` once and then runs with no
-//! lock held at all: the segments, their overlays, and the epoch were
-//! frozen together, so the result set and the epoch are consistent by
-//! construction — the property the revision-keyed candidate cache needs,
-//! and the one the old "revision read under the search's own lock"
-//! comment provided.
+//! Every batch of mutations builds a fresh [`IndexSnapshot`] and publishes
+//! it with a single `Arc` swap. A search clones the `Arc` once and then
+//! runs with no lock held at all: the segments, their overlays, and the
+//! epoch were frozen together, so the result set and the epoch are
+//! consistent by construction — the property the revision-keyed candidate
+//! cache needs, and the one the old "revision read under the search's own
+//! lock" comment provided.
 //!
-//! `epoch` counts *logical mutations* (adds, tombstones, forced vacuums).
-//! Background merges publish new physical layouts **without** bumping it:
+//! `epoch` counts *logical mutations* (adds and tombstones). Background
+//! merges publish new physical layouts **without** bumping it:
 //! a merge changes where postings live, never what a query returns
 //! (bitwise — see the segmented-vs-monolithic oracle), so cache entries
 //! keyed on the epoch stay exactly valid across merges.

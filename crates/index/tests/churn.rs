@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use schemr_index::{Hit, Index, IndexDocument, SearchOptions};
+use schemr_index::{Hit, Index, IndexChange, IndexDocument, SearchOptions};
 use schemr_model::SchemaId;
 
 /// xorshift64* — deterministic, no dependencies.
@@ -67,6 +67,9 @@ const QUERIES: &[&[&str]] = &[
     &["patient_height"],
 ];
 
+/// A merge threshold any single tombstone clears.
+const ANY_TOMBSTONE: f64 = 1e-9;
+
 fn all_results(index: &Index) -> Vec<Vec<Hit>> {
     let options = SearchOptions {
         top_n: 1_000,
@@ -90,18 +93,18 @@ fn assert_equivalent(churned: &Index, what: &str) {
             );
         }
     }
-    let vacuumed = {
-        // vacuum() must not change what any query returns.
-        churned.vacuum();
+    let merged = {
+        // merge() must not change what any query returns.
+        churned.merge(ANY_TOMBSTONE);
         churned
     };
-    assert_eq!(vacuumed.stats().live_docs, stats.live_docs, "{what}");
+    assert_eq!(merged.stats().live_docs, stats.live_docs, "{what}");
     assert_eq!(
-        vacuumed.stats().total_docs,
+        merged.stats().total_docs,
         stats.live_docs,
-        "{what}: vacuum reclaims every tombstone"
+        "{what}: merge reclaims every tombstone"
     );
-    let b = all_results(vacuumed);
+    let b = all_results(merged);
     for (qi, (x, y)) in a.iter().zip(&b).enumerate() {
         assert_eq!(x.len(), y.len(), "{what}: query {qi} count changed");
         for (hx, hy) in x.iter().zip(y) {
@@ -269,8 +272,8 @@ fn churning_out_a_term_pair_costs_the_proximity_walk_nothing() {
         "only the live doctor posting should be visited"
     );
 
-    // Vacuum reclaims the tombstones; behaviour is unchanged after.
-    index.vacuum();
+    // A merge reclaims the tombstones; behaviour is unchanged after.
+    index.merge(ANY_TOMBSTONE).expect("40 tombstones");
     let before = index.metrics().postings_scanned.get();
     assert!(index.search(&["patient", "height"], &options).is_empty());
     assert_eq!(index.metrics().postings_scanned.get(), before);
@@ -294,10 +297,90 @@ fn revision_moves_on_every_mutation_and_is_instance_scoped() {
     assert!(index.remove(SchemaId(1)));
     let r2 = index.revision();
     assert_ne!(r1, r2);
-    index.vacuum();
-    assert_ne!(r2, index.revision(), "vacuum must move the revision");
+    index.merge(ANY_TOMBSTONE).expect("one tombstone");
+    assert_eq!(r2, index.revision(), "a merge is not a mutation");
     // Two indexes never share a revision, even at the same mutation count.
     let other = Index::new();
     assert_ne!(other.revision(), Index::new().revision());
     assert_ne!(other.revision(), r0);
+}
+
+#[test]
+fn a_batch_equals_the_same_changes_applied_one_by_one() {
+    // `Index::apply` is the only write path, so a batch must be
+    // indistinguishable — revision, counts, layout-derived stats and
+    // every hit bit — from its changes applied one at a time.
+    let mut rng = Rng(0xBA7C_4ED5);
+    let docs: Vec<IndexDocument> = (0..160)
+        .map(|_| {
+            let id = rng.below(24);
+            doc(id, &mut rng)
+        })
+        .collect();
+    // Opens with a put-then-delete of one id and a delete of an id that
+    // was never put, all inside the first batch.
+    let mut history = vec![
+        IndexChange::Put(&docs[0]),
+        IndexChange::Delete(docs[0].id),
+        IndexChange::Delete(SchemaId(999)),
+    ];
+    for d in &docs[1..] {
+        history.push(IndexChange::Put(d));
+        if rng.below(2) == 0 {
+            history.push(IndexChange::Delete(SchemaId(rng.below(24))));
+        }
+    }
+
+    // Threshold 3 with batches of up to 7: most batches seal mid-way.
+    let batched = Index::new().with_seal_threshold(3);
+    let sequential = Index::new().with_seal_threshold(3);
+    let grid = |index: &Index, prune: bool| -> Vec<Vec<(SchemaId, u64, usize)>> {
+        let options = SearchOptions {
+            top_n: 10,
+            prune,
+            ..Default::default()
+        };
+        QUERIES
+            .iter()
+            .map(|q| {
+                let hits = index.search(q, &options);
+                hits.iter()
+                    .map(|h| (h.id, h.score.to_bits(), h.matched_terms))
+                    .collect()
+            })
+            .collect()
+    };
+    let mut rest = history.as_slice();
+    let mut len = 3;
+    let mut failed_deletes = 0;
+    while !rest.is_empty() {
+        let (batch, tail) = rest.split_at(len.min(rest.len()));
+        rest = tail;
+        let took_effect = batched.apply(batch.iter().copied());
+        let one_by_one: usize = batch.iter().map(|&c| sequential.apply([c])).sum();
+        failed_deletes += batch.len() - one_by_one;
+        let what = format!("after a batch of {}", batch.len());
+        assert_eq!(took_effect, one_by_one, "{what}");
+        assert_eq!(
+            batched.revision().mutations,
+            sequential.revision().mutations,
+            "{what}"
+        );
+        assert_eq!(batched.doc_counts(), sequential.doc_counts(), "{what}");
+        assert_eq!(batched.stats(), sequential.stats(), "{what}");
+        for prune in [true, false] {
+            assert_eq!(
+                grid(&batched, prune),
+                grid(&sequential, prune),
+                "{what}, prune {prune}"
+            );
+        }
+        // Batch sizes 0..=7, the empty batch included.
+        len = rng.below(8) as usize;
+    }
+    assert!(
+        failed_deletes > 1,
+        "the history must include failed deletes"
+    );
+    assert!(batched.segment_count() > 1, "threshold 3 must have sealed");
 }

@@ -2,8 +2,11 @@
 //! invariants, and tombstone behaviour.
 
 use proptest::prelude::*;
-use schemr_index::{codec, Index, IndexDocument, SearchOptions};
+use schemr_index::{codec, Index, IndexChange, IndexDocument, SearchOptions};
 use schemr_model::SchemaId;
+
+/// A merge threshold any single tombstone clears.
+const ANY_TOMBSTONE: f64 = 1e-9;
 
 fn arb_documents() -> impl Strategy<Value = Vec<IndexDocument>> {
     proptest::collection::vec(
@@ -36,7 +39,7 @@ proptest! {
     #[test]
     fn codec_round_trip(docs in arb_documents(), query in arb_query()) {
         let index = Index::new();
-        index.add_all(&docs);
+        index.apply(docs.iter().map(IndexChange::Put));
         let decoded = codec::decode(&codec::encode(&index)).unwrap();
         prop_assert_eq!(decoded.stats(), index.stats());
         let q: Vec<&str> = query.iter().map(String::as_str).collect();
@@ -53,7 +56,7 @@ proptest! {
     #[test]
     fn decoder_never_panics(docs in arb_documents(), cut in 0usize..4096, flip in 0usize..4096) {
         let index = Index::new();
-        index.add_all(&docs);
+        index.apply(docs.iter().map(IndexChange::Put));
         let mut data = codec::encode(&index).to_vec();
         if !data.is_empty() {
             let f = flip % data.len();
@@ -68,7 +71,7 @@ proptest! {
     #[test]
     fn hits_sorted_and_unique(docs in arb_documents(), query in arb_query()) {
         let index = Index::new();
-        index.add_all(&docs);
+        index.apply(docs.iter().map(IndexChange::Put));
         let q: Vec<&str> = query.iter().map(String::as_str).collect();
         let hits = index.search(&q, &SearchOptions::default());
         for w in hits.windows(2) {
@@ -82,7 +85,7 @@ proptest! {
     #[test]
     fn top_n_is_a_prefix(docs in arb_documents(), query in arb_query(), n in 1usize..8) {
         let index = Index::new();
-        index.add_all(&docs);
+        index.apply(docs.iter().map(IndexChange::Put));
         let q: Vec<&str> = query.iter().map(String::as_str).collect();
         let full = index.search(&q, &SearchOptions { top_n: usize::MAX, ..Default::default() });
         let cut = index.search(&q, &SearchOptions { top_n: n, ..Default::default() });
@@ -92,34 +95,34 @@ proptest! {
         }
     }
 
-    /// Removing every document yields an empty index; vacuum agrees.
+    /// Removing every document yields an empty index; a merge agrees.
     #[test]
-    fn remove_all_then_vacuum(docs in arb_documents()) {
+    fn remove_all_then_merge(docs in arb_documents()) {
         let index = Index::new();
-        index.add_all(&docs);
+        index.apply(docs.iter().map(IndexChange::Put));
         let ids: Vec<SchemaId> = docs.iter().map(|d| d.id).collect();
         for id in &ids {
             index.remove(*id);
         }
         prop_assert!(index.is_empty());
-        index.vacuum();
+        index.merge(ANY_TOMBSTONE);
         let st = index.stats();
         prop_assert_eq!(st.total_docs, 0);
         prop_assert_eq!(st.distinct_terms, 0);
     }
 
-    /// Vacuum never changes search results.
+    /// A merge never changes search results.
     #[test]
-    fn vacuum_preserves_search(docs in arb_documents(), query in arb_query()) {
+    fn merge_preserves_search(docs in arb_documents(), query in arb_query()) {
         let index = Index::new();
-        index.add_all(&docs);
+        index.apply(docs.iter().map(IndexChange::Put));
         // Remove every third document to create tombstones.
         for d in docs.iter().step_by(3) {
             index.remove(d.id);
         }
         let q: Vec<&str> = query.iter().map(String::as_str).collect();
         let before = index.search(&q, &SearchOptions::default());
-        index.vacuum();
+        index.merge(ANY_TOMBSTONE);
         let after = index.search(&q, &SearchOptions::default());
         prop_assert_eq!(before.len(), after.len());
         for (x, y) in before.iter().zip(&after) {
@@ -142,7 +145,7 @@ proptest! {
         stride in 2usize..5,
     ) {
         let index = Index::new();
-        index.add_all(&docs);
+        index.apply(docs.iter().map(IndexChange::Put));
         // Tombstone a slice so stored bounds go stale-high.
         for d in docs.iter().step_by(stride) {
             index.remove(d.id);
@@ -183,7 +186,7 @@ proptest! {
     #[test]
     fn hit_invariants(docs in arb_documents(), query in arb_query()) {
         let index = Index::new();
-        index.add_all(&docs);
+        index.apply(docs.iter().map(IndexChange::Put));
         let q: Vec<&str> = query.iter().map(String::as_str).collect();
         let distinct: std::collections::HashSet<_> = query.iter().collect();
         for hit in index.search(&q, &SearchOptions::default()) {

@@ -2,7 +2,7 @@
 //!
 //! WAND/MaxScore pruning must be *invisible*: for every query, option
 //! combination, and index state — churned with tombstones (stale-high
-//! bounds), codec round-tripped (bounds rebuilt tight on load), vacuumed
+//! bounds), codec round-tripped (bounds rebuilt tight on load), merged
 //! (bounds rebuilt tight in place) — the pruned search must return hits
 //! bitwise identical to the exhaustive scan: same ids, same
 //! `matched_terms`, same order, and the exact same `f64` bit patterns
@@ -134,7 +134,7 @@ fn oracle(index: &Index, state: &str) {
 }
 
 #[test]
-fn pruning_is_bitwise_invisible_across_churn_and_vacuum() {
+fn pruning_is_bitwise_invisible_across_churn_and_merge() {
     let mut rng = Rng(0xBEEF_F00D_5EED_0001);
     let index = Index::new();
     for step in 0..700u32 {
@@ -157,10 +157,10 @@ fn pruning_is_bitwise_invisible_across_churn_and_vacuum() {
     let decoded = codec::decode(&codec::encode(&index)).unwrap();
     oracle(&decoded, "decoded");
 
-    // Vacuum rebuilds bounds tight in place; pruning must stay invisible
+    // A merge rebuilds bounds tight in place; pruning must stay invisible
     // both right after and through further churn on the compacted index.
-    index.vacuum();
-    oracle(&index, "vacuumed");
+    index.merge(1e-9).expect("the churn left tombstones");
+    oracle(&index, "merged");
     for _ in 0..120 {
         let id = rng.below(96);
         if rng.below(3) == 0 {
@@ -169,7 +169,7 @@ fn pruning_is_bitwise_invisible_across_churn_and_vacuum() {
             index.add(&doc(id, &mut rng));
         }
     }
-    oracle(&index, "vacuumed+rechurned");
+    oracle(&index, "merged+rechurned");
 }
 
 #[test]

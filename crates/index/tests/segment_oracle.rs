@@ -5,13 +5,13 @@
 //! threshold, background merges) must return hits whose ids, matched
 //! counts, ranked order, and raw score *bit patterns* are identical to a
 //! monolithic index (`usize::MAX` seal threshold) rebuilt from the live
-//! documents — across sealing, merging, forced vacuums, codec round
-//! trips, and with pruning both on and off. Deterministic hand-rolled
+//! documents — across sealing, merging, codec round trips, and with
+//! pruning both on and off. Deterministic hand-rolled
 //! RNG — no external property-testing dependency.
 
 use std::collections::BTreeMap;
 
-use schemr_index::{Hit, Index, IndexDocument, SearchOptions};
+use schemr_index::{Hit, Index, IndexChange, IndexDocument, SearchOptions};
 use schemr_model::SchemaId;
 
 /// xorshift64* — deterministic, no dependencies.
@@ -72,7 +72,7 @@ fn doc(id: u64, rng: &mut Rng) -> IndexDocument {
 /// A monolithic replay of the live set: one segment, no tombstones.
 fn monolith(live: &BTreeMap<u64, IndexDocument>) -> Index {
     let mono = Index::new().with_seal_threshold(usize::MAX);
-    mono.add_all(live.values());
+    mono.apply(live.values().map(IndexChange::Put));
     mono
 }
 
@@ -174,10 +174,10 @@ fn churn_across_seals_and_merges_is_bitwise_identical_to_a_monolith() {
     );
     assert_matches_monolith(&index, &live, "final");
 
-    // A forced vacuum collapses to one sealed segment; still bitwise.
-    index.vacuum();
+    // A merge at the lowest bar reclaims every tombstone; still bitwise.
+    index.merge(1e-9);
     assert_eq!(index.stats().total_docs, live.len());
-    assert_matches_monolith(&index, &live, "post-vacuum");
+    assert_matches_monolith(&index, &live, "post-merge");
 }
 
 #[test]
@@ -208,37 +208,6 @@ fn codec_round_trip_of_a_segmented_index_is_bitwise_clean() {
         churn_step(&decoded, &mut live, &mut rng, 32);
     }
     assert_matches_monolith(&decoded, &live, "decoded + churn");
-}
-
-#[test]
-fn merge_and_vacuum_agree_bitwise_on_the_same_history() {
-    // Two indexes fed the identical churn stream; one is maintained by
-    // background merges, the other by forced vacuums. Both must stay
-    // bitwise equal to each other (and the monolith) at every probe.
-    let mut rng_a = Rng(0x00AB_5E11);
-    let mut rng_b = Rng(0x00AB_5E11);
-    let merged = Index::new().with_seal_threshold(6);
-    let vacuumed = Index::new().with_seal_threshold(6);
-    let mut live_a: BTreeMap<u64, IndexDocument> = BTreeMap::new();
-    let mut live_b: BTreeMap<u64, IndexDocument> = BTreeMap::new();
-
-    for step in 0..180u32 {
-        churn_step(&merged, &mut live_a, &mut rng_a, 40);
-        churn_step(&vacuumed, &mut live_b, &mut rng_b, 40);
-        if step % 45 == 44 {
-            merged.merge(0.1);
-            vacuumed.vacuum();
-            let options = SearchOptions::default();
-            assert_bitwise(
-                &probe(&merged, &options),
-                &probe(&vacuumed, &options),
-                &format!("merge vs vacuum at step {step}"),
-            );
-        }
-    }
-    assert_eq!(live_a, live_b, "identical seeds must replay identically");
-    assert_matches_monolith(&merged, &live_a, "merged final");
-    assert_matches_monolith(&vacuumed, &live_b, "vacuumed final");
 }
 
 #[test]

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use schemr_index::{Hit, Index, IndexDocument, SearchOptions};
+use schemr_index::{Hit, Index, IndexChange, IndexDocument, SearchOptions};
 use schemr_model::SchemaId;
 
 /// xorshift64* — deterministic, no dependencies.
@@ -224,7 +224,7 @@ fn concurrent_reads_are_bitwise_consistent_with_their_epoch() {
         }
         if oracle.as_ref().map(|(e, _)| *e) != Some(obs.mutations) {
             let mono = Index::new().with_seal_threshold(usize::MAX);
-            mono.add_all(model.values());
+            mono.apply(model.values().map(IndexChange::Put));
             oracle = Some((obs.mutations, mono));
             distinct_epochs += 1;
         }

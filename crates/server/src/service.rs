@@ -41,7 +41,9 @@ use crate::xml_response::search_response_to_xml;
 /// connection target).
 #[derive(Default)]
 struct ParkedConnections {
-    streams: Mutex<HashMap<u64, TcpStream>>,
+    /// Parked sockets by ticket id, each with whether a drain has shut
+    /// its read side down.
+    streams: Mutex<HashMap<u64, (TcpStream, bool)>>,
     next_id: AtomicU64,
 }
 
@@ -53,24 +55,59 @@ impl ParkedConnections {
     fn park(&self, stream: &TcpStream) -> Option<ParkTicket<'_>> {
         let clone = stream.try_clone().ok()?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.streams.lock().insert(id, clone);
+        self.streams.lock().insert(id, (clone, false));
         Some(ParkTicket { registry: self, id })
     }
 
-    /// Wake every parked wait by shutting down the read side of its
+    /// Wake every idle parked wait by shutting down the read side of its
     /// socket: the blocking `recv` returns EOF and the worker closes the
     /// connection — exactly what a drain wants from an idle session.
+    ///
+    /// A socket with unread bytes is not idle: a request's first bytes
+    /// have arrived and its worker, not yet scheduled, is about to wake
+    /// on its own and deregister. Shutting that one down would cut the
+    /// request off mid-read (EOF → `400`), so it is left alone and the
+    /// request is served like any other in flight. The whole walk holds
+    /// the registry lock, and a worker deregisters (takes the lock)
+    /// before it reads a request, so the decision cannot interleave with
+    /// a request read.
     fn wake_all(&self) {
-        for stream in self.streams.lock().values() {
-            let _ = stream.shutdown(Shutdown::Read);
+        for (stream, woken) in self.streams.lock().values_mut() {
+            if !has_unread_bytes(stream) {
+                let _ = stream.shutdown(Shutdown::Read);
+                *woken = true;
+            }
         }
     }
+}
+
+/// Non-blocking probe: has the peer sent bytes nobody has read yet?
+/// Called only under the registry lock, on a socket whose worker is
+/// parked. Non-blocking mode is shared with the worker's handle, which is
+/// harmless there: a `recv` that is already blocked stays blocked, and
+/// one that starts inside the probe sees `WouldBlock` and closes
+/// silently — the right end for an idle connection during a drain.
+fn has_unread_bytes(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let unread = matches!(stream.peek(&mut [0u8; 1]), Ok(n) if n > 0);
+    let _ = stream.set_nonblocking(false);
+    unread
 }
 
 /// RAII deregistration for [`ParkedConnections::park`].
 struct ParkTicket<'a> {
     registry: &'a ParkedConnections,
     id: u64,
+}
+
+impl ParkTicket<'_> {
+    /// Did a drain shut this connection's read side down?
+    fn woken(&self) -> bool {
+        let streams = self.registry.streams.lock();
+        streams.get(&self.id).is_some_and(|(_, woken)| *woken)
+    }
 }
 
 impl Drop for ParkTicket<'_> {
@@ -419,16 +456,24 @@ fn wait_for_request(
     stop: &AtomicBool,
     parked: &ParkedConnections,
 ) -> Wake {
+    // Pipelined bytes already buffered are a request in flight: nothing
+    // to wait for, and nothing a drain wake may cut off.
+    if !reader.buffer().is_empty() {
+        return Wake::Bytes;
+    }
     let deadline = idle_timeout.map(|d| Instant::now() + d);
     // Register for the drain wake *before* checking the stop flag: a
     // drain sets the flag and then walks the registry, so every park
     // either sees the flag here or is woken by the walk — never missed.
-    let _ticket = parked.park(reader.get_ref());
-    if stop.load(Ordering::Relaxed) {
-        return Wake::Close;
-    }
+    let ticket = parked.park(reader.get_ref());
+    // Seeing the flag means the walk may already be past: nothing would
+    // wake a blocking wait, so read without waiting instead. A request
+    // whose first bytes beat the drain here is still served; a
+    // connection with nothing to read closes, as any idle one does.
+    let draining = stop.load(Ordering::Relaxed);
     loop {
         let budget = match deadline {
+            _ if draining => Some(Duration::from_millis(1)),
             Some(d) => match d
                 .checked_duration_since(Instant::now())
                 .filter(|b| !b.is_zero())
@@ -443,8 +488,15 @@ fn wait_for_request(
         }
         match reader.fill_buf() {
             // Checked before everything else: bytes already sent during a
-            // drain still get served (with `Connection: close`).
-            Ok(buf) if !buf.is_empty() => return Wake::Bytes,
+            // drain still get served (with `Connection: close`) — unless
+            // they slipped in behind a drain wake. That read side is
+            // shut, the rest of the request can never arrive, and a
+            // connection the drain closed must end silently, not in the
+            // `400` a truncated request earns.
+            Ok(buf) if !buf.is_empty() => {
+                let woken = ticket.as_ref().is_some_and(ParkTicket::woken);
+                return if woken { Wake::Close } else { Wake::Bytes };
+            }
             // Clean EOF — also how a drain wake surfaces.
             Ok(_) => return Wake::Close,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -1088,6 +1140,65 @@ mod tests {
             .map(|(_, b)| b.to_string())
             .unwrap_or_default();
         (status, body)
+    }
+
+    /// A connected loopback pair: `(client end, server end)`.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        (client, served)
+    }
+
+    #[test]
+    fn a_drain_wake_spares_a_parked_socket_whose_request_has_begun() {
+        // Regression: the wake used to shut down every registered socket,
+        // including one whose request bytes had landed but whose worker
+        // had not yet run to deregister — the request then hit EOF
+        // mid-read and was answered 400 instead of being served.
+        let parked = ParkedConnections::default();
+        let (mut busy_client, mut busy) = socket_pair();
+        let (_idle_client, mut idle) = socket_pair();
+        let busy_ticket = parked.park(&busy).unwrap();
+        let idle_ticket = parked.park(&idle).unwrap();
+        busy_client.write_all(b"GET /half").unwrap();
+        // Blocks until the bytes have arrived, consuming nothing.
+        assert_eq!(busy.peek(&mut [0u8; 1]).unwrap(), 1);
+
+        parked.wake_all();
+
+        // The socket with unread bytes kept its read side: the rest of
+        // the request still arrives.
+        assert!(!busy_ticket.woken());
+        busy_client.write_all(b" rest").unwrap();
+        let mut request = [0u8; 14];
+        busy.read_exact(&mut request).unwrap();
+        assert_eq!(&request, b"GET /half rest");
+        // The idle one was woken: its blocking read returns EOF at once.
+        assert!(idle_ticket.woken());
+        assert_eq!(idle.read(&mut [0u8; 1]).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_park_that_finds_the_drain_begun_still_serves_bytes_already_sent() {
+        // Regression: a worker that re-parked just after the drain flag
+        // was set closed the connection unread, dropping a request whose
+        // first bytes had already arrived.
+        let parked = ParkedConnections::default();
+        let stop = AtomicBool::new(true);
+        let idle_budget = Some(Duration::from_secs(60));
+        let (mut client, served) = socket_pair();
+        client.write_all(b"GET /half").unwrap();
+        assert_eq!(served.peek(&mut [0u8; 1]).unwrap(), 1);
+        let mut reader = BufReader::new(served);
+        let wake = wait_for_request(&mut reader, idle_budget, &stop, &parked);
+        assert!(matches!(wake, Wake::Bytes));
+        // With nothing sent it closes, and without sitting out the budget.
+        let (_idle_client, idle) = socket_pair();
+        let started = Instant::now();
+        let wake = wait_for_request(&mut BufReader::new(idle), idle_budget, &stop, &parked);
+        assert!(matches!(wake, Wake::Close));
+        assert!(started.elapsed() < Duration::from_secs(30));
     }
 
     #[test]

@@ -366,7 +366,18 @@ fn drain_completes_in_flight_requests_and_refuses_new_connections() {
         .write_all(b"GET /search?q=patient HTTP/1.1\r\nHost: t")
         .unwrap();
     let shutdown = std::thread::spawn(move || server.shutdown());
-    std::thread::sleep(Duration::from_millis(200));
+    // The drain sets its flag and wakes the parked connections before it
+    // closes the listener, so a refused connect means both have happened
+    // — whether or not this connection's worker had already picked the
+    // half-request up when the wake ran.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while TcpStream::connect(addr).is_ok() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "listener never closed"
+        );
+        std::thread::yield_now();
+    }
 
     // The in-flight request completes — answered with
     // `Connection: close` because the server is draining.
