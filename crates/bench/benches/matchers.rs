@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use schemr_bench::variants;
-use schemr_match::{EditDistanceMatcher, NameMatcher, TokenMatcher};
+use schemr_match::{EditDistanceMatcher, MatchScratch, NameMatcher, TokenMatcher};
 use schemr_model::{DataType, QueryGraph, SchemaBuilder};
+use schemr_text::Lexicon;
 use std::hint::black_box;
 
 const PAIRS: &[(&str, &str)] = &[
@@ -72,18 +73,21 @@ fn bench_ensemble(c: &mut Criterion) {
         .build_unchecked();
 
     // Artifacts are prepared outside the timed loop, as the engine's
-    // warm artifact cache would hand them over.
+    // warm artifact cache would hand them over; the scratch is new each
+    // pass, as for the first candidate of a Phase 2 chunk.
     for (name, ensemble) in [
         ("ensemble_combined_matrix", variants::standard_ensemble()),
         ("ensemble_with_flooding", variants::flooding_ensemble()),
     ] {
+        let lexicon = Lexicon::new();
         let equery = ensemble.prepare_query(&terms, &q);
-        let pcand = ensemble.prepare(&candidate);
+        let pcand = ensemble.prepare(&candidate, &lexicon);
         c.bench_function(name, |b| {
             b.iter(|| {
+                let mut scratch = MatchScratch::new(&equery, &lexicon);
                 black_box(
                     ensemble
-                        .run(&equery, &terms, &q, &pcand, &candidate, false)
+                        .run(&terms, &q, &pcand, &candidate, &mut scratch, false)
                         .matrix,
                 )
             })

@@ -712,9 +712,11 @@ fn cmd_doctor(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
     };
     writeln!(
         out,
-        "  memory     index {} deep, artifact cache {}, trace rings {}",
+        "  memory     index {} deep, artifact cache {} (lexicon {} in {} words), trace rings {}",
         fmt_bytes(nested("index", "deep_bytes")),
         fmt_bytes(nested("match_artifact_cache", "resident_bytes")),
+        fmt_bytes(nested("match_artifact_cache", "lexicon_bytes")),
+        nested("match_artifact_cache", "lexicon_words"),
         fmt_bytes(nested("trace_ring", "bytes") + nested("slowlog_ring", "bytes")),
     )?;
 
@@ -1242,6 +1244,8 @@ mod tests {
         assert!(out.contains("tombstone ratio 0.0%"), "{out}");
         assert!(out.contains("slo"), "{out}");
         assert!(out.contains("memory     index"), "{out}");
+        assert!(out.contains("(lexicon "), "{out}");
+        assert!(!out.contains("in 0 words"), "{out}");
         server.shutdown();
     }
 

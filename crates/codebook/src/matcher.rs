@@ -6,7 +6,7 @@
 //! name match between a `latitude` and a `longitude` column is suspicious
 //! — the codebook scores those down through family partial credit.
 
-use schemr_match::{Matcher, PreparedQuery, PreparedSchema, SimilarityMatrix};
+use schemr_match::{Matcher, PreparedQuery, PreparedSchema, ScoreScratch, SimilarityMatrix};
 use schemr_model::{ElementKind, QueryGraph, QueryTerm, Schema};
 
 use crate::recognize::recognize;
@@ -55,6 +55,7 @@ impl Matcher for CodebookMatcher {
         query: &QueryGraph,
         _prepared: &PreparedSchema,
         candidate: &Schema,
+        _scratch: &mut ScoreScratch<'_>,
     ) -> SimilarityMatrix {
         let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
         let term_types: Vec<Option<SemanticType>> =
@@ -96,6 +97,7 @@ mod tests {
             q,
             &PreparedSchema::default(),
             candidate,
+            &mut ScoreScratch::new(&schemr_text::Lexicon::new()),
         )
     }
 

@@ -16,9 +16,16 @@
 //!
 //! Shared mechanics live in [`LruCore`]: a stamped entry map with a
 //! logical clock and weighted LRU eviction (weight 1 per entry for the
-//! candidate cache, heap bytes for the artifact cache).
+//! candidate cache, heap bytes for the artifact cache). Recency is kept
+//! in an ordered side index, so finding a victim is O(log n) however
+//! many entries the budget holds.
+//!
+//! The artifact cache shares its byte budget with the engine's word
+//! lexicon (artifacts are word ids into it): [`MatchArtifactCache::put`]
+//! is told how many bytes the lexicon holds and evicts until artifacts
+//! plus lexicon fit.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -58,6 +65,9 @@ enum Lookup<V> {
 /// least-recently-used entries until total weight fits the budget.
 struct LruCore<K, V, S> {
     entries: HashMap<K, LruEntry<V, S>>,
+    /// `last_used → key` for every entry, oldest first. The clock ticks
+    /// on every access, so timestamps are unique.
+    recency: BTreeMap<u64, K>,
     clock: u64,
     weight: usize,
 }
@@ -66,6 +76,7 @@ impl<K: Eq + Hash + Clone, V: Clone, S: PartialEq> LruCore<K, V, S> {
     fn new() -> Self {
         LruCore {
             entries: HashMap::new(),
+            recency: BTreeMap::new(),
             clock: 0,
             weight: 0,
         }
@@ -83,11 +94,17 @@ impl<K: Eq + Hash + Clone, V: Clone, S: PartialEq> LruCore<K, V, S> {
         let clock = self.tick();
         match self.entries.get_mut(key) {
             Some(entry) if entry.stamp == *stamp => {
+                let key = self
+                    .recency
+                    .remove(&entry.last_used)
+                    .expect("every entry is in the recency index");
+                self.recency.insert(clock, key);
                 entry.last_used = clock;
                 Lookup::Hit(entry.value.clone())
             }
             Some(_) => {
                 if let Some(old) = self.entries.remove(key) {
+                    self.recency.remove(&old.last_used);
                     self.weight -= old.weight;
                 }
                 Lookup::Stale
@@ -103,6 +120,7 @@ impl<K: Eq + Hash + Clone, V: Clone, S: PartialEq> LruCore<K, V, S> {
     /// evicted `(count, weight)`.
     fn put(&mut self, key: K, stamp: S, value: V, weight: usize, budget: usize) -> (u64, usize) {
         let clock = self.tick();
+        self.recency.insert(clock, key.clone());
         if let Some(old) = self.entries.insert(
             key,
             LruEntry {
@@ -112,26 +130,34 @@ impl<K: Eq + Hash + Clone, V: Clone, S: PartialEq> LruCore<K, V, S> {
                 last_used: clock,
             },
         ) {
+            self.recency.remove(&old.last_used);
             self.weight -= old.weight;
         }
         self.weight += weight;
         let mut evicted = 0u64;
         let mut evicted_weight = 0usize;
-        while self.weight > budget && !self.entries.is_empty() {
-            // Capacity is small (hundreds of entries), so a linear scan
-            // beats maintaining an order list.
-            let victim = self
+        while self.weight > budget {
+            let Some((_, victim)) = self.recency.pop_first() else {
+                break;
+            };
+            let entry = self
                 .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map has a minimum");
-            let entry = self.entries.remove(&victim).expect("victim present");
+                .remove(&victim)
+                .expect("the recency index names only resident entries");
             self.weight -= entry.weight;
             evicted += 1;
             evicted_weight += entry.weight;
         }
         (evicted, evicted_weight)
+    }
+
+    /// Drop every entry. Returns how many there were.
+    fn clear(&mut self) -> usize {
+        let dropped = self.entries.len();
+        self.entries.clear();
+        self.recency.clear();
+        self.weight = 0;
+        dropped
     }
 
     /// Resident entries.
@@ -248,17 +274,20 @@ pub(crate) struct CacheUsage {
     pub budget: usize,
 }
 
-/// Stamp for a prepared-candidate entry: the schema's repository revision
-/// plus the engine's ensemble generation. `Repository::update` bumps the
-/// former, `SchemrEngine::set_ensemble` the latter; weight-only changes
-/// (`set_ensemble_weights`) leave artifacts valid because they are
-/// weight-independent.
+/// Stamp for a prepared-candidate entry: the schema's repository
+/// revision, the engine's ensemble generation and the generation of the
+/// lexicon its word ids live in. `Repository::update` bumps the first,
+/// `SchemrEngine::set_ensemble` the second, retiring a full lexicon the
+/// third; weight-only changes (`set_ensemble_weights`) leave artifacts
+/// valid because they are weight-independent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ArtifactStamp {
     /// `StoredSchema::metadata::revision` at preparation time.
     pub schema_revision: u64,
     /// The engine's ensemble generation at preparation time.
     pub ensemble_generation: u64,
+    /// The generation of the lexicon the artifacts were prepared in.
+    pub lexicon_generation: u64,
 }
 
 /// A byte-budgeted LRU cache of [`PreparedCandidate`] artifact bundles,
@@ -337,24 +366,36 @@ impl MatchArtifactCache {
     }
 
     /// Store `artifacts` prepared at `stamp`, then evict LRU entries
-    /// until resident bytes fit the budget.
+    /// until resident artifact bytes plus `lexicon_bytes` — what the
+    /// lexicon behind the artifacts' word ids holds — fit the budget.
     pub(crate) fn put(
         &self,
         id: SchemaId,
         stamp: ArtifactStamp,
         artifacts: Arc<PreparedCandidate>,
+        lexicon_bytes: usize,
     ) {
         if !self.enabled() {
             return;
         }
         let bytes = artifacts.bytes.max(1);
-        let (evicted, evicted_bytes) =
-            self.state
-                .lock()
-                .put(id, stamp, artifacts, bytes, self.budget_bytes);
+        let (evicted, evicted_bytes) = self.state.lock().put(
+            id,
+            stamp,
+            artifacts,
+            bytes,
+            self.budget_bytes.saturating_sub(lexicon_bytes),
+        );
         self.bytes_inserted.add(bytes as u64);
         self.evictions.add(evicted);
         self.bytes_evicted.add(evicted_bytes as u64);
+    }
+
+    /// Drop every entry — all stale at once, when the lexicon their word
+    /// ids live in is retired. Counted as invalidations.
+    pub(crate) fn clear(&self) {
+        let dropped = self.state.lock().clear();
+        self.invalidations.add(dropped as u64);
     }
 
     /// Resident occupancy under one lock hold: entries plus resident
@@ -465,6 +506,101 @@ mod tests {
         assert_eq!(c.misses.get(), 0, "disabled cache records nothing");
     }
 
+    // --- LruCore ---
+
+    /// The reference the recency index replaced: same entry map, same
+    /// clock, each victim found by scanning every entry for the oldest
+    /// timestamp.
+    struct ScanLru {
+        entries: HashMap<u32, (u8, usize, u64)>, // stamp, weight, last_used
+        clock: u64,
+        weight: usize,
+    }
+
+    impl ScanLru {
+        fn get(&mut self, key: u32, stamp: u8) -> Option<bool> {
+            self.clock += 1;
+            match self.entries.get_mut(&key) {
+                Some(entry) if entry.0 == stamp => {
+                    entry.2 = self.clock;
+                    Some(true)
+                }
+                Some(_) => {
+                    let old = self.entries.remove(&key).unwrap();
+                    self.weight -= old.1;
+                    Some(false)
+                }
+                None => None,
+            }
+        }
+
+        fn put(&mut self, key: u32, stamp: u8, weight: usize, budget: usize) -> (u64, usize) {
+            self.clock += 1;
+            if let Some(old) = self.entries.insert(key, (stamp, weight, self.clock)) {
+                self.weight -= old.1;
+            }
+            self.weight += weight;
+            let (mut evicted, mut evicted_weight) = (0, 0);
+            while self.weight > budget && !self.entries.is_empty() {
+                let victim = *self.entries.iter().min_by_key(|(_, e)| e.2).unwrap().0;
+                let entry = self.entries.remove(&victim).unwrap();
+                self.weight -= entry.1;
+                evicted += 1;
+                evicted_weight += entry.1;
+            }
+            (evicted, evicted_weight)
+        }
+    }
+
+    #[test]
+    fn recency_index_evicts_exactly_what_the_linear_scan_evicts() {
+        let mut lru: LruCore<u32, (), u8> = LruCore::new();
+        let mut scan = ScanLru {
+            entries: HashMap::new(),
+            clock: 0,
+            weight: 0,
+        };
+        // xorshift: a fixed, seeded mix of hits, stale lookups, misses,
+        // replacements, oversized puts and budgets that move (as the
+        // artifact budget does when the lexicon grows).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (mut evictions, mut stale) = (0u64, 0u64);
+        for _ in 0..20_000 {
+            let key = next(64) as u32;
+            let stamp = next(3) as u8;
+            if next(5) < 2 {
+                let got = match lru.get(&key, &stamp) {
+                    Lookup::Hit(()) => Some(true),
+                    Lookup::Stale => Some(false),
+                    Lookup::Absent => None,
+                };
+                assert_eq!(got, scan.get(key, stamp));
+                stale += u64::from(got == Some(false));
+            } else {
+                let weight = 1 + next(40) as usize;
+                let budget = 200 + next(200) as usize;
+                let out = lru.put(key, stamp, (), weight, budget);
+                assert_eq!(out, scan.put(key, stamp, weight, budget));
+                evictions += out.0;
+            }
+            assert_eq!(lru.weight, scan.weight);
+            assert_eq!(lru.len(), scan.entries.len());
+            assert_eq!(lru.recency.len(), lru.len());
+            for (key, entry) in &lru.entries {
+                let reference = scan.entries.get(key).expect("same residents");
+                assert_eq!((entry.stamp, entry.weight, entry.last_used), *reference);
+                assert_eq!(lru.recency.get(&entry.last_used), Some(key));
+            }
+        }
+        assert!(evictions > 1_000 && stale > 100, "the mix exercises both");
+    }
+
     // --- MatchArtifactCache ---
 
     fn artifact_cache(budget: usize) -> MatchArtifactCache {
@@ -490,6 +626,7 @@ mod tests {
         ArtifactStamp {
             schema_revision,
             ensemble_generation,
+            lexicon_generation: 0,
         }
     }
 
@@ -497,7 +634,7 @@ mod tests {
     fn artifact_hit_after_put_at_same_stamp() {
         let c = artifact_cache(1024);
         assert!(c.get(SchemaId(1), stamp(3, 1)).is_none());
-        c.put(SchemaId(1), stamp(3, 1), artifacts(100));
+        c.put(SchemaId(1), stamp(3, 1), artifacts(100), 0);
         let got = c.get(SchemaId(1), stamp(3, 1)).unwrap();
         assert_eq!(got.bytes, 100);
         assert_eq!(c.hits.get(), 1);
@@ -509,7 +646,7 @@ mod tests {
     #[test]
     fn schema_revision_change_invalidates_artifacts() {
         let c = artifact_cache(1024);
-        c.put(SchemaId(1), stamp(3, 1), artifacts(100));
+        c.put(SchemaId(1), stamp(3, 1), artifacts(100), 0);
         assert!(c.get(SchemaId(1), stamp(4, 1)).is_none(), "schema updated");
         assert_eq!(c.invalidations.get(), 1);
         assert_eq!(c.len(), 0, "stale entry dropped eagerly");
@@ -519,7 +656,7 @@ mod tests {
     #[test]
     fn ensemble_generation_change_invalidates_artifacts() {
         let c = artifact_cache(1024);
-        c.put(SchemaId(1), stamp(3, 1), artifacts(100));
+        c.put(SchemaId(1), stamp(3, 1), artifacts(100), 0);
         assert!(
             c.get(SchemaId(1), stamp(3, 2)).is_none(),
             "matcher set replaced"
@@ -530,11 +667,11 @@ mod tests {
     #[test]
     fn byte_budget_evicts_least_recently_used() {
         let c = artifact_cache(250);
-        c.put(SchemaId(1), stamp(1, 1), artifacts(100));
-        c.put(SchemaId(2), stamp(1, 1), artifacts(100));
+        c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
+        c.put(SchemaId(2), stamp(1, 1), artifacts(100), 0);
         // Touch 1 so 2 becomes the LRU victim.
         assert!(c.get(SchemaId(1), stamp(1, 1)).is_some());
-        c.put(SchemaId(3), stamp(1, 1), artifacts(100));
+        c.put(SchemaId(3), stamp(1, 1), artifacts(100), 0);
         assert_eq!(c.evictions.get(), 1);
         assert_eq!(c.bytes_evicted.get(), 100);
         assert!(c.get(SchemaId(1), stamp(1, 1)).is_some());
@@ -544,9 +681,40 @@ mod tests {
     }
 
     #[test]
+    fn lexicon_bytes_share_the_artifact_budget() {
+        let c = artifact_cache(250);
+        c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
+        c.put(SchemaId(2), stamp(1, 1), artifacts(100), 0);
+        assert_eq!(c.resident_bytes(), 200);
+        // 100 bytes of lexicon leave 150 for artifacts: the LRU entry goes.
+        c.put(SchemaId(3), stamp(1, 1), artifacts(40), 100);
+        assert_eq!(c.evictions.get(), 1);
+        assert_eq!(c.resident_bytes(), 140);
+        assert!(c.get(SchemaId(1), stamp(1, 1)).is_none());
+        // A lexicon at the budget leaves no room at all.
+        c.put(SchemaId(4), stamp(1, 1), artifacts(10), 250);
+        assert_eq!(c.resident_bytes(), 0);
+        assert_eq!(c.len(), 0);
+    }
+
+    #[test]
+    fn clear_drops_everything_as_invalidations() {
+        let c = artifact_cache(1024);
+        c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
+        c.put(SchemaId(2), stamp(1, 1), artifacts(60), 0);
+        c.clear();
+        assert_eq!((c.len(), c.resident_bytes()), (0, 0));
+        assert_eq!(c.invalidations.get(), 2);
+        assert_eq!(c.evictions.get(), 0);
+        // Usable afterwards.
+        c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
+        assert!(c.get(SchemaId(1), stamp(1, 1)).is_some());
+    }
+
+    #[test]
     fn oversized_entry_does_not_stick() {
         let c = artifact_cache(50);
-        c.put(SchemaId(1), stamp(1, 1), artifacts(100));
+        c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
         // The entry alone exceeds the budget: admitted, then immediately
         // evicted — the cache never holds more than the budget.
         assert_eq!(c.resident_bytes(), 0);
@@ -556,8 +724,8 @@ mod tests {
     #[test]
     fn replacing_an_entry_adjusts_resident_bytes() {
         let c = artifact_cache(1024);
-        c.put(SchemaId(1), stamp(1, 1), artifacts(100));
-        c.put(SchemaId(1), stamp(2, 1), artifacts(60));
+        c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
+        c.put(SchemaId(1), stamp(2, 1), artifacts(60), 0);
         assert_eq!(c.resident_bytes(), 60);
         assert_eq!(c.len(), 1);
     }
@@ -573,8 +741,8 @@ mod tests {
         assert_eq!(usage.budget, 4);
 
         let a = artifact_cache(1024);
-        a.put(SchemaId(1), stamp(1, 1), artifacts(100));
-        a.put(SchemaId(2), stamp(1, 1), artifacts(60));
+        a.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
+        a.put(SchemaId(2), stamp(1, 1), artifacts(60), 0);
         let usage = a.usage();
         assert_eq!(usage.entries, 2);
         assert_eq!(usage.resident_weight, 160, "artifact weight is bytes");
@@ -585,7 +753,7 @@ mod tests {
     fn zero_budget_disables_artifacts() {
         let c = artifact_cache(0);
         assert!(!c.enabled());
-        c.put(SchemaId(1), stamp(1, 1), artifacts(10));
+        c.put(SchemaId(1), stamp(1, 1), artifacts(10), 0);
         assert!(c.get(SchemaId(1), stamp(1, 1)).is_none());
         assert_eq!(c.misses.get(), 0, "disabled cache records nothing");
     }

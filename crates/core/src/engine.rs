@@ -14,7 +14,7 @@ use parking_lot::{Mutex, RwLock};
 use schemr_index::{
     codec, Index, IndexChange, IndexDocument, IndexRevision, IndexStats, SearchOptions,
 };
-use schemr_match::{Ensemble, EnsembleQuery, PreparedCandidate};
+use schemr_match::{Ensemble, EnsembleQuery, MatchScratch, PreparedCandidate};
 use schemr_model::{QueryGraph, QueryTerm};
 use schemr_obs::{
     CpuProbeDepth, DeepSize, EventResult, LedgerProbe, MetricsRegistry, Profiler, ResourceLedger,
@@ -22,6 +22,7 @@ use schemr_obs::{
     WorkloadSnapshot,
 };
 use schemr_repo::{ChangeKind, Repository, StoredSchema};
+use schemr_text::Lexicon;
 
 use crate::cache::{ArtifactStamp, CacheKey, CandidateCache, MatchArtifactCache};
 use crate::metrics::EngineMetrics;
@@ -49,9 +50,11 @@ pub struct EngineConfig {
     /// Capacity of the revision-keyed Phase 1 candidate cache (entries).
     /// 0 means only "don't cache": every lookup misses, same path.
     pub candidate_cache_entries: usize,
-    /// Byte budget of the revision-keyed Phase 2 match-artifact cache.
-    /// 0 means only "don't cache": every search then builds its
-    /// candidates' artifacts itself and scores them through the same path.
+    /// Byte budget of the revision-keyed Phase 2 match-artifact cache
+    /// and the word lexicon its artifacts point into, together. 0 means
+    /// only "retain nothing": every search then builds its candidates'
+    /// artifacts itself, in a lexicon that lives for that search, and
+    /// scores them through the same path.
     pub match_artifact_cache_bytes: usize,
 }
 
@@ -108,10 +111,16 @@ pub struct MemoryReport {
     pub candidate_cache_budget: usize,
     /// Resident Phase 2 match-artifact-cache entries.
     pub artifact_cache_entries: usize,
-    /// Resident artifact bytes held by the match-artifact cache.
+    /// Resident bytes held under the match-artifact budget: the cached
+    /// artifacts plus the word lexicon they point into.
     pub artifact_cache_resident_bytes: usize,
     /// Artifact-cache byte budget (0 = disabled).
     pub artifact_cache_budget_bytes: usize,
+    /// Distinct words in the engine's lexicon.
+    pub lexicon_words: usize,
+    /// Estimated heap bytes of the lexicon (words and gram sets) — part
+    /// of `artifact_cache_resident_bytes`.
+    pub lexicon_bytes: usize,
     /// Completed traces retained in the recent ring.
     pub trace_ring_len: usize,
     /// Estimated heap bytes of the recent-trace ring.
@@ -133,6 +142,11 @@ pub struct SchemrEngine {
     last_indexed_revision: Mutex<u64>,
     candidate_cache: CandidateCache,
     artifact_cache: MatchArtifactCache,
+    /// The word lexicon cached artifacts point into, with its generation.
+    /// Append-only while it lives; retired — replaced by an empty one
+    /// under the next generation, which makes every cached artifact stale
+    /// — once it alone outgrows the artifact budget.
+    lexicon: RwLock<(Arc<Lexicon>, u64)>,
     /// Generation of the current matcher set; part of every artifact
     /// stamp so [`SchemrEngine::set_ensemble`] invalidates cached
     /// artifacts lazily.
@@ -191,6 +205,7 @@ impl SchemrEngine {
             last_indexed_revision: Mutex::new(0),
             candidate_cache,
             artifact_cache,
+            lexicon: RwLock::new((Arc::new(Lexicon::new()), 0)),
             ensemble_generation: AtomicU64::new(0),
             metrics,
             tracer,
@@ -256,7 +271,12 @@ impl SchemrEngine {
         let _span = SpanTimer::start(self.metrics.reindex_seconds.clone());
         let revision = self.repo.revision();
         let fresh = Index::new().with_metrics(self.metrics.index.clone());
-        let docs: Vec<IndexDocument> = self.repo.snapshot().iter().map(index_document).collect();
+        let docs: Vec<IndexDocument> = self
+            .repo
+            .snapshot()
+            .iter()
+            .map(|stored| index_document(stored))
+            .collect();
         fresh.apply(docs.iter().map(IndexChange::Put));
         *self.index.write() = fresh;
         *self.last_indexed_revision.lock() = revision;
@@ -279,7 +299,7 @@ impl SchemrEngine {
         let docs: Vec<Option<IndexDocument>> = changes
             .iter()
             .map(|change| match change.kind {
-                ChangeKind::Put => self.repo.get(change.id).as_ref().map(index_document),
+                ChangeKind::Put => self.repo.get(change.id).as_deref().map(index_document),
                 ChangeKind::Delete => None,
             })
             .collect();
@@ -337,6 +357,10 @@ impl SchemrEngine {
         };
         let candidate = self.candidate_cache.usage();
         let artifact = self.artifact_cache.usage();
+        let (lexicon_words, lexicon_bytes) = {
+            let slot = self.lexicon.read();
+            (slot.0.len(), slot.0.heap_bytes())
+        };
         let (trace_ring_bytes, slow_ring_bytes) = self.tracer.ring_bytes();
         let (trace_ring_len, slow_ring_len) = self.tracer.ring_lens();
         MemoryReport {
@@ -345,8 +369,10 @@ impl SchemrEngine {
             candidate_cache_entries: candidate.entries,
             candidate_cache_budget: candidate.budget,
             artifact_cache_entries: artifact.entries,
-            artifact_cache_resident_bytes: artifact.resident_weight,
+            artifact_cache_resident_bytes: artifact.resident_weight + lexicon_bytes,
             artifact_cache_budget_bytes: artifact.budget,
+            lexicon_words,
+            lexicon_bytes,
             trace_ring_len,
             trace_ring_bytes,
             slow_ring_len,
@@ -420,6 +446,17 @@ impl SchemrEngine {
         (hits, terms)
     }
 
+    /// The lexicon a search prepares and reads its candidates' artifacts
+    /// in, with its generation. With a zero budget nothing is retained,
+    /// the lexicon included: each search gets one of its own.
+    fn lexicon_for_search(&self) -> (Arc<Lexicon>, u64) {
+        if self.artifact_cache.enabled() {
+            self.lexicon.read().clone()
+        } else {
+            (Arc::new(Lexicon::new()), 0)
+        }
+    }
+
     /// Resolve the prepared match artifacts for `stored` through the
     /// revision-keyed artifact cache, building and admitting them on a
     /// miss. Returns the artifacts and whether the lookup was a hit. A
@@ -428,23 +465,50 @@ impl SchemrEngine {
     /// Concurrent `match_chunk` workers may race on a cold entry; both
     /// build the same deterministic bundle and the second put replaces
     /// the first, so the race costs work but never correctness.
+    ///
+    /// A miss is the only place the lexicon grows, so its size is checked
+    /// here: artifacts are admitted into what the lexicon leaves of the
+    /// budget, and a lexicon that alone exceeds the budget is retired.
+    /// This search keeps scoring in the lexicon it started with.
     fn prepared_for(
         &self,
-        ensemble: &Ensemble,
-        generation: u64,
-        stored: &schemr_repo::StoredSchema,
+        p2: &Phase2<'_>,
+        stored: &StoredSchema,
     ) -> (Arc<PreparedCandidate>, bool) {
         let stamp = ArtifactStamp {
             schema_revision: stored.metadata.revision,
-            ensemble_generation: generation,
+            ensemble_generation: p2.ensemble_generation,
+            lexicon_generation: p2.lexicon_generation,
         };
         if let Some(artifacts) = self.artifact_cache.get(stored.metadata.id, stamp) {
             return (artifacts, true);
         }
-        let artifacts = Arc::new(ensemble.prepare(&stored.schema));
-        self.artifact_cache
-            .put(stored.metadata.id, stamp, artifacts.clone());
+        let artifacts = Arc::new(p2.ensemble.prepare(&stored.schema, p2.lexicon));
+        if self.artifact_cache.enabled() {
+            let lexicon_bytes = p2.lexicon.heap_bytes();
+            if lexicon_bytes > self.config.match_artifact_cache_bytes {
+                self.retire_lexicon(p2.lexicon_generation);
+            } else {
+                self.artifact_cache.put(
+                    stored.metadata.id,
+                    stamp,
+                    artifacts.clone(),
+                    lexicon_bytes,
+                );
+            }
+        }
         (artifacts, false)
+    }
+
+    /// Replace the lexicon of `generation` with an empty one and drop the
+    /// artifacts that point into it. A no-op when another thread already
+    /// did. Searches in flight hold the old lexicon until they finish.
+    fn retire_lexicon(&self, generation: u64) {
+        let mut slot = self.lexicon.write();
+        if slot.1 == generation {
+            *slot = (Arc::new(Lexicon::new()), generation + 1);
+            self.artifact_cache.clear();
+        }
     }
 
     /// Phase 2 over one contiguous run of candidates, on the calling
@@ -452,40 +516,37 @@ impl SchemrEngine {
     /// score tightness-of-fit on the combined matrix where it was
     /// produced (so tightness parallelizes with matching and the matrix
     /// never leaves its thread). Sequential matching calls this once
-    /// with every candidate; parallel matching once per worker.
-    #[allow(clippy::too_many_arguments)]
+    /// with every candidate; parallel matching once per worker. The
+    /// chunk owns the matchers' scratch: what one candidate's scoring
+    /// worked out about a word pair, the next candidate's reads.
     fn match_chunk(
         &self,
-        ensemble: &Ensemble,
-        generation: u64,
-        equery: &EnsembleQuery,
-        terms: &[QueryTerm],
-        graph: &QueryGraph,
-        cands: &[(schemr_index::Hit, schemr_repo::StoredSchema)],
-        with_strengths: bool,
+        p2: &Phase2<'_>,
+        cands: &[(schemr_index::Hit, Arc<StoredSchema>)],
     ) -> ChunkMatch {
         let mut done = ChunkMatch {
             scores: Vec::with_capacity(cands.len()),
             strengths: Vec::with_capacity(cands.len()),
-            matcher_wall: vec![Duration::ZERO; ensemble.len()],
+            matcher_wall: vec![Duration::ZERO; p2.ensemble.len()],
             tightness_wall: Duration::ZERO,
             artifact_hits: 0,
             artifact_misses: 0,
         };
+        let mut scratch = MatchScratch::new(p2.equery, p2.lexicon);
         for (_, stored) in cands {
-            let (artifacts, was_hit) = self.prepared_for(ensemble, generation, stored);
+            let (artifacts, was_hit) = self.prepared_for(p2, stored);
             if was_hit {
                 done.artifact_hits += 1;
             } else {
                 done.artifact_misses += 1;
             }
-            let run = ensemble.run(
-                equery,
-                terms,
-                graph,
+            let run = p2.ensemble.run(
+                p2.terms,
+                p2.graph,
                 &artifacts,
                 &stored.schema,
-                with_strengths,
+                &mut scratch,
+                p2.with_strengths,
             );
             for (acc, d) in done.matcher_wall.iter_mut().zip(run.timings) {
                 *acc += d;
@@ -644,7 +705,7 @@ impl SchemrEngine {
         let terms = graph.terms();
         let ensemble = self.ensemble.read();
         let matcher_names = ensemble.matcher_names();
-        let candidates: Vec<(schemr_index::Hit, schemr_repo::StoredSchema)> = hits
+        let candidates: Vec<(schemr_index::Hit, Arc<StoredSchema>)> = hits
             .into_iter()
             .filter_map(|h| self.repo.get(h.id).map(|s| (h, s)))
             .collect();
@@ -652,9 +713,23 @@ impl SchemrEngine {
             s.annotate("candidates", candidates.len());
         }
         // Query-side artifacts are built once per search; candidate-side
-        // artifacts resolve through the revision-keyed cache.
-        let ensemble_generation = self.ensemble_generation.load(Ordering::Acquire);
+        // artifacts resolve through the revision-keyed cache, in the
+        // lexicon this search holds from here to its end.
         let equery = ensemble.prepare_query(&terms, &graph);
+        let (lexicon, lexicon_generation) = self.lexicon_for_search();
+        // Per-matcher strengths have one reader, the event log; without
+        // one, no candidate pays the extra matrix scans.
+        let log_strengths = want_trace && self.tracer.event_log().is_some();
+        let phase2 = Phase2 {
+            ensemble: &ensemble,
+            ensemble_generation: self.ensemble_generation.load(Ordering::Acquire),
+            lexicon: &lexicon,
+            lexicon_generation,
+            equery: &equery,
+            terms: &terms,
+            graph: &graph,
+            with_strengths: log_strengths,
+        };
         let cache_artifacts = self.artifact_cache.enabled();
         let threads_used = if self.config.match_threads > 1 && candidates.len() > 1 {
             self.config.match_threads.min(candidates.len())
@@ -665,15 +740,7 @@ impl SchemrEngine {
         // matching workers, merged into the request ledger below.
         let (chunks, worker_ledgers): (Vec<ChunkMatch>, Vec<ResourceLedger>) = if threads_used == 1
         {
-            let done = self.match_chunk(
-                &ensemble,
-                ensemble_generation,
-                &equery,
-                &terms,
-                &graph,
-                &candidates,
-                want_trace,
-            );
+            let done = self.match_chunk(&phase2, &candidates);
             if let (Some(s), true) = (&p2, cache_artifacts) {
                 // The sequential pass is one candidate batch.
                 cs_annotate_batch(s, done.artifact_hits, done.artifact_misses);
@@ -686,7 +753,7 @@ impl SchemrEngine {
             // Copy, so each worker opens its own `match_chunk` child.
             let tctx = ctx.as_ref();
             let p2_idx = p2.as_ref().map(|s| s.index());
-            let (ensemble, equery, terms, graph) = (&*ensemble, &equery, &terms[..], &graph);
+            let phase2 = &phase2;
             crossbeam::thread::scope(|scope| {
                 let workers: Vec<_> = candidates
                     .chunks(chunk)
@@ -700,15 +767,7 @@ impl SchemrEngine {
                             if let Some(cs) = &chunk_span {
                                 cs.annotate("candidates", cands.len());
                             }
-                            let done = self.match_chunk(
-                                ensemble,
-                                ensemble_generation,
-                                equery,
-                                terms,
-                                graph,
-                                cands,
-                                want_trace,
-                            );
+                            let done = self.match_chunk(phase2, cands);
                             if let (Some(cs), true) = (&chunk_span, cache_artifacts) {
                                 // One batch per chunk: "hit" only when every
                                 // candidate's artifacts came from the cache.
@@ -770,27 +829,41 @@ impl SchemrEngine {
         let candidates_evaluated = candidates.len();
         // Candidate ids in Phase 2 order, for mapping ranked results back
         // to their per-matcher strengths.
-        let candidate_ids: Vec<schemr_model::SchemaId> = if want_trace {
+        let candidate_ids: Vec<schemr_model::SchemaId> = if log_strengths {
             candidates.iter().map(|(h, _)| h.id).collect()
         } else {
             Vec::new()
         };
-        let mut results: Vec<SearchResult> = candidates
+        // Rank on the scores alone; only the rows that survive the limit
+        // get their display fields copied out of the shared schema.
+        let mut ranked: Vec<(SearchResult, Arc<StoredSchema>)> = candidates
             .into_iter()
             .zip(scores)
-            .map(|((hit, stored), t)| SearchResult {
-                id: stored.metadata.id,
-                title: stored.metadata.title,
-                summary: stored.metadata.summary,
-                score: t.score,
-                coarse_score: hit.score,
-                matched_terms: hit.matched_terms,
-                stats: schemr_model::SchemaStats::of(&stored.schema),
-                matches: t.matched,
+            .map(|((hit, stored), t)| {
+                let row = SearchResult {
+                    id: stored.metadata.id,
+                    title: String::new(),
+                    summary: String::new(),
+                    score: t.score,
+                    coarse_score: hit.score,
+                    matched_terms: hit.matched_terms,
+                    stats: schemr_model::SchemaStats::default(),
+                    matches: t.matched,
+                };
+                (row, stored)
             })
             .collect();
-        results.sort_by(rank_order);
-        results.truncate(request.limit.unwrap_or(self.config.default_limit));
+        ranked.sort_by(|a, b| rank_order(&a.0, &b.0));
+        ranked.truncate(request.limit.unwrap_or(self.config.default_limit));
+        let results: Vec<SearchResult> = ranked
+            .into_iter()
+            .map(|(mut row, stored)| {
+                row.title = stored.metadata.title.clone();
+                row.summary = stored.metadata.summary.clone();
+                row.stats = stored.stats();
+                row
+            })
+            .collect();
         if let Some(s) = &p3 {
             s.annotate("results", results.len());
             if let Some(pr) = &p3_probe {
@@ -928,13 +1001,28 @@ fn index_document(stored: &StoredSchema) -> IndexDocument {
     )
 }
 
+/// What every Phase 2 chunk of one search shares: the matcher set and
+/// the query's artifacts, and the lexicon candidate artifacts live in.
+/// The two generations stamp artifact-cache entries.
+struct Phase2<'a> {
+    ensemble: &'a Ensemble,
+    ensemble_generation: u64,
+    lexicon: &'a Lexicon,
+    lexicon_generation: u64,
+    equery: &'a EnsembleQuery,
+    terms: &'a [QueryTerm],
+    graph: &'a QueryGraph,
+    /// Collect per-matcher strengths for the event log.
+    with_strengths: bool,
+}
+
 /// What [`SchemrEngine::match_chunk`] produced for one contiguous run of
 /// candidates, in candidate order.
 struct ChunkMatch {
     /// Final (tightness-of-fit) score per candidate.
     scores: Vec<TightnessScore>,
     /// Per-candidate per-matcher strengths for the event log; each empty
-    /// unless the search is traced.
+    /// unless the search is traced into one.
     strengths: Vec<Vec<f64>>,
     /// Per-matcher wall time, accumulated over the chunk's candidates.
     matcher_wall: Vec<Duration>,
@@ -1373,16 +1461,11 @@ mod tests {
             .position(|s| s.name == "candidate_extraction")
             .unwrap()];
         assert!(p1.attrs.iter().any(|(k, _)| k == "postings_scanned"));
-        // Results carry per-matcher strengths for the event log.
+        // Per-matcher strengths are the event log's (see
+        // `traced_searches_append_to_the_event_log`); with none
+        // configured they are not computed.
         assert!(!trace.results.is_empty());
-        assert_eq!(
-            trace.results[0]
-                .matcher_scores
-                .iter()
-                .map(|(n, _)| n.as_str())
-                .collect::<Vec<_>>(),
-            vec!["name", "context"]
-        );
+        assert!(trace.results[0].matcher_scores.is_empty());
         // Generated ids for requests without one; response echoes it.
         let auto = engine
             .search_detailed(&SearchRequest::keywords(["gender"]))
@@ -1698,26 +1781,43 @@ mod tests {
             engine.reindex_full();
             engine
         };
-        let (seq, par) = (engine_with(1), engine_with(8));
         // Chunking decides which thread scores a candidate, never what it
-        // scores or where its row lands.
-        for limit in [1, 2, 5, 15] {
-            let request = SearchRequest::keywords(["patient", "archive"]).with_limit(limit);
-            let a = seq
-                .search_detailed(&request.clone().with_explain())
-                .unwrap();
-            let b = par.search_detailed(&request.with_explain()).unwrap();
-            assert_eq!(a.trace.unwrap().match_threads_used, 1);
-            assert_eq!(b.trace.unwrap().match_threads_used, 8);
-            assert_eq!(a.results.len(), limit, "limit {limit}");
-            assert_eq!(a.results.len(), b.results.len(), "limit {limit}");
-            for (x, y) in a.results.iter().zip(&b.results) {
-                assert_eq!(x.id, y.id, "limit {limit}");
-                assert_eq!(x.score.to_bits(), y.score.to_bits(), "limit {limit}");
-                assert_eq!(x.coarse_score.to_bits(), y.coarse_score.to_bits());
-                assert_eq!(x.matches, y.matches, "limit {limit}");
+        // scores or where its row lands — and neither does what a chunk's
+        // scratch or the engine's lexicon already hold.
+        let compare = |seq: &SchemrEngine, par: &SchemrEngine, what: &str| {
+            for limit in [1, 2, 5, 15] {
+                let request = SearchRequest::keywords(["patient", "archive"]).with_limit(limit);
+                let a = seq
+                    .search_detailed(&request.clone().with_explain())
+                    .unwrap();
+                let b = par.search_detailed(&request.with_explain()).unwrap();
+                assert_eq!(a.trace.unwrap().match_threads_used, 1);
+                assert_eq!(b.trace.unwrap().match_threads_used, 8);
+                assert_eq!(a.results.len(), limit, "{what}, limit {limit}");
+                assert_eq!(a.results.len(), b.results.len(), "{what}, limit {limit}");
+                for (x, y) in a.results.iter().zip(&b.results) {
+                    assert_eq!(x.id, y.id, "{what}, limit {limit}");
+                    assert_eq!(
+                        x.score.to_bits(),
+                        y.score.to_bits(),
+                        "{what}, limit {limit}"
+                    );
+                    assert_eq!(x.coarse_score.to_bits(), y.coarse_score.to_bits());
+                    assert_eq!(x.matches, y.matches, "{what}, limit {limit}");
+                }
             }
-        }
+        };
+        let (seq, par) = (engine_with(1), engine_with(8));
+        compare(&seq, &par, "cold, then warm as the grid goes");
+        // A cold lexicon on one side only: eight racing workers number
+        // the words in whatever order they meet them.
+        compare(&seq, &engine_with(8), "fresh parallel engine");
+        compare(&engine_with(1), &par, "fresh sequential engine");
+        // A new matcher set makes every cached artifact stale; the words
+        // already interned stay.
+        seq.set_ensemble(Ensemble::standard());
+        par.set_ensemble(Ensemble::standard());
+        compare(&seq, &par, "after a generation bump");
     }
 
     #[test]

@@ -15,8 +15,13 @@
 //!   own unit tests);
 //! * engine level — an engine with the artifact cache enabled and one
 //!   with it disabled (`match_artifact_cache_bytes: 0`: artifacts built
-//!   per search) return identical result lists — same ids, bitwise-equal
-//!   scores — through cold/warm passes and add / replace / remove churn.
+//!   per search, in a lexicon that lives for that search) return
+//!   identical result lists — same ids, bitwise-equal scores — through
+//!   cold/warm passes, add / replace / remove churn, against a freshly
+//!   built engine (cold lexicon) and after a matcher-set replacement;
+//!   and an engine whose budget is a fraction of the vocabulary passing
+//!   through it stays within that budget, lexicon included, and still
+//!   agrees with a fresh engine bit for bit.
 //!
 //! Deterministic by construction (seeded corpus, fixed query derivation).
 
@@ -24,9 +29,10 @@ use std::sync::Arc;
 
 use schemr::{EngineConfig, SchemrEngine, SearchRequest};
 use schemr_corpus::{Corpus, CorpusConfig};
-use schemr_match::{Ensemble, NameMatcher, TokenMatcher};
-use schemr_model::{QueryGraph, SchemaId};
+use schemr_match::{Ensemble, MatchScratch, NameMatcher, TokenMatcher};
+use schemr_model::{DataType, QueryGraph, SchemaBuilder, SchemaId};
 use schemr_repo::Repository;
+use schemr_text::{Analyzer, Lexicon};
 
 /// Load every corpus schema into a fresh repository.
 fn build_repo(corpus: &Corpus) -> (Arc<Repository>, Vec<SchemaId>) {
@@ -82,12 +88,19 @@ fn stale_bundles_rebuild_and_matrices_equal_their_scalar_references_bitwise() {
         let terms = q.terms();
         let equery = ensemble.prepare_query(&terms, &q);
         let stale_query = old_set.prepare_query(&terms, &q);
+        // One lexicon and one scratch per side for the whole candidate
+        // run, as a Phase 2 chunk has: memos carry over between
+        // candidates while the lexicon keeps growing.
+        let lexicon = Lexicon::new();
+        let mut scratch = MatchScratch::new(&equery, &lexicon);
+        let mut stale_scratch = MatchScratch::new(&stale_query, &lexicon);
         for j in (0..n).step_by(3) {
             let candidate = &corpus.schemas[j].schema;
-            let pcand = ensemble.prepare(candidate);
-            let stale_cand = old_set.prepare(candidate);
-            let fresh = ensemble.run(&equery, &terms, &q, &pcand, candidate, true);
-            let rebuilt = ensemble.run(&stale_query, &terms, &q, &stale_cand, candidate, true);
+            let pcand = ensemble.prepare(candidate, &lexicon);
+            let stale_cand = old_set.prepare(candidate, &lexicon);
+            let fresh = ensemble.run(&terms, &q, &pcand, candidate, &mut scratch, true);
+            let rebuilt =
+                ensemble.run(&terms, &q, &stale_cand, candidate, &mut stale_scratch, true);
             assert_eq!(fresh.matrix.rows(), rebuilt.matrix.rows());
             assert_eq!(fresh.matrix.cols(), rebuilt.matrix.cols());
             for r in 0..fresh.matrix.rows() {
@@ -226,4 +239,146 @@ fn cached_engine_matches_uncached_engine_across_churn() {
             .unwrap()
             > hits_before
     );
+
+    // A freshly built engine numbers its words from scratch, in the
+    // order this pass happens to meet them.
+    let fresh = SchemrEngine::with_config(repo.clone(), EngineConfig::default());
+    fresh.reindex_full();
+    assert_same_results(&cached, &fresh, &queries, "warm vs cold lexicon");
+    assert_same_results(&fresh, &uncached, &queries, "cold lexicon, warm pass");
+
+    // A matcher-set replacement bumps the generation: every cached
+    // artifact is stale, the interned words are not.
+    let invalidations_before = reg
+        .counter_value("schemr_match_artifact_cache_invalidations_total", &[])
+        .unwrap();
+    cached.set_ensemble(Ensemble::standard());
+    uncached.set_ensemble(Ensemble::standard());
+    assert_same_results(&cached, &uncached, &queries, "after set_ensemble");
+    assert_same_results(&cached, &fresh, &queries, "after set_ensemble vs fresh");
+    assert!(
+        reg.counter_value("schemr_match_artifact_cache_invalidations_total", &[])
+            .unwrap()
+            > invalidations_before
+    );
+}
+
+/// Deterministic, never-repeating lowercase words.
+struct Words(u64);
+
+impl Words {
+    fn next(&mut self) -> String {
+        (0..10)
+            .map(|_| {
+                self.0 = self
+                    .0
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (b'a' + ((self.0 >> 33) % 26) as u8) as char
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn artifacts_and_lexicon_stay_within_budget_under_vocabulary_churn() {
+    const BUDGET: usize = 64 * 1024;
+    let repo = Arc::new(Repository::new());
+    let engine = SchemrEngine::with_config(
+        repo.clone(),
+        EngineConfig {
+            match_artifact_cache_bytes: BUDGET,
+            ..Default::default()
+        },
+    );
+    engine.reindex_full();
+    // Every schema shares one word ("anchor", what the query finds them
+    // by) and brings nine the repository has never seen and, once the
+    // schema is removed again, never will.
+    let request = SearchRequest::keywords(["anchor"]).with_limit(20);
+    let mut words = Words(7);
+    let analyzer = Analyzer::for_names();
+    let seen = Lexicon::new();
+    let mut largest_entry = 0;
+    let mut live: Vec<SchemaId> = Vec::new();
+    for round in 0..40 {
+        for id in live.drain(..) {
+            repo.remove(id).unwrap();
+        }
+        for k in 0..10 {
+            let entity = words.next();
+            let attrs: Vec<String> = (0..8).map(|_| words.next()).collect();
+            let before = seen.heap_bytes();
+            for name in attrs.iter().chain([&entity]) {
+                for word in analyzer.analyze(name) {
+                    seen.intern(&word);
+                }
+            }
+            largest_entry = largest_entry.max(seen.heap_bytes() - before);
+            let schema = SchemaBuilder::new(format!("s{round}x{k}"))
+                .entity(entity, |mut e| {
+                    e = e.attr("anchor", DataType::Text);
+                    for a in &attrs {
+                        e = e.attr(a.clone(), DataType::Text);
+                    }
+                    e
+                })
+                .build_unchecked();
+            live.push(
+                repo.insert(format!("s{round}x{k}"), String::new(), schema)
+                    .unwrap(),
+            );
+        }
+        engine.reindex_incremental();
+        assert_eq!(engine.search(&request).unwrap().len(), 10, "round {round}");
+    }
+    assert!(
+        seen.heap_bytes() >= 10 * BUDGET,
+        "the vocabulary that passed through is worth {} bytes",
+        seen.heap_bytes()
+    );
+    let report = engine.memory_report();
+    assert_eq!(report.artifact_cache_budget_bytes, BUDGET);
+    assert!(
+        report.lexicon_words < seen.len() / 5,
+        "{} of {} words still interned",
+        report.lexicon_words,
+        seen.len()
+    );
+    assert!(
+        report.lexicon_bytes <= report.artifact_cache_resident_bytes,
+        "resident bytes include the lexicon"
+    );
+    // One entry: the words of one schema plus its artifact (word ids —
+    // far smaller than the words).
+    assert!(
+        report.artifact_cache_resident_bytes <= BUDGET + 2 * largest_entry,
+        "resident {} over budget {BUDGET} by more than one entry ({largest_entry})",
+        report.artifact_cache_resident_bytes
+    );
+    // The lexicon was retired at least once, taking its artifacts along.
+    assert!(
+        engine
+            .metrics_registry()
+            .counter_value("schemr_match_artifact_cache_invalidations_total", &[])
+            .unwrap()
+            > 0
+    );
+    // And nothing of that shows in a result.
+    let fresh = SchemrEngine::with_config(repo.clone(), EngineConfig::default());
+    fresh.reindex_full();
+    let queries = [
+        request,
+        SearchRequest::keywords(["anchor", &words.next()]),
+        SearchRequest::parse("", &["CREATE TABLE t (anchor TEXT, other TEXT)"]).unwrap(),
+    ];
+    assert_same_results(&engine, &fresh, &queries, "after churn vs fresh");
+    for (a, b) in queries
+        .iter()
+        .map(|q| (engine.search(q).unwrap(), fresh.search(q).unwrap()))
+    {
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.matches, y.matches, "per-element match scores");
+        }
+    }
 }

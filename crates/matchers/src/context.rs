@@ -13,11 +13,14 @@
 #[cfg(test)]
 use std::collections::HashSet;
 
-use schemr_model::{ElementId, QueryGraph, QueryTerm, Schema};
-use schemr_text::{Analyzer, GramSet};
+#[cfg(test)]
+use schemr_model::ElementId;
+use schemr_model::{QueryGraph, QueryTerm, Schema};
+use schemr_text::gramset::scalar_merge;
+use schemr_text::{Analyzer, Lexicon, WordId};
 
 use crate::matrix::SimilarityMatrix;
-use crate::prepare::{PreparedQuery, PreparedSchema};
+use crate::prepare::{element_words, FlatLists, PreparedQuery, PreparedSchema, ScoreScratch};
 use crate::Matcher;
 
 /// Neighbor-term-set context matcher.
@@ -86,29 +89,83 @@ impl ContextMatcher {
             .all(|t| t.fragment.is_none() || t.element.is_none())
     }
 
-    /// The hashed term-id form of an element's neighborhood: parent +
-    /// siblings + children (the element's own name is excluded — the name
-    /// matcher covers it).
-    fn neighbor_signature(&self, schema: &Schema, id: ElementId) -> GramSet {
-        let mut names: Vec<&str> = Vec::new();
-        let el = schema.element(id);
+    /// Per query term, the distinct analyzed words of its neighborhood in
+    /// its fragment, as strings: the query side is never interned. Each
+    /// fragment's names are analyzed once, whatever the number of terms
+    /// that point into it.
+    fn query_contexts(&self, terms: &[QueryTerm], query: &QueryGraph) -> Vec<Option<Vec<String>>> {
+        let mut per_fragment: Vec<Option<FlatLists<String>>> = vec![None; query.fragments().len()];
+        terms
+            .iter()
+            .map(|t| match (t.fragment, t.element) {
+                (Some(frag_ix), Some(el)) => {
+                    let fragment = &query.fragments()[frag_ix];
+                    let sets = per_fragment[frag_ix].get_or_insert_with(|| {
+                        let mut words = FlatLists::with_capacity(fragment.len());
+                        for id in fragment.ids() {
+                            words.push(self.analyzer.analyze(&fragment.element(id).name));
+                        }
+                        neighborhoods(fragment, &words)
+                    });
+                    let words = sets.get(el.index());
+                    (!words.is_empty()).then(|| words.to_vec())
+                }
+                _ => None, // keywords have no context
+            })
+            .collect()
+    }
+}
+
+/// Every element's neighborhood as a sorted distinct word set, from the
+/// words of each element name (`words.get(i)` for element *i*): the union
+/// of its parent's, its siblings' and its children's words — the
+/// element's own name is excluded, the name matcher covers it. One pass
+/// buckets the elements by parent, so no name is analyzed, and no child
+/// list scanned for, more than once.
+fn neighborhoods<T: Ord + Clone>(schema: &Schema, words: &FlatLists<T>) -> FlatLists<T> {
+    let n = schema.len();
+    // Counting sort of the elements by parent: `kids[starts[p]..starts[p + 1]]`
+    // are p's children, in id order.
+    let mut starts = vec![0usize; n + 1];
+    for el in schema.elements() {
         if let Some(p) = el.parent {
-            names.push(&schema.element(p).name);
-            for sib in schema.children(p) {
-                if sib != id {
-                    names.push(&schema.element(sib).name);
+            starts[p.index() + 1] += 1;
+        }
+    }
+    for p in 0..n {
+        starts[p + 1] += starts[p];
+    }
+    let mut kids = vec![0usize; starts[n]];
+    let mut next = starts.clone();
+    for (i, el) in schema.elements().iter().enumerate() {
+        if let Some(p) = el.parent {
+            kids[next[p.index()]] = i;
+            next[p.index()] += 1;
+        }
+    }
+    let children = |p: usize| &kids[starts[p]..starts[p + 1]];
+
+    let mut sets = FlatLists::with_capacity(n);
+    let mut set: Vec<T> = Vec::new();
+    for (i, el) in schema.elements().iter().enumerate() {
+        set.clear();
+        if let Some(p) = el.parent {
+            set.extend_from_slice(words.get(p.index()));
+            for &sibling in children(p.index()) {
+                if sibling != i {
+                    set.extend_from_slice(words.get(sibling));
                 }
             }
         }
-        for child in schema.children(id) {
-            names.push(&schema.element(child).name);
+        for &child in children(i) {
+            set.extend_from_slice(words.get(child));
         }
-        let analyzed: Vec<String> = names
-            .into_iter()
-            .flat_map(|n| self.analyzer.analyze(n))
-            .collect();
-        GramSet::of_terms(analyzed.iter().map(String::as_str))
+        set.sort_unstable();
+        set.dedup();
+        sets.push(set.iter().cloned());
     }
+    sets.shrink_to_fit();
+    sets
 }
 
 impl Matcher for ContextMatcher {
@@ -116,32 +173,19 @@ impl Matcher for ContextMatcher {
         "context"
     }
 
-    fn prepare(&self, schema: &Schema) -> PreparedSchema {
+    fn prepare(&self, schema: &Schema, lexicon: &Lexicon) -> PreparedSchema {
         PreparedSchema {
-            neighborhoods: Some(
-                schema
-                    .ids()
-                    .map(|id| self.neighbor_signature(schema, id))
-                    .collect(),
-            ),
+            neighborhoods: Some(neighborhoods(
+                schema,
+                &element_words(&self.analyzer, schema, lexicon),
+            )),
             ..PreparedSchema::default()
         }
     }
 
     fn prepare_query(&self, terms: &[QueryTerm], query: &QueryGraph) -> PreparedQuery {
         PreparedQuery {
-            term_contexts: Some(
-                terms
-                    .iter()
-                    .map(|t| match (t.fragment, t.element) {
-                        (Some(frag_ix), Some(el)) => {
-                            let sig = self.neighbor_signature(&query.fragments()[frag_ix], el);
-                            (!sig.is_empty()).then_some(sig)
-                        }
-                        _ => None, // keywords have no context
-                    })
-                    .collect(),
-            ),
+            term_contexts: Some(self.query_contexts(terms, query)),
             ..PreparedQuery::default()
         }
     }
@@ -153,6 +197,7 @@ impl Matcher for ContextMatcher {
         query: &QueryGraph,
         prepared: &PreparedSchema,
         candidate: &Schema,
+        scratch: &mut ScoreScratch<'_>,
     ) -> SimilarityMatrix {
         let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
         // Keyword-only queries produce an all-zero matrix; return before
@@ -160,36 +205,65 @@ impl Matcher for ContextMatcher {
         if Self::no_fragment_terms(terms) {
             return m;
         }
-        let built_query: Vec<Option<GramSet>>;
-        let term_contexts: &[Option<GramSet>] = match &prepared_query.term_contexts {
+        let built_query;
+        let term_contexts = match &prepared_query.term_contexts {
             Some(tc) if tc.len() == terms.len() => tc,
             _ => {
-                built_query = self.prepare_query(terms, query).term_contexts.unwrap();
+                built_query = self.query_contexts(terms, query);
                 &built_query
             }
         };
-        let built_cand: Vec<GramSet>;
-        let cand_ctx: &[GramSet] = match &prepared.neighborhoods {
+        // Before the read view below: interning takes the write lock.
+        let built_cand;
+        let cand_ctx = match &prepared.neighborhoods {
             Some(n) if n.len() == candidate.len() => n,
             _ => {
-                built_cand = candidate
-                    .ids()
-                    .map(|id| self.neighbor_signature(candidate, id))
-                    .collect();
+                built_cand = neighborhoods(
+                    candidate,
+                    &element_words(&self.analyzer, candidate, scratch.lexicon()),
+                );
                 &built_cand
             }
         };
+        // The query's neighborhood words as ids, looked up — never
+        // interned — in the candidates' lexicon. A word the lexicon does
+        // not know is in no candidate neighborhood prepared so far; it
+        // may be interned later, so the ids are resolved again whenever
+        // the lexicon has grown.
+        let lexicon = scratch.lexicon().read();
+        if scratch.contexts_resolved_at != Some(lexicon.len()) {
+            scratch.contexts = term_contexts
+                .iter()
+                .map(|ctx| {
+                    let mut ids: Vec<WordId> = ctx
+                        .iter()
+                        .flatten()
+                        .filter_map(|w| lexicon.lookup(w))
+                        .collect();
+                    ids.sort_unstable();
+                    ids
+                })
+                .collect();
+            scratch.contexts_resolved_at = Some(lexicon.len());
+        }
+        drop(lexicon);
         for (row, query_ctx) in term_contexts.iter().enumerate() {
             let Some(query_ctx) = query_ctx else {
                 continue; // keyword or empty neighborhood
             };
+            let query_ids = &scratch.contexts[row];
             for (col, ctx) in cand_ctx.iter().enumerate() {
-                // Dice over hashed term ids, arithmetic-identical to the
-                // reference `set_similarity` (an empty side yields 0
-                // either way).
-                let s = query_ctx.dice(ctx);
-                if s > 0.0 {
-                    m.set(row, col, s);
+                // Dice over word ids, arithmetic-identical to the
+                // reference `set_similarity`: equal ids are equal words,
+                // and an unresolved query word counts toward the set size
+                // but can intersect nothing.
+                let inter = scalar_merge(query_ids, ctx);
+                if inter > 0 {
+                    m.set(
+                        row,
+                        col,
+                        2.0 * inter as f64 / (query_ctx.len() + ctx.len()) as f64,
+                    );
                 }
             }
         }
@@ -288,6 +362,7 @@ mod tests {
             &q,
             &PreparedSchema::default(),
             &candidate,
+            &mut ScoreScratch::new(&Lexicon::new()),
         );
         assert!(m.nonzero().next().is_none());
         assert_eq!((m.rows(), m.cols()), (terms.len(), candidate.len()));
@@ -312,6 +387,7 @@ mod tests {
             &q,
             &PreparedSchema::default(),
             &candidate,
+            &mut ScoreScratch::new(&Lexicon::new()),
         );
         let mut nonzero = 0;
         for (r, term) in terms.iter().enumerate() {
@@ -335,6 +411,99 @@ mod tests {
             }
         }
         assert!(nonzero > 0, "the fixture must exercise the kernel");
+    }
+
+    /// A schema whose element *i* hangs under `parents[i]` when that is
+    /// an earlier element and is a root otherwise — nesting of any depth.
+    fn nested_schema(name: &str, names: &[String], parents: &[usize]) -> Schema {
+        use schemr_model::Element;
+        let mut schema = Schema::new(name);
+        for (i, (element, &parent)) in names.iter().zip(parents).enumerate() {
+            if parent < i {
+                schema.add_child(ElementId(parent as u32), Element::group(element.clone()));
+            } else {
+                schema.add_root(Element::entity(element.clone()));
+            }
+        }
+        schema
+    }
+
+    fn depth_of(schema: &Schema) -> usize {
+        schema.ids().map(|id| schema.depth(id)).max().unwrap_or(0)
+    }
+
+    proptest::proptest! {
+        /// On generated schemas nested three levels and deeper — names
+        /// drawn from a small pool so neighborhoods overlap, repeat words
+        /// and sometimes analyze to nothing — every cell of the matrix
+        /// over word ids equals the string-set reference bit for bit,
+        /// whether the lexicon is new, already holds other words, or
+        /// learns the candidate's words only after the query's ids were
+        /// first resolved.
+        #[test]
+        fn matrix_equals_the_string_set_reference_on_nested_schemas(
+            names in proptest::collection::vec(
+                proptest::sample::select(vec![
+                    "patient", "patient_height", "height", "ht", "gender", "sex", "id",
+                    "visit_date", "date", "διάγνωση", "größe_cm", "", "__", "patient id",
+                ]),
+                9..14,
+            ),
+            picks in proptest::collection::vec(0usize..64, 28),
+            split in 3usize..6,
+        ) {
+            let names: Vec<String> = names.into_iter().map(str::to_string).collect();
+            // Element i picks a parent among the elements before it, or
+            // (pick == i) becomes a root; the first three form a chain so
+            // every schema has three levels.
+            let parents = |offset: usize, len: usize| -> Vec<usize> {
+                (0..len)
+                    .map(|i| if i < 3 { i.wrapping_sub(1).min(i) } else { picks[offset + i] % (i + 1) })
+                    .collect()
+            };
+            let (frag_names, cand_names) = names.split_at(split);
+            let fragment = nested_schema("frag", frag_names, &parents(0, frag_names.len()));
+            let candidate = nested_schema("cand", cand_names, &parents(14, cand_names.len()));
+            proptest::prop_assert!(depth_of(&fragment) >= 2 && depth_of(&candidate) >= 2);
+            let mut q = QueryGraph::new();
+            q.add_fragment(fragment);
+            q.add_keyword("gender");
+            let terms = q.terms();
+            let matcher = ContextMatcher::new();
+            let pq = matcher.prepare_query(&terms, &q);
+
+            let fresh = Lexicon::new();
+            let seeded = Lexicon::new();
+            for w in ["zebra", "height", "quux"] {
+                seeded.intern(w);
+            }
+            // `late`: the scratch first scores an unrelated schema, so the
+            // query's ids are resolved before the candidate's words exist.
+            let late = Lexicon::new();
+            let mut late_scratch = ScoreScratch::new(&late);
+            let other = nested_schema("other", &["zebra".to_string()], &[0]);
+            matcher.score(&pq, &terms, &q, &matcher.prepare(&other, &late), &other, &mut late_scratch);
+            let matrices = [
+                matcher.score(&pq, &terms, &q, &matcher.prepare(&candidate, &fresh), &candidate, &mut ScoreScratch::new(&fresh)),
+                matcher.score(&pq, &terms, &q, &matcher.prepare(&candidate, &seeded), &candidate, &mut ScoreScratch::new(&seeded)),
+                matcher.score(&pq, &terms, &q, &matcher.prepare(&candidate, &late), &candidate, &mut late_scratch),
+            ];
+            for (r, term) in terms.iter().enumerate() {
+                let query_ctx = match (term.fragment, term.element) {
+                    (Some(f), Some(el)) => matcher.neighbor_terms(&q.fragments()[f], el),
+                    _ => HashSet::new(),
+                };
+                for (c, id) in candidate.ids().enumerate() {
+                    let reference = ContextMatcher::set_similarity(
+                        &query_ctx,
+                        &matcher.neighbor_terms(&candidate, id),
+                    );
+                    for m in &matrices {
+                        proptest::prop_assert_eq!(m.get(r, c).to_bits(), reference.to_bits(), "cell ({},{})", r, c);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

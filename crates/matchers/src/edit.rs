@@ -10,7 +10,7 @@ use schemr_text::normalize::fold_case;
 use schemr_text::tokenize::words;
 
 use crate::matrix::SimilarityMatrix;
-use crate::prepare::{PreparedQuery, PreparedSchema};
+use crate::prepare::{PreparedQuery, PreparedSchema, ScoreScratch};
 use crate::Matcher;
 
 /// Levenshtein distance between two strings (character-wise), O(|a|·|b|)
@@ -80,6 +80,7 @@ impl Matcher for EditDistanceMatcher {
         _query: &QueryGraph,
         _prepared: &PreparedSchema,
         candidate: &Schema,
+        _scratch: &mut ScoreScratch<'_>,
     ) -> SimilarityMatrix {
         let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
         for (col, id) in candidate.ids().enumerate() {

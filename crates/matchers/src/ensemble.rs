@@ -8,11 +8,12 @@
 use std::time::{Duration, Instant};
 
 use schemr_model::{QueryGraph, QueryTerm, Schema};
+use schemr_text::Lexicon;
 
 use crate::context::ContextMatcher;
 use crate::matrix::SimilarityMatrix;
 use crate::name::NameMatcher;
-use crate::prepare::{EnsembleQuery, PreparedCandidate};
+use crate::prepare::{EnsembleQuery, MatchScratch, PreparedCandidate, ScoreScratch};
 use crate::Matcher;
 
 /// A weighted set of matchers producing one combined similarity matrix per
@@ -95,11 +96,12 @@ impl Ensemble {
         EnsembleQuery::build(&refs, terms, query)
     }
 
-    /// Build the candidate-side prepared artifacts for every matcher.
-    /// The engine caches the result per (schema id, repository revision).
-    pub fn prepare(&self, schema: &Schema) -> PreparedCandidate {
+    /// Build the candidate-side prepared artifacts for every matcher,
+    /// interning the candidate's words in `lexicon`. The engine caches
+    /// the result per (schema id, repository revision, lexicon).
+    pub fn prepare(&self, schema: &Schema, lexicon: &Lexicon) -> PreparedCandidate {
         let refs: Vec<&dyn Matcher> = self.matchers.iter().map(|(m, _)| m.as_ref()).collect();
-        PreparedCandidate::build(&refs, schema)
+        PreparedCandidate::build(&refs, schema, lexicon)
     }
 
     /// Every matcher's matrix and wall time, in registration order. An
@@ -107,15 +109,15 @@ impl Ensemble {
     /// mismatch) must not be zipped positionally; it is rebuilt here.
     fn score_each(
         &self,
-        equery: &EnsembleQuery,
         terms: &[QueryTerm],
         query: &QueryGraph,
         pcand: &PreparedCandidate,
         candidate: &Schema,
+        scratch: &mut MatchScratch<'_>,
     ) -> Vec<(SimilarityMatrix, Duration)> {
         let rebuilt_query;
-        let equery = if equery.per_matcher.len() == self.matchers.len() {
-            equery
+        let equery = if scratch.equery.per_matcher.len() == self.matchers.len() {
+            scratch.equery
         } else {
             rebuilt_query = self.prepare_query(terms, query);
             &rebuilt_query
@@ -124,15 +126,20 @@ impl Ensemble {
         let pcand = if pcand.per_matcher.len() == self.matchers.len() {
             pcand
         } else {
-            rebuilt_cand = self.prepare(candidate);
+            rebuilt_cand = self.prepare(candidate, scratch.lexicon);
             &rebuilt_cand
         };
+        let lexicon = scratch.lexicon;
+        scratch
+            .per_matcher
+            .resize_with(self.matchers.len(), || ScoreScratch::new(lexicon));
         self.matchers
             .iter()
             .zip(equery.per_matcher.iter().zip(&pcand.per_matcher))
-            .map(|((m, _), (pq, ps))| {
+            .zip(&mut scratch.per_matcher)
+            .map(|(((m, _), (pq, ps)), own)| {
                 let start = Instant::now();
-                let scored = m.score(pq, terms, query, ps, candidate);
+                let scored = m.score(pq, terms, query, ps, candidate, own);
                 (scored, start.elapsed())
             })
             .collect()
@@ -145,16 +152,21 @@ impl Ensemble {
     /// reports per-matcher wall times and (when `with_strengths`) each
     /// matcher's [`SimilarityMatrix::mean_row_max`] strength for the
     /// event log.
+    ///
+    /// `scratch` names the query artifacts and the lexicon, and keeps the
+    /// matchers' memos from one candidate to the next. `pcand` must have
+    /// been prepared in that lexicon, and one scratch serves one
+    /// (`terms`, `query`): the memos are keyed by its words.
     pub fn run(
         &self,
-        equery: &EnsembleQuery,
         terms: &[QueryTerm],
         query: &QueryGraph,
         pcand: &PreparedCandidate,
         candidate: &Schema,
+        scratch: &mut MatchScratch<'_>,
         with_strengths: bool,
     ) -> EnsembleRun {
-        let scored = self.score_each(equery, terms, query, pcand, candidate);
+        let scored = self.score_each(terms, query, pcand, candidate, scratch);
         let strengths = if with_strengths {
             scored.iter().map(|(m, _)| m.mean_row_max()).collect()
         } else {
@@ -177,20 +189,23 @@ impl Ensemble {
         }
     }
 
-    /// Run every matcher, on artifacts prepared here, and return the
-    /// individual matrices (the learner's feature extraction path).
+    /// Run every matcher, on artifacts prepared here in a lexicon of
+    /// their own, and return the individual matrices (the learner's
+    /// feature extraction path).
     pub fn individual(
         &self,
         terms: &[QueryTerm],
         query: &QueryGraph,
         candidate: &Schema,
     ) -> Vec<(&'static str, SimilarityMatrix)> {
+        let lexicon = Lexicon::new();
+        let equery = self.prepare_query(terms, query);
         let scored = self.score_each(
-            &self.prepare_query(terms, query),
             terms,
             query,
-            &self.prepare(candidate),
+            &self.prepare(candidate, &lexicon),
             candidate,
+            &mut MatchScratch::new(&equery, &lexicon),
         );
         self.matchers
             .iter()
@@ -241,12 +256,13 @@ mod tests {
         candidate: &Schema,
         with_strengths: bool,
     ) -> EnsembleRun {
+        let lexicon = Lexicon::new();
         e.run(
-            &e.prepare_query(terms, q),
             terms,
             q,
-            &e.prepare(candidate),
+            &e.prepare(candidate, &lexicon),
             candidate,
+            &mut MatchScratch::new(&e.prepare_query(terms, q), &lexicon),
             with_strengths,
         )
     }
@@ -354,7 +370,7 @@ mod tests {
     fn run_times_every_matcher_and_collects_strengths_only_on_request() {
         let (q, terms, candidate) = query_and_candidate();
         let e = four_matcher_ensemble();
-        let pcand = e.prepare(&candidate);
+        let pcand = e.prepare(&candidate, &Lexicon::new());
         assert_eq!(pcand.per_matcher.len(), e.len());
         assert!(pcand.bytes > 0, "prepared artifacts report a footprint");
         let bare = run_fresh(&e, &terms, &q, &candidate, false);
@@ -382,15 +398,17 @@ mod tests {
         // Artifacts built for a different matcher count must not be
         // zipped positionally — each stale side is rebuilt, alone or
         // together, and the pass scores the same bits.
+        let lexicon = Lexicon::new();
         let stale_query = EnsembleQuery::default();
-        let stale_cand = Ensemble::standard().prepare(&candidate);
-        let (equery, pcand) = (e.prepare_query(&terms, &q), e.prepare(&candidate));
+        let stale_cand = Ensemble::standard().prepare(&candidate, &lexicon);
+        let (equery, pcand) = (e.prepare_query(&terms, &q), e.prepare(&candidate, &lexicon));
         for (eq, pc) in [
             (&stale_query, &pcand),
             (&equery, &stale_cand),
             (&stale_query, &stale_cand),
         ] {
-            let out = e.run(eq, &terms, &q, pc, &candidate, true);
+            let mut scratch = MatchScratch::new(eq, &lexicon);
+            let out = e.run(&terms, &q, pc, &candidate, &mut scratch, true);
             assert_same_bits(&out.matrix, &fresh.matrix);
             for (s, f) in out.strengths.iter().zip(&fresh.strengths) {
                 assert_eq!(s.to_bits(), f.to_bits());

@@ -16,7 +16,7 @@ use schemr_model::{ElementId, QueryGraph, QueryTerm, Schema};
 
 use crate::matrix::SimilarityMatrix;
 use crate::name::NameMatcher;
-use crate::prepare::{PreparedQuery, PreparedSchema};
+use crate::prepare::{PreparedQuery, PreparedSchema, ScoreScratch};
 use crate::Matcher;
 
 /// Flooding parameters.
@@ -195,6 +195,7 @@ impl Matcher for FloodingMatcher {
         query: &QueryGraph,
         _prepared: &PreparedSchema,
         candidate: &Schema,
+        _scratch: &mut ScoreScratch<'_>,
     ) -> SimilarityMatrix {
         let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
         for (frag_ix, fragment) in query.fragments().iter().enumerate() {

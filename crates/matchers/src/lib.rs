@@ -25,8 +25,10 @@
 //! * [`TypeMatcher`] — data-type compatibility for fragment queries.
 //!
 //! Scoring has one path: [`Matcher::score`] over the artifacts of
-//! [`prepare`], driven per candidate by [`Ensemble::run`]. The string-set
-//! scalar kernels the hashed kernels are tested against, bit for bit —
+//! [`prepare`] — word ids in the engine's [`schemr_text::Lexicon`], word-
+//! pair similarities memoised in a [`MatchScratch`] — driven per
+//! candidate by [`Ensemble::run`]. The string-set scalar kernels the
+//! prepared kernels are tested against, bit for bit —
 //! [`NameMatcher::similarity`], [`TokenMatcher::similarity`], the context
 //! matcher's test-only `neighbor_terms` + `set_similarity` — are inherent
 //! functions that no trait, ensemble or engine code can select.
@@ -53,11 +55,15 @@ pub use ensemble::{Ensemble, EnsembleRun};
 pub use flooding::FloodingMatcher;
 pub use matrix::SimilarityMatrix;
 pub use name::NameMatcher;
-pub use prepare::{EnsembleQuery, PreparedCandidate, PreparedQuery, PreparedSchema};
+pub use prepare::{
+    EnsembleQuery, FlatLists, MatchScratch, PreparedCandidate, PreparedQuery, PreparedSchema,
+    QueryWords, ScoreScratch,
+};
 pub use token::TokenMatcher;
 pub use typematch::TypeMatcher;
 
 use schemr_model::{QueryGraph, QueryTerm, Schema};
+use schemr_text::Lexicon;
 
 /// A schema matcher: scores every (query term, candidate element) pair into
 /// a [`SimilarityMatrix`] with values in `[0, 1]`.
@@ -73,14 +79,15 @@ pub trait Matcher: Send + Sync {
         false
     }
 
-    /// Precompute this matcher's candidate-side artifacts for `schema`.
-    /// Candidate schemas are immutable between repository revisions, so
-    /// the engine caches the result per (schema id, revision) and feeds
-    /// it back through [`Matcher::score`]. The default returns an empty
-    /// artifact — a valid artifact for a matcher that reads only the
-    /// schema itself.
-    fn prepare(&self, schema: &Schema) -> PreparedSchema {
-        let _ = schema;
+    /// Precompute this matcher's candidate-side artifacts for `schema`,
+    /// interning the words it analyzes in `lexicon` — the only place a
+    /// lexicon is written. Candidate schemas are immutable between
+    /// repository revisions, so the engine caches the result per (schema
+    /// id, revision, lexicon) and feeds it back through
+    /// [`Matcher::score`]. The default returns an empty artifact — a
+    /// valid artifact for a matcher that reads only the schema itself.
+    fn prepare(&self, schema: &Schema, lexicon: &Lexicon) -> PreparedSchema {
+        let _ = (schema, lexicon);
         PreparedSchema::default()
     }
 
@@ -96,7 +103,10 @@ pub trait Matcher: Send + Sync {
     /// [`Matcher::prepare_query`] and [`Matcher::prepare`] returned for
     /// the same inputs; an artifact that is missing or sized for another
     /// input is rebuilt here, so the matrix depends only on `terms`,
-    /// `query` and `candidate`.
+    /// `query` and `candidate`. `scratch` carries the lexicon `prepared`
+    /// was built in and whatever this matcher memoised while scoring
+    /// earlier candidates against the same query; it changes how much
+    /// work a call does, never a bit of its result.
     fn score(
         &self,
         prepared_query: &PreparedQuery,
@@ -104,11 +114,13 @@ pub trait Matcher: Send + Sync {
         query: &QueryGraph,
         prepared: &PreparedSchema,
         candidate: &Schema,
+        scratch: &mut ScoreScratch<'_>,
     ) -> SimilarityMatrix;
 }
 
-/// Score with artifacts prepared on the spot — what the unit tests of the
-/// matchers call where the production path goes through [`Ensemble::run`].
+/// Score with artifacts prepared on the spot, in a lexicon and scratch of
+/// their own — what the unit tests of the matchers call where the
+/// production path goes through [`Ensemble::run`].
 #[cfg(test)]
 pub(crate) fn score_fresh(
     m: &dyn Matcher,
@@ -116,11 +128,13 @@ pub(crate) fn score_fresh(
     query: &QueryGraph,
     candidate: &Schema,
 ) -> SimilarityMatrix {
+    let lexicon = Lexicon::new();
     m.score(
         &m.prepare_query(terms, query),
         terms,
         query,
-        &m.prepare(candidate),
+        &m.prepare(candidate, &lexicon),
         candidate,
+        &mut ScoreScratch::new(&lexicon),
     )
 }

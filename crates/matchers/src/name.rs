@@ -12,10 +12,12 @@ use std::collections::HashSet;
 
 use schemr_model::{QueryGraph, QueryTerm, Schema};
 use schemr_text::ngram::{dice, overlap};
-use schemr_text::{Analyzer, GramSet};
+use schemr_text::{Analyzer, GramSet, Lexicon, LexiconReader, WordId};
 
 use crate::matrix::SimilarityMatrix;
-use crate::prepare::{PreparedQuery, PreparedSchema};
+use crate::prepare::{
+    element_words, FlatLists, PairMemo, PreparedQuery, PreparedSchema, QueryWords, ScoreScratch,
+};
 use crate::Matcher;
 
 /// Name matcher configuration.
@@ -109,66 +111,84 @@ impl NameMatcher {
         self.name_similarity(&self.gram_sets(a), &self.gram_sets(b))
     }
 
-    /// Decompose a raw name into per-word hashed gram signatures — the
-    /// hashed counterpart of [`NameMatcher::gram_sets`].
-    fn signatures(&self, name: &str) -> Vec<GramSet> {
-        self.analyzer
-            .analyze(name)
-            .iter()
-            .map(|w| GramSet::all_grams(w))
-            .collect()
+    /// The query side of the kernel: every distinct analyzed word of the
+    /// term texts once, with its all-gram set, and per term the indices
+    /// of its words. Query words are never interned in the lexicon.
+    fn query_words(&self, terms: &[QueryTerm]) -> QueryWords {
+        let mut distinct: Vec<String> = Vec::new();
+        let mut grams: Vec<GramSet> = Vec::new();
+        let mut lists = FlatLists::with_capacity(terms.len());
+        for term in terms {
+            let analyzed = self.analyzer.analyze(&term.text);
+            lists.push(analyzed.into_iter().map(|word| {
+                let ix = distinct.iter().position(|d| *d == word).unwrap_or_else(|| {
+                    grams.push(GramSet::all_grams(&word));
+                    distinct.push(word);
+                    distinct.len() - 1
+                });
+                ix as u32
+            }));
+        }
+        QueryWords {
+            grams,
+            terms: lists,
+        }
     }
 
     /// `(1-α)·dice + α·overlap` over hashed signatures — arithmetic-
     /// identical to the string-set `word_pair` in
-    /// [`NameMatcher::name_similarity`].
+    /// [`NameMatcher::name_similarity`], and symmetric in its arguments
+    /// bit for bit (both coefficients are).
     fn word_pair_prepared(&self, x: &GramSet, y: &GramSet) -> f64 {
         let alpha = self.config.overlap_alpha;
         (1.0 - alpha) * x.dice(y) + alpha * x.overlap(y)
     }
 
-    /// An upper bound on [`NameMatcher::word_pair_prepared`] from set
-    /// sizes alone: the intersection can be at most `min(|x|, |y|)`, so
-    /// `dice ≤ 2·min/(|x|+|y|)` and `overlap ≤ 1`. Every operation is
-    /// monotone under IEEE rounding, so the bound is safe — a pair whose
-    /// bound does not exceed the current best cannot change the maximum.
-    fn word_pair_upper_bound(&self, x: &GramSet, y: &GramSet) -> f64 {
-        if x.is_empty() || y.is_empty() {
-            return 0.0; // both coefficients are 0 for an empty side
-        }
-        let alpha = self.config.overlap_alpha;
-        let min = x.len().min(y.len());
-        let dice_bound = 2.0 * min as f64 / (x.len() + y.len()) as f64;
-        (1.0 - alpha) * dice_bound + alpha
-    }
-
-    /// The scoring kernel: greedy best word alignment over hashed
-    /// signatures, with size-ratio pruning of word pairs that cannot beat
-    /// the running best. Bitwise-identical to
-    /// [`NameMatcher::name_similarity`] on the same analyzed words.
-    fn name_similarity_prepared(&self, a: &[GramSet], b: &[GramSet]) -> f64 {
-        if a.is_empty() || b.is_empty() {
+    /// The scoring kernel: greedy best word alignment of one query term
+    /// against one element name, every word pair read from (or, the first
+    /// time, computed into) the memo. `rows[j]` is the memo row of
+    /// `element[j]`. Bitwise-identical to
+    /// [`NameMatcher::name_similarity`] on the same analyzed words: a
+    /// word pair's value is a pure function of the two words, and the
+    /// sums run in the same order.
+    fn cell(
+        &self,
+        term: &[u32],
+        element: &[WordId],
+        rows: &[usize],
+        pairs: &mut PairMemo,
+        query: &QueryWords,
+        lexicon: &LexiconReader<'_>,
+    ) -> f64 {
+        if term.is_empty() || element.is_empty() {
             return 0.0;
         }
-        let side = |from: &[GramSet], to: &[GramSet]| -> f64 {
-            let mut total = 0.0;
-            for x in from {
-                let mut best = 0.0f64;
-                for y in to {
-                    if self.word_pair_upper_bound(x, y) <= best {
-                        continue;
-                    }
-                    best = best.max(self.word_pair_prepared(x, y));
-                }
-                total += best;
-            }
-            total / from.len() as f64
+        let mut pair = |q: u32, j: usize| {
+            pairs.get_or(rows[j], q as usize, || {
+                self.word_pair_prepared(&query.grams[q as usize], lexicon.grams(element[j]))
+            })
         };
-        if self.config.symmetric {
-            (side(a, b) + side(b, a)) / 2.0
-        } else {
-            side(a, b)
+        let mut forward = 0.0;
+        for &q in term {
+            let mut best = 0.0f64;
+            for j in 0..element.len() {
+                best = best.max(pair(q, j));
+            }
+            forward += best;
         }
+        let forward = forward / term.len() as f64;
+        if !self.config.symmetric {
+            return forward;
+        }
+        let mut backward = 0.0;
+        for j in 0..element.len() {
+            let mut best = 0.0f64;
+            for &q in term {
+                best = best.max(pair(q, j));
+            }
+            backward += best;
+        }
+        (forward + backward / element.len() as f64) / 2.0
     }
 }
 
@@ -177,21 +197,16 @@ impl Matcher for NameMatcher {
         "name"
     }
 
-    fn prepare(&self, schema: &Schema) -> PreparedSchema {
+    fn prepare(&self, schema: &Schema, lexicon: &Lexicon) -> PreparedSchema {
         PreparedSchema {
-            name_grams: Some(
-                schema
-                    .ids()
-                    .map(|id| self.signatures(&schema.element(id).name))
-                    .collect(),
-            ),
+            name_words: Some(element_words(&self.analyzer, schema, lexicon)),
             ..PreparedSchema::default()
         }
     }
 
     fn prepare_query(&self, terms: &[QueryTerm], _query: &QueryGraph) -> PreparedQuery {
         PreparedQuery {
-            term_grams: Some(terms.iter().map(|t| self.signatures(&t.text)).collect()),
+            term_words: Some(self.query_words(terms)),
             ..PreparedQuery::default()
         }
     }
@@ -203,35 +218,46 @@ impl Matcher for NameMatcher {
         _query: &QueryGraph,
         prepared: &PreparedSchema,
         candidate: &Schema,
+        scratch: &mut ScoreScratch<'_>,
     ) -> SimilarityMatrix {
-        // Query grams: from the per-search artifact when present, else
+        // Query words: from the per-search artifact when present, else
         // built here.
-        let built_terms: Vec<Vec<GramSet>>;
-        let term_grams: &[Vec<GramSet>] = match &prepared_query.term_grams {
-            Some(tg) if tg.len() == terms.len() => tg,
+        let built_query;
+        let query_words = match &prepared_query.term_words {
+            Some(qw) if qw.terms.len() == terms.len() => qw,
             _ => {
-                built_terms = terms.iter().map(|t| self.signatures(&t.text)).collect();
-                &built_terms
+                built_query = self.query_words(terms);
+                &built_query
             }
         };
-        // Element grams: from the cached candidate artifact when present
-        // (the warm path — zero analysis, zero allocation), else built
-        // on the fly.
-        let built_elements: Vec<Vec<GramSet>>;
-        let el_grams: &[Vec<GramSet>] = match &prepared.name_grams {
-            Some(eg) if eg.len() == candidate.len() => eg,
+        // Element words: from the cached candidate artifact when present
+        // (the warm path — zero analysis), else interned on the fly.
+        // Before the read view below: interning takes the write lock.
+        let built_names;
+        let names = match &prepared.name_words {
+            Some(nw) if nw.len() == candidate.len() => nw,
             _ => {
-                built_elements = candidate
-                    .ids()
-                    .map(|id| self.signatures(&candidate.element(id).name))
-                    .collect();
-                &built_elements
+                built_names = element_words(&self.analyzer, candidate, scratch.lexicon());
+                &built_names
             }
         };
         let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
-        for (col, eg) in el_grams.iter().enumerate() {
-            for (row, tg) in term_grams.iter().enumerate() {
-                let s = self.name_similarity_prepared(tg, eg);
+        let lexicon = scratch.lexicon().read();
+        scratch.pairs.fit(query_words.grams.len(), lexicon.len());
+        for (col, element) in names.iter().enumerate() {
+            scratch.rows.clear();
+            for &word in element {
+                scratch.rows.push(scratch.pairs.row(word));
+            }
+            for (row, term) in query_words.terms.iter().enumerate() {
+                let s = self.cell(
+                    term,
+                    element,
+                    &scratch.rows,
+                    &mut scratch.pairs,
+                    query_words,
+                    &lexicon,
+                );
                 if s > 0.0 {
                     m.set(row, col, s);
                 }
@@ -357,6 +383,7 @@ mod tests {
             &q,
             &PreparedSchema::default(),
             &schema,
+            &mut ScoreScratch::new(&Lexicon::new()),
         );
         for (r, term) in ts.iter().enumerate() {
             for (c, id) in schema.ids().enumerate() {
@@ -368,20 +395,6 @@ mod tests {
                     prepared.get(r, c)
                 );
                 assert_eq!(rebuilt.get(r, c).to_bits(), reference.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn upper_bound_dominates_word_pair_score() {
-        let m = NameMatcher::new();
-        let words = ["patient", "pat", "height", "ht", "x", "patient_height"];
-        for a in words {
-            for b in words {
-                let (ga, gb) = (GramSet::all_grams(a), GramSet::all_grams(b));
-                let score = m.word_pair_prepared(&ga, &gb);
-                let bound = m.word_pair_upper_bound(&ga, &gb);
-                assert!(score <= bound, "{a}×{b}: score {score} > bound {bound}");
             }
         }
     }

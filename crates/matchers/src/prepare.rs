@@ -1,53 +1,143 @@
-//! Prepared matching artifacts: the per-search and per-candidate
-//! precomputation that makes Phase 2 allocation-free on the hot path.
+//! Prepared matching artifacts: the precomputation that lets Phase 2 do
+//! each piece of text work once.
 //!
 //! The matcher ensemble scores every (query term × candidate element)
-//! pair. Candidate schemas are immutable between repository revisions,
-//! so the text analysis behind each pair — name analysis, gram sets,
-//! neighborhood sets — is hoisted out of [`crate::Matcher::score`]:
+//! pair, and the same words come back in every pair, every candidate and
+//! every search. The text work is therefore done at three resolutions,
+//! each exactly once:
 //!
-//! * [`PreparedQuery`] — one matcher's query-side artifacts, built once
-//!   per search (term gram signatures, per-term analyzed context sets,
-//!   exact-token sets),
-//! * [`PreparedSchema`] — one matcher's candidate-side artifacts
-//!   (per-element name signatures, neighborhood term-id sets), built once
-//!   per (schema, revision) and cached by the engine,
-//! * [`PreparedCandidate`] — the ensemble-level bundle of one
-//!   [`PreparedSchema`] per matcher, the unit the engine's
-//!   revision-keyed artifact cache stores.
+//! * **per distinct word** — the engine's [`Lexicon`] interns each
+//!   analyzed candidate word under a dense [`WordId`] and builds its
+//!   all-gram set then and only then;
+//! * **per (schema, revision)** — a [`PreparedSchema`] holds one
+//!   matcher's view of a candidate as flat word-id arrays ([`FlatLists`]):
+//!   each element name analyzed once, neighborhoods as sorted id sets.
+//!   [`PreparedCandidate`] bundles one per matcher and is what the
+//!   engine's revision-keyed artifact cache stores. It carries no gram
+//!   set of its own, and its ids are meaningful only in the lexicon it
+//!   was prepared against;
+//! * **per (query word, candidate word)** — a [`MatchScratch`] holds each
+//!   matcher's memo of word-pair similarities, filled on first use while
+//!   a run of candidates is scored, so a cell of the similarity matrix is
+//!   composed from table reads.
+//!
+//! Query-side artifacts ([`PreparedQuery`], bundled as
+//! [`EnsembleQuery`]) are built once per search and never touch the
+//! lexicon: query text arrives from a socket and must not grow it.
 //!
 //! A matcher that reads only the schema itself leaves its artifact
 //! structs empty: an empty artifact is a valid artifact, and there is no
 //! second scoring path for it to select.
 
 use schemr_model::{QueryGraph, QueryTerm, Schema};
-use schemr_text::GramSet;
+use schemr_text::{GramSet, Lexicon, WordId};
 
 use crate::Matcher;
+
+/// A list of lists stored flat: one items array plus one end offset per
+/// list. A candidate's per-element word lists are tiny and numerous, so
+/// one allocation pair per schema replaces one `Vec` per element.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlatLists<T> {
+    items: Vec<T>,
+    /// `ends[i]` is one past list *i*'s last item.
+    ends: Vec<u32>,
+}
+
+impl<T> Default for FlatLists<T> {
+    fn default() -> Self {
+        FlatLists {
+            items: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+}
+
+impl<T> FlatLists<T> {
+    /// Empty, with room for `lists` lists.
+    pub fn with_capacity(lists: usize) -> Self {
+        FlatLists {
+            items: Vec::new(),
+            ends: Vec::with_capacity(lists),
+        }
+    }
+
+    /// Append one list.
+    pub fn push(&mut self, list: impl IntoIterator<Item = T>) {
+        self.items.extend(list);
+        self.ends
+            .push(u32::try_from(self.items.len()).expect("a schema's word lists fit in u32"));
+    }
+
+    /// Number of lists.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when no list has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// List *i*.
+    pub fn get(&self, i: usize) -> &[T] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.items[start..self.ends[i] as usize]
+    }
+
+    /// Every list, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[T]> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Release growth slack, so [`FlatLists::heap_bytes`] is what stays
+    /// resident in a byte-budgeted cache.
+    pub fn shrink_to_fit(&mut self) {
+        self.items.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    /// Approximate heap footprint.
+    pub fn heap_bytes(&self) -> usize {
+        self.items.capacity() * std::mem::size_of::<T>()
+            + self.ends.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The name matcher's query side: each distinct analyzed query word once,
+/// and per term the indices of its words.
+#[derive(Debug, Clone, Default)]
+pub struct QueryWords {
+    /// All-gram set of each distinct query word.
+    pub grams: Vec<GramSet>,
+    /// Per query term, its analyzed words as indices into `grams`, in
+    /// order and with repeats.
+    pub terms: FlatLists<u32>,
+}
 
 /// Query-side artifacts for one matcher, built once per search.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedQuery {
-    /// Per query term, the per-word all-n-gram signatures of the term
-    /// text (name matcher).
-    pub term_grams: Option<Vec<Vec<GramSet>>>,
-    /// Per query term, the analyzed neighborhood term-id set — `None`
-    /// for keywords, which carry no context (context matcher).
-    pub term_contexts: Option<Vec<Option<GramSet>>>,
+    /// The analyzed words of the term texts (name matcher).
+    pub term_words: Option<QueryWords>,
+    /// Per query term, the distinct analyzed words of its neighborhood —
+    /// `None` for keywords, which carry no context, and for empty
+    /// neighborhoods (context matcher).
+    pub term_contexts: Option<Vec<Option<Vec<String>>>>,
     /// Per query term, the exact analyzed-token id set (token matcher).
     pub term_tokens: Option<Vec<GramSet>>,
 }
 
 /// Candidate-side artifacts for one matcher, immutable for a given
-/// (schema id, repository revision).
+/// (schema id, repository revision) and valid in one [`Lexicon`].
 #[derive(Debug, Clone, Default)]
 pub struct PreparedSchema {
-    /// Per element (in [`Schema::ids`] order), the per-word all-n-gram
-    /// signatures of the element name (name matcher).
-    pub name_grams: Option<Vec<Vec<GramSet>>>,
-    /// Per element, the analyzed neighborhood term-id set (context
-    /// matcher).
-    pub neighborhoods: Option<Vec<GramSet>>,
+    /// Per element (in [`Schema::ids`] order), the analyzed words of the
+    /// element name, in order and with repeats (name matcher).
+    pub name_words: Option<FlatLists<WordId>>,
+    /// Per element, the sorted distinct words of its neighborhood
+    /// (context matcher).
+    pub neighborhoods: Option<FlatLists<WordId>>,
     /// Per element, the exact analyzed-token id set (token matcher).
     pub tokens: Option<Vec<GramSet>>,
 }
@@ -56,23 +146,29 @@ impl PreparedSchema {
     /// Approximate heap footprint, for the engine's byte-budgeted
     /// artifact cache.
     pub fn heap_bytes(&self) -> usize {
-        let vec_of_sets = |sets: &Vec<GramSet>| -> usize {
+        let lists = |l: &Option<FlatLists<WordId>>| l.as_ref().map_or(0, FlatLists::heap_bytes);
+        let tokens = self.tokens.as_ref().map_or(0, |sets| {
             sets.iter().map(GramSet::heap_bytes).sum::<usize>()
                 + sets.capacity() * std::mem::size_of::<GramSet>()
-        };
-        let mut bytes = 0;
-        if let Some(per_element) = &self.name_grams {
-            bytes += per_element.iter().map(vec_of_sets).sum::<usize>()
-                + per_element.capacity() * std::mem::size_of::<Vec<GramSet>>();
-        }
-        if let Some(sets) = &self.neighborhoods {
-            bytes += vec_of_sets(sets);
-        }
-        if let Some(sets) = &self.tokens {
-            bytes += vec_of_sets(sets);
-        }
-        bytes
+        });
+        lists(&self.name_words) + lists(&self.neighborhoods) + tokens
     }
+}
+
+/// Analyze every element name of `schema` once and intern its words:
+/// list *i* holds element *i*'s words, in order and with repeats.
+pub(crate) fn element_words(
+    analyzer: &schemr_text::Analyzer,
+    schema: &Schema,
+    lexicon: &Lexicon,
+) -> FlatLists<WordId> {
+    let mut words = FlatLists::with_capacity(schema.len());
+    for id in schema.ids() {
+        let analyzed = analyzer.analyze(&schema.element(id).name);
+        words.push(analyzed.iter().map(|w| lexicon.intern(w)));
+    }
+    words.shrink_to_fit();
+    words
 }
 
 /// The ensemble-level bundle of prepared candidate artifacts: one
@@ -89,9 +185,17 @@ pub struct PreparedCandidate {
 }
 
 impl PreparedCandidate {
-    /// Prepare every matcher's artifacts for `schema`.
-    pub fn build(matchers: &[&dyn Matcher], schema: &Schema) -> PreparedCandidate {
-        let per_matcher: Vec<PreparedSchema> = matchers.iter().map(|m| m.prepare(schema)).collect();
+    /// Prepare every matcher's artifacts for `schema`, interning its
+    /// words in `lexicon`.
+    pub fn build(
+        matchers: &[&dyn Matcher],
+        schema: &Schema,
+        lexicon: &Lexicon,
+    ) -> PreparedCandidate {
+        let per_matcher: Vec<PreparedSchema> = matchers
+            .iter()
+            .map(|m| m.prepare(schema, lexicon))
+            .collect();
         let bytes = per_matcher
             .iter()
             .map(PreparedSchema::heap_bytes)
@@ -124,5 +228,169 @@ impl EnsembleQuery {
                 .map(|m| m.prepare_query(terms, query))
                 .collect(),
         }
+    }
+}
+
+/// One matcher's memo of word-pair similarities: `(query-word index,
+/// candidate WordId) → f64`, filled on first use. A plain table — a slot
+/// per lexicon word naming a row, a row of one value per query word —
+/// because both keys are dense.
+#[derive(Debug, Default)]
+pub(crate) struct PairMemo {
+    /// `rows[id]` is 1 + the row of candidate word `id`, 0 while the word
+    /// has not been met.
+    rows: Vec<u32>,
+    /// Row-major, `stride` values a row; NaN marks a pair not yet
+    /// computed (a similarity is never NaN).
+    values: Vec<f64>,
+    stride: usize,
+    /// Rows opened so far.
+    opened: u32,
+}
+
+impl PairMemo {
+    /// Size the table for `query_words` distinct query words over a
+    /// lexicon of `lexicon_words`. A memo sized for another query is
+    /// emptied; the lexicon may have grown since the last call.
+    pub(crate) fn fit(&mut self, query_words: usize, lexicon_words: usize) {
+        if self.stride != query_words {
+            self.rows.clear();
+            self.values.clear();
+            self.opened = 0;
+            self.stride = query_words;
+        }
+        if self.rows.len() < lexicon_words {
+            self.rows.resize(lexicon_words, 0);
+        }
+    }
+
+    /// The offset in the value table of candidate word `id`'s row,
+    /// opening the row when the word is new. `id` must be below the
+    /// `lexicon_words` last passed to [`PairMemo::fit`].
+    pub(crate) fn row(&mut self, id: WordId) -> usize {
+        let slot = &mut self.rows[id.index()];
+        if *slot == 0 {
+            self.values
+                .resize(self.values.len() + self.stride, f64::NAN);
+            self.opened += 1;
+            *slot = self.opened;
+        }
+        (*slot as usize - 1) * self.stride
+    }
+
+    /// The memoised value at `row + query_word`, computing it with
+    /// `compute` the first time.
+    pub(crate) fn get_or(
+        &mut self,
+        row: usize,
+        query_word: usize,
+        compute: impl FnOnce() -> f64,
+    ) -> f64 {
+        let cell = &mut self.values[row + query_word];
+        if cell.is_nan() {
+            *cell = compute();
+        }
+        *cell
+    }
+}
+
+/// One matcher's scratch for scoring a run of candidates against one
+/// query: the lexicon the candidates' artifacts were prepared in, and
+/// what the matcher has worked out so far and need not work out again.
+pub struct ScoreScratch<'a> {
+    lexicon: &'a Lexicon,
+    /// Word-pair similarities (name matcher).
+    pub(crate) pairs: PairMemo,
+    /// Per query term, the neighborhood words resolved to sorted ids
+    /// (context matcher), and the lexicon size they were resolved at —
+    /// a word unknown then may have been interned since.
+    pub(crate) contexts: Vec<Vec<WordId>>,
+    pub(crate) contexts_resolved_at: Option<usize>,
+    /// Reused per element: the memo rows of its words.
+    pub(crate) rows: Vec<usize>,
+}
+
+impl<'a> ScoreScratch<'a> {
+    /// An empty scratch over `lexicon`.
+    pub fn new(lexicon: &'a Lexicon) -> Self {
+        ScoreScratch {
+            lexicon,
+            pairs: PairMemo::default(),
+            contexts: Vec::new(),
+            contexts_resolved_at: None,
+            rows: Vec::new(),
+        }
+    }
+
+    /// The lexicon candidate artifacts are prepared and read in.
+    pub fn lexicon(&self) -> &'a Lexicon {
+        self.lexicon
+    }
+}
+
+/// The ensemble-level scratch for one run of candidates scored against
+/// one query: the query's artifacts, the lexicon, and one
+/// [`ScoreScratch`] per matcher. Owned by whoever drives the run (one
+/// per Phase 2 chunk in the engine) and handed down as `&mut`, so the
+/// memos need no lock and the shared [`EnsembleQuery`] no interior
+/// mutability. Results do not depend on what a scratch already holds —
+/// only the work does.
+pub struct MatchScratch<'a> {
+    pub(crate) equery: &'a EnsembleQuery,
+    pub(crate) lexicon: &'a Lexicon,
+    pub(crate) per_matcher: Vec<ScoreScratch<'a>>,
+}
+
+impl<'a> MatchScratch<'a> {
+    /// An empty scratch for scoring candidates prepared in `lexicon`
+    /// against the query `equery` was built for.
+    pub fn new(equery: &'a EnsembleQuery, lexicon: &'a Lexicon) -> Self {
+        MatchScratch {
+            equery,
+            lexicon,
+            per_matcher: Vec::new(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flat_lists_round_trip_including_empty_lists() {
+        let mut lists = FlatLists::with_capacity(3);
+        lists.push([1u32, 2, 2]);
+        lists.push([]);
+        lists.push([7]);
+        assert_eq!(lists.len(), 3);
+        assert_eq!(lists.get(0), [1, 2, 2]);
+        assert!(lists.get(1).is_empty());
+        assert_eq!(lists.get(2), [7]);
+        assert_eq!(lists.iter().map(<[u32]>::len).sum::<usize>(), 4);
+        lists.shrink_to_fit();
+        assert_eq!(lists.heap_bytes(), 4 * 4 + 3 * 4);
+    }
+
+    #[test]
+    fn pair_memo_computes_each_pair_once_and_survives_lexicon_growth() {
+        let lexicon = Lexicon::new();
+        let (a, b) = (lexicon.intern("a"), lexicon.intern("b"));
+        let mut memo = PairMemo::default();
+        memo.fit(2, lexicon.len());
+        let row_b = memo.row(b);
+        assert_eq!(memo.get_or(row_b, 1, || 0.5), 0.5);
+        assert_eq!(memo.get_or(row_b, 1, || unreachable!("memoised")), 0.5);
+        let c = lexicon.intern("c");
+        memo.fit(2, lexicon.len());
+        let (row_a, row_c) = (memo.row(a), memo.row(c));
+        assert_eq!(memo.get_or(row_a, 0, || 0.25), 0.25);
+        assert_eq!(memo.get_or(row_c, 0, || 0.0), 0.0);
+        assert_eq!(memo.row(b), row_b, "rows stay put as the table grows");
+        assert_eq!(memo.get_or(row_b, 1, || unreachable!("memoised")), 0.5);
+        // A different query shape starts over.
+        memo.fit(3, lexicon.len());
+        let row_b = memo.row(b);
+        assert_eq!(memo.get_or(row_b, 1, || 0.75), 0.75);
     }
 }

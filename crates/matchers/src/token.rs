@@ -9,10 +9,10 @@
 use std::collections::HashSet;
 
 use schemr_model::{QueryGraph, QueryTerm, Schema};
-use schemr_text::{Analyzer, GramSet};
+use schemr_text::{Analyzer, GramSet, Lexicon};
 
 use crate::matrix::SimilarityMatrix;
-use crate::prepare::{PreparedQuery, PreparedSchema};
+use crate::prepare::{PreparedQuery, PreparedSchema, ScoreScratch};
 use crate::Matcher;
 
 /// Exact normalized-token Jaccard matcher.
@@ -68,7 +68,7 @@ impl Matcher for TokenMatcher {
         "token"
     }
 
-    fn prepare(&self, schema: &Schema) -> PreparedSchema {
+    fn prepare(&self, schema: &Schema, _lexicon: &Lexicon) -> PreparedSchema {
         PreparedSchema {
             tokens: Some(
                 schema
@@ -94,6 +94,7 @@ impl Matcher for TokenMatcher {
         _query: &QueryGraph,
         prepared: &PreparedSchema,
         candidate: &Schema,
+        _scratch: &mut ScoreScratch<'_>,
     ) -> SimilarityMatrix {
         let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
         let local_terms;
@@ -187,6 +188,7 @@ mod tests {
             &q,
             &PreparedSchema::default(),
             &candidate,
+            &mut ScoreScratch::new(&Lexicon::new()),
         );
         for (r, term) in terms.iter().enumerate() {
             for (c, id) in candidate.ids().enumerate() {

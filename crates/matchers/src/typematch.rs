@@ -8,7 +8,7 @@
 use schemr_model::{DataType, ElementKind, QueryGraph, QueryTerm, Schema};
 
 use crate::matrix::SimilarityMatrix;
-use crate::prepare::{PreparedQuery, PreparedSchema};
+use crate::prepare::{PreparedQuery, PreparedSchema, ScoreScratch};
 use crate::Matcher;
 
 /// Compatibility of two data types, in `[0, 1]`.
@@ -67,6 +67,7 @@ impl Matcher for TypeMatcher {
         query: &QueryGraph,
         _prepared: &PreparedSchema,
         candidate: &Schema,
+        _scratch: &mut ScoreScratch<'_>,
     ) -> SimilarityMatrix {
         let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
         for (row, term) in terms.iter().enumerate() {

@@ -1,14 +1,87 @@
 //! Property-based tests for the matcher ensemble.
 
 use proptest::prelude::*;
+use schemr_match::name::NameMatcherConfig;
 use schemr_match::{
-    ContextMatcher, EditDistanceMatcher, Ensemble, Matcher, NameMatcher, SimilarityMatrix,
-    TokenMatcher,
+    ContextMatcher, EditDistanceMatcher, Ensemble, MatchScratch, Matcher, NameMatcher,
+    ScoreScratch, SimilarityMatrix, TokenMatcher,
 };
-use schemr_model::{DataType, QueryGraph, QueryTerm, SchemaBuilder};
+use schemr_model::{DataType, ElementKind, QueryGraph, QueryTerm, Schema, SchemaBuilder};
+use schemr_text::{Analyzer, AnalyzerConfig, Lexicon};
 
 fn arb_name() -> impl Strategy<Value = String> {
     "[a-zA-Z][a-zA-Z0-9_]{0,12}"
+}
+
+/// Names built from a small pool — so words repeat inside a name, across
+/// the elements of a schema and across query terms — in ASCII and
+/// multi-byte scripts, glued with every delimiter convention, stop words
+/// and nothing-but-delimiters included.
+fn arb_pooled_name() -> impl Strategy<Value = String> {
+    const POOL: &[&str] = &[
+        "patient",
+        "pat",
+        "height",
+        "ht",
+        "id",
+        "the",
+        "of",
+        "diagnoses",
+        "diagnosis",
+        "Date",
+        "größe",
+        "διάγνωση",
+        "名前",
+        "x",
+        "cm2",
+    ];
+    const GLUE: &[&str] = &["_", "-", " ", ".", "__", ""];
+    proptest::collection::vec((0..POOL.len(), 0..GLUE.len()), 0..5).prop_map(|parts| {
+        parts
+            .into_iter()
+            .map(|(word, glue)| format!("{}{}", POOL[word], GLUE[glue]))
+            .collect()
+    })
+}
+
+/// Keyword terms over arbitrary texts, empty ones included (which
+/// `QueryGraph::add_keyword` would drop).
+fn raw_terms(texts: &[String]) -> Vec<QueryTerm> {
+    texts
+        .iter()
+        .map(|text| QueryTerm {
+            text: text.clone(),
+            fragment: None,
+            element: None,
+            kind: ElementKind::Attribute,
+        })
+        .collect()
+}
+
+/// One entity named `names[0]` with an attribute per remaining name.
+fn flat_schema(title: &str, names: &[String]) -> Schema {
+    let attrs = names[1..].to_vec();
+    SchemaBuilder::new(title)
+        .entity(names[0].clone(), move |mut e| {
+            for a in &attrs {
+                e = e.attr(a.clone(), DataType::Text);
+            }
+            e
+        })
+        .build_unchecked()
+}
+
+fn assert_same_bits(a: &SimilarityMatrix, b: &SimilarityMatrix) {
+    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
+    for r in 0..a.rows() {
+        for c in 0..a.cols() {
+            assert_eq!(
+                a.get(r, c).to_bits(),
+                b.get(r, c).to_bits(),
+                "cell ({r},{c})"
+            );
+        }
+    }
 }
 
 fn keyword_terms(words: &[String]) -> (QueryGraph, Vec<QueryTerm>) {
@@ -68,13 +141,15 @@ proptest! {
             Box::new(TokenMatcher::new()),
             Box::new(EditDistanceMatcher::new()),
         ];
+        let lexicon = Lexicon::new();
         for m in &matchers {
             let matrix = m.score(
                 &m.prepare_query(&terms, &q),
                 &terms,
                 &q,
-                &m.prepare(&candidate),
+                &m.prepare(&candidate, &lexicon),
                 &candidate,
+                &mut ScoreScratch::new(&lexicon),
             );
             prop_assert_eq!(matrix.rows(), terms.len());
             prop_assert_eq!(matrix.cols(), candidate.len());
@@ -160,13 +235,14 @@ proptest! {
             })
             .build_unchecked();
         let ensemble = Ensemble::standard();
+        let lexicon = Lexicon::new();
         let combined = ensemble
             .run(
-                &ensemble.prepare_query(&terms, &q),
                 &terms,
                 &q,
-                &ensemble.prepare(&candidate),
+                &ensemble.prepare(&candidate, &lexicon),
                 &candidate,
+                &mut MatchScratch::new(&ensemble.prepare_query(&terms, &q), &lexicon),
                 false,
             )
             .matrix;
@@ -179,6 +255,103 @@ proptest! {
                     .fold(0.0f64, f64::max);
                 prop_assert!(combined.get(r, c) <= max_member + 1e-12);
             }
+        }
+    }
+
+    /// The name matrix composed from word ids and the word-pair memo
+    /// equals the string-set reference `NameMatcher::similarity`, cell by
+    /// cell and bit for bit — for pooled and for arbitrary unicode names,
+    /// with the names analyzer and with one that strips stop words (so
+    /// some names analyze to nothing), in a new lexicon and in one that
+    /// already holds words, with a new memo and with one that has
+    /// already scored another candidate.
+    #[test]
+    fn name_matrix_equals_the_string_reference(
+        pooled_terms in proptest::collection::vec(arb_pooled_name(), 1..5),
+        wild_term in ".{0,10}",
+        pooled_elements in proptest::collection::vec(arb_pooled_name(), 1..7),
+        wild_element in ".{0,10}",
+        other_elements in proptest::collection::vec(arb_pooled_name(), 1..5),
+    ) {
+        let mut texts = pooled_terms;
+        texts.push(wild_term);
+        texts.push(texts[0].clone()); // one term twice: its words share memo columns
+        let terms = raw_terms(&texts);
+        let mut names = pooled_elements;
+        names.push(wild_element);
+        let candidate = flat_schema("cand", &names);
+        let other = flat_schema("other", &other_elements);
+        let q = QueryGraph::new();
+        let matchers = [
+            NameMatcher::new(),
+            NameMatcher::with(Analyzer::new(AnalyzerConfig::default()), NameMatcherConfig::default()),
+        ];
+        for m in &matchers {
+            let pq = m.prepare_query(&terms, &q);
+            let lexicon = Lexicon::new();
+            let cold = m.score(
+                &pq, &terms, &q, &m.prepare(&candidate, &lexicon), &candidate,
+                &mut ScoreScratch::new(&lexicon),
+            );
+            // Warm: lexicon and memo have both seen another candidate.
+            let lexicon = Lexicon::new();
+            let mut scratch = ScoreScratch::new(&lexicon);
+            m.score(&pq, &terms, &q, &m.prepare(&other, &lexicon), &other, &mut scratch);
+            let warm = m.score(
+                &pq, &terms, &q, &m.prepare(&candidate, &lexicon), &candidate, &mut scratch,
+            );
+            for (r, term) in terms.iter().enumerate() {
+                for (c, id) in candidate.ids().enumerate() {
+                    let reference = m.similarity(&term.text, &candidate.element(id).name);
+                    prop_assert_eq!(cold.get(r, c).to_bits(), reference.to_bits(), "cold ({},{})", r, c);
+                    prop_assert_eq!(warm.get(r, c).to_bits(), reference.to_bits(), "warm ({},{})", r, c);
+                }
+            }
+        }
+    }
+
+    /// What a scratch already holds changes the work, never the result:
+    /// three candidates scored in one order through one scratch, in the
+    /// reverse order through another (in a lexicon that numbers the words
+    /// differently), and each alone in a scratch and lexicon of its own
+    /// give bit-identical matrices. Candidates are prepared just before
+    /// they are scored, so the lexicon grows under a live scratch.
+    #[test]
+    fn scratch_contents_and_scoring_order_never_change_a_matrix(
+        fragment in proptest::collection::vec(arb_pooled_name(), 2..5),
+        keywords in proptest::collection::vec(arb_pooled_name(), 1..3),
+        a in proptest::collection::vec(arb_pooled_name(), 2..6),
+        b in proptest::collection::vec(arb_pooled_name(), 2..6),
+        c in proptest::collection::vec(arb_pooled_name(), 2..6),
+    ) {
+        let mut q = QueryGraph::new();
+        q.add_fragment(flat_schema("frag", &fragment));
+        for k in &keywords {
+            q.add_keyword(k.clone());
+        }
+        let terms = q.terms();
+        let candidates = [flat_schema("a", &a), flat_schema("b", &b), flat_schema("c", &c)];
+        let ensemble = Ensemble::standard();
+        let equery = ensemble.prepare_query(&terms, &q);
+        let score_in_order = |order: &[usize]| -> Vec<(usize, SimilarityMatrix)> {
+            let lexicon = Lexicon::new();
+            let mut scratch = MatchScratch::new(&equery, &lexicon);
+            order
+                .iter()
+                .map(|&i| {
+                    let pcand = ensemble.prepare(&candidates[i], &lexicon);
+                    let run = ensemble.run(&terms, &q, &pcand, &candidates[i], &mut scratch, false);
+                    (i, run.matrix)
+                })
+                .collect()
+        };
+        let forward = score_in_order(&[0, 1, 2]);
+        let backward = score_in_order(&[2, 1, 0]);
+        for (i, matrix) in &forward {
+            let alone = score_in_order(&[*i]);
+            assert_same_bits(matrix, &alone[0].1);
+            let reversed = backward.iter().find(|(j, _)| j == i).expect("scored");
+            assert_same_bits(matrix, &reversed.1);
         }
     }
 }

@@ -186,7 +186,7 @@ mod tests {
         // Titles come from file stems; source records the path.
         let titles: Vec<String> = ids
             .iter()
-            .map(|&id| repo.get(id).unwrap().metadata.title)
+            .map(|&id| repo.get(id).unwrap().metadata.title.clone())
             .collect();
         assert!(titles.contains(&"good".to_string()));
         assert!(titles.contains(&"header".to_string()));
@@ -205,8 +205,8 @@ mod tests {
         .unwrap();
         let ddl = export_ddl(&repo, id).unwrap();
         let reimported = import_str(&repo, "clinic2", "", &ddl).unwrap();
-        let a = repo.get(id).unwrap().schema;
-        let b = repo.get(reimported).unwrap().schema;
+        let a = repo.get(id).unwrap().schema.clone();
+        let b = repo.get(reimported).unwrap().schema.clone();
         assert_eq!(a.entities().len(), b.entities().len());
         assert_eq!(a.attributes().len(), b.attributes().len());
         assert_eq!(a.foreign_keys().len(), b.foreign_keys().len());

@@ -128,6 +128,24 @@ mod tests {
     }
 
     #[test]
+    fn dump_is_byte_identical_after_a_round_trip() {
+        // The shared handles are invisible in the file: a restored
+        // repository dumps the same bytes, also after copy-on-write
+        // edits made while a reader still holds the old value.
+        let repo = populated();
+        let id = repo.ids()[0];
+        let held = repo.get(id).unwrap();
+        repo.annotate(id, "desc 2", "src 2").unwrap();
+        assert_eq!(
+            held.metadata.description, "desc",
+            "readers keep what they read"
+        );
+        let dump = to_json(&repo);
+        assert!(dump.contains("desc 2"));
+        assert_eq!(to_json(&from_json(&dump).unwrap()), dump);
+    }
+
+    #[test]
     fn restored_repository_continues_id_sequence() {
         let repo = populated();
         let restored = from_json(&to_json(&repo)).unwrap();

@@ -1,6 +1,7 @@
 //! The thread-safe schema store.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 use schemr_model::{validate, Schema, SchemaId, SchemaStats};
@@ -92,7 +93,9 @@ impl std::error::Error for RepositoryError {}
 
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub(crate) struct RepoState {
-    pub schemas: BTreeMap<u64, StoredSchema>,
+    /// Shared, so reads hand out a reference count, not a deep copy;
+    /// writers replace or copy-on-write an entry.
+    pub schemas: BTreeMap<u64, Arc<StoredSchema>>,
     pub journal: Vec<ChangeEvent>,
     pub next_id: u64,
     pub revision: u64,
@@ -128,7 +131,7 @@ impl Repository {
         let revision = st.revision;
         st.schemas.insert(
             id.0,
-            StoredSchema {
+            Arc::new(StoredSchema {
                 metadata: SchemaMetadata {
                     id,
                     title: title.into(),
@@ -138,7 +141,7 @@ impl Repository {
                     revision,
                 },
                 schema,
-            },
+            }),
         );
         st.journal.push(ChangeEvent {
             revision,
@@ -157,10 +160,13 @@ impl Repository {
         let mut st = self.state.write();
         st.revision += 1;
         let revision = st.revision;
-        let entry = st
-            .schemas
-            .get_mut(&id.0)
-            .ok_or(RepositoryError::NotFound(id))?;
+        // Copy-on-write: readers holding the old `Arc` keep what they
+        // read.
+        let entry = Arc::make_mut(
+            st.schemas
+                .get_mut(&id.0)
+                .ok_or(RepositoryError::NotFound(id))?,
+        );
         entry.schema = schema;
         entry.metadata.revision = revision;
         st.journal.push(ChangeEvent {
@@ -181,10 +187,11 @@ impl Repository {
         let mut st = self.state.write();
         st.revision += 1;
         let revision = st.revision;
-        let entry = st
-            .schemas
-            .get_mut(&id.0)
-            .ok_or(RepositoryError::NotFound(id))?;
+        let entry = Arc::make_mut(
+            st.schemas
+                .get_mut(&id.0)
+                .ok_or(RepositoryError::NotFound(id))?,
+        );
         entry.metadata.description = description.into();
         entry.metadata.source = source.into();
         entry.metadata.revision = revision;
@@ -212,8 +219,9 @@ impl Repository {
         Ok(())
     }
 
-    /// Fetch a schema by id (clones — stored schemas are modest).
-    pub fn get(&self, id: SchemaId) -> Option<StoredSchema> {
+    /// Fetch a schema by id: a shared handle on the stored value as of
+    /// this call, never a copy of it.
+    pub fn get(&self, id: SchemaId) -> Option<Arc<StoredSchema>> {
         self.state.read().schemas.get(&id.0).cloned()
     }
 
@@ -238,8 +246,8 @@ impl Repository {
     }
 
     /// Snapshot of every stored schema (the offline indexer's full-scan
-    /// path).
-    pub fn snapshot(&self) -> Vec<StoredSchema> {
+    /// path): one shared handle each.
+    pub fn snapshot(&self) -> Vec<Arc<StoredSchema>> {
         self.state.read().schemas.values().cloned().collect()
     }
 

@@ -746,7 +746,7 @@ fn handle_metrics(engine: &SchemrEngine) -> Response {
         );
         gauge(
             "schemr_match_artifact_cache_resident_bytes",
-            "Artifact bytes resident in the Phase 2 match-artifact cache.",
+            "Bytes resident under the Phase 2 match-artifact budget: artifacts plus word lexicon.",
             mem.artifact_cache_resident_bytes as u64,
         );
         gauge(
@@ -831,7 +831,8 @@ fn handle_memory(engine: &SchemrEngine) -> Response {
     let body = format!(
         "{{\"index\":{{\"deep_bytes\":{},\"postings_bytes\":{}}},\
          \"candidate_cache\":{{\"entries\":{},\"budget_entries\":{}}},\
-         \"match_artifact_cache\":{{\"entries\":{},\"resident_bytes\":{},\"budget_bytes\":{}}},\
+         \"match_artifact_cache\":{{\"entries\":{},\"resident_bytes\":{},\"budget_bytes\":{},\
+         \"lexicon_words\":{},\"lexicon_bytes\":{}}},\
          \"trace_ring\":{{\"traces\":{},\"bytes\":{}}},\
          \"slowlog_ring\":{{\"traces\":{},\"bytes\":{}}},\
          \"event_log_bytes\":{}}}",
@@ -842,6 +843,8 @@ fn handle_memory(engine: &SchemrEngine) -> Response {
         m.artifact_cache_entries,
         m.artifact_cache_resident_bytes,
         m.artifact_cache_budget_bytes,
+        m.lexicon_words,
+        m.lexicon_bytes,
         m.trace_ring_len,
         m.trace_ring_bytes,
         m.slow_ring_len,
@@ -1813,6 +1816,23 @@ mod tests {
         );
         assert!(
             body.contains("\"match_artifact_cache\":{\"entries\":"),
+            "{body}"
+        );
+        // The search interned the candidate's words: the lexicon is not
+        // empty and its bytes are part of the resident figure.
+        let field = |key: &str| -> u64 {
+            let at = body.find(key).unwrap_or_else(|| panic!("{key} in {body}")) + key.len();
+            body[at..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect::<String>()
+                .parse()
+                .unwrap()
+        };
+        assert!(field("\"lexicon_words\":") > 0, "{body}");
+        assert!(
+            field("\"resident_bytes\":") >= field("\"lexicon_bytes\":")
+                && field("\"lexicon_bytes\":") > 0,
             "{body}"
         );
         assert!(body.contains("\"trace_ring\":{\"traces\":1"), "{body}");

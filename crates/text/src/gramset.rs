@@ -1,19 +1,25 @@
 //! Hashed gram signatures: the prepared, allocation-free counterpart of
 //! [`crate::ngram`]'s `HashSet<String>` sets.
 //!
-//! The name matcher compares all-n-gram sets for every (query word ×
-//! element word) pair, and candidate schemas are immutable between
-//! repository revisions — so the expensive part (building the sets) can be
-//! done once and reused, and the per-pair part (set intersection) should
-//! not allocate at all. A [`GramSet`] stores a word's gram set as a
-//! sorted, deduplicated `Vec<u64>` of FNV-1a gram hashes; Dice, Jaccard,
-//! and overlap coefficients come from a sorted-merge intersection count
-//! that touches no heap.
+//! The name matcher scores a (query word × candidate word) pair by the
+//! overlap of their all-n-gram sets. A [`GramSet`] stores a word's gram
+//! set as a sorted, deduplicated `Vec<u64>` of FNV-1a gram hashes; Dice,
+//! Jaccard, and overlap coefficients come from a sorted-merge
+//! intersection count that touches no heap. Building the set is the
+//! expensive part, so it happens once per distinct word: candidate words
+//! are interned in a [`crate::Lexicon`], which owns their gram sets (the
+//! only [`GramSet::all_grams`] call on the candidate side), query words
+//! get theirs once per search, and the matcher memoises the coefficient
+//! per word pair — an intersection runs once per distinct pair, not once
+//! per matrix cell. [`GramSet::of_terms`] is the same container over
+//! whole-term hashes, which the exact-token matcher still uses.
 //!
 //! The coefficients use the exact arithmetic of [`crate::ngram`], so a
 //! score computed over two `GramSet`s is bitwise identical to the same
 //! score over the corresponding string sets (up to 64-bit hash collisions,
-//! which are vanishingly unlikely within a schema vocabulary).
+//! which are vanishingly unlikely within a schema vocabulary — and which
+//! the string-set references the matchers are tested against would
+//! expose, since they hash nothing).
 //!
 //! ## Intersection kernels
 //!
@@ -193,8 +199,10 @@ fn avx2_merge(a: &[u64], b: &[u64]) -> usize {
     unsafe { avx2::merge_count(a, b) }
 }
 
-/// Portable two-pointer merge over two sorted, deduplicated hash slices.
-fn scalar_merge(a: &[u64], b: &[u64]) -> usize {
+/// `|a ∩ b|` by a portable two-pointer merge over two sorted,
+/// deduplicated slices — gram hashes here, word ids in the context
+/// matcher.
+pub fn scalar_merge<T: Ord>(a: &[T], b: &[T]) -> usize {
     let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {

@@ -15,9 +15,12 @@
 //! * [`stopwords`] — a small stopword list for flattened documents,
 //! * [`ngram`] — the all-n-gram decomposition the name matcher scores with,
 //! * [`gramset`] — hashed, sorted gram signatures for prepared matching,
+//! * [`lexicon`] — each distinct word once, under a dense id, with its
+//!   gram signature,
 //! * [`Analyzer`] — a configurable pipeline combining the above.
 
 pub mod gramset;
+pub mod lexicon;
 pub mod ngram;
 pub mod normalize;
 pub mod stem;
@@ -28,3 +31,4 @@ mod analyzer;
 
 pub use analyzer::{Analyzer, AnalyzerConfig};
 pub use gramset::GramSet;
+pub use lexicon::{Lexicon, LexiconReader, WordId};

@@ -196,6 +196,20 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
+/// `Arc<T>` is transparent: it serializes as `T` and deserializes into a
+/// fresh, unshared `Arc`.
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn serialize_value(&self) -> Value {
+        (**self).serialize_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        T::deserialize_value(v).map(std::sync::Arc::new)
+    }
+}
+
 // ------------------------------------------------------------ containers
 
 impl<T: Serialize> Serialize for Vec<T> {
@@ -388,6 +402,15 @@ mod tests {
             "hi"
         );
         assert!(bool::deserialize_value(&Value::UInt(1)).is_err());
+    }
+
+    #[test]
+    fn arc_is_transparent() {
+        use std::sync::Arc;
+        let shared = Arc::new(vec![1u32, 2, 3]);
+        assert_eq!(shared.serialize_value(), vec![1u32, 2, 3].serialize_value());
+        let back = Arc::<Vec<u32>>::deserialize_value(&shared.serialize_value()).unwrap();
+        assert_eq!(back, shared);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn matched_elements_carry_figure4_distance_classes() {
         ]))
         .unwrap();
     let top = &results[0];
-    let schema = repo.get(top.id).unwrap().schema;
+    let schema = repo.get(top.id).unwrap().schema.clone();
 
     // Elements matched in several entities; the best anchor puts some in
     // SameEntity and the rest (reachable through case's FKs) in
