@@ -290,6 +290,15 @@ pub(crate) struct ArtifactStamp {
     pub lexicon_generation: u64,
 }
 
+struct ArtifactState {
+    entries: LruCore<SchemaId, Arc<PreparedCandidate>, ArtifactStamp>,
+    /// The lexicon generation the cache serves. A search still running
+    /// in a retired lexicon neither reads nor writes the cache: its
+    /// stamps would drop, and its artifacts replace, entries the current
+    /// lexicon's searches use.
+    lexicon_generation: u64,
+}
+
 /// A byte-budgeted LRU cache of [`PreparedCandidate`] artifact bundles,
 /// keyed by schema id and stamped with [`ArtifactStamp`]. Survives across
 /// searches and is shared by the parallel `match_chunk` workers.
@@ -297,7 +306,7 @@ pub(crate) struct ArtifactStamp {
 /// being counted and nothing is admitted.
 pub(crate) struct MatchArtifactCache {
     budget_bytes: usize,
-    state: Mutex<LruCore<SchemaId, Arc<PreparedCandidate>, ArtifactStamp>>,
+    state: Mutex<ArtifactState>,
     /// Lookups answered from the cache.
     pub hits: Arc<Counter>,
     /// Lookups that fell through to `Ensemble::prepare`.
@@ -325,7 +334,10 @@ impl MatchArtifactCache {
     ) -> Self {
         MatchArtifactCache {
             budget_bytes,
-            state: Mutex::new(LruCore::new()),
+            state: Mutex::new(ArtifactState {
+                entries: LruCore::new(),
+                lexicon_generation: 0,
+            }),
             hits,
             misses,
             evictions,
@@ -342,12 +354,20 @@ impl MatchArtifactCache {
     /// Look up the artifacts for `id` against the caller's current
     /// `stamp`. A present entry with a different stamp (schema updated,
     /// or matcher set replaced) is dropped and counted as an
-    /// invalidation.
+    /// invalidation. A caller whose lexicon has been retired misses and
+    /// drops nothing.
     pub(crate) fn get(&self, id: SchemaId, stamp: ArtifactStamp) -> Option<Arc<PreparedCandidate>> {
         if !self.enabled() {
             return None;
         }
-        let outcome = self.state.lock().get(&id, &stamp);
+        let outcome = {
+            let mut state = self.state.lock();
+            if stamp.lexicon_generation < state.lexicon_generation {
+                Lookup::Absent
+            } else {
+                state.entries.get(&id, &stamp)
+            }
+        };
         match outcome {
             Lookup::Hit(artifacts) => {
                 self.hits.inc();
@@ -368,6 +388,7 @@ impl MatchArtifactCache {
     /// Store `artifacts` prepared at `stamp`, then evict LRU entries
     /// until resident artifact bytes plus `lexicon_bytes` — what the
     /// lexicon behind the artifacts' word ids holds — fit the budget.
+    /// Artifacts prepared in a retired lexicon are not admitted.
     pub(crate) fn put(
         &self,
         id: SchemaId,
@@ -379,22 +400,33 @@ impl MatchArtifactCache {
             return;
         }
         let bytes = artifacts.bytes.max(1);
-        let (evicted, evicted_bytes) = self.state.lock().put(
-            id,
-            stamp,
-            artifacts,
-            bytes,
-            self.budget_bytes.saturating_sub(lexicon_bytes),
-        );
+        let (evicted, evicted_bytes) = {
+            let mut state = self.state.lock();
+            if stamp.lexicon_generation < state.lexicon_generation {
+                return;
+            }
+            state.entries.put(
+                id,
+                stamp,
+                artifacts,
+                bytes,
+                self.budget_bytes.saturating_sub(lexicon_bytes),
+            )
+        };
         self.bytes_inserted.add(bytes as u64);
         self.evictions.add(evicted);
         self.bytes_evicted.add(evicted_bytes as u64);
     }
 
-    /// Drop every entry — all stale at once, when the lexicon their word
-    /// ids live in is retired. Counted as invalidations.
-    pub(crate) fn clear(&self) {
-        let dropped = self.state.lock().clear();
+    /// The lexicon the entries' word ids live in is retired: drop every
+    /// entry — all stale at once, counted as invalidations — and serve
+    /// `next_generation` from here on.
+    pub(crate) fn retire_lexicon(&self, next_generation: u64) {
+        let dropped = {
+            let mut state = self.state.lock();
+            state.lexicon_generation = next_generation;
+            state.entries.clear()
+        };
         self.invalidations.add(dropped as u64);
     }
 
@@ -404,8 +436,8 @@ impl MatchArtifactCache {
     pub(crate) fn usage(&self) -> CacheUsage {
         let state = self.state.lock();
         CacheUsage {
-            entries: state.len(),
-            resident_weight: state.weight,
+            entries: state.entries.len(),
+            resident_weight: state.entries.weight,
             budget: self.budget_bytes,
         }
     }
@@ -413,13 +445,13 @@ impl MatchArtifactCache {
     /// Resident bytes (tests).
     #[cfg(test)]
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.state.lock().weight
+        self.state.lock().entries.weight
     }
 
     /// Resident entries (tests).
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.state.lock().len()
+        self.state.lock().entries.len()
     }
 }
 
@@ -698,17 +730,30 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_everything_as_invalidations() {
+    fn retiring_the_lexicon_drops_everything_and_shuts_its_searches_out() {
         let c = artifact_cache(1024);
+        let next = |schema_revision| ArtifactStamp {
+            lexicon_generation: 1,
+            ..stamp(schema_revision, 1)
+        };
         c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
         c.put(SchemaId(2), stamp(1, 1), artifacts(60), 0);
-        c.clear();
+        c.retire_lexicon(1);
         assert_eq!((c.len(), c.resident_bytes()), (0, 0));
         assert_eq!(c.invalidations.get(), 2);
         assert_eq!(c.evictions.get(), 0);
-        // Usable afterwards.
-        c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
-        assert!(c.get(SchemaId(1), stamp(1, 1)).is_some());
+        // Usable afterwards, by searches in the next lexicon.
+        c.put(SchemaId(1), next(1), artifacts(100), 0);
+        assert!(c.get(SchemaId(1), next(1)).is_some());
+        // A search still running in the retired lexicon misses without
+        // dropping the entry, and what it prepares is not admitted — over
+        // the resident entry or beside it.
+        assert!(c.get(SchemaId(1), stamp(1, 1)).is_none());
+        c.put(SchemaId(1), stamp(1, 1), artifacts(70), 0);
+        c.put(SchemaId(3), stamp(1, 1), artifacts(70), 0);
+        assert_eq!((c.len(), c.resident_bytes()), (1, 100));
+        assert_eq!(c.invalidations.get(), 2);
+        assert_eq!(c.get(SchemaId(1), next(1)).unwrap().bytes, 100);
     }
 
     #[test]

@@ -55,6 +55,18 @@ pub struct EngineConfig {
     /// only "retain nothing": every search then builds its candidates'
     /// artifacts itself, in a lexicon that lives for that search, and
     /// scores them through the same path.
+    ///
+    /// The lexicon only grows — about 0.45 KiB per distinct analyzed
+    /// word, words of removed schemas included — and artifacts get what
+    /// it leaves, so the smallest budget that keeps a steady artifact set
+    /// is the corpus vocabulary plus that set (4.2 MiB of vocabulary on
+    /// the 30,000-schema benchmark corpus; `memory_report().lexicon_bytes`
+    /// says how far along it is). Below the vocabulary the artifacts'
+    /// share shrinks towards nothing as the lexicon fills, and each time
+    /// it reaches the budget the lexicon is retired — emptied, every
+    /// cached artifact with it. That costs re-interning, never a result:
+    /// DESIGN.md, "Match-artifact cache and the lexicon's bound", has the
+    /// measurements.
     pub match_artifact_cache_bytes: usize,
 }
 
@@ -507,7 +519,7 @@ impl SchemrEngine {
         let mut slot = self.lexicon.write();
         if slot.1 == generation {
             *slot = (Arc::new(Lexicon::new()), generation + 1);
-            self.artifact_cache.clear();
+            self.artifact_cache.retire_lexicon(generation + 1);
         }
     }
 
@@ -717,9 +729,6 @@ impl SchemrEngine {
         // lexicon this search holds from here to its end.
         let equery = ensemble.prepare_query(&terms, &graph);
         let (lexicon, lexicon_generation) = self.lexicon_for_search();
-        // Per-matcher strengths have one reader, the event log; without
-        // one, no candidate pays the extra matrix scans.
-        let log_strengths = want_trace && self.tracer.event_log().is_some();
         let phase2 = Phase2 {
             ensemble: &ensemble,
             ensemble_generation: self.ensemble_generation.load(Ordering::Acquire),
@@ -728,7 +737,7 @@ impl SchemrEngine {
             equery: &equery,
             terms: &terms,
             graph: &graph,
-            with_strengths: log_strengths,
+            with_strengths: want_trace,
         };
         let cache_artifacts = self.artifact_cache.enabled();
         let threads_used = if self.config.match_threads > 1 && candidates.len() > 1 {
@@ -829,7 +838,7 @@ impl SchemrEngine {
         let candidates_evaluated = candidates.len();
         // Candidate ids in Phase 2 order, for mapping ranked results back
         // to their per-matcher strengths.
-        let candidate_ids: Vec<schemr_model::SchemaId> = if log_strengths {
+        let candidate_ids: Vec<schemr_model::SchemaId> = if want_trace {
             candidates.iter().map(|(h, _)| h.id).collect()
         } else {
             Vec::new()
@@ -1012,7 +1021,7 @@ struct Phase2<'a> {
     equery: &'a EnsembleQuery,
     terms: &'a [QueryTerm],
     graph: &'a QueryGraph,
-    /// Collect per-matcher strengths for the event log.
+    /// Collect per-matcher strengths: the search is traced.
     with_strengths: bool,
 }
 
@@ -1022,7 +1031,7 @@ struct ChunkMatch {
     /// Final (tightness-of-fit) score per candidate.
     scores: Vec<TightnessScore>,
     /// Per-candidate per-matcher strengths for the event log; each empty
-    /// unless the search is traced into one.
+    /// unless the search is traced.
     strengths: Vec<Vec<f64>>,
     /// Per-matcher wall time, accumulated over the chunk's candidates.
     matcher_wall: Vec<Duration>,
@@ -1461,11 +1470,16 @@ mod tests {
             .position(|s| s.name == "candidate_extraction")
             .unwrap()];
         assert!(p1.attrs.iter().any(|(k, _)| k == "postings_scanned"));
-        // Per-matcher strengths are the event log's (see
-        // `traced_searches_append_to_the_event_log`); with none
-        // configured they are not computed.
+        // Results carry per-matcher strengths for the event log.
         assert!(!trace.results.is_empty());
-        assert!(trace.results[0].matcher_scores.is_empty());
+        assert_eq!(
+            trace.results[0]
+                .matcher_scores
+                .iter()
+                .map(|(n, _)| n.as_str())
+                .collect::<Vec<_>>(),
+            vec!["name", "context"]
+        );
         // Generated ids for requests without one; response echoes it.
         let auto = engine
             .search_detailed(&SearchRequest::keywords(["gender"]))

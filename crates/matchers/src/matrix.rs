@@ -73,7 +73,13 @@ impl SimilarityMatrix {
     /// The maximum value in row `row` (how well a query term matched
     /// anywhere in the schema).
     pub fn row_max(&self, row: usize) -> f64 {
-        (0..self.cols).map(|c| self.get(row, c)).fold(0.0, f64::max)
+        debug_assert!(row < self.rows);
+        // Cells are never NaN (see `set`), so a compare-and-keep is the
+        // same maximum `f64::max` finds, without its NaN handling on
+        // every cell of every traced candidate.
+        self.values[row * self.cols..(row + 1) * self.cols]
+            .iter()
+            .fold(0.0, |best, &v| if v > best { v } else { best })
     }
 
     /// Mean of the row maxima: how well the *average* query term matched
@@ -220,6 +226,28 @@ mod tests {
         m.set(1, 1, 0.4);
         assert!((m.mean_row_max() - 0.6).abs() < 1e-12);
         assert_eq!(SimilarityMatrix::zeros(0, 3).mean_row_max(), 0.0);
+        assert_eq!(SimilarityMatrix::zeros(3, 0).mean_row_max(), 0.0);
+    }
+
+    #[test]
+    fn row_max_is_the_f64_max_fold_bit_for_bit() {
+        let mut m = SimilarityMatrix::zeros(5, 23);
+        let mut state = 7u64;
+        for r in 0..m.rows() {
+            for c in 0..m.cols() {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // A third of the cells stay zero; row 3 stays all zero.
+                if r != 3 && !state.is_multiple_of(3) {
+                    m.set(r, c, (state >> 11) as f64 / (1u64 << 53) as f64);
+                }
+            }
+        }
+        for r in 0..m.rows() {
+            let reference = (0..m.cols()).map(|c| m.get(r, c)).fold(0.0, f64::max);
+            assert_eq!(m.row_max(r).to_bits(), reference.to_bits(), "row {r}");
+        }
     }
 
     #[test]
