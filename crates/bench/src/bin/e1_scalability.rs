@@ -30,8 +30,11 @@
 //! re-analyzed and its words looked up again in the engine's lexicon,
 //! which stays warm) and a warm one. Results land
 //! in `results/e2_matching.json`. Combine with `--check-speedup` to exit
-//! nonzero unless warm-cache matching is at least 2x faster per candidate
-//! than cold — the CI guard on the artifact cache. Combine with
+//! nonzero unless the artifact cache does what it is for: the warm pass
+//! misses no artifact, the cold pass hits none, and warm matching is no
+//! slower per candidate than cold. (How much faster is reported, not
+//! gated: it is a ratio against the cost of a cold prepare, and making
+//! that cheap must not turn the guard red.) Combine with
 //! `--check-kernel` to also gate the intersection kernel: a synthetic
 //! count oracle checks `intersection_size` against a bench-local scalar
 //! merge across dense / asymmetric / large regimes before anything is
@@ -664,14 +667,14 @@ fn kernel_oracle_and_microbench() -> f64 {
 
 /// `--phase2`: per-candidate Phase 2 cost with a cold and a warm
 /// artifact cache. Returns the process exit code (nonzero only under
-/// `--check-speedup` when the warm cache misses the 2x bar, or under
-/// `--check-kernel` when the intersection kernel misses its bar).
+/// `--check-speedup` when the warm pass misses an artifact, the cold
+/// pass hits one, or warm is slower than cold; or under `--check-kernel`
+/// when the intersection kernel misses its bar).
 fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
     let size = if quick { 400 } else { 2_000 };
     let queries = if quick { 12 } else { 30 };
     let rounds = if quick { 3 } else { 5 };
     let top = if quick { 100 } else { 200 };
-    const SPEEDUP_BAR: f64 = 2.0;
     // The kernel bar applies only when the `simd` feature is compiled in:
     // the AVX2 block merge must beat the bench-local scalar merge on the
     // merge-path regimes. Without the feature the dispatch resolves to an
@@ -724,26 +727,33 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
         allocs: 0,
         queries: 0,
     };
+    let reg = bed.engine.metrics_registry();
+    let counter = |name: &str| reg.counter_value(name, &[]).unwrap_or(0);
+    let hits_and_misses = || {
+        (
+            counter("schemr_match_artifact_cache_hits_total"),
+            counter("schemr_match_artifact_cache_misses_total"),
+        )
+    };
     let (mut cold, mut warm) = (segment(), segment());
+    let (hits_before_cold, _) = hits_and_misses();
     for _ in 0..rounds {
         phase2_pass(&bed, &workload, true, &mut cold);
     }
+    let cold_hits = hits_and_misses().0 - hits_before_cold;
     // Prime once after the cold segment's final invalidation, then
     // measure warm rounds — every candidate served from the cache.
     run_workload(&bed, &workload);
+    let (_, misses_before_warm) = hits_and_misses();
     for _ in 0..rounds {
         phase2_pass(&bed, &workload, false, &mut warm);
     }
+    let warm_misses = hits_and_misses().1 - misses_before_warm;
     let cold = cold.sorted();
     let warm = warm.sorted();
     let speedup_vs_cold = cold.us(0.50) / warm.us(0.50);
 
-    let reg = bed.engine.metrics_registry();
-    let counter = |name: &str| reg.counter_value(name, &[]).unwrap_or(0);
-    let (hits, misses) = (
-        counter("schemr_match_artifact_cache_hits_total"),
-        counter("schemr_match_artifact_cache_misses_total"),
-    );
+    let (hits, misses) = hits_and_misses();
     let (evictions, invalidations) = (
         counter("schemr_match_artifact_cache_evictions_total"),
         counter("schemr_match_artifact_cache_invalidations_total"),
@@ -774,7 +784,12 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
         ]);
     }
     table.print();
-    println!("\nwarm vs cold speedup: {speedup_vs_cold:.2}x");
+    println!(
+        "\nper-candidate p50: cold {:.2} us ({cold_hits} artifact hits), warm {:.2} us \
+         ({warm_misses} artifact misses) — warm is {speedup_vs_cold:.2}x faster",
+        cold.us(0.50),
+        warm.us(0.50),
+    );
     println!(
         "kernel: simd {}, {kernel_speedup:.2}x vs scalar reference on merge-path regimes",
         if cfg!(feature = "simd") { "on" } else { "off" },
@@ -806,10 +821,24 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
     }
 
     let mut failures = Vec::new();
-    if check_speedup && speedup_vs_cold < SPEEDUP_BAR {
-        failures.push(format!(
-            "warm cache is only {speedup_vs_cold:.2}x faster than cold (bar {SPEEDUP_BAR}x)"
-        ));
+    if check_speedup {
+        if warm_misses > 0 {
+            failures.push(format!(
+                "the warm pass missed {warm_misses} artifacts (every candidate should be cached)"
+            ));
+        }
+        if cold_hits > 0 {
+            failures.push(format!(
+                "the cold pass hit {cold_hits} artifacts (every query should invalidate them all)"
+            ));
+        }
+        if warm.us(0.50) > cold.us(0.50) {
+            failures.push(format!(
+                "warm matching is slower than cold: p50 {:.2} us vs {:.2} us per candidate",
+                warm.us(0.50),
+                cold.us(0.50)
+            ));
+        }
     }
     if check_kernel && cfg!(feature = "simd") && kernel_speedup < KERNEL_BAR {
         failures.push(format!(
@@ -819,8 +848,11 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
     if check_speedup || check_kernel {
         if failures.is_empty() {
             println!(
-                "\nPASS: bars cleared (warm vs cold {speedup_vs_cold:.2}x, \
-                 kernel {kernel_speedup:.2}x, counts equal to the scalar reference)"
+                "\nPASS: warm pass {warm_misses} artifact misses, cold pass {cold_hits} hits, \
+                 warm p50 {:.2} us vs cold {:.2} us ({speedup_vs_cold:.2}x); kernel \
+                 {kernel_speedup:.2}x, counts equal to the scalar reference",
+                warm.us(0.50),
+                cold.us(0.50),
             );
             0
         } else {

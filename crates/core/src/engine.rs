@@ -430,11 +430,7 @@ impl SchemrEngine {
             ..SearchOptions::default()
         };
         let index = self.index.read();
-        let terms: Vec<String> = graph
-            .flat_texts()
-            .iter()
-            .flat_map(|t| index.name_analyzer().analyze(t))
-            .collect();
+        let terms = index.analyze_query(graph.flat_texts().iter().map(String::as_str));
         let key = CacheKey(terms.clone());
         // A revision observed *before* the lookup can only be older than
         // the entry's true state, which makes a stale hit impossible and
@@ -763,11 +759,11 @@ impl SchemrEngine {
             let tctx = ctx.as_ref();
             let p2_idx = p2.as_ref().map(|s| s.index());
             let phase2 = &phase2;
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let workers: Vec<_> = candidates
                     .chunks(chunk)
                     .map(|cands| {
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let chunk_span =
                                 tctx.and_then(|c| p2_idx.map(|p| c.child_of(p, "match_chunk")));
                             // Worker-thread resource delta; probes are
@@ -796,7 +792,6 @@ impl SchemrEngine {
                     .map(|w| w.join().expect("matcher threads do not panic"))
                     .unzip()
             })
-            .expect("matcher threads do not panic")
         };
         // Fold the chunks back together in candidate order. Matcher and
         // tightness walls are summed over chunks — under parallel

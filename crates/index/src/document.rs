@@ -1,7 +1,7 @@
 //! Flattened schema documents.
 
 use schemr_model::{Schema, SchemaId};
-use schemr_text::Analyzer;
+use schemr_text::{AnalyzeScratch, Analyzer};
 
 use crate::field::Field;
 
@@ -41,19 +41,11 @@ impl IndexDocument {
         }
     }
 
-    /// Analyze one field into index terms, using the right pipeline per
-    /// field (names use the name pipeline; prose uses the document
-    /// pipeline). Positions are dropped; see
-    /// [`IndexDocument::field_terms_positioned`] for the indexable form.
-    pub fn field_terms(&self, field: Field, names: &Analyzer, prose: &Analyzer) -> Vec<String> {
-        self.field_terms_positioned(field, names, prose)
-            .into_iter()
-            .map(|(term, _)| term)
-            .collect()
-    }
-
-    /// Analyze one field into `(term, position)` pairs — what the writer
-    /// actually indexes.
+    /// Analyze one field into `(term, position)` pairs, using the right
+    /// pipeline per field (names use the name pipeline; prose uses the
+    /// document pipeline), and hand each to `emit` in position order —
+    /// what the writer indexes, streamed: nothing is collected, and with
+    /// a warm `scratch` nothing is allocated.
     ///
     /// Tokens from one source string sit at consecutive positions, so the
     /// proximity scorer can recognize an intact compound name
@@ -62,22 +54,43 @@ impl IndexDocument {
     /// the next — the position counter jumps by
     /// [`ELEMENT_POSITION_GAP`] (> 1), so two adjacent single-token
     /// elements (`["patient", "height"]`) never masquerade as a compound.
+    /// A source that analyzes to nothing leaves the counter where it was.
+    pub(crate) fn for_each_field_term(
+        &self,
+        field: Field,
+        names: &Analyzer,
+        prose: &Analyzer,
+        scratch: &mut AnalyzeScratch,
+        emit: impl FnMut(&str, u32),
+    ) {
+        let title = std::iter::once(self.title.as_str());
+        let summary = std::iter::once(self.summary.as_str());
+        match field {
+            Field::Title => positioned(title, names, scratch, emit),
+            Field::Summary => positioned(summary, prose, scratch, emit),
+            Field::Elements => positioned(
+                self.elements.iter().map(String::as_str),
+                names,
+                scratch,
+                emit,
+            ),
+            Field::Docs => positioned(self.docs.iter().map(String::as_str), prose, scratch, emit),
+        }
+    }
+
+    /// [`IndexDocument::for_each_field_term`], collected.
     pub fn field_terms_positioned(
         &self,
         field: Field,
         names: &Analyzer,
         prose: &Analyzer,
     ) -> Vec<(String, u32)> {
-        match field {
-            Field::Title => positioned(std::iter::once(self.title.as_str()), |t| names.analyze(t)),
-            Field::Summary => {
-                positioned(std::iter::once(self.summary.as_str()), |t| prose.analyze(t))
-            }
-            Field::Elements => positioned(self.elements.iter().map(String::as_str), |t| {
-                names.analyze(t)
-            }),
-            Field::Docs => positioned(self.docs.iter().map(String::as_str), |t| prose.analyze(t)),
-        }
+        let mut terms = Vec::new();
+        let mut scratch = AnalyzeScratch::default();
+        self.for_each_field_term(field, names, prose, &mut scratch, |term, position| {
+            terms.push((term.to_string(), position))
+        });
+        terms
     }
 }
 
@@ -91,28 +104,29 @@ pub const ELEMENT_POSITION_GAP: u32 = 2;
 /// across strings.
 fn positioned<'a>(
     sources: impl Iterator<Item = &'a str>,
-    analyze: impl Fn(&str) -> Vec<String>,
-) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
+    analyzer: &Analyzer,
+    scratch: &mut AnalyzeScratch,
+    mut emit: impl FnMut(&str, u32),
+) {
     let mut pos = 0u32;
-    let mut first_source = true;
+    let mut any_before = false;
     for source in sources {
-        let tokens = analyze(source);
-        if tokens.is_empty() {
-            continue;
-        }
-        if !first_source {
-            // `pos` is already one past the previous token, so adding
-            // GAP - 1 makes the increment between adjacent tokens GAP.
-            pos += ELEMENT_POSITION_GAP - 1;
-        }
-        first_source = false;
-        for token in tokens {
-            out.push((token, pos));
+        let mut first_of_source = true;
+        analyzer.analyze_with(source, scratch, |term| {
+            if first_of_source {
+                first_of_source = false;
+                if any_before {
+                    // `pos` is already one past the previous token, so
+                    // adding GAP - 1 makes the increment between
+                    // adjacent tokens GAP.
+                    pos += ELEMENT_POSITION_GAP - 1;
+                }
+                any_before = true;
+            }
+            emit(term, pos);
             pos += 1;
-        }
+        });
     }
-    out
 }
 
 #[cfg(test)]
@@ -143,11 +157,15 @@ mod tests {
         let d = doc();
         let names = Analyzer::for_names();
         let prose = Analyzer::for_documents();
-        let elements = d.field_terms(Field::Elements, &names, &prose);
+        let terms = |field| -> Vec<String> {
+            let positioned = d.field_terms_positioned(field, &names, &prose);
+            positioned.into_iter().map(|(term, _)| term).collect()
+        };
+        let elements = terms(Field::Elements);
         // Paths split on dots; "patient" appears for each path mentioning it.
         assert!(elements.iter().filter(|t| *t == "patient").count() >= 3);
         assert!(elements.contains(&"height".to_string()));
-        let summary = d.field_terms(Field::Summary, &names, &prose);
+        let summary = terms(Field::Summary);
         // Stopword "a" removed by the prose pipeline.
         assert!(!summary.contains(&"a".to_string()));
         assert!(summary.contains(&"clinic".to_string()));
@@ -203,5 +221,21 @@ mod tests {
         let prose = Analyzer::for_documents();
         let terms = d.field_terms_positioned(Field::Elements, &names, &prose);
         assert_eq!(terms, vec![("patient".to_string(), 0)]);
+    }
+
+    #[test]
+    fn a_source_that_analyzes_to_nothing_opens_no_gap_of_its_own() {
+        let d = IndexDocument {
+            id: SchemaId(1),
+            title: String::new(),
+            summary: String::new(),
+            elements: vec!["patient".into(), "___".into(), "height_cm".into()],
+            docs: vec![],
+        };
+        let names = Analyzer::for_names();
+        let prose = Analyzer::for_documents();
+        let terms = d.field_terms_positioned(Field::Elements, &names, &prose);
+        let expected = [("patient", 0), ("height", 2), ("cm", 3)];
+        assert_eq!(terms, expected.map(|(t, p)| (t.to_string(), p)));
     }
 }

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use schemr_model::SchemaId;
 use schemr_obs::{DeepSize, SpanGuard};
-use schemr_text::Analyzer;
+use schemr_text::{AnalyzeScratch, Analyzer};
 
 use crate::document::IndexDocument;
 use crate::field::Field;
@@ -134,18 +134,27 @@ impl Writer {
     }
 
     /// Append an analyzed document to the head (replacing any live copy
-    /// of the same id) and count the mutation.
+    /// of the same id) and count the mutation. A term costs a dictionary
+    /// lookup by `&str`; only one the head has not met is copied into it.
     fn put(&mut self, a: AnalyzedDoc) {
         self.tombstone_existing(a.id);
         let ord = self.head.docs.len() as DocOrd;
-        for (field_ord, occurrences) in a.occurrences.into_iter().enumerate() {
-            let field_len = a.field_lengths[field_ord];
-            for (term, pos) in occurrences {
-                self.head.terms[field_ord]
-                    .entry(term)
-                    .or_default()
-                    .push_occurrence(ord, pos, field_len);
+        let mut start = 0usize;
+        for ((field_ord, term), &end) in a.keys.iter().zip(&a.ends) {
+            let field_len = a.field_lengths[*field_ord as usize];
+            let run = &a.positions[start..end as usize];
+            let push_run = |list: &mut PostingsList| {
+                for &pos in run {
+                    list.push_occurrence(ord, pos, field_len);
+                }
+            };
+            let terms = &mut self.head.terms[*field_ord as usize];
+            if let Some(list) = terms.get_mut(term.as_str()) {
+                push_run(list);
+            } else {
+                push_run(terms.entry(term.clone()).or_default());
             }
+            start = end as usize;
         }
         self.head.docs.push(DocEntry {
             id: a.id,
@@ -174,16 +183,40 @@ impl Writer {
     }
 }
 
-/// One document analyzed into per-field positioned terms, ready to apply
-/// under the writer lock. Analysis (the expensive part) runs before the
-/// lock is taken.
+/// One document analyzed into what `Writer::put` applies under the
+/// writer lock: its occurrences grouped by postings list. Analysis (the
+/// expensive part) runs before the lock is taken. The only term text it
+/// holds is the forward-index keys the head keeps anyway.
 struct AnalyzedDoc {
     id: SchemaId,
     field_lengths: [u32; Field::COUNT],
-    /// Distinct `(field, term)` forward-index keys.
+    /// Distinct `(field, term)` forward-index keys, by field and then by
+    /// term: one per postings list this document appears in.
     keys: Vec<(u8, String)>,
-    /// Positioned occurrences per field ordinal.
-    occurrences: [Vec<(String, u32)>; Field::COUNT],
+    /// Every occurrence's position, key by key and ascending within a key.
+    positions: Vec<u32>,
+    /// `ends[k]` is one past key *k*'s last position in `positions`.
+    ends: Vec<u32>,
+}
+
+/// What [`Index::analyze`] works in, kept from one document of a batch to
+/// the next so the per-occurrence work allocates nothing.
+#[derive(Default)]
+struct AnalysisScratch {
+    analyzer: AnalyzeScratch,
+    /// The text of every occurrence of the current document, back to back.
+    text: String,
+    occurrences: Vec<Occurrence>,
+}
+
+/// One term occurrence of the document being analyzed: its text is
+/// `text[start..end]` of the scratch arena.
+#[derive(Clone, Copy)]
+struct Occurrence {
+    field: u8,
+    start: u32,
+    end: u32,
+    position: u32,
 }
 
 /// A thread-safe inverted index over flattened schema documents.
@@ -292,43 +325,69 @@ impl Index {
         &self.metrics
     }
 
-    /// The analyzer applied to element names and query terms.
-    pub fn name_analyzer(&self) -> &Analyzer {
-        &self.names
-    }
-
     /// Number of segments in the published snapshot (sealed + head).
     pub fn segment_count(&self) -> usize {
         self.published.read().segments.len()
     }
 
-    /// Analyze a document into the per-field positioned terms and
-    /// forward-index keys `Writer::put` applies.
-    fn analyze(&self, doc: &IndexDocument) -> AnalyzedDoc {
+    /// Analyze a document into the forward-index keys and per-key
+    /// positions `Writer::put` applies. Terms stream out of the analyzer
+    /// into one text arena; sorting the occurrences by (field, term,
+    /// position) then yields the distinct keys and each key's positions
+    /// in one walk, with a `String` made per distinct key only.
+    fn analyze(&self, doc: &IndexDocument, scratch: &mut AnalysisScratch) -> AnalyzedDoc {
+        let AnalysisScratch {
+            analyzer,
+            text,
+            occurrences,
+        } = scratch;
+        text.clear();
+        occurrences.clear();
         let mut field_lengths = [0u32; Field::COUNT];
-        let mut keys: Vec<(u8, String)> = Vec::new();
-        let mut occurrences: [Vec<(String, u32)>; Field::COUNT] = Default::default();
         for field in Field::ALL {
-            let terms = doc.field_terms_positioned(field, &self.names, &self.prose);
-            field_lengths[field.ordinal() as usize] = terms.len() as u32;
-            // Forward-index entry: the distinct (field, term) keys this
-            // document contributes to, so remove() can decrement their
-            // live df without scanning the dictionary.
-            let mut distinct: Vec<&str> = terms.iter().map(|(t, _)| t.as_str()).collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            keys.extend(
-                distinct
-                    .into_iter()
-                    .map(|t| (field.ordinal(), t.to_string())),
+            let before = occurrences.len();
+            doc.for_each_field_term(
+                field,
+                &self.names,
+                &self.prose,
+                analyzer,
+                |term, position| {
+                    let start = text.len() as u32;
+                    text.push_str(term);
+                    occurrences.push(Occurrence {
+                        field: field.ordinal(),
+                        start,
+                        end: text.len() as u32,
+                        position,
+                    });
+                },
             );
-            occurrences[field.ordinal() as usize] = terms;
+            field_lengths[field.ordinal() as usize] = (occurrences.len() - before) as u32;
+        }
+        let term_of = |o: &Occurrence| &text[o.start as usize..o.end as usize];
+        occurrences.sort_unstable_by(|a, b| {
+            (a.field, term_of(a), a.position).cmp(&(b.field, term_of(b), b.position))
+        });
+        // Forward-index entry: the distinct (field, term) keys this
+        // document contributes to, so remove() can decrement their
+        // live df without scanning the dictionary.
+        let same_key =
+            |a: &Occurrence, b: &Occurrence| a.field == b.field && term_of(a) == term_of(b);
+        let distinct = occurrences.chunk_by(same_key).count();
+        let mut keys = Vec::with_capacity(distinct);
+        let mut ends = Vec::with_capacity(distinct);
+        let mut positions = Vec::with_capacity(occurrences.len());
+        for run in occurrences.chunk_by(same_key) {
+            keys.push((run[0].field, term_of(&run[0]).to_string()));
+            positions.extend(run.iter().map(|o| o.position));
+            ends.push(positions.len() as u32);
         }
         AnalyzedDoc {
             id: doc.id,
             field_lengths,
             keys,
-            occurrences,
+            positions,
+            ends,
         }
     }
 
@@ -379,10 +438,11 @@ impl Index {
             Put(AnalyzedDoc),
             Delete(SchemaId),
         }
+        let mut scratch = AnalysisScratch::default();
         let analyzed: Vec<Analyzed> = changes
             .into_iter()
             .map(|change| match change {
-                IndexChange::Put(doc) => Analyzed::Put(self.analyze(doc)),
+                IndexChange::Put(doc) => Analyzed::Put(self.analyze(doc, &mut scratch)),
                 IndexChange::Delete(id) => Analyzed::Delete(id),
             })
             .collect();
@@ -456,8 +516,19 @@ impl Index {
     /// Search with raw query strings (each analyzed through the name
     /// pipeline — queries are element names and keywords).
     pub fn search(&self, query: &[&str], options: &SearchOptions) -> Vec<Hit> {
-        let terms: Vec<String> = query.iter().flat_map(|q| self.names.analyze(q)).collect();
-        self.search_terms(&terms, options)
+        self.search_terms(&self.analyze_query(query.iter().copied()), options)
+    }
+
+    /// The terms of raw query strings, each through the name pipeline,
+    /// in order — what [`Index::search_terms`] takes.
+    pub fn analyze_query<'a>(&self, texts: impl IntoIterator<Item = &'a str>) -> Vec<String> {
+        let mut terms = Vec::new();
+        let mut scratch = AnalyzeScratch::default();
+        for text in texts {
+            self.names
+                .analyze_with(text, &mut scratch, |term| terms.push(term.to_string()));
+        }
+        terms
     }
 
     /// Search with pre-analyzed terms.
@@ -1117,6 +1188,164 @@ mod tests {
         index.remove(SchemaId(4));
         index.merge(ANY_TOMBSTONE).expect("one tombstone");
         check("merge of a single tombstone");
+    }
+
+    /// The allocating analysis the streaming one replaced, over
+    /// `Analyzer::analyze`: per field the `(term, position)` occurrences
+    /// in order, and from them the field lengths and the sorted distinct
+    /// forward keys.
+    #[allow(clippy::type_complexity)]
+    fn reference_analysis(
+        doc: &IndexDocument,
+        names: &Analyzer,
+        prose: &Analyzer,
+    ) -> (
+        [u32; Field::COUNT],
+        Vec<(u8, String)>,
+        [Vec<(String, u32)>; Field::COUNT],
+    ) {
+        use crate::document::ELEMENT_POSITION_GAP;
+        let positioned = |sources: &[&str], analyzer: &Analyzer| {
+            let mut out = Vec::new();
+            let mut pos = 0u32;
+            let mut first_source = true;
+            for source in sources {
+                let tokens = analyzer.analyze(source);
+                if tokens.is_empty() {
+                    continue;
+                }
+                if !first_source {
+                    pos += ELEMENT_POSITION_GAP - 1;
+                }
+                first_source = false;
+                for token in tokens {
+                    out.push((token, pos));
+                    pos += 1;
+                }
+            }
+            out
+        };
+        fn strs(v: &[String]) -> Vec<&str> {
+            v.iter().map(String::as_str).collect()
+        }
+        let mut field_lengths = [0u32; Field::COUNT];
+        let mut keys: Vec<(u8, String)> = Vec::new();
+        let mut occurrences: [Vec<(String, u32)>; Field::COUNT] = Default::default();
+        for field in Field::ALL {
+            let terms = match field {
+                Field::Title => positioned(&[&doc.title], names),
+                Field::Summary => positioned(&[&doc.summary], prose),
+                Field::Elements => positioned(&strs(&doc.elements), names),
+                Field::Docs => positioned(&strs(&doc.docs), prose),
+            };
+            field_lengths[field.ordinal() as usize] = terms.len() as u32;
+            let mut distinct: Vec<&str> = terms.iter().map(|(t, _)| t.as_str()).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            keys.extend(
+                distinct
+                    .into_iter()
+                    .map(|t| (field.ordinal(), t.to_string())),
+            );
+            occurrences[field.ordinal() as usize] = terms;
+        }
+        (field_lengths, keys, occurrences)
+    }
+
+    /// Source strings from a small pool: compound and abbreviated names,
+    /// paths, prose with stop words, words that repeat within and across
+    /// fields, and sources that analyze to nothing (so the gap rule is
+    /// exercised at the start, in the middle and at the end of a field).
+    fn arb_source() -> impl proptest::prelude::Strategy<Value = String> {
+        use proptest::prelude::Strategy;
+        proptest::collection::vec(
+            proptest::sample::select(vec![
+                "patient",
+                "patient.height",
+                "pat_ht",
+                "PatientVisits",
+                "DOB",
+                "the",
+                "of the",
+                "height in cm",
+                "diagnoses",
+                "icd10code",
+                "___",
+                "",
+                " ",
+                "größe",
+                "患者",
+                ".",
+            ]),
+            0..4,
+        )
+        .prop_map(|parts| parts.join(" "))
+    }
+
+    fn arb_document() -> impl proptest::prelude::Strategy<Value = IndexDocument> {
+        use proptest::prelude::Strategy;
+        (
+            arb_source(),
+            arb_source(),
+            proptest::collection::vec(arb_source(), 0..7),
+            proptest::collection::vec(arb_source(), 0..4),
+        )
+            .prop_map(|(title, summary, elements, docs)| IndexDocument {
+                id: SchemaId(0),
+                title,
+                summary,
+                elements,
+                docs,
+            })
+    }
+
+    proptest::proptest! {
+        /// What the streaming analysis hands the writer — and what the
+        /// head then holds — is the allocating reference's, to the bit:
+        /// `(term, position)` per field, field lengths, forward keys, and
+        /// in every postings list the document's positions. A batch goes
+        /// through one scratch, so each document follows another's
+        /// leftovers.
+        #[test]
+        fn streamed_analysis_equals_the_allocating_reference(
+            docs in proptest::collection::vec(arb_document(), 1..4),
+        ) {
+            let docs: Vec<IndexDocument> = docs
+                .into_iter()
+                .enumerate()
+                .map(|(i, doc)| IndexDocument { id: SchemaId(i as u64), ..doc })
+                .collect();
+            let index = Index::new().with_seal_threshold(usize::MAX);
+            index.apply(docs.iter().map(IndexChange::Put));
+            let snap = index.snapshot();
+            let head = &snap.segments[0].data;
+            for (ord, doc) in docs.iter().enumerate() {
+                let (lengths, keys, occurrences) = reference_analysis(doc, &index.names, &index.prose);
+                for field in Field::ALL {
+                    proptest::prop_assert_eq!(
+                        &doc.field_terms_positioned(field, &index.names, &index.prose),
+                        &occurrences[field.ordinal() as usize]
+                    );
+                }
+                proptest::prop_assert_eq!(head.docs[ord].field_lengths, lengths);
+                proptest::prop_assert_eq!(&head.doc_terms[ord], &keys);
+                for (field_ord, term) in &keys {
+                    let expected: Vec<u32> = occurrences[*field_ord as usize]
+                        .iter()
+                        .filter(|(t, _)| t == term)
+                        .map(|(_, pos)| *pos)
+                        .collect();
+                    let posting = head.terms[*field_ord as usize][term.as_str()]
+                        .get(ord as DocOrd)
+                        .expect("a key has a posting");
+                    proptest::prop_assert_eq!(&posting.positions, &expected);
+                }
+            }
+            // No list mentions a document its keys do not name.
+            let postings: usize = head.terms.iter().flat_map(|t| t.values()).map(PostingsList::doc_freq).sum();
+            let keys: usize = head.doc_terms.iter().map(Vec::len).sum();
+            proptest::prop_assert_eq!(postings, keys);
+        }
     }
 
     #[test]

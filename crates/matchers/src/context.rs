@@ -17,7 +17,7 @@ use std::collections::HashSet;
 use schemr_model::ElementId;
 use schemr_model::{QueryGraph, QueryTerm, Schema};
 use schemr_text::gramset::scalar_merge;
-use schemr_text::{Analyzer, Lexicon, WordId};
+use schemr_text::{AnalyzeScratch, Analyzer, WordId};
 
 use crate::matrix::SimilarityMatrix;
 use crate::prepare::{element_words, FlatLists, PreparedQuery, PreparedSchema, ScoreScratch};
@@ -102,8 +102,13 @@ impl ContextMatcher {
                     let fragment = &query.fragments()[frag_ix];
                     let sets = per_fragment[frag_ix].get_or_insert_with(|| {
                         let mut words = FlatLists::with_capacity(fragment.len());
+                        let mut scratch = AnalyzeScratch::default();
                         for id in fragment.ids() {
-                            words.push(self.analyzer.analyze(&fragment.element(id).name));
+                            let name = &fragment.element(id).name;
+                            self.analyzer.analyze_with(name, &mut scratch, |w| {
+                                words.push_item(w.to_string())
+                            });
+                            words.end_list();
                         }
                         neighborhoods(fragment, &words)
                     });
@@ -173,12 +178,13 @@ impl Matcher for ContextMatcher {
         "context"
     }
 
-    fn prepare(&self, schema: &Schema, lexicon: &Lexicon) -> PreparedSchema {
+    fn analyzer(&self) -> Option<&Analyzer> {
+        Some(&self.analyzer)
+    }
+
+    fn prepare(&self, schema: &Schema, words: &FlatLists<WordId>) -> PreparedSchema {
         PreparedSchema {
-            neighborhoods: Some(neighborhoods(
-                schema,
-                &element_words(&self.analyzer, schema, lexicon),
-            )),
+            neighborhoods: Some(neighborhoods(schema, words)),
             ..PreparedSchema::default()
         }
     }
@@ -274,7 +280,9 @@ impl Matcher for ContextMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepare_alone;
     use schemr_model::{DataType, SchemaBuilder};
+    use schemr_text::Lexicon;
 
     fn fragment_query() -> (QueryGraph, Vec<QueryTerm>) {
         let mut q = QueryGraph::new();
@@ -482,11 +490,11 @@ mod tests {
             let late = Lexicon::new();
             let mut late_scratch = ScoreScratch::new(&late);
             let other = nested_schema("other", &["zebra".to_string()], &[0]);
-            matcher.score(&pq, &terms, &q, &matcher.prepare(&other, &late), &other, &mut late_scratch);
+            matcher.score(&pq, &terms, &q, &prepare_alone(&matcher, &other, &late), &other, &mut late_scratch);
             let matrices = [
-                matcher.score(&pq, &terms, &q, &matcher.prepare(&candidate, &fresh), &candidate, &mut ScoreScratch::new(&fresh)),
-                matcher.score(&pq, &terms, &q, &matcher.prepare(&candidate, &seeded), &candidate, &mut ScoreScratch::new(&seeded)),
-                matcher.score(&pq, &terms, &q, &matcher.prepare(&candidate, &late), &candidate, &mut late_scratch),
+                matcher.score(&pq, &terms, &q, &prepare_alone(&matcher, &candidate, &fresh), &candidate, &mut ScoreScratch::new(&fresh)),
+                matcher.score(&pq, &terms, &q, &prepare_alone(&matcher, &candidate, &seeded), &candidate, &mut ScoreScratch::new(&seeded)),
+                matcher.score(&pq, &terms, &q, &prepare_alone(&matcher, &candidate, &late), &candidate, &mut late_scratch),
             ];
             for (r, term) in terms.iter().enumerate() {
                 let query_ctx = match (term.fragment, term.element) {

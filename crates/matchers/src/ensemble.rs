@@ -13,13 +13,22 @@ use schemr_text::Lexicon;
 use crate::context::ContextMatcher;
 use crate::matrix::SimilarityMatrix;
 use crate::name::NameMatcher;
-use crate::prepare::{EnsembleQuery, MatchScratch, PreparedCandidate, ScoreScratch};
+use crate::prepare::{
+    element_words, EnsembleQuery, FlatLists, MatchScratch, PreparedCandidate, ScoreScratch,
+};
 use crate::Matcher;
 
 /// A weighted set of matchers producing one combined similarity matrix per
 /// candidate.
 pub struct Ensemble {
     matchers: Vec<(Box<dyn Matcher>, f64)>,
+    /// One entry per distinct [`Matcher::analyzer`] among the matchers:
+    /// the index of the first matcher that names it. A candidate's
+    /// element names are analyzed once per entry.
+    passes: Vec<usize>,
+    /// Per matcher, the entry of `passes` whose words it prepares from;
+    /// `None` for a matcher that names no analyzer.
+    pass_of: Vec<Option<usize>>,
 }
 
 /// The output of one ensemble pass over a candidate.
@@ -40,6 +49,8 @@ impl Ensemble {
     pub fn empty() -> Self {
         Ensemble {
             matchers: Vec::new(),
+            passes: Vec::new(),
+            pass_of: Vec::new(),
         }
     }
 
@@ -54,8 +65,28 @@ impl Ensemble {
 
     /// Add a matcher with a weight (negative weights are treated as zero at
     /// combination time).
+    /// A matcher whose [`Matcher::analyzer`] equals that of a matcher
+    /// already registered joins its pass; analyzers are compared here,
+    /// once, never per candidate.
     pub fn push(&mut self, matcher: Box<dyn Matcher>, weight: f64) {
+        let pass = matcher.analyzer().map(|analyzer| {
+            let shared = self
+                .passes
+                .iter()
+                .position(|&first| self.matchers[first].0.analyzer() == Some(analyzer));
+            shared.unwrap_or_else(|| {
+                self.passes.push(self.matchers.len());
+                self.passes.len() - 1
+            })
+        });
+        self.pass_of.push(pass);
         self.matchers.push((matcher, weight));
+    }
+
+    /// How many times [`Ensemble::prepare`] analyzes a candidate's
+    /// element names: once per distinct analyzer among the matchers.
+    pub fn analyzer_passes(&self) -> usize {
+        self.passes.len()
     }
 
     /// Number of matchers.
@@ -99,9 +130,26 @@ impl Ensemble {
     /// Build the candidate-side prepared artifacts for every matcher,
     /// interning the candidate's words in `lexicon`. The engine caches
     /// the result per (schema id, repository revision, lexicon).
+    ///
+    /// The element names are analyzed once per distinct analyzer, not once
+    /// per matcher: each pass's words go to every matcher that shares it.
     pub fn prepare(&self, schema: &Schema, lexicon: &Lexicon) -> PreparedCandidate {
-        let refs: Vec<&dyn Matcher> = self.matchers.iter().map(|(m, _)| m.as_ref()).collect();
-        PreparedCandidate::build(&refs, schema, lexicon)
+        let words: Vec<FlatLists<_>> = self
+            .passes
+            .iter()
+            .map(|&first| {
+                let analyzer = self.matchers[first].0.analyzer();
+                element_words(analyzer.expect("a pass has an analyzer"), schema, lexicon)
+            })
+            .collect();
+        let no_words = FlatLists::default();
+        PreparedCandidate::new(
+            self.matchers
+                .iter()
+                .zip(&self.pass_of)
+                .map(|((m, _), pass)| m.prepare(schema, pass.map_or(&no_words, |p| &words[p])))
+                .collect(),
+        )
     }
 
     /// Every matcher's matrix and wall time, in registration order. An

@@ -25,9 +25,10 @@
 //! * [`TypeMatcher`] — data-type compatibility for fragment queries.
 //!
 //! Scoring has one path: [`Matcher::score`] over the artifacts of
-//! [`prepare`] — word ids in the engine's [`schemr_text::Lexicon`], word-
-//! pair similarities memoised in a [`MatchScratch`] — driven per
-//! candidate by [`Ensemble::run`]. The string-set scalar kernels the
+//! [`prepare`] — word ids in the engine's [`schemr_text::Lexicon`], from
+//! one analyzer pass per candidate that matchers with equal analyzers
+//! share; word-pair similarities memoised in a [`MatchScratch`] — driven
+//! per candidate by [`Ensemble::run`]. The string-set scalar kernels the
 //! prepared kernels are tested against, bit for bit —
 //! [`NameMatcher::similarity`], [`TokenMatcher::similarity`], the context
 //! matcher's test-only `neighbor_terms` + `set_similarity` — are inherent
@@ -56,14 +57,14 @@ pub use flooding::FloodingMatcher;
 pub use matrix::SimilarityMatrix;
 pub use name::NameMatcher;
 pub use prepare::{
-    EnsembleQuery, FlatLists, MatchScratch, PreparedCandidate, PreparedQuery, PreparedSchema,
-    QueryWords, ScoreScratch,
+    prepare_alone, EnsembleQuery, FlatLists, MatchScratch, PreparedCandidate, PreparedQuery,
+    PreparedSchema, QueryWords, ScoreScratch,
 };
 pub use token::TokenMatcher;
 pub use typematch::TypeMatcher;
 
 use schemr_model::{QueryGraph, QueryTerm, Schema};
-use schemr_text::Lexicon;
+use schemr_text::{Analyzer, WordId};
 
 /// A schema matcher: scores every (query term, candidate element) pair into
 /// a [`SimilarityMatrix`] with values in `[0, 1]`.
@@ -79,15 +80,28 @@ pub trait Matcher: Send + Sync {
         false
     }
 
-    /// Precompute this matcher's candidate-side artifacts for `schema`,
-    /// interning the words it analyzes in `lexicon` — the only place a
-    /// lexicon is written. Candidate schemas are immutable between
-    /// repository revisions, so the engine caches the result per (schema
-    /// id, revision, lexicon) and feeds it back through
+    /// The analyzer this matcher reads a candidate's element names
+    /// through, when its artifacts are made of the lexicon's word ids —
+    /// `None` (the default) for a matcher that reads no analyzed names.
+    /// Matchers that name equal analyzers share one pass over each
+    /// candidate: the ensemble runs it once and hands every one of them
+    /// the same words.
+    fn analyzer(&self) -> Option<&Analyzer> {
+        None
+    }
+
+    /// Precompute this matcher's candidate-side artifacts for `schema`.
+    /// `words` holds, per element in [`Schema::ids`] order, the element
+    /// name's words as analyzed by [`Matcher::analyzer`] and interned in
+    /// the lexicon the candidate will be scored in (no list at all for a
+    /// matcher that names no analyzer); the pass that made it is the only
+    /// place a lexicon is written. Candidate schemas are immutable
+    /// between repository revisions, so the engine caches the result per
+    /// (schema id, revision, lexicon) and feeds it back through
     /// [`Matcher::score`]. The default returns an empty artifact — a
     /// valid artifact for a matcher that reads only the schema itself.
-    fn prepare(&self, schema: &Schema, lexicon: &Lexicon) -> PreparedSchema {
-        let _ = (schema, lexicon);
+    fn prepare(&self, schema: &Schema, words: &FlatLists<WordId>) -> PreparedSchema {
+        let _ = (schema, words);
         PreparedSchema::default()
     }
 
@@ -128,12 +142,12 @@ pub(crate) fn score_fresh(
     query: &QueryGraph,
     candidate: &Schema,
 ) -> SimilarityMatrix {
-    let lexicon = Lexicon::new();
+    let lexicon = schemr_text::Lexicon::new();
     m.score(
         &m.prepare_query(terms, query),
         terms,
         query,
-        &m.prepare(candidate, &lexicon),
+        &prepare_alone(m, candidate, &lexicon),
         candidate,
         &mut ScoreScratch::new(&lexicon),
     )

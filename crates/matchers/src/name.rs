@@ -12,7 +12,7 @@ use std::collections::HashSet;
 
 use schemr_model::{QueryGraph, QueryTerm, Schema};
 use schemr_text::ngram::{dice, overlap};
-use schemr_text::{Analyzer, GramSet, Lexicon, LexiconReader, WordId};
+use schemr_text::{AnalyzeScratch, Analyzer, GramSet, LexiconReader, WordId};
 
 use crate::matrix::SimilarityMatrix;
 use crate::prepare::{
@@ -118,16 +118,18 @@ impl NameMatcher {
         let mut distinct: Vec<String> = Vec::new();
         let mut grams: Vec<GramSet> = Vec::new();
         let mut lists = FlatLists::with_capacity(terms.len());
+        let mut scratch = AnalyzeScratch::default();
         for term in terms {
-            let analyzed = self.analyzer.analyze(&term.text);
-            lists.push(analyzed.into_iter().map(|word| {
-                let ix = distinct.iter().position(|d| *d == word).unwrap_or_else(|| {
-                    grams.push(GramSet::all_grams(&word));
-                    distinct.push(word);
-                    distinct.len() - 1
+            self.analyzer
+                .analyze_with(&term.text, &mut scratch, |word| {
+                    let ix = distinct.iter().position(|d| d == word).unwrap_or_else(|| {
+                        grams.push(GramSet::all_grams(word));
+                        distinct.push(word.to_string());
+                        distinct.len() - 1
+                    });
+                    lists.push_item(ix as u32);
                 });
-                ix as u32
-            }));
+            lists.end_list();
         }
         QueryWords {
             grams,
@@ -197,9 +199,13 @@ impl Matcher for NameMatcher {
         "name"
     }
 
-    fn prepare(&self, schema: &Schema, lexicon: &Lexicon) -> PreparedSchema {
+    fn analyzer(&self) -> Option<&Analyzer> {
+        Some(&self.analyzer)
+    }
+
+    fn prepare(&self, _schema: &Schema, words: &FlatLists<WordId>) -> PreparedSchema {
         PreparedSchema {
-            name_words: Some(element_words(&self.analyzer, schema, lexicon)),
+            name_words: Some(words.clone()),
             ..PreparedSchema::default()
         }
     }
@@ -383,7 +389,7 @@ mod tests {
             &q,
             &PreparedSchema::default(),
             &schema,
-            &mut ScoreScratch::new(&Lexicon::new()),
+            &mut ScoreScratch::new(&schemr_text::Lexicon::new()),
         );
         for (r, term) in ts.iter().enumerate() {
             for (c, id) in schema.ids().enumerate() {

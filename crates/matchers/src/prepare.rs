@@ -3,15 +3,24 @@
 //!
 //! The matcher ensemble scores every (query term × candidate element)
 //! pair, and the same words come back in every pair, every candidate and
-//! every search. The text work is therefore done at three resolutions,
+//! every search. The text work is therefore done at four resolutions,
 //! each exactly once:
 //!
 //! * **per distinct word** — the engine's [`Lexicon`] interns each
 //!   analyzed candidate word under a dense [`WordId`] and builds its
 //!   all-gram set then and only then;
+//! * **per (candidate, distinct analyzer)** — [`element_words`] is the
+//!   one pass over a candidate's element names: the streaming analyzer
+//!   hands each term to the lexicon as a `&str`, a whole schema resolves
+//!   under one read view, and only a word the lexicon has never seen
+//!   takes the interning write path. The [`crate::Ensemble`] groups its
+//!   matchers by analyzer, runs the pass once per group and hands the
+//!   resulting word ids to every matcher of the group — the standard
+//!   ensemble's name and context matchers share one pass;
 //! * **per (schema, revision)** — a [`PreparedSchema`] holds one
 //!   matcher's view of a candidate as flat word-id arrays ([`FlatLists`]):
-//!   each element name analyzed once, neighborhoods as sorted id sets.
+//!   the name matcher keeps the pass's ids as they are, the context
+//!   matcher derives neighborhoods from them as sorted id sets.
 //!   [`PreparedCandidate`] bundles one per matcher and is what the
 //!   engine's revision-keyed artifact cache stores. It carries no gram
 //!   set of its own, and its ids are meaningful only in the lexicon it
@@ -22,15 +31,16 @@
 //!   composed from table reads.
 //!
 //! Query-side artifacts ([`PreparedQuery`], bundled as
-//! [`EnsembleQuery`]) are built once per search and never touch the
-//! lexicon: query text arrives from a socket and must not grow it.
+//! [`EnsembleQuery`]) are built once per search, through the same
+//! streaming analyzer, and never touch the lexicon: query text arrives
+//! from a socket and must not grow it.
 //!
 //! A matcher that reads only the schema itself leaves its artifact
 //! structs empty: an empty artifact is a valid artifact, and there is no
 //! second scoring path for it to select.
 
 use schemr_model::{QueryGraph, QueryTerm, Schema};
-use schemr_text::{GramSet, Lexicon, WordId};
+use schemr_text::{AnalyzeScratch, Analyzer, GramSet, Lexicon, WordId};
 
 use crate::Matcher;
 
@@ -65,6 +75,18 @@ impl<T> FlatLists<T> {
     /// Append one list.
     pub fn push(&mut self, list: impl IntoIterator<Item = T>) {
         self.items.extend(list);
+        self.end_list();
+    }
+
+    /// Append one item to the list being built — for a producer that
+    /// hands items over one at a time. [`FlatLists::end_list`] closes it.
+    pub(crate) fn push_item(&mut self, item: T) {
+        self.items.push(item);
+    }
+
+    /// Close the list being built: the items pushed since the last list
+    /// ended (none is a valid, empty list) become the next list.
+    pub(crate) fn end_list(&mut self) {
         self.ends
             .push(u32::try_from(self.items.len()).expect("a schema's word lists fit in u32"));
     }
@@ -130,7 +152,7 @@ pub struct PreparedQuery {
 
 /// Candidate-side artifacts for one matcher, immutable for a given
 /// (schema id, repository revision) and valid in one [`Lexicon`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PreparedSchema {
     /// Per element (in [`Schema::ids`] order), the analyzed words of the
     /// element name, in order and with repeats (name matcher).
@@ -157,25 +179,66 @@ impl PreparedSchema {
 
 /// Analyze every element name of `schema` once and intern its words:
 /// list *i* holds element *i*'s words, in order and with repeats.
+///
+/// The whole schema resolves under one read view of the lexicon — a
+/// corpus repeats its vocabulary, so against a warm lexicon every word is
+/// a lookup. Only the words that view did not know go through
+/// [`Lexicon::intern`], after the view is dropped: interning takes the
+/// write lock.
 pub(crate) fn element_words(
-    analyzer: &schemr_text::Analyzer,
+    analyzer: &Analyzer,
     schema: &Schema,
     lexicon: &Lexicon,
 ) -> FlatLists<WordId> {
-    let mut words = FlatLists::with_capacity(schema.len());
-    for id in schema.ids() {
-        let analyzed = analyzer.analyze(&schema.element(id).name);
-        words.push(analyzed.iter().map(|w| lexicon.intern(w)));
+    let mut scratch = AnalyzeScratch::default();
+    // Every word of every name, `None` where the lexicon had not met it;
+    // `missed` remembers which word that was.
+    let mut resolved: FlatLists<Option<WordId>> = FlatLists::with_capacity(schema.len());
+    let mut missed: Vec<(usize, Box<str>)> = Vec::new();
+    {
+        let known = lexicon.read();
+        for el in schema.elements() {
+            analyzer.analyze_with(&el.name, &mut scratch, |word| {
+                let id = known.lookup(word);
+                if id.is_none() {
+                    missed.push((resolved.items.len(), word.into()));
+                }
+                resolved.push_item(id);
+            });
+            resolved.end_list();
+        }
     }
+    for (at, word) in missed {
+        resolved.items[at] = Some(lexicon.intern(&word));
+    }
+    let mut words = FlatLists {
+        items: resolved
+            .items
+            .into_iter()
+            .map(|id| id.expect("every word the view missed was interned"))
+            .collect(),
+        ends: resolved.ends,
+    };
     words.shrink_to_fit();
     words
+}
+
+/// One matcher's candidate artifacts prepared without an ensemble: the
+/// pass of its own analyzer (if it names one), then [`Matcher::prepare`].
+/// What [`crate::Ensemble::prepare`] must equal for every matcher however
+/// it shares passes, and how a matcher is driven on its own.
+pub fn prepare_alone(matcher: &dyn Matcher, schema: &Schema, lexicon: &Lexicon) -> PreparedSchema {
+    match matcher.analyzer() {
+        Some(analyzer) => matcher.prepare(schema, &element_words(analyzer, schema, lexicon)),
+        None => matcher.prepare(schema, &FlatLists::default()),
+    }
 }
 
 /// The ensemble-level bundle of prepared candidate artifacts: one
 /// [`PreparedSchema`] per matcher, in registration order. This is the
 /// value the engine's match-artifact cache stores per (schema id,
 /// repository revision).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PreparedCandidate {
     /// One artifact per matcher, aligned with the ensemble's
     /// registration order.
@@ -185,17 +248,9 @@ pub struct PreparedCandidate {
 }
 
 impl PreparedCandidate {
-    /// Prepare every matcher's artifacts for `schema`, interning its
-    /// words in `lexicon`.
-    pub fn build(
-        matchers: &[&dyn Matcher],
-        schema: &Schema,
-        lexicon: &Lexicon,
-    ) -> PreparedCandidate {
-        let per_matcher: Vec<PreparedSchema> = matchers
-            .iter()
-            .map(|m| m.prepare(schema, lexicon))
-            .collect();
+    /// Bundle the matchers' artifacts, in registration order, and size
+    /// them.
+    pub fn new(per_matcher: Vec<PreparedSchema>) -> PreparedCandidate {
         let bytes = per_matcher
             .iter()
             .map(PreparedSchema::heap_bytes)
@@ -370,6 +425,101 @@ mod tests {
         assert_eq!(lists.iter().map(<[u32]>::len).sum::<usize>(), 4);
         lists.shrink_to_fit();
         assert_eq!(lists.heap_bytes(), 4 * 4 + 3 * 4);
+    }
+
+    #[test]
+    fn streamed_lists_equal_pushed_lists() {
+        let mut pushed = FlatLists::with_capacity(3);
+        pushed.push(["a", "b"]);
+        pushed.push([]);
+        pushed.push(["c"]);
+        let mut streamed = FlatLists::with_capacity(3);
+        streamed.push_item("a");
+        streamed.push_item("b");
+        streamed.end_list();
+        streamed.end_list();
+        streamed.push_item("c");
+        streamed.end_list();
+        assert_eq!(streamed, pushed);
+    }
+
+    #[test]
+    fn element_words_resolve_every_word_of_every_name_in_order() {
+        use schemr_model::{DataType, SchemaBuilder};
+        let schema = SchemaBuilder::new("s")
+            .entity("patient", |e| {
+                e.attr("pat_ht", DataType::Real)
+                    .attr("__", DataType::Text)
+                    .attr("DOB", DataType::Date)
+            })
+            .build_unchecked();
+        let analyzer = Analyzer::for_names();
+        let lexicon = Lexicon::new();
+        lexicon.intern("height"); // known before the pass: a lookup
+        let words = element_words(&analyzer, &schema, &lexicon);
+        assert_eq!(words.len(), schema.len());
+        let reader = lexicon.read();
+        for (list, id) in words.iter().zip(schema.ids()) {
+            let expected: Vec<WordId> = analyzer
+                .analyze(&schema.element(id).name)
+                .iter()
+                .map(|w| reader.lookup(w).expect("the pass interned it"))
+                .collect();
+            assert_eq!(list, expected);
+        }
+        assert_eq!(reader.len(), 5, "patient height date of birth");
+        assert_eq!(
+            words.heap_bytes(),
+            6 * std::mem::size_of::<WordId>() + 4 * std::mem::size_of::<u32>(),
+            "no growth slack stays resident"
+        );
+    }
+
+    #[test]
+    fn eight_threads_against_a_cold_lexicon_resolve_the_sequential_result() {
+        use schemr_model::{DataType, SchemaBuilder};
+        // Every thread finds the lexicon empty, so every word goes
+        // through the reader-then-intern path and first-sight races
+        // happen; whichever thread wins a word, all must agree on its id.
+        let schema = SchemaBuilder::new("s")
+            .entity("patient_visit", |mut e| {
+                for i in 0..40 {
+                    e = e.attr(format!("visit{i}_diagnoses_cd"), DataType::Text);
+                }
+                e.attr("DOB", DataType::Date)
+            })
+            .build_unchecked();
+        let analyzer = Analyzer::for_names();
+        let lexicon = Lexicon::new();
+        let barrier = std::sync::Barrier::new(8);
+        let racing: Vec<FlatLists<WordId>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        element_words(&analyzer, &schema, &lexicon)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("analysis threads do not panic"))
+                .collect()
+        });
+        let sequential = element_words(&analyzer, &schema, &lexicon);
+        for raced in &racing {
+            assert_eq!(raced, &sequential);
+        }
+        // … and the ids name the words the analyzer produces.
+        let reader = lexicon.read();
+        for (list, id) in sequential.iter().zip(schema.ids()) {
+            let expected: Vec<Option<WordId>> = analyzer
+                .analyze(&schema.element(id).name)
+                .iter()
+                .map(|w| reader.lookup(w))
+                .collect();
+            assert_eq!(list.iter().copied().map(Some).collect::<Vec<_>>(), expected);
+        }
     }
 
     #[test]

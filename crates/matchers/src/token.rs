@@ -9,10 +9,11 @@
 use std::collections::HashSet;
 
 use schemr_model::{QueryGraph, QueryTerm, Schema};
-use schemr_text::{Analyzer, GramSet, Lexicon};
+use schemr_text::gramset::hash_term;
+use schemr_text::{AnalyzeScratch, Analyzer, GramSet, WordId};
 
 use crate::matrix::SimilarityMatrix;
-use crate::prepare::{PreparedQuery, PreparedSchema, ScoreScratch};
+use crate::prepare::{FlatLists, PreparedQuery, PreparedSchema, ScoreScratch};
 use crate::Matcher;
 
 /// Exact normalized-token Jaccard matcher.
@@ -42,9 +43,17 @@ impl TokenMatcher {
     /// token. Set cardinalities and intersection counts match the string
     /// sets (absent 64-bit hash collisions), so the Jaccard score is
     /// bitwise-identical to [`TokenMatcher::similarity`].
-    fn signature(&self, name: &str) -> GramSet {
-        let tokens = self.analyzer.analyze(name);
-        GramSet::of_terms(tokens.iter().map(String::as_str))
+    fn signature(&self, name: &str, scratch: &mut AnalyzeScratch) -> GramSet {
+        let mut ids = Vec::new();
+        self.analyzer
+            .analyze_with(name, scratch, |token| ids.push(hash_term(token)));
+        GramSet::from_hashes(ids)
+    }
+
+    /// The signature of each of `names`, through one analyzer scratch.
+    fn signatures<'a>(&self, names: impl Iterator<Item = &'a str>) -> Vec<GramSet> {
+        let mut scratch = AnalyzeScratch::default();
+        names.map(|n| self.signature(n, &mut scratch)).collect()
     }
 
     /// Jaccard similarity of exact token sets, over `HashSet<String>` —
@@ -68,21 +77,18 @@ impl Matcher for TokenMatcher {
         "token"
     }
 
-    fn prepare(&self, schema: &Schema, _lexicon: &Lexicon) -> PreparedSchema {
+    /// Exact tokens are hashed, not interned: this matcher names no
+    /// analyzer and builds its artifact from the schema alone.
+    fn prepare(&self, schema: &Schema, _words: &FlatLists<WordId>) -> PreparedSchema {
         PreparedSchema {
-            tokens: Some(
-                schema
-                    .ids()
-                    .map(|id| self.signature(&schema.element(id).name))
-                    .collect(),
-            ),
+            tokens: Some(self.signatures(schema.elements().iter().map(|el| el.name.as_str()))),
             ..PreparedSchema::default()
         }
     }
 
     fn prepare_query(&self, terms: &[QueryTerm], _query: &QueryGraph) -> PreparedQuery {
         PreparedQuery {
-            term_tokens: Some(terms.iter().map(|t| self.signature(&t.text)).collect()),
+            term_tokens: Some(self.signatures(terms.iter().map(|t| t.text.as_str()))),
             ..PreparedQuery::default()
         }
     }
@@ -101,10 +107,7 @@ impl Matcher for TokenMatcher {
         let term_tokens: &[GramSet] = match &prepared_query.term_tokens {
             Some(tt) if tt.len() == terms.len() => tt,
             _ => {
-                local_terms = terms
-                    .iter()
-                    .map(|t| self.signature(&t.text))
-                    .collect::<Vec<_>>();
+                local_terms = self.signatures(terms.iter().map(|t| t.text.as_str()));
                 &local_terms
             }
         };
@@ -112,10 +115,8 @@ impl Matcher for TokenMatcher {
         let element_tokens: &[GramSet] = match &prepared.tokens {
             Some(et) if et.len() == candidate.len() => et,
             _ => {
-                local_elements = candidate
-                    .ids()
-                    .map(|id| self.signature(&candidate.element(id).name))
-                    .collect::<Vec<_>>();
+                local_elements =
+                    self.signatures(candidate.elements().iter().map(|el| el.name.as_str()));
                 &local_elements
             }
         };
@@ -188,7 +189,7 @@ mod tests {
             &q,
             &PreparedSchema::default(),
             &candidate,
-            &mut ScoreScratch::new(&Lexicon::new()),
+            &mut ScoreScratch::new(&schemr_text::Lexicon::new()),
         );
         for (r, term) in terms.iter().enumerate() {
             for (c, id) in candidate.ids().enumerate() {

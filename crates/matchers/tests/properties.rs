@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use schemr_match::name::NameMatcherConfig;
 use schemr_match::{
-    ContextMatcher, EditDistanceMatcher, Ensemble, MatchScratch, Matcher, NameMatcher,
-    ScoreScratch, SimilarityMatrix, TokenMatcher,
+    prepare_alone, ContextMatcher, EditDistanceMatcher, Ensemble, MatchScratch, Matcher,
+    NameMatcher, PreparedCandidate, ScoreScratch, SimilarityMatrix, TokenMatcher,
 };
 use schemr_model::{DataType, ElementKind, QueryGraph, QueryTerm, Schema, SchemaBuilder};
 use schemr_text::{Analyzer, AnalyzerConfig, Lexicon};
@@ -93,6 +93,30 @@ fn keyword_terms(words: &[String]) -> (QueryGraph, Vec<QueryTerm>) {
     (q, t)
 }
 
+/// Five matchers over two analyzers: the standard pair and a second name
+/// matcher that analyzes plainly, plus two that name no analyzer (token
+/// hashes its own plain tokens; edit reads the schema itself).
+fn two_analyzer_matchers() -> Vec<Box<dyn Matcher>> {
+    vec![
+        Box::new(NameMatcher::new()),
+        Box::new(ContextMatcher::new()),
+        Box::new(NameMatcher::with(
+            Analyzer::plain(),
+            NameMatcherConfig::default(),
+        )),
+        Box::new(TokenMatcher::new()),
+        Box::new(EditDistanceMatcher::new()),
+    ]
+}
+
+fn ensemble_of(matchers: Vec<Box<dyn Matcher>>) -> Ensemble {
+    let mut ensemble = Ensemble::empty();
+    for m in matchers {
+        ensemble.push(m, 1.0);
+    }
+    ensemble
+}
+
 proptest! {
     /// Scalar similarities are symmetric and bounded for every matcher.
     #[test]
@@ -147,7 +171,7 @@ proptest! {
                 &m.prepare_query(&terms, &q),
                 &terms,
                 &q,
-                &m.prepare(&candidate, &lexicon),
+                &prepare_alone(m.as_ref(), &candidate, &lexicon),
                 &candidate,
                 &mut ScoreScratch::new(&lexicon),
             );
@@ -290,15 +314,15 @@ proptest! {
             let pq = m.prepare_query(&terms, &q);
             let lexicon = Lexicon::new();
             let cold = m.score(
-                &pq, &terms, &q, &m.prepare(&candidate, &lexicon), &candidate,
+                &pq, &terms, &q, &prepare_alone(m, &candidate, &lexicon), &candidate,
                 &mut ScoreScratch::new(&lexicon),
             );
             // Warm: lexicon and memo have both seen another candidate.
             let lexicon = Lexicon::new();
             let mut scratch = ScoreScratch::new(&lexicon);
-            m.score(&pq, &terms, &q, &m.prepare(&other, &lexicon), &other, &mut scratch);
+            m.score(&pq, &terms, &q, &prepare_alone(m, &other, &lexicon), &other, &mut scratch);
             let warm = m.score(
-                &pq, &terms, &q, &m.prepare(&candidate, &lexicon), &candidate, &mut scratch,
+                &pq, &terms, &q, &prepare_alone(m, &candidate, &lexicon), &candidate, &mut scratch,
             );
             for (r, term) in terms.iter().enumerate() {
                 for (c, id) in candidate.ids().enumerate() {
@@ -352,6 +376,102 @@ proptest! {
             assert_same_bits(matrix, &alone[0].1);
             let reversed = backward.iter().find(|(j, _)| j == i).expect("scored");
             assert_same_bits(matrix, &reversed.1);
+        }
+    }
+
+    /// Matchers that share an analyzer share one pass over a candidate's
+    /// element names, and what the ensemble prepares that way is bit for
+    /// bit what each matcher prepares alone from a pass of its own: the
+    /// same lists, the same word ids, the same footprint.
+    #[test]
+    fn shared_passes_prepare_what_each_matcher_prepares_alone(
+        pooled in proptest::collection::vec(arb_pooled_name(), 1..7),
+        wild in ".{0,10}",
+    ) {
+        let mut names = pooled;
+        names.push(wild);
+        let candidate = flat_schema("cand", &names);
+
+        let standard = Ensemble::standard();
+        prop_assert_eq!(standard.analyzer_passes(), 1, "name and context share for_names");
+        let lexicon = Lexicon::new();
+        let alone = PreparedCandidate::new(vec![
+            prepare_alone(&NameMatcher::new(), &candidate, &lexicon),
+            prepare_alone(&ContextMatcher::new(), &candidate, &lexicon),
+        ]);
+        prop_assert_eq!(&standard.prepare(&candidate, &Lexicon::new()), &alone);
+        // Against the lexicon the lone passes already filled: all lookups.
+        prop_assert_eq!(&standard.prepare(&candidate, &lexicon), &alone);
+
+        let mixed = ensemble_of(two_analyzer_matchers());
+        prop_assert_eq!(mixed.analyzer_passes(), 2, "for_names and plain");
+        // Alone in registration order in one lexicon, which numbers the
+        // words as the ensemble's two passes do: for_names' first.
+        let lexicon = Lexicon::new();
+        let alone = PreparedCandidate::new(
+            two_analyzer_matchers()
+                .iter()
+                .map(|m| prepare_alone(m.as_ref(), &candidate, &lexicon))
+                .collect(),
+        );
+        prop_assert_eq!(&mixed.prepare(&candidate, &Lexicon::new()), &alone);
+    }
+
+    /// An ensemble over two analyzers runs two passes and every matcher
+    /// still scores its reference: the matrix it scores alone on a pass
+    /// of its own, and for the name and token matchers the string-set
+    /// scalar kernel, cell by cell and bit for bit.
+    #[test]
+    fn two_pass_ensemble_scores_each_matchers_reference(
+        fragment in proptest::collection::vec(arb_pooled_name(), 2..5),
+        keywords in proptest::collection::vec(arb_pooled_name(), 1..3),
+        elements in proptest::collection::vec(arb_pooled_name(), 2..7),
+        wild in ".{0,10}",
+    ) {
+        let mut q = QueryGraph::new();
+        q.add_fragment(flat_schema("frag", &fragment));
+        for k in &keywords {
+            q.add_keyword(k.clone());
+        }
+        let terms = q.terms();
+        let mut names = elements;
+        names.push(wild);
+        let candidate = flat_schema("cand", &names);
+        let ensemble = ensemble_of(two_analyzer_matchers());
+        let through_ensemble = ensemble.individual(&terms, &q, &candidate);
+        let matchers = two_analyzer_matchers();
+        for (m, (name, matrix)) in matchers.iter().zip(&through_ensemble) {
+            prop_assert_eq!(m.name(), *name);
+            let lexicon = Lexicon::new();
+            let alone = m.score(
+                &m.prepare_query(&terms, &q),
+                &terms,
+                &q,
+                &prepare_alone(m.as_ref(), &candidate, &lexicon),
+                &candidate,
+                &mut ScoreScratch::new(&lexicon),
+            );
+            assert_same_bits(matrix, &alone);
+        }
+        let name = NameMatcher::new();
+        let plain_name = NameMatcher::with(Analyzer::plain(), NameMatcherConfig::default());
+        let token = TokenMatcher::new();
+        for (r, term) in terms.iter().enumerate() {
+            for (c, id) in candidate.ids().enumerate() {
+                let (a, b) = (term.text.as_str(), candidate.element(id).name.as_str());
+                // (position in the ensemble, the matcher's scalar kernel)
+                let references = [
+                    (0, name.similarity(a, b)),
+                    (2, plain_name.similarity(a, b)),
+                    (3, token.similarity(a, b)),
+                ];
+                for (ix, reference) in references {
+                    prop_assert_eq!(
+                        through_ensemble[ix].1.get(r, c).to_bits(), reference.to_bits(),
+                        "matcher {} cell ({},{})", ix, r, c
+                    );
+                }
+            }
         }
     }
 }

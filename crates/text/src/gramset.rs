@@ -11,8 +11,8 @@
 //! only [`GramSet::all_grams`] call on the candidate side), query words
 //! get theirs once per search, and the matcher memoises the coefficient
 //! per word pair — an intersection runs once per distinct pair, not once
-//! per matrix cell. [`GramSet::of_terms`] is the same container over
-//! whole-term hashes, which the exact-token matcher still uses.
+//! per matrix cell. [`GramSet::from_hashes`] over [`hash_term`] ids is the
+//! same container over whole terms, which the exact-token matcher uses.
 //!
 //! The coefficients use the exact arithmetic of [`crate::ngram`], so a
 //! score computed over two `GramSet`s is bitwise identical to the same
@@ -42,8 +42,8 @@
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a hash of a full string — the "term id" used by prepared context
-/// and token sets.
+/// FNV-1a hash of a full string — the "term id" of the exact-token
+/// matcher's prepared sets.
 pub fn hash_term(term: &str) -> u64 {
     let mut h = FNV_OFFSET;
     for b in term.as_bytes() {
@@ -79,12 +79,6 @@ impl GramSet {
             }
         }
         Self::from_hashes(hashes)
-    }
-
-    /// A set of whole-term hashes (deduplicated): the prepared form of an
-    /// analyzed token or neighborhood term set.
-    pub fn of_terms<'a>(terms: impl IntoIterator<Item = &'a str>) -> GramSet {
-        Self::from_hashes(terms.into_iter().map(hash_term).collect())
     }
 
     /// Normalize a raw hash list into the sorted-dedup invariant. The vec
@@ -343,9 +337,11 @@ mod tests {
     }
 
     #[test]
-    fn of_terms_dedupes_and_ignores_order() {
-        let a = GramSet::of_terms(["height", "gender", "height"]);
-        let b = GramSet::of_terms(["gender", "height"]);
+    fn term_sets_dedupe_and_ignore_order() {
+        let of_terms =
+            |terms: &[&str]| GramSet::from_hashes(terms.iter().map(|t| hash_term(t)).collect());
+        let a = of_terms(&["height", "gender", "height"]);
+        let b = of_terms(&["gender", "height"]);
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
     }
@@ -363,7 +359,7 @@ mod tests {
     #[test]
     fn hash_term_distinguishes_common_words() {
         let words = ["patient", "height", "gender", "diagnosis", "pat", "ht"];
-        let set = GramSet::of_terms(words);
+        let set = GramSet::from_hashes(words.iter().map(|w| hash_term(w)).collect());
         assert_eq!(set.len(), words.len());
     }
 

@@ -10,6 +10,7 @@
 //! provides the pieces that make that robustness possible:
 //!
 //! * [`tokenize`] — delimiter + camelCase + letter/digit boundary splitting,
+//!   as borrowed slices of the input,
 //! * [`normalize`] — case folding and abbreviation expansion,
 //! * [`stem`] — a from-scratch Porter stemmer for grammatical variants,
 //! * [`stopwords`] — a small stopword list for flattened documents,
@@ -17,7 +18,10 @@
 //! * [`gramset`] — hashed, sorted gram signatures for prepared matching,
 //! * [`lexicon`] — each distinct word once, under a dense id, with its
 //!   gram signature,
-//! * [`Analyzer`] — a configurable pipeline combining the above.
+//! * [`Analyzer`] — a configurable pipeline combining the above: one
+//!   streaming pass ([`Analyzer::analyze_with`]) that allocates nothing
+//!   over a kept [`AnalyzeScratch`], under the indexer, the matchers'
+//!   prepare step and the query flattener alike.
 
 pub mod gramset;
 pub mod lexicon;
@@ -29,6 +33,6 @@ pub mod tokenize;
 
 mod analyzer;
 
-pub use analyzer::{Analyzer, AnalyzerConfig};
+pub use analyzer::{AnalyzeScratch, Analyzer, AnalyzerConfig};
 pub use gramset::GramSet;
 pub use lexicon::{Lexicon, LexiconReader, WordId};

@@ -9,14 +9,29 @@ use std::collections::HashMap;
 
 /// Lowercase `term` (full Unicode case folding via `char::to_lowercase`).
 pub fn fold_case(term: &str) -> String {
-    term.chars().flat_map(char::to_lowercase).collect()
+    let mut folded = String::new();
+    fold_case_into(term, &mut folded);
+    folded
+}
+
+/// [`fold_case`] into `out`, whose contents are overwritten: a caller
+/// that keeps `out` folds without allocating. ASCII — nearly every
+/// schema name — is lowercased bytewise.
+pub(crate) fn fold_case_into(term: &str, out: &mut String) {
+    out.clear();
+    if term.is_ascii() {
+        out.push_str(term);
+        out.make_ascii_lowercase();
+    } else {
+        out.extend(term.chars().flat_map(char::to_lowercase));
+    }
 }
 
 /// A dictionary mapping common schema abbreviations to expansions.
 ///
-/// Lookup is case-insensitive; expansions are lowercase and may be
-/// multi-word (`dob` → `date of birth`).
-#[derive(Debug, Clone)]
+/// Keys are case-folded and looked up by case-folded term; expansions are
+/// lowercase and may be multi-word (`dob` → `date of birth`).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbbreviationDict {
     map: HashMap<String, String>,
 }
@@ -141,18 +156,11 @@ impl AbbreviationDict {
         self.map.is_empty()
     }
 
-    /// Expand `term` if it is a known abbreviation; `None` otherwise.
-    pub fn expand(&self, term: &str) -> Option<&str> {
-        self.map.get(&fold_case(term)).map(String::as_str)
-    }
-
-    /// Expand `term` to one or more lowercase words: the expansion's words
-    /// if known, otherwise the case-folded term itself.
-    pub fn expand_words(&self, term: &str) -> Vec<String> {
-        match self.expand(term) {
-            Some(exp) => exp.split_whitespace().map(str::to_string).collect(),
-            None => vec![fold_case(term)],
-        }
+    /// The expansion of `folded` — a term already through [`fold_case`] —
+    /// if it is a known abbreviation; `None` otherwise. A borrowed
+    /// lookup: nothing is folded or allocated here.
+    pub fn expand(&self, folded: &str) -> Option<&str> {
+        self.map.get(folded).map(String::as_str)
     }
 }
 
@@ -174,20 +182,25 @@ mod tests {
     }
 
     #[test]
-    fn builtin_expands_common_schema_abbreviations() {
-        let d = AbbreviationDict::builtin();
-        assert_eq!(d.expand("qty"), Some("quantity"));
-        assert_eq!(d.expand("QTY"), Some("quantity"));
-        assert_eq!(d.expand("ht"), Some("height"));
-        assert_eq!(d.expand("patient"), None);
-        assert!(!d.is_empty());
+    fn fold_case_into_overwrites_the_buffer() {
+        let mut buf = String::from("left over");
+        fold_case_into("PatientHeight", &mut buf);
+        assert_eq!(buf, "patientheight");
+        fold_case_into("ÜBER İ", &mut buf);
+        assert_eq!(buf, fold_case("ÜBER İ"));
+        fold_case_into("", &mut buf);
+        assert_eq!(buf, "");
     }
 
     #[test]
-    fn multiword_expansions_split_into_words() {
+    fn builtin_expands_common_schema_abbreviations() {
         let d = AbbreviationDict::builtin();
-        assert_eq!(d.expand_words("dob"), ["date", "of", "birth"]);
-        assert_eq!(d.expand_words("Gender"), ["gender"]);
+        assert_eq!(d.expand("qty"), Some("quantity"));
+        assert_eq!(d.expand(&fold_case("QTY")), Some("quantity"));
+        assert_eq!(d.expand("QTY"), None, "lookup is by folded term");
+        assert_eq!(d.expand("ht"), Some("height"));
+        assert_eq!(d.expand("patient"), None);
+        assert!(!d.is_empty());
     }
 
     #[test]
@@ -202,6 +215,5 @@ mod tests {
         let d = AbbreviationDict::empty();
         assert!(d.is_empty());
         assert_eq!(d.expand("qty"), None);
-        assert_eq!(d.expand_words("QTY"), ["qty"]);
     }
 }

@@ -12,21 +12,30 @@
 //! shorter than three characters or containing non-ASCII-alphabetic
 //! characters are returned unchanged.
 
-/// Stem one lowercase word.
+/// Stem one lowercase word into a new `String`.
 pub fn stem(word: &str) -> String {
+    stem_in(word, &mut Vec::new()).to_string()
+}
+
+/// Stem one lowercase word in `buf`, whose contents are overwritten —
+/// the one entry to the algorithm; a caller that keeps `buf` stems
+/// without allocating. The result borrows `buf`, or `word` itself when
+/// the word passes through unchanged.
+pub(crate) fn stem_in<'a>(word: &'a str, buf: &'a mut Vec<u8>) -> &'a str {
     if word.len() <= 2 || !word.bytes().all(|b| b.is_ascii_lowercase()) {
-        return word.to_string();
+        return word;
     }
-    let mut w: Vec<u8> = word.as_bytes().to_vec();
-    step1a(&mut w);
-    step1b(&mut w);
-    step1c(&mut w);
-    step2(&mut w);
-    step3(&mut w);
-    step4(&mut w);
-    step5a(&mut w);
-    step5b(&mut w);
-    String::from_utf8(w).expect("stemmer preserves ASCII")
+    buf.clear();
+    buf.extend_from_slice(word.as_bytes());
+    step1a(buf);
+    step1b(buf);
+    step1c(buf);
+    step2(buf);
+    step3(buf);
+    step4(buf);
+    step5a(buf);
+    step5b(buf);
+    std::str::from_utf8(buf).expect("stemmer preserves ASCII")
 }
 
 /// Is `w[i]` a consonant, per Porter's definition (`y` is a consonant when

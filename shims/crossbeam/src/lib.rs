@@ -1,12 +1,11 @@
-//! Offline shim for `crossbeam`: the two pieces Schemr uses.
+//! Offline shim for `crossbeam`: the one piece Schemr uses.
 //!
-//! * [`channel`] — a bounded MPMC channel (`bounded`) with
-//!   `try_send`/`recv` semantics matching crossbeam-channel:
-//!   cloneable senders *and* receivers, `TrySendError::Full` carrying
-//!   the rejected value back, and disconnection when either side's
-//!   last handle drops.
-//! * [`thread`] — `scope`/`spawn` built on `std::thread::scope`
-//!   (crossbeam predates it; std now provides the same guarantee).
+//! [`channel`] — a bounded MPMC channel (`bounded`) with
+//! `try_send`/`recv` semantics matching crossbeam-channel: cloneable
+//! senders *and* receivers, `TrySendError::Full` carrying the rejected
+//! value back, and disconnection when either side's last handle drops.
+//!
+//! (Scoped threads are `std::thread::scope` at the call site.)
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -204,63 +203,9 @@ pub mod channel {
     }
 }
 
-pub mod thread {
-    use std::any::Any;
-
-    /// Mirrors `crossbeam::thread::Scope`: hands out spawns whose
-    /// closures receive the scope again (for nested spawning).
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Clone for Scope<'scope, 'env> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-
-    impl<'scope, 'env> Copy for Scope<'scope, 'env> {}
-
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        pub fn join(self) -> Result<T, Box<dyn Any + Send + 'static>> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let handoff = *self;
-            ScopedJoinHandle {
-                inner: self.inner.spawn(move || f(&handoff)),
-            }
-        }
-    }
-
-    /// `crossbeam::thread::scope` on top of `std::thread::scope`. All
-    /// spawned threads are joined before this returns; panics in
-    /// unjoined children propagate (std re-raises them), so the `Ok`
-    /// wrapper here is only for signature compatibility.
-    #[allow(clippy::type_complexity)]
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel::{bounded, TrySendError};
-    use super::thread;
 
     #[test]
     fn bounded_channel_sheds_when_full() {
@@ -291,19 +236,5 @@ mod tests {
         assert_eq!(got, 42);
         drop(rx);
         assert_eq!(tx.try_send(1), Err(TrySendError::Disconnected(1)));
-    }
-
-    #[test]
-    fn scoped_threads_borrow_the_stack() {
-        let data = [1u64, 2, 3, 4];
-        let total: u64 = thread::scope(|s| {
-            let handles: Vec<_> = data
-                .chunks(2)
-                .map(|c| s.spawn(move |_| c.iter().sum::<u64>()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        })
-        .unwrap();
-        assert_eq!(total, 10);
     }
 }
