@@ -2,9 +2,10 @@
 //!
 //! The paper's architecture runs the text indexer "at scheduled intervals"
 //! offline over the whole repository. This harness measures, per corpus
-//! size: full-build wall time and throughput, on-disk segment size (our
-//! varint codec), dictionary size, and the cost of applying an incremental
-//! batch through the change journal.
+//! size: full-build wall time and throughput, on-disk size (the sealed
+//! segments' columns as they sit in memory), the time a fresh engine takes
+//! to load that file, the index's resident bytes, dictionary size, and
+//! the cost of applying an incremental batch through the change journal.
 //!
 //! Run with `cargo run --release -p schemr-bench --bin e6_index_build`.
 
@@ -28,7 +29,10 @@ fn main() {
         "corpus",
         "build (ms)",
         "docs/s",
-        "segment (KiB)",
+        "file (KiB)",
+        "load (ms)",
+        "resident (MiB)",
+        "segments",
         "terms",
         "postings",
         "incr 100 (ms)",
@@ -51,11 +55,20 @@ fn main() {
         let build = t0.elapsed();
 
         let stats = engine.index_stats();
-        // Segment size through the codec.
+        // Through the codec and back: a load reads the columns, verifies
+        // them and publishes the same segments.
         let tmp = std::env::temp_dir().join(format!("schemr-e6-{size}.idx"));
         engine.save_index(&tmp).unwrap();
         let bytes = std::fs::metadata(&tmp).map(|m| m.len()).unwrap_or(0);
+        let restored = SchemrEngine::new(repo.clone());
+        let t_load = Instant::now();
+        restored.load_index(&tmp).unwrap();
+        let load = t_load.elapsed();
         let _ = std::fs::remove_file(&tmp);
+        assert_eq!(restored.index_stats(), stats);
+        let resident = restored.memory_report().index_deep_bytes;
+        let segments = restored.index_introspection(0).segments;
+        drop(restored);
 
         // Incremental batch: 100 fresh schemas through the journal.
         let extra = Corpus::generate(&CorpusConfig {
@@ -78,6 +91,9 @@ fn main() {
             format!("{:.1}", build.as_secs_f64() * 1000.0),
             format!("{:.0}", size as f64 / build.as_secs_f64()),
             format!("{:.0}", bytes as f64 / 1024.0),
+            format!("{:.1}", load.as_secs_f64() * 1000.0),
+            format!("{:.1}", resident as f64 / (1024.0 * 1024.0)),
+            segments.to_string(),
             stats.distinct_terms.to_string(),
             stats.postings.to_string(),
             format!("{:.1}", incr.as_secs_f64() * 1000.0),
@@ -86,7 +102,10 @@ fn main() {
     table.print();
     println!(
         "\nExpected shape: build time linear in corpus size (thousands of docs/s);\n\
-         incremental batches cost milliseconds regardless of corpus size — why the\n\
-         paper's scheduled-interval indexer is viable."
+         the file is as large as the resident index and loads an order of magnitude\n\
+         faster than it builds; incremental batches cost milliseconds regardless of\n\
+         corpus size — why the paper's scheduled-interval indexer is viable. (Past 8\n\
+         segments the first tick after a bulk build also compacts them: ~60 ms of\n\
+         the 30,000 row's batch.)"
     );
 }

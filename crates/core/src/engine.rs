@@ -283,13 +283,14 @@ impl SchemrEngine {
         let _span = SpanTimer::start(self.metrics.reindex_seconds.clone());
         let revision = self.repo.revision();
         let fresh = Index::new().with_metrics(self.metrics.index.clone());
-        let docs: Vec<IndexDocument> = self
-            .repo
-            .snapshot()
-            .iter()
-            .map(|stored| index_document(stored))
-            .collect();
-        fresh.apply(docs.iter().map(IndexChange::Put));
+        // A head's worth at a time: the flattened documents and their
+        // analysis are transients of one batch, not of the corpus, and
+        // every publish finds the head just sealed. Nobody sees `fresh`
+        // until it is swapped in, and the result is batch-invariant.
+        for batch in self.repo.snapshot().chunks(fresh.seal_threshold()) {
+            let docs: Vec<IndexDocument> = batch.iter().map(|s| index_document(s)).collect();
+            fresh.apply(docs.iter().map(IndexChange::Put));
+        }
         *self.index.write() = fresh;
         *self.last_indexed_revision.lock() = revision;
     }
@@ -571,10 +572,12 @@ impl SchemrEngine {
         done
     }
 
-    /// Merge the index's tombstoned segments when the tombstone ratio
-    /// reaches `threshold` (0 < threshold ≤ 1). Returns whether a merge
-    /// committed. The scheduler calls this every tick so put/delete churn
-    /// cannot degrade Phase 1 indefinitely.
+    /// Merge the index's segments when the tombstone ratio reaches
+    /// `threshold` (0 < threshold ≤ 1) or the sealed segments crowd past
+    /// the index's own bound. Returns whether a merge committed. The
+    /// scheduler calls this every tick so neither put/delete churn nor
+    /// the segment fan-out a bulk build leaves behind can degrade Phase 1
+    /// indefinitely.
     ///
     /// The compaction runs entirely off-lock — searches keep reading
     /// their published snapshots throughout, and the new layout lands with
@@ -584,18 +587,14 @@ impl SchemrEngine {
             return false;
         }
         let index = self.index.read();
-        // Runs on every scheduler tick: the O(1) counts, not `stats()`,
-        // which walks every segment's term dictionary.
         let (live, total) = index.doc_counts();
-        let deleted = total - live;
-        if deleted == 0 || (deleted as f64) < threshold * total as f64 {
-            return false;
-        }
-        let before_ratio = deleted as f64 / total as f64;
+        let before_ratio = (total - live) as f64 / total.max(1) as f64;
         let started = Instant::now();
+        // Runs on every scheduler tick: `merge` looks at the writer's
+        // per-segment counts and returns at once when neither rule holds.
         let Some(outcome) = index.merge(threshold) else {
-            // A concurrent merge beat this one to the segments; nothing
-            // was lost and nothing needs recording.
+            // Nothing to do, or a concurrent merge beat this one to the
+            // segments; nothing was lost and nothing needs recording.
             return false;
         };
         let took = started.elapsed();

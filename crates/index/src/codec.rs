@@ -1,53 +1,65 @@
 //! Binary on-disk codec for the index.
 //!
 //! The paper's text indexer runs "at scheduled intervals" offline and the
-//! search service loads what it produced; this codec is that boundary. The
-//! format is a single segment: a document table followed by the term
-//! dictionary with varint-delta-compressed positional postings.
+//! search service loads what it produced; this codec is that boundary. A
+//! file is the published snapshot as it sits in memory: a header, then
+//! every segment's [`Columns`] little-endian and in a fixed order, with
+//! the overlay bitset that was published beside them and a checksum.
 //!
-//! Encoding *flattens* a multi-segment snapshot: documents are written in
-//! segment order with segment-local ordinals translated to global ones,
-//! each term's portions are concatenated in the same order (global
-//! ordinals stay strictly ascending by construction), and overlay
-//! tombstones are baked into the document table's deleted flags. Decoding
-//! always produces a single sealed segment — the layout is a physical
-//! detail the format deliberately does not preserve, and search results
-//! are bitwise identical either way.
+//! ```text
+//! file    := "SCHMRIDX" version:u32 segments:u32 segment*
+//! segment := len:u64 body checksum:u64      (len = bytes of body, a multiple of 8)
+//! body    := docs lists postings positions blocks term_bytes overlay_words   (u32 each)
+//!            field_starts:u32[5]
+//!            max_tf_norm:f64[lists] block_max:f64[blocks]
+//!            ids:u64[docs] baked_dead:u64[⌈docs/64⌉] overlay:u64[overlay_words]
+//!            term_offsets list_offsets block_offsets :u32[lists+1]  live_df:u32[lists]
+//!            posting_docs:u32[postings] pos_offsets:u32[postings+1] positions:u32[positions]
+//!            fwd_offsets:u32[docs+1] fwd_lists:u32[postings] field_lengths:u32[4·docs]
+//!            term_bytes:u8[term_bytes] zero padding to a multiple of 8
+//! ```
+//!
+//! Wide columns come first, so every column is naturally aligned in the
+//! file. Loading reads each column into one allocation, verifies the
+//! checksum and then the structure ([`FlatSegment::checked`]), and
+//! publishes the same segments with the same overlays: nothing is decoded
+//! per posting and nothing is rebuilt.
 
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use schemr_model::SchemaId;
 
 use crate::field::Field;
 use crate::memory::Index;
-use crate::postings::{Posting, PostingsList};
-use crate::segment::{DocEntry, SegmentData};
+use crate::segment::{Columns, FlatSegment, SealedSegment};
 
 const MAGIC: &[u8; 8] = b"SCHMRIDX";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
-/// Errors raised while decoding a segment.
+/// Errors raised while decoding an index file.
 #[derive(Debug)]
 pub enum CodecError {
-    /// The input is not a Schemr index segment.
+    /// The input is not a Schemr index file.
     BadMagic,
-    /// The segment's format version is unsupported.
+    /// The file's format version is unsupported.
     BadVersion(u32),
-    /// The segment is truncated or internally inconsistent.
+    /// The file is truncated or internally inconsistent.
     Corrupt(&'static str),
-    /// I/O failure while reading or writing a segment file.
+    /// I/O failure while reading or writing an index file.
     Io(std::io::Error),
 }
 
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::BadMagic => write!(f, "not a Schemr index segment"),
-            CodecError::BadVersion(v) => write!(f, "unsupported segment version {v}"),
-            CodecError::Corrupt(what) => write!(f, "corrupt segment: {what}"),
-            CodecError::Io(e) => write!(f, "segment I/O error: {e}"),
+            CodecError::BadMagic => write!(f, "not a Schemr index file"),
+            CodecError::BadVersion(v) => write!(f, "unsupported index file version {v}"),
+            CodecError::Corrupt(what) => write!(f, "corrupt index file: {what}"),
+            CodecError::Io(e) => write!(f, "index file I/O error: {e}"),
         }
     }
 }
@@ -60,388 +72,234 @@ impl From<std::io::Error> for CodecError {
     }
 }
 
-/// LEB128 unsigned varint.
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+/// FNV-1a over little-endian 64-bit words. Every step is a bijection of
+/// the running state, so no single-word change can cancel out.
+fn checksum(words: &[u8]) -> u64 {
+    debug_assert_eq!(words.len() % 8, 0);
+    words
+        .chunks_exact(8)
+        .fold(0xcbf2_9ce4_8422_2325, |h: u64, w| {
+            (h ^ u64::from_le_bytes(w.try_into().expect("a chunk of 8")))
+                .wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Append `column`, each value through `le`.
+fn put<const N: usize, T: Copy>(out: &mut Vec<u8>, column: &[T], le: impl Fn(T) -> [u8; N]) {
+    let start = out.len();
+    out.resize(start + column.len() * N, 0);
+    for (bytes, &value) in out[start..].chunks_exact_mut(N).zip(column) {
+        bytes.copy_from_slice(&le(value));
     }
 }
 
-fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(CodecError::Corrupt("truncated varint"));
-        }
-        let byte = buf.get_u8();
-        if shift >= 64 {
-            return Err(CodecError::Corrupt("varint overflow"));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
+fn write_segment(out: &mut Vec<u8>, c: &Columns, overlay: &[u64]) {
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    let counts = [
+        c.ids.len(),
+        c.live_df.len(),
+        c.posting_docs.len(),
+        c.positions.len(),
+        c.block_max.len(),
+        c.term_bytes.len(),
+        overlay.len(),
+    ]
+    .map(|n| u32::try_from(n).expect("u32 offsets bound every column"));
+    put(out, &counts, u32::to_le_bytes);
+    put(out, &c.field_starts, u32::to_le_bytes);
+    put(out, &c.max_tf_norm, f64::to_le_bytes);
+    put(out, &c.block_max, f64::to_le_bytes);
+    put(out, &c.ids, |id: SchemaId| id.0.to_le_bytes());
+    put(out, &c.baked_dead, u64::to_le_bytes);
+    put(out, overlay, u64::to_le_bytes);
+    for column in [
+        &c.term_offsets,
+        &c.list_offsets,
+        &c.block_offsets,
+        &c.live_df,
+        &c.posting_docs,
+        &c.pos_offsets,
+        &c.positions,
+        &c.fwd_offsets,
+        &c.fwd_lists,
+        &c.field_lengths,
+    ] {
+        put(out, column, u32::to_le_bytes);
     }
+    out.extend_from_slice(&c.term_bytes);
+    // The header is 16 bytes and every segment a multiple of 8.
+    out.resize(out.len().next_multiple_of(8), 0);
+    let body = len_at + 8;
+    let len = (out.len() - body) as u64;
+    out[len_at..body].copy_from_slice(&len.to_le_bytes());
+    let sum = checksum(&out[body..]);
+    out.extend_from_slice(&sum.to_le_bytes());
 }
 
 /// Serialize the index to a byte buffer. Reads the published snapshot —
 /// concurrent searches and writers are unaffected.
 pub fn encode(index: &Index) -> Bytes {
     let snap = index.snapshot();
-    let offsets = snap.ord_offsets();
-    let mut buf = BytesMut::with_capacity(4096);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-
-    put_varint(&mut buf, snap.total_docs as u64);
+    let mut out = Vec::with_capacity(16 + snap.deep_bytes() + 128 * snap.segments.len());
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(snap.segments.len() as u32).to_le_bytes());
     for seg in &snap.segments {
-        for (ord, d) in seg.data.docs.iter().enumerate() {
-            put_varint(&mut buf, d.id.0);
-            // Overlay tombstones become baked flags on disk.
-            buf.put_u8(u8::from(seg.is_deleted(ord as u32)));
-            for len in d.field_lengths {
-                put_varint(&mut buf, u64::from(len));
-            }
-        }
+        write_segment(&mut out, seg.data.columns(), seg.live.bits());
     }
-
-    let term_count: usize = (0..Field::COUNT)
-        .map(|field_ord| snap.merged_terms(field_ord).len())
-        .sum();
-    put_varint(&mut buf, term_count as u64);
-    for field_ord in 0..Field::COUNT {
-        for (term, portions) in snap.merged_terms(field_ord) {
-            buf.put_u8(field_ord as u8);
-            put_varint(&mut buf, term.len() as u64);
-            buf.put_slice(term.as_bytes());
-            let doc_freq: usize = portions.iter().map(|&(_, pl)| pl.doc_freq()).sum();
-            put_varint(&mut buf, doc_freq as u64);
-            let mut prev_doc = 0u32;
-            // Portions arrive in segment order, so translated global
-            // ordinals are strictly ascending across the concatenation.
-            for (si, pl) in portions {
-                let base = offsets[si];
-                for posting in pl.iter() {
-                    let doc = base + posting.doc;
-                    put_varint(&mut buf, u64::from(doc - prev_doc));
-                    prev_doc = doc;
-                    put_varint(&mut buf, posting.positions.len() as u64);
-                    let mut prev_pos = 0u32;
-                    for &pos in &posting.positions {
-                        put_varint(&mut buf, u64::from(pos - prev_pos));
-                        prev_pos = pos;
-                    }
-                }
-            }
-        }
-    }
-    buf.freeze()
+    Bytes::from(out)
 }
 
-/// Deserialize an index from bytes produced by [`encode`]. The result
-/// holds the whole corpus in one sealed segment at epoch 0.
-pub fn decode(data: &[u8]) -> Result<Index, CodecError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < MAGIC.len() + 4 {
-        return Err(CodecError::Corrupt("too short"));
+/// What is left of the input. Every read is bounded by it, so no count in
+/// the file can make a column allocate more than the file's own length.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: u64) -> Result<&'a [u8], CodecError> {
+        let n = usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= self.0.len())
+            .ok_or(CodecError::Corrupt("truncated"))?;
+        let (head, tail) = self.0.split_at(n);
+        self.0 = tail;
+        Ok(head)
     }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+
+    fn u32(&mut self) -> Result<u32, CodecError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+    }
+
+    fn u64(&mut self) -> Result<u64, CodecError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+
+    /// The next `rows` values of a column, each through `le`: one
+    /// allocation, exactly sized.
+    fn column<const N: usize, T>(
+        &mut self,
+        rows: u64,
+        le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, CodecError> {
+        let bytes = self.take(rows * N as u64)?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|b| le(b.try_into().expect("a chunk of N")))
+            .collect())
+    }
+}
+
+fn read_segment(file: &mut Reader<'_>) -> Result<SealedSegment, CodecError> {
+    let len = file.u64()?;
+    if len % 8 != 0 {
+        return Err(CodecError::Corrupt("segment length is not a multiple of 8"));
+    }
+    let body = file.take(len)?;
+    if checksum(body) != file.u64()? {
+        return Err(CodecError::Corrupt("checksum mismatch"));
+    }
+    let mut r = Reader(body);
+    // Counts are u32 in the file; as u64 no sum or product below overflows.
+    let mut count = || r.u32().map(u64::from);
+    let (docs, lists, postings) = (count()?, count()?, count()?);
+    let (positions, blocks, term_bytes, overlay_words) = (count()?, count()?, count()?, count()?);
+    let mut field_starts = [0u32; Field::COUNT + 1];
+    for start in &mut field_starts {
+        *start = r.u32()?;
+    }
+    let max_tf_norm = r.column(lists, f64::from_le_bytes)?;
+    let block_max = r.column(blocks, f64::from_le_bytes)?;
+    let ids = r.column(docs, |b| SchemaId(u64::from_le_bytes(b)))?;
+    let baked_dead = r.column(docs.div_ceil(64), u64::from_le_bytes)?;
+    let overlay = r.column(overlay_words, u64::from_le_bytes)?;
+    let mut u32s = |rows| r.column(rows, u32::from_le_bytes);
+    let cols = Columns {
+        field_starts,
+        max_tf_norm,
+        block_max,
+        ids,
+        baked_dead,
+        term_offsets: u32s(lists + 1)?,
+        list_offsets: u32s(lists + 1)?,
+        block_offsets: u32s(lists + 1)?,
+        live_df: u32s(lists)?,
+        posting_docs: u32s(postings)?,
+        pos_offsets: u32s(postings + 1)?,
+        positions: u32s(positions)?,
+        fwd_offsets: u32s(docs + 1)?,
+        fwd_lists: u32s(postings)?,
+        field_lengths: u32s(docs * Field::COUNT as u64)?,
+        term_bytes: r.take(term_bytes)?.to_vec(),
+    };
+    if r.0.len() >= 8 || r.0.iter().any(|&b| b != 0) {
+        return Err(CodecError::Corrupt(
+            "segment length disagrees with its counts",
+        ));
+    }
+    let data = FlatSegment::checked(cols).map_err(CodecError::Corrupt)?;
+    SealedSegment::restored(Arc::new(data), &overlay).map_err(CodecError::Corrupt)
+}
+
+/// Deserialize an index from bytes produced by [`encode`]: the same
+/// segments in the same order with the same tombstones, at epoch 0.
+pub fn decode(data: &[u8]) -> Result<Index, CodecError> {
+    let mut file = Reader(data);
+    let magic = file.take(8).map_err(|_| CodecError::Corrupt("too short"))?;
+    if magic != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let version = buf.get_u32_le();
+    let version = file.u32()?;
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
-
-    let doc_count = get_varint(&mut buf)? as usize;
-    let mut docs = Vec::with_capacity(doc_count.min(1 << 20));
-    let mut live_docs = 0usize;
-    for _ in 0..doc_count {
-        let id = SchemaId(get_varint(&mut buf)?);
-        if !buf.has_remaining() {
-            return Err(CodecError::Corrupt("truncated doc table"));
-        }
-        let deleted = buf.get_u8() != 0;
-        let mut field_lengths = [0u32; Field::COUNT];
-        for slot in &mut field_lengths {
-            *slot = get_varint(&mut buf)? as u32;
-        }
-        if !deleted {
-            live_docs += 1;
-        }
-        docs.push(DocEntry {
-            id,
-            field_lengths,
-            deleted,
-        });
+    let segments = file.u32()?;
+    let mut sealed = Vec::new();
+    for _ in 0..segments {
+        sealed.push(read_segment(&mut file)?);
     }
-
-    let term_count = get_varint(&mut buf)? as usize;
-    let mut seg = SegmentData::default();
-    // Forward index and per-list live document frequencies, rebuilt from
-    // the decoded postings against the document table's tombstone flags.
-    let mut doc_terms: Vec<Vec<(u8, String)>> = vec![Vec::new(); docs.len()];
-    for _ in 0..term_count {
-        if !buf.has_remaining() {
-            return Err(CodecError::Corrupt("truncated dictionary"));
-        }
-        let field = buf.get_u8();
-        if Field::from_ordinal(field).is_none() {
-            return Err(CodecError::Corrupt("unknown field ordinal"));
-        }
-        let term_len = get_varint(&mut buf)? as usize;
-        if buf.remaining() < term_len {
-            return Err(CodecError::Corrupt("truncated term"));
-        }
-        let term_bytes = buf.copy_to_bytes(term_len);
-        let term = std::str::from_utf8(&term_bytes)
-            .map_err(|_| CodecError::Corrupt("term is not UTF-8"))?
-            .to_string();
-        let posting_count = get_varint(&mut buf)? as usize;
-        let mut postings = Vec::with_capacity(posting_count.min(1 << 20));
-        let mut doc = 0u32;
-        for p in 0..posting_count {
-            let delta = get_varint(&mut buf)? as u32;
-            if p > 0 && delta == 0 {
-                return Err(CodecError::Corrupt("non-increasing posting ordinals"));
-            }
-            doc = if p == 0 {
-                delta
-            } else {
-                doc.checked_add(delta)
-                    .ok_or(CodecError::Corrupt("posting ordinal overflow"))?
-            };
-            if (doc as usize) >= docs.len() {
-                return Err(CodecError::Corrupt("posting references unknown document"));
-            }
-            let pos_count = get_varint(&mut buf)? as usize;
-            let mut positions = Vec::with_capacity(pos_count.min(1 << 20));
-            let mut pos = 0u32;
-            for i in 0..pos_count {
-                let d = get_varint(&mut buf)? as u32;
-                pos = if i == 0 {
-                    d
-                } else {
-                    pos.checked_add(d)
-                        .ok_or(CodecError::Corrupt("position overflow"))?
-                };
-                positions.push(pos);
-            }
-            postings.push(Posting { doc, positions });
-        }
-        for p in &postings {
-            doc_terms[p.doc as usize].push((field, term.clone()));
-        }
-        let live = postings
-            .iter()
-            .filter(|p| !docs[p.doc as usize].deleted)
-            .count();
-        let mut pl = PostingsList::from_postings(postings);
-        pl.set_live_doc_freq(live);
-        // Tight impact bounds: a freshly loaded segment starts with no
-        // stale-high slack from pre-save churn.
-        pl.rebuild_bounds(
-            |d| docs[d as usize].field_lengths[field as usize],
-            |d| !docs[d as usize].deleted,
-        );
-        seg.terms[field as usize].insert(term, pl);
+    if !file.0.is_empty() {
+        return Err(CodecError::Corrupt("bytes after the last segment"));
     }
-
-    seg.by_id = docs
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| !d.deleted)
-        .map(|(i, d)| (d.id, i as u32))
-        .collect();
-    seg.docs = docs;
-    seg.doc_terms = doc_terms;
-    seg.live_docs = live_docs;
-    Ok(Index::from_sealed(seg))
+    Ok(Index::from_sealed(sealed))
 }
 
-/// Write the index to a file.
+/// Replace `path` by what `write` produces, or leave it untouched: the
+/// bytes go to `<path>.tmp`, are synced, and only then renamed over the
+/// target, so a crash or a full disk mid-write never truncates a good file.
+fn replace_file(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let replace = || {
+        let mut file = File::create(&tmp)?;
+        write(&mut file)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        // The rename is durable once its directory is.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+    };
+    let result = replace();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// Write the index to a file, atomically.
 pub fn save_to(index: &Index, path: impl AsRef<Path>) -> Result<(), CodecError> {
     let bytes = encode(index);
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&bytes)?;
-    f.sync_all()?;
-    Ok(())
+    Ok(replace_file(path.as_ref(), |file| file.write_all(&bytes))?)
 }
 
 /// Read an index from a file written by [`save_to`].
 pub fn load_from(path: impl AsRef<Path>) -> Result<Index, CodecError> {
-    let mut data = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut data)?;
-    decode(&data)
+    decode(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::document::IndexDocument;
-    use crate::search::SearchOptions;
-
-    fn sample_index() -> Index {
-        let index = Index::new();
-        index.add(&IndexDocument {
-            id: SchemaId(1),
-            title: "clinic".into(),
-            summary: "rural health clinic".into(),
-            elements: vec![
-                "patient".into(),
-                "patient.height".into(),
-                "patient.gender".into(),
-            ],
-            docs: vec!["height in cm".into()],
-        });
-        index.add(&IndexDocument {
-            id: SchemaId(9),
-            title: "store".into(),
-            summary: String::new(),
-            elements: vec!["order".into(), "order.total".into()],
-            docs: vec![],
-        });
-        index.remove(SchemaId(9));
-        index.add(&IndexDocument {
-            id: SchemaId(9),
-            title: "store".into(),
-            summary: String::new(),
-            elements: vec!["order".into(), "order.quantity".into()],
-            docs: vec![],
-        });
-        index
-    }
-
-    #[test]
-    fn encode_decode_round_trips_search_behaviour() {
-        let index = sample_index();
-        let decoded = decode(&encode(&index)).unwrap();
-        assert_eq!(decoded.len(), index.len());
-        assert_eq!(decoded.stats(), index.stats());
-        let q = ["patient", "height"];
-        let a = index.search(&q, &SearchOptions::default());
-        let b = decoded.search(&q, &SearchOptions::default());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.id, y.id);
-            assert!((x.score - y.score).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn segmented_index_round_trips_through_the_flat_format() {
-        // A multi-segment index with overlay tombstones encodes to the
-        // same search behaviour as its monolithic twin.
-        let segmented = Index::new().with_seal_threshold(2);
-        let monolith = Index::new();
-        for i in 0..9u64 {
-            let d = IndexDocument {
-                id: SchemaId(i),
-                title: format!("schema{i}"),
-                summary: String::new(),
-                elements: vec!["patient".into(), "patient.height".into()],
-                docs: vec![],
-            };
-            segmented.add(&d);
-            monolith.add(&d);
-        }
-        segmented.remove(SchemaId(3));
-        monolith.remove(SchemaId(3));
-        assert!(segmented.segment_count() > 1);
-        let decoded = decode(&encode(&segmented)).unwrap();
-        assert_eq!(decoded.segment_count(), 1, "decode flattens the layout");
-        assert_eq!(decoded.stats(), segmented.stats());
-        let q = ["patient", "height"];
-        let a = decoded.search(&q, &SearchOptions::default());
-        let b = monolith.search(&q, &SearchOptions::default());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.score.to_bits(), y.score.to_bits(), "bitwise identity");
-        }
-    }
-
-    #[test]
-    fn decode_restores_live_df_and_forward_index() {
-        // sample_index() leaves one tombstoned version of schema 9, so the
-        // (Title, "store") list holds two postings but only one live doc.
-        let decoded = decode(&encode(&sample_index())).unwrap();
-        let store = decoded
-            .introspect(usize::MAX)
-            .top_lists
-            .into_iter()
-            .find(|l| l.field == Field::Title && l.term == "store")
-            .expect("(Title, store) list present");
-        assert_eq!(store.doc_freq, 2);
-        assert_eq!(store.live_doc_freq, 1);
-        // The forward index must be usable: removing the live schema 9
-        // drives its lists' live df to zero, hiding it from search.
-        assert!(decoded.remove(SchemaId(9)));
-        assert!(decoded
-            .search(&["store"], &SearchOptions::default())
-            .is_empty());
-    }
-
-    #[test]
-    fn save_and_load_through_a_file() {
-        let dir = std::env::temp_dir().join("schemr-index-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("segment.idx");
-        let index = sample_index();
-        save_to(&index, &path).unwrap();
-        let loaded = load_from(&path).unwrap();
-        assert_eq!(loaded.stats(), index.stats());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        assert!(matches!(decode(b"NOTANIDX0000"), Err(CodecError::BadMagic)));
-    }
-
-    #[test]
-    fn bad_version_is_rejected() {
-        let mut data = encode(&sample_index()).to_vec();
-        data[8] = 0xFF;
-        assert!(matches!(decode(&data), Err(CodecError::BadVersion(_))));
-    }
-
-    #[test]
-    fn truncation_is_detected_not_panicking() {
-        let data = encode(&sample_index()).to_vec();
-        for cut in [0, 5, 12, 20, data.len() / 2, data.len() - 1] {
-            let res = decode(&data[..cut]);
-            assert!(res.is_err(), "cut at {cut} should fail");
-        }
-    }
-
-    #[test]
-    fn empty_index_round_trips() {
-        let index = Index::new();
-        let decoded = decode(&encode(&index)).unwrap();
-        assert!(decoded.is_empty());
-    }
-
-    #[test]
-    fn varints_round_trip() {
-        let mut buf = BytesMut::new();
-        let values = [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX];
-        for &v in &values {
-            put_varint(&mut buf, v);
-        }
-        let mut bytes = buf.freeze();
-        for &v in &values {
-            assert_eq!(get_varint(&mut bytes).unwrap(), v);
-        }
-    }
-}
+mod hostile;
+#[cfg(test)]
+mod tests;

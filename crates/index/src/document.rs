@@ -96,7 +96,7 @@ impl IndexDocument {
 
 /// Position increment between the last token of one source string and the
 /// first token of the next. Any value > 1 breaks false adjacency across
-/// element boundaries; 2 keeps delta-encoded positions compact.
+/// element boundaries; 2 is the smallest that does.
 pub const ELEMENT_POSITION_GAP: u32 = 2;
 
 /// Assign positions to the analyzed tokens of a sequence of source

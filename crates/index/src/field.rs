@@ -22,7 +22,7 @@ pub enum Field {
 
 impl Field {
     /// Number of fields. Every per-field array in the index (term
-    /// dictionaries, `DocEntry::field_lengths`, codec tables) derives its
+    /// tables, `Columns::field_lengths`, codec tables) derives its
     /// width from this constant, so adding a fifth field is a one-line
     /// change here instead of a hunt for naked `4`s.
     pub const COUNT: usize = 4;

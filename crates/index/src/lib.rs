@@ -17,8 +17,9 @@
 //!   positional postings, and per-field length norms,
 //! * [`Index::search`] — disjunctive TF/IDF top-*n* retrieval with the
 //!   paper's coordination factor (matched terms ÷ query terms),
-//! * [`codec`] — a compact binary on-disk format (varint-delta postings),
-//!   so the "offline indexer" can persist and reload its work.
+//! * [`codec`] — the binary on-disk format: the sealed segments' columns
+//!   as they sit in memory, checksummed, so the "offline indexer" can
+//!   persist its work and the service can load it without rebuilding.
 //!
 //! Scoring follows the paper's prescription: "match scores are computed
 //! independently for each search term and summed" (no conjunctive
@@ -32,6 +33,7 @@ pub mod metrics;
 pub mod postings;
 pub mod search;
 
+mod head;
 mod memory;
 mod segment;
 mod snapshot;

@@ -9,9 +9,10 @@
 //! [`IndexChange`]s, analyzes the documents off-lock, applies the changes
 //! in order under one lock hold, and then *publishes* once: builds a
 //! fresh immutable [`IndexSnapshot`] (sealed `Arc`s are reused; the head
-//! is cloned, bounded by the seal threshold) and swaps it into place. A
-//! batch in which nothing took effect publishes nothing. When the head
-//! reaches the seal threshold it is frozen into a sealed segment in O(1).
+//! builder is frozen into a flat segment, bounded by the seal threshold)
+//! and swaps it into place. A batch in which nothing took effect publishes
+//! nothing. When the head reaches the seal threshold its frozen form
+//! joins the sealed segments and a fresh builder starts.
 //!
 //! ## Read path
 //!
@@ -39,23 +40,27 @@ use schemr_text::{AnalyzeScratch, Analyzer};
 
 use crate::document::IndexDocument;
 use crate::field::Field;
+use crate::head::{AnalyzedDoc, HeadBuilder};
 use crate::metrics::IndexMetrics;
-use crate::postings::PostingsList;
 use crate::search::{idf_weight, impact, search_postings, Hit, SearchOptions};
 use crate::segment::{
-    compact, empty_overlay, late_tombstones, DocEntry, SealedSegment, Segment, SegmentData,
+    compact, empty_overlay, late_tombstones, FlatSegment, SealedSegment, Segment,
 };
 use crate::snapshot::IndexSnapshot;
-use crate::DocOrd;
 
 /// Documents the mutable head accumulates before it is sealed into an
-/// immutable segment. Bounds the head-clone cost of a publish; small
+/// immutable segment. Bounds the head-freeze cost of a publish; small
 /// enough that per-batch publishing stays cheap, large enough that a
 /// typical corpus spans only a handful of segments.
 const DEFAULT_SEAL_THRESHOLD: usize = 1024;
 
 /// Sealed-segment count past which a maintenance merge compacts even
-/// without tombstone pressure, bounding per-query segment fan-out.
+/// without tombstone pressure, bounding per-query segment fan-out: every
+/// segment costs a query a term-table search per (term, field) and a pass
+/// of its own. Measured on 30,000 schemas (400 queries in the paper's mix,
+/// seeds 1–2): Phase 1 is ≈1.06 ms over the 30 segments a bulk build
+/// leaves, 0.73–0.83 ms over 8 and 0.62–0.63 ms over 1, and compacting
+/// the 30 takes ≈60 ms off-lock.
 const MAX_SEGMENTS: usize = 8;
 
 /// Identifies one exact state of one index instance: which in-memory index
@@ -101,7 +106,7 @@ pub struct MergeOutcome {
 /// with their master overlays. Guarded by the `Index`'s writer mutex;
 /// readers never touch it.
 struct Writer {
-    head: SegmentData,
+    head: HeadBuilder,
     sealed: Vec<SealedSegment>,
     epoch: u64,
 }
@@ -111,19 +116,11 @@ impl Writer {
     /// live copy exists (replacement tombstones the old version at add
     /// time), so dead copies in other segments are simply skipped.
     fn tombstone_existing(&mut self, id: SchemaId) -> bool {
-        if let Some(&ord) = self.head.by_id.get(&id) {
-            if !self.head.docs[ord as usize].deleted {
-                self.head.docs[ord as usize].deleted = true;
-                self.head.live_docs -= 1;
-                self.head.note_tombstoned(ord);
-                return true;
-            }
-            // The head holds the newest copy; if it is dead, the id is
-            // gone everywhere.
-            return false;
+        if let Some(killed) = self.head.tombstone(id) {
+            return killed;
         }
         for seg in self.sealed.iter_mut() {
-            if let Some(&ord) = seg.data.by_id.get(&id) {
+            if let Some(ord) = seg.data.ord_of(id) {
                 if !seg.is_dead(ord) {
                     seg.tombstone(ord);
                     return true;
@@ -134,69 +131,28 @@ impl Writer {
     }
 
     /// Append an analyzed document to the head (replacing any live copy
-    /// of the same id) and count the mutation. A term costs a dictionary
-    /// lookup by `&str`; only one the head has not met is copied into it.
-    fn put(&mut self, a: AnalyzedDoc) {
-        self.tombstone_existing(a.id);
-        let ord = self.head.docs.len() as DocOrd;
-        let mut start = 0usize;
-        for ((field_ord, term), &end) in a.keys.iter().zip(&a.ends) {
-            let field_len = a.field_lengths[*field_ord as usize];
-            let run = &a.positions[start..end as usize];
-            let push_run = |list: &mut PostingsList| {
-                for &pos in run {
-                    list.push_occurrence(ord, pos, field_len);
-                }
-            };
-            let terms = &mut self.head.terms[*field_ord as usize];
-            if let Some(list) = terms.get_mut(term.as_str()) {
-                push_run(list);
-            } else {
-                push_run(terms.entry(term.clone()).or_default());
-            }
-            start = end as usize;
-        }
-        self.head.docs.push(DocEntry {
-            id: a.id,
-            field_lengths: a.field_lengths,
-            deleted: false,
-        });
-        self.head.doc_terms.push(a.keys);
-        self.head.by_id.insert(a.id, ord);
-        self.head.live_docs += 1;
+    /// of the same id) and count the mutation.
+    fn put(&mut self, doc: &AnalyzedDoc) {
+        self.tombstone_existing(doc.id);
+        self.head.push(doc);
         self.epoch += 1;
     }
 
-    /// Freeze the head into a sealed segment (O(1) — a move) and start a
-    /// fresh one. Head-internal tombstones ride along as baked flags.
+    /// Freeze the head into a sealed segment and start a fresh one.
+    /// Head-internal tombstones ride along as baked flags.
     fn seal(&mut self) {
-        let data = std::mem::take(&mut self.head);
-        self.sealed.push(SealedSegment::new(Arc::new(data)));
+        let head = std::mem::take(&mut self.head);
+        self.sealed
+            .push(SealedSegment::new(Arc::new(head.freeze())));
     }
 
     fn total_docs(&self) -> usize {
-        self.sealed.iter().map(|s| s.total_count()).sum::<usize>() + self.head.docs.len()
+        self.sealed.iter().map(|s| s.total_count()).sum::<usize>() + self.head.doc_count()
     }
 
     fn live_docs(&self) -> usize {
-        self.sealed.iter().map(|s| s.live_count()).sum::<usize>() + self.head.live_docs
+        self.sealed.iter().map(|s| s.live_count()).sum::<usize>() + self.head.live_docs()
     }
-}
-
-/// One document analyzed into what `Writer::put` applies under the
-/// writer lock: its occurrences grouped by postings list. Analysis (the
-/// expensive part) runs before the lock is taken. The only term text it
-/// holds is the forward-index keys the head keeps anyway.
-struct AnalyzedDoc {
-    id: SchemaId,
-    field_lengths: [u32; Field::COUNT],
-    /// Distinct `(field, term)` forward-index keys, by field and then by
-    /// term: one per postings list this document appears in.
-    keys: Vec<(u8, String)>,
-    /// Every occurrence's position, key by key and ascending within a key.
-    positions: Vec<u32>,
-    /// `ends[k]` is one past key *k*'s last position in `positions`.
-    ends: Vec<u32>,
 }
 
 /// What [`Index::analyze`] works in, kept from one document of a batch to
@@ -253,7 +209,7 @@ impl Index {
         Index {
             published: RwLock::new(Arc::new(IndexSnapshot::default())),
             writer: Mutex::new(Writer {
-                head: SegmentData::default(),
+                head: HeadBuilder::default(),
                 sealed: Vec::new(),
                 epoch: 0,
             }),
@@ -280,15 +236,19 @@ impl Index {
         self.published.read().clone()
     }
 
-    /// Build an index whose entire corpus is one pre-built sealed segment
+    /// The head seal threshold — the batch size at which a bulk load's
+    /// every publish finds the head just sealed.
+    pub fn seal_threshold(&self) -> usize {
+        self.seal_threshold
+    }
+
+    /// Build an index over pre-built sealed segments, overlays included
     /// (the codec load path).
-    pub(crate) fn from_sealed(data: SegmentData) -> Self {
+    pub(crate) fn from_sealed(sealed: Vec<SealedSegment>) -> Self {
         let index = Index::new();
         {
             let mut w = index.writer.lock();
-            if !data.docs.is_empty() {
-                w.sealed.push(SealedSegment::new(Arc::new(data)));
-            }
+            w.sealed = sealed;
             index.publish(&mut w);
         }
         index
@@ -334,7 +294,8 @@ impl Index {
     /// positions `Writer::put` applies. Terms stream out of the analyzer
     /// into one text arena; sorting the occurrences by (field, term,
     /// position) then yields the distinct keys and each key's positions
-    /// in one walk, with a `String` made per distinct key only.
+    /// in one walk, the keys' terms copied once into the document's own
+    /// arena.
     fn analyze(&self, doc: &IndexDocument, scratch: &mut AnalysisScratch) -> AnalyzedDoc {
         let AnalysisScratch {
             analyzer,
@@ -373,28 +334,27 @@ impl Index {
         // live df without scanning the dictionary.
         let same_key =
             |a: &Occurrence, b: &Occurrence| a.field == b.field && term_of(a) == term_of(b);
-        let distinct = occurrences.chunk_by(same_key).count();
-        let mut keys = Vec::with_capacity(distinct);
-        let mut ends = Vec::with_capacity(distinct);
+        let mut keys = Vec::with_capacity(occurrences.chunk_by(same_key).count());
+        let mut key_text = String::with_capacity(text.len());
         let mut positions = Vec::with_capacity(occurrences.len());
         for run in occurrences.chunk_by(same_key) {
-            keys.push((run[0].field, term_of(&run[0]).to_string()));
+            key_text.push_str(term_of(&run[0]));
             positions.extend(run.iter().map(|o| o.position));
-            ends.push(positions.len() as u32);
+            keys.push((run[0].field, key_text.len() as u32, positions.len() as u32));
         }
         AnalyzedDoc {
             id: doc.id,
             field_lengths,
+            text: key_text,
             keys,
             positions,
-            ends,
         }
     }
 
     /// Build and swap in a fresh snapshot from the writer's state. Sealed
     /// segments are republished as `Arc` clones (overlays cached while
-    /// unchanged); only the head is deep-cloned, bounded by the seal
-    /// threshold.
+    /// unchanged); the head is frozen into a flat segment of its own, a
+    /// few block copies a list, bounded by the seal threshold.
     fn publish(&self, w: &mut Writer) {
         let mut segments = Vec::with_capacity(w.sealed.len() + 1);
         for sealed in &mut w.sealed {
@@ -403,14 +363,14 @@ impl Index {
                 live: sealed.overlay(),
             });
         }
-        if !w.head.docs.is_empty() {
+        if w.head.doc_count() > 0 {
             segments.push(Segment {
-                data: Arc::new(w.head.clone()),
+                data: Arc::new(w.head.freeze()),
                 live: empty_overlay(),
             });
         }
         let live_docs = segments.iter().map(Segment::live_docs).sum();
-        let total_docs = segments.iter().map(|s| s.data.docs.len()).sum();
+        let total_docs = segments.iter().map(|s| s.data.doc_count()).sum();
         let fresh = Arc::new(IndexSnapshot {
             segments,
             epoch: w.epoch,
@@ -451,8 +411,8 @@ impl Index {
         for change in analyzed {
             match change {
                 Analyzed::Put(doc) => {
-                    w.put(doc);
-                    if w.head.docs.len() >= self.seal_threshold {
+                    w.put(&doc);
+                    if w.head.doc_count() >= self.seal_threshold {
                         w.seal();
                     }
                 }
@@ -505,12 +465,9 @@ impl Index {
     /// Is `id` currently indexed (live)?
     pub fn contains(&self, id: SchemaId) -> bool {
         let snap = self.snapshot();
-        snap.segments.iter().any(|seg| {
-            seg.data
-                .by_id
-                .get(&id)
-                .is_some_and(|&ord| !seg.is_deleted(ord))
-        })
+        snap.segments
+            .iter()
+            .any(|seg| seg.data.ord_of(id).is_some_and(|ord| !seg.is_deleted(ord)))
     }
 
     /// Search with raw query strings (each analyzed through the name
@@ -580,8 +537,11 @@ impl Index {
         self.snapshot()
             .segments
             .iter()
-            .filter_map(|seg| seg.data.field_terms(field).get(term))
-            .map(PostingsList::doc_freq)
+            .filter_map(|seg| {
+                seg.data
+                    .find(field, term)
+                    .map(|id| seg.data.list(id).doc_freq())
+            })
             .sum()
     }
 
@@ -602,11 +562,6 @@ impl Index {
         // Phase A — capture victims under the writer lock.
         let (victims, segments_before) = {
             let mut w = self.writer.lock();
-            if w.head.docs.len() > w.head.live_docs {
-                // Head tombstones can only be reclaimed from a sealed
-                // segment; sealing is O(1).
-                w.seal();
-            }
             let total = w.total_docs();
             let live = w.live_docs();
             let dead = total - live;
@@ -614,9 +569,15 @@ impl Index {
                 threshold > 0.0 && total > 0 && dead as f64 >= threshold * total as f64;
             let crowded = w.sealed.len() > MAX_SEGMENTS;
             if !over_threshold && !crowded {
+                // The common answer on a scheduler tick: nothing touched.
                 return None;
             }
-            let victims: Vec<(usize, Arc<SegmentData>, Vec<u64>)> = w
+            if w.head.doc_count() > w.head.live_docs() {
+                // Head tombstones can only be reclaimed from a sealed
+                // segment.
+                w.seal();
+            }
+            let victims: Vec<(usize, Arc<FlatSegment>, Vec<u64>)> = w
                 .sealed
                 .iter()
                 .enumerate()
@@ -626,13 +587,13 @@ impl Index {
             if victims.is_empty() {
                 return None;
             }
-            let before = w.sealed.len() + usize::from(!w.head.docs.is_empty());
+            let before = w.sealed.len() + usize::from(w.head.doc_count() > 0);
             (victims, before)
         };
 
         // Phase B — compact with no lock held. Searches and writers both
         // proceed freely; the captured Arcs keep the victim data alive.
-        let parts: Vec<(Arc<SegmentData>, Vec<u64>)> = victims
+        let parts: Vec<(Arc<FlatSegment>, Vec<u64>)> = victims
             .iter()
             .map(|(_, data, bits)| (data.clone(), bits.clone()))
             .collect();
@@ -652,13 +613,12 @@ impl Index {
                 return None;
             }
         }
-        let docs_before: usize = victims.iter().map(|(_, d, _)| d.docs.len()).sum();
+        let docs_before: usize = victims.iter().map(|(_, d, _)| d.doc_count()).sum();
         let mut merged = SealedSegment::new(Arc::new(compacted));
         // Re-apply tombstones that raced the off-lock compaction.
         for (slot, data, captured_bits) in &victims {
             for ord in late_tombstones(captured_bits, w.sealed[*slot].dead_bits()) {
-                let id = data.docs[ord as usize].id;
-                if let Some(&new_ord) = merged.data.by_id.get(&id) {
+                if let Some(new_ord) = merged.data.ord_of(data.id(ord)) {
                     if !merged.is_dead(new_ord) {
                         merged.tombstone(new_ord);
                     }
@@ -681,7 +641,7 @@ impl Index {
         Some(MergeOutcome {
             docs_reclaimed,
             segments_before,
-            segments_after: w.sealed.len() + usize::from(!w.head.docs.is_empty()),
+            segments_after: w.sealed.len() + usize::from(w.head.doc_count() > 0),
         })
     }
 }
@@ -714,23 +674,26 @@ impl Index {
             for (term, portions) in snap.merged_terms(field_ord) {
                 let live_df: usize = portions
                     .iter()
-                    .map(|&(si, pl)| snap.segments[si].live_df(field_ord, term, pl))
+                    .map(|&(si, id)| snap.segments[si].live_df(id))
                     .sum();
-                let doc_freq: usize = portions.iter().map(|&(_, pl)| pl.doc_freq()).sum();
+                let portion_lists = || {
+                    portions
+                        .iter()
+                        .map(|&(si, id)| (&snap.segments[si], snap.segments[si].data.list(id)))
+                };
+                let doc_freq: usize = portion_lists().map(|(_, list)| list.doc_freq()).sum();
                 let idf = idf_weight(live_df, n_docs);
-                let max_impact = portions
-                    .iter()
-                    .flat_map(|&(si, pl)| {
-                        let seg = &snap.segments[si];
-                        pl.iter().filter(|p| !seg.is_deleted(p.doc)).map(move |p| {
-                            let field_len = seg.data.docs[p.doc as usize].field_lengths[field_ord];
-                            impact(field, p.term_freq(), idf, field_len)
-                        })
+                let max_impact = portion_lists()
+                    .flat_map(|(seg, list)| {
+                        list.postings(0..list.doc_freq())
+                            .filter(|&(doc, _)| !seg.is_deleted(doc))
+                            .map(move |(doc, tf)| {
+                                impact(field, tf, idf, seg.data.field_len(doc, field_ord))
+                            })
                     })
                     .fold(0.0f64, f64::max);
-                let stored_bound = portions
-                    .iter()
-                    .map(|&(_, pl)| pl.max_impact_bound(field.boost(), idf))
+                let stored_bound = portion_lists()
+                    .map(|(_, list)| list.max_impact_bound(field.boost(), idf))
                     .fold(0.0f64, f64::max);
                 let tombstone_ratio = if doc_freq == 0 {
                     0.0
@@ -743,7 +706,7 @@ impl Index {
                     doc_freq,
                     live_doc_freq: live_df,
                     tombstone_ratio,
-                    approx_bytes: portions.iter().map(|&(_, pl)| pl.deep_size_of()).sum(),
+                    approx_bytes: portion_lists().map(|(_, list)| list.approx_bytes()).sum(),
                     max_impact,
                     stored_bound,
                 });
@@ -795,8 +758,8 @@ pub struct PostingsListStats {
     /// WAND/MaxScore upper bound.
     pub max_impact: f64,
     /// The bound the live pruner actually uses: maintained incrementally
-    /// on writes, left stale-high by tombstones, rebuilt tight by merges
-    /// and the codec load path. Invariant: `stored_bound ≥ max_impact`.
+    /// on writes, left stale-high by tombstones, rebuilt tight by merges.
+    /// Invariant: `stored_bound ≥ max_impact`.
     pub stored_bound: f64,
 }
 
@@ -1320,6 +1283,7 @@ mod tests {
             let snap = index.snapshot();
             let head = &snap.segments[0].data;
             for (ord, doc) in docs.iter().enumerate() {
+                let ord = ord as crate::DocOrd;
                 let (lengths, keys, occurrences) = reference_analysis(doc, &index.names, &index.prose);
                 for field in Field::ALL {
                     proptest::prop_assert_eq!(
@@ -1327,23 +1291,34 @@ mod tests {
                         &occurrences[field.ordinal() as usize]
                     );
                 }
-                proptest::prop_assert_eq!(head.docs[ord].field_lengths, lengths);
-                proptest::prop_assert_eq!(&head.doc_terms[ord], &keys);
+                let held: [u32; Field::COUNT] = std::array::from_fn(|f| head.field_len(ord, f));
+                proptest::prop_assert_eq!(held, lengths);
+                let forward: Vec<(u8, String)> = head
+                    .lists_of(ord)
+                    .iter()
+                    .map(|&list| {
+                        let field = (0..Field::COUNT)
+                            .find(|&f| head.field_lists(f).contains(&list))
+                            .expect("every list belongs to a field");
+                        (field as u8, head.term(list).to_string())
+                    })
+                    .collect();
+                proptest::prop_assert_eq!(&forward, &keys);
                 for (field_ord, term) in &keys {
                     let expected: Vec<u32> = occurrences[*field_ord as usize]
                         .iter()
                         .filter(|(t, _)| t == term)
                         .map(|(_, pos)| *pos)
                         .collect();
-                    let posting = head.terms[*field_ord as usize][term.as_str()]
-                        .get(ord as DocOrd)
-                        .expect("a key has a posting");
-                    proptest::prop_assert_eq!(&posting.positions, &expected);
+                    let field = Field::from_ordinal(*field_ord).expect("a field ordinal");
+                    let list = head.list(head.find(field, term).expect("a key has a list"));
+                    let posting = list.find(ord).expect("a key has a posting");
+                    proptest::prop_assert_eq!(list.positions(posting), &expected[..]);
                 }
             }
             // No list mentions a document its keys do not name.
-            let postings: usize = head.terms.iter().flat_map(|t| t.values()).map(PostingsList::doc_freq).sum();
-            let keys: usize = head.doc_terms.iter().map(Vec::len).sum();
+            let postings = head.columns().posting_docs.len();
+            let keys: usize = (0..docs.len()).map(|ord| head.lists_of(ord as crate::DocOrd).len()).sum();
             proptest::prop_assert_eq!(postings, keys);
         }
     }

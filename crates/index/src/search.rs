@@ -28,7 +28,7 @@
 //! Every query (term, field) list carries an upper bound on the impact any
 //! single posting can contribute: `boost · idf · max(√tf/√field_len)`, with
 //! the `√tf/√field_len` ceiling maintained incrementally by the index (see
-//! [`crate::postings::PostingsList`]). Lists are processed in descending
+//! [`crate::postings`]). Lists are processed in descending
 //! bound order. After each list, the scorer selects the top-n *lower*
 //! bounds among touched documents and carried hits (partial score ×
 //! matched/total when coordination is on — monotonically nondecreasing,
@@ -64,7 +64,7 @@ use schemr_model::SchemaId;
 
 use crate::field::Field;
 use crate::metrics::IndexMetrics;
-use crate::postings::PostingsList;
+use crate::postings::List;
 use crate::segment::Segment;
 use crate::snapshot::IndexSnapshot;
 
@@ -258,8 +258,9 @@ pub(crate) fn impact(field: Field, term_freq: u32, idf: f64, field_len: u32) -> 
 fn has_adjacent(a: &[u32], b: &[u32]) -> bool {
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
-        let want = a[i] + 1;
-        match b[j].cmp(&want) {
+        // Widened: a position read from a file may be `u32::MAX`.
+        let want = u64::from(a[i]) + 1;
+        match u64::from(b[j]).cmp(&want) {
             Ordering::Equal => return true,
             Ordering::Less => j += 1,
             Ordering::Greater => i += 1,
@@ -276,14 +277,14 @@ struct QueryList<'a> {
     idf: f64,
     /// `(segment index, portion)` for every segment where the list has
     /// live postings, in segment order.
-    portions: Vec<(usize, &'a PostingsList)>,
+    portions: Vec<(usize, List<'a>)>,
 }
 
 /// One portion of a query list inside the segment currently being
 /// scanned, with its slacked per-segment impact upper bound.
 struct SegList<'a, 'b> {
     list: &'b QueryList<'a>,
-    pl: &'a PostingsList,
+    pl: List<'a>,
     bound: f64,
 }
 
@@ -407,7 +408,7 @@ pub(crate) fn search_postings(
     let total_terms = distinct.len();
 
     // Gather the query's (term, field) lists with their live portions.
-    // Borrowed dictionary lookups: no term is cloned to probe the maps.
+    // Each lookup is a binary search of a segment's term table in place.
     // df is corpus-wide (summed across segments) so idf is content-
     // determined; a portion whose segment-live df is zero holds only
     // tombstoned postings and is dropped here, exactly as a monolith
@@ -415,21 +416,20 @@ pub(crate) fn search_postings(
     let mut lists: Vec<QueryList<'_>> = Vec::new();
     for (term_idx, term) in distinct.iter().enumerate() {
         for field in Field::ALL {
-            let field_ord = field.ordinal() as usize;
-            let mut portions: Vec<(usize, &PostingsList)> = Vec::new();
+            let mut portions: Vec<(usize, List<'_>)> = Vec::new();
             let mut df = 0usize;
             for (si, seg) in snap.segments.iter().enumerate() {
-                let Some(pl) = seg.data.field_terms(field).get(term.as_str()) else {
+                let Some(id) = seg.data.find(field, term) else {
                     continue;
                 };
                 // Live document frequency, maintained incrementally by
                 // the writers — no tombstone rescan per query.
-                let live = seg.live_df(field_ord, term, pl);
+                let live = seg.live_df(id);
                 if live == 0 {
                     continue;
                 }
                 df += live;
-                portions.push((si, pl));
+                portions.push((si, seg.data.list(id)));
             }
             if df == 0 {
                 continue;
@@ -501,7 +501,7 @@ pub(crate) fn search_postings(
                         .map(|&(_, pl)| SegList {
                             list: l,
                             pl,
-                            bound: l.pl_bound(pl),
+                            bound: l.pl_bound(&pl),
                         })
                 })
                 .collect();
@@ -549,7 +549,7 @@ pub(crate) fn search_postings(
 
 impl QueryList<'_> {
     /// The slacked impact upper bound of one of this list's portions.
-    fn pl_bound(&self, pl: &PostingsList) -> f64 {
+    fn pl_bound(&self, pl: &List<'_>) -> f64 {
         pl.max_impact_bound(self.field.boost(), self.idf) * BOUND_SLACK
     }
 }
@@ -570,9 +570,7 @@ fn scan_segment(
     pruned_postings: &mut u64,
     pruned_lists: &mut usize,
 ) {
-    let docs = &seg.data.docs;
-    let overlay = &*seg.live;
-    let overlay_dirty = overlay.dead_docs > 0;
+    let data = &*seg.data;
 
     // suffix[i]: upper bound on what this segment's portions i.. can
     // still add to any one document's score. Per-segment — a document
@@ -609,12 +607,8 @@ fn scan_segment(
     // per field where both lists have live postings *here*. The proximity
     // bonus adds *after* the impact sum, so it must ride along in every
     // upper bound or pruning would silently reorder results.
-    let pair_alive = |field: Field, t: &String| {
-        seg.data
-            .field_terms(field)
-            .get(t.as_str())
-            .is_some_and(|p| seg.live_df(field.ordinal() as usize, t, p) > 0)
-    };
+    let pair_alive =
+        |field: Field, t: &String| data.find(field, t).is_some_and(|id| seg.live_df(id) > 0);
     let mut prox_bound = 0.0f64;
     if options.proximity_weight > 0.0 {
         for pair in terms.windows(2) {
@@ -630,7 +624,7 @@ fn scan_segment(
         prox_bound *= BOUND_SLACK;
     }
 
-    let q_stamp = scratch.begin(docs.len(), total_terms);
+    let q_stamp = scratch.begin(data.doc_count(), total_terms);
 
     // θ (deflated): NEG_INFINITY means "no floor yet — scan
     // exhaustively", which is also the permanent state when pruning is
@@ -664,24 +658,18 @@ fn scan_segment(
         let mut visited = 0u64;
         if floor == f64::NEG_INFINITY {
             visited += sl.pl.doc_freq() as u64;
-            for posting in sl.pl.iter() {
-                let entry = &docs[posting.doc as usize];
-                if entry.deleted || (overlay_dirty && overlay.is_dead(posting.doc)) {
+            for (doc, tf) in sl.pl.postings(0..sl.pl.doc_freq()) {
+                if seg.is_deleted(doc) {
                     continue;
                 }
-                let o = posting.doc as usize;
+                let o = doc as usize;
                 if doc_stamp[o] != q_stamp {
                     doc_stamp[o] = q_stamp;
                     score[o] = 0.0;
                     matched[o] = 0;
-                    touched.push(posting.doc);
+                    touched.push(doc);
                 }
-                score[o] += impact(
-                    l.field,
-                    posting.term_freq(),
-                    l.idf,
-                    entry.field_lengths[field_ord],
-                );
+                score[o] += impact(l.field, tf, l.idf, data.field_len(doc, field_ord));
                 if term_stamp[o] != t_stamp {
                     term_stamp[o] = t_stamp;
                     matched[o] += 1;
@@ -703,8 +691,9 @@ fn scan_segment(
             let mut ci = 0usize;
             for b in 0..sl.pl.block_count() {
                 let blk = sl.pl.block(b);
-                let first = blk[0].doc;
-                let last = blk[blk.len() - 1].doc;
+                let blk_docs = &sl.pl.docs[blk.clone()];
+                let first = blk_docs[0];
+                let last = blk_docs[blk_docs.len() - 1];
                 while ci < cands.len() && cands[ci] < first {
                     ci += 1;
                 }
@@ -718,24 +707,18 @@ fn scan_segment(
                     // The block might hold a document able to reach the
                     // top n: scan it in full.
                     visited += blk.len() as u64;
-                    for posting in blk {
-                        let entry = &docs[posting.doc as usize];
-                        if entry.deleted || (overlay_dirty && overlay.is_dead(posting.doc)) {
+                    for (doc, tf) in sl.pl.postings(blk) {
+                        if seg.is_deleted(doc) {
                             continue;
                         }
-                        let o = posting.doc as usize;
+                        let o = doc as usize;
                         if doc_stamp[o] != q_stamp {
                             doc_stamp[o] = q_stamp;
                             score[o] = 0.0;
                             matched[o] = 0;
-                            touched.push(posting.doc);
+                            touched.push(doc);
                         }
-                        score[o] += impact(
-                            l.field,
-                            posting.term_freq(),
-                            l.idf,
-                            entry.field_lengths[field_ord],
-                        );
+                        score[o] += impact(l.field, tf, l.idf, data.field_len(doc, field_ord));
                         if term_stamp[o] != t_stamp {
                             term_stamp[o] = t_stamp;
                             matched[o] += 1;
@@ -747,15 +730,14 @@ fn scan_segment(
                     // and they are probed by binary search.
                     let mut probes = 0u64;
                     while ci < cands.len() && cands[ci] <= last {
-                        if let Ok(pos) = blk.binary_search_by_key(&cands[ci], |p| p.doc) {
-                            let p = &blk[pos];
-                            let o = p.doc as usize;
+                        if let Ok(pos) = blk_docs.binary_search(&cands[ci]) {
+                            let o = cands[ci] as usize;
                             debug_assert_eq!(doc_stamp[o], q_stamp);
                             score[o] += impact(
                                 l.field,
-                                p.term_freq(),
+                                sl.pl.term_freq(blk.start + pos),
                                 l.idf,
-                                docs[o].field_lengths[field_ord],
+                                data.field_len(cands[ci], field_ord),
                             );
                             if term_stamp[o] != t_stamp {
                                 term_stamp[o] = t_stamp;
@@ -766,7 +748,7 @@ fn scan_segment(
                         ci += 1;
                     }
                     visited += probes;
-                    *pruned_postings += (blk.len() as u64).saturating_sub(probes);
+                    *pruned_postings += (blk_docs.len() as u64).saturating_sub(probes);
                 }
             }
             if visited == 0 {
@@ -815,16 +797,15 @@ fn scan_segment(
                 continue;
             }
             for field in Field::ALL {
-                let fterms = seg.data.field_terms(field);
-                let (Some(pa), Some(pb)) = (fterms.get(a.as_str()), fterms.get(b.as_str())) else {
+                let (Some(ia), Some(ib)) = (data.find(field, a), data.find(field, b)) else {
                     continue;
                 };
                 // All-tombstoned portions cannot yield a live adjacency;
                 // walking them would only burn scan work under churn.
-                let field_ord = field.ordinal() as usize;
-                if seg.live_df(field_ord, a, pa) == 0 || seg.live_df(field_ord, b, pb) == 0 {
+                if seg.live_df(ia) == 0 || seg.live_df(ib) == 0 {
                     continue;
                 }
+                let (pa, pb) = (data.list(ia), data.list(ib));
                 // Probing beats the lockstep walk only while the
                 // candidate set is smaller than the lists; both paths
                 // credit each document identically, so this is purely a
@@ -837,13 +818,13 @@ fn scan_segment(
                     let mut probes = 0u64;
                     for &d in cands.iter() {
                         probes += 2;
-                        let (Some(post_a), Some(post_b)) = (pa.get(d), pb.get(d)) else {
+                        let (Some(i), Some(j)) = (pa.find(d), pb.find(d)) else {
                             continue;
                         };
-                        if docs[d as usize].deleted || (overlay_dirty && overlay.is_dead(d)) {
+                        if seg.is_deleted(d) {
                             continue;
                         }
-                        if has_adjacent(&post_a.positions, &post_b.positions) {
+                        if has_adjacent(pa.positions(i), pb.positions(j)) {
                             let ord = d as usize;
                             if doc_stamp[ord] == q_stamp {
                                 score[ord] += options.proximity_weight * field.boost();
@@ -858,24 +839,21 @@ fn scan_segment(
                 // Walk the (sorted) postings in lockstep, counting every
                 // posting the walk visits — this traversal is real scan
                 // work and shows up in `postings_scanned`.
-                let mut ia = pa.iter().peekable();
-                for post_b in pb.iter() {
+                let mut i = 0usize;
+                for (j, &doc) in pb.docs.iter().enumerate() {
                     *postings_scanned += 1;
-                    while ia.peek().is_some_and(|p| p.doc < post_b.doc) {
-                        ia.next();
+                    while i < pa.docs.len() && pa.docs[i] < doc {
+                        i += 1;
                         *postings_scanned += 1;
                     }
-                    let Some(post_a) = ia.peek() else { break };
-                    if post_a.doc != post_b.doc {
+                    if i == pa.docs.len() {
+                        break;
+                    }
+                    if pa.docs[i] != doc || seg.is_deleted(doc) {
                         continue;
                     }
-                    if docs[post_b.doc as usize].deleted
-                        || (overlay_dirty && overlay.is_dead(post_b.doc))
-                    {
-                        continue;
-                    }
-                    if has_adjacent(&post_a.positions, &post_b.positions) {
-                        let ord = post_b.doc as usize;
+                    if has_adjacent(pa.positions(i), pb.positions(j)) {
+                        let ord = doc as usize;
                         if doc_stamp[ord] == q_stamp {
                             score[ord] += options.proximity_weight * field.boost();
                         }
@@ -900,7 +878,7 @@ fn scan_segment(
         };
         carried.push(HeapEntry {
             score: scratch.score[ord as usize] * coord,
-            id: docs[ord as usize].id,
+            id: data.id(ord),
             matched,
         });
         if carried.len() > options.top_n {
@@ -1043,6 +1021,7 @@ mod tests {
         assert!(!has_adjacent(&[], &[1]));
         assert!(!has_adjacent(&[1], &[]));
         assert!(has_adjacent(&[1, 10, 20], &[0, 2, 30]));
+        assert!(!has_adjacent(&[u32::MAX], &[0, u32::MAX]));
     }
 
     #[test]

@@ -18,11 +18,10 @@ use std::collections::BTreeMap;
 
 use crate::field::Field;
 use crate::memory::IndexStats;
-use crate::postings::PostingsList;
 use crate::segment::Segment;
 
 /// One immutable published state: the sealed segments plus (as its last
-/// element, when non-empty) a frozen copy of the mutable head.
+/// element, when non-empty) the head, frozen into a flat segment like them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IndexSnapshot {
     pub segments: Vec<Segment>,
@@ -37,17 +36,14 @@ pub(crate) struct IndexSnapshot {
 
 impl IndexSnapshot {
     /// All of one field's `(term, portions)` entries merged across
-    /// segments in term order; each portion is `(segment index, list)`.
-    /// This is the deterministic global iteration order the codec, stats,
-    /// and introspection all share.
-    pub(crate) fn merged_terms(
-        &self,
-        field_ord: usize,
-    ) -> BTreeMap<&str, Vec<(usize, &PostingsList)>> {
-        let mut merged: BTreeMap<&str, Vec<(usize, &PostingsList)>> = BTreeMap::new();
+    /// segments in term order; each portion is `(segment index, list id)`.
+    /// This is the deterministic global iteration order stats and
+    /// introspection share.
+    pub(crate) fn merged_terms(&self, field_ord: usize) -> BTreeMap<&str, Vec<(usize, u32)>> {
+        let mut merged: BTreeMap<&str, Vec<(usize, u32)>> = BTreeMap::new();
         for (si, seg) in self.segments.iter().enumerate() {
-            for (term, pl) in &seg.data.terms[field_ord] {
-                merged.entry(term.as_str()).or_default().push((si, pl));
+            for id in seg.data.field_lists(field_ord) {
+                merged.entry(seg.data.term(id)).or_default().push((si, id));
             }
         }
         merged
@@ -57,43 +53,22 @@ impl IndexSnapshot {
     /// dictionary, so a term split across segments counts once — the same
     /// number a monolithic build of the same corpus reports.
     pub(crate) fn stats(&self) -> IndexStats {
-        let mut distinct_terms = 0usize;
-        let mut postings = 0usize;
-        let mut occurrences = 0u64;
-        for field_ord in 0..Field::COUNT {
-            for (_, portions) in self.merged_terms(field_ord) {
-                distinct_terms += 1;
-                for (_, pl) in portions {
-                    postings += pl.doc_freq();
-                    occurrences += pl.total_term_freq();
-                }
-            }
-        }
+        let distinct_terms = (0..Field::COUNT)
+            .map(|field_ord| self.merged_terms(field_ord).len())
+            .sum();
+        let columns = || self.segments.iter().map(|seg| seg.data.columns());
         IndexStats {
             live_docs: self.live_docs,
             total_docs: self.total_docs,
             distinct_terms,
-            postings,
-            occurrences,
+            postings: columns().map(|c| c.posting_docs.len()).sum(),
+            occurrences: columns().map(|c| c.positions.len() as u64).sum(),
         }
     }
 
-    /// Estimated heap bytes across all segments (each counted once; the
-    /// writer's master copies are the same `Arc`s, not duplicates).
+    /// Heap bytes across all segments (each counted once; the writer's
+    /// master copies are the same `Arc`s, not duplicates).
     pub(crate) fn deep_bytes(&self) -> usize {
         self.segments.iter().map(|s| s.data.deep_bytes()).sum()
-    }
-
-    /// The global ordinal offset of each segment: segment `s`'s local
-    /// ordinal `o` maps to global ordinal `offsets[s] + o`. The codec
-    /// serializes the corpus in this order.
-    pub(crate) fn ord_offsets(&self) -> Vec<u32> {
-        let mut offsets = Vec::with_capacity(self.segments.len());
-        let mut acc = 0u32;
-        for seg in &self.segments {
-            offsets.push(acc);
-            acc += seg.data.docs.len() as u32;
-        }
-        offsets
     }
 }

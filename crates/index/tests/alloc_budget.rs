@@ -1,0 +1,127 @@
+//! What the flat layout promises the allocator: loading allocates a fixed
+//! few blocks a segment whatever it holds, publishing the head allocates
+//! nothing per posting, and the index's reported size is what a load asks
+//! the allocator for.
+//!
+//! This file is its own test binary, so the counting `#[global_allocator]`
+//! reaches nothing else; counts are per thread, so the harness's own
+//! threads do not disturb the one running a test.
+
+use schemr_index::{codec, Index, IndexChange, IndexDocument};
+use schemr_model::SchemaId;
+use schemr_obs::alloc::{thread_alloc_bytes, thread_alloc_count, CountingAlloc};
+use schemr_obs::DeepSize;
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocation events and bytes requested on this thread while `f` runs.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (count, bytes) = (thread_alloc_count(), thread_alloc_bytes());
+    let out = f();
+    (
+        out,
+        thread_alloc_count() - count,
+        thread_alloc_bytes() - bytes,
+    )
+}
+
+/// A schema-sized document: `elements` compound names over a vocabulary
+/// wide enough that segments hold a few hundred lists.
+fn doc(id: u64, elements: usize) -> IndexDocument {
+    let word = |i: u64| format!("w{}", (id * 7 + i * 13) % 211);
+    IndexDocument {
+        id: SchemaId(id),
+        title: format!("{} {}", word(0), word(1)),
+        summary: format!("the {} of {}", word(2), word(3)),
+        elements: (0..elements as u64)
+            .map(|i| format!("{}.{}_{}", word(i), word(i + 1), word(i + 2)))
+            .collect(),
+        docs: vec![format!("{} in {}", word(4), word(5))],
+    }
+}
+
+/// `segments` sealed segments of 128 documents plus a head, with overlay
+/// and baked tombstones.
+fn index_of(segments: u64, elements: usize) -> Index {
+    let index = Index::new().with_seal_threshold(128);
+    let docs: Vec<IndexDocument> = (0..segments * 128 + 40)
+        .map(|id| doc(id, elements))
+        .collect();
+    index.apply(docs.iter().map(IndexChange::Put));
+    for id in (0..segments * 128 + 40).step_by(17) {
+        assert!(index.remove(SchemaId(id)));
+    }
+    assert_eq!(index.segment_count() as u64, segments + 1);
+    index
+}
+
+/// A load's allocations a segment: the columns, the id map, the overlay,
+/// the shells around them. Above what the layout needs today (≈20), far
+/// below one per posting.
+const PER_SEGMENT: u64 = 32;
+
+#[test]
+fn decode_allocates_per_segment_not_per_posting() {
+    // Any index starts with its two analyzers' dictionaries.
+    let (_, empty_index, _) = counted(Index::new);
+    let mut counts = Vec::new();
+    for elements in [1, 60] {
+        let index = index_of(3, elements);
+        let bytes = codec::encode(&index);
+        let (decoded, allocations, _) = counted(|| codec::decode(&bytes).unwrap());
+        let stats = decoded.stats();
+        assert_eq!(stats, index.stats());
+        assert!(
+            allocations - empty_index <= PER_SEGMENT * decoded.segment_count() as u64,
+            "{allocations} allocations ({empty_index} of them an empty index) for {} segments, {} postings",
+            decoded.segment_count(),
+            stats.postings
+        );
+        counts.push((allocations, stats.postings));
+    }
+    let [(few, small), (many, large)] = counts[..] else {
+        unreachable!()
+    };
+    assert!(large > 4 * small, "{large} postings against {small}");
+    assert_eq!(few, many, "and loads with the same allocations");
+}
+
+#[test]
+fn a_load_allocates_what_stays_resident() {
+    let index = index_of(4, 24);
+    let bytes = codec::encode(&index);
+    let (decoded, _, requested) = counted(|| codec::decode(&bytes).unwrap());
+    let reported = decoded.deep_size_of_children() as f64;
+    let requested = requested as f64;
+    assert!(
+        (reported - requested).abs() <= 0.10 * requested,
+        "deep_bytes {reported} vs {requested} bytes requested by the load"
+    );
+    // And the file is those same columns: no wider, no narrower.
+    assert!((bytes.len() as f64 - reported).abs() <= 0.10 * reported);
+}
+
+#[test]
+fn publishing_the_head_allocates_nothing_per_posting() {
+    // One-document adds into a small head and into one ten times fuller:
+    // each analyzes, appends and publishes (a freeze of the whole head).
+    let mut per_add = Vec::new();
+    for head_docs in [50u64, 500] {
+        let index = Index::new();
+        let docs: Vec<IndexDocument> = (0..head_docs).map(|id| doc(id, 24)).collect();
+        index.apply(docs.iter().map(IndexChange::Put));
+        let postings = index.stats().postings;
+        // Re-adding replaces: every term is known, the head only grows.
+        let (_, allocations, _) = counted(|| docs[..8].iter().for_each(|doc| index.add(doc)));
+        per_add.push((allocations / 8, postings));
+    }
+    let [(small_head, few), (large_head, many)] = per_add[..] else {
+        unreachable!()
+    };
+    assert!(many > 8 * few);
+    assert!(
+        large_head <= small_head + 16 && large_head < 100,
+        "{small_head} allocations an add over {few} postings, {large_head} over {many}"
+    );
+}

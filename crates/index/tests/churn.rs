@@ -183,36 +183,45 @@ fn codec_round_trip_preserves_live_df_under_churn() {
     }
     let decoded = schemr_index::codec::decode(&schemr_index::codec::encode(&index)).unwrap();
     assert_eq!(decoded.stats(), index.stats());
-    let a = all_results(&index);
-    let b = all_results(&decoded);
-    for (qi, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(x.len(), y.len(), "query {qi}");
-        for (hx, hy) in x.iter().zip(y) {
-            assert_eq!(hx.id, hy.id, "query {qi}");
-            assert!(
-                (hx.score - hy.score).abs() < 1e-12,
-                "query {qi}: decoded live df differs: {} vs {}",
-                hx.score,
-                hy.score
-            );
+    assert_eq!(decoded.segment_count(), index.segment_count());
+    let assert_same_bits = |what: &str| {
+        let a = all_results(&index);
+        let b = all_results(&decoded);
+        for (qi, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(x.len(), y.len(), "{what}: query {qi}");
+            for (hx, hy) in x.iter().zip(y) {
+                assert_eq!(hx.id, hy.id, "{what}: query {qi}");
+                assert_eq!(
+                    hx.score.to_bits(),
+                    hy.score.to_bits(),
+                    "{what}: query {qi}: decoded live df differs: {} vs {}",
+                    hx.score,
+                    hy.score
+                );
+            }
         }
-    }
+    };
+    assert_same_bits("decoded");
     // The decoded index keeps churning correctly: the forward index was
-    // rebuilt, so further removals keep df accounting exact.
+    // read back, so further removals keep df accounting exact.
     let live_ids: Vec<u64> = (0..24).filter(|&i| index.contains(SchemaId(i))).collect();
     for &id in live_ids.iter().take(live_ids.len() / 2) {
         assert!(decoded.remove(SchemaId(id)));
         assert!(index.remove(SchemaId(id)));
     }
-    let a = all_results(&index);
-    let b = all_results(&decoded);
-    for (qi, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(x.len(), y.len(), "post-removal query {qi}");
-        for (hx, hy) in x.iter().zip(y) {
-            assert_eq!(hx.id, hy.id, "post-removal query {qi}");
-            assert!((hx.score - hy.score).abs() < 1e-9);
-        }
+    assert_same_bits("post-removal");
+    // Replacements land in a fresh head beside the loaded segments, and a
+    // merge of the loaded copy alone changes no bit.
+    for id in [3, 7, 30] {
+        let d = doc(id, &mut rng);
+        decoded.add(&d);
+        index.add(&d);
     }
+    assert_same_bits("post-put");
+    decoded
+        .merge(ANY_TOMBSTONE)
+        .expect("removals left tombstones");
+    assert_same_bits("post-merge");
 }
 
 #[test]

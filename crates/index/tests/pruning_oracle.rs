@@ -2,7 +2,7 @@
 //!
 //! WAND/MaxScore pruning must be *invisible*: for every query, option
 //! combination, and index state — churned with tombstones (stale-high
-//! bounds), codec round-tripped (bounds rebuilt tight on load), merged
+//! bounds), codec round-tripped (the same stored bounds read back), merged
 //! (bounds rebuilt tight in place) — the pruned search must return hits
 //! bitwise identical to the exhaustive scan: same ids, same
 //! `matched_terms`, same order, and the exact same `f64` bit patterns
@@ -153,7 +153,7 @@ fn pruning_is_bitwise_invisible_across_churn_and_merge() {
         }
     }
 
-    // Codec round trip rebuilds bounds tight on load.
+    // A codec round trip keeps the stored (stale-high) bounds as they are.
     let decoded = codec::decode(&codec::encode(&index)).unwrap();
     oracle(&decoded, "decoded");
 

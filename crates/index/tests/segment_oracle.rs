@@ -190,24 +190,37 @@ fn codec_round_trip_of_a_segmented_index_is_bitwise_clean() {
     }
     assert!(index.segment_count() > 1);
 
-    // Encode flattens segments + overlay tombstones into the monolithic
-    // on-disk format; decode rebuilds one sealed segment. Both sides of
-    // the trip must agree with each other and with the monolith oracle.
+    // The file holds the segments as they are, overlay tombstones beside
+    // them; decode publishes the same layout. Both sides of the trip must
+    // agree with each other, pruned and exhaustive, and with the monolith.
     let decoded = schemr_index::codec::decode(&schemr_index::codec::encode(&index)).unwrap();
-    assert_eq!(decoded.stats().live_docs, live.len());
-    let options = SearchOptions::default();
-    assert_bitwise(
-        &probe(&index, &options),
-        &probe(&decoded, &options),
-        "segmented vs decoded",
-    );
+    assert_eq!(decoded.stats(), index.stats());
+    assert_eq!(decoded.segment_count(), index.segment_count());
+    for prune in [true, false] {
+        let options = SearchOptions {
+            prune,
+            ..Default::default()
+        };
+        assert_bitwise(
+            &probe(&index, &options),
+            &probe(&decoded, &options),
+            &format!("segmented vs decoded (prune={prune})"),
+        );
+    }
     assert_matches_monolith(&decoded, &live, "decoded");
 
-    // The decoded index churns on correctly (forward index was rebuilt).
-    for _ in 0..40 {
+    // The decoded index churns on correctly (forward index and overlay
+    // dead-df usable), through merges of the loaded segments too.
+    for step in 0..60 {
         churn_step(&decoded, &mut live, &mut rng, 32);
+        if step % 20 == 19 {
+            decoded.merge(0.05);
+            assert_matches_monolith(&decoded, &live, &format!("decoded + churn step {step}"));
+        }
     }
-    assert_matches_monolith(&decoded, &live, "decoded + churn");
+    decoded.merge(1e-9);
+    assert_eq!(decoded.stats().total_docs, live.len());
+    assert_matches_monolith(&decoded, &live, "decoded + churn + merge");
 }
 
 #[test]
