@@ -107,7 +107,7 @@ fn scatter_discrimination(quick: bool) {
                 let host = hosts[rng.random_range(0..hosts.len())];
                 twin.add_child(
                     host,
-                    schemr_model::Element::attribute(el.name.clone(), el.data_type),
+                    schemr_model::Element::attribute(el.name, el.data_type),
                 );
             }
         }
@@ -122,7 +122,7 @@ fn scatter_discrimination(quick: bool) {
             .into_iter()
             .filter(|&c| base.element(c).kind == schemr_model::ElementKind::Attribute)
             .take(5)
-            .map(|a| base.element(a).name.clone())
+            .map(|a| base.element(a).name.to_string())
             .collect();
         let base_id = repo.insert(format!("base{i}"), "", base).unwrap();
         let twin_id = repo.insert(format!("twin{i}"), "", twin).unwrap();

@@ -710,6 +710,14 @@ fn cmd_doctor(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
             .and_then(Json::as_f64)
             .unwrap_or(0.0)
     };
+    let schemas = nested("repository", "schemas");
+    writeln!(
+        out,
+        "  repository {} schema(s), {} resident ({} a schema)",
+        schemas,
+        fmt_bytes(nested("repository", "deep_bytes")),
+        fmt_bytes(nested("repository", "deep_bytes") / schemas.max(1.0)),
+    )?;
     writeln!(
         out,
         "  memory     index {} deep, artifact cache {} (lexicon {} in {} words), trace rings {}",
@@ -1243,6 +1251,7 @@ mod tests {
         assert!(out.contains("1 query(ies), 0 zero-result"), "{out}");
         assert!(out.contains("tombstone ratio 0.0%"), "{out}");
         assert!(out.contains("slo"), "{out}");
+        assert!(out.contains("repository 1 schema(s), "), "{out}");
         assert!(out.contains("memory     index"), "{out}");
         assert!(out.contains("(lexicon "), "{out}");
         assert!(!out.contains("in 0 words"), "{out}");

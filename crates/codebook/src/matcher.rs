@@ -68,7 +68,7 @@ impl Matcher for CodebookMatcher {
             if el.kind != ElementKind::Attribute {
                 continue;
             }
-            let Some(cand_type) = recognize(&el.name, el.data_type) else {
+            let Some(cand_type) = recognize(el.name, el.data_type) else {
                 continue;
             };
             for (row, term_type) in term_types.iter().enumerate() {

@@ -113,7 +113,7 @@ pub fn annotate(schema: &Schema) -> Vec<Annotation> {
         .filter(|&id| schema.element(id).kind == ElementKind::Attribute)
         .filter_map(|id| {
             let el = schema.element(id);
-            recognize(&el.name, el.data_type).map(|semantic_type| Annotation {
+            recognize(el.name, el.data_type).map(|semantic_type| Annotation {
                 element: id,
                 semantic_type,
             })

@@ -255,6 +255,23 @@ impl CandidateCache {
         }
     }
 
+    /// Estimated heap bytes of the resident entries: each key (held by
+    /// the entry map and by the recency index) and each hit list.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let state = self.state.lock();
+        let per_entry = size_of::<LruEntry<Vec<Hit>, IndexRevision>>() + 2 * size_of::<CacheKey>();
+        state
+            .entries
+            .iter()
+            .map(|(key, entry)| {
+                let terms = key.0.iter().map(String::capacity).sum::<usize>();
+                let key_bytes = key.0.capacity() * size_of::<String>() + terms;
+                per_entry + 2 * key_bytes + entry.value.capacity() * size_of::<Hit>()
+            })
+            .sum()
+    }
+
     /// Resident entries (tests).
     #[cfg(test)]
     fn len(&self) -> usize {

@@ -108,10 +108,16 @@ impl std::error::Error for SearchError {}
 /// A point-in-time deep-memory report across the engine's resident data
 /// structures (`GET /debug/memory`). All byte figures are estimates
 /// computed from capacities and element sizes ([`DeepSize`]), not
-/// allocator measurements — they track growth and attribute it, they do
-/// not reconcile with RSS.
+/// allocator measurements — they attribute resident memory structure by
+/// structure; what `VmRSS` holds beyond their sum (allocator slack, code,
+/// stacks) is the unattributed remainder (DESIGN.md has the table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryReport {
+    /// Schemas the repository stores.
+    pub repository_schemas: usize,
+    /// Estimated resident bytes of the repository: stored schemas,
+    /// metadata strings, id map and change journal.
+    pub repository_bytes: usize,
     /// Estimated heap bytes of the whole inverted index (term
     /// dictionary, postings, document table, forward index).
     pub index_deep_bytes: usize,
@@ -121,6 +127,8 @@ pub struct MemoryReport {
     pub candidate_cache_entries: usize,
     /// Candidate-cache capacity (entries; 0 = disabled).
     pub candidate_cache_budget: usize,
+    /// Estimated heap bytes of the candidate cache's keys and hit lists.
+    pub candidate_cache_bytes: usize,
     /// Resident Phase 2 match-artifact-cache entries.
     pub artifact_cache_entries: usize,
     /// Resident bytes held under the match-artifact budget: the cached
@@ -361,8 +369,8 @@ impl SchemrEngine {
     }
 
     /// Deep memory accounting across the engine's resident data
-    /// structures (`GET /debug/memory`): the index, both revision-keyed
-    /// caches, the trace rings, and the event log.
+    /// structures (`GET /debug/memory`): the repository, the index, both
+    /// revision-keyed caches, the trace rings, and the event log.
     pub fn memory_report(&self) -> MemoryReport {
         let (index_deep_bytes, postings_bytes) = {
             let index = self.index.read();
@@ -377,10 +385,13 @@ impl SchemrEngine {
         let (trace_ring_bytes, slow_ring_bytes) = self.tracer.ring_bytes();
         let (trace_ring_len, slow_ring_len) = self.tracer.ring_lens();
         MemoryReport {
+            repository_schemas: self.repo.len(),
+            repository_bytes: self.repo.deep_bytes(),
             index_deep_bytes,
             index_postings_bytes: postings_bytes,
             candidate_cache_entries: candidate.entries,
             candidate_cache_budget: candidate.budget,
+            candidate_cache_bytes: self.candidate_cache.resident_bytes(),
             artifact_cache_entries: artifact.entries,
             artifact_cache_resident_bytes: artifact.resident_weight + lexicon_bytes,
             artifact_cache_budget_bytes: artifact.budget,

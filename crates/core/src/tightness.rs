@@ -267,7 +267,7 @@ mod tests {
         let t = tightness_of_fit(&schema, &m, &TightnessConfig::default());
         assert!((t.score - 0.74).abs() < 1e-9, "t_max = {}", t.score);
         assert_eq!(t.matched.len(), 5);
-        let anchor_name = &schema.element(t.best_anchor.unwrap()).name;
+        let anchor_name = schema.element(t.best_anchor.unwrap()).name;
         assert!(anchor_name == "case" || anchor_name == "patient");
         // Under the winning anchor, two elements are SameEntity and three
         // are Neighborhood.

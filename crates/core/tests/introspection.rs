@@ -165,18 +165,26 @@ fn merge_writes_a_tagged_maintenance_record() {
 
 #[test]
 fn memory_report_accounts_for_resident_structures() {
-    let engine = traced_engine(seeded_repo());
+    let repo = seeded_repo();
+    let engine = traced_engine(repo.clone());
     engine
         .search(&SearchRequest::keywords(["patient", "height"]))
         .unwrap();
 
     let report = engine.memory_report();
+    // The repository is accounted schema by schema: at least the bytes
+    // its schemas hold, and more after one is added.
+    let schemas: usize = repo.snapshot().iter().map(|s| s.schema.heap_bytes()).sum();
+    assert_eq!(report.repository_schemas, repo.len());
+    assert!(report.repository_bytes > schemas && schemas > 0);
+    assert_eq!(report.repository_bytes, repo.deep_bytes());
     assert!(report.index_deep_bytes > report.index_postings_bytes);
     assert!(report.index_postings_bytes > 0);
     // The search above populated the candidate cache and the artifact
     // cache, and left one completed trace in the ring.
     assert!(report.candidate_cache_entries >= 1);
     assert_eq!(report.candidate_cache_budget, 512);
+    assert!(report.candidate_cache_bytes > 0);
     assert!(report.artifact_cache_entries >= 1);
     assert!(report.artifact_cache_resident_bytes > 0);
     assert!(report.artifact_cache_resident_bytes <= report.artifact_cache_budget_bytes);

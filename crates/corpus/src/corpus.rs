@@ -115,7 +115,7 @@ impl Corpus {
                 let head_entity = schema
                     .entities()
                     .first()
-                    .map(|&e| schema.element(e).name.clone())
+                    .map(|&e| schema.element(e).name.to_string())
                     .unwrap_or_else(|| "misc".to_string());
                 schemas.push(LabeledSchema {
                     title: format!("{}_{}_{}", domain.name, head_entity, v),
@@ -207,13 +207,13 @@ fn derive_member(
             id_map.push(None);
             continue;
         }
-        let new_name = perturber.perturb_name(&el.name, rng);
+        let new_name = perturber.perturb_name(el.name, rng);
         let mut new_el = Element {
             name: new_name,
             kind: el.kind,
             data_type: el.data_type,
             parent: None,
-            doc: el.doc.clone(),
+            doc: el.doc.map(str::to_string),
         };
         let new_id = match el.parent.and_then(|p| id_map[p.index()]) {
             Some(parent) => out.add_child(parent, new_el),
@@ -244,6 +244,7 @@ fn derive_member(
             to_attrs,
         });
     }
+    out.shrink_to_fit();
     out
 }
 
@@ -258,9 +259,8 @@ fn scatter_twin(
     rng: &mut impl Rng,
 ) -> Schema {
     let mut out = Schema::new(format!("scattered{family}"));
-    let attrs: Vec<&schemr_model::Element> = base
-        .ids()
-        .map(|id| base.element(id))
+    let attrs: Vec<schemr_model::ElementRef<'_>> = base
+        .elements()
         .filter(|e| e.kind == ElementKind::Attribute)
         .collect();
     let n_entities = (attrs.len() / 2).clamp(2, 6);
@@ -273,8 +273,9 @@ fn scatter_twin(
     }
     for attr in attrs {
         let host = entity_ids[rng.random_range(0..entity_ids.len())];
-        out.add_child(host, Element::attribute(attr.name.clone(), attr.data_type));
+        out.add_child(host, Element::attribute(attr.name, attr.data_type));
     }
+    out.shrink_to_fit();
     out
 }
 
@@ -311,6 +312,7 @@ fn raw_noise_schema(i: usize, rng: &mut impl Rng) -> Schema {
             }
         }
     }
+    s.shrink_to_fit();
     s
 }
 
@@ -343,7 +345,7 @@ impl CorpusFilter {
         let non_alpha = labeled
             .schema
             .ids()
-            .any(|id| !Self::name_is_alphabetical(&labeled.schema.element(id).name));
+            .any(|id| !Self::name_is_alphabetical(labeled.schema.element(id).name));
         if non_alpha {
             return Some("non-alphabetical");
         }
@@ -424,7 +426,7 @@ mod tests {
             let y = &c.schemas[w[1]].schema;
             x.ids()
                 .zip(y.ids())
-                .any(|(i, j)| x.get(i).map(|e| &e.name) != y.get(j).map(|e| &e.name))
+                .any(|(i, j)| x.get(i).map(|e| e.name) != y.get(j).map(|e| e.name))
         });
         assert!(differs);
     }

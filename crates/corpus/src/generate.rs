@@ -158,11 +158,9 @@ impl SchemaGenerator {
                     if i > 0 && rng.random_bool(self.config.fk_probability) {
                         let target_ix = rng.random_range(0..i);
                         let target = ids[target_ix];
-                        let target_name = schema.element(target).name.clone();
-                        let fk_attr = schema.add_child(
-                            eid,
-                            Element::attribute(format!("{target_name}_id"), DataType::Integer),
-                        );
+                        let fk_name = format!("{}_id", schema.element(target).name);
+                        let fk_attr =
+                            schema.add_child(eid, Element::attribute(fk_name, DataType::Integer));
                         schema.add_foreign_key(ForeignKey {
                             from_entity: eid,
                             from_attrs: vec![fk_attr],
@@ -299,11 +297,7 @@ mod tests {
         });
         let mut rng = StdRng::seed_from_u64(14);
         let s = g.generate("t", health(), &mut rng);
-        let names: Vec<_> = s
-            .entities()
-            .iter()
-            .map(|&e| s.element(e).name.clone())
-            .collect();
+        let names: Vec<_> = s.entities().iter().map(|&e| s.element(e).name).collect();
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());
     }

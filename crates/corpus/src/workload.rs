@@ -166,7 +166,7 @@ fn sample_keywords(
         target
             .attributes()
             .iter()
-            .map(|&a| target.element(a).name.clone())
+            .map(|&a| target.element(a).name.to_string())
             .collect()
     } else {
         let entity = entities[rng.random_range(0..entities.len())];
@@ -174,11 +174,11 @@ fn sample_keywords(
             .children(entity)
             .into_iter()
             .filter(|&c| target.element(c).kind == ElementKind::Attribute)
-            .map(|a| target.element(a).name.clone())
+            .map(|a| target.element(a).name.to_string())
             .collect();
         // The entity name itself is part of how a designer describes the
         // table.
-        names.push(target.element(entity).name.clone());
+        names.push(target.element(entity).name.to_string());
         names
     };
     if pool.is_empty() {
@@ -202,7 +202,7 @@ fn sample_fragment(target: &Schema, perturber: &Perturber, rng: &mut impl Rng) -
     let entities = target.entities();
     let entity = entities[rng.random_range(0..entities.len())];
     let mut frag = Schema::new("fragment");
-    let root_name = perturber.perturb_name(&target.element(entity).name, rng);
+    let root_name = perturber.perturb_name(target.element(entity).name, rng);
     let root = frag.add_root(schemr_model::Element::entity(root_name));
     let attrs: Vec<_> = target
         .children(entity)
@@ -219,7 +219,7 @@ fn sample_fragment(target: &Schema, perturber: &Perturber, rng: &mut impl Rng) -
         let el = target.element(attrs[ix]);
         frag.add_child(
             root,
-            schemr_model::Element::attribute(perturber.perturb_name(&el.name, rng), el.data_type),
+            schemr_model::Element::attribute(perturber.perturb_name(el.name, rng), el.data_type),
         );
     }
     frag

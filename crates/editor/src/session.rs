@@ -87,8 +87,8 @@ impl EditSession {
     }
 
     /// Rename a draft element.
-    pub fn rename(&mut self, element: ElementId, name: impl Into<String>) {
-        self.draft.element_mut(element).name = name.into();
+    pub fn rename(&mut self, element: ElementId, name: impl AsRef<str>) {
+        self.draft.set_name(element, name.as_ref());
     }
 
     /// Adopt one element from a repository schema into the draft under
@@ -103,8 +103,10 @@ impl EditSession {
         parent: Option<ElementId>,
     ) -> ElementId {
         let src = source.element(element);
-        let mut copy = src.clone();
-        copy.parent = None;
+        let copy = Element {
+            parent: None,
+            ..src.to_element()
+        };
         let new_id = match parent {
             Some(p) => self.draft.add_child(p, copy),
             None => self.draft.add_root(copy),
@@ -114,9 +116,7 @@ impl EditSession {
             for child in source.children(element) {
                 let c = source.element(child);
                 if c.kind == schemr_model::ElementKind::Attribute {
-                    let mut child_copy = c.clone();
-                    child_copy.parent = None;
-                    let child_id = self.draft.add_child(new_id, child_copy);
+                    let child_id = self.draft.add_child(new_id, c.to_element());
                     self.record(child_id, source_id, source, child);
                 }
             }

@@ -51,7 +51,7 @@ pub fn suggest_for(
         .draft()
         .attributes()
         .into_iter()
-        .map(|a| session.draft().element(a).name.clone())
+        .map(|a| session.draft().element(a).name.to_string())
         .collect();
 
     let mut out = Vec::new();
@@ -67,17 +67,17 @@ pub fn suggest_for(
             debug_assert_eq!(el.kind, ElementKind::Attribute);
             let covered = draft_names
                 .iter()
-                .any(|d| matcher.similarity(d, &el.name) >= novelty_threshold);
+                .any(|d| matcher.similarity(d, el.name) >= novelty_threshold);
             let already_suggested = out
                 .iter()
-                .any(|s: &Suggestion| matcher.similarity(&s.name, &el.name) >= novelty_threshold);
+                .any(|s: &Suggestion| matcher.similarity(&s.name, el.name) >= novelty_threshold);
             if !covered && !already_suggested {
                 out.push(Suggestion {
                     source_schema: result.id,
                     source_title: result.title.clone(),
                     element: attr,
                     path: stored.schema.path(attr),
-                    name: el.name.clone(),
+                    name: el.name.to_string(),
                     data_type: el.data_type,
                     schema_score: result.score,
                 });

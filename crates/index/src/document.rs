@@ -28,8 +28,8 @@ impl IndexDocument {
         let mut docs = Vec::new();
         for el_id in schema.ids() {
             elements.push(schema.path(el_id));
-            if let Some(doc) = &schema.element(el_id).doc {
-                docs.push(doc.clone());
+            if let Some(doc) = schema.element(el_id).doc {
+                docs.push(doc.to_string());
             }
         }
         IndexDocument {

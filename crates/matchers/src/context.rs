@@ -53,15 +53,15 @@ impl ContextMatcher {
         let mut names: Vec<&str> = Vec::new();
         let el = schema.element(id);
         if let Some(p) = el.parent {
-            names.push(&schema.element(p).name);
+            names.push(schema.element(p).name);
             for sib in schema.children(p) {
                 if sib != id {
-                    names.push(&schema.element(sib).name);
+                    names.push(schema.element(sib).name);
                 }
             }
         }
         for child in schema.children(id) {
-            names.push(&schema.element(child).name);
+            names.push(schema.element(child).name);
         }
         names
             .into_iter()
@@ -142,7 +142,7 @@ fn neighborhoods<T: Ord + Clone>(schema: &Schema, words: &FlatLists<T>) -> FlatL
     }
     let mut kids = vec![0usize; starts[n]];
     let mut next = starts.clone();
-    for (i, el) in schema.elements().iter().enumerate() {
+    for (i, el) in schema.elements().enumerate() {
         if let Some(p) = el.parent {
             kids[next[p.index()]] = i;
             next[p.index()] += 1;
@@ -152,7 +152,7 @@ fn neighborhoods<T: Ord + Clone>(schema: &Schema, words: &FlatLists<T>) -> FlatL
 
     let mut sets = FlatLists::with_capacity(n);
     let mut set: Vec<T> = Vec::new();
-    for (i, el) in schema.elements().iter().enumerate() {
+    for (i, el) in schema.elements().enumerate() {
         set.clear();
         if let Some(p) = el.parent {
             set.extend_from_slice(words.get(p.index()));

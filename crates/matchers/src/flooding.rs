@@ -111,7 +111,7 @@ impl FloodingMatcher {
             for (ci, cid) in candidate.ids().enumerate() {
                 sigma0[fi * nc + ci] = self
                     .name
-                    .similarity(&fragment.element(fid).name, &candidate.element(cid).name);
+                    .similarity(fragment.element(fid).name, candidate.element(cid).name);
             }
         }
         let fneigh = Self::neighbors(fragment);

@@ -393,7 +393,7 @@ mod tests {
         );
         for (r, term) in ts.iter().enumerate() {
             for (c, id) in schema.ids().enumerate() {
-                let reference = matcher.similarity(&term.text, &schema.element(id).name);
+                let reference = matcher.similarity(&term.text, schema.element(id).name);
                 assert_eq!(
                     prepared.get(r, c).to_bits(),
                     reference.to_bits(),

@@ -198,7 +198,7 @@ pub(crate) fn element_words(
     {
         let known = lexicon.read();
         for el in schema.elements() {
-            analyzer.analyze_with(&el.name, &mut scratch, |word| {
+            analyzer.analyze_with(el.name, &mut scratch, |word| {
                 let id = known.lookup(word);
                 if id.is_none() {
                     missed.push((resolved.items.len(), word.into()));
@@ -461,7 +461,7 @@ mod tests {
         let reader = lexicon.read();
         for (list, id) in words.iter().zip(schema.ids()) {
             let expected: Vec<WordId> = analyzer
-                .analyze(&schema.element(id).name)
+                .analyze(schema.element(id).name)
                 .iter()
                 .map(|w| reader.lookup(w).expect("the pass interned it"))
                 .collect();
@@ -514,7 +514,7 @@ mod tests {
         let reader = lexicon.read();
         for (list, id) in sequential.iter().zip(schema.ids()) {
             let expected: Vec<Option<WordId>> = analyzer
-                .analyze(&schema.element(id).name)
+                .analyze(schema.element(id).name)
                 .iter()
                 .map(|w| reader.lookup(w))
                 .collect();

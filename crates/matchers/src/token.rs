@@ -81,7 +81,7 @@ impl Matcher for TokenMatcher {
     /// analyzer and builds its artifact from the schema alone.
     fn prepare(&self, schema: &Schema, _words: &FlatLists<WordId>) -> PreparedSchema {
         PreparedSchema {
-            tokens: Some(self.signatures(schema.elements().iter().map(|el| el.name.as_str()))),
+            tokens: Some(self.signatures(schema.elements().map(|el| el.name))),
             ..PreparedSchema::default()
         }
     }
@@ -115,8 +115,7 @@ impl Matcher for TokenMatcher {
         let element_tokens: &[GramSet] = match &prepared.tokens {
             Some(et) if et.len() == candidate.len() => et,
             _ => {
-                local_elements =
-                    self.signatures(candidate.elements().iter().map(|el| el.name.as_str()));
+                local_elements = self.signatures(candidate.elements().map(|el| el.name));
                 &local_elements
             }
         };
@@ -193,7 +192,7 @@ mod tests {
         );
         for (r, term) in terms.iter().enumerate() {
             for (c, id) in candidate.ids().enumerate() {
-                let reference = matcher.similarity(&term.text, &candidate.element(id).name);
+                let reference = matcher.similarity(&term.text, candidate.element(id).name);
                 assert_eq!(
                     prepared.get(r, c).to_bits(),
                     reference.to_bits(),

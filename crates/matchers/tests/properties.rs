@@ -326,7 +326,7 @@ proptest! {
             );
             for (r, term) in terms.iter().enumerate() {
                 for (c, id) in candidate.ids().enumerate() {
-                    let reference = m.similarity(&term.text, &candidate.element(id).name);
+                    let reference = m.similarity(&term.text, candidate.element(id).name);
                     prop_assert_eq!(cold.get(r, c).to_bits(), reference.to_bits(), "cold ({},{})", r, c);
                     prop_assert_eq!(warm.get(r, c).to_bits(), reference.to_bits(), "warm ({},{})", r, c);
                 }
@@ -458,7 +458,7 @@ proptest! {
         let token = TokenMatcher::new();
         for (r, term) in terms.iter().enumerate() {
             for (c, id) in candidate.ids().enumerate() {
-                let (a, b) = (term.text.as_str(), candidate.element(id).name.as_str());
+                let (a, b) = (term.text.as_str(), candidate.element(id).name);
                 // (position in the ensemble, the matcher's scalar kernel)
                 let references = [
                     (0, name.similarity(a, b)),

@@ -152,6 +152,7 @@ impl SchemaBuilder {
                 to_attrs,
             });
         }
+        self.schema.shrink_to_fit();
         Ok(self.schema)
     }
 
@@ -179,7 +180,7 @@ mod tests {
         assert_eq!(s.entities().len(), 1);
         let attrs = s.children(s.entities()[0]);
         assert_eq!(attrs.len(), 2);
-        assert_eq!(s.element(attrs[1]).doc.as_deref(), Some("grand total"));
+        assert_eq!(s.element(attrs[1]).doc, Some("grand total"));
         assert_eq!(s.element(attrs[0]).kind, ElementKind::Attribute);
     }
 

@@ -11,8 +11,9 @@
 //! This crate is deliberately free of parsing, indexing, and matching logic;
 //! it only defines the data model those layers share:
 //!
-//! * [`Schema`] / [`Element`] — the schema graph with containment and
-//!   foreign-key edges,
+//! * [`Schema`] — the schema graph with containment and foreign-key
+//!   edges, stored flat: one text arena and one 16-byte record per element;
+//!   [`Element`] is what goes in, [`ElementRef`] is what reads hand back,
 //! * [`SchemaBuilder`] — ergonomic construction,
 //! * [`DistanceClass`] — the structural distance classes used by the
 //!   tightness-of-fit measure (same entity / FK neighborhood / unrelated),
@@ -20,6 +21,7 @@
 //! * validation and statistics helpers.
 
 mod builder;
+mod column;
 mod element;
 mod query;
 mod schema;
@@ -27,6 +29,7 @@ mod stats;
 mod validate;
 
 pub use builder::{EntityBuilder, SchemaBuilder};
+pub use column::ElementRef;
 pub use element::{DataType, Element, ElementId, ElementKind};
 pub use query::{QueryGraph, QueryTerm};
 pub use schema::{DistanceClass, ForeignKey, Neighborhoods, Schema};

@@ -87,7 +87,7 @@ impl QueryGraph {
             for id in frag.ids() {
                 let el = frag.element(id);
                 out.push(QueryTerm {
-                    text: el.name.clone(),
+                    text: el.name.to_string(),
                     fragment: Some(fi),
                     element: Some(id),
                     kind: el.kind,

@@ -1,8 +1,9 @@
 //! The [`Schema`] graph: elements, containment, foreign keys, and the
 //! structural distance classes used by tightness-of-fit scoring.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
+use crate::column::{ElementColumn, ElementRef};
 use crate::element::{Element, ElementId, ElementKind};
 
 /// A foreign-key edge between two entities.
@@ -44,15 +45,52 @@ pub enum DistanceClass {
 /// A schema: a named graph of elements with containment and foreign-key
 /// edges.
 ///
-/// Elements are stored densely; [`ElementId`]s index into
-/// [`Schema::elements`]. Containment is encoded in each element's `parent`
-/// pointer plus a derived child list; foreign keys are a separate edge list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Elements are stored densely and flat (see [`crate::ElementRef`]):
+/// [`ElementId`]s index into [`Schema::elements`], text lives in one
+/// arena, and containment is each element's `parent` pointer, which always
+/// names an *earlier* element. Foreign keys are a separate edge list.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Schema {
     /// The schema's own name (e.g. the DDL file stem or XSD root).
     pub name: String,
-    elements: Vec<Element>,
+    elements: ElementColumn,
     foreign_keys: Vec<ForeignKey>,
+}
+
+/// The persisted shape; [`Schema`] is read through it so that a file is
+/// checked before anything walks it.
+#[derive(Deserialize)]
+struct SchemaFile {
+    name: String,
+    elements: ElementColumn,
+    foreign_keys: Vec<ForeignKey>,
+}
+
+impl Deserialize for Schema {
+    /// Parents precede children (checked as the column fills) and every
+    /// foreign-key endpoint is an element of this schema — so no file can
+    /// make [`Schema::path`], [`Schema::neighborhoods`] or
+    /// [`crate::validate`] index out of bounds or walk a cycle.
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        let file = SchemaFile::deserialize_value(v)?;
+        let n = file.elements.len();
+        for fk in &file.foreign_keys {
+            let endpoints = [fk.from_entity, fk.to_entity];
+            let mut ids = endpoints.iter().chain(&fk.from_attrs).chain(&fk.to_attrs);
+            if let Some(id) = ids.find(|id| id.index() >= n) {
+                return Err(DeError(format!(
+                    "foreign key references {id}, past the schema's {n} elements"
+                )));
+            }
+        }
+        let mut schema = Schema {
+            name: file.name,
+            elements: file.elements,
+            foreign_keys: file.foreign_keys,
+        };
+        schema.shrink_to_fit();
+        Ok(schema)
+    }
 }
 
 impl Schema {
@@ -60,14 +98,14 @@ impl Schema {
     pub fn new(name: impl Into<String>) -> Self {
         Schema {
             name: name.into(),
-            elements: Vec::new(),
+            elements: ElementColumn::default(),
             foreign_keys: Vec::new(),
         }
     }
 
     /// All elements, in insertion order (dense, indexable by [`ElementId`]).
-    pub fn elements(&self) -> &[Element] {
-        &self.elements
+    pub fn elements(&self) -> impl ExactSizeIterator<Item = ElementRef<'_>> + '_ {
+        self.elements.iter()
     }
 
     /// Number of elements of any kind.
@@ -77,7 +115,7 @@ impl Schema {
 
     /// True when the schema has no elements.
     pub fn is_empty(&self) -> bool {
-        self.elements.is_empty()
+        self.len() == 0
     }
 
     /// All foreign-key edges.
@@ -89,26 +127,20 @@ impl Schema {
     ///
     /// # Panics
     /// Panics if `id` was not issued by this schema.
-    pub fn element(&self, id: ElementId) -> &Element {
-        &self.elements[id.index()]
-    }
-
-    /// Mutable access to the element behind `id`.
-    pub fn element_mut(&mut self, id: ElementId) -> &mut Element {
-        &mut self.elements[id.index()]
+    pub fn element(&self, id: ElementId) -> ElementRef<'_> {
+        self.elements.view(id.index())
     }
 
     /// The element behind `id`, or `None` if out of range.
-    pub fn get(&self, id: ElementId) -> Option<&Element> {
-        self.elements.get(id.index())
+    pub fn get(&self, id: ElementId) -> Option<ElementRef<'_>> {
+        (id.index() < self.len()).then(|| self.element(id))
     }
 
     /// Append a root element (no parent) and return its id.
-    pub fn add_root(&mut self, element: Element) -> ElementId {
+    pub fn add_root(&mut self, mut element: Element) -> ElementId {
         debug_assert!(element.parent.is_none());
-        let id = ElementId(self.elements.len() as u32);
-        self.elements.push(element);
-        id
+        element.parent = None;
+        self.elements.push(element).expect("roots have no parent")
     }
 
     /// Append `element` as a child of `parent` and return its id.
@@ -116,14 +148,25 @@ impl Schema {
     /// # Panics
     /// Panics if `parent` was not issued by this schema.
     pub fn add_child(&mut self, parent: ElementId, mut element: Element) -> ElementId {
-        assert!(
-            parent.index() < self.elements.len(),
-            "unknown parent {parent}"
-        );
+        assert!(parent.index() < self.len(), "unknown parent {parent}");
         element.parent = Some(parent);
-        let id = ElementId(self.elements.len() as u32);
-        self.elements.push(element);
-        id
+        self.elements.push(element).expect("the parent precedes")
+    }
+
+    /// Rename the element behind `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` was not issued by this schema.
+    pub fn set_name(&mut self, id: ElementId, name: &str) {
+        self.elements.set_name(id.index(), name);
+    }
+
+    /// Attach, replace or (with `None`) remove the documentation of `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` was not issued by this schema.
+    pub fn set_doc(&mut self, id: ElementId, doc: Option<&str>) {
+        self.elements.set_doc(id.index(), doc);
     }
 
     /// Record a foreign-key edge.
@@ -131,36 +174,62 @@ impl Schema {
         self.foreign_keys.push(fk);
     }
 
+    /// Give back the growth slack of a finished schema, so that it weighs
+    /// what its clone weighs. Builders call this once, at the end.
+    pub fn shrink_to_fit(&mut self) {
+        self.name.shrink_to_fit();
+        self.elements.shrink_to_fit();
+        self.foreign_keys.shrink_to_fit();
+        for fk in &mut self.foreign_keys {
+            fk.from_attrs.shrink_to_fit();
+            fk.to_attrs.shrink_to_fit();
+        }
+    }
+
+    /// Heap bytes this schema holds (capacities, not lengths; the struct
+    /// itself excluded).
+    pub fn heap_bytes(&self) -> usize {
+        let attrs = |fk: &ForeignKey| fk.from_attrs.capacity() + fk.to_attrs.capacity();
+        self.name.capacity()
+            + self.elements.heap_bytes()
+            + self.foreign_keys.capacity() * std::mem::size_of::<ForeignKey>()
+            + self.foreign_keys.iter().map(attrs).sum::<usize>() * std::mem::size_of::<ElementId>()
+    }
+
     /// Ids of all elements, in order.
     pub fn ids(&self) -> impl Iterator<Item = ElementId> + '_ {
-        (0..self.elements.len() as u32).map(ElementId)
+        (0..self.len() as u32).map(ElementId)
+    }
+
+    fn kind(&self, id: ElementId) -> ElementKind {
+        self.elements.kind(id.index())
+    }
+
+    fn parent(&self, id: ElementId) -> Option<ElementId> {
+        self.elements.parent(id.index())
     }
 
     /// Ids of all root elements (no containment parent).
     pub fn roots(&self) -> Vec<ElementId> {
-        self.ids()
-            .filter(|id| self.element(*id).parent.is_none())
-            .collect()
+        self.ids().filter(|id| self.parent(*id).is_none()).collect()
     }
 
     /// Ids of the direct children of `id`, in insertion order.
     pub fn children(&self, id: ElementId) -> Vec<ElementId> {
-        self.ids()
-            .filter(|c| self.element(*c).parent == Some(id))
-            .collect()
+        self.ids().filter(|c| self.parent(*c) == Some(id)).collect()
     }
 
     /// Ids of all entities.
     pub fn entities(&self) -> Vec<ElementId> {
         self.ids()
-            .filter(|id| self.element(*id).kind == ElementKind::Entity)
+            .filter(|id| self.kind(*id) == ElementKind::Entity)
             .collect()
     }
 
     /// Ids of all attributes.
     pub fn attributes(&self) -> Vec<ElementId> {
         self.ids()
-            .filter(|id| self.element(*id).kind == ElementKind::Attribute)
+            .filter(|id| self.kind(*id) == ElementKind::Attribute)
             .collect()
     }
 
@@ -172,10 +241,10 @@ impl Schema {
     pub fn owning_entity(&self, id: ElementId) -> Option<ElementId> {
         let mut cur = id;
         loop {
-            if self.element(cur).kind == ElementKind::Entity {
+            if self.kind(cur) == ElementKind::Entity {
                 return Some(cur);
             }
-            cur = self.element(cur).parent?;
+            cur = self.parent(cur)?;
         }
     }
 
@@ -184,8 +253,8 @@ impl Schema {
         let mut parts = Vec::new();
         let mut cur = Some(id);
         while let Some(c) = cur {
-            parts.push(self.element(c).name.as_str());
-            cur = self.element(c).parent;
+            parts.push(self.element(c).name);
+            cur = self.parent(c);
         }
         parts.reverse();
         parts.join(".")
@@ -194,10 +263,10 @@ impl Schema {
     /// Depth of `id` below its root (roots have depth 0).
     pub fn depth(&self, id: ElementId) -> usize {
         let mut d = 0;
-        let mut cur = self.element(id).parent;
+        let mut cur = self.parent(id);
         while let Some(c) = cur {
             d += 1;
-            cur = self.element(c).parent;
+            cur = self.parent(c);
         }
         d
     }
@@ -222,22 +291,13 @@ impl Schema {
         out
     }
 
-    /// Entity-level FK adjacency: for each entity pair joined by at least one
-    /// foreign key (in either direction), one undirected edge.
-    fn fk_adjacency(&self) -> Vec<(ElementId, ElementId)> {
-        self.foreign_keys
-            .iter()
-            .map(|fk| (fk.from_entity, fk.to_entity))
-            .collect()
-    }
-
     /// Union-find over entities joined by foreign keys — the "transitive
     /// closure on foreign key" the paper uses to define entity neighborhoods.
     ///
     /// Returns a component label per element index (labels are only
     /// meaningful for entities).
     fn fk_components(&self) -> Vec<u32> {
-        let n = self.elements.len();
+        let n = self.len();
         let mut parent: Vec<u32> = (0..n as u32).collect();
         fn find(parent: &mut [u32], x: u32) -> u32 {
             let mut root = x;
@@ -253,9 +313,14 @@ impl Schema {
             }
             root
         }
-        for (a, b) in self.fk_adjacency() {
-            let ra = find(&mut parent, a.0);
-            let rb = find(&mut parent, b.0);
+        for fk in &self.foreign_keys {
+            // `add_foreign_key` does not check its endpoints (`validate`
+            // reports them); an edge to nowhere joins nothing.
+            if fk.from_entity.index() >= n || fk.to_entity.index() >= n {
+                continue;
+            }
+            let ra = find(&mut parent, fk.from_entity.0);
+            let rb = find(&mut parent, fk.to_entity.0);
             if ra != rb {
                 parent[ra as usize] = rb;
             }
@@ -265,8 +330,18 @@ impl Schema {
 
     /// Precomputed structural-distance oracle for tightness-of-fit scoring.
     pub fn neighborhoods(&self) -> Neighborhoods {
+        // Parents precede children, so one forward pass sees every
+        // element's parent before the element.
+        let mut owning: Vec<Option<ElementId>> = Vec::with_capacity(self.len());
+        for id in self.ids() {
+            let owner = match self.kind(id) {
+                ElementKind::Entity => Some(id),
+                _ => self.parent(id).and_then(|p| owning[p.index()]),
+            };
+            owning.push(owner);
+        }
         Neighborhoods {
-            owning: self.ids().map(|id| self.owning_entity(id)).collect(),
+            owning,
             component: self.fk_components(),
         }
     }

@@ -2,8 +2,10 @@
 //!
 //! Parsers and the repository run [`validate`] before accepting a schema, so
 //! downstream code (indexer, matchers, layouts) can assume well-formedness.
-
-use std::collections::HashSet;
+//!
+//! Containment needs no check here: a [`Schema`] cannot hold a dangling
+//! parent or a containment cycle (parents precede children, enforced where
+//! elements enter — `add_child` and deserialization alike).
 
 use crate::element::{ElementId, ElementKind};
 use crate::schema::Schema;
@@ -13,10 +15,6 @@ use crate::schema::Schema;
 pub enum ValidationError {
     /// An element has an empty or whitespace-only name.
     EmptyName(ElementId),
-    /// An element's parent id is out of range.
-    DanglingParent(ElementId),
-    /// Following parent links from this element revisits it (cycle).
-    ContainmentCycle(ElementId),
     /// An attribute has containment children.
     AttributeWithChildren(ElementId),
     /// A foreign key references an element that is not an entity.
@@ -31,10 +29,6 @@ impl std::fmt::Display for ValidationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ValidationError::EmptyName(id) => write!(f, "element {id} has an empty name"),
-            ValidationError::DanglingParent(id) => write!(f, "element {id} has a dangling parent"),
-            ValidationError::ContainmentCycle(id) => {
-                write!(f, "containment cycle through element {id}")
-            }
             ValidationError::AttributeWithChildren(id) => {
                 write!(f, "attribute {id} has children")
             }
@@ -62,47 +56,14 @@ pub fn validate(schema: &Schema) -> Vec<ValidationError> {
     let n = schema.len();
     let in_range = |id: ElementId| id.index() < n;
 
-    for id in schema.ids() {
-        let el = schema.element(id);
+    for (id, el) in schema.ids().zip(schema.elements()) {
         if el.name.trim().is_empty() {
             errors.push(ValidationError::EmptyName(id));
         }
         if let Some(p) = el.parent {
-            if !in_range(p) {
-                errors.push(ValidationError::DanglingParent(id));
-                continue;
-            }
             if schema.element(p).kind == ElementKind::Attribute {
                 errors.push(ValidationError::AttributeWithChildren(p));
             }
-        }
-    }
-
-    // Cycle detection: walk parents with a visited set per start, memoizing
-    // elements already proven acyclic.
-    let mut acyclic: HashSet<ElementId> = HashSet::new();
-    for start in schema.ids() {
-        if acyclic.contains(&start) {
-            continue;
-        }
-        let mut seen = Vec::new();
-        let mut seen_set = HashSet::new();
-        let mut cur = Some(start);
-        let mut cyclic = false;
-        while let Some(c) = cur {
-            if acyclic.contains(&c) {
-                break;
-            }
-            if !seen_set.insert(c) {
-                errors.push(ValidationError::ContainmentCycle(c));
-                cyclic = true;
-                break;
-            }
-            seen.push(c);
-            cur = schema.element(c).parent.filter(|p| in_range(*p));
-        }
-        if !cyclic {
-            acyclic.extend(seen);
         }
     }
 
@@ -163,19 +124,6 @@ mod tests {
         s.add_child(a, Element::attribute("child", DataType::Text));
         let errs = validate(&s);
         assert!(errs.contains(&ValidationError::AttributeWithChildren(a)));
-    }
-
-    #[test]
-    fn containment_cycles_are_reported() {
-        let mut s = Schema::new("x");
-        let a = s.add_root(Element::entity("a"));
-        let b = s.add_child(a, Element::group("b"));
-        // Corrupt the graph: a's parent becomes b.
-        s.element_mut(a).parent = Some(b);
-        let errs = validate(&s);
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ValidationError::ContainmentCycle(_))));
     }
 
     #[test]

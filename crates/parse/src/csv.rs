@@ -48,7 +48,7 @@ mod tests {
         let names: Vec<_> = s
             .attributes()
             .into_iter()
-            .map(|a| s.element(a).name.clone())
+            .map(|a| s.element(a).name)
             .collect();
         assert_eq!(names, ["species", "count", "location", "date"]);
     }
@@ -59,7 +59,7 @@ mod tests {
         let names: Vec<_> = s
             .attributes()
             .into_iter()
-            .map(|a| s.element(a).name.clone())
+            .map(|a| s.element(a).name)
             .collect();
         assert_eq!(names, ["first name", "last, name", "height"]);
     }

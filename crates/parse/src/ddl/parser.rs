@@ -492,7 +492,7 @@ mod tests {
         )
         .unwrap();
         let attr = s.attributes()[0];
-        assert_eq!(s.element(attr).doc.as_deref(), Some("height in cm"));
+        assert_eq!(s.element(attr).doc, Some("height in cm"));
     }
 
     #[test]

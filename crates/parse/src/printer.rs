@@ -60,7 +60,7 @@ pub fn print_ddl(schema: &Schema) -> String {
         attrs.sort(); // insertion order
         for attr in attrs {
             let el = schema.element(attr);
-            let mut line = format!("  {} {}", quote_ident(&el.name), render_type(el.data_type));
+            let mut line = format!("  {} {}", quote_ident(el.name), render_type(el.data_type));
             if let Some(doc) = &el.doc {
                 line.push_str(&format!(" COMMENT '{}'", doc.replace('\'', "''")));
             }
@@ -74,17 +74,17 @@ pub fn print_ddl(schema: &Schema) -> String {
             let cols: Vec<String> = fk
                 .from_attrs
                 .iter()
-                .map(|a| quote_ident(&schema.element(*a).name))
+                .map(|a| quote_ident(schema.element(*a).name))
                 .collect();
             let to_cols: Vec<String> = fk
                 .to_attrs
                 .iter()
-                .map(|a| quote_ident(&schema.element(*a).name))
+                .map(|a| quote_ident(schema.element(*a).name))
                 .collect();
             let mut line = format!(
                 "  FOREIGN KEY ({}) REFERENCES {}",
                 cols.join(", "),
-                quote_ident(&schema.element(fk.to_entity).name)
+                quote_ident(schema.element(fk.to_entity).name)
             );
             if !to_cols.is_empty() {
                 line.push_str(&format!(" ({})", to_cols.join(", ")));
@@ -164,7 +164,7 @@ mod tests {
         let ddl = print_ddl(&s);
         let reparsed = parse_ddl("q", &ddl).unwrap();
         assert_eq!(
-            reparsed.element(reparsed.attributes()[0]).doc.as_deref(),
+            reparsed.element(reparsed.attributes()[0]).doc,
             Some("it's height")
         );
     }

@@ -151,10 +151,9 @@ pub fn parse_xsd(schema_name: &str, input: &str) -> Result<Schema, ParseError> {
         .collect();
     for (name, ct) in named {
         if !used.contains(&name) {
-            let id = reader.schema.add_root(Element::entity(name));
-            if let Some(doc) = documentation(ct) {
-                reader.schema.element_mut(id).doc = Some(doc);
-            }
+            let mut entity = Element::entity(name);
+            entity.doc = documentation(ct);
+            let id = reader.schema.add_root(entity);
             reader.complex_content(ct, id)?;
         }
     }
@@ -321,7 +320,7 @@ mod tests {
         assert_eq!(s.entities().len(), 1);
         let e = s.entities()[0];
         assert_eq!(s.element(e).name, "patient");
-        assert_eq!(s.element(e).doc.as_deref(), Some("A person under care"));
+        assert_eq!(s.element(e).doc, Some("A person under care"));
         let kids = s.children(e);
         assert_eq!(kids.len(), 4);
         assert_eq!(s.element(kids[0]).data_type, DataType::Real);

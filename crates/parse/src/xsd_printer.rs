@@ -32,7 +32,7 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn write_doc(out: &mut String, depth: usize, doc: &Option<String>) {
+fn write_doc(out: &mut String, depth: usize, doc: Option<&str>) {
     if let Some(doc) = doc {
         indent(out, depth);
         out.push_str("<xs:annotation><xs:documentation>");
@@ -48,12 +48,12 @@ fn write_element(schema: &Schema, id: ElementId, out: &mut String, depth: usize)
             indent(out, depth);
             out.push_str(&format!(
                 "<xs:element name=\"{}\" type=\"{}\"",
-                escape(&el.name),
+                escape(el.name),
                 render_type(el.data_type)
             ));
             if el.doc.is_some() {
                 out.push_str(">\n");
-                write_doc(out, depth + 1, &el.doc);
+                write_doc(out, depth + 1, el.doc);
                 indent(out, depth);
                 out.push_str("</xs:element>\n");
             } else {
@@ -62,8 +62,8 @@ fn write_element(schema: &Schema, id: ElementId, out: &mut String, depth: usize)
         }
         ElementKind::Entity | ElementKind::Group => {
             indent(out, depth);
-            out.push_str(&format!("<xs:element name=\"{}\">\n", escape(&el.name)));
-            write_doc(out, depth + 1, &el.doc);
+            out.push_str(&format!("<xs:element name=\"{}\">\n", escape(el.name)));
+            write_doc(out, depth + 1, el.doc);
             indent(out, depth + 1);
             out.push_str("<xs:complexType>\n");
             indent(out, depth + 2);
@@ -168,7 +168,7 @@ mod tests {
         let names: Vec<&str> = back
             .entities()
             .iter()
-            .map(|&e| back.element(e).name.as_str())
+            .map(|&e| back.element(e).name)
             .collect();
         assert!(names.contains(&"patient"));
         assert!(names.contains(&"visit"));
@@ -188,10 +188,7 @@ mod tests {
             .into_iter()
             .find(|&a| back.element(a).name == "gender")
             .unwrap();
-        assert_eq!(
-            back.element(gender).doc.as_deref(),
-            Some("administrative gender")
-        );
+        assert_eq!(back.element(gender).doc, Some("administrative gender"));
     }
 
     #[test]

@@ -40,6 +40,20 @@ impl StoredSchema {
     pub fn stats(&self) -> SchemaStats {
         SchemaStats::of(&self.schema)
     }
+
+    /// Estimated bytes this entry keeps resident: the shared allocation
+    /// (two reference counts + the value), the metadata strings and the
+    /// schema's heap. Capacity-based, like the index's `DeepSize`.
+    fn deep_bytes(&self) -> usize {
+        let m = &self.metadata;
+        2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<StoredSchema>()
+            + m.title.capacity()
+            + m.summary.capacity()
+            + m.description.capacity()
+            + m.source.capacity()
+            + self.schema.heap_bytes()
+    }
 }
 
 /// What a journal entry records.
@@ -118,12 +132,14 @@ impl Repository {
         &self,
         title: impl Into<String>,
         summary: impl Into<String>,
-        schema: Schema,
+        mut schema: Schema,
     ) -> Result<SchemaId, RepositoryError> {
         let errs = validate(&schema);
         if !errs.is_empty() {
             return Err(RepositoryError::Invalid(errs));
         }
+        // What is stored stays: keep no growth slack (a no-op for a clone).
+        schema.shrink_to_fit();
         let mut st = self.state.write();
         let id = SchemaId(st.next_id);
         st.next_id += 1;
@@ -152,11 +168,12 @@ impl Repository {
     }
 
     /// Replace an existing schema's graph (metadata title/summary kept).
-    pub fn update(&self, id: SchemaId, schema: Schema) -> Result<(), RepositoryError> {
+    pub fn update(&self, id: SchemaId, mut schema: Schema) -> Result<(), RepositoryError> {
         let errs = validate(&schema);
         if !errs.is_empty() {
             return Err(RepositoryError::Invalid(errs));
         }
+        schema.shrink_to_fit();
         let mut st = self.state.write();
         st.revision += 1;
         let revision = st.revision;
@@ -249,6 +266,17 @@ impl Repository {
     /// path): one shared handle each.
     pub fn snapshot(&self) -> Vec<Arc<StoredSchema>> {
         self.state.read().schemas.values().cloned().collect()
+    }
+
+    /// Estimated resident bytes of everything the repository holds: the
+    /// stored schemas with their metadata, the id map's slots and the
+    /// change journal (`GET /debug/memory`, `schemr_repository_deep_bytes`).
+    pub fn deep_bytes(&self) -> usize {
+        let st = self.state.read();
+        let slot = std::mem::size_of::<u64>() + std::mem::size_of::<Arc<StoredSchema>>();
+        st.schemas.values().map(|s| s.deep_bytes()).sum::<usize>()
+            + st.schemas.len() * slot
+            + st.journal.capacity() * std::mem::size_of::<ChangeEvent>()
     }
 
     /// The current revision (0 for a fresh repository).

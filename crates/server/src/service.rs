@@ -735,6 +735,11 @@ fn handle_metrics(engine: &SchemrEngine) -> Response {
             );
         };
         gauge(
+            "schemr_repository_deep_bytes",
+            "Estimated resident bytes of the schema repository: schemas, metadata, journal.",
+            mem.repository_bytes as u64,
+        );
+        gauge(
             "schemr_index_deep_bytes",
             "Estimated heap bytes of the in-memory inverted index.",
             mem.index_deep_bytes as u64,
@@ -822,24 +827,29 @@ fn handle_index(engine: &SchemrEngine, request: &Request) -> Response {
 }
 
 /// `GET /debug/memory`: the engine's deep-memory report — estimated
-/// resident bytes of the index, both caches, and the trace rings.
+/// resident bytes of the repository, the index, both caches, and the
+/// trace rings.
 fn handle_memory(engine: &SchemrEngine) -> Response {
     let m = engine.memory_report();
     let event_log_bytes = m
         .event_log_bytes
         .map_or("null".to_string(), |b| b.to_string());
     let body = format!(
-        "{{\"index\":{{\"deep_bytes\":{},\"postings_bytes\":{}}},\
-         \"candidate_cache\":{{\"entries\":{},\"budget_entries\":{}}},\
+        "{{\"repository\":{{\"schemas\":{},\"deep_bytes\":{}}},\
+         \"index\":{{\"deep_bytes\":{},\"postings_bytes\":{}}},\
+         \"candidate_cache\":{{\"entries\":{},\"budget_entries\":{},\"bytes\":{}}},\
          \"match_artifact_cache\":{{\"entries\":{},\"resident_bytes\":{},\"budget_bytes\":{},\
          \"lexicon_words\":{},\"lexicon_bytes\":{}}},\
          \"trace_ring\":{{\"traces\":{},\"bytes\":{}}},\
          \"slowlog_ring\":{{\"traces\":{},\"bytes\":{}}},\
          \"event_log_bytes\":{}}}",
+        m.repository_schemas,
+        m.repository_bytes,
         m.index_deep_bytes,
         m.index_postings_bytes,
         m.candidate_cache_entries,
         m.candidate_cache_budget,
+        m.candidate_cache_bytes,
         m.artifact_cache_entries,
         m.artifact_cache_resident_bytes,
         m.artifact_cache_budget_bytes,
@@ -1809,6 +1819,7 @@ mod tests {
         assert_eq!(get(addr, "/search?q=patient+height").0, 200);
         let (status, body) = get(addr, "/debug/memory");
         assert_eq!(status, 200);
+        assert!(body.contains("\"repository\":{\"schemas\":2"), "{body}");
         assert!(body.contains("\"index\":{\"deep_bytes\":"), "{body}");
         assert!(
             body.contains("\"candidate_cache\":{\"entries\":1"),
@@ -1830,6 +1841,7 @@ mod tests {
                 .unwrap()
         };
         assert!(field("\"lexicon_words\":") > 0, "{body}");
+        assert!(field("\"budget_entries\":512,\"bytes\":") > 0, "{body}");
         assert!(
             field("\"resident_bytes\":") >= field("\"lexicon_bytes\":")
                 && field("\"lexicon_bytes\":") > 0,
@@ -1842,6 +1854,10 @@ mod tests {
         let (_, metrics) = get(addr, "/metrics");
         assert!(
             metrics.contains("# TYPE schemr_index_deep_bytes gauge"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("# TYPE schemr_repository_deep_bytes gauge"),
             "{metrics}"
         );
         assert!(

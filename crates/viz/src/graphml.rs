@@ -56,7 +56,7 @@ pub fn to_graphml(schema: &Schema, options: &GraphmlOptions) -> String {
         out.push_str(&format!("    <node id=\"{id}\">\n"));
         out.push_str(&format!(
             "      <data key=\"label\">{}</data>\n",
-            escape(&el.name)
+            escape(el.name)
         ));
         out.push_str(&format!("      <data key=\"kind\">{}</data>\n", el.kind));
         out.push_str(&format!(

@@ -77,7 +77,7 @@ pub fn summarize(schema: &Schema, max_entities: usize, max_attrs_per_entity: usi
     let mut out = Schema::new(format!("{} (summary)", schema.name));
     let mut id_map: HashMap<ElementId, ElementId> = HashMap::new();
     for &entity in &keep {
-        let new_entity = out.add_root(Element::entity(schema.element(entity).name.clone()));
+        let new_entity = out.add_root(Element::entity(schema.element(entity).name));
         id_map.insert(entity, new_entity);
         // Attributes in insertion order; FK attributes first so surviving
         // FKs keep their column detail.
@@ -95,10 +95,7 @@ pub fn summarize(schema: &Schema, max_entities: usize, max_attrs_per_entity: usi
         attrs.sort_by_key(|&a| (!is_fk_attr(a), a));
         for attr in attrs.into_iter().take(max_attrs_per_entity) {
             let el = schema.element(attr);
-            let new_attr = out.add_child(
-                new_entity,
-                Element::attribute(el.name.clone(), el.data_type),
-            );
+            let new_attr = out.add_child(new_entity, Element::attribute(el.name, el.data_type));
             id_map.insert(attr, new_attr);
         }
     }
@@ -190,7 +187,7 @@ mod tests {
         let names: Vec<String> = summary
             .entities()
             .into_iter()
-            .map(|e| summary.element(e).name.clone())
+            .map(|e| summary.element(e).name.to_string())
             .collect();
         assert!(names.contains(&"fact_sales".to_string()));
         assert!(!names.contains(&"scratch".to_string()));

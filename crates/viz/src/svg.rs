@@ -98,7 +98,7 @@ pub fn render_svg(schema: &Schema, layout: &Layout, options: &SvgOptions) -> Str
                 "  <text x=\"{:.1}\" y=\"{:.1}\" font-size=\"11\" text-anchor=\"middle\" font-family=\"sans-serif\">{}</text>\n",
                 tx(n.x),
                 ty(n.y) + options.node_radius + 12.0,
-                escape(&el.name)
+                escape(el.name)
             ));
         }
     }
