@@ -35,6 +35,21 @@ fn bench_index_build(c: &mut Criterion) {
         })
     });
 
+    // The bulk build as `reindex_full` runs it: a head's worth a batch,
+    // one write session for all of them.
+    let corpus = documents(30_000, 1);
+    group.bench_function("build_30k_docs_one_session", |b| {
+        b.iter(|| {
+            let index = Index::new();
+            let mut session = index.session();
+            for batch in corpus.chunks(index.seal_threshold()) {
+                session.apply(batch.iter().map(IndexChange::Put));
+            }
+            black_box(index.doc_counts())
+        })
+    });
+    drop(corpus);
+
     let built = Index::new();
     built.apply(docs.iter().map(IndexChange::Put));
     group.bench_function("codec_encode_1k", |b| {

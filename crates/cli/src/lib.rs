@@ -702,6 +702,21 @@ fn cmd_doctor(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
         ));
     }
 
+    let (tokens, analysed) = (
+        get_u64(&index, "write_tokens"),
+        get_u64(&index, "write_token_analyses"),
+    );
+    writeln!(
+        out,
+        "  index write path: {tokens} tokens, {analysed} analysed ({:.1}%)",
+        100.0 * analysed as f64 / tokens.max(1) as f64,
+    )?;
+    problems.extend(write_path_finding(
+        get_u64(&index, "live_docs"),
+        tokens,
+        analysed,
+    ));
+
     // /debug/memory — deep resident bytes per structure.
     let (_, mem) = fetch("/debug/memory")?;
     let nested = |obj: &str, key: &str| {
@@ -738,6 +753,20 @@ fn cmd_doctor(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
         writeln!(out, "verdict: degraded ({} finding(s))", problems.len())?;
         Ok(1)
     }
+}
+
+/// The doctor's finding on the index write path's word memo: a corpus
+/// repeats its vocabulary, so a build of any size analyzes a small share
+/// of the tokens it looks up. One that analyzes more than half is
+/// indexing text that does not repeat, and the memo only costs memory.
+fn write_path_finding(docs: u64, tokens: u64, analysed: u64) -> Option<String> {
+    const MIN_DOCS: u64 = 10_000;
+    (docs >= MIN_DOCS && analysed * 2 > tokens).then(|| {
+        format!(
+            "index write path analysed {:.0}% of {tokens} tokens — the vocabulary is not repeating",
+            100.0 * analysed as f64 / tokens as f64
+        )
+    })
 }
 
 fn load_events(args: &Args, ix: usize) -> Result<(String, Vec<schemr_obs::SearchEvent>), CliError> {
@@ -1250,12 +1279,31 @@ mod tests {
         assert!(out.contains("health     ok"), "{out}");
         assert!(out.contains("1 query(ies), 0 zero-result"), "{out}");
         assert!(out.contains("tombstone ratio 0.0%"), "{out}");
+        // `patient` and its three columns: five tokens with the title's,
+        // and the Elements field repeats `patient` thrice.
+        assert!(
+            out.contains("index write path: 8 tokens, 5 analysed (62.5%)"),
+            "{out}"
+        );
         assert!(out.contains("slo"), "{out}");
         assert!(out.contains("repository 1 schema(s), "), "{out}");
         assert!(out.contains("memory     index"), "{out}");
         assert!(out.contains("(lexicon "), "{out}");
         assert!(!out.contains("in 0 words"), "{out}");
         server.shutdown();
+    }
+
+    #[test]
+    fn doctor_finds_a_large_build_whose_vocabulary_does_not_repeat() {
+        assert_eq!(write_path_finding(30_000, 1_889_471, 16_016), None);
+        assert_eq!(
+            write_path_finding(9_999, 1_000, 1_000),
+            None,
+            "too small to judge"
+        );
+        assert_eq!(write_path_finding(10_000, 1_000, 500), None);
+        let finding = write_path_finding(10_000, 1_000, 501).expect("over half");
+        assert!(finding.contains("50% of 1000 tokens"), "{finding}");
     }
 
     #[test]

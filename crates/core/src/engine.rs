@@ -295,9 +295,12 @@ impl SchemrEngine {
         // analysis are transients of one batch, not of the corpus, and
         // every publish finds the head just sealed. Nobody sees `fresh`
         // until it is swapped in, and the result is batch-invariant.
+        // One write session for all of them: the corpus repeats its
+        // vocabulary, so each distinct word is analyzed once.
+        let mut session = fresh.session();
         for batch in self.repo.snapshot().chunks(fresh.seal_threshold()) {
             let docs: Vec<IndexDocument> = batch.iter().map(|s| index_document(s)).collect();
-            fresh.apply(docs.iter().map(IndexChange::Put));
+            session.apply(docs.iter().map(IndexChange::Put));
         }
         *self.index.write() = fresh;
         *self.last_indexed_revision.lock() = revision;

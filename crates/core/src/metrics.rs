@@ -28,7 +28,7 @@ use schemr_obs::{Counter, Histogram, MetricsRegistry, LATENCY_BUCKETS};
 /// | `schemr_candidate_cache_{hits,misses,evictions,invalidations}_total` | counter | Phase 1 candidate-cache traffic |
 /// | `schemr_match_artifact_cache_{hits,misses,evictions,invalidations}_total` | counter | Phase 2 match-artifact-cache traffic |
 /// | `schemr_match_artifact_cache_{bytes_inserted,bytes_evicted}_total` | counter | artifact bytes admitted/released (difference ≈ resident bytes) |
-/// | `schemr_index_*_total` | counter | term/posting/candidate/merge work inside the index |
+/// | `schemr_index_*_total` | counter | term/posting/candidate/merge work inside the index, and the write path's tokens looked up / analysed |
 pub struct EngineMetrics {
     registry: Arc<MetricsRegistry>,
     /// Searches started (`SchemrEngine::search*` calls).

@@ -41,54 +41,36 @@ impl IndexDocument {
         }
     }
 
-    /// Analyze one field into `(term, position)` pairs, using the right
-    /// pipeline per field (names use the name pipeline; prose uses the
-    /// document pipeline), and hand each to `emit` in position order —
-    /// what the writer indexes, streamed: nothing is collected, and with
-    /// a warm `scratch` nothing is allocated.
-    ///
-    /// Tokens from one source string sit at consecutive positions, so the
-    /// proximity scorer can recognize an intact compound name
-    /// (`patient_height` → `patient`@p, `height`@p+1). Between *separate*
-    /// source strings — one element path and the next, one doc string and
-    /// the next — the position counter jumps by
-    /// [`ELEMENT_POSITION_GAP`] (> 1), so two adjacent single-token
-    /// elements (`["patient", "height"]`) never masquerade as a compound.
-    /// A source that analyzes to nothing leaves the counter where it was.
-    pub(crate) fn for_each_field_term(
-        &self,
-        field: Field,
-        names: &Analyzer,
-        prose: &Analyzer,
-        scratch: &mut AnalyzeScratch,
-        emit: impl FnMut(&str, u32),
-    ) {
-        let title = std::iter::once(self.title.as_str());
-        let summary = std::iter::once(self.summary.as_str());
+    /// Hand `field`'s source strings to `f`, in order: the title or the
+    /// summary, or each element path or doc string.
+    pub(crate) fn for_each_source(&self, field: Field, mut f: impl FnMut(&str)) {
         match field {
-            Field::Title => positioned(title, names, scratch, emit),
-            Field::Summary => positioned(summary, prose, scratch, emit),
-            Field::Elements => positioned(
-                self.elements.iter().map(String::as_str),
-                names,
-                scratch,
-                emit,
-            ),
-            Field::Docs => positioned(self.docs.iter().map(String::as_str), prose, scratch, emit),
+            Field::Title => f(&self.title),
+            Field::Summary => f(&self.summary),
+            Field::Elements => self.elements.iter().for_each(|s| f(s)),
+            Field::Docs => self.docs.iter().for_each(|s| f(s)),
         }
     }
 
-    /// [`IndexDocument::for_each_field_term`], collected.
+    /// One field analyzed into `(term, position)` pairs in position
+    /// order, using the right pipeline per field (names use the name
+    /// pipeline; prose uses the document pipeline) — what the writer
+    /// indexes, spelled out term by term.
     pub fn field_terms_positioned(
         &self,
         field: Field,
         names: &Analyzer,
         prose: &Analyzer,
     ) -> Vec<(String, u32)> {
+        let analyzer = if field.is_prose() { prose } else { names };
         let mut terms = Vec::new();
         let mut scratch = AnalyzeScratch::default();
-        self.for_each_field_term(field, names, prose, &mut scratch, |term, position| {
-            terms.push((term.to_string(), position))
+        let mut positions = Positions::default();
+        self.for_each_source(field, |source| {
+            positions.start_source();
+            analyzer.analyze_with(source, &mut scratch, |term| {
+                terms.push((term.to_string(), positions.next()))
+            });
         });
         terms
     }
@@ -99,33 +81,45 @@ impl IndexDocument {
 /// element boundaries; 2 is the smallest that does.
 pub const ELEMENT_POSITION_GAP: u32 = 2;
 
-/// Assign positions to the analyzed tokens of a sequence of source
-/// strings: consecutive within a string, a gap of [`ELEMENT_POSITION_GAP`]
-/// across strings.
-fn positioned<'a>(
-    sources: impl Iterator<Item = &'a str>,
-    analyzer: &Analyzer,
-    scratch: &mut AnalyzeScratch,
-    mut emit: impl FnMut(&str, u32),
-) {
-    let mut pos = 0u32;
-    let mut any_before = false;
-    for source in sources {
-        let mut first_of_source = true;
-        analyzer.analyze_with(source, scratch, |term| {
-            if first_of_source {
-                first_of_source = false;
-                if any_before {
-                    // `pos` is already one past the previous token, so
-                    // adding GAP - 1 makes the increment between
-                    // adjacent tokens GAP.
-                    pos += ELEMENT_POSITION_GAP - 1;
-                }
-                any_before = true;
+/// Assigns positions to the terms of one field's source strings.
+///
+/// Terms from one source string sit at consecutive positions, so the
+/// proximity scorer can recognize an intact compound name
+/// (`patient_height` → `patient`@p, `height`@p+1). Between *separate*
+/// source strings — one element path and the next, one doc string and
+/// the next — the counter jumps by [`ELEMENT_POSITION_GAP`] (> 1), so two
+/// adjacent single-token elements (`["patient", "height"]`) never
+/// masquerade as a compound. A source that analyzes to nothing leaves the
+/// counter where it was.
+#[derive(Default)]
+pub(crate) struct Positions {
+    next: u32,
+    any_before: bool,
+    source_has_terms: bool,
+}
+
+impl Positions {
+    /// The terms that follow come from the next source string.
+    pub(crate) fn start_source(&mut self) {
+        self.source_has_terms = false;
+    }
+
+    /// The position of the next term.
+    pub(crate) fn next(&mut self) -> u32 {
+        if !self.source_has_terms {
+            self.source_has_terms = true;
+            if self.any_before {
+                // `next` is already one past the previous term, so adding
+                // GAP - 1 makes the increment between adjacent terms GAP.
+                self.next += ELEMENT_POSITION_GAP - 1;
             }
-            emit(term, pos);
-            pos += 1;
-        });
+            self.any_before = true;
+        }
+        let position = self.next;
+        self.next = position
+            .checked_add(1)
+            .expect("a field holds fewer than 2^32 positions");
+        position
     }
 }
 

@@ -41,6 +41,12 @@ impl Field {
         }
     }
 
+    /// Whether the field holds free text, analyzed through the document
+    /// pipeline (stop words dropped), rather than names.
+    pub fn is_prose(self) -> bool {
+        matches!(self, Field::Summary | Field::Docs)
+    }
+
     /// Stable ordinal for the on-disk codec.
     pub fn ordinal(self) -> u8 {
         match self {

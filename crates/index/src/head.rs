@@ -13,25 +13,8 @@ use schemr_model::SchemaId;
 use crate::field::Field;
 use crate::postings::GrowingList;
 use crate::segment::{bit, Columns, FlatSegment};
+use crate::session::{AnalyzedDoc, Interner, RowTable};
 use crate::DocOrd;
-
-/// One document analyzed into what [`HeadBuilder::push`] applies under the
-/// writer lock: its occurrences grouped by postings list, the lists' terms
-/// back to back in one text arena. Analysis (the expensive part) runs
-/// before the lock is taken.
-#[derive(Debug)]
-pub(crate) struct AnalyzedDoc {
-    pub id: SchemaId,
-    pub field_lengths: [u32; Field::COUNT],
-    /// The distinct `(field, term)` keys' terms, concatenated in key order
-    /// (by field, then by term).
-    pub text: String,
-    /// Per key: its field, one past its term's last byte in `text`, and
-    /// one past its last entry in `positions`.
-    pub keys: Vec<(u8, u32, u32)>,
-    /// Every occurrence's position, key by key and ascending within a key.
-    pub positions: Vec<u32>,
-}
 
 /// The head segment under construction.
 #[derive(Debug, Default)]
@@ -61,30 +44,39 @@ impl HeadBuilder {
         self.live_docs
     }
 
-    /// Append an analyzed document. A term costs a dictionary lookup by
-    /// `&str`; only one the head has not met is copied into it.
-    pub(crate) fn push(&mut self, doc: &AnalyzedDoc) {
+    /// Append an analyzed document, its keys' terms named by id in
+    /// `terms`. The head's dictionary is searched by `&str` only for a
+    /// key `rows` does not hold yet — once per term and head in a batch,
+    /// not once per posting — and only a term the head has not met is
+    /// copied into it.
+    pub(crate) fn push(&mut self, doc: &AnalyzedDoc<'_>, terms: &Interner, rows: &mut RowTable) {
         let ord = self.ids.len() as DocOrd;
-        let (mut text_start, mut start) = (0usize, 0usize);
-        for &(field, text_end, end) in &doc.keys {
-            let term = &doc.text[text_start..text_end as usize];
-            let dict = &mut self.dict[field as usize];
-            let row = match dict.get(term) {
-                Some(&row) => row,
-                None => {
-                    let row = self.lists.len() as u32;
-                    dict.insert(term.to_string(), row);
-                    self.lists.push(GrowingList::default());
-                    row
-                }
-            };
+        let mut start = doc.first_position as usize;
+        for key in doc.keys {
+            let row = rows.get(*key).unwrap_or_else(|| {
+                let term = terms.text(key.term());
+                let dict = &mut self.dict[key.field()];
+                let row = match dict.get(term) {
+                    Some(&row) => row,
+                    None => {
+                        let row = u32::try_from(self.lists.len())
+                            .expect("a head holds fewer than 2^32 lists");
+                        dict.insert(term.to_string(), row);
+                        self.lists.push(GrowingList::default());
+                        row
+                    }
+                };
+                rows.set(*key, row);
+                row
+            });
+            let end = key.positions_end as usize;
             self.lists[row as usize].push(
                 ord,
-                &doc.positions[start..end as usize],
-                doc.field_lengths[field as usize],
+                &doc.positions[start..end],
+                doc.field_lengths[key.field()],
             );
             self.fwd_lists.push(row);
-            (text_start, start) = (text_end as usize, end as usize);
+            start = end;
         }
         self.fwd_ends.push(self.fwd_lists.len() as u32);
         if self.ids.len().is_multiple_of(64) {
@@ -156,38 +148,52 @@ impl HeadBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Key;
 
-    /// A document whose keys are `terms` (sorted) in the title field, one
-    /// occurrence each.
-    fn titled(id: u64, terms: &[&str]) -> AnalyzedDoc {
-        let mut text = String::new();
-        let keys = terms
-            .iter()
-            .enumerate()
-            .map(|(i, term)| {
-                text.push_str(term);
-                (0u8, text.len() as u32, i as u32 + 1)
-            })
-            .collect();
-        AnalyzedDoc {
-            id: SchemaId(id),
-            field_lengths: [terms.len() as u32, 0, 0, 0],
-            text,
-            keys,
-            positions: (0..terms.len() as u32).collect(),
+    /// Pushes documents whose keys are given terms (sorted) in the title
+    /// field, one occurrence each, the way a write session would.
+    struct Pusher {
+        head: HeadBuilder,
+        terms: Interner,
+        rows: RowTable,
+    }
+
+    impl Pusher {
+        fn push(&mut self, id: u64, terms: &[&str]) {
+            let keys: Vec<Key> = terms
+                .iter()
+                .enumerate()
+                .map(|(i, term)| Key::new(0, self.terms.intern(term).0, i as u32 + 1))
+                .collect();
+            self.rows.cover(self.terms.len());
+            let doc = AnalyzedDoc {
+                id: SchemaId(id),
+                field_lengths: [terms.len() as u32, 0, 0, 0],
+                keys: &keys,
+                positions: &(0..terms.len() as u32).collect::<Vec<_>>(),
+                first_position: 0,
+            };
+            self.head.push(&doc, &self.terms, &mut self.rows);
         }
     }
 
     #[test]
     fn freeze_sorts_the_term_table_and_bakes_tombstones() {
-        let mut head = HeadBuilder::default();
+        let mut pusher = Pusher {
+            head: HeadBuilder::default(),
+            terms: Interner::new(),
+            rows: RowTable::new(),
+        };
+        pusher.rows.next_head();
         // "zeta" is met before "alpha": builder rows are first-seen order.
-        head.push(&titled(1, &["zeta"]));
-        head.push(&titled(2, &["alpha", "zeta"]));
+        pusher.push(1, &["zeta"]);
+        pusher.push(2, &["alpha", "zeta"]);
+        let head = &mut pusher.head;
         assert_eq!(head.tombstone(SchemaId(7)), None);
         // A replacement, the way the writer does it: kill, then append.
         assert_eq!(head.tombstone(SchemaId(1)), Some(true));
-        head.push(&titled(1, &["alpha"]));
+        pusher.push(1, &["alpha"]);
+        let head = &mut pusher.head;
         assert_eq!((head.doc_count(), head.live_docs()), (3, 2));
 
         let frozen = head.freeze();

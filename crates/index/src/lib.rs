@@ -36,6 +36,7 @@ pub mod search;
 mod head;
 mod memory;
 mod segment;
+mod session;
 mod snapshot;
 
 pub use document::{IndexDocument, ELEMENT_POSITION_GAP};
@@ -46,6 +47,7 @@ pub use memory::{
 };
 pub use metrics::IndexMetrics;
 pub use search::{Hit, ProbeStats, SearchOptions};
+pub use session::Session;
 
 /// Internal dense document ordinal (position in insertion order).
 pub(crate) type DocOrd = u32;

@@ -6,7 +6,8 @@
 //! A single writer state (head segment, sealed segments, overlay
 //! tombstones) lives behind a `Mutex`, and every logical mutation reaches
 //! it through one function: [`Index::apply`] takes a batch of
-//! [`IndexChange`]s, analyzes the documents off-lock, applies the changes
+//! [`IndexChange`]s, analyzes the documents off-lock (in a write
+//! [`Session`], which is where the analysis lives), applies the changes
 //! in order under one lock hold, and then *publishes* once: builds a
 //! fresh immutable [`IndexSnapshot`] (sealed `Arc`s are reused; the head
 //! builder is frozen into a flat segment, bounded by the seal threshold)
@@ -40,12 +41,13 @@ use schemr_text::{AnalyzeScratch, Analyzer};
 
 use crate::document::IndexDocument;
 use crate::field::Field;
-use crate::head::{AnalyzedDoc, HeadBuilder};
+use crate::head::HeadBuilder;
 use crate::metrics::IndexMetrics;
 use crate::search::{idf_weight, impact, search_postings, Hit, SearchOptions};
 use crate::segment::{
     compact, empty_overlay, late_tombstones, FlatSegment, SealedSegment, Segment,
 };
+use crate::session::{Analyzed, AnalyzedDoc, Batch, Interner, RowTable, Session};
 use crate::snapshot::IndexSnapshot;
 
 /// Documents the mutable head accumulates before it is sealed into an
@@ -132,9 +134,9 @@ impl Writer {
 
     /// Append an analyzed document to the head (replacing any live copy
     /// of the same id) and count the mutation.
-    fn put(&mut self, doc: &AnalyzedDoc) {
+    fn put(&mut self, doc: &AnalyzedDoc<'_>, terms: &Interner, rows: &mut RowTable) {
         self.tombstone_existing(doc.id);
-        self.head.push(doc);
+        self.head.push(doc, terms, rows);
         self.epoch += 1;
     }
 
@@ -153,26 +155,6 @@ impl Writer {
     fn live_docs(&self) -> usize {
         self.sealed.iter().map(|s| s.live_count()).sum::<usize>() + self.head.live_docs()
     }
-}
-
-/// What [`Index::analyze`] works in, kept from one document of a batch to
-/// the next so the per-occurrence work allocates nothing.
-#[derive(Default)]
-struct AnalysisScratch {
-    analyzer: AnalyzeScratch,
-    /// The text of every occurrence of the current document, back to back.
-    text: String,
-    occurrences: Vec<Occurrence>,
-}
-
-/// One term occurrence of the document being analyzed: its text is
-/// `text[start..end]` of the scratch arena.
-#[derive(Clone, Copy)]
-struct Occurrence {
-    field: u8,
-    start: u32,
-    end: u32,
-    position: u32,
 }
 
 /// A thread-safe inverted index over flattened schema documents.
@@ -290,67 +272,6 @@ impl Index {
         self.published.read().segments.len()
     }
 
-    /// Analyze a document into the forward-index keys and per-key
-    /// positions `Writer::put` applies. Terms stream out of the analyzer
-    /// into one text arena; sorting the occurrences by (field, term,
-    /// position) then yields the distinct keys and each key's positions
-    /// in one walk, the keys' terms copied once into the document's own
-    /// arena.
-    fn analyze(&self, doc: &IndexDocument, scratch: &mut AnalysisScratch) -> AnalyzedDoc {
-        let AnalysisScratch {
-            analyzer,
-            text,
-            occurrences,
-        } = scratch;
-        text.clear();
-        occurrences.clear();
-        let mut field_lengths = [0u32; Field::COUNT];
-        for field in Field::ALL {
-            let before = occurrences.len();
-            doc.for_each_field_term(
-                field,
-                &self.names,
-                &self.prose,
-                analyzer,
-                |term, position| {
-                    let start = text.len() as u32;
-                    text.push_str(term);
-                    occurrences.push(Occurrence {
-                        field: field.ordinal(),
-                        start,
-                        end: text.len() as u32,
-                        position,
-                    });
-                },
-            );
-            field_lengths[field.ordinal() as usize] = (occurrences.len() - before) as u32;
-        }
-        let term_of = |o: &Occurrence| &text[o.start as usize..o.end as usize];
-        occurrences.sort_unstable_by(|a, b| {
-            (a.field, term_of(a), a.position).cmp(&(b.field, term_of(b), b.position))
-        });
-        // Forward-index entry: the distinct (field, term) keys this
-        // document contributes to, so remove() can decrement their
-        // live df without scanning the dictionary.
-        let same_key =
-            |a: &Occurrence, b: &Occurrence| a.field == b.field && term_of(a) == term_of(b);
-        let mut keys = Vec::with_capacity(occurrences.chunk_by(same_key).count());
-        let mut key_text = String::with_capacity(text.len());
-        let mut positions = Vec::with_capacity(occurrences.len());
-        for run in occurrences.chunk_by(same_key) {
-            key_text.push_str(term_of(&run[0]));
-            positions.extend(run.iter().map(|o| o.position));
-            keys.push((run[0].field, key_text.len() as u32, positions.len() as u32));
-        }
-        AnalyzedDoc {
-            id: doc.id,
-            field_lengths,
-            text: key_text,
-            keys,
-            positions,
-        }
-    }
-
     /// Build and swap in a fresh snapshot from the writer's state. Sealed
     /// segments are republished as `Arc` clones (overlays cached while
     /// unchanged); the head is frozen into a flat segment of its own, a
@@ -393,27 +314,39 @@ impl Index {
     /// Returns how many changes took effect, which is also how far the
     /// revision moved: every put counts, a delete only when the id was
     /// live. A batch in which nothing took effect publishes nothing.
+    ///
+    /// This is a [`Session`] of one batch; a caller with many batches
+    /// opens one with [`Index::session`] and keeps it.
     pub fn apply<'a>(&self, changes: impl IntoIterator<Item = IndexChange<'a>>) -> usize {
-        enum Analyzed {
-            Put(AnalyzedDoc),
-            Delete(SchemaId),
-        }
-        let mut scratch = AnalysisScratch::default();
-        let analyzed: Vec<Analyzed> = changes
-            .into_iter()
-            .map(|change| match change {
-                IndexChange::Put(doc) => Analyzed::Put(self.analyze(doc, &mut scratch)),
-                IndexChange::Delete(id) => Analyzed::Delete(id),
-            })
-            .collect();
+        self.session().apply(changes)
+    }
+
+    /// A write session on this index: [`Session::apply`] is
+    /// [`Index::apply`], with what analysis learns about the vocabulary
+    /// kept from one batch to the next.
+    pub fn session(&self) -> Session<'_> {
+        Session::new(self)
+    }
+
+    /// The name and the prose pipeline, in that order.
+    pub(crate) fn analyzers(&self) -> [&Analyzer; 2] {
+        [&self.names, &self.prose]
+    }
+
+    /// The locked half of [`Index::apply`]: run an analyzed batch under
+    /// one writer-lock hold and publish once. `rows` is the session's, and
+    /// holds rows of this lock hold's current head only.
+    pub(crate) fn commit(&self, batch: &Batch, terms: &Interner, rows: &mut RowTable) -> usize {
         let mut w = self.writer.lock();
         let before = w.epoch;
-        for change in analyzed {
+        rows.next_head();
+        for change in batch.changes() {
             match change {
                 Analyzed::Put(doc) => {
-                    w.put(&doc);
+                    w.put(&doc, terms, rows);
                     if w.head.doc_count() >= self.seal_threshold {
                         w.seal();
+                        rows.next_head();
                     }
                 }
                 Analyzed::Delete(id) => {
@@ -1219,6 +1152,11 @@ mod tests {
     /// paths, prose with stop words, words that repeat within and across
     /// fields, and sources that analyze to nothing (so the gap rule is
     /// exercised at the start, in the middle and at the end of a field).
+    /// And what a memo keyed by raw token can get wrong: a token that is
+    /// a name under one pipeline and a stop word under the other (`to`,
+    /// `of`), one that differs from another only by case, abbreviations
+    /// that expand to several words (`dob`) or to nothing but stop words
+    /// (`na`, in [`memo_analyzers`]), non-ASCII and caseless tokens.
     fn arb_source() -> impl proptest::prelude::Strategy<Value = String> {
         use proptest::prelude::Strategy;
         proptest::collection::vec(
@@ -1228,8 +1166,13 @@ mod tests {
                 "pat_ht",
                 "PatientVisits",
                 "DOB",
+                "dob",
                 "the",
                 "of the",
+                "to",
+                "TO_of",
+                "na",
+                "visit_na_dob",
                 "height in cm",
                 "diagnoses",
                 "icd10code",
@@ -1237,6 +1180,7 @@ mod tests {
                 "",
                 " ",
                 "größe",
+                "GRÖSSE",
                 "患者",
                 ".",
             ]),
@@ -1262,65 +1206,179 @@ mod tests {
             })
     }
 
+    /// The standard pipelines over a dictionary with an abbreviation made
+    /// of stop words only: `na` is two names, and nothing at all as prose.
+    fn memo_analyzers() -> (Analyzer, Analyzer) {
+        let dict = || {
+            schemr_text::normalize::AbbreviationDict::from_pairs([
+                ("dob", "date of birth"),
+                ("pat", "patient"),
+                ("ht", "height"),
+                ("na", "not of"),
+            ])
+        };
+        (
+            Analyzer::for_names().with_abbreviations(dict()),
+            Analyzer::for_documents().with_abbreviations(dict()),
+        )
+    }
+
+    /// What a head built from `docs` (document `i` at ordinal `i`) must
+    /// hold, by the allocating reference: per document the field lengths,
+    /// the forward keys in `(field, term)` order, and in each key's
+    /// postings list the document's positions.
+    fn check_head_against_the_reference(
+        head: &FlatSegment,
+        docs: &[IndexDocument],
+        names: &Analyzer,
+        prose: &Analyzer,
+    ) {
+        use std::collections::BTreeMap;
+        for (ord, doc) in docs.iter().enumerate() {
+            let ord = ord as crate::DocOrd;
+            let (lengths, keys, occurrences) = reference_analysis(doc, names, prose);
+            for field in Field::ALL {
+                assert_eq!(
+                    &doc.field_terms_positioned(field, names, prose),
+                    &occurrences[field.ordinal() as usize]
+                );
+            }
+            let held: [u32; Field::COUNT] = std::array::from_fn(|f| head.field_len(ord, f));
+            assert_eq!(held, lengths);
+            let mut expected: BTreeMap<(u8, &str), Vec<u32>> = BTreeMap::new();
+            for (field_ord, terms) in occurrences.iter().enumerate() {
+                for (term, position) in terms {
+                    let key = (field_ord as u8, term.as_str());
+                    expected.entry(key).or_default().push(*position);
+                }
+            }
+            let forward: Vec<(u8, &str)> = head
+                .lists_of(ord)
+                .iter()
+                .map(|&list| {
+                    let field = (0..Field::COUNT)
+                        .find(|&f| head.field_lists(f).contains(&list))
+                        .expect("every list belongs to a field");
+                    (field as u8, head.term(list))
+                })
+                .collect();
+            let keys: Vec<(u8, &str)> = keys.iter().map(|(f, t)| (*f, t.as_str())).collect();
+            assert_eq!(&forward, &keys);
+            for (&(field_ord, term), positions) in &expected {
+                let field = Field::from_ordinal(field_ord).expect("a field ordinal");
+                let list = head.list(head.find(field, term).expect("a key has a list"));
+                let posting = list.find(ord).expect("a key has a posting");
+                assert_eq!(list.positions(posting), &positions[..]);
+            }
+        }
+        // No list mentions a document its keys do not name.
+        let postings = head.columns().posting_docs.len();
+        let keys: usize = (0..docs.len())
+            .map(|ord| head.lists_of(ord as crate::DocOrd).len())
+            .sum();
+        assert_eq!(postings, keys);
+    }
+
     proptest::proptest! {
-        /// What the streaming analysis hands the writer — and what the
+        /// What the memoised analysis hands the writer — and what the
         /// head then holds — is the allocating reference's, to the bit:
-        /// `(term, position)` per field, field lengths, forward keys, and
-        /// in every postings list the document's positions. A batch goes
-        /// through one scratch, so each document follows another's
-        /// leftovers.
+        /// field lengths, forward keys, and in every postings list the
+        /// document's positions. The documents go through **one** session
+        /// one at a time, so each follows what the memo, the interner and
+        /// the batch buffers kept of the ones before; and through a fresh
+        /// session each, which must build the very same index.
         #[test]
         fn streamed_analysis_equals_the_allocating_reference(
-            docs in proptest::collection::vec(arb_document(), 1..4),
+            docs in proptest::collection::vec(arb_document(), 1..6),
         ) {
-            let docs: Vec<IndexDocument> = docs
+            // A token the prose memo meets first (`Docs`), then the name
+            // memo (`Title`), ahead of whatever was generated.
+            let met_in_docs_then_title = ["to dob na größe 患者 PatientVisits"].map(String::from);
+            let fixed = [
+                IndexDocument { docs: met_in_docs_then_title.to_vec(), ..doc(0, "", &[]) },
+                doc(0, &met_in_docs_then_title[0], &[]),
+            ];
+            let docs: Vec<IndexDocument> = fixed
                 .into_iter()
+                .chain(docs)
                 .enumerate()
                 .map(|(i, doc)| IndexDocument { id: SchemaId(i as u64), ..doc })
                 .collect();
-            let index = Index::new().with_seal_threshold(usize::MAX);
-            index.apply(docs.iter().map(IndexChange::Put));
-            let snap = index.snapshot();
-            let head = &snap.segments[0].data;
-            for (ord, doc) in docs.iter().enumerate() {
-                let ord = ord as crate::DocOrd;
-                let (lengths, keys, occurrences) = reference_analysis(doc, &index.names, &index.prose);
-                for field in Field::ALL {
-                    proptest::prop_assert_eq!(
-                        &doc.field_terms_positioned(field, &index.names, &index.prose),
-                        &occurrences[field.ordinal() as usize]
-                    );
-                }
-                let held: [u32; Field::COUNT] = std::array::from_fn(|f| head.field_len(ord, f));
-                proptest::prop_assert_eq!(held, lengths);
-                let forward: Vec<(u8, String)> = head
-                    .lists_of(ord)
-                    .iter()
-                    .map(|&list| {
-                        let field = (0..Field::COUNT)
-                            .find(|&f| head.field_lists(f).contains(&list))
-                            .expect("every list belongs to a field");
-                        (field as u8, head.term(list).to_string())
-                    })
-                    .collect();
-                proptest::prop_assert_eq!(&forward, &keys);
-                for (field_ord, term) in &keys {
-                    let expected: Vec<u32> = occurrences[*field_ord as usize]
-                        .iter()
-                        .filter(|(t, _)| t == term)
-                        .map(|(_, pos)| *pos)
-                        .collect();
-                    let field = Field::from_ordinal(*field_ord).expect("a field ordinal");
-                    let list = head.list(head.find(field, term).expect("a key has a list"));
-                    let posting = list.find(ord).expect("a key has a posting");
-                    proptest::prop_assert_eq!(list.positions(posting), &expected[..]);
-                }
+            let (names, prose) = memo_analyzers();
+            let index_over = || {
+                Index::with_analyzers(names.clone(), prose.clone()).with_seal_threshold(usize::MAX)
+            };
+            let one_session = index_over();
+            let mut session = one_session.session();
+            for doc in &docs {
+                session.apply([IndexChange::Put(doc)]);
             }
-            // No list mentions a document its keys do not name.
-            let postings = head.columns().posting_docs.len();
-            let keys: usize = (0..docs.len()).map(|ord| head.lists_of(ord as crate::DocOrd).len()).sum();
-            proptest::prop_assert_eq!(postings, keys);
+            drop(session);
+            let head = &one_session.snapshot().segments[0].data;
+            check_head_against_the_reference(head, &docs, &names, &prose);
+
+            let fresh_sessions = index_over();
+            for doc in &docs {
+                fresh_sessions.apply([IndexChange::Put(doc)]);
+            }
+            proptest::prop_assert_eq!(
+                crate::codec::encode(&fresh_sessions),
+                crate::codec::encode(&one_session)
+            );
+            let one_batch = index_over();
+            one_batch.apply(docs.iter().map(IndexChange::Put));
+            proptest::prop_assert_eq!(
+                crate::codec::encode(&one_batch),
+                crate::codec::encode(&one_session)
+            );
         }
+    }
+
+    #[test]
+    fn a_vocabulary_that_never_repeats_is_analyzed_right_and_not_remembered() {
+        // 50,000 distinct 200-byte tokens, one element each, under a
+        // 1 MiB token for a title: nothing a memo should keep.
+        let word = |i: usize| {
+            let letters: String = (0..4)
+                .map(|place| (b'a' + (i / 26usize.pow(place) % 26) as u8) as char)
+                .collect();
+            format!("{letters:q<200}")
+        };
+        let hostile = IndexDocument {
+            id: SchemaId(1),
+            title: "z".repeat(1 << 20),
+            summary: String::new(),
+            elements: (0..50_000).map(word).collect(),
+            docs: vec![],
+        };
+        let text_bytes = hostile.title.len() + 50_000 * 200;
+        let index = Index::new().with_seal_threshold(usize::MAX);
+        let mut session = index.session();
+        assert_eq!(session.apply([IndexChange::Put(&hostile)]), 1);
+
+        let snapshot = index.snapshot();
+        let docs = std::slice::from_ref(&hostile);
+        let head = &snapshot.segments[0].data;
+        check_head_against_the_reference(head, docs, &index.names, &index.prose);
+        assert_eq!(snapshot.stats().distinct_terms, 50_001);
+        // Tokens over 64 bytes bypass the memos; what the session holds
+        // is each distinct term's text once (a `String`'s growth may
+        // double it), 64 bytes of tables a term, and the batch: 72 bytes
+        // an occurrence across the occurrence list, the key list and the
+        // batch's keys and positions, growth slack included.
+        assert_eq!(session.remembered_tokens(), 0);
+        let bound = 2 * text_bytes + 50_001 * (64 + 72) + (64 << 10);
+        assert!(
+            session.heap_bytes() <= bound,
+            "{} bytes held after {text_bytes} bytes of text (bound {bound})",
+            session.heap_bytes()
+        );
+        // The session goes on working in its usual way.
+        let clinic = doc(2, "clinic", &["patient.height", "patient.gender"]);
+        session.apply([IndexChange::Put(&clinic)]);
+        assert_eq!(session.remembered_tokens(), 4);
+        let hits = index.search(&["patient", "height"], &SearchOptions::default());
+        assert_eq!(hits[0].id, SchemaId(2));
     }
 
     #[test]

@@ -28,6 +28,11 @@ pub struct IndexMetrics {
     pub lists_pruned: Arc<Counter>,
     /// Posting entries the pruner proved unable to rank and never visited.
     pub postings_pruned: Arc<Counter>,
+    /// Raw tokens the write path looked up in its word memo.
+    pub tokens: Arc<Counter>,
+    /// Of those, the tokens that ran the analysis pipeline: a memo miss,
+    /// or a token too long to remember.
+    pub token_analyses: Arc<Counter>,
 }
 
 impl Default for IndexMetrics {
@@ -41,6 +46,8 @@ impl Default for IndexMetrics {
             merges: Arc::new(Counter::new()),
             lists_pruned: Arc::new(Counter::new()),
             postings_pruned: Arc::new(Counter::new()),
+            tokens: Arc::new(Counter::new()),
+            token_analyses: Arc::new(Counter::new()),
         }
     }
 }
@@ -73,6 +80,14 @@ impl IndexMetrics {
                 "schemr_index_postings_pruned_total",
                 "Posting entries skipped by WAND/MaxScore pruning.",
             ),
+            tokens: registry.counter(
+                "schemr_index_tokens_total",
+                "Raw tokens the index write path looked up in its word memo.",
+            ),
+            token_analyses: registry.counter(
+                "schemr_index_token_analyses_total",
+                "Tokens that ran the analysis pipeline: memo misses and tokens too long to remember.",
+            ),
         }
     }
 }
@@ -97,6 +112,8 @@ mod tests {
         assert!(text.contains("schemr_index_merges_total 0"));
         assert!(text.contains("schemr_index_lists_pruned_total 0"));
         assert!(text.contains("schemr_index_postings_pruned_total 0"));
+        assert!(text.contains("schemr_index_tokens_total 0"));
+        assert!(text.contains("schemr_index_token_analyses_total 0"));
     }
 
     #[test]

@@ -679,19 +679,25 @@ pub(crate) fn late_tombstones(then: &[u64], now: &[u64]) -> Vec<DocOrd> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::head::{AnalyzedDoc, HeadBuilder};
+    use crate::head::HeadBuilder;
+    use crate::session::{AnalyzedDoc, Interner, Key, RowTable};
 
     /// One document a given id, each with the single posting `(Title, "t")`.
     fn segment_with(ids: &[u64]) -> Arc<FlatSegment> {
         let mut head = HeadBuilder::default();
+        let (mut terms, mut rows) = (Interner::new(), RowTable::new());
+        let key = Key::new(0, terms.intern("t").0, 1);
+        rows.cover(terms.len());
+        rows.next_head();
         for &id in ids {
-            head.push(&AnalyzedDoc {
+            let doc = AnalyzedDoc {
                 id: SchemaId(id),
                 field_lengths: [1, 0, 0, 0],
-                text: "t".to_string(),
-                keys: vec![(0, 1, 1)],
-                positions: vec![0],
-            });
+                keys: &[key],
+                positions: &[0],
+                first_position: 0,
+            };
+            head.push(&doc, &terms, &mut rows);
         }
         Arc::new(head.freeze())
     }

@@ -1,7 +1,9 @@
 //! What the flat layout promises the allocator: loading allocates a fixed
 //! few blocks a segment whatever it holds, publishing the head allocates
 //! nothing per posting, and the index's reported size is what a load asks
-//! the allocator for.
+//! the allocator for. And what the write session promises it: a warm one
+//! allocates nothing per document or occurrence, a cold one a small
+//! constant.
 //!
 //! This file is its own test binary, so the counting `#[global_allocator]`
 //! reaches nothing else; counts are per thread, so the harness's own
@@ -29,7 +31,12 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 /// A schema-sized document: `elements` compound names over a vocabulary
 /// wide enough that segments hold a few hundred lists.
 fn doc(id: u64, elements: usize) -> IndexDocument {
-    let word = |i: u64| format!("w{}", (id * 7 + i * 13) % 211);
+    doc_over(id, elements, 211)
+}
+
+/// [`doc`] over a vocabulary of `words` words.
+fn doc_over(id: u64, elements: usize, words: u64) -> IndexDocument {
+    let word = |i: u64| format!("w{}", (id * 7 + i * 13) % words);
     IndexDocument {
         id: SchemaId(id),
         title: format!("{} {}", word(0), word(1)),
@@ -123,5 +130,48 @@ fn publishing_the_head_allocates_nothing_per_posting() {
     assert!(
         large_head <= small_head + 16 && large_head < 100,
         "{small_head} allocations an add over {few} postings, {large_head} over {many}"
+    );
+}
+
+#[test]
+fn a_warm_session_allocates_nothing_per_document_or_occurrence() {
+    // A session that has seen the vocabulary and sized its batch buffers
+    // adds 1,024 more documents to a head that already holds 1,024. What
+    // is left to allocate is the head's growth — each of its ≈50 lists'
+    // columns doubling once — and one publish (≈200 in all): nothing per
+    // document, where the three `Vec`s a document of the path before the
+    // session read 3,284 here, and no more for documents five times the
+    // size.
+    for elements in [12, 60] {
+        let index = Index::new().with_seal_threshold(4096);
+        let docs: Vec<IndexDocument> = (0..2048).map(|id| doc_over(id, elements, 13)).collect();
+        let mut session = index.session();
+        session.apply(docs[..1024].iter().map(IndexChange::Put));
+        let (applied, allocations, _) =
+            counted(|| session.apply(docs[1024..].iter().map(IndexChange::Put)));
+        assert_eq!(applied, 1024);
+        assert!(
+            allocations < 512,
+            "{allocations} allocations for 1,024 documents of {elements} elements"
+        );
+    }
+}
+
+#[test]
+fn a_cold_two_document_apply_allocates_a_small_constant() {
+    // What a scheduler tick's batch pays for opening a session of its own:
+    // the tables start at a small batch's size and do not grow in one
+    // (60 here). The path this replaced — three `Vec`s a document and a
+    // scratch arena — read 57; the session may cost at most 24 more.
+    const HEAD_COLD: u64 = 57;
+    let index = Index::new();
+    let warm: Vec<IndexDocument> = (0..50).map(|id| doc(id, 24)).collect();
+    index.apply(warm.iter().map(IndexChange::Put));
+    let batch = [doc(3, 24), doc(4, 24)];
+    let (applied, allocations, _) = counted(|| index.apply(batch.iter().map(IndexChange::Put)));
+    assert_eq!(applied, 2);
+    assert!(
+        allocations <= HEAD_COLD + 24,
+        "{allocations} allocations for a cold two-document apply"
     );
 }

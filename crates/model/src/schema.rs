@@ -249,15 +249,23 @@ impl Schema {
     }
 
     /// Dotted path from the root to `id`: `"patient.visit.height"`.
+    ///
+    /// One allocation: the parent chain is walked once for the length
+    /// and once to lay the names down, leaf first from the back (a
+    /// parent precedes its children, so the chain is a short loop).
     pub fn path(&self, id: ElementId) -> String {
-        let mut parts = Vec::new();
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            parts.push(self.element(c).name);
-            cur = self.parent(c);
+        let chain = || std::iter::successors(Some(id), |&c| self.parent(c));
+        let name = |c: ElementId| self.element(c).name.as_bytes();
+        // Every name, and a dot before each but the root's.
+        let len = chain().map(|c| name(c).len() + 1).sum::<usize>() - 1;
+        let mut path = vec![b'.'; len];
+        let mut end = len;
+        for c in chain() {
+            let start = end - name(c).len();
+            path[start..end].copy_from_slice(name(c));
+            end = start.saturating_sub(1);
         }
-        parts.reverse();
-        parts.join(".")
+        String::from_utf8(path).expect("names joined by dots are UTF-8")
     }
 
     /// Depth of `id` below its root (roots have depth 0).

@@ -124,3 +124,20 @@ fn generated_schemas_weigh_what_they_report_and_far_less_than_before() {
         "flat {reported} bytes against the reference layout's {before}"
     );
 }
+
+#[test]
+fn a_path_is_one_allocation_at_any_depth() {
+    let mut s = Schema::new("nested");
+    let patient = s.add_root(Element::entity("patient"));
+    let visit = s.add_child(patient, Element::group("visit"));
+    let height = s.add_child(visit, Element::attribute("größe", DataType::Real));
+    for (id, expected) in [
+        (patient, "patient"),
+        (visit, "patient.visit"),
+        (height, "patient.visit.größe"),
+    ] {
+        let (path, allocations, bytes) = counted(|| s.path(id));
+        assert_eq!(path, expected);
+        assert_eq!((allocations, bytes as usize), (1, expected.len()));
+    }
+}

@@ -794,8 +794,9 @@ fn handle_index(engine: &SchemrEngine, request: &Request) -> Response {
     use std::fmt::Write as _;
     let top_lists = limit_param(request, 20, 500);
     let report = engine.index_introspection(top_lists);
+    let written = &engine.metrics().index;
     let mut body = format!(
-        "{{\"live_docs\":{},\"total_docs\":{},\"distinct_terms\":{},\"postings\":{},\"occurrences\":{},\"revision\":{},\"tombstone_ratio\":{:.6},\"postings_bytes\":{},\"deep_bytes\":{},\"top_lists\":[",
+        "{{\"live_docs\":{},\"total_docs\":{},\"distinct_terms\":{},\"postings\":{},\"occurrences\":{},\"revision\":{},\"tombstone_ratio\":{:.6},\"postings_bytes\":{},\"deep_bytes\":{},\"write_tokens\":{},\"write_token_analyses\":{},\"top_lists\":[",
         report.stats.live_docs,
         report.stats.total_docs,
         report.stats.distinct_terms,
@@ -805,6 +806,8 @@ fn handle_index(engine: &SchemrEngine, request: &Request) -> Response {
         report.tombstone_ratio,
         report.postings_bytes,
         report.deep_bytes,
+        written.tokens.get(),
+        written.token_analyses.get(),
     );
     for (i, list) in report.top_lists.iter().enumerate() {
         if i > 0 {
@@ -1802,6 +1805,10 @@ mod tests {
         assert!(body.contains("\"tombstone_ratio\":0.000000"), "{body}");
         assert!(body.contains("\"postings_bytes\":"), "{body}");
         assert!(body.contains("\"deep_bytes\":"), "{body}");
+        // The write path's memo: every token looked up, each distinct
+        // one analyzed once.
+        assert!(body.contains("\"write_tokens\":"), "{body}");
+        assert!(!body.contains("\"write_token_analyses\":0,"), "{body}");
         assert!(body.contains("\"top_lists\":["), "{body}");
         assert!(body.contains("\"field\":\"elements\""), "{body}");
         assert!(body.contains("\"max_impact\":"), "{body}");

@@ -4,14 +4,18 @@
 //! online query flattener so both sides of the index agree on terms — the
 //! same contract Lucene analyzers provide in the paper's implementation.
 //!
-//! The pipeline has one implementation, [`Analyzer::analyze_with`], and
-//! it streams: tokens are slices of the input, each is case-folded into a
-//! buffer the caller keeps ([`AnalyzeScratch`]), looked up in the
-//! abbreviation dictionary by that folded `&str`, checked against the
-//! stop list, stemmed in a second kept buffer, and handed to the
-//! caller's closure as a `&str`. With a warm scratch a call allocates
-//! nothing; what a term costs beyond that is whatever the closure does
-//! with it. [`Analyzer::analyze`] is the closure that collects `String`s.
+//! The pipeline has one implementation and it streams:
+//! [`Analyzer::analyze_with`] tokenizes — tokens are slices of the input —
+//! and hands each token to [`Analyzer::analyze_token_with`], which
+//! case-folds it into a buffer the caller keeps ([`AnalyzeScratch`]),
+//! looks it up in the abbreviation dictionary by that folded `&str`,
+//! checks the stop list, stems in a second kept buffer, and hands each
+//! term to the caller's closure as a `&str`. With a warm scratch a call
+//! allocates nothing; what a term costs beyond that is whatever the
+//! closure does with it. [`Analyzer::analyze`] is the closure that
+//! collects `String`s. A caller that meets the same tokens over and over
+//! (the index's write session) tokenizes itself and asks the per-token
+//! entry point once per distinct token.
 //!
 //! The allocating pipeline this replaced lives on as the test-only
 //! `reference` module, which the property tests below compare the
@@ -114,6 +118,21 @@ impl Analyzer {
         scratch: &mut AnalyzeScratch,
         mut emit: impl FnMut(&str),
     ) {
+        for token in tokenize(input) {
+            self.analyze_token_with(token.text, scratch, &mut emit);
+        }
+    }
+
+    /// The pipeline after the tokenizer: fold, expand, stop and stem one
+    /// token (a [`tokenize`] output — it is not split again), handing its
+    /// terms to `emit` in order. What a token analyzes to depends on
+    /// nothing but the token, so a caller may remember the answer.
+    pub fn analyze_token_with(
+        &self,
+        token: &str,
+        scratch: &mut AnalyzeScratch,
+        mut emit: impl FnMut(&str),
+    ) {
         let AnalyzeScratch { folded, stemmed } = scratch;
         let mut finish = |word: &str| {
             if self.config.remove_stopwords && is_stopword(word) {
@@ -128,17 +147,15 @@ impl Analyzer {
                 emit(term);
             }
         };
-        for token in tokenize(input) {
-            fold_case_into(token.text, folded);
-            let expansion = if self.config.expand_abbreviations {
-                self.abbreviations.expand(folded)
-            } else {
-                None
-            };
-            match expansion {
-                Some(words) => words.split_whitespace().for_each(&mut finish),
-                None => finish(folded),
-            }
+        fold_case_into(token, folded);
+        let expansion = if self.config.expand_abbreviations {
+            self.abbreviations.expand(folded)
+        } else {
+            None
+        };
+        match expansion {
+            Some(words) => words.split_whitespace().for_each(&mut finish),
+            None => finish(folded),
         }
     }
 
@@ -375,6 +392,35 @@ mod tests {
                         streamed(a, &name, &mut scratch),
                         reference::analyze(a, &name),
                         "{:?} under {:?}", name, a.config
+                    );
+                }
+            }
+        }
+
+        /// An input's terms are its tokens' terms, token by token, and a
+        /// token handed back to the tokenizer comes out whole — the two
+        /// facts a memo keyed by raw token stands on.
+        #[test]
+        fn analysis_is_the_concatenation_of_its_tokens_analyses(
+            wild in ".{0,64}",
+            pieces in proptest::collection::vec(arb_piece(), 1..6),
+        ) {
+            let mut scratch = AnalyzeScratch::default();
+            for input in [wild, name_from(&pieces)] {
+                for token in tokenize(&input) {
+                    prop_assert_eq!(crate::tokenize::words(token.text), [token.text]);
+                }
+                for a in &pipelines() {
+                    let mut by_token = Vec::new();
+                    for token in tokenize(&input) {
+                        a.analyze_token_with(token.text, &mut scratch, |t| {
+                            by_token.push(t.to_string())
+                        });
+                    }
+                    prop_assert_eq!(
+                        streamed(a, &input, &mut scratch),
+                        by_token,
+                        "{:?} under {:?}", input, a.config
                     );
                 }
             }

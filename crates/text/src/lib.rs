@@ -19,7 +19,8 @@
 //! * [`lexicon`] — each distinct word once, under a dense id, with its
 //!   gram signature,
 //! * [`Analyzer`] — a configurable pipeline combining the above: one
-//!   streaming pass ([`Analyzer::analyze_with`]) that allocates nothing
+//!   streaming pass ([`Analyzer::analyze_with`]: tokenize, then
+//!   [`Analyzer::analyze_token_with`] per token) that allocates nothing
 //!   over a kept [`AnalyzeScratch`], under the indexer, the matchers'
 //!   prepare step and the query flattener alike.
 
