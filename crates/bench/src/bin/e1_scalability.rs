@@ -16,12 +16,6 @@
 //! nonzero when request tracing costs more than 5% — the CI guard that
 //! keeps `schemr-trace` honest about being cheap enough to leave on.
 //!
-//! Pass `--churn` to measure Phase 1 under index churn instead: ~20% of
-//! the corpus is tombstoned without merging, repeated queries exercise
-//! the revision-keyed candidate cache, and an interleaved
-//! put/delete/search segment runs through the scheduler (which merges
-//! past the tombstone threshold). Results land in `results/e1_churn.json`.
-//!
 //! Pass `--phase2` to measure Phase 2 matching cost instead: large
 //! candidate sets (raised `top_candidates`) over wide generated schemas,
 //! per-candidate matching wall time (p50/p95/p99) and an
@@ -41,29 +35,16 @@
 //! timed; then a paired microbenchmark of the kernel against the scalar
 //! reference must clear its speedup bar (when the `simd` feature is
 //! compiled in).
-//!
-//! Pass `--serve` to exercise the HTTP serving path instead: a loadgen
-//! over real sockets measures keep-alive search latency (p50/p99, 5xx
-//! count) at low load, then saturates a deliberately tiny server (two
-//! pinned workers, one queue slot) and measures the shed rate and the
-//! p99 of the `503 + Retry-After` responses, then drains both servers
-//! under the deadline. Results land in `results/e5_serving.json`.
-//! Combine with `--check-serving` to exit nonzero on any low-load 5xx,
-//! a saturation run that never sheds, or an unclean drain — the CI
-//! guard on admission control and graceful shutdown.
 
-use schemr::{EngineConfig, IndexScheduler};
+use schemr::EngineConfig;
 use schemr_bench::{Table, Testbed};
 use schemr_corpus::{
     Corpus, CorpusConfig, GeneratedQuery, GeneratorConfig, Workload, WorkloadConfig,
 };
 use schemr_match::Ensemble;
-use schemr_model::SchemaId;
 use schemr_obs::alloc::{process_alloc_count, CountingAlloc};
 use schemr_obs::{HistogramSnapshot, TracerConfig};
-use schemr_server::{SchemrServer, ServerConfig};
 use schemr_text::GramSet;
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 // The shared counting allocator from `obs::alloc` — the
@@ -321,169 +302,6 @@ fn check_overhead(quick: bool) -> i32 {
         "  FAIL: observability exceeds the {BUDGET_PCT}% budget in all {ATTEMPTS} attempts ({all})"
     );
     1
-}
-
-/// `--churn`: Phase 1 latency with ~20% tombstones, with and without the
-/// candidate cache, plus an interleaved put/delete/search segment.
-///
-/// Three segments, all over the same generated corpus and workload:
-///
-/// 1. **tombstoned, no cache** — the raw Phase 1 scan cost with 20% of
-///    the corpus deleted but not merged (live-df bookkeeping at work).
-/// 2. **tombstoned, cache cold/warm** — the same engine with the
-///    revision-keyed cache; the warm passes are served without touching
-///    the postings at all.
-/// 3. **interleaved** — rounds of delete + insert + scheduler tick +
-///    search; every mutation moves the index revision, so the cache
-///    invalidates and refills, and the scheduler merges once tombstones
-///    cross the threshold.
-fn run_churn(quick: bool) {
-    let size = if quick { 1_000 } else { 5_000 };
-    let rounds = if quick { 3 } else { 5 };
-    let corpus = Corpus::generate(&CorpusConfig {
-        target_size: size,
-        seed: 42,
-        ..CorpusConfig::default()
-    });
-    let workload = Workload::generate(
-        &corpus,
-        &WorkloadConfig {
-            queries: if quick { 20 } else { 60 },
-            seed: 7,
-            ..Default::default()
-        },
-    );
-    let n_queries = workload.queries.len();
-
-    // Two engines over identical content: one with the candidate cache,
-    // one with it disabled, so the repeated-query speedup and the raw
-    // tombstoned-scan cost are separable.
-    let cached = Testbed::build_with_config(&corpus, EngineConfig::default());
-    let uncached = Testbed::build_with_config(
-        &corpus,
-        EngineConfig {
-            candidate_cache_entries: 0,
-            ..EngineConfig::default()
-        },
-    );
-
-    // Tombstone ~20% of documents without merging — the state the
-    // incremental live-df accounting exists for.
-    for bed in [&cached, &uncached] {
-        for id in bed.ids.iter().step_by(5) {
-            bed.engine.repository().remove(*id).expect("id is live");
-        }
-        bed.engine.reindex_incremental();
-    }
-    let stats = cached.engine.index_stats();
-    println!(
-        "E1 --churn: corpus {size}, {} live / {} total docs ({:.0}% tombstones), {n_queries} queries x {rounds} rounds\n",
-        stats.live_docs,
-        stats.total_docs,
-        100.0 * (stats.total_docs - stats.live_docs) as f64 / stats.total_docs as f64
-    );
-
-    // Mean per-query Phase 1 wall time (ms) for one pass over the workload.
-    let phase1_pass = |bed: &Testbed| -> f64 {
-        let mut total_hits = 0usize;
-        let start = Instant::now();
-        for q in &workload.queries {
-            let graph = Testbed::to_request(q, 10).query_graph();
-            total_hits += bed.engine.extract_candidates(&graph).len();
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        assert!(total_hits > 0, "churn workload found no candidates");
-        elapsed * 1e3 / n_queries as f64
-    };
-
-    let mut uncached_ms: Vec<f64> = (0..rounds).map(|_| phase1_pass(&uncached)).collect();
-    let cold_ms = phase1_pass(&cached);
-    let mut warm_ms: Vec<f64> = (0..rounds).map(|_| phase1_pass(&cached)).collect();
-
-    // Interleaved put/delete/search on the cached engine, through the
-    // scheduler so merging kicks in once tombstones accumulate.
-    let scheduler = IndexScheduler::new(cached.engine.clone());
-    let mut live: Vec<SchemaId> = cached
-        .ids
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % 5 != 0)
-        .map(|(_, &id)| id)
-        .collect();
-    let batch = (size / 20).max(1);
-    let mut next_insert = 0usize;
-    let mut interleaved = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        for _ in 0..batch {
-            if let Some(id) = live.pop() {
-                cached.engine.repository().remove(id).expect("live id");
-            }
-        }
-        for _ in 0..batch {
-            let labeled = &corpus.schemas[next_insert % corpus.schemas.len()];
-            next_insert += 1;
-            let id = cached
-                .engine
-                .repository()
-                .insert(
-                    labeled.title.clone(),
-                    labeled.summary.clone(),
-                    labeled.schema.clone(),
-                )
-                .expect("corpus schemas validate");
-            live.push(id);
-        }
-        scheduler.tick();
-        interleaved.push(phase1_pass(&cached));
-    }
-
-    let reg = cached.engine.metrics_registry();
-    let counter = |name: &str| reg.counter_value(name, &[]).unwrap_or(0);
-    let (hits, misses) = (
-        counter("schemr_candidate_cache_hits_total"),
-        counter("schemr_candidate_cache_misses_total"),
-    );
-    let (evictions, invalidations) = (
-        counter("schemr_candidate_cache_evictions_total"),
-        counter("schemr_candidate_cache_invalidations_total"),
-    );
-    let (postings_scanned, merges) = (
-        counter("schemr_index_postings_scanned_total"),
-        counter("schemr_index_merges_total"),
-    );
-
-    let uncached_med = median(&mut uncached_ms);
-    let warm_med = median(&mut warm_ms);
-    let interleaved_med = median(&mut interleaved);
-    let mut table = Table::new(&["segment", "p1/query (ms)"]);
-    table.row(&["tombstoned, no cache".into(), format!("{uncached_med:.4}")]);
-    table.row(&["tombstoned, cache cold".into(), format!("{cold_ms:.4}")]);
-    table.row(&["tombstoned, cache warm".into(), format!("{warm_med:.4}")]);
-    table.row(&["interleaved churn".into(), format!("{interleaved_med:.4}")]);
-    table.print();
-    println!(
-        "\ncache: {hits} hits, {misses} misses, {evictions} evictions, {invalidations} invalidations"
-    );
-    println!(
-        "index: {postings_scanned} postings scanned, {merges} merges (scheduler: {})",
-        scheduler.merge_count()
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e1_churn\",\n  \"corpus\": {size},\n  \"live_docs\": {},\n  \"total_docs\": {},\n  \"queries\": {n_queries},\n  \"rounds\": {rounds},\n  \"p1_tombstoned_no_cache_ms\": {uncached_med:.4},\n  \"p1_cache_cold_ms\": {cold_ms:.4},\n  \"p1_cache_warm_ms\": {warm_med:.4},\n  \"p1_interleaved_ms\": {interleaved_med:.4},\n  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": {evictions}, \"invalidations\": {invalidations}}},\n  \"index\": {{\"postings_scanned\": {postings_scanned}, \"merges\": {merges}}}\n}}\n",
-        stats.live_docs, stats.total_docs
-    );
-    let out_path = std::path::Path::new("results").join("e1_churn.json");
-    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&out_path, &json)) {
-        Ok(()) => println!("\nwrote churn measurements to {}", out_path.display()),
-        Err(e) => eprintln!("\ncould not write {}: {e}", out_path.display()),
-    }
-    println!(
-        "\nExpected shape: warm-cache Phase 1 is far below the no-cache scan; the\n\
-         no-cache scan itself no longer pays a per-query tombstone rescan (live\n\
-         df is maintained incrementally); interleaved churn stays near the\n\
-         steady-state cost because the scheduler merges past the threshold."
-    );
 }
 
 /// Per-candidate matching samples and allocation counts for one
@@ -871,320 +689,15 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
     }
 }
 
-/// Read one HTTP/1.1 response off `stream`: status, whether the server
-/// advertised keep-alive, and the body length. The body is read fully
-/// (per `Content-Length`) and discarded so the connection is ready for
-/// the next request.
-fn read_http_response(stream: &mut TcpStream) -> std::io::Result<(u16, bool, usize)> {
-    use std::io::Read;
-    let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if stream.read(&mut byte)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed before response head",
-            ));
-        }
-        head.push(byte[0]);
-    }
-    let head = String::from_utf8_lossy(&head);
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    let header = |name: &str| {
-        head.lines().find_map(|l| {
-            let (k, v) = l.split_once(':')?;
-            k.eq_ignore_ascii_case(name).then(|| v.trim().to_string())
-        })
-    };
-    let keep_alive = header("connection").is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"));
-    let len: usize = header("content-length")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok((status, keep_alive, len))
-}
-
-/// One timed request over an (optionally reused) keep-alive connection.
-/// Returns the round-trip seconds, the status, and the connection if the
-/// server kept it open.
-fn timed_request(
-    addr: std::net::SocketAddr,
-    conn: Option<TcpStream>,
-    target: &str,
-) -> std::io::Result<(f64, u16, Option<TcpStream>, bool)> {
-    use std::io::Write;
-    let (mut stream, reused) = match conn {
-        Some(s) => (s, true),
-        None => (TcpStream::connect(addr)?, false),
-    };
-    let start = Instant::now();
-    stream.write_all(format!("GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n").as_bytes())?;
-    let (status, keep_alive, _) = read_http_response(&mut stream)?;
-    let elapsed = start.elapsed().as_secs_f64();
-    Ok((elapsed, status, keep_alive.then_some(stream), reused))
-}
-
-fn quantile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let i = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[i] * 1e3
-}
-
-/// `--serve`: loadgen against the real serving path. Returns the process
-/// exit code (nonzero only under `--check-serving`).
-fn run_serving(quick: bool, check: bool) -> i32 {
-    use std::io::Write;
-
-    let size = if quick { 300 } else { 2_000 };
-    let clients = 4usize;
-    let per_client = if quick { 40 } else { 150 };
-    let shed_probes = if quick { 20 } else { 60 };
-
-    let corpus = Corpus::generate(&CorpusConfig {
-        target_size: size,
-        seed: 42,
-        ..CorpusConfig::default()
-    });
-    let workload = Workload::generate(
-        &corpus,
-        &WorkloadConfig {
-            queries: 20,
-            seed: 7,
-            ..Default::default()
-        },
-    );
-    let targets: Vec<String> = workload
-        .queries
-        .iter()
-        .map(|q| format!("/search?q={}&limit=10", q.keywords.join("+")))
-        .collect();
-
-    // --- Phase A: low load, keep-alive clients, ample queue ---
-    let bed = Testbed::build(&corpus);
-    let server = SchemrServer::start(
-        bed.engine.clone(),
-        ServerConfig {
-            workers: clients,
-            max_queue: 64,
-            ..Default::default()
-        },
-    )
-    .expect("bind loopback");
-    let addr = server.addr();
-
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let targets = targets.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut latencies = Vec::with_capacity(per_client);
-            let mut errors_5xx = 0u64;
-            let mut reuses = 0u64;
-            let mut conn: Option<TcpStream> = None;
-            for i in 0..per_client {
-                let target = &targets[(c + i) % targets.len()];
-                match timed_request(addr, conn.take(), target) {
-                    Ok((secs, status, keep, reused)) => {
-                        latencies.push(secs);
-                        if status >= 500 {
-                            errors_5xx += 1;
-                        }
-                        if reused {
-                            reuses += 1;
-                        }
-                        conn = keep;
-                    }
-                    Err(e) => panic!("low-load request failed: {e}"),
-                }
-            }
-            (latencies, errors_5xx, reuses)
-        }));
-    }
-    let mut low_latencies = Vec::with_capacity(clients * per_client);
-    let mut low_5xx = 0u64;
-    let mut low_reuses = 0u64;
-    for h in handles {
-        let (lat, e, r) = h.join().expect("loadgen thread");
-        low_latencies.extend(lat);
-        low_5xx += e;
-        low_reuses += r;
-    }
-    low_latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let low_requests = low_latencies.len();
-    let low_p50 = quantile_ms(&low_latencies, 0.50);
-    let low_p99 = quantile_ms(&low_latencies, 0.99);
-
-    let reg = bed.engine.metrics_registry();
-    let served_reuse = reg
-        .counter_value("schemr_http_keepalive_reuse_total", &[])
-        .unwrap_or(0);
-    let low_drain_start = Instant::now();
-    let low_clean_drain = server.shutdown();
-    let low_drain_ms = low_drain_start.elapsed().as_secs_f64() * 1e3;
-
-    // --- Phase B: saturation — both workers pinned, one queue slot ---
-    let bed2 = Testbed::build(&corpus);
-    let server = SchemrServer::start(
-        bed2.engine.clone(),
-        ServerConfig {
-            workers: 2,
-            max_queue: 1,
-            read_timeout: Some(Duration::from_secs(30)),
-            ..Default::default()
-        },
-    )
-    .expect("bind loopback");
-    let addr = server.addr();
-
-    // Pin both workers with half-sent requests, then occupy the single
-    // queue slot, so every further connection must be shed.
-    let mut pins = Vec::new();
-    for _ in 0..2 {
-        let mut pin = TcpStream::connect(addr).expect("connect pin");
-        pin.write_all(b"GET /healthz HTTP/1.1\r\nHost: bench")
-            .expect("send partial request");
-        pins.push(pin);
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    let filler = TcpStream::connect(addr).expect("connect filler");
-    std::thread::sleep(Duration::from_millis(150));
-
-    let mut shed_latencies = Vec::with_capacity(shed_probes);
-    let mut sheds = 0u64;
-    let mut others = 0u64;
-    for i in 0..shed_probes {
-        let target = &targets[i % targets.len()];
-        let mut stream = TcpStream::connect(addr).expect("connect probe");
-        let start = Instant::now();
-        stream
-            .write_all(
-                format!("GET {target} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
-                    .as_bytes(),
-            )
-            .expect("send probe");
-        match read_http_response(&mut stream) {
-            Ok((503, _, _)) => {
-                sheds += 1;
-                shed_latencies.push(start.elapsed().as_secs_f64());
-            }
-            Ok(_) => others += 1,
-            Err(_) => others += 1,
-        }
-    }
-    shed_latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let shed_rate = sheds as f64 / shed_probes as f64;
-    let shed_p99 = quantile_ms(&shed_latencies, 0.99);
-
-    // Release the pinned workers and the queued filler, then drain.
-    for mut pin in pins {
-        pin.write_all(b"\r\nConnection: close\r\n\r\n")
-            .expect("release pin");
-        let _ = read_http_response(&mut pin);
-    }
-    drop(filler);
-    let sat_drain_start = Instant::now();
-    let sat_clean_drain = server.shutdown();
-    let sat_drain_ms = sat_drain_start.elapsed().as_secs_f64() * 1e3;
-
-    println!("E1 --serve: HTTP serving path, corpus {size}\n");
-    let mut table = Table::new(&[
-        "segment", "requests", "5xx/shed", "p50 (ms)", "p99 (ms)", "drain",
-    ]);
-    table.row(&[
-        "low load (keep-alive)".into(),
-        low_requests.to_string(),
-        format!("{low_5xx} 5xx"),
-        format!("{low_p50:.3}"),
-        format!("{low_p99:.3}"),
-        if low_clean_drain {
-            format!("clean {low_drain_ms:.0} ms")
-        } else {
-            "EXCEEDED".into()
-        },
-    ]);
-    table.row(&[
-        "saturation (shed path)".into(),
-        shed_probes.to_string(),
-        format!("{sheds} shed ({:.0}%)", shed_rate * 100.0),
-        format!("{:.3}", quantile_ms(&shed_latencies, 0.50)),
-        format!("{shed_p99:.3}"),
-        if sat_clean_drain {
-            format!("clean {sat_drain_ms:.0} ms")
-        } else {
-            "EXCEEDED".into()
-        },
-    ]);
-    table.print();
-    println!(
-        "\nkeep-alive: {low_reuses} client-side reuses, {served_reuse} server-counted reuses; \
-         {others} saturation probes served past the queue"
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e5_serving\",\n  \"corpus\": {size},\n  \"low_load\": {{\"clients\": {clients}, \"requests\": {low_requests}, \"errors_5xx\": {low_5xx}, \"keepalive_reuses\": {served_reuse}, \"p50_ms\": {low_p50:.4}, \"p99_ms\": {low_p99:.4}, \"clean_drain\": {low_clean_drain}, \"drain_ms\": {low_drain_ms:.1}}},\n  \"saturation\": {{\"workers\": 2, \"max_queue\": 1, \"probes\": {shed_probes}, \"shed\": {sheds}, \"shed_rate\": {shed_rate:.3}, \"shed_p50_ms\": {:.4}, \"shed_p99_ms\": {shed_p99:.4}, \"clean_drain\": {sat_clean_drain}, \"drain_ms\": {sat_drain_ms:.1}}}\n}}\n",
-        quantile_ms(&shed_latencies, 0.50),
-    );
-    let out_path = std::path::Path::new("results").join("e5_serving.json");
-    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&out_path, &json)) {
-        Ok(()) => println!("\nwrote serving measurements to {}", out_path.display()),
-        Err(e) => eprintln!("\ncould not write {}: {e}", out_path.display()),
-    }
-
-    if check {
-        let mut code = 0;
-        if low_5xx > 0 {
-            println!("FAIL: {low_5xx} 5xx responses under low load");
-            code = 1;
-        }
-        if sheds == 0 {
-            println!("FAIL: saturation produced no 503 sheds — admission control inert");
-            code = 1;
-        }
-        if !low_clean_drain || !sat_clean_drain {
-            println!("FAIL: drain exceeded its deadline");
-            code = 1;
-        }
-        if code == 0 {
-            println!(
-                "\nPASS: zero 5xx at low load, {:.0}% shed under saturation, both drains clean",
-                shed_rate * 100.0
-            );
-        }
-        code
-    } else {
-        println!(
-            "\nExpected shape: low-load latency is the engine's search cost plus\n\
-             sub-millisecond HTTP overhead with zero 5xx; under saturation every\n\
-             probe is shed immediately (bounded 503 latency, no unbounded queueing);\n\
-             both servers drain inside the deadline."
-        );
-        0
-    }
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     if std::env::args().any(|a| a == "--check-overhead") {
         std::process::exit(check_overhead(quick));
     }
-    if std::env::args().any(|a| a == "--serve") {
-        let check = std::env::args().any(|a| a == "--check-serving");
-        std::process::exit(run_serving(quick, check));
-    }
     if std::env::args().any(|a| a == "--phase2") {
         let check = std::env::args().any(|a| a == "--check-speedup");
         let check_kernel = std::env::args().any(|a| a == "--check-kernel");
         std::process::exit(run_phase2(quick, check, check_kernel));
-    }
-    if std::env::args().any(|a| a == "--churn") {
-        run_churn(quick);
-        return;
     }
     let sizes: &[usize] = if quick {
         &[500, 1_000, 2_000]

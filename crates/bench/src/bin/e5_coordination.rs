@@ -16,37 +16,18 @@
 
 use schemr_bench::{variants, Table, Testbed};
 use schemr_corpus::{Corpus, CorpusConfig, Workload, WorkloadConfig};
-use schemr_index::{Index, IndexDocument, SearchOptions};
-use schemr_model::SchemaId;
+use schemr_index::{Index, OwnedDocument, SearchOptions};
 
 fn demo() {
     println!("Part A: controlled demonstration\n");
     let index = Index::new();
+    let query = ["patient", "height", "gender", "diagnosis"];
     // Doc 1 covers all four query terms once.
-    index.add(&IndexDocument {
-        id: SchemaId(1),
-        title: "full coverage".into(),
-        summary: String::new(),
-        elements: vec![
-            "patient".into(),
-            "height".into(),
-            "gender".into(),
-            "diagnosis".into(),
-        ],
-        docs: vec![],
-    });
+    index.add(OwnedDocument::new(1, "full coverage", query).view());
     // Doc 2 repeats one rare term many times: higher raw mass, lower
     // coverage.
-    index.add(&IndexDocument {
-        id: SchemaId(2),
-        title: "repeater".into(),
-        summary: String::new(),
-        elements: (0..12)
-            .map(|i| format!("diagnosis_{i}_diagnosis"))
-            .collect(),
-        docs: vec![],
-    });
-    let query = ["patient", "height", "gender", "diagnosis"];
+    let repeated = (0..12).map(|i| format!("diagnosis_{i}_diagnosis"));
+    index.add(OwnedDocument::new(2, "repeater", repeated).view());
     let mut table = Table::new(&["coordination", "rank 1", "rank 2"]);
     for coordination in [true, false] {
         let hits = index.search(

@@ -1,9 +1,9 @@
 //! # schemr-bench
 //!
-//! Shared harness code for the experiment binaries (`src/bin/e*.rs`) and
-//! Criterion benches (`benches/`). Each experiment in `DESIGN.md` §4 has a
-//! binary that regenerates its table; `EXPERIMENTS.md` records the
-//! measured outputs next to the paper's qualitative claims.
+//! Shared harness code for the experiment binaries (`src/bin/e*.rs`).
+//! Each experiment in `DESIGN.md` §4 has a binary that regenerates its
+//! table; `EXPERIMENTS.md` records the measured outputs next to the
+//! paper's qualitative claims.
 
 use std::collections::HashSet;
 use std::sync::Arc;

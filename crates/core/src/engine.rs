@@ -15,7 +15,7 @@ use schemr_index::{
     codec, Index, IndexChange, IndexDocument, IndexRevision, IndexStats, SearchOptions,
 };
 use schemr_match::{Ensemble, EnsembleQuery, MatchScratch, PreparedCandidate};
-use schemr_model::{QueryGraph, QueryTerm};
+use schemr_model::{QueryGraph, QueryTerm, SchemaId};
 use schemr_obs::{
     CpuProbeDepth, DeepSize, EventResult, LedgerProbe, MetricsRegistry, Profiler, ResourceLedger,
     SearchEvent, SearchOutcome, SpanGuard, SpanTimer, StackSource, Tracer, TracerConfig,
@@ -291,16 +291,15 @@ impl SchemrEngine {
         let _span = SpanTimer::start(self.metrics.reindex_seconds.clone());
         let revision = self.repo.revision();
         let fresh = Index::new().with_metrics(self.metrics.index.clone());
-        // A head's worth at a time: the flattened documents and their
-        // analysis are transients of one batch, not of the corpus, and
-        // every publish finds the head just sealed. Nobody sees `fresh`
-        // until it is swapped in, and the result is batch-invariant.
-        // One write session for all of them: the corpus repeats its
-        // vocabulary, so each distinct word is analyzed once.
+        // A head's worth at a time: a batch's analysis is a transient of
+        // the batch, not of the corpus, and every publish finds the head
+        // just sealed. Nobody sees `fresh` until it is swapped in, and the
+        // result is batch-invariant. One write session for all of them:
+        // the corpus repeats its vocabulary, so each distinct word is
+        // analyzed once.
         let mut session = fresh.session();
         for batch in self.repo.snapshot().chunks(fresh.seal_threshold()) {
-            let docs: Vec<IndexDocument> = batch.iter().map(|s| index_document(s)).collect();
-            session.apply(docs.iter().map(IndexChange::Put));
+            session.apply(batch.iter().map(|s| IndexChange::Put(index_document(s))));
         }
         *self.index.write() = fresh;
         *self.last_indexed_revision.lock() = revision;
@@ -319,21 +318,18 @@ impl SchemrEngine {
         }
         // A put indexes the schema as the repository holds it now; one
         // removed again since has nothing to index, and its delete
-        // follows in the journal.
-        let docs: Vec<Option<IndexDocument>> = changes
+        // follows in the journal. `None` is a delete.
+        let stored: Vec<(SchemaId, Option<Arc<StoredSchema>>)> = changes
             .iter()
-            .map(|change| match change.kind {
-                ChangeKind::Put => self.repo.get(change.id).as_deref().map(index_document),
-                ChangeKind::Delete => None,
+            .filter_map(|change| match change.kind {
+                ChangeKind::Put => Some((change.id, Some(self.repo.get(change.id)?))),
+                ChangeKind::Delete => Some((change.id, None)),
             })
             .collect();
-        let batch = changes
-            .iter()
-            .zip(&docs)
-            .filter_map(|(change, doc)| match change.kind {
-                ChangeKind::Put => doc.as_ref().map(IndexChange::Put),
-                ChangeKind::Delete => Some(IndexChange::Delete(change.id)),
-            });
+        let batch = stored.iter().map(|(id, stored)| match stored {
+            Some(stored) => IndexChange::Put(index_document(stored)),
+            None => IndexChange::Delete(*id),
+        });
         self.index.read().apply(batch);
         *last = changes.iter().map(|c| c.revision).fold(*last, u64::max);
         changes.len()
@@ -846,7 +842,7 @@ impl SchemrEngine {
         let candidates_evaluated = candidates.len();
         // Candidate ids in Phase 2 order, for mapping ranked results back
         // to their per-matcher strengths.
-        let candidate_ids: Vec<schemr_model::SchemaId> = if want_trace {
+        let candidate_ids: Vec<SchemaId> = if want_trace {
             candidates.iter().map(|(h, _)| h.id).collect()
         } else {
             Vec::new()
@@ -1007,15 +1003,15 @@ impl SchemrEngine {
     }
 }
 
-/// Flatten one stored schema into its index document — the one place
-/// both indexer passes (full and incremental) build it.
-fn index_document(stored: &StoredSchema) -> IndexDocument {
-    IndexDocument::from_schema(
-        stored.metadata.id,
-        &stored.metadata.title,
-        &stored.metadata.summary,
-        &stored.schema,
-    )
+/// A stored schema as the index reads it, borrowed — the one place both
+/// indexer passes (full and incremental) name its parts.
+fn index_document(stored: &StoredSchema) -> IndexDocument<'_> {
+    IndexDocument {
+        id: stored.metadata.id,
+        title: &stored.metadata.title,
+        summary: &stored.metadata.summary,
+        schema: &stored.schema,
+    }
 }
 
 /// What every Phase 2 chunk of one search shares: the matcher set and

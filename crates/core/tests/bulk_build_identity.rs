@@ -6,6 +6,9 @@
 //! filled by one-document `apply` calls — a cold session each — must save
 //! to the very same file, a second `reindex_full` must too, and an engine
 //! restored from either file must rank like the one that built it.
+//!
+//! Both of those builds go through the same analysis, so they cannot see
+//! a change to it; the pinned digest at the end can.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -38,7 +41,8 @@ fn saved(path: &Path) -> Vec<u8> {
     std::fs::read(path).expect("the index file was just written")
 }
 
-fn check_bulk_build_identity(schemas: usize, seed: u64) {
+/// A repository over the generated corpus of `schemas` schemas.
+fn repository(schemas: usize, seed: u64) -> (Corpus, Arc<Repository>) {
     let corpus = Corpus::generate(&CorpusConfig {
         target_size: schemas,
         ..CorpusConfig::paper_scale(seed)
@@ -52,7 +56,11 @@ fn check_bulk_build_identity(schemas: usize, seed: u64) {
         )
         .expect("generated schemas validate");
     }
+    (corpus, repo)
+}
 
+fn check_bulk_build_identity(schemas: usize, seed: u64) {
+    let (corpus, repo) = repository(schemas, seed);
     let bulk_file = TempFile::new(&format!("bulk-{schemas}"));
     let engine = SchemrEngine::new(repo.clone());
     engine.reindex_full();
@@ -76,13 +84,13 @@ fn check_bulk_build_identity(schemas: usize, seed: u64) {
     // engine's index does.
     let one_by_one = Index::new().with_seal_threshold(1024);
     for stored in repo.snapshot() {
-        let document = IndexDocument::from_schema(
-            stored.metadata.id,
-            &stored.metadata.title,
-            &stored.metadata.summary,
-            &stored.schema,
-        );
-        assert_eq!(one_by_one.apply([IndexChange::Put(&document)]), 1);
+        let document = IndexDocument {
+            id: stored.metadata.id,
+            title: &stored.metadata.title,
+            summary: &stored.metadata.summary,
+            schema: &stored.schema,
+        };
+        assert_eq!(one_by_one.apply([IndexChange::Put(document)]), 1);
     }
     let single_file = TempFile::new(&format!("single-{schemas}"));
     codec::save_to(&one_by_one, &single_file.0).expect("save_to");
@@ -127,4 +135,32 @@ fn bulk_build_is_byte_identical_to_one_document_applies() {
 #[ignore]
 fn bulk_build_is_byte_identical_at_paper_scale() {
     check_bulk_build_identity(30_000, 1);
+}
+
+/// FNV-1a over 64 bits: enough to tell two files apart in a test.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The file `save_index` writes after `reindex_full` over 2,000 schemas,
+/// seed 5, pinned by length and digest as the owned-flattening analysis
+/// (dotted element paths, each tokenized from the root) wrote it. The
+/// identity test above compares two builds through the same analysis;
+/// this one sees a change to the analysis, to term order or positions,
+/// or to the codec. A deliberate format change updates both numbers and
+/// says why.
+#[test]
+fn the_index_file_is_pinned() {
+    let (_, repo) = repository(2_000, 5);
+    let engine = SchemrEngine::new(repo);
+    engine.reindex_full();
+    let file = TempFile::new("pinned");
+    engine.save_index(&file.0).expect("save_index");
+    let bytes = saved(&file.0);
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (1_481_624, 0x7b5a_1dc3_c931_780d)
+    );
 }

@@ -13,24 +13,21 @@ use proptest::prelude::*;
 use proptest::sample::select;
 
 use super::*;
-use crate::document::IndexDocument;
+use crate::document::OwnedDocument;
 use crate::search::SearchOptions;
 use crate::segment::bit;
 
 const WORDS: [&str; 6] = ["patient", "height", "ward", "order", "total", "gender"];
 const IDS: u64 = 12;
 
-fn arb_docs() -> impl Strategy<Value = Vec<IndexDocument>> {
+fn arb_docs() -> impl Strategy<Value = Vec<OwnedDocument>> {
     let word = || select(WORDS.to_vec());
     let element = (word(), word()).prop_map(|(a, b)| format!("{a}.{b}"));
     vec((0..IDS, word(), vec(element, 1..5)), 8..24).prop_map(|docs| {
         docs.into_iter()
-            .map(|(id, title, elements)| IndexDocument {
-                id: SchemaId(id),
-                title: title.to_string(),
-                summary: String::new(),
-                docs: vec![format!("the {title} of a {}", elements[0])],
-                elements,
+            .map(|(id, title, elements)| {
+                let doc = format!("the {title} of a {}", elements[0]);
+                OwnedDocument::new(id, title, elements).with_docs([doc])
             })
             .collect()
     })
@@ -38,10 +35,10 @@ fn arb_docs() -> impl Strategy<Value = Vec<IndexDocument>> {
 
 /// Every segment's columns and overlay bits. Ids repeat, so replacements
 /// leave overlay tombstones on sealed segments and baked ones in the head.
-fn segments_of(docs: &[IndexDocument]) -> Vec<(Columns, Vec<u64>)> {
+fn segments_of(docs: &[OwnedDocument]) -> Vec<(Columns, Vec<u64>)> {
     let index = Index::new().with_seal_threshold(5);
     for doc in docs {
-        index.add(doc);
+        index.add(doc.view());
     }
     index.remove(docs[0].id);
     index
@@ -196,13 +193,7 @@ fn exercise(index: &Index) {
     }
     grid(index);
     index.merge(1e-9);
-    index.add(&IndexDocument {
-        id: SchemaId(1),
-        title: "ward".into(),
-        summary: String::new(),
-        elements: vec!["patient.height".into()],
-        docs: vec![],
-    });
+    index.add(OwnedDocument::new(1, "ward", ["patient.height"]).view());
     grid(index);
 }
 
@@ -280,7 +271,7 @@ proptest! {
 #[test]
 fn every_kind_of_break_finds_a_place_in_the_fixture() {
     // Guards the property above against passing vacuously.
-    let docs: Vec<IndexDocument> = (0..20)
+    let docs: Vec<OwnedDocument> = (0..20)
         .map(|i| {
             super::tests::doc(
                 i % IDS,

@@ -1,29 +1,28 @@
 //! Round trips, refusals by name, and the atomic save.
 
 use super::*;
-use crate::document::IndexDocument;
+use crate::document::OwnedDocument;
 use crate::search::SearchOptions;
 
-pub(super) fn doc(id: u64, title: &str, elements: &[&str]) -> IndexDocument {
-    IndexDocument {
-        id: SchemaId(id),
-        title: title.into(),
-        summary: "rural health clinic".into(),
-        elements: elements.iter().map(|e| e.to_string()).collect(),
-        docs: vec!["height in cm".into()],
-    }
+pub(super) fn doc(id: u64, title: &str, elements: &[&str]) -> OwnedDocument {
+    OwnedDocument::new(id, title, elements)
+        .with_summary("rural health clinic")
+        .with_docs(["height in cm"])
 }
 
 fn sample_index() -> Index {
     let index = Index::new();
-    index.add(&doc(
-        1,
-        "clinic",
-        &["patient", "patient.height", "patient.gender"],
-    ));
-    index.add(&doc(9, "store", &["order", "order.total"]));
+    index.add(
+        doc(
+            1,
+            "clinic",
+            &["patient", "patient.height", "patient.gender"],
+        )
+        .view(),
+    );
+    index.add(doc(9, "store", &["order", "order.total"]).view());
     index.remove(SchemaId(9));
-    index.add(&doc(9, "store", &["order", "order.quantity"]));
+    index.add(doc(9, "store", &["order", "order.quantity"]).view());
     index
 }
 
@@ -57,8 +56,8 @@ fn segmented_index_round_trips_through_the_flat_format() {
     let monolith = Index::new();
     for i in 0..9u64 {
         let d = doc(i, &format!("schema{i}"), &["patient", "patient.height"]);
-        segmented.add(&d);
-        monolith.add(&d);
+        segmented.add(d.view());
+        monolith.add(d.view());
     }
     segmented.remove(SchemaId(3));
     monolith.remove(SchemaId(3));
@@ -106,7 +105,7 @@ fn a_save_that_fails_half_way_leaves_the_previous_file() {
     save_to(&index, &path).unwrap();
     assert_eq!(load_from(&path).unwrap().stats(), index.stats());
 
-    index.add(&doc(12, "ward", &["patient", "bed"]));
+    index.add(doc(12, "ward", &["patient", "bed"]).view());
     let bytes = encode(&index);
     let failed = replace_file(&path, |file| {
         file.write_all(&bytes[..bytes.len() / 2])?;

@@ -11,8 +11,11 @@
 //! normalization factors, providing a fast and scalable filter for relevant
 //! candidate schemas". This crate implements exactly that contract:
 //!
-//! * [`IndexDocument`] — the flattened per-schema document with
-//!   [`Field`]-separated content,
+//! * [`IndexDocument`] — one schema as the index reads it, borrowed: the
+//!   title and summary, and the schema's element column, whose names the
+//!   write session flattens into dotted paths as it reads them (each
+//!   element's path terms are its parent's plus its own name's), split
+//!   into [`Field`]s,
 //! * [`Index`] — a thread-safe inverted index with a term dictionary,
 //!   positional postings, and per-field length norms,
 //! * [`Index::search`] — disjunctive TF/IDF top-*n* retrieval with the
@@ -39,7 +42,7 @@ mod segment;
 mod session;
 mod snapshot;
 
-pub use document::{IndexDocument, ELEMENT_POSITION_GAP};
+pub use document::{IndexDocument, OwnedDocument, ELEMENT_POSITION_GAP};
 pub use field::Field;
 pub use memory::{
     Index, IndexChange, IndexIntrospection, IndexRevision, IndexStats, MergeOutcome,

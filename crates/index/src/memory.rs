@@ -87,7 +87,7 @@ static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug, Clone, Copy)]
 pub enum IndexChange<'a> {
     /// Add the document, replacing any live copy of the same id.
-    Put(&'a IndexDocument),
+    Put(IndexDocument<'a>),
     /// Tombstone the live copy of the id. Deleting an id that is not
     /// live is not a mutation.
     Delete(SchemaId),
@@ -364,7 +364,7 @@ impl Index {
     }
 
     /// Add (or replace) one document: a one-element [`Index::apply`].
-    pub fn add(&self, doc: &IndexDocument) {
+    pub fn add(&self, doc: IndexDocument<'_>) {
         self.apply([IndexChange::Put(doc)]);
     }
 
@@ -735,29 +735,22 @@ pub struct IndexStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::document::OwnedDocument;
+    use proptest::collection::vec;
+    use proptest::prelude::Strategy;
+    use proptest::sample::select;
+    use schemr_model::{Element, ElementId, Schema};
 
     /// A merge threshold any single tombstone clears.
     const ANY_TOMBSTONE: f64 = 1e-9;
 
-    fn doc(id: u64, title: &str, elements: &[&str]) -> IndexDocument {
-        IndexDocument {
-            id: SchemaId(id),
-            title: title.to_string(),
-            summary: String::new(),
-            elements: elements.iter().map(|s| s.to_string()).collect(),
-            docs: vec![],
-        }
-    }
-
     #[test]
     fn add_search_roundtrip() {
         let index = Index::new();
-        index.add(&doc(
-            1,
-            "clinic",
-            &["patient", "patient.height", "patient.gender"],
-        ));
-        index.add(&doc(2, "store", &["order", "order.total"]));
+        index.add(
+            OwnedDocument::new(1, "clinic", ["patient", "patient.height", "patient.gender"]).view(),
+        );
+        index.add(OwnedDocument::new(2, "store", ["order", "order.total"]).view());
         let hits = index.search(&["patient", "height"], &SearchOptions::default());
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id, SchemaId(1));
@@ -767,8 +760,8 @@ mod tests {
     #[test]
     fn replacement_tombstones_the_old_version() {
         let index = Index::new();
-        index.add(&doc(1, "v1", &["alpha"]));
-        index.add(&doc(1, "v2", &["beta"]));
+        index.add(OwnedDocument::new(1, "v1", ["alpha"]).view());
+        index.add(OwnedDocument::new(1, "v2", ["beta"]).view());
         assert_eq!(index.len(), 1);
         assert!(index
             .search(&["alpha"], &SearchOptions::default())
@@ -779,7 +772,7 @@ mod tests {
     #[test]
     fn remove_hides_documents() {
         let index = Index::new();
-        index.add(&doc(1, "a", &["x"]));
+        index.add(OwnedDocument::new(1, "a", ["x"]).view());
         assert!(index.remove(SchemaId(1)));
         assert!(!index.remove(SchemaId(1)));
         assert!(index.is_empty());
@@ -790,7 +783,7 @@ mod tests {
     #[test]
     fn a_batch_in_which_nothing_took_effect_publishes_nothing() {
         let index = Index::new();
-        index.add(&doc(1, "a", &["x"]));
+        index.add(OwnedDocument::new(1, "a", ["x"]).view());
         let (published, revision) = (index.snapshot(), index.revision());
         assert_eq!(index.apply([]), 0);
         let failed = [7, 9].map(|id| IndexChange::Delete(SchemaId(id)));
@@ -809,8 +802,8 @@ mod tests {
     #[test]
     fn stats_count_terms_and_postings() {
         let index = Index::new();
-        index.add(&doc(1, "clinic", &["patient"]));
-        index.add(&doc(2, "clinic", &["patient", "doctor"]));
+        index.add(OwnedDocument::new(1, "clinic", ["patient"]).view());
+        index.add(OwnedDocument::new(2, "clinic", ["patient", "doctor"]).view());
         let st = index.stats();
         assert_eq!(st.live_docs, 2);
         // (Title, clinic), (Elements, patient), (Elements, doctor)
@@ -822,8 +815,8 @@ mod tests {
     #[test]
     fn doc_freq_reflects_live_state() {
         let index = Index::new();
-        index.add(&doc(1, "t", &["patient"]));
-        index.add(&doc(2, "t", &["patient"]));
+        index.add(OwnedDocument::new(1, "t", ["patient"]).view());
+        index.add(OwnedDocument::new(2, "t", ["patient"]).view());
         assert_eq!(index.doc_freq(Field::Elements, "patient"), 2);
     }
 
@@ -831,8 +824,8 @@ mod tests {
     fn search_counters_observe_lookup_work() {
         let reg = schemr_obs::MetricsRegistry::new();
         let index = Index::new().with_metrics(IndexMetrics::registered(&reg));
-        index.add(&doc(1, "clinic", &["patient", "height"]));
-        index.add(&doc(2, "store", &["order", "total"]));
+        index.add(OwnedDocument::new(1, "clinic", ["patient", "height"]).view());
+        index.add(OwnedDocument::new(2, "store", ["order", "total"]).view());
         let hits = index.search(&["patient", "height"], &SearchOptions::default());
         assert_eq!(hits.len(), 1);
         // Two distinct terms probed, one candidate returned, and at
@@ -862,7 +855,7 @@ mod tests {
     fn abbreviations_meet_expansions_in_the_index() {
         // `pat_ht` indexes as patient/height, so the full-word query hits.
         let index = Index::new();
-        index.add(&doc(1, "t", &["pat_ht"]));
+        index.add(OwnedDocument::new(1, "t", ["pat_ht"]).view());
         let hits = index.search(&["patient", "height"], &SearchOptions::default());
         assert_eq!(hits.len(), 1);
     }
@@ -870,9 +863,9 @@ mod tests {
     #[test]
     fn introspection_surfaces_per_list_and_corpus_stats() {
         let index = Index::new();
-        index.add(&doc(1, "clinic", &["patient", "patient.height"]));
-        index.add(&doc(2, "hospital", &["patient", "ward"]));
-        index.add(&doc(3, "store", &["order"]));
+        index.add(OwnedDocument::new(1, "clinic", ["patient", "patient.height"]).view());
+        index.add(OwnedDocument::new(2, "hospital", ["patient", "ward"]).view());
+        index.add(OwnedDocument::new(3, "store", ["order"]).view());
         let truncated = index.introspect(4);
         assert_eq!(truncated.top_lists.len(), 4, "top_lists honors the cap");
         let report = index.introspect(usize::MAX);
@@ -905,9 +898,9 @@ mod tests {
         // dominate the introspection plane's tight recomputation — under
         // fresh builds, churn, merges, and codec-style rebuilds alike.
         let index = Index::new();
-        index.add(&doc(1, "clinic", &["patient", "patient.height", "share"]));
-        index.add(&doc(2, "hospital", &["patient", "ward", "share"]));
-        index.add(&doc(1, "v2", &["beta", "share"])); // replace → tombstone
+        index.add(OwnedDocument::new(1, "clinic", ["patient", "patient.height", "share"]).view());
+        index.add(OwnedDocument::new(2, "hospital", ["patient", "ward", "share"]).view());
+        index.add(OwnedDocument::new(1, "v2", ["beta", "share"]).view()); // replace → tombstone
         index.remove(SchemaId(2));
         for (label, report) in [
             ("churned", index.introspect(usize::MAX)),
@@ -934,8 +927,8 @@ mod tests {
         // The published per-list max impact must upper-bound any actual
         // Phase 1 contribution — the WAND/MaxScore contract.
         let index = Index::new();
-        index.add(&doc(1, "clinic", &["patient", "patient.height"]));
-        index.add(&doc(2, "hospital", &["patient"]));
+        index.add(OwnedDocument::new(1, "clinic", ["patient", "patient.height"]).view());
+        index.add(OwnedDocument::new(2, "hospital", ["patient"]).view());
         let report = index.introspect(usize::MAX);
         let bound: f64 = report
             .top_lists
@@ -951,9 +944,9 @@ mod tests {
     #[test]
     fn introspection_tracks_tombstones_and_merge() {
         let index = Index::new();
-        index.add(&doc(1, "v1", &["alpha", "shared"]));
-        index.add(&doc(2, "other", &["shared"]));
-        index.add(&doc(1, "v2", &["beta", "shared"]));
+        index.add(OwnedDocument::new(1, "v1", ["alpha", "shared"]).view());
+        index.add(OwnedDocument::new(2, "other", ["shared"]).view());
+        index.add(OwnedDocument::new(1, "v2", ["beta", "shared"]).view());
         let before = index.introspect(usize::MAX);
         assert!(before.tombstone_ratio > 0.0);
         // The analyzer stems, so `shared` indexes as `share`.
@@ -984,8 +977,8 @@ mod tests {
         use schemr_obs::DeepSize;
         let index = Index::new();
         let empty = index.deep_size_of_children();
-        index.add(&doc(1, "clinic", &["patient", "patient.height"]));
-        index.add(&doc(2, "store", &["order", "order.total"]));
+        index.add(OwnedDocument::new(1, "clinic", ["patient", "patient.height"]).view());
+        index.add(OwnedDocument::new(2, "store", ["order", "order.total"]).view());
         let populated = index.deep_size_of_children();
         assert!(populated > empty);
         // The forward index and term dictionary both hold term text, so
@@ -998,9 +991,9 @@ mod tests {
         let segmented = Index::new().with_seal_threshold(2);
         let monolith = Index::new().with_seal_threshold(usize::MAX);
         for i in 0..7 {
-            let d = doc(i, "t", &["patient", "height"]);
-            segmented.add(&d);
-            monolith.add(&d);
+            let d = OwnedDocument::new(i, "t", ["patient", "height"]);
+            segmented.add(d.view());
+            monolith.add(d.view());
         }
         assert!(segmented.segment_count() > 1, "threshold 2 must seal");
         assert_eq!(monolith.segment_count(), 1);
@@ -1020,7 +1013,7 @@ mod tests {
     fn merge_reclaims_tombstones_without_moving_the_revision() {
         let index = Index::new().with_seal_threshold(4);
         for i in 0..10 {
-            index.add(&doc(i, "t", &["patient"]));
+            index.add(OwnedDocument::new(i, "t", ["patient"]).view());
         }
         for i in 0..5 {
             assert!(index.remove(SchemaId(i)));
@@ -1060,13 +1053,13 @@ mod tests {
         };
         check("construction");
         for i in 0..7 {
-            index.add(&doc(i, "t", &["patient", "height"]));
+            index.add(OwnedDocument::new(i, "t", ["patient", "height"]).view());
             check("add");
         }
         assert!(index.segment_count() > 1, "threshold 3 must have sealed");
-        index.add(&doc(2, "t2", &["patient"]));
+        index.add(OwnedDocument::new(2, "t2", ["patient"]).view());
         check("replace in a sealed segment");
-        index.add(&doc(6, "t2", &["patient"]));
+        index.add(OwnedDocument::new(6, "t2", ["patient"]).view());
         check("replace in the head");
         for i in 0..4 {
             assert!(index.remove(SchemaId(i)));
@@ -1086,124 +1079,81 @@ mod tests {
         check("merge of a single tombstone");
     }
 
-    /// The allocating analysis the streaming one replaced, over
-    /// `Analyzer::analyze`: per field the `(term, position)` occurrences
-    /// in order, and from them the field lengths and the sorted distinct
-    /// forward keys.
-    #[allow(clippy::type_complexity)]
-    fn reference_analysis(
-        doc: &IndexDocument,
-        names: &Analyzer,
-        prose: &Analyzer,
-    ) -> (
-        [u32; Field::COUNT],
-        Vec<(u8, String)>,
-        [Vec<(String, u32)>; Field::COUNT],
-    ) {
-        use crate::document::ELEMENT_POSITION_GAP;
-        let positioned = |sources: &[&str], analyzer: &Analyzer| {
-            let mut out = Vec::new();
-            let mut pos = 0u32;
-            let mut first_source = true;
-            for source in sources {
-                let tokens = analyzer.analyze(source);
-                if tokens.is_empty() {
-                    continue;
-                }
-                if !first_source {
-                    pos += ELEMENT_POSITION_GAP - 1;
-                }
-                first_source = false;
-                for token in tokens {
-                    out.push((token, pos));
-                    pos += 1;
-                }
+    /// Words for generated names and text. Compound and abbreviated names,
+    /// words that repeat within and across fields, and what a memo keyed
+    /// by raw token can get wrong: a token that is a name under one
+    /// pipeline and a stop word under the other (`to`, `of`), one that
+    /// differs from another only by case, abbreviations that expand to
+    /// several words (`dob`) or to nothing but stop words (`na`, in
+    /// [`memo_analyzers`]), camelCase and acronyms, caseless scripts,
+    /// words that analyze to nothing, and a token too long to remember.
+    fn words() -> Vec<String> {
+        let mut words = [
+            "patient",
+            "Height",
+            "PatientVisits",
+            "HTTPServer",
+            "parseXMLDoc",
+            "pat",
+            "ht",
+            "DOB",
+            "dob",
+            "the",
+            "to",
+            "of",
+            "na",
+            "icd10code",
+            "größe",
+            "GRÖSSE",
+            "患者",
+            "מטופל",
+            "___",
+            "",
+        ]
+        .map(String::from)
+        .to_vec();
+        words.push("verylong".repeat(crate::session::MAX_MEMO_TOKEN / 8 + 1));
+        words
+    }
+
+    /// A name or a line of text: up to three words joined by one of the
+    /// tokenizer's delimiters — dots included — or by nothing, which
+    /// makes a camelCase or run-on name.
+    fn arb_text() -> impl Strategy<Value = String> {
+        let delimiters = vec!["_", "-", ".", " ", "/", ",", ":", "..", ""];
+        (vec(select(words()), 0..4), select(delimiters))
+            .prop_map(|(words, delimiter)| words.join(delimiter))
+    }
+
+    /// A schema nested at least three deep: a chain of four elements, then
+    /// more under any earlier one or at the top; a third documented.
+    fn arb_schema() -> impl Strategy<Value = Schema> {
+        vec((arb_text(), arb_text(), 0usize..64), 4..12).prop_map(|elements| {
+            let mut schema = Schema::new("generated");
+            for (i, (name, doc, pick)) in elements.into_iter().enumerate() {
+                let mut element = Element::entity(name);
+                element.doc = (pick % 3 == 0).then_some(doc);
+                let parent = match i {
+                    0 => None,
+                    1..=3 => Some(i - 1),
+                    _ => Some(pick % (i + 1)).filter(|&p| p < i),
+                };
+                match parent {
+                    Some(p) => schema.add_child(ElementId(p as u32), element),
+                    None => schema.add_root(element),
+                };
             }
-            out
-        };
-        fn strs(v: &[String]) -> Vec<&str> {
-            v.iter().map(String::as_str).collect()
-        }
-        let mut field_lengths = [0u32; Field::COUNT];
-        let mut keys: Vec<(u8, String)> = Vec::new();
-        let mut occurrences: [Vec<(String, u32)>; Field::COUNT] = Default::default();
-        for field in Field::ALL {
-            let terms = match field {
-                Field::Title => positioned(&[&doc.title], names),
-                Field::Summary => positioned(&[&doc.summary], prose),
-                Field::Elements => positioned(&strs(&doc.elements), names),
-                Field::Docs => positioned(&strs(&doc.docs), prose),
-            };
-            field_lengths[field.ordinal() as usize] = terms.len() as u32;
-            let mut distinct: Vec<&str> = terms.iter().map(|(t, _)| t.as_str()).collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            keys.extend(
-                distinct
-                    .into_iter()
-                    .map(|t| (field.ordinal(), t.to_string())),
-            );
-            occurrences[field.ordinal() as usize] = terms;
-        }
-        (field_lengths, keys, occurrences)
+            schema
+        })
     }
 
-    /// Source strings from a small pool: compound and abbreviated names,
-    /// paths, prose with stop words, words that repeat within and across
-    /// fields, and sources that analyze to nothing (so the gap rule is
-    /// exercised at the start, in the middle and at the end of a field).
-    /// And what a memo keyed by raw token can get wrong: a token that is
-    /// a name under one pipeline and a stop word under the other (`to`,
-    /// `of`), one that differs from another only by case, abbreviations
-    /// that expand to several words (`dob`) or to nothing but stop words
-    /// (`na`, in [`memo_analyzers`]), non-ASCII and caseless tokens.
-    fn arb_source() -> impl proptest::prelude::Strategy<Value = String> {
-        use proptest::prelude::Strategy;
-        proptest::collection::vec(
-            proptest::sample::select(vec![
-                "patient",
-                "patient.height",
-                "pat_ht",
-                "PatientVisits",
-                "DOB",
-                "dob",
-                "the",
-                "of the",
-                "to",
-                "TO_of",
-                "na",
-                "visit_na_dob",
-                "height in cm",
-                "diagnoses",
-                "icd10code",
-                "___",
-                "",
-                " ",
-                "größe",
-                "GRÖSSE",
-                "患者",
-                ".",
-            ]),
-            0..4,
-        )
-        .prop_map(|parts| parts.join(" "))
-    }
-
-    fn arb_document() -> impl proptest::prelude::Strategy<Value = IndexDocument> {
-        use proptest::prelude::Strategy;
-        (
-            arb_source(),
-            arb_source(),
-            proptest::collection::vec(arb_source(), 0..7),
-            proptest::collection::vec(arb_source(), 0..4),
-        )
-            .prop_map(|(title, summary, elements, docs)| IndexDocument {
-                id: SchemaId(0),
-                title,
-                summary,
-                elements,
-                docs,
-            })
+    fn arb_document() -> impl Strategy<Value = OwnedDocument> {
+        (arb_text(), arb_text(), arb_schema()).prop_map(|(title, summary, schema)| OwnedDocument {
+            id: SchemaId(0),
+            title,
+            summary,
+            schema,
+        })
     }
 
     /// The standard pipelines over a dictionary with an abbreviation made
@@ -1223,52 +1173,37 @@ mod tests {
         )
     }
 
-    /// What a head built from `docs` (document `i` at ordinal `i`) must
-    /// hold, by the allocating reference: per document the field lengths,
-    /// the forward keys in `(field, term)` order, and in each key's
-    /// postings list the document's positions.
+    /// A head built from `docs` (document `i` at ordinal `i`) holds what
+    /// the flattening reference spells out: per document and field the
+    /// `(term, position)` sequence and its length, and forward keys in
+    /// `(field, term)` order that name every posting of the document.
     fn check_head_against_the_reference(
         head: &FlatSegment,
-        docs: &[IndexDocument],
+        docs: &[OwnedDocument],
         names: &Analyzer,
         prose: &Analyzer,
     ) {
-        use std::collections::BTreeMap;
         for (ord, doc) in docs.iter().enumerate() {
             let ord = ord as crate::DocOrd;
-            let (lengths, keys, occurrences) = reference_analysis(doc, names, prose);
+            let mut held: [Vec<(String, u32)>; Field::COUNT] = Default::default();
+            let mut keys = Vec::new();
+            for &list in head.lists_of(ord) {
+                let field = (0..Field::COUNT)
+                    .find(|&f| head.field_lists(f).contains(&list))
+                    .expect("every list belongs to a field");
+                let (term, postings) = (head.term(list), head.list(list));
+                let posting = postings.find(ord).expect("a forward key has a posting");
+                let positions = postings.positions(posting).iter();
+                held[field].extend(positions.map(|&p| (term.to_string(), p)));
+                keys.push((field, term));
+            }
+            assert!(keys.windows(2).all(|pair| pair[0] < pair[1]));
             for field in Field::ALL {
-                assert_eq!(
-                    &doc.field_terms_positioned(field, names, prose),
-                    &occurrences[field.ordinal() as usize]
-                );
-            }
-            let held: [u32; Field::COUNT] = std::array::from_fn(|f| head.field_len(ord, f));
-            assert_eq!(held, lengths);
-            let mut expected: BTreeMap<(u8, &str), Vec<u32>> = BTreeMap::new();
-            for (field_ord, terms) in occurrences.iter().enumerate() {
-                for (term, position) in terms {
-                    let key = (field_ord as u8, term.as_str());
-                    expected.entry(key).or_default().push(*position);
-                }
-            }
-            let forward: Vec<(u8, &str)> = head
-                .lists_of(ord)
-                .iter()
-                .map(|&list| {
-                    let field = (0..Field::COUNT)
-                        .find(|&f| head.field_lists(f).contains(&list))
-                        .expect("every list belongs to a field");
-                    (field as u8, head.term(list))
-                })
-                .collect();
-            let keys: Vec<(u8, &str)> = keys.iter().map(|(f, t)| (*f, t.as_str())).collect();
-            assert_eq!(&forward, &keys);
-            for (&(field_ord, term), positions) in &expected {
-                let field = Field::from_ordinal(field_ord).expect("a field ordinal");
-                let list = head.list(head.find(field, term).expect("a key has a list"));
-                let posting = list.find(ord).expect("a key has a posting");
-                assert_eq!(list.positions(posting), &positions[..]);
+                let f = field.ordinal() as usize;
+                held[f].sort_unstable_by_key(|&(_, position)| position);
+                let expected = doc.view().field_terms_positioned(field, names, prose);
+                assert_eq!(held[f], expected, "{field:?} of document {ord}");
+                assert_eq!(head.field_len(ord, f) as usize, expected.len());
             }
         }
         // No list mentions a document its keys do not name.
@@ -1280,29 +1215,29 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// What the memoised analysis hands the writer — and what the
-        /// head then holds — is the allocating reference's, to the bit:
-        /// field lengths, forward keys, and in every postings list the
-        /// document's positions. The documents go through **one** session
-        /// one at a time, so each follows what the memo, the interner and
-        /// the batch buffers kept of the ones before; and through a fresh
-        /// session each, which must build the very same index.
+        /// What the session writes — each element's terms composed from
+        /// its parent's run and its own name — is what the flattening
+        /// spelled out path by path, to the bit. The documents go through
+        /// **one** session one at a time, so each follows what the memo,
+        /// the interner and the batch buffers kept of the ones before; a
+        /// fresh session each, and one batch, must build the very same
+        /// index.
         #[test]
-        fn streamed_analysis_equals_the_allocating_reference(
-            docs in proptest::collection::vec(arb_document(), 1..6),
+        fn composed_paths_equal_the_flattening_reference(
+            docs in vec(arb_document(), 1..6),
         ) {
             // A token the prose memo meets first (`Docs`), then the name
             // memo (`Title`), ahead of whatever was generated.
-            let met_in_docs_then_title = ["to dob na größe 患者 PatientVisits"].map(String::from);
+            let met_in_docs_then_title = "to dob na größe 患者 PatientVisits";
             let fixed = [
-                IndexDocument { docs: met_in_docs_then_title.to_vec(), ..doc(0, "", &[]) },
-                doc(0, &met_in_docs_then_title[0], &[]),
+                OwnedDocument::new(0, "", [""; 0]).with_docs([met_in_docs_then_title]),
+                OwnedDocument::new(0, met_in_docs_then_title, [""; 0]),
             ];
-            let docs: Vec<IndexDocument> = fixed
+            let docs: Vec<OwnedDocument> = fixed
                 .into_iter()
                 .chain(docs)
                 .enumerate()
-                .map(|(i, doc)| IndexDocument { id: SchemaId(i as u64), ..doc })
+                .map(|(i, doc)| OwnedDocument { id: SchemaId(i as u64), ..doc })
                 .collect();
             let (names, prose) = memo_analyzers();
             let index_over = || {
@@ -1311,7 +1246,7 @@ mod tests {
             let one_session = index_over();
             let mut session = one_session.session();
             for doc in &docs {
-                session.apply([IndexChange::Put(doc)]);
+                session.apply([IndexChange::Put(doc.view())]);
             }
             drop(session);
             let head = &one_session.snapshot().segments[0].data;
@@ -1319,14 +1254,14 @@ mod tests {
 
             let fresh_sessions = index_over();
             for doc in &docs {
-                fresh_sessions.apply([IndexChange::Put(doc)]);
+                fresh_sessions.add(doc.view());
             }
             proptest::prop_assert_eq!(
                 crate::codec::encode(&fresh_sessions),
                 crate::codec::encode(&one_session)
             );
             let one_batch = index_over();
-            one_batch.apply(docs.iter().map(IndexChange::Put));
+            one_batch.apply(docs.iter().map(|doc| IndexChange::Put(doc.view())));
             proptest::prop_assert_eq!(
                 crate::codec::encode(&one_batch),
                 crate::codec::encode(&one_session)
@@ -1344,17 +1279,11 @@ mod tests {
                 .collect();
             format!("{letters:q<200}")
         };
-        let hostile = IndexDocument {
-            id: SchemaId(1),
-            title: "z".repeat(1 << 20),
-            summary: String::new(),
-            elements: (0..50_000).map(word).collect(),
-            docs: vec![],
-        };
+        let hostile = OwnedDocument::new(1, &"z".repeat(1 << 20), (0..50_000).map(word));
         let text_bytes = hostile.title.len() + 50_000 * 200;
         let index = Index::new().with_seal_threshold(usize::MAX);
         let mut session = index.session();
-        assert_eq!(session.apply([IndexChange::Put(&hostile)]), 1);
+        assert_eq!(session.apply([IndexChange::Put(hostile.view())]), 1);
 
         let snapshot = index.snapshot();
         let docs = std::slice::from_ref(&hostile);
@@ -1363,19 +1292,19 @@ mod tests {
         assert_eq!(snapshot.stats().distinct_terms, 50_001);
         // Tokens over 64 bytes bypass the memos; what the session holds
         // is each distinct term's text once (a `String`'s growth may
-        // double it), 64 bytes of tables a term, and the batch: 72 bytes
-        // an occurrence across the occurrence list, the key list and the
-        // batch's keys and positions, growth slack included.
+        // double it), 64 bytes of tables a term, and the batch: 80 bytes
+        // an occurrence across the runs, the occurrence list, the key
+        // list and the batch's keys and positions, growth slack included.
         assert_eq!(session.remembered_tokens(), 0);
-        let bound = 2 * text_bytes + 50_001 * (64 + 72) + (64 << 10);
+        let bound = 2 * text_bytes + 50_001 * (64 + 80) + (64 << 10);
         assert!(
             session.heap_bytes() <= bound,
             "{} bytes held after {text_bytes} bytes of text (bound {bound})",
             session.heap_bytes()
         );
         // The session goes on working in its usual way.
-        let clinic = doc(2, "clinic", &["patient.height", "patient.gender"]);
-        session.apply([IndexChange::Put(&clinic)]);
+        let clinic = OwnedDocument::new(2, "clinic", ["patient.height", "patient.gender"]);
+        session.apply([IndexChange::Put(clinic.view())]);
         assert_eq!(session.remembered_tokens(), 4);
         let hits = index.search(&["patient", "height"], &SearchOptions::default());
         assert_eq!(hits[0].id, SchemaId(2));
@@ -1385,7 +1314,7 @@ mod tests {
     fn merge_compacts_crowded_segment_lists() {
         let index = Index::new().with_seal_threshold(1);
         for i in 0..20 {
-            index.add(&doc(i, "t", &["patient"]));
+            index.add(OwnedDocument::new(i, "t", ["patient"]).view());
         }
         assert!(index.segment_count() > MAX_SEGMENTS);
         let outcome = index.merge(0.5).expect("crowding alone triggers a merge");

@@ -28,7 +28,9 @@ pub struct IndexMetrics {
     pub lists_pruned: Arc<Counter>,
     /// Posting entries the pruner proved unable to rank and never visited.
     pub postings_pruned: Arc<Counter>,
-    /// Raw tokens the write path looked up in its word memo.
+    /// Raw tokens the write path looked up in its word memo: each
+    /// element's own name once (a path reuses its parent's terms), the
+    /// title, the summary and the docs.
     pub tokens: Arc<Counter>,
     /// Of those, the tokens that ran the analysis pipeline: a memo miss,
     /// or a token too long to remember.
@@ -82,7 +84,7 @@ impl IndexMetrics {
             ),
             tokens: registry.counter(
                 "schemr_index_tokens_total",
-                "Raw tokens the index write path looked up in its word memo.",
+                "Raw tokens the index write path looked up in its word memo: titles, summaries, docs, and each element's own name (a path reuses its parent's terms).",
             ),
             token_analyses: registry.counter(
                 "schemr_index_token_analyses_total",

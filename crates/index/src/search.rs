@@ -890,22 +890,16 @@ fn scan_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::document::IndexDocument;
+    use crate::document::OwnedDocument;
     use crate::memory::{Index, IndexChange};
 
-    fn doc(id: u64, elements: &[&str]) -> IndexDocument {
-        IndexDocument {
-            id: SchemaId(id),
-            title: format!("schema{id}"),
-            summary: String::new(),
-            elements: elements.iter().map(|s| s.to_string()).collect(),
-            docs: vec![],
-        }
+    fn doc(id: u64, elements: &[&str]) -> OwnedDocument {
+        OwnedDocument::new(id, &format!("schema{id}"), elements)
     }
 
-    fn build(docs: &[IndexDocument]) -> Index {
+    fn build(docs: &[OwnedDocument]) -> Index {
         let index = Index::new();
-        index.apply(docs.iter().map(IndexChange::Put));
+        index.apply(docs.iter().map(|doc| IndexChange::Put(doc.view())));
         index
     }
 
@@ -958,7 +952,7 @@ mod tests {
 
     #[test]
     fn rare_terms_outweigh_common_ones() {
-        let mut docs: Vec<IndexDocument> = (0..20).map(|i| doc(i, &["common"])).collect();
+        let mut docs: Vec<OwnedDocument> = (0..20).map(|i| doc(i, &["common"])).collect();
         docs.push(doc(100, &["common", "rare"]));
         docs.push(doc(101, &["common", "common2"]));
         let index = build(&docs);
@@ -968,7 +962,7 @@ mod tests {
 
     #[test]
     fn top_n_truncates_deterministically() {
-        let docs: Vec<IndexDocument> = (0..30).map(|i| doc(i, &["patient"])).collect();
+        let docs: Vec<OwnedDocument> = (0..30).map(|i| doc(i, &["patient"])).collect();
         let index = build(&docs);
         let hits = index.search(
             &["patient"],
@@ -1057,20 +1051,8 @@ mod tests {
         // keep doc 2's two adjacent single-token elements from collecting
         // the compound-name bonus.
         let index = build(&[
-            IndexDocument {
-                id: SchemaId(1),
-                title: String::new(),
-                summary: String::new(),
-                elements: vec!["patient_height".into()],
-                docs: vec![],
-            },
-            IndexDocument {
-                id: SchemaId(2),
-                title: String::new(),
-                summary: String::new(),
-                elements: vec!["patient".into(), "height".into()],
-                docs: vec![],
-            },
+            OwnedDocument::new(1, "", ["patient_height"]),
+            OwnedDocument::new(2, "", ["patient", "height"]),
         ]);
         let hits = index.search(&["patient", "height"], &SearchOptions::default());
         assert_eq!(hits.len(), 2);
@@ -1096,20 +1078,8 @@ mod tests {
     fn postings_scanned_counts_scoring_and_proximity_work() {
         let reg = schemr_obs::MetricsRegistry::new();
         let index = Index::new().with_metrics(crate::metrics::IndexMetrics::registered(&reg));
-        index.add(&IndexDocument {
-            id: SchemaId(1),
-            title: String::new(),
-            summary: String::new(),
-            elements: vec!["patient_height".into()],
-            docs: vec![],
-        });
-        index.add(&IndexDocument {
-            id: SchemaId(2),
-            title: String::new(),
-            summary: String::new(),
-            elements: vec!["patient".into()],
-            docs: vec![],
-        });
+        index.add(OwnedDocument::new(1, "", ["patient_height"]).view());
+        index.add(OwnedDocument::new(2, "", ["patient"]).view());
         index.search(&["patient", "height"], &SearchOptions::default());
         // Scoring walks (Elements, patient) = 2 postings and
         // (Elements, height) = 1 posting; the proximity lockstep walk over
@@ -1133,20 +1103,8 @@ mod tests {
     #[test]
     fn title_hits_outscore_element_hits() {
         let index = build(&[
-            IndexDocument {
-                id: SchemaId(1),
-                title: "patient".into(),
-                summary: String::new(),
-                elements: vec!["x".into()],
-                docs: vec![],
-            },
-            IndexDocument {
-                id: SchemaId(2),
-                title: "other".into(),
-                summary: String::new(),
-                elements: vec!["patient".into()],
-                docs: vec![],
-            },
+            OwnedDocument::new(1, "patient", ["x"]),
+            OwnedDocument::new(2, "other", ["patient"]),
         ]);
         let hits = index.search(&["patient"], &SearchOptions::default());
         assert_eq!(hits[0].id, SchemaId(1));
@@ -1184,9 +1142,9 @@ mod tests {
         // One document holds the rare term; two hundred hold only the
         // common term. With top_n = 1 the rare hit alone sets a floor the
         // common-only documents can never reach.
-        index.add(&doc(0, &["rare"]));
+        index.add(doc(0, &["rare"]).view());
         for i in 1..=200 {
-            index.add(&doc(i, &["common"]));
+            index.add(doc(i, &["common"]).view());
         }
         let opts = SearchOptions {
             top_n: 1,
@@ -1227,9 +1185,9 @@ mod tests {
         // carried floor must activate in later segments without ever
         // changing a returned bit.
         let index = Index::new().with_seal_threshold(32);
-        index.add(&doc(0, &["rare"]));
+        index.add(doc(0, &["rare"]).view());
         for i in 1..=200 {
-            index.add(&doc(i, &["common"]));
+            index.add(doc(i, &["common"]).view());
         }
         assert!(index.segment_count() > 1);
         let opts = SearchOptions {
@@ -1260,12 +1218,12 @@ mod tests {
         let reg = schemr_obs::MetricsRegistry::new();
         let index = Index::new().with_metrics(crate::metrics::IndexMetrics::registered(&reg));
         for i in 0..50 {
-            index.add(&doc(i, &["patient_height"]));
+            index.add(doc(i, &["patient_height"]).view());
         }
         for i in 0..50 {
             index.remove(SchemaId(i));
         }
-        index.add(&doc(100, &["unrelated"]));
+        index.add(doc(100, &["unrelated"]).view());
         let hits = index.search(&["patient", "height"], &SearchOptions::default());
         assert!(hits.is_empty());
         // Scoring skips the df-0 lists before touching postings, and the

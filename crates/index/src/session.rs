@@ -3,7 +3,10 @@
 //! A schema corpus repeats its vocabulary heavily — 30,000 generated
 //! schemas hold 1.9 million term occurrences over ≈16,000 distinct raw
 //! tokens and ≈11,600 distinct terms — so the write path runs the
-//! analysis pipeline once per distinct token and then works in integers:
+//! analysis pipeline once per distinct token and then works in integers.
+//! It reads a schema's element column as stored, each name once: a dotted
+//! path analyzes to its parent's terms followed by its own name's, so no
+//! path is ever spelled out.
 //!
 //! * a **word memo** per pipeline (names, prose) maps a raw token to the
 //!   run of term ids it analyzes to; the same token under the two
@@ -35,7 +38,7 @@
 
 use std::hash::{BuildHasher, RandomState};
 
-use schemr_model::SchemaId;
+use schemr_model::{ElementId, SchemaId};
 use schemr_text::tokenize::tokenize;
 use schemr_text::{AnalyzeScratch, Analyzer};
 
@@ -427,6 +430,10 @@ pub struct Session<'i> {
     memos: [WordMemo; 2],
     terms: Interner,
     rows: RowTable,
+    /// The current field's source strings as runs of term ids: source
+    /// `i`'s is `runs[run_ends[i - 1]..run_ends[i]]`.
+    runs: Vec<u32>,
+    run_ends: Vec<u32>,
     /// The current document's occurrences: field in the top 2 bits, then
     /// 30 of term id, then the position.
     occurrences: Vec<u64>,
@@ -455,6 +462,8 @@ impl<'i> Session<'i> {
             memos: [WordMemo::new(), WordMemo::new()],
             terms: Interner::new(),
             rows: RowTable::new(),
+            runs: Vec::new(),
+            run_ends: Vec::new(),
             occurrences: Vec::new(),
             doc_keys: Vec::new(),
             batch: Batch::default(),
@@ -482,7 +491,14 @@ impl<'i> Session<'i> {
 
     /// Analyze a document into the batch: its distinct `(field, term)`
     /// keys in the order the head wants them, and each key's positions.
-    fn analyze(&mut self, doc: &IndexDocument) {
+    ///
+    /// Every source string becomes a run of term ids at consecutive
+    /// positions. An element's source is its dotted path; a token never
+    /// spans a dot, so the path's run is its parent's run followed by the
+    /// terms of its own name. The elements are read in id order, parents
+    /// first, so each name is analyzed once and the parent's run is
+    /// already in `runs`.
+    fn analyze(&mut self, doc: IndexDocument<'_>) {
         if self.occurrences.capacity() == 0 {
             self.reserve_small_batch();
         }
@@ -491,6 +507,8 @@ impl<'i> Session<'i> {
             scratch,
             memos,
             terms,
+            runs,
+            run_ends,
             occurrences,
             doc_keys,
             batch,
@@ -506,15 +524,39 @@ impl<'i> Session<'i> {
             let tag = u64::from(field.ordinal()) << 62;
             let before = occurrences.len();
             let mut positions = Positions::default();
-            doc.for_each_source(field, |source| {
-                positions.start_source();
-                for token in tokenize(source) {
-                    for &term in memo.terms_of(token.text, analyzer, scratch, terms, counts) {
-                        let position = u64::from(positions.next());
-                        occurrences.push(tag | u64::from(term) << 32 | position);
-                    }
+            runs.clear();
+            run_ends.clear();
+            // One source: the run of this field's source `prefix`, if
+            // any, then the terms of `text`.
+            let mut source = |prefix: Option<usize>, text: &str| {
+                let start = runs.len();
+                if let Some(i) = prefix {
+                    let from = i.checked_sub(1).map_or(0, |prev| run_ends[prev]);
+                    runs.extend_from_within(from as usize..run_ends[i] as usize);
                 }
-            });
+                for token in tokenize(text) {
+                    runs.extend_from_slice(
+                        memo.terms_of(token.text, analyzer, scratch, terms, counts),
+                    );
+                }
+                run_ends.push(offset(runs.len()));
+                positions.start_source();
+                for &term in &runs[start..] {
+                    let position = u64::from(positions.next());
+                    occurrences.push(tag | u64::from(term) << 32 | position);
+                }
+            };
+            let elements = doc.schema.elements();
+            match field {
+                Field::Title => source(None, doc.title),
+                Field::Summary => source(None, doc.summary),
+                Field::Elements => {
+                    elements.for_each(|el| source(el.parent.map(ElementId::index), el.name))
+                }
+                Field::Docs => elements
+                    .filter_map(|el| el.doc)
+                    .for_each(|text| source(None, text)),
+            }
             field_lengths[field.ordinal() as usize] = offset(occurrences.len() - before);
         }
         // Integers order the occurrences: a key's are adjacent, positions
@@ -562,6 +604,8 @@ impl<'i> Session<'i> {
             memo.runs.reserve(WORDS + WORDS / 4);
         }
         self.terms.reserve(WORDS);
+        self.runs.reserve(2 * WORDS);
+        self.run_ends.reserve(WORDS);
         self.occurrences.reserve(2 * WORDS);
         self.doc_keys.reserve(WORDS);
         self.batch.keys.reserve(WORDS);
@@ -580,6 +624,7 @@ impl<'i> Session<'i> {
         self.memos.iter().map(WordMemo::heap_bytes).sum::<usize>()
             + self.terms.heap_bytes()
             + self.rows.terms.capacity() * 20
+            + 4 * (self.runs.capacity() + self.run_ends.capacity())
             + self.occurrences.capacity() * 8
             + self.doc_keys.capacity() * 16
             + self.batch.heap_bytes()

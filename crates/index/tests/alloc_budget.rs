@@ -9,7 +9,7 @@
 //! reaches nothing else; counts are per thread, so the harness's own
 //! threads do not disturb the one running a test.
 
-use schemr_index::{codec, Index, IndexChange, IndexDocument};
+use schemr_index::{codec, Index, IndexChange, OwnedDocument};
 use schemr_model::SchemaId;
 use schemr_obs::alloc::{thread_alloc_bytes, thread_alloc_count, CountingAlloc};
 use schemr_obs::DeepSize;
@@ -30,32 +30,28 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 
 /// A schema-sized document: `elements` compound names over a vocabulary
 /// wide enough that segments hold a few hundred lists.
-fn doc(id: u64, elements: usize) -> IndexDocument {
+fn doc(id: u64, elements: usize) -> OwnedDocument {
     doc_over(id, elements, 211)
 }
 
 /// [`doc`] over a vocabulary of `words` words.
-fn doc_over(id: u64, elements: usize, words: u64) -> IndexDocument {
+fn doc_over(id: u64, elements: usize, words: u64) -> OwnedDocument {
     let word = |i: u64| format!("w{}", (id * 7 + i * 13) % words);
-    IndexDocument {
-        id: SchemaId(id),
-        title: format!("{} {}", word(0), word(1)),
-        summary: format!("the {} of {}", word(2), word(3)),
-        elements: (0..elements as u64)
-            .map(|i| format!("{}.{}_{}", word(i), word(i + 1), word(i + 2)))
-            .collect(),
-        docs: vec![format!("{} in {}", word(4), word(5))],
-    }
+    let elements =
+        (0..elements as u64).map(|i| format!("{}.{}_{}", word(i), word(i + 1), word(i + 2)));
+    OwnedDocument::new(id, &format!("{} {}", word(0), word(1)), elements)
+        .with_summary(&format!("the {} of {}", word(2), word(3)))
+        .with_docs([format!("{} in {}", word(4), word(5))])
 }
 
 /// `segments` sealed segments of 128 documents plus a head, with overlay
 /// and baked tombstones.
 fn index_of(segments: u64, elements: usize) -> Index {
     let index = Index::new().with_seal_threshold(128);
-    let docs: Vec<IndexDocument> = (0..segments * 128 + 40)
+    let docs: Vec<OwnedDocument> = (0..segments * 128 + 40)
         .map(|id| doc(id, elements))
         .collect();
-    index.apply(docs.iter().map(IndexChange::Put));
+    index.apply(docs.iter().map(|d| IndexChange::Put(d.view())));
     for id in (0..segments * 128 + 40).step_by(17) {
         assert!(index.remove(SchemaId(id)));
     }
@@ -116,11 +112,12 @@ fn publishing_the_head_allocates_nothing_per_posting() {
     let mut per_add = Vec::new();
     for head_docs in [50u64, 500] {
         let index = Index::new();
-        let docs: Vec<IndexDocument> = (0..head_docs).map(|id| doc(id, 24)).collect();
-        index.apply(docs.iter().map(IndexChange::Put));
+        let docs: Vec<OwnedDocument> = (0..head_docs).map(|id| doc(id, 24)).collect();
+        index.apply(docs.iter().map(|d| IndexChange::Put(d.view())));
         let postings = index.stats().postings;
         // Re-adding replaces: every term is known, the head only grows.
-        let (_, allocations, _) = counted(|| docs[..8].iter().for_each(|doc| index.add(doc)));
+        let (_, allocations, _) =
+            counted(|| docs[..8].iter().for_each(|doc| index.add(doc.view())));
         per_add.push((allocations / 8, postings));
     }
     let [(small_head, few), (large_head, many)] = per_add[..] else {
@@ -144,11 +141,11 @@ fn a_warm_session_allocates_nothing_per_document_or_occurrence() {
     // size.
     for elements in [12, 60] {
         let index = Index::new().with_seal_threshold(4096);
-        let docs: Vec<IndexDocument> = (0..2048).map(|id| doc_over(id, elements, 13)).collect();
+        let docs: Vec<OwnedDocument> = (0..2048).map(|id| doc_over(id, elements, 13)).collect();
         let mut session = index.session();
-        session.apply(docs[..1024].iter().map(IndexChange::Put));
+        session.apply(docs[..1024].iter().map(|d| IndexChange::Put(d.view())));
         let (applied, allocations, _) =
-            counted(|| session.apply(docs[1024..].iter().map(IndexChange::Put)));
+            counted(|| session.apply(docs[1024..].iter().map(|d| IndexChange::Put(d.view()))));
         assert_eq!(applied, 1024);
         assert!(
             allocations < 512,
@@ -161,14 +158,15 @@ fn a_warm_session_allocates_nothing_per_document_or_occurrence() {
 fn a_cold_two_document_apply_allocates_a_small_constant() {
     // What a scheduler tick's batch pays for opening a session of its own:
     // the tables start at a small batch's size and do not grow in one
-    // (60 here). The path this replaced — three `Vec`s a document and a
+    // (62 here). The path this replaced — three `Vec`s a document and a
     // scratch arena — read 57; the session may cost at most 24 more.
     const HEAD_COLD: u64 = 57;
     let index = Index::new();
-    let warm: Vec<IndexDocument> = (0..50).map(|id| doc(id, 24)).collect();
-    index.apply(warm.iter().map(IndexChange::Put));
+    let warm: Vec<OwnedDocument> = (0..50).map(|id| doc(id, 24)).collect();
+    index.apply(warm.iter().map(|d| IndexChange::Put(d.view())));
     let batch = [doc(3, 24), doc(4, 24)];
-    let (applied, allocations, _) = counted(|| index.apply(batch.iter().map(IndexChange::Put)));
+    let (applied, allocations, _) =
+        counted(|| index.apply(batch.iter().map(|d| IndexChange::Put(d.view()))));
     assert_eq!(applied, 2);
     assert!(
         allocations <= HEAD_COLD + 24,

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use schemr_index::{Hit, Index, IndexChange, IndexDocument, SearchOptions};
+use schemr_index::{Hit, Index, IndexChange, OwnedDocument, SearchOptions};
 use schemr_model::SchemaId;
 
 /// xorshift64* — deterministic, no dependencies.
@@ -45,18 +45,12 @@ const VOCAB: &[&str] = &[
     "order_total",
 ];
 
-fn doc(id: u64, rng: &mut Rng) -> IndexDocument {
+fn doc(id: u64, rng: &mut Rng) -> OwnedDocument {
     let n = 2 + rng.below(4) as usize;
-    let elements = (0..n)
+    let elements: Vec<_> = (0..n)
         .map(|_| VOCAB[rng.below(VOCAB.len() as u64) as usize].to_string())
         .collect();
-    IndexDocument {
-        id: SchemaId(id),
-        title: format!("schema{}", rng.below(6)),
-        summary: String::new(),
-        elements,
-        docs: vec![],
-    }
+    OwnedDocument::new(id, &format!("schema{}", rng.below(6)), elements)
 }
 
 const QUERIES: &[&[&str]] = &[
@@ -125,7 +119,7 @@ fn interleaved_churn_matches_a_fresh_rebuild() {
     let mut rng = Rng(0x5EED_CAFE);
     let index = Index::new();
     // Model of what should be live: id → current document.
-    let mut live: BTreeMap<u64, IndexDocument> = BTreeMap::new();
+    let mut live: BTreeMap<u64, OwnedDocument> = BTreeMap::new();
 
     for step in 0..400u32 {
         let id = rng.below(48);
@@ -133,7 +127,7 @@ fn interleaved_churn_matches_a_fresh_rebuild() {
             0 | 1 => {
                 // Put (fresh insert or replacement).
                 let d = doc(id, &mut rng);
-                index.add(&d);
+                index.add(d.view());
                 live.insert(id, d);
             }
             _ => {
@@ -148,7 +142,7 @@ fn interleaved_churn_matches_a_fresh_rebuild() {
     // must return exactly the same ranked hits.
     let fresh = Index::new();
     for d in live.values() {
-        fresh.add(d);
+        fresh.add(d.view());
     }
     let churned_hits = all_results(&index);
     let fresh_hits = all_results(&fresh);
@@ -178,7 +172,7 @@ fn codec_round_trip_preserves_live_df_under_churn() {
         if rng.below(3) == 0 {
             index.remove(SchemaId(id));
         } else {
-            index.add(&doc(id, &mut rng));
+            index.add(doc(id, &mut rng).view());
         }
     }
     let decoded = schemr_index::codec::decode(&schemr_index::codec::encode(&index)).unwrap();
@@ -214,8 +208,8 @@ fn codec_round_trip_preserves_live_df_under_churn() {
     // merge of the loaded copy alone changes no bit.
     for id in [3, 7, 30] {
         let d = doc(id, &mut rng);
-        decoded.add(&d);
-        index.add(&d);
+        decoded.add(d.view());
+        index.add(d.view());
     }
     assert_same_bits("post-put");
     decoded
@@ -233,23 +227,11 @@ fn churning_out_a_term_pair_costs_the_proximity_walk_nothing() {
     // credit. Dead (live_df = 0) lists must now be skipped outright.
     let index = Index::new();
     for i in 0..40u64 {
-        index.add(&IndexDocument {
-            id: SchemaId(i),
-            title: String::new(),
-            summary: String::new(),
-            elements: vec!["patient".into(), "height".into()],
-            docs: vec![],
-        });
+        index.add(OwnedDocument::new(i, "", ["patient", "height"]).view());
     }
     // One unrelated live document keeps the index non-empty so the
     // search path runs end to end.
-    index.add(&IndexDocument {
-        id: SchemaId(1_000),
-        title: String::new(),
-        summary: String::new(),
-        elements: vec!["doctor".into()],
-        docs: vec![],
-    });
+    index.add(OwnedDocument::new(1_000, "", ["doctor"]).view());
     for i in 0..40u64 {
         assert!(index.remove(SchemaId(i)));
     }
@@ -292,13 +274,7 @@ fn churning_out_a_term_pair_costs_the_proximity_walk_nothing() {
 fn revision_moves_on_every_mutation_and_is_instance_scoped() {
     let index = Index::new();
     let r0 = index.revision();
-    index.add(&IndexDocument {
-        id: SchemaId(1),
-        title: "t".into(),
-        summary: String::new(),
-        elements: vec!["patient".into()],
-        docs: vec![],
-    });
+    index.add(OwnedDocument::new(1, "t", ["patient"]).view());
     let r1 = index.revision();
     assert_ne!(r0, r1, "add must move the revision");
     assert!(!index.remove(SchemaId(9)));
@@ -320,7 +296,7 @@ fn a_batch_equals_the_same_changes_applied_one_by_one() {
     // indistinguishable — revision, counts, layout-derived stats and
     // every hit bit — from its changes applied one at a time.
     let mut rng = Rng(0xBA7C_4ED5);
-    let docs: Vec<IndexDocument> = (0..160)
+    let docs: Vec<OwnedDocument> = (0..160)
         .map(|_| {
             let id = rng.below(24);
             doc(id, &mut rng)
@@ -329,12 +305,12 @@ fn a_batch_equals_the_same_changes_applied_one_by_one() {
     // Opens with a put-then-delete of one id and a delete of an id that
     // was never put, all inside the first batch.
     let mut history = vec![
-        IndexChange::Put(&docs[0]),
+        IndexChange::Put(docs[0].view()),
         IndexChange::Delete(docs[0].id),
         IndexChange::Delete(SchemaId(999)),
     ];
     for d in &docs[1..] {
-        history.push(IndexChange::Put(d));
+        history.push(IndexChange::Put(d.view()));
         if rng.below(2) == 0 {
             history.push(IndexChange::Delete(SchemaId(rng.below(24))));
         }

@@ -6,7 +6,7 @@
 //! `src/codec/hostile.rs`, which can reach the column writer.)
 
 use schemr_index::codec::{decode, encode, CodecError};
-use schemr_index::{Index, IndexDocument, SearchOptions};
+use schemr_index::{Index, OwnedDocument, SearchOptions};
 use schemr_model::SchemaId;
 
 const QUERIES: &[&[&str]] = &[
@@ -15,14 +15,10 @@ const QUERIES: &[&[&str]] = &[
     &["order", "total", "patient"],
 ];
 
-fn doc(id: u64, title: &str, elements: &[&str]) -> IndexDocument {
-    IndexDocument {
-        id: SchemaId(id),
-        title: title.to_string(),
-        summary: "a rural clinic".to_string(),
-        elements: elements.iter().map(|e| e.to_string()).collect(),
-        docs: vec!["height in cm".to_string()],
-    }
+fn doc(id: u64, title: &str, elements: &[&str]) -> OwnedDocument {
+    OwnedDocument::new(id, title, elements)
+        .with_summary("a rural clinic")
+        .with_docs(["height in cm"])
 }
 
 /// Three sealed segments and a head; overlay tombstones on the first
@@ -31,15 +27,11 @@ fn fixture() -> Index {
     let index = Index::new().with_seal_threshold(3);
     for id in 0..11 {
         let title = ["clinic", "ward", "store"][id as usize % 3];
-        index.add(&doc(
-            id,
-            title,
-            &["patient.height", "order.total", "patient"],
-        ));
+        index.add(doc(id, title, &["patient.height", "order.total", "patient"]).view());
     }
     index.remove(SchemaId(1));
-    index.add(&doc(2, "ward", &["patient.gender"]));
-    index.add(&doc(10, "store", &["order"]));
+    index.add(doc(2, "ward", &["patient.gender"]).view());
+    index.add(doc(10, "store", &["order"]).view());
     assert_eq!(index.segment_count(), 5);
     assert!(index.stats().total_docs > index.stats().live_docs);
     index

@@ -2,13 +2,13 @@
 //! invariants, and tombstone behaviour.
 
 use proptest::prelude::*;
-use schemr_index::{codec, Index, IndexChange, IndexDocument, SearchOptions};
+use schemr_index::{codec, Index, IndexChange, OwnedDocument, SearchOptions};
 use schemr_model::SchemaId;
 
 /// A merge threshold any single tombstone clears.
 const ANY_TOMBSTONE: f64 = 1e-9;
 
-fn arb_documents() -> impl Strategy<Value = Vec<IndexDocument>> {
+fn arb_documents() -> impl Strategy<Value = Vec<OwnedDocument>> {
     proptest::collection::vec(
         (
             0u64..32,
@@ -19,13 +19,7 @@ fn arb_documents() -> impl Strategy<Value = Vec<IndexDocument>> {
     )
     .prop_map(|docs| {
         docs.into_iter()
-            .map(|(id, title, elements)| IndexDocument {
-                id: SchemaId(id),
-                title,
-                summary: String::new(),
-                elements,
-                docs: vec![],
-            })
+            .map(|(id, title, elements)| OwnedDocument::new(id, &title, elements))
             .collect()
     })
 }
@@ -39,7 +33,7 @@ proptest! {
     #[test]
     fn codec_round_trip(docs in arb_documents(), query in arb_query()) {
         let index = Index::new();
-        index.apply(docs.iter().map(IndexChange::Put));
+        index.apply(docs.iter().map(|d| IndexChange::Put(d.view())));
         let decoded = codec::decode(&codec::encode(&index)).unwrap();
         prop_assert_eq!(decoded.stats(), index.stats());
         let q: Vec<&str> = query.iter().map(String::as_str).collect();
@@ -56,7 +50,7 @@ proptest! {
     #[test]
     fn decoder_never_panics(docs in arb_documents(), cut in 0usize..4096, flip in 0usize..4096) {
         let index = Index::new();
-        index.apply(docs.iter().map(IndexChange::Put));
+        index.apply(docs.iter().map(|d| IndexChange::Put(d.view())));
         let mut data = codec::encode(&index).to_vec();
         if !data.is_empty() {
             let f = flip % data.len();
@@ -71,7 +65,7 @@ proptest! {
     #[test]
     fn hits_sorted_and_unique(docs in arb_documents(), query in arb_query()) {
         let index = Index::new();
-        index.apply(docs.iter().map(IndexChange::Put));
+        index.apply(docs.iter().map(|d| IndexChange::Put(d.view())));
         let q: Vec<&str> = query.iter().map(String::as_str).collect();
         let hits = index.search(&q, &SearchOptions::default());
         for w in hits.windows(2) {
@@ -85,7 +79,7 @@ proptest! {
     #[test]
     fn top_n_is_a_prefix(docs in arb_documents(), query in arb_query(), n in 1usize..8) {
         let index = Index::new();
-        index.apply(docs.iter().map(IndexChange::Put));
+        index.apply(docs.iter().map(|d| IndexChange::Put(d.view())));
         let q: Vec<&str> = query.iter().map(String::as_str).collect();
         let full = index.search(&q, &SearchOptions { top_n: usize::MAX, ..Default::default() });
         let cut = index.search(&q, &SearchOptions { top_n: n, ..Default::default() });
@@ -99,7 +93,7 @@ proptest! {
     #[test]
     fn remove_all_then_merge(docs in arb_documents()) {
         let index = Index::new();
-        index.apply(docs.iter().map(IndexChange::Put));
+        index.apply(docs.iter().map(|d| IndexChange::Put(d.view())));
         let ids: Vec<SchemaId> = docs.iter().map(|d| d.id).collect();
         for id in &ids {
             index.remove(*id);
@@ -115,7 +109,7 @@ proptest! {
     #[test]
     fn merge_preserves_search(docs in arb_documents(), query in arb_query()) {
         let index = Index::new();
-        index.apply(docs.iter().map(IndexChange::Put));
+        index.apply(docs.iter().map(|d| IndexChange::Put(d.view())));
         // Remove every third document to create tombstones.
         for d in docs.iter().step_by(3) {
             index.remove(d.id);
@@ -145,7 +139,7 @@ proptest! {
         stride in 2usize..5,
     ) {
         let index = Index::new();
-        index.apply(docs.iter().map(IndexChange::Put));
+        index.apply(docs.iter().map(|d| IndexChange::Put(d.view())));
         // Tombstone a slice so stored bounds go stale-high.
         for d in docs.iter().step_by(stride) {
             index.remove(d.id);
@@ -186,7 +180,7 @@ proptest! {
     #[test]
     fn hit_invariants(docs in arb_documents(), query in arb_query()) {
         let index = Index::new();
-        index.apply(docs.iter().map(IndexChange::Put));
+        index.apply(docs.iter().map(|d| IndexChange::Put(d.view())));
         let q: Vec<&str> = query.iter().map(String::as_str).collect();
         let distinct: std::collections::HashSet<_> = query.iter().collect();
         for hit in index.search(&q, &SearchOptions::default()) {
@@ -213,21 +207,9 @@ fn interleaved_field_lists_never_double_count_a_term() {
     // 0's elements (df 1 → high idf, boost 1.5). A flat boost·idf sort
     // orders the lists alpha-title, beta-elements, alpha-elements —
     // exactly the interleaving that broke the stamp.
-    index.add(&IndexDocument {
-        id: SchemaId(0),
-        title: "alpha".into(),
-        summary: String::new(),
-        elements: vec!["alpha".into(), "beta".into()],
-        docs: vec![],
-    });
+    index.add(OwnedDocument::new(0, "alpha", ["alpha", "beta"]).view());
     for i in 1..=20u64 {
-        index.add(&IndexDocument {
-            id: SchemaId(i),
-            title: String::new(),
-            summary: String::new(),
-            elements: vec!["alpha".into()],
-            docs: vec![],
-        });
+        index.add(OwnedDocument::new(i, "", ["alpha"]).view());
     }
     for prune in [false, true] {
         let options = SearchOptions {

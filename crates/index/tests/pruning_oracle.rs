@@ -12,7 +12,7 @@
 //! Deterministic hand-rolled RNG — no external property-testing
 //! dependency (same idiom as `churn.rs`).
 
-use schemr_index::{codec, Hit, Index, IndexDocument, SearchOptions};
+use schemr_index::{codec, Hit, Index, OwnedDocument, SearchOptions};
 use schemr_model::SchemaId;
 
 /// xorshift64* — deterministic, no dependencies.
@@ -48,18 +48,12 @@ const VOCAB: &[&str] = &[
     "order_total",
 ];
 
-fn doc(id: u64, rng: &mut Rng) -> IndexDocument {
+fn doc(id: u64, rng: &mut Rng) -> OwnedDocument {
     let n = 2 + rng.below(5) as usize;
-    let elements = (0..n)
+    let elements: Vec<_> = (0..n)
         .map(|_| VOCAB[rng.below(VOCAB.len() as u64) as usize].to_string())
         .collect();
-    IndexDocument {
-        id: SchemaId(id),
-        title: format!("schema{}", rng.below(6)),
-        summary: String::new(),
-        elements,
-        docs: vec![],
-    }
+    OwnedDocument::new(id, &format!("schema{}", rng.below(6)), elements)
 }
 
 /// Queries covering the pruner's interesting shapes: single common term,
@@ -140,7 +134,7 @@ fn pruning_is_bitwise_invisible_across_churn_and_merge() {
     for step in 0..700u32 {
         let id = rng.below(96);
         match rng.below(3) {
-            0 | 1 => index.add(&doc(id, &mut rng)),
+            0 | 1 => index.add(doc(id, &mut rng).view()),
             _ => {
                 index.remove(SchemaId(id));
             }
@@ -166,7 +160,7 @@ fn pruning_is_bitwise_invisible_across_churn_and_merge() {
         if rng.below(3) == 0 {
             index.remove(SchemaId(id));
         } else {
-            index.add(&doc(id, &mut rng));
+            index.add(doc(id, &mut rng).view());
         }
     }
     oracle(&index, "merged+rechurned");
@@ -188,13 +182,7 @@ fn pruning_is_bitwise_invisible_on_a_skewed_corpus() {
         if i % 181 == 0 {
             elements.push("assay".to_string());
         }
-        index.add(&IndexDocument {
-            id: SchemaId(i),
-            title: String::new(),
-            summary: String::new(),
-            elements,
-            docs: vec![],
-        });
+        index.add(OwnedDocument::new(i, "", elements).view());
     }
     // Tombstone a band in the middle so block maxima go stale.
     for i in 100..220u64 {

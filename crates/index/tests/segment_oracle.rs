@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use schemr_index::{Hit, Index, IndexChange, IndexDocument, SearchOptions};
+use schemr_index::{Hit, Index, IndexChange, OwnedDocument, SearchOptions};
 use schemr_model::SchemaId;
 
 /// xorshift64* — deterministic, no dependencies.
@@ -55,24 +55,18 @@ const QUERIES: &[&[&str]] = &[
     &["patient_height", "order_total"],
 ];
 
-fn doc(id: u64, rng: &mut Rng) -> IndexDocument {
+fn doc(id: u64, rng: &mut Rng) -> OwnedDocument {
     let n = 2 + rng.below(5) as usize;
-    let elements = (0..n)
+    let elements: Vec<_> = (0..n)
         .map(|_| VOCAB[rng.below(VOCAB.len() as u64) as usize].to_string())
         .collect();
-    IndexDocument {
-        id: SchemaId(id),
-        title: format!("schema{}", rng.below(6)),
-        summary: String::new(),
-        elements,
-        docs: vec![],
-    }
+    OwnedDocument::new(id, &format!("schema{}", rng.below(6)), elements)
 }
 
 /// A monolithic replay of the live set: one segment, no tombstones.
-fn monolith(live: &BTreeMap<u64, IndexDocument>) -> Index {
+fn monolith(live: &BTreeMap<u64, OwnedDocument>) -> Index {
     let mono = Index::new().with_seal_threshold(usize::MAX);
-    mono.apply(live.values().map(IndexChange::Put));
+    mono.apply(live.values().map(|d| IndexChange::Put(d.view())));
     mono
 }
 
@@ -113,7 +107,7 @@ fn assert_bitwise(a: &[Vec<Hit>], b: &[Vec<Hit>], what: &str) {
 
 /// Compare a segmented index against the monolith oracle under every
 /// option combination: pruning on/off × proximity on/off.
-fn assert_matches_monolith(segmented: &Index, live: &BTreeMap<u64, IndexDocument>, what: &str) {
+fn assert_matches_monolith(segmented: &Index, live: &BTreeMap<u64, OwnedDocument>, what: &str) {
     let mono = monolith(live);
     for prune in [true, false] {
         for proximity_weight in [0.25, 0.0] {
@@ -134,12 +128,12 @@ fn assert_matches_monolith(segmented: &Index, live: &BTreeMap<u64, IndexDocument
 }
 
 /// Drive one churn step against the index and the live-set model.
-fn churn_step(index: &Index, live: &mut BTreeMap<u64, IndexDocument>, rng: &mut Rng, ids: u64) {
+fn churn_step(index: &Index, live: &mut BTreeMap<u64, OwnedDocument>, rng: &mut Rng, ids: u64) {
     let id = rng.below(ids);
     match rng.below(3) {
         0 | 1 => {
             let d = doc(id, rng);
-            index.add(&d);
+            index.add(d.view());
             live.insert(id, d);
         }
         _ => {
@@ -155,7 +149,7 @@ fn churn_across_seals_and_merges_is_bitwise_identical_to_a_monolith() {
     // Tiny threshold: sealing happens every few puts, so the corpus is
     // spread over many segments and every query crosses segment borders.
     let index = Index::new().with_seal_threshold(8);
-    let mut live: BTreeMap<u64, IndexDocument> = BTreeMap::new();
+    let mut live: BTreeMap<u64, OwnedDocument> = BTreeMap::new();
 
     for step in 0..300u32 {
         churn_step(&index, &mut live, &mut rng, 64);
@@ -184,7 +178,7 @@ fn churn_across_seals_and_merges_is_bitwise_identical_to_a_monolith() {
 fn codec_round_trip_of_a_segmented_index_is_bitwise_clean() {
     let mut rng = Rng(0xC0DE_C0DE);
     let index = Index::new().with_seal_threshold(4);
-    let mut live: BTreeMap<u64, IndexDocument> = BTreeMap::new();
+    let mut live: BTreeMap<u64, OwnedDocument> = BTreeMap::new();
     for _ in 0..160 {
         churn_step(&index, &mut live, &mut rng, 32);
     }
@@ -231,7 +225,7 @@ fn merge_preserves_tombstones_applied_after_capture() {
     // every step must keep agreeing with the monolith.
     let mut rng = Rng(0x7057_0CE5);
     let index = Index::new().with_seal_threshold(5);
-    let mut live: BTreeMap<u64, IndexDocument> = BTreeMap::new();
+    let mut live: BTreeMap<u64, OwnedDocument> = BTreeMap::new();
     for _ in 0..60 {
         churn_step(&index, &mut live, &mut rng, 24);
     }

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use schemr_index::{Hit, Index, IndexChange, IndexDocument, SearchOptions};
+use schemr_index::{Hit, Index, IndexChange, OwnedDocument, SearchOptions};
 use schemr_model::SchemaId;
 
 /// xorshift64* — deterministic, no dependencies.
@@ -66,22 +66,16 @@ fn queries() -> Vec<Vec<String>> {
 /// epoch m is the state after `ops[0..m]`.
 #[derive(Clone)]
 enum Op {
-    Put(IndexDocument),
+    Put(OwnedDocument),
     Remove(u64),
 }
 
-fn doc(id: u64, rng: &mut Rng) -> IndexDocument {
+fn doc(id: u64, rng: &mut Rng) -> OwnedDocument {
     let n = 2 + rng.below(4) as usize;
-    let elements = (0..n)
+    let elements: Vec<_> = (0..n)
         .map(|_| VOCAB[rng.below(VOCAB.len() as u64) as usize].to_string())
         .collect();
-    IndexDocument {
-        id: SchemaId(id),
-        title: format!("schema{}", rng.below(4)),
-        summary: String::new(),
-        elements,
-        docs: vec![],
-    }
+    OwnedDocument::new(id, &format!("schema{}", rng.below(4)), elements)
 }
 
 fn script(steps: usize, ids: u64, seed: u64) -> Vec<Op> {
@@ -176,7 +170,7 @@ fn concurrent_reads_are_bitwise_consistent_with_their_epoch() {
     // the merger genuinely interleave with seals and publishes.
     for (i, op) in ops.iter().enumerate() {
         match op {
-            Op::Put(d) => index.add(d),
+            Op::Put(d) => index.add(d.view()),
             Op::Remove(id) => assert!(index.remove(SchemaId(*id)), "scripted remove {i}"),
         }
         if i % 8 == 7 {
@@ -204,7 +198,7 @@ fn concurrent_reads_are_bitwise_consistent_with_their_epoch() {
     // through the script exactly once.
     all.sort_by_key(|o| o.mutations);
     let queries = queries();
-    let mut model: BTreeMap<u64, IndexDocument> = BTreeMap::new();
+    let mut model: BTreeMap<u64, OwnedDocument> = BTreeMap::new();
     let mut applied = 0usize;
     let mut oracle: Option<(u64, Index)> = None;
     let mut distinct_epochs = 0usize;
@@ -224,7 +218,7 @@ fn concurrent_reads_are_bitwise_consistent_with_their_epoch() {
         }
         if oracle.as_ref().map(|(e, _)| *e) != Some(obs.mutations) {
             let mono = Index::new().with_seal_threshold(usize::MAX);
-            mono.apply(model.values().map(IndexChange::Put));
+            mono.apply(model.values().map(|d| IndexChange::Put(d.view())));
             oracle = Some((obs.mutations, mono));
             distinct_epochs += 1;
         }
