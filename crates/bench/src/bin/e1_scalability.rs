@@ -146,11 +146,10 @@ fn time_query(bed: &Testbed, q: &GeneratedQuery) -> f64 {
 /// `--check-overhead`: full-observability vs obs-off latency on one
 /// corpus.
 ///
-/// The traced side runs with `EngineConfig::default()`, which now means
+/// The traced side runs with `EngineConfig::default()`, which means
 /// span tracing *plus* the per-query resource ledger (thread-CPU probes
-/// on every phase and worker) *plus* the sampling profiler at its
-/// default rate *plus* the workload heavy-hitter sketch — every
-/// observability tier, priced together.
+/// on every phase and worker the measured probe depth affords) — every
+/// per-search observability cost, priced together.
 /// Each query is timed on both engines back to back (alternating which
 /// side goes first), and the verdict is the median of the per-query
 /// traced/untraced ratios. Pairing adjacent timings cancels the slow
@@ -186,38 +185,14 @@ fn check_overhead(quick: bool) -> i32 {
     );
 
     // The traced engine must actually be paying for everything this
-    // check prices: the profiler thread sampling at the default rate,
-    // and a ledger (CPU probes on every phase) on every response.
-    assert!(
-        traced.engine.profiler().is_some(),
-        "default config must start the profiler so --check-overhead covers it"
-    );
-    assert!(
-        untraced.engine.profiler().is_none(),
-        "the baseline must not run a profiler"
-    );
+    // check prices: a trace and a ledger on every response.
     let probe_resp = traced
         .engine
         .search_detailed(&Testbed::to_request(&workload.queries[0], 10))
         .expect("nonempty query");
     assert!(
-        probe_resp.ledger.is_some(),
-        "traced responses must carry a resource ledger"
-    );
-    assert!(
-        traced.engine.tracer().workload().is_some(),
-        "default config must run the workload sketch so --check-overhead covers it"
-    );
-    assert!(
-        traced
-            .engine
-            .workload_snapshot(1)
-            .is_some_and(|s| s.total_queries > 0),
-        "the workload sketch must observe the timed search path"
-    );
-    assert!(
-        untraced.engine.tracer().workload().is_none(),
-        "the baseline must not maintain a workload sketch"
+        probe_resp.trace_id.is_some() && probe_resp.ledger.is_some(),
+        "traced responses must carry a trace and a resource ledger"
     );
 
     // Warm both engines before timing anything.
@@ -264,9 +239,7 @@ fn check_overhead(quick: bool) -> i32 {
     };
 
     println!("E1 --check-overhead: observability cost, per-query paired timings");
-    println!(
-        "  traced side: span tracing + resource ledger + profiler @ default hz + workload sketch"
-    );
+    println!("  traced side: span tracing + resource ledger");
     println!("  corpus {size}, {queries} queries x {rounds} rounds, best-of-rounds per query");
 
     // A measurement block can only over-report: interference is additive

@@ -14,9 +14,8 @@
 //! schemr-cli summarize <repo.json> <schema-id> [--entities <n>]
 //! schemr-cli stats     <repo.json>
 //! schemr-cli serve     <repo.json> [--bind <addr>] [--event-log <path>]
-//!                      [--slowlog-ms <n>] [--trace-ring <n>] [--profile-hz <n>]
+//!                      [--slowlog-ms <n>] [--trace-ring <n>]
 //!                      [--slo-p99-ms <n>] [--slo-error-pct <f>]
-//! schemr-cli profile   <host:port> [--ms <n>]
 //! schemr-cli doctor    <host:port>
 //! schemr-cli tracelog  tail   <event.log> [-n <limit>]
 //! schemr-cli tracelog  stats  <event.log>
@@ -122,17 +121,13 @@ commands:
   serve     <repo.json> [--bind 127.0.0.1:7878]        start the search service
             [--event-log path] [--slowlog-ms N] [--trace-ring N]
             [--max-queue N] [--keepalive-requests N] [--drain-ms N]
-            [--profile-hz N]    (span-stack sampling rate; 0 disables)
             [--slo-p99-ms N] [--slo-error-pct F]
                                 (objectives for /debug/slo burn rates)
             [--serve-for-ms N]  (serve N ms, then drain and exit —
                                  exit code 0 on a clean drain)
-  profile   <host:port> [--ms N]                       sample a running server's
-                                                       span stacks for N ms and
-                                                       print folded stacks
   doctor    <host:port>                                one-shot health check: folds
                                                        /healthz, SLO burn rates, the
-                                                       workload sketch and index/memory
+                                                       search counters and index/memory
                                                        statistics into one verdict
                                                        (exit 0 healthy, 1 degraded,
                                                        2 unreachable)
@@ -162,7 +157,6 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<i32, CliError> {
         "summarize" => cmd_summarize(&rest, out),
         "stats" => cmd_stats(&rest, out),
         "serve" => cmd_serve(&rest, out),
-        "profile" => cmd_profile(&rest, out),
         "doctor" => cmd_doctor(&rest, out),
         "tracelog" => cmd_tracelog(&rest, out),
         other => Err(err(format!("unknown command `{other}`\n{USAGE}"))),
@@ -429,11 +423,6 @@ fn cmd_serve(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
             .parse()
             .map_err(|_| err("trace-ring must be an integer"))?;
     }
-    if let Some(hz) = args.flag(&["profile-hz"]) {
-        config.trace.profile_hz = hz
-            .parse()
-            .map_err(|_| err("profile-hz must be an integer (samples per second; 0 disables)"))?;
-    }
     let mut server_config = schemr_server::ServerConfig {
         bind,
         workers: 4,
@@ -530,32 +519,6 @@ fn http_get(addr: &str, target: &str, timeout_ms: u64) -> Result<(u16, String), 
     Ok((status, body.to_string()))
 }
 
-/// `profile <host:port> [--ms N]` — ask a running server to sample its
-/// live span stacks for a window and print the folded stacks, ready to
-/// pipe into a flamegraph renderer.
-fn cmd_profile(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
-    let addr = args
-        .positional(0, "server address (host:port)")?
-        .to_string();
-    let ms: u64 = match args.flag(&["ms"]) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| err("ms must be an integer (milliseconds)"))?,
-        None => 500,
-    };
-    // The server blocks for the whole window before answering; allow it
-    // that plus generous headroom before giving up on the read.
-    let (status, body) = http_get(&addr, &format!("/debug/profile?ms={ms}"), ms + 10_000)?;
-    if status != 200 {
-        return Err(err(format!(
-            "{addr} answered {status}: {}",
-            body.trim().lines().next().unwrap_or("")
-        )));
-    }
-    write!(out, "{body}")?;
-    Ok(0)
-}
-
 /// Render a byte count the way an operator reads it.
 fn fmt_bytes(b: f64) -> String {
     if b >= 1024.0 * 1024.0 {
@@ -568,8 +531,8 @@ fn fmt_bytes(b: f64) -> String {
 }
 
 /// `doctor <host:port>` — one-shot operational check against a running
-/// server. Folds `/healthz`, `/debug/slo`, `/debug/workload`,
-/// `/debug/index` and `/debug/memory` into a single operator-readable
+/// server. Folds `/healthz`, `/debug/slo`, `/metrics`, `/debug/index`
+/// and `/debug/memory` into a single operator-readable
 /// verdict: exit 0 when healthy, 1 when serving but degraded, 2 when
 /// unreachable. The debug endpoints are loopback-gated, so run doctor on
 /// the host the server lives on.
@@ -578,10 +541,6 @@ fn cmd_doctor(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
     const TIMEOUT_MS: u64 = 5_000;
     /// Tombstone fraction past which a merge is overdue.
     const TOMBSTONE_WARN: f64 = 0.30;
-    /// Zero-result fraction that signals a corpus/workload mismatch…
-    const ZERO_RATE_WARN: f64 = 0.50;
-    /// …once the sample is big enough to mean something.
-    const ZERO_RATE_MIN_QUERIES: u64 = 20;
 
     let addr = args
         .positional(0, "server address (host:port)")?
@@ -649,39 +608,25 @@ fn cmd_doctor(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
         writeln!(out, "  slo        unavailable (http {slo_status})")?;
     }
 
-    // /debug/workload — the heavy-hitter sketch. 404 means the workload
-    // plane is off (tracing disabled or sketch capacity 0): a
-    // configuration note, not a failure.
-    let (wl_status, wl_body) = http_get(&addr, "/debug/workload", TIMEOUT_MS)?;
-    if wl_status == 200 {
-        let wl =
-            Json::parse(&wl_body).map_err(|e| err(format!("/debug/workload: bad JSON: {e}")))?;
-        let total = get_u64(&wl, "total_queries");
-        let zero = get_u64(&wl, "zero_result_queries");
-        let rate = get_f64(&wl, "zero_result_rate");
-        let top = wl
-            .get("top_terms")
-            .and_then(Json::as_arr)
-            .and_then(|a| a.first())
-            .and_then(|h| h.get("key"))
-            .and_then(Json::as_str)
-            .map(|k| format!(", top term \"{k}\""))
-            .unwrap_or_default();
-        writeln!(
-            out,
-            "  workload   {total} query(ies), {zero} zero-result ({:.1}%), ~{:.0} distinct term(s){top}",
-            rate * 100.0,
-            get_f64(&wl, "distinct_terms_estimate"),
-        )?;
-        if total >= ZERO_RATE_MIN_QUERIES && rate > ZERO_RATE_WARN {
-            problems.push(format!(
-                "zero-result rate {:.0}% — the corpus is not answering the workload",
-                rate * 100.0
-            ));
-        }
-    } else {
-        writeln!(out, "  workload   analytics off (http {wl_status})")?;
-    }
+    // /metrics — the engine's search counters since start. A completed
+    // search is a request minus an error (an empty query is rejected
+    // before Phase 1); the zero-result rate is over completed searches.
+    let (_, metrics) = http_get(&addr, "/metrics", TIMEOUT_MS)?;
+    let counter = |name: &str| {
+        metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or(0u64)
+    };
+    let searches = counter("schemr_search_requests_total")
+        .saturating_sub(counter("schemr_search_errors_total"));
+    let empty = counter("schemr_search_empty_total");
+    writeln!(
+        out,
+        "  searches   {searches} query(ies), {empty} zero-result ({:.1}%)",
+        100.0 * empty as f64 / searches.max(1) as f64,
+    )?;
+    problems.extend(zero_result_finding(searches, empty));
 
     // /debug/index — postings statistics; tombstone ratio is the merge
     // pressure gauge.
@@ -765,6 +710,19 @@ fn write_path_finding(docs: u64, tokens: u64, analysed: u64) -> Option<String> {
         format!(
             "index write path analysed {:.0}% of {tokens} tokens — the vocabulary is not repeating",
             100.0 * analysed as f64 / tokens as f64
+        )
+    })
+}
+
+/// The doctor's finding on the zero-result rate: once at least 20
+/// searches have completed, more than half of them finding nothing means
+/// the corpus is not answering the workload.
+fn zero_result_finding(searches: u64, empty: u64) -> Option<String> {
+    const MIN_SEARCHES: u64 = 20;
+    (searches >= MIN_SEARCHES && empty * 2 > searches).then(|| {
+        format!(
+            "zero-result rate {:.0}% — the corpus is not answering the workload",
+            100.0 * empty as f64 / searches as f64
         )
     })
 }
@@ -1224,11 +1182,9 @@ mod tests {
         );
         assert!(run_err(&["serve", &repo, "--drain-ms", "x"]).contains("drain-ms"));
         assert!(run_err(&["serve", &repo, "--serve-for-ms", "x"]).contains("serve-for-ms"));
-        assert!(run_err(&["serve", &repo, "--profile-hz", "x"]).contains("profile-hz"));
         assert!(run_err(&["serve", &repo, "--slo-p99-ms", "abc"]).contains("slo-p99-ms"));
         assert!(run_err(&["serve", &repo, "--slo-error-pct", "x"]).contains("slo-error-pct"));
-        assert!(run_err(&["profile"]).contains("server address"));
-        assert!(run_err(&["profile", "127.0.0.1:1", "--ms", "x"]).contains("ms must be"));
+        assert!(run_err(&["profile", "127.0.0.1:1"]).contains("unknown command"));
         assert!(run_err(&["doctor"]).contains("server address"));
         assert!(run_err(&["doctor", "127.0.0.1:1"]).contains("connect"));
     }
@@ -1255,18 +1211,9 @@ mod tests {
         .unwrap();
         run_str(&["import", &repo, dir.path.to_str().unwrap()]);
         let repo = Arc::new(persist::load(&repo).unwrap());
-        let engine = Arc::new(SchemrEngine::with_config(
-            repo,
-            schemr::EngineConfig {
-                trace: schemr_obs::TracerConfig {
-                    profile_hz: 0,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        ));
+        let engine = Arc::new(SchemrEngine::new(repo));
         engine.reindex_full();
-        // Feed the workload sketch so doctor has analytics to report.
+        // One search, so doctor has search counters to report.
         engine
             .search(&SearchRequest::keywords(["patient", "height"]))
             .unwrap();
@@ -1308,17 +1255,20 @@ mod tests {
     }
 
     #[test]
+    fn doctor_finds_a_workload_the_corpus_does_not_answer() {
+        assert_eq!(
+            zero_result_finding(19, 19),
+            None,
+            "too few searches to judge"
+        );
+        let finding = zero_result_finding(20, 11).expect("over half");
+        assert!(finding.contains("zero-result rate 55%"), "{finding}");
+        assert_eq!(zero_result_finding(20, 10), None, "half is not over half");
+    }
+
+    #[test]
     fn doctor_flags_an_empty_server_as_degraded() {
-        let engine = Arc::new(SchemrEngine::with_config(
-            Arc::new(Repository::new()),
-            schemr::EngineConfig {
-                trace: schemr_obs::TracerConfig {
-                    profile_hz: 0,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        ));
+        let engine = Arc::new(SchemrEngine::new(Arc::new(Repository::new())));
         engine.reindex_full();
         let server = start_server(engine);
         let addr = server.addr().to_string();

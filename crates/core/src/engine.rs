@@ -17,9 +17,8 @@ use schemr_index::{
 use schemr_match::{Ensemble, EnsembleQuery, MatchScratch, PreparedCandidate};
 use schemr_model::{QueryGraph, QueryTerm, SchemaId};
 use schemr_obs::{
-    CpuProbeDepth, DeepSize, EventResult, LedgerProbe, MetricsRegistry, Profiler, ResourceLedger,
-    SearchEvent, SearchOutcome, SpanGuard, SpanTimer, StackSource, Tracer, TracerConfig,
-    WorkloadSnapshot,
+    CpuProbeDepth, DeepSize, EventResult, LedgerProbe, MetricsRegistry, ResourceLedger,
+    SearchEvent, SearchOutcome, SpanGuard, SpanTimer, Tracer, TracerConfig,
 };
 use schemr_repo::{ChangeKind, Repository, StoredSchema};
 use schemr_text::Lexicon;
@@ -172,14 +171,10 @@ pub struct SchemrEngine {
     /// artifacts lazily.
     ensemble_generation: AtomicU64,
     metrics: EngineMetrics,
-    tracer: Arc<Tracer>,
-    /// Span-stack sampling profiler; present when tracing is enabled
-    /// with a non-zero `profile_hz`. Samples the tracer's live span
-    /// stacks into folded-stack aggregates.
-    profiler: Option<Profiler>,
-    /// Resolved CPU-probe depth (`Auto` collapsed against the measured
-    /// clock-call cost once, at construction — not per query).
-    cpu_probe: CpuProbeDepth,
+    tracer: Tracer,
+    /// How deeply traced searches read the thread-CPU clock, from the
+    /// clock-call cost measured once, at construction — not per query.
+    cpu_depth: CpuProbeDepth,
 }
 
 impl SchemrEngine {
@@ -193,14 +188,7 @@ impl SchemrEngine {
     /// Engine with explicit config.
     pub fn with_config(repo: Arc<Repository>, config: EngineConfig) -> Self {
         let metrics = EngineMetrics::new();
-        let tracer = Arc::new(Tracer::new(config.trace.clone()));
-        let profiler = if config.trace.enabled && config.trace.profile_hz > 0 {
-            let source: Arc<dyn StackSource> = tracer.clone();
-            Some(Profiler::start(source, config.trace.profile_hz))
-        } else {
-            None
-        };
-        let cpu_probe = config.trace.cpu_probe.resolve();
+        let tracer = Tracer::new(config.trace.clone());
         let candidate_cache = CandidateCache::new(
             config.candidate_cache_entries,
             metrics.candidate_cache_hits.clone(),
@@ -229,8 +217,7 @@ impl SchemrEngine {
             ensemble_generation: AtomicU64::new(0),
             metrics,
             tracer,
-            profiler,
-            cpu_probe,
+            cpu_depth: CpuProbeDepth::measured(),
         }
     }
 
@@ -257,15 +244,8 @@ impl SchemrEngine {
 
     /// The engine's request tracer — the server's `/debug/traces`,
     /// `/debug/slowlog`, and event-log surfaces all read through this.
-    pub fn tracer(&self) -> &Arc<Tracer> {
+    pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// The span-stack sampling profiler, when enabled
-    /// (`trace.enabled && trace.profile_hz > 0`). The server's
-    /// `/debug/profile` endpoint reads folded stacks through this.
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
     }
 
     /// Replace the matcher ensemble (e.g. with learned weights or an
@@ -359,14 +339,6 @@ impl SchemrEngine {
         self.index.read().introspect(top_lists)
     }
 
-    /// Workload snapshot (heavy-hitter terms/shapes, zero-result panel,
-    /// distinct-term estimate) with the `top_n` heaviest entries per
-    /// panel. `None` when the workload plane is off (`GET
-    /// /debug/workload` returns 404 then).
-    pub fn workload_snapshot(&self, top_n: usize) -> Option<WorkloadSnapshot> {
-        self.tracer.workload().map(|w| w.snapshot(top_n))
-    }
-
     /// Deep memory accounting across the engine's resident data
     /// structures (`GET /debug/memory`): the repository, the index, both
     /// revision-keyed caches, the trace rings, and the event log.
@@ -424,16 +396,15 @@ impl SchemrEngine {
     /// Phase 1 only: the coarse candidate list for a query graph. Exposed
     /// for the scalability and coordination experiments.
     pub fn extract_candidates(&self, graph: &QueryGraph) -> Vec<schemr_index::Hit> {
-        self.extract_candidates_traced(graph, None).0
+        self.extract_candidates_traced(graph, None)
     }
 
-    /// Phase 1 with tracing. Also returns the analyzed query terms so the
-    /// workload sketch can observe them without a second analyzer pass.
+    /// Phase 1 with tracing.
     fn extract_candidates_traced(
         &self,
         graph: &QueryGraph,
         span: Option<&SpanGuard<'_>>,
-    ) -> (Vec<schemr_index::Hit>, Vec<String>) {
+    ) -> Vec<schemr_index::Hit> {
         let options = SearchOptions {
             top_n: self.config.top_candidates,
             coordination: self.config.coordination,
@@ -441,8 +412,7 @@ impl SchemrEngine {
             ..SearchOptions::default()
         };
         let index = self.index.read();
-        let terms = index.analyze_query(graph.flat_texts().iter().map(String::as_str));
-        let key = CacheKey(terms.clone());
+        let key = CacheKey(index.analyze_query(graph.flat_texts().iter().map(String::as_str)));
         // A revision observed *before* the lookup can only be older than
         // the entry's true state, which makes a stale hit impossible and
         // at worst turns a usable entry into a miss.
@@ -451,18 +421,18 @@ impl SchemrEngine {
                 s.annotate("candidate_cache", "hit");
                 s.annotate("hits", hits.len());
             }
-            return (hits, terms);
+            return hits;
         }
         // The versioned search reads the revision and the postings under
         // one lock hold, so the entry is stamped with exactly the state
         // that produced it — the invariant the cache's correctness rests
         // on.
-        let (hits, revision) = index.search_terms_versioned(&terms, &options, span);
+        let (hits, revision) = index.search_terms_versioned(&key.0, &options, span);
         if let Some(s) = span {
             s.annotate("candidate_cache", "miss");
         }
         self.candidate_cache.put(key, revision, hits.clone());
-        (hits, terms)
+        hits
     }
 
     /// The lexicon a search prepares and reads its candidates' artifacts
@@ -681,12 +651,11 @@ impl SchemrEngine {
         // Resource accounting rides the same gate as tracing: the
         // disabled path takes no clock_gettime calls at all. How many
         // clock reads the *traced* path takes is governed by the
-        // resolved probe depth — on kernels where the thread-CPU clock
+        // measured probe depth — on kernels where the thread-CPU clock
         // is a trapped syscall (tens of µs a read), only the root probe
         // reads it and phase/worker probes collect allocations alone.
-        let root_cpu = want_trace && self.cpu_probe != CpuProbeDepth::Off;
-        let deep_cpu = want_trace && self.cpu_probe == CpuProbeDepth::Full;
-        let probe = want_trace.then(|| LedgerProbe::start_with_cpu(root_cpu));
+        let deep_cpu = want_trace && self.cpu_depth == CpuProbeDepth::Full;
+        let probe = want_trace.then(LedgerProbe::start);
         let query_text = if want_trace {
             graph.flat_texts().join(" ")
         } else {
@@ -704,7 +673,7 @@ impl SchemrEngine {
         let t0 = Instant::now();
         let p1 = root.as_ref().map(|r| r.child("candidate_extraction"));
         let p1_probe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
-        let (hits, analyzed_terms) = self.extract_candidates_traced(&graph, p1.as_ref());
+        let hits = self.extract_candidates_traced(&graph, p1.as_ref());
         if let (Some(s), Some(pr)) = (&p1, &p1_probe) {
             annotate_ledger(s, &pr.delta());
         }
@@ -894,13 +863,6 @@ impl SchemrEngine {
             if let Some(r) = &root {
                 r.annotate("results", 0usize);
             }
-        }
-        // Workload sketch: heavy-hitter terms, normalized query shapes,
-        // and the zero-result shape panel. One short mutex hold on a
-        // handful of bounded counters; absent entirely when the plane is
-        // off.
-        if let Some(workload) = self.tracer.workload() {
-            workload.record_query(&analyzed_terms, results.is_empty());
         }
 
         // Record the phase work into the registry on every search (not just

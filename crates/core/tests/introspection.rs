@@ -1,6 +1,6 @@
-//! The workload/introspection plane end to end at the engine level:
-//! zero-result accounting, the workload sketch feed, merge maintenance
-//! records in the event log, and the deep-memory report.
+//! The introspection plane end to end at the engine level: zero-result
+//! accounting, merge maintenance records in the event log, and the
+//! deep-memory report.
 
 use std::sync::Arc;
 
@@ -28,16 +28,7 @@ fn seeded_repo() -> Arc<Repository> {
 }
 
 fn traced_engine(repo: Arc<Repository>) -> SchemrEngine {
-    let engine = SchemrEngine::with_config(
-        repo,
-        EngineConfig {
-            trace: TracerConfig {
-                profile_hz: 0,
-                ..TracerConfig::default()
-            },
-            ..EngineConfig::default()
-        },
-    );
+    let engine = SchemrEngine::new(repo);
     engine.reindex_full();
     engine
 }
@@ -72,44 +63,6 @@ fn zero_result_searches_are_counted_and_annotated() {
 }
 
 #[test]
-fn workload_sketch_observes_the_search_path() {
-    let engine = traced_engine(seeded_repo());
-    for _ in 0..3 {
-        engine
-            .search(&SearchRequest::keywords(["patient", "height"]))
-            .unwrap();
-    }
-    engine
-        .search(&SearchRequest::keywords(["zebra", "wingspan"]))
-        .unwrap();
-
-    let snap = engine.workload_snapshot(10).expect("workload plane is on");
-    assert_eq!(snap.total_queries, 4);
-    assert_eq!(snap.zero_result_queries, 1);
-    assert!(snap.distinct_terms_estimate >= 2.0);
-    // The analyzed terms — not the raw keywords — are what the sketch
-    // sees, and the repeated query dominates the term panel.
-    let top_term = &snap.top_terms[0];
-    assert_eq!(top_term.count, 3);
-    // The zero-result panel holds only the missing query's shape.
-    assert_eq!(snap.top_zero_shapes.len(), 1);
-    assert_eq!(snap.top_zero_shapes[0].count, 1);
-
-    // With tracing disabled there is no workload plane at all.
-    let dark = SchemrEngine::with_config(
-        seeded_repo(),
-        EngineConfig {
-            trace: TracerConfig::disabled(),
-            ..EngineConfig::default()
-        },
-    );
-    dark.reindex_full();
-    dark.search(&SearchRequest::keywords(["patient"])).unwrap();
-    assert!(dark.workload_snapshot(10).is_none());
-    assert!(dark.tracer().workload().is_none());
-}
-
-#[test]
 fn merge_writes_a_tagged_maintenance_record() {
     let dir = std::env::temp_dir().join(format!("schemr-merge-log-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -121,7 +74,6 @@ fn merge_writes_a_tagged_maintenance_record() {
         repo.clone(),
         EngineConfig {
             trace: TracerConfig {
-                profile_hz: 0,
                 event_log_path: Some(log_path.clone()),
                 ..TracerConfig::default()
             },

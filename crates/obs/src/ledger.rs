@@ -72,13 +72,8 @@ pub fn thread_clock_cost() -> std::time::Duration {
 /// How deeply a query's threads read the thread-CPU clock. Allocation
 /// counters are thread-local cell reads and are always collected; only
 /// the clock — a real syscall — is rationed.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuProbeDepth {
-    /// Decide from [`thread_clock_cost`] at engine construction: `Full`
-    /// when a clock read is cheap (≤ [`Self::FULL_BUDGET`]), otherwise
-    /// `RootOnly`.
-    #[default]
-    Auto,
     /// Clock reads on the root thread, every phase boundary, and every
     /// parallel match worker — complete attribution.
     Full,
@@ -86,25 +81,20 @@ pub enum CpuProbeDepth {
     /// and workers still carry allocation deltas, but their `cpu_us`
     /// stays 0 and the query total covers the root thread alone.
     RootOnly,
-    /// Never read the clock; `cpu_us` is 0 everywhere.
-    Off,
 }
 
 impl CpuProbeDepth {
-    /// Per-call cost under which `Auto` picks `Full`.
+    /// Per-call cost under which [`Self::measured`] picks `Full`.
     pub const FULL_BUDGET: std::time::Duration = std::time::Duration::from_micros(3);
 
-    /// Collapse `Auto` against the measured clock cost.
-    pub fn resolve(self) -> CpuProbeDepth {
-        match self {
-            CpuProbeDepth::Auto => {
-                if thread_clock_cost() <= Self::FULL_BUDGET {
-                    CpuProbeDepth::Full
-                } else {
-                    CpuProbeDepth::RootOnly
-                }
-            }
-            other => other,
+    /// The depth this machine affords: `Full` when a clock read costs at
+    /// most [`Self::FULL_BUDGET`] ([`thread_clock_cost`]), otherwise
+    /// `RootOnly`.
+    pub fn measured() -> CpuProbeDepth {
+        if thread_clock_cost() <= Self::FULL_BUDGET {
+            CpuProbeDepth::Full
+        } else {
+            CpuProbeDepth::RootOnly
         }
     }
 }
@@ -274,12 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn auto_depth_resolves_to_a_concrete_depth() {
-        let resolved = CpuProbeDepth::Auto.resolve();
-        assert_ne!(resolved, CpuProbeDepth::Auto);
-        // Explicit settings pass through untouched.
-        assert_eq!(CpuProbeDepth::Full.resolve(), CpuProbeDepth::Full);
-        assert_eq!(CpuProbeDepth::Off.resolve(), CpuProbeDepth::Off);
+    fn measured_depth_follows_the_clock_cost() {
+        let expected = if thread_clock_cost() <= CpuProbeDepth::FULL_BUDGET {
+            CpuProbeDepth::Full
+        } else {
+            CpuProbeDepth::RootOnly
+        };
+        assert_eq!(CpuProbeDepth::measured(), expected);
         // The calibration itself is memoized and consistent.
         assert_eq!(thread_clock_cost(), thread_clock_cost());
     }

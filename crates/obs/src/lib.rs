@@ -33,8 +33,6 @@
 //! * [`ResourceLedger`] / [`LedgerProbe`] — per-query CPU time (via
 //!   `CLOCK_THREAD_CPUTIME_ID`) and allocator traffic (via the
 //!   [`alloc::CountingAlloc`] counting allocator, feature `obs-alloc`),
-//! * [`Profiler`] — a span-stack sampling profiler that folds the
-//!   tracer's live span stacks into flamegraph-compatible aggregates,
 //! * [`Exemplar`] — per-bucket histogram exemplars linking latency
 //!   spikes to the trace that caused them (OpenMetrics syntax),
 //! * [`SloTracker`] — rolling 5m/1h latency- and error-budget burn
@@ -53,7 +51,6 @@ pub mod histogram;
 pub mod json;
 pub mod ledger;
 pub mod memsize;
-pub mod profiler;
 pub mod registry;
 pub mod render;
 pub mod ring;
@@ -61,7 +58,6 @@ pub mod slo;
 pub mod span;
 pub mod timer;
 pub mod tracer;
-pub mod workload;
 
 pub use alloc::CountingAlloc;
 pub use counter::Counter;
@@ -69,14 +65,9 @@ pub use eventlog::{read_events_at, EventLog, EventResult, SearchEvent, EVENT_SCH
 pub use histogram::{Exemplar, Histogram, HistogramSnapshot, LATENCY_BUCKETS};
 pub use ledger::{thread_clock_cost, thread_cpu_us, CpuProbeDepth, LedgerProbe, ResourceLedger};
 pub use memsize::DeepSize;
-pub use profiler::{ProfileSnapshot, Profiler, StackSource, DEFAULT_PROFILE_HZ};
 pub use registry::{LabelSet, MetricsRegistry};
 pub use ring::Ring;
 pub use slo::{SloConfig, SloReport, SloTracker, WindowBurn};
 pub use span::{CompletedTrace, SpanGuard, SpanRecord, TraceContext};
 pub use timer::SpanTimer;
 pub use tracer::{SearchOutcome, Tracer, TracerConfig};
-pub use workload::{
-    query_shape, HeavyHitter, Kmv, SpaceSaving, WindowedSketch, WorkloadConfig, WorkloadSnapshot,
-    WorkloadStats,
-};

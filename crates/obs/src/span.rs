@@ -145,58 +145,6 @@ impl TraceContext {
         }
         (self.trace_id, self.started_unix_ms, total_us, spans)
     }
-
-    /// Like [`Self::into_parts`] but by reference: clones the spans and
-    /// closes any still open in the copy. Used when a shared handle (the
-    /// profiler's live registry) still holds the context at finish time.
-    pub fn parts(&self) -> (String, u64, u64, Vec<SpanRecord>) {
-        let total_us = self.elapsed_us();
-        let mut spans = self.spans.lock().expect("trace lock").clone();
-        for span in &mut spans {
-            if span.dur_us.is_none() {
-                span.dur_us = Some(total_us.saturating_sub(span.start_us));
-            }
-        }
-        (self.trace_id.clone(), self.started_unix_ms, total_us, spans)
-    }
-
-    /// The currently-open span stacks, one folded `a;b;c` name per open
-    /// *leaf* span (an open span with no open child). This is what the
-    /// sampling profiler reads: a request in Phase 2 with three live
-    /// `match_chunk` workers yields three `search;matching;match_chunk`
-    /// stacks, attributing the sample proportionally to the parallelism.
-    pub fn open_stacks(&self) -> Vec<String> {
-        let spans = self.spans.lock().expect("trace lock");
-        let open: Vec<bool> = spans.iter().map(|s| s.dur_us.is_none()).collect();
-        // An open span stops being a leaf once any open span points at it.
-        let mut is_open_parent = vec![false; spans.len()];
-        for (i, span) in spans.iter().enumerate() {
-            if open[i] {
-                if let Some(p) = span.parent {
-                    if p < spans.len() {
-                        is_open_parent[p] = true;
-                    }
-                }
-            }
-        }
-        let mut stacks = Vec::new();
-        for (i, span) in spans.iter().enumerate() {
-            if !open[i] || is_open_parent[i] {
-                continue;
-            }
-            // Walk to the root, then reverse into a folded name.
-            let mut names = vec![span.name.as_str()];
-            let mut cursor = span.parent;
-            while let Some(p) = cursor {
-                let Some(parent) = spans.get(p) else { break };
-                names.push(parent.name.as_str());
-                cursor = parent.parent;
-            }
-            names.reverse();
-            stacks.push(names.join(";"));
-        }
-        stacks
-    }
 }
 
 /// RAII guard for one open span. Dropping it closes the span; it never
@@ -471,52 +419,6 @@ mod tests {
             .collect();
         assert_eq!(chunks.len(), 4);
         assert!(chunks.iter().all(|s| s.parent == Some(root_idx)));
-    }
-
-    #[test]
-    fn open_stacks_name_open_leaves_only() {
-        let ctx = TraceContext::new("t5".into());
-        assert!(ctx.open_stacks().is_empty(), "no spans, no stacks");
-        let root = ctx.root_span("search");
-        assert_eq!(ctx.open_stacks(), vec!["search".to_string()]);
-        {
-            let p1 = root.child("candidate_extraction");
-            let _ = &p1;
-            assert_eq!(
-                ctx.open_stacks(),
-                vec!["search;candidate_extraction".to_string()]
-            );
-        }
-        // p1 closed: back to the root as the only open leaf.
-        assert_eq!(ctx.open_stacks(), vec!["search".to_string()]);
-        let p2 = root.child("matching");
-        let _c1 = ctx.child_of(p2.index(), "match_chunk");
-        let _c2 = ctx.child_of(p2.index(), "match_chunk");
-        // Closed children never appear.
-        p2.add_closed_child("matcher:name", Duration::from_micros(5));
-        let mut stacks = ctx.open_stacks();
-        stacks.sort();
-        assert_eq!(
-            stacks,
-            vec![
-                "search;matching;match_chunk".to_string(),
-                "search;matching;match_chunk".to_string(),
-            ]
-        );
-    }
-
-    #[test]
-    fn parts_by_reference_matches_into_parts() {
-        let ctx = TraceContext::new("t6".into());
-        {
-            let root = ctx.root_span("search");
-            let _p = root.child("matching");
-        }
-        let (id, _, _, spans_ref) = ctx.parts();
-        assert_eq!(id, "t6");
-        let (_, _, _, spans_owned) = ctx.into_parts();
-        assert_eq!(spans_ref.len(), spans_owned.len());
-        assert!(spans_ref.iter().all(|s| s.dur_us.is_some()));
     }
 
     #[test]

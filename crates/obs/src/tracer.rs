@@ -15,15 +15,13 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::eventlog::{EventLog, EventResult, SearchEvent};
 use crate::ledger::ResourceLedger;
-use crate::profiler::StackSource;
 use crate::ring::Ring;
 use crate::span::{CompletedTrace, TraceContext};
-use crate::workload::{WorkloadConfig, WorkloadStats};
 
 /// Configuration for a [`Tracer`].
 #[derive(Debug, Clone, PartialEq)]
@@ -40,22 +38,6 @@ pub struct TracerConfig {
     pub event_log_path: Option<PathBuf>,
     /// Size bound for the active event-log file before rotation.
     pub event_log_max_bytes: u64,
-    /// Span-stack sampling rate for the engine's background profiler
-    /// (samples per second; 0 disables the profiler thread).
-    pub profile_hz: u32,
-    /// How deeply query threads read the thread-CPU clock for the
-    /// resource ledger. The default (`Auto`) calibrates against the
-    /// measured clock-call cost at engine construction.
-    pub cpu_probe: crate::ledger::CpuProbeDepth,
-    /// Heavy-hitter workload analytics (`/debug/workload`): counters
-    /// per sketch. 0 disables the workload plane even when tracing is
-    /// on; it is always off when `enabled` is false, so the obs-off
-    /// bench baseline pays nothing for it.
-    pub workload_sketch: usize,
-    /// Sliding windows retained by each workload sketch.
-    pub workload_windows: usize,
-    /// Wall-clock length of one workload window.
-    pub workload_window: Duration,
 }
 
 impl Default for TracerConfig {
@@ -67,11 +49,6 @@ impl Default for TracerConfig {
             slow_threshold: Duration::from_millis(250),
             event_log_path: None,
             event_log_max_bytes: 8 << 20,
-            profile_hz: crate::profiler::DEFAULT_PROFILE_HZ,
-            cpu_probe: crate::ledger::CpuProbeDepth::Auto,
-            workload_sketch: WorkloadConfig::default().sketch_capacity,
-            workload_windows: WorkloadConfig::default().windows,
-            workload_window: WorkloadConfig::default().window_len,
         }
     }
 }
@@ -102,8 +79,7 @@ pub struct SearchOutcome {
     pub ledger: ResourceLedger,
 }
 
-/// Per-engine trace manager. Cheap to share (`Arc<Tracer>`); all methods
-/// take `&self`.
+/// Per-engine trace manager; all methods take `&self`.
 #[derive(Debug)]
 pub struct Tracer {
     config: TracerConfig,
@@ -113,15 +89,7 @@ pub struct Tracer {
     seq: AtomicU64,
     ring: Ring<CompletedTrace>,
     slow: Ring<CompletedTrace>,
-    /// In-flight traces, sampled by the span-stack profiler. Weak so an
-    /// abandoned context (error path that never reaches `finish`) is
-    /// collected instead of sampled forever.
-    live: Mutex<Vec<Weak<TraceContext>>>,
     event_log: Option<EventLog>,
-    /// Workload analytics plane; present when tracing is enabled with a
-    /// non-zero sketch capacity. `Arc` so the server can snapshot it
-    /// without holding the engine.
-    workload: Option<Arc<WorkloadStats>>,
 }
 
 impl Tracer {
@@ -138,22 +106,12 @@ impl Tracer {
                 }
             }
         });
-        let workload = (config.enabled && config.workload_sketch > 0).then(|| {
-            Arc::new(WorkloadStats::new(WorkloadConfig {
-                sketch_capacity: config.workload_sketch,
-                windows: config.workload_windows,
-                window_len: config.workload_window,
-                ..WorkloadConfig::default()
-            }))
-        });
         Tracer {
             ring: Ring::new(config.ring_capacity),
             slow: Ring::new(config.slowlog_capacity),
             seq: AtomicU64::new(0),
-            live: Mutex::new(Vec::new()),
             slow_threshold_us: AtomicU64::new(config.slow_threshold.as_micros() as u64),
             event_log,
-            workload,
             config,
         }
     }
@@ -171,10 +129,8 @@ impl Tracer {
     /// Start a trace for one search. `client_id` is an optional
     /// caller-supplied id (e.g. the `X-Schemr-Trace-Id` header); invalid
     /// or absent ids fall back to a generated monotonic `t<seq>` id.
-    /// Returns `None` when tracing is disabled. The context is also
-    /// registered with the live-trace registry so the sampling profiler
-    /// sees it until [`Tracer::finish`] (or the context being dropped).
-    pub fn begin(&self, client_id: Option<&str>) -> Option<Arc<TraceContext>> {
+    /// Returns `None` when tracing is disabled.
+    pub fn begin(&self, client_id: Option<&str>) -> Option<TraceContext> {
         if !self.config.enabled {
             return None;
         }
@@ -182,21 +138,7 @@ impl Tracer {
             Some(id) => id.to_string(),
             None => format!("t{}", self.seq.fetch_add(1, Ordering::Relaxed)),
         };
-        let ctx = Arc::new(TraceContext::new(id));
-        let mut live = self.live.lock().expect("live traces lock");
-        live.retain(|w| w.strong_count() > 0);
-        live.push(Arc::downgrade(&ctx));
-        Some(ctx)
-    }
-
-    /// Number of in-flight traces (live registry size).
-    pub fn live_count(&self) -> usize {
-        self.live
-            .lock()
-            .expect("live traces lock")
-            .iter()
-            .filter(|w| w.strong_count() > 0)
-            .count()
+        Some(TraceContext::new(id))
     }
 
     /// The current slowlog admission threshold.
@@ -212,24 +154,11 @@ impl Tracer {
             .store(threshold.as_micros() as u64, Ordering::Relaxed);
     }
 
-    /// Complete a trace: deregister it from the live registry, publish
-    /// it to the recent ring, admit it to the slowlog if over threshold,
-    /// and append a [`SearchEvent`] to the event log. Returns the
-    /// completed trace.
-    pub fn finish(&self, ctx: Arc<TraceContext>, outcome: SearchOutcome) -> Arc<CompletedTrace> {
-        {
-            let mut live = self.live.lock().expect("live traces lock");
-            live.retain(|w| {
-                w.upgrade()
-                    .is_some_and(|live_ctx| !Arc::ptr_eq(&live_ctx, &ctx))
-            });
-        }
-        let (trace_id, started_unix_ms, total_us, spans) = match Arc::try_unwrap(ctx) {
-            Ok(ctx) => ctx.into_parts(),
-            // The profiler (or another reader) briefly holds a clone:
-            // fall back to the cloning path.
-            Err(shared) => shared.parts(),
-        };
+    /// Complete a trace: publish it to the recent ring, admit it to the
+    /// slowlog if over threshold, and append a [`SearchEvent`] to the
+    /// event log. Returns the completed trace.
+    pub fn finish(&self, ctx: TraceContext, outcome: SearchOutcome) -> Arc<CompletedTrace> {
+        let (trace_id, started_unix_ms, total_us, spans) = ctx.into_parts();
         let trace = Arc::new(CompletedTrace {
             trace_id,
             started_unix_ms,
@@ -294,13 +223,6 @@ impl Tracer {
         self.event_log.as_ref()
     }
 
-    /// The workload analytics plane, when tracing is enabled with a
-    /// non-zero `workload_sketch`. The engine feeds it one call per
-    /// search; `/debug/workload` snapshots it.
-    pub fn workload(&self) -> Option<&Arc<WorkloadStats>> {
-        self.workload.as_ref()
-    }
-
     /// Approximate resident bytes of the trace and slowlog rings —
     /// `/debug/memory`'s view of the in-memory trace plane.
     pub fn ring_bytes(&self) -> (usize, usize) {
@@ -311,22 +233,6 @@ impl Tracer {
     /// Retained entries in the (recent, slow) trace rings.
     pub fn ring_lens(&self) -> (usize, usize) {
         (self.ring.len(), self.slow.len())
-    }
-}
-
-impl StackSource for Tracer {
-    /// Folded span stacks of every in-flight trace — the profiler's
-    /// sampling feed. One entry per open leaf span; traces with no open
-    /// span yet contribute nothing.
-    fn sample_stacks(&self) -> Vec<String> {
-        let live = self.live.lock().expect("live traces lock");
-        let mut stacks = Vec::new();
-        for weak in live.iter() {
-            if let Some(ctx) = weak.upgrade() {
-                stacks.extend(ctx.open_stacks());
-            }
-        }
-        stacks
     }
 }
 
@@ -448,34 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn live_registry_tracks_in_flight_traces() {
-        let tracer = Tracer::new(TracerConfig::default());
-        assert_eq!(tracer.live_count(), 0);
-        let ctx = tracer.begin(None).unwrap();
-        let root = ctx.root_span("search");
-        let _child = root.child("matching");
-        assert_eq!(tracer.live_count(), 1);
-        let stacks = tracer.sample_stacks();
-        assert_eq!(stacks, vec!["search;matching".to_string()]);
-        drop(_child);
-        drop(root);
-        tracer.finish(ctx, outcome("q"));
-        assert_eq!(tracer.live_count(), 0);
-        assert!(tracer.sample_stacks().is_empty());
-    }
-
-    #[test]
-    fn abandoned_contexts_fall_out_of_the_registry() {
-        let tracer = Tracer::new(TracerConfig::default());
-        {
-            let _ctx = tracer.begin(None).unwrap();
-            assert_eq!(tracer.live_count(), 1);
-        } // dropped without finish — e.g. an engine error path
-        assert_eq!(tracer.live_count(), 0);
-        assert!(tracer.sample_stacks().is_empty());
-    }
-
-    #[test]
     fn slow_threshold_is_runtime_adjustable() {
         let tracer = Tracer::new(TracerConfig::default());
         assert_eq!(tracer.slow_threshold(), Duration::from_millis(250));
@@ -490,23 +368,6 @@ mod tests {
         let ctx = tracer.begin(None).unwrap();
         tracer.finish(ctx, outcome("fast again"));
         assert_eq!(tracer.slow(10).len(), 1, "still only the first trace");
-    }
-
-    #[test]
-    fn workload_plane_rides_the_tracing_gate() {
-        let on = Tracer::new(TracerConfig::default());
-        let workload = on.workload().expect("default config has a sketch");
-        workload.record_query(&["patient".to_string()], false);
-        assert_eq!(workload.total_queries(), 1);
-        // Disabled tracing ⇒ no workload plane: the obs-off bench
-        // baseline must not pay for it.
-        assert!(Tracer::new(TracerConfig::disabled()).workload().is_none());
-        // Tracing on but sketch capacity zeroed ⇒ also off.
-        let no_sketch = TracerConfig {
-            workload_sketch: 0,
-            ..TracerConfig::default()
-        };
-        assert!(Tracer::new(no_sketch).workload().is_none());
     }
 
     #[test]

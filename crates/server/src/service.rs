@@ -622,9 +622,7 @@ fn route_label(path: &str) -> &'static str {
         "/search" => "/search",
         "/debug/traces" => "/debug/traces",
         "/debug/slowlog" => "/debug/slowlog",
-        "/debug/profile" => "/debug/profile",
         "/debug/slo" => "/debug/slo",
-        "/debug/workload" => "/debug/workload",
         "/debug/index" => "/debug/index",
         "/debug/memory" => "/debug/memory",
         _ if path.starts_with("/debug/traces/") => "/debug/traces/{id}",
@@ -691,8 +689,8 @@ fn route(
     queue_wait: Option<Duration>,
     peer: Option<std::net::SocketAddr>,
 ) -> Response {
-    // The whole `/debug/*` surface is operator-only: span trees and the
-    // workload panels expose query text, and the memory/index reports
+    // The whole `/debug/*` surface is operator-only: span trees expose
+    // query text, and the memory/index reports
     // expose corpus internals. Gate all of it to loopback clients the
     // way POST /debug/slowlog always was.
     if request.path.starts_with("/debug/") && !peer.is_some_and(|p| p.ip().is_loopback()) {
@@ -706,9 +704,7 @@ fn route(
         ("GET", "/debug/traces") => handle_traces(engine, request),
         ("GET", "/debug/slowlog") => handle_slowlog(engine, request),
         ("POST", "/debug/slowlog") => handle_slowlog_threshold(engine, request, peer),
-        ("GET", "/debug/profile") => handle_profile(engine, request),
         ("GET", "/debug/slo") => Response::ok("application/json", slo.report().to_json()),
-        ("GET", "/debug/workload") => handle_workload(engine, request),
         ("GET", "/debug/index") => handle_index(engine, request),
         ("GET", "/debug/memory") => handle_memory(engine),
         ("GET", _) if request.path.starts_with("/debug/traces/") => {
@@ -721,8 +717,8 @@ fn route(
 
 /// `GET /metrics`: the registry's counter/histogram families plus
 /// hand-rendered gauges. The registry holds monotonic families only, so
-/// point-in-time values (resident bytes, distinct-term estimate) are
-/// appended here instead of being registered.
+/// point-in-time values (resident bytes) are appended here instead of
+/// being registered.
 fn handle_metrics(engine: &SchemrEngine) -> Response {
     use std::fmt::Write as _;
     let mut body = engine.metrics_registry().render_prometheus();
@@ -760,31 +756,7 @@ fn handle_metrics(engine: &SchemrEngine) -> Response {
             (mem.trace_ring_bytes + mem.slow_ring_bytes) as u64,
         );
     }
-    // `top_n = 0`: totals and the distinct estimate without ranking any
-    // heavy-hitter panel.
-    if let Some(snap) = engine.workload_snapshot(0) {
-        let _ = write!(
-            body,
-            "# HELP schemr_workload_distinct_terms_estimate KMV estimate of distinct analyzed query terms.\n\
-             # TYPE schemr_workload_distinct_terms_estimate gauge\n\
-             schemr_workload_distinct_terms_estimate {}\n",
-            snap.distinct_terms_estimate
-        );
-    }
     Response::ok("text/plain; version=0.0.4", body)
-}
-
-/// `GET /debug/workload?limit=N`: heavy-hitter query terms, normalized
-/// query shapes, and the zero-result panel from the engine's workload
-/// sketch. 404 when the workload plane is off.
-fn handle_workload(engine: &SchemrEngine, request: &Request) -> Response {
-    let top_n = limit_param(request, 20, 200);
-    match engine.workload_snapshot(top_n) {
-        Some(snapshot) => Response::ok("application/json", snapshot.to_json()),
-        None => Response::not_found(
-            "workload analytics disabled (tracing off or workload_sketch=0)".to_string(),
-        ),
-    }
 }
 
 /// `GET /debug/index?limit=N`: corpus aggregates plus per-postings-list
@@ -921,29 +893,6 @@ fn handle_slowlog_threshold(
         "application/json",
         format!("{{\"slow_threshold_ms\":{ms}}}"),
     )
-}
-
-/// `GET /debug/profile?ms=N`: block for the window (default 500 ms,
-/// capped at 10 s) and return the span stacks sampled during it in
-/// folded-stack format — pipe straight into a flamegraph renderer.
-fn handle_profile(engine: &SchemrEngine, request: &Request) -> Response {
-    let Some(profiler) = engine.profiler() else {
-        return Response::not_found("profiler disabled (tracing off or profile_hz=0)".to_string());
-    };
-    let ms = request
-        .param("ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(500)
-        .clamp(10, 10_000);
-    let window = profiler.profile_window(Duration::from_millis(ms));
-    let mut body = format!(
-        "# window_ms={ms} hz={} ticks={} total_weight={}\n",
-        profiler.hz(),
-        window.ticks,
-        window.total_weight()
-    );
-    body.push_str(&window.render_folded());
-    Response::ok("text/plain", body)
 }
 
 /// Parse a `limit` query param with a default and an upper bound.
@@ -1630,85 +1579,6 @@ mod tests {
     }
 
     #[test]
-    fn debug_profile_returns_folded_stacks_under_load() {
-        let server = SchemrServer::start(
-            engine(),
-            ServerConfig {
-                workers: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let addr = server.addr();
-        // Background load so the sampler has live spans to observe.
-        let stop = Arc::new(AtomicBool::new(false));
-        let loaders: Vec<_> = (0..2)
-            .map(|_| {
-                let stop = stop.clone();
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let _ = get(addr, "/search?q=patient+height+gender+diagnosis");
-                    }
-                })
-            })
-            .collect();
-        let (status, body) = get(addr, "/debug/profile?ms=400");
-        stop.store(true, Ordering::Relaxed);
-        for h in loaders {
-            h.join().unwrap();
-        }
-        assert_eq!(status, 200, "{body}");
-        let header = body.lines().next().unwrap_or("");
-        assert!(header.starts_with("# window_ms=400 hz="), "{body}");
-        assert!(header.contains("ticks="), "{body}");
-        // Under sustained load the window must catch named spans, and
-        // every sampled stack is rooted at the `search` span.
-        let stacks: Vec<&str> = body.lines().skip(1).collect();
-        assert!(!stacks.is_empty(), "no stacks sampled: {body}");
-        let mut named = 0u64;
-        let mut total = 0u64;
-        for line in &stacks {
-            let (stack, count) = line.rsplit_once(' ').expect("folded line");
-            let count: u64 = count.parse().expect("folded count");
-            total += count;
-            if stack.starts_with("search") {
-                named += count;
-            }
-        }
-        assert!(
-            named * 10 >= total * 9,
-            "expected >=90% of weight under `search`: {body}"
-        );
-        // Window bounds are clamped, not errors.
-        let (status, _) = get(addr, "/debug/profile?ms=1");
-        assert_eq!(status, 200);
-        assert!(server.shutdown());
-    }
-
-    #[test]
-    fn debug_profile_404_when_profiler_disabled() {
-        use schemr::EngineConfig;
-        let repo = Arc::new(Repository::new());
-        import_str(&repo, "clinic", "clinic", "CREATE TABLE p (id INT)").unwrap();
-        let eng = Arc::new(SchemrEngine::with_config(
-            repo,
-            EngineConfig {
-                trace: schemr_obs::TracerConfig {
-                    profile_hz: 0,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        ));
-        eng.reindex_full();
-        let server = SchemrServer::start(eng, ServerConfig::default()).unwrap();
-        let (status, body) = get(server.addr(), "/debug/profile");
-        assert_eq!(status, 404);
-        assert!(body.contains("profiler disabled"), "{body}");
-        assert!(server.shutdown());
-    }
-
-    #[test]
     fn slowlog_threshold_is_adjustable_at_runtime_from_loopback() {
         let server = SchemrServer::start(engine(), ServerConfig::default()).unwrap();
         let addr = server.addr();
@@ -1742,56 +1612,6 @@ mod tests {
              Connection: close\r\nContent-Length: 0\r\n\r\n",
         );
         assert_eq!(status, 400);
-        assert!(server.shutdown());
-    }
-
-    #[test]
-    fn debug_workload_reports_heavy_hitters_and_zero_results() {
-        let server = SchemrServer::start(engine(), ServerConfig::default()).unwrap();
-        let addr = server.addr();
-        for _ in 0..3 {
-            assert_eq!(get(addr, "/search?q=patient+height").0, 200);
-        }
-        assert_eq!(get(addr, "/search?q=zebra+wingspan").0, 200);
-        let (status, body) = get(addr, "/debug/workload");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"total_queries\":4"), "{body}");
-        assert!(body.contains("\"zero_result_queries\":1"), "{body}");
-        assert!(body.contains("\"zero_result_rate\":0.25"), "{body}");
-        assert!(body.contains("\"distinct_terms_estimate\""), "{body}");
-        assert!(body.contains("\"top_terms\":["), "{body}");
-        assert!(body.contains("\"top_shapes\":["), "{body}");
-        assert!(body.contains("\"top_zero_result_shapes\":["), "{body}");
-        // The analyzed terms of the repeated query dominate the panel.
-        assert!(body.contains("\"count\":3"), "{body}");
-        // ?limit=0 empties the panels but keeps the totals.
-        let (status, trimmed) = get(addr, "/debug/workload?limit=0");
-        assert_eq!(status, 200);
-        assert!(trimmed.contains("\"top_terms\":[]"), "{trimmed}");
-        assert!(trimmed.contains("\"total_queries\":4"), "{trimmed}");
-        // The zero-result rate also lands on /metrics as a counter.
-        let (_, metrics) = get(addr, "/metrics");
-        assert!(metrics.contains("schemr_search_empty_total 1"), "{metrics}");
-        assert!(server.shutdown());
-    }
-
-    #[test]
-    fn debug_workload_404_when_tracing_disabled() {
-        use schemr::EngineConfig;
-        let repo = Arc::new(Repository::new());
-        import_str(&repo, "clinic", "clinic", "CREATE TABLE p (id INT)").unwrap();
-        let eng = Arc::new(SchemrEngine::with_config(
-            repo,
-            EngineConfig {
-                trace: schemr_obs::TracerConfig::disabled(),
-                ..Default::default()
-            },
-        ));
-        eng.reindex_full();
-        let server = SchemrServer::start(eng, ServerConfig::default()).unwrap();
-        let (status, body) = get(server.addr(), "/debug/workload");
-        assert_eq!(status, 404);
-        assert!(body.contains("workload analytics disabled"), "{body}");
         assert!(server.shutdown());
     }
 
@@ -1883,10 +1703,6 @@ mod tests {
             metrics.contains("# TYPE schemr_trace_ring_bytes gauge"),
             "{metrics}"
         );
-        assert!(
-            metrics.contains("# TYPE schemr_workload_distinct_terms_estimate gauge"),
-            "{metrics}"
-        );
         assert!(server.shutdown());
     }
 
@@ -1901,9 +1717,7 @@ mod tests {
             "/debug/traces",
             "/debug/traces/some-id",
             "/debug/slowlog",
-            "/debug/profile",
             "/debug/slo",
-            "/debug/workload",
             "/debug/index",
             "/debug/memory",
         ] {
