@@ -271,16 +271,11 @@ impl SchemrEngine {
         let _span = SpanTimer::start(self.metrics.reindex_seconds.clone());
         let revision = self.repo.revision();
         let fresh = Index::new().with_metrics(self.metrics.index.clone());
-        // A head's worth at a time: a batch's analysis is a transient of
-        // the batch, not of the corpus, and every publish finds the head
-        // just sealed. Nobody sees `fresh` until it is swapped in, and the
-        // result is batch-invariant. One write session for all of them:
-        // the corpus repeats its vocabulary, so each distinct word is
-        // analyzed once.
-        let mut session = fresh.session();
-        for batch in self.repo.snapshot().chunks(fresh.seal_threshold()) {
-            session.apply(batch.iter().map(|s| IndexChange::Put(index_document(s))));
-        }
+        // Nobody sees `fresh` until it is swapped in, and the result does
+        // not depend on the batches or on how many threads analyze them.
+        fresh.bulk_load(&self.repo.snapshot(), Index::bulk_analysers(), |s| {
+            index_document(s)
+        });
         *self.index.write() = fresh;
         *self.last_indexed_revision.lock() = revision;
     }

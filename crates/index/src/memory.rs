@@ -15,6 +15,10 @@
 //! nothing. When the head reaches the seal threshold its frozen form
 //! joins the sealed segments and a fresh builder starts.
 //!
+//! A fresh index filled in bulk goes through [`Index::bulk_load`]: the
+//! same commits in the same order, a sealed segment each, while later
+//! batches are analyzed on other threads.
+//!
 //! ## Read path
 //!
 //! Searches clone the published `Arc` once and never touch a lock again:
@@ -32,7 +36,7 @@
 //! warm across them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use parking_lot::{Mutex, RwLock};
 use schemr_model::SchemaId;
@@ -55,6 +59,12 @@ use crate::snapshot::IndexSnapshot;
 /// enough that per-batch publishing stays cheap, large enough that a
 /// typical corpus spans only a handful of segments.
 const DEFAULT_SEAL_THRESHOLD: usize = 1024;
+
+/// Most threads a bulk load analyzes on. Measured on 30,000 schemas, a
+/// build's analysis is ≈0.19 s and its locked half ≈0.105 s (head pushes
+/// 0.085, freezes 0.02): two analysers already outpace the one thread
+/// that commits, so a third would only wait on it.
+const BULK_ANALYSERS: usize = 2;
 
 /// Sealed-segment count past which a maintenance merge compacts even
 /// without tombstone pressure, bounding per-query segment fan-out: every
@@ -326,6 +336,90 @@ impl Index {
     /// kept from one batch to the next.
     pub fn session(&self) -> Session<'_> {
         Session::new(self)
+    }
+
+    /// The analysers [`Index::bulk_load`] should run on this machine: two,
+    /// or one where there is a single core.
+    pub fn bulk_analysers() -> usize {
+        std::thread::available_parallelism()
+            .map_or(1, usize::from)
+            .min(BULK_ANALYSERS)
+    }
+
+    /// Put `docs` into a fresh index a seal threshold's worth a batch, so
+    /// that each full batch becomes one sealed segment and a partial last
+    /// one stays the head. Up to `analysers` scoped threads each analyze
+    /// every `analysers`-th batch in a session of their own, while this
+    /// thread commits the batches in order and hands each session back to
+    /// its analyser once its batch is in. Segments, revision, published
+    /// snapshot and file are therefore those of [`Session::apply`] called
+    /// on each batch in turn; with one analyser (or one batch) that is
+    /// what runs, on this thread, and nothing is spawned.
+    ///
+    /// What outlives the build — the head's lists, the frozen segments,
+    /// each published snapshot — is allocated here, on the calling thread;
+    /// an analyser allocates only its session. Segments built on the
+    /// analysers instead landed in their threads' malloc arenas and cost
+    /// the process 5–25 MiB of peak RSS.
+    ///
+    /// A panic on an analyser resumes here. Returns how many changes took
+    /// effect, as [`Index::apply`] does.
+    pub fn bulk_load<'d, T: Sync>(
+        &self,
+        docs: &'d [T],
+        analysers: usize,
+        document: impl Fn(&T) -> IndexDocument<'_> + Sync,
+    ) -> usize {
+        let batches = || docs.chunks(self.seal_threshold);
+        let batch_count = batches().len();
+        let analysers = analysers.clamp(1, batch_count.max(1));
+        let document = &document;
+        let puts =
+            move |batch: &'d [T]| batch.iter().map(move |doc| IndexChange::Put(document(doc)));
+        if analysers == 1 {
+            let mut session = self.session();
+            return batches().map(|batch| session.apply(puts(batch))).sum();
+        }
+        std::thread::scope(|scope| {
+            let (mut handles, hand_offs): (Vec<_>, Vec<_>) = (0..analysers)
+                .map(|first| {
+                    let (analyzed, ready) = mpsc::sync_channel::<Session<'_>>(1);
+                    let (give_back, returned) = mpsc::sync_channel::<Session<'_>>(1);
+                    let mine = batches().skip(first).step_by(analysers);
+                    let handle = scope.spawn(move || {
+                        let mut session = self.session();
+                        for batch in mine {
+                            session.analyze_batch(puts(batch));
+                            // Either side hangs up only while unwinding.
+                            if analyzed.send(session).is_err() {
+                                return;
+                            }
+                            match returned.recv() {
+                                Ok(back) => session = back,
+                                Err(_) => return,
+                            }
+                        }
+                    });
+                    (handle, (ready, give_back))
+                })
+                .unzip();
+            let mut took_effect = 0;
+            for analyser in (0..analysers).cycle().take(batch_count) {
+                let (ready, give_back) = &hand_offs[analyser];
+                let Ok(mut session) = ready.recv() else {
+                    // The analyser dropped its sender without a batch: it
+                    // panicked. Re-raise its panic rather than wait.
+                    let handle = handles.swap_remove(analyser);
+                    let panic = handle.join().expect_err("an analyser quit early");
+                    std::panic::resume_unwind(panic)
+                };
+                took_effect += session.commit();
+                // After its last batch too: a session is freed on the
+                // thread that allocated it.
+                let _ = give_back.send(session);
+            }
+            took_effect
+        })
     }
 
     /// The name and the prose pipeline, in that order.

@@ -421,8 +421,9 @@ impl Batch {
 
 /// A write session on one [`Index`]: [`Session::apply`] is
 /// [`Index::apply`] with the analysis tables kept from one batch to the
-/// next, for a caller that loads many batches (a full re-index). Results
-/// do not depend on how changes are cut into batches or sessions.
+/// next, for a caller that loads many batches. Results do not depend on
+/// how changes are cut into batches or sessions, which is what lets
+/// [`Index::bulk_load`] analyze in a session per thread.
 pub struct Session<'i> {
     index: &'i Index,
     scratch: AnalyzeScratch,
@@ -474,6 +475,14 @@ impl<'i> Session<'i> {
     /// [`Index::apply`], to the letter: analysis before the writer lock
     /// is taken, one lock hold, one publish.
     pub fn apply<'a>(&mut self, changes: impl IntoIterator<Item = IndexChange<'a>>) -> usize {
+        self.analyze_batch(changes);
+        self.commit()
+    }
+
+    /// The off-lock half of [`Session::apply`]: analyze `changes` into
+    /// the session's batch, replacing the last one. Touches nothing but
+    /// the session and the index's counters, so it runs on any thread.
+    pub(crate) fn analyze_batch<'a>(&mut self, changes: impl IntoIterator<Item = IndexChange<'a>>) {
         self.batch.clear();
         for change in changes {
             match change {
@@ -486,6 +495,11 @@ impl<'i> Session<'i> {
         metrics.tokens.add(counts.tokens);
         metrics.token_analyses.add(counts.analyses);
         self.rows.cover(self.terms.len());
+    }
+
+    /// The locked half of [`Session::apply`]: commit the analyzed batch
+    /// under one writer-lock hold and publish once.
+    pub(crate) fn commit(&mut self) -> usize {
         self.index.commit(&self.batch, &self.terms, &mut self.rows)
     }
 

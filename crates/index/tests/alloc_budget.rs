@@ -3,19 +3,33 @@
 //! nothing per posting, and the index's reported size is what a load asks
 //! the allocator for. And what the write session promises it: a warm one
 //! allocates nothing per document or occurrence, a cold one a small
-//! constant.
+//! constant. And what a pipelined bulk load promises: its analysers cost a
+//! constant each, nothing a batch.
 //!
 //! This file is its own test binary, so the counting `#[global_allocator]`
-//! reaches nothing else; counts are per thread, so the harness's own
-//! threads do not disturb the one running a test.
+//! reaches nothing else. Most counts are per thread; a bulk load's spread
+//! over threads it spawns, so it counts the whole process, and every test
+//! runs [`alone`] to keep the others' allocations out of that count.
+
+use std::sync::{Mutex, MutexGuard};
 
 use schemr_index::{codec, Index, IndexChange, OwnedDocument};
 use schemr_model::SchemaId;
-use schemr_obs::alloc::{thread_alloc_bytes, thread_alloc_count, CountingAlloc};
+use schemr_obs::alloc::{
+    process_alloc_count, thread_alloc_bytes, thread_alloc_count, CountingAlloc,
+};
 use schemr_obs::DeepSize;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Hold while a test runs: one test at a time allocates.
+fn alone() -> MutexGuard<'static, ()> {
+    static ALONE: Mutex<()> = Mutex::new(());
+    ALONE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Allocation events and bytes requested on this thread while `f` runs.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
@@ -66,6 +80,7 @@ const PER_SEGMENT: u64 = 32;
 
 #[test]
 fn decode_allocates_per_segment_not_per_posting() {
+    let _alone = alone();
     // Any index starts with its two analyzers' dictionaries.
     let (_, empty_index, _) = counted(Index::new);
     let mut counts = Vec::new();
@@ -92,6 +107,7 @@ fn decode_allocates_per_segment_not_per_posting() {
 
 #[test]
 fn a_load_allocates_what_stays_resident() {
+    let _alone = alone();
     let index = index_of(4, 24);
     let bytes = codec::encode(&index);
     let (decoded, _, requested) = counted(|| codec::decode(&bytes).unwrap());
@@ -107,6 +123,7 @@ fn a_load_allocates_what_stays_resident() {
 
 #[test]
 fn publishing_the_head_allocates_nothing_per_posting() {
+    let _alone = alone();
     // One-document adds into a small head and into one ten times fuller:
     // each analyzes, appends and publishes (a freeze of the whole head).
     let mut per_add = Vec::new();
@@ -132,6 +149,7 @@ fn publishing_the_head_allocates_nothing_per_posting() {
 
 #[test]
 fn a_warm_session_allocates_nothing_per_document_or_occurrence() {
+    let _alone = alone();
     // A session that has seen the vocabulary and sized its batch buffers
     // adds 1,024 more documents to a head that already holds 1,024. What
     // is left to allocate is the head's growth — each of its ≈50 lists'
@@ -154,8 +172,39 @@ fn a_warm_session_allocates_nothing_per_document_or_occurrence() {
     }
 }
 
+/// What an analyser of a bulk load may cost beyond the serial build: its
+/// thread, its two channels and a session's cold tables (≈55 today).
+const PER_ANALYSER: u64 = 96;
+
+#[test]
+fn a_pipelined_build_allocates_the_serial_builds_plus_its_analysers() {
+    // 2,000 documents in 125 batches of 16: anything the pipeline paid
+    // per batch would be 125 allocations at the least.
+    let _alone = alone();
+    let docs: Vec<OwnedDocument> = (0..2_000).map(|id| doc(id, 24)).collect();
+    let build = |analysers| {
+        let index = Index::new().with_seal_threshold(16);
+        let before = process_alloc_count();
+        let (_, caller, _) = counted(|| index.bulk_load(&docs, analysers, OwnedDocument::view));
+        (process_alloc_count() - before, caller)
+    };
+    let (serial, _) = build(1);
+    let (pipelined, caller) = build(2);
+    assert!(
+        pipelined <= serial + 2 * PER_ANALYSER,
+        "{pipelined} allocations with two analysers, {serial} with one"
+    );
+    // The heads, segments and snapshots stay on the calling thread: it
+    // is spared only the session's tables.
+    assert!(
+        caller + PER_ANALYSER >= serial,
+        "the calling thread allocated {caller} of {pipelined}, {serial} building alone"
+    );
+}
+
 #[test]
 fn a_cold_two_document_apply_allocates_a_small_constant() {
+    let _alone = alone();
     // What a scheduler tick's batch pays for opening a session of its own:
     // the tables start at a small batch's size and do not grow in one
     // (62 here). The path this replaced — three `Vec`s a document and a
