@@ -6,13 +6,16 @@
 //! segments' columns as they sit in memory), the time a fresh engine takes
 //! to load that file, the index's resident bytes, dictionary size, and
 //! the cost of applying an incremental batch through the change journal.
+//! Beside the index it times the repository file a restart reads first:
+//! `persist::save` of the whole repository, and its first
+//! `persist::load` in the process.
 //!
 //! Run with `cargo run --release -p schemr-bench --bin e6_index_build`.
 
 use schemr::{IndexScheduler, SchemrEngine};
 use schemr_bench::Table;
 use schemr_corpus::{Corpus, CorpusConfig};
-use schemr_repo::Repository;
+use schemr_repo::{persist, Repository};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -36,6 +39,9 @@ fn main() {
         "terms",
         "postings",
         "incr 100 (ms)",
+        "repo save (ms)",
+        "repo load (ms)",
+        "repo.json (MiB)",
     ]);
     for &size in sizes {
         let corpus = Corpus::generate(&CorpusConfig {
@@ -70,6 +76,18 @@ fn main() {
         let segments = restored.index_introspection(0).segments;
         drop(restored);
 
+        let repo_file = std::env::temp_dir().join(format!("schemr-e6-{size}.json"));
+        let t_save = Instant::now();
+        persist::save(&repo, &repo_file).unwrap();
+        let repo_save = t_save.elapsed();
+        let repo_bytes = std::fs::metadata(&repo_file).map(|m| m.len()).unwrap_or(0);
+        let t_load = Instant::now();
+        let reloaded = persist::load(&repo_file).unwrap();
+        let repo_load = t_load.elapsed();
+        let _ = std::fs::remove_file(&repo_file);
+        assert_eq!(reloaded.len(), repo.len());
+        drop(reloaded);
+
         // Incremental batch: 100 fresh schemas through the journal.
         let extra = Corpus::generate(&CorpusConfig {
             target_size: 100,
@@ -97,6 +115,9 @@ fn main() {
             stats.distinct_terms.to_string(),
             stats.postings.to_string(),
             format!("{:.1}", incr.as_secs_f64() * 1000.0),
+            format!("{:.1}", repo_save.as_secs_f64() * 1000.0),
+            format!("{:.1}", repo_load.as_secs_f64() * 1000.0),
+            format!("{:.1}", repo_bytes as f64 / (1024.0 * 1024.0)),
         ]);
     }
     table.print();

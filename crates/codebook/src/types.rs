@@ -1,9 +1,7 @@
 //! Semantic types: what attribute values *mean*.
 
-use serde::{Deserialize, Serialize};
-
 /// Kinds of physical units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum UnitKind {
     /// Lengths and heights (m, cm, ft, …).
     Length,
@@ -20,7 +18,7 @@ pub enum UnitKind {
 }
 
 /// A semantic data type from the codebook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SemanticType {
     /// Geographic latitude in degrees.
     Latitude,

@@ -1,14 +1,15 @@
 //! Community signal storage: ratings, comments, usage statistics.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use parking_lot::RwLock;
 use schemr_model::SchemaId;
-use serde::{Deserialize, Serialize};
+use schemr_obs::json::{self, JsonError, Reader};
 
 /// A user comment on a schema ("through these comments, users can suggest
 /// improvements or additions").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Comment {
     /// Author handle.
     pub author: String,
@@ -21,7 +22,7 @@ pub struct Comment {
 }
 
 /// Usage statistics for one schema.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UsageStats {
     /// Times the schema appeared in a result list.
     pub impressions: u64,
@@ -44,7 +45,7 @@ impl UsageStats {
 }
 
 /// All community signals for one schema.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchemaSignals {
     /// Star ratings, each in 1..=5.
     pub ratings: Vec<u8>,
@@ -145,18 +146,109 @@ impl CommunityStore {
         self.len() == 0
     }
 
-    /// Serialize the whole store to JSON.
+    /// Serialize the whole store to JSON: an object keyed by schema id,
+    /// each value `{ratings, comments, usage}` in field order.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&*self.state.read()).expect("signals serialize")
+        let mut out = String::from("{");
+        for (i, (id, signals)) in self.state.read().iter().enumerate() {
+            let comma = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{comma}\"{id}\":{{\"ratings\":[");
+            for (i, stars) in signals.ratings.iter().enumerate() {
+                let _ = write!(out, "{}{stars}", if i > 0 { "," } else { "" });
+            }
+            out.push_str("],\"comments\":[");
+            for (i, c) in signals.comments.iter().enumerate() {
+                let comma = if i > 0 { "," } else { "" };
+                let _ = write!(out, "{comma}{{\"author\":");
+                json::string_into(&mut out, &c.author);
+                out.push_str(",\"text\":");
+                json::string_into(&mut out, &c.text);
+                let _ = write!(out, ",\"seq\":{},\"reply_to\":", c.seq);
+                match c.reply_to {
+                    Some(p) => {
+                        let _ = write!(out, "{p}}}");
+                    }
+                    None => out.push_str("null}"),
+                }
+            }
+            let u = &signals.usage;
+            let _ = write!(
+                out,
+                "],\"usage\":{{\"impressions\":{},\"clicks\":{},\"adoptions\":{}}}}}",
+                u.impressions, u.clicks, u.adoptions
+            );
+        }
+        out.push('}');
+        out
     }
 
     /// Restore from [`CommunityStore::to_json`] output.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let state: BTreeMap<u64, SchemaSignals> = serde_json::from_str(json)?;
+    pub fn from_json(json: &str) -> Result<Self, JsonError> {
+        let mut r = Reader::new(json);
+        let mut state = BTreeMap::new();
+        r.object(|r, id| {
+            let id = id
+                .parse()
+                .map_err(|_| r.error(format!("schema key {id:?} is not an id")))?;
+            state.insert(id, read_signals(r)?);
+            Ok(())
+        })?;
+        r.finish()?;
         Ok(CommunityStore {
             state: RwLock::new(state),
         })
     }
+}
+
+fn read_signals(r: &mut Reader<'_>) -> Result<SchemaSignals, JsonError> {
+    let mut signals = SchemaSignals::default();
+    r.fields(["ratings", "comments", "usage"], |r, key| {
+        match key {
+            "ratings" => r.array(|r| {
+                let stars = r.u64()?;
+                let stars = u8::try_from(stars)
+                    .map_err(|_| r.error(format!("rating {stars} out of range")))?;
+                signals.ratings.push(stars);
+                Ok(())
+            })?,
+            "comments" => r.array(|r| {
+                signals.comments.push(read_comment(r)?);
+                Ok(())
+            })?,
+            _ => {
+                let u = &mut signals.usage;
+                r.fields(["impressions", "clicks", "adoptions"], |r, key| {
+                    match key {
+                        "impressions" => u.impressions = r.u64()?,
+                        "clicks" => u.clicks = r.u64()?,
+                        _ => u.adoptions = r.u64()?,
+                    }
+                    Ok(())
+                })?
+            }
+        }
+        Ok(())
+    })?;
+    Ok(signals)
+}
+
+fn read_comment(r: &mut Reader<'_>) -> Result<Comment, JsonError> {
+    let mut c = Comment {
+        author: String::new(),
+        text: String::new(),
+        seq: 0,
+        reply_to: None,
+    };
+    r.fields(["author", "text", "seq", "reply_to"], |r, key| {
+        match key {
+            "author" => c.author = r.string()?.into_owned(),
+            "text" => c.text = r.string()?.into_owned(),
+            "seq" => c.seq = r.u64()?,
+            _ => c.reply_to = r.nullable(Reader::u64)?,
+        }
+        Ok(())
+    })?;
+    Ok(c)
 }
 
 #[cfg(test)]
@@ -230,6 +322,29 @@ mod tests {
         assert_eq!(restored.signals(SchemaId(1)), store.signals(SchemaId(1)));
         assert_eq!(restored.signals(SchemaId(2)), store.signals(SchemaId(2)));
         assert!(CommunityStore::from_json("nope").is_err());
+    }
+
+    #[test]
+    fn the_file_bytes_are_pinned() {
+        let store = CommunityStore::new();
+        store.rate(SchemaId(7), 4);
+        store.rate(SchemaId(7), 5);
+        store.comment(SchemaId(7), "ana", "needs \"units\"\tin cm\u{8}", None);
+        store.comment(SchemaId(7), "bö", "agreed", Some(0));
+        store.record_click(SchemaId(7));
+        store.record_impression(SchemaId(7));
+        let expected = concat!(
+            r#"{"7":{"ratings":[4,5],"comments":["#,
+            r#"{"author":"ana","text":"needs \"units\"\tin cm\b","seq":0,"reply_to":null},"#,
+            r#"{"author":"bö","text":"agreed","seq":1,"reply_to":0}],"#,
+            r#""usage":{"impressions":1,"clicks":1,"adoptions":0}}}"#
+        );
+        assert_eq!(store.to_json(), expected);
+        assert_eq!(
+            CommunityStore::from_json(expected).unwrap().to_json(),
+            expected
+        );
+        assert_eq!(CommunityStore::new().to_json(), "{}");
     }
 
     #[test]

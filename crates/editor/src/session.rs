@@ -3,10 +3,9 @@
 use schemr_model::{DataType, Element, ElementId, Schema, SchemaId};
 use schemr_parse::printer::print_ddl;
 use schemr_repo::{Repository, RepositoryError};
-use serde::{Deserialize, Serialize};
 
 /// Where a draft element came from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Provenance {
     /// The element in the draft.
     pub draft_element: ElementId,
@@ -18,7 +17,7 @@ pub struct Provenance {
 
 /// An implicit semantic mapping captured by adoption: the draft element
 /// and its source element denote the same concept.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping {
     /// Draft side.
     pub draft_element: ElementId,

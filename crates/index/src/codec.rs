@@ -30,7 +30,6 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use schemr_model::SchemaId;
 
 use crate::field::Field;
@@ -139,7 +138,7 @@ fn write_segment(out: &mut Vec<u8>, c: &Columns, overlay: &[u64]) {
 
 /// Serialize the index to a byte buffer. Reads the published snapshot —
 /// concurrent searches and writers are unaffected.
-pub fn encode(index: &Index) -> Bytes {
+pub fn encode(index: &Index) -> Vec<u8> {
     let snap = index.snapshot();
     let mut out = Vec::with_capacity(16 + snap.deep_bytes() + 128 * snap.segments.len());
     out.extend_from_slice(MAGIC);
@@ -148,7 +147,7 @@ pub fn encode(index: &Index) -> Bytes {
     for seg in &snap.segments {
         write_segment(&mut out, seg.data.columns(), seg.live.bits());
     }
-    Bytes::from(out)
+    out
 }
 
 /// What is left of the input. Every read is bounded by it, so no count in

@@ -1,14 +1,12 @@
 //! Document fields and their boosts.
 
-use serde::{Deserialize, Serialize};
-
 /// The fields of a flattened schema document.
 ///
 /// These mirror the paper's document layout — "a title, a summary, an ID,
 /// and a flattened representation of each element". The ID is the document
 /// key, not a searchable field; documentation strings get their own
 /// low-boost field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Field {
     /// Schema title (name). Highest boost: a title hit is a strong signal.
     Title,

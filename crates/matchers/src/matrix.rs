@@ -1,14 +1,12 @@
 //! Similarity matrices: the interchange format between matchers, the
 //! ensemble, and the tightness-of-fit scorer.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense (query terms × schema elements) matrix of similarity scores in
 /// `[0, 1]`.
 ///
 /// "Each (query element, schema element) pair has a corresponding value
 /// which describes the match quality — a value between 0 and 1."
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimilarityMatrix {
     rows: usize,
     cols: usize,

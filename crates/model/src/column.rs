@@ -9,11 +9,14 @@
 //! The column upholds one invariant for everything built on it: an
 //! element's containment parent has a smaller id than the element itself
 //! (*parents precede children*). [`ElementColumn::push`] is the only way
-//! in — for `add_child`, and for deserialization alike — so no dangling
+//! in — for `add_child`, and for a file being read alike — so no dangling
 //! parent and no containment cycle can exist, and every parent walk
 //! terminates.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
+use schemr_obs::json::{self, JsonError, Reader};
 
 use crate::element::{DataType, Element, ElementId, ElementKind};
 
@@ -52,6 +55,18 @@ pub struct ElementRef<'a> {
     pub doc: Option<&'a str>,
 }
 
+impl<'a> From<&'a Element> for ElementRef<'a> {
+    fn from(el: &'a Element) -> Self {
+        ElementRef {
+            name: &el.name,
+            kind: el.kind,
+            data_type: el.data_type,
+            parent: el.parent,
+            doc: el.doc.as_deref(),
+        }
+    }
+}
+
 impl ElementRef<'_> {
     /// An owned copy, as [`crate::Schema::add_root`] / `add_child` take it.
     pub fn to_element(&self) -> Element {
@@ -87,7 +102,7 @@ impl ElementColumn {
 
     /// Append `element`; its `parent`, if any, must already be in the
     /// column. This check is the whole containment invariant.
-    pub fn push(&mut self, element: Element) -> Result<ElementId, String> {
+    pub fn push(&mut self, element: ElementRef<'_>) -> Result<ElementId, String> {
         let id = self.records.len();
         let parent = match element.parent {
             None => NO_PARENT,
@@ -100,9 +115,9 @@ impl ElementColumn {
             }
         };
         assert!(id < NO_PARENT as usize, "too many elements in one schema");
-        self.text.push_str(&element.name);
+        self.text.push_str(element.name);
         let name_end = offset(self.text.len());
-        if let Some(doc) = &element.doc {
+        if let Some(doc) = element.doc {
             self.text.push_str(doc);
         }
         self.records.push(Record {
@@ -194,30 +209,66 @@ impl ElementColumn {
 }
 
 /// On the wire the column is what the element list always was: an array
-/// of [`Element`] objects, so files written before the flat layout load,
-/// and files written now are byte-identical to them.
-impl Serialize for ElementColumn {
-    fn serialize_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|el| el.to_element().serialize_value())
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for ElementColumn {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let Value::Array(items) = v else {
-            return Err(DeError("expected an array of elements".to_string()));
-        };
-        let mut column = ElementColumn::default();
-        column.records.reserve_exact(items.len());
-        for item in items {
-            column
-                .push(Element::deserialize_value(item)?)
-                .map_err(DeError)?;
+/// of element objects, so files written before the flat layout load, and
+/// files written now are byte-identical to them.
+impl ElementColumn {
+    pub fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, el) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":");
+            json::string_into(out, el.name);
+            let (kind, data_type) = (el.kind.wire_name(), el.data_type.wire_name());
+            let _ = write!(
+                out,
+                ",\"kind\":\"{kind}\",\"data_type\":\"{data_type}\",\"parent\":"
+            );
+            match el.parent {
+                Some(p) => {
+                    let _ = write!(out, "{}", p.0);
+                }
+                None => out.push_str("null"),
+            }
+            out.push_str(",\"doc\":");
+            match el.doc {
+                Some(doc) => json::string_into(out, doc),
+                None => out.push_str("null"),
+            }
+            out.push('}');
         }
+        out.push(']');
+    }
+
+    /// Each element's name and doc go from the input (borrowed, unless
+    /// escaped) straight into the arena, through [`ElementColumn::push`].
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let mut column = ElementColumn::default();
+        r.array(|r| {
+            let (mut name, mut doc) = (Cow::Borrowed(""), None);
+            let (mut kind, mut data_type, mut parent) =
+                (ElementKind::Entity, DataType::Unknown, None);
+            r.fields(["name", "kind", "data_type", "parent", "doc"], |r, key| {
+                match key {
+                    "name" => name = r.string()?,
+                    "kind" => kind = r.variant(&ElementKind::ALL, ElementKind::wire_name)?,
+                    "data_type" => data_type = r.variant(&DataType::ALL, DataType::wire_name)?,
+                    "parent" => parent = r.nullable(ElementId::read_json)?,
+                    _ => doc = r.nullable(Reader::string)?,
+                }
+                Ok(())
+            })?;
+            let element = ElementRef {
+                name: &name,
+                kind,
+                data_type,
+                parent,
+                doc: doc.as_deref(),
+            };
+            column.push(element).map_err(|e| r.error(e))?;
+            Ok(())
+        })?;
         Ok(column)
     }
 }
@@ -234,11 +285,11 @@ mod tests {
     #[test]
     fn text_is_stored_back_to_back_in_id_order() {
         let mut c = ElementColumn::default();
-        c.push(Element::entity("patient").with_doc("a person"))
+        c.push((&Element::entity("patient").with_doc("a person")).into())
             .unwrap();
         let mut height = Element::attribute("height", DataType::Real);
         height.parent = Some(ElementId(0));
-        c.push(height).unwrap();
+        c.push((&height).into()).unwrap();
         assert_eq!(c.text, "patienta personheight");
         assert_eq!(c.view(0).doc, Some("a person"));
         assert_eq!(c.view(1).name, "height");
@@ -251,10 +302,13 @@ mod tests {
         let mut c = ElementColumn::default();
         let mut own = Element::group("self");
         own.parent = Some(ElementId(0));
-        assert!(c.push(own).unwrap_err().contains("does not precede"));
+        assert!(c
+            .push((&own).into())
+            .unwrap_err()
+            .contains("does not precede"));
         let mut later = Element::group("later");
         later.parent = Some(ElementId(7));
-        assert!(c.push(later).is_err());
+        assert!(c.push((&later).into()).is_err());
         assert_eq!(c.len(), 0);
         assert!(c.text.is_empty());
     }
@@ -268,7 +322,7 @@ mod tests {
                 if i == 1 {
                     el.doc = doc.map(str::to_string);
                 }
-                c.push(el).unwrap();
+                c.push((&el).into()).unwrap();
             }
             c
         };

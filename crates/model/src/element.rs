@@ -1,18 +1,26 @@
 //! Schema elements: the nodes of the schema graph.
 
-use serde::{Deserialize, Serialize};
+use schemr_obs::json::{JsonError, Reader};
 
 /// Index of an element within its [`crate::Schema`].
 ///
 /// `ElementId`s are dense (0..n) and only meaningful relative to the schema
 /// that issued them, which lets similarity matrices be plain 2-D arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ElementId(pub u32);
 
 impl ElementId {
     /// The element's position in [`crate::Schema::elements`].
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// An id as `repo.json` writes it: a bare integer that fits a `u32`.
+    pub(crate) fn read_json(r: &mut Reader<'_>) -> Result<ElementId, JsonError> {
+        let n = r.u64()?;
+        u32::try_from(n)
+            .map(ElementId)
+            .map_err(|_| r.error(format!("element id {n} out of range")))
     }
 }
 
@@ -26,7 +34,7 @@ impl std::fmt::Display for ElementId {
 ///
 /// The paper's GUI colors nodes by this type ("e.g. entity or attribute");
 /// matchers and the tightness-of-fit measure also branch on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElementKind {
     /// A container of attributes: a relational table or an XML complex type.
     Entity,
@@ -39,6 +47,21 @@ pub enum ElementKind {
 }
 
 impl ElementKind {
+    pub(crate) const ALL: [ElementKind; 3] = [
+        ElementKind::Entity,
+        ElementKind::Attribute,
+        ElementKind::Group,
+    ];
+
+    /// The variant's name, as `repo.json` spells it.
+    pub(crate) fn wire_name(self) -> &'static str {
+        match self {
+            ElementKind::Entity => "Entity",
+            ElementKind::Attribute => "Attribute",
+            ElementKind::Group => "Group",
+        }
+    }
+
     /// Short lowercase label used in flattened index documents and GraphML.
     pub fn label(self) -> &'static str {
         match self {
@@ -59,7 +82,7 @@ impl std::fmt::Display for ElementKind {
 ///
 /// Parsers map concrete SQL / XSD types onto this small lattice; the
 /// data-type matcher scores pairs by compatibility within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DataType {
     Integer,
     Real,
@@ -101,6 +124,22 @@ impl DataType {
         matches!(self, DataType::Date | DataType::Time | DataType::DateTime)
     }
 
+    /// The variant's name, as `repo.json` spells it.
+    pub(crate) fn wire_name(self) -> &'static str {
+        match self {
+            DataType::Integer => "Integer",
+            DataType::Real => "Real",
+            DataType::Decimal => "Decimal",
+            DataType::Text => "Text",
+            DataType::Boolean => "Boolean",
+            DataType::Date => "Date",
+            DataType::Time => "Time",
+            DataType::DateTime => "DateTime",
+            DataType::Binary => "Binary",
+            DataType::Unknown => "Unknown",
+        }
+    }
+
     /// Short lowercase label for display and GraphML.
     pub fn label(self) -> &'static str {
         match self {
@@ -125,7 +164,7 @@ impl std::fmt::Display for DataType {
 }
 
 /// A node in the schema graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Element {
     /// The element's declared name, exactly as parsed (`PatientHeight`,
     /// `pat_ht`, …). Normalization happens in the text-analysis layer.
@@ -217,6 +256,16 @@ mod tests {
             let l = t.label();
             assert_eq!(l, l.to_lowercase());
             assert!(seen.insert(l), "duplicate label {l}");
+        }
+    }
+
+    #[test]
+    fn wire_names_are_the_variant_names() {
+        for kind in ElementKind::ALL {
+            assert_eq!(kind.wire_name(), format!("{kind:?}"));
+        }
+        for t in DataType::ALL {
+            assert_eq!(t.wire_name(), format!("{t:?}"));
         }
     }
 

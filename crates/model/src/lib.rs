@@ -41,9 +41,7 @@ pub use validate::{validate, ValidationError};
 /// The repository assigns these; the model only carries them around so that
 /// search results, visualizations, and HTTP responses can refer back to the
 /// stored schema.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SchemaId(pub u64);
 
 impl std::fmt::Display for SchemaId {

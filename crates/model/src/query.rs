@@ -4,8 +4,6 @@
 //! keywords" (paper, §2 / Figure 1): the user may type free keywords, upload
 //! DDL/XSD fragments, or both. Each keyword is a degenerate one-node graph.
 
-use serde::{Deserialize, Serialize};
-
 use crate::element::{ElementId, ElementKind};
 use crate::schema::Schema;
 
@@ -14,7 +12,7 @@ use crate::schema::Schema;
 /// Flattening a [`QueryGraph`] yields one `QueryTerm` per fragment element
 /// plus one per keyword; matchers score candidate schema elements against
 /// these.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryTerm {
     /// The raw text of the term (element name or keyword).
     pub text: String,
@@ -35,7 +33,7 @@ impl QueryTerm {
 }
 
 /// A parsed query: schema fragments plus keywords.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryGraph {
     fragments: Vec<Schema>,
     keywords: Vec<String>,

@@ -1,7 +1,9 @@
 //! The [`Schema`] graph: elements, containment, foreign keys, and the
 //! structural distance classes used by tightness-of-fit scoring.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use std::fmt::Write as _;
+
+use schemr_obs::json::{self, JsonError, Reader};
 
 use crate::column::{ElementColumn, ElementRef};
 use crate::element::{Element, ElementId, ElementKind};
@@ -10,7 +12,7 @@ use crate::element::{Element, ElementId, ElementKind};
 ///
 /// Attribute-level detail is kept so parsers can round-trip DDL, but the
 /// tightness-of-fit measure only uses the entity-level projection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForeignKey {
     /// Referencing entity.
     pub from_entity: ElementId,
@@ -31,7 +33,7 @@ pub struct ForeignKey {
 /// * same *entity neighborhood* (transitive closure over foreign keys) →
 ///   small penalty,
 /// * unrelated entities → larger penalty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DistanceClass {
     /// The element lives in the anchor entity itself.
     SameEntity,
@@ -49,7 +51,7 @@ pub enum DistanceClass {
 /// [`ElementId`]s index into [`Schema::elements`], text lives in one
 /// arena, and containment is each element's `parent` pointer, which always
 /// names an *earlier* element. Foreign keys are a separate edge list.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     /// The schema's own name (e.g. the DDL file stem or XSD root).
     pub name: String,
@@ -57,37 +59,101 @@ pub struct Schema {
     foreign_keys: Vec<ForeignKey>,
 }
 
-/// The persisted shape; [`Schema`] is read through it so that a file is
-/// checked before anything walks it.
-#[derive(Deserialize)]
-struct SchemaFile {
-    name: String,
-    elements: ElementColumn,
-    foreign_keys: Vec<ForeignKey>,
+impl ForeignKey {
+    fn write_json(&self, out: &mut String) {
+        let ids = |out: &mut String, ids: &[ElementId]| {
+            out.push('[');
+            for (i, id) in ids.iter().enumerate() {
+                let _ = write!(out, "{}{}", if i > 0 { "," } else { "" }, id.0);
+            }
+            out.push(']');
+        };
+        let _ = write!(
+            out,
+            "{{\"from_entity\":{},\"from_attrs\":",
+            self.from_entity.0
+        );
+        ids(out, &self.from_attrs);
+        let _ = write!(out, ",\"to_entity\":{},\"to_attrs\":", self.to_entity.0);
+        ids(out, &self.to_attrs);
+        out.push('}');
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<ForeignKey, JsonError> {
+        let ids = |r: &mut Reader<'_>| {
+            let mut ids = Vec::new();
+            r.array(|r| {
+                ids.push(ElementId::read_json(r)?);
+                Ok(())
+            })?;
+            Ok::<_, JsonError>(ids)
+        };
+        let mut fk = ForeignKey {
+            from_entity: ElementId(0),
+            from_attrs: Vec::new(),
+            to_entity: ElementId(0),
+            to_attrs: Vec::new(),
+        };
+        let names = ["from_entity", "from_attrs", "to_entity", "to_attrs"];
+        r.fields(names, |r, key| {
+            match key {
+                "from_entity" => fk.from_entity = ElementId::read_json(r)?,
+                "from_attrs" => fk.from_attrs = ids(r)?,
+                "to_entity" => fk.to_entity = ElementId::read_json(r)?,
+                _ => fk.to_attrs = ids(r)?,
+            }
+            Ok(())
+        })?;
+        Ok(fk)
+    }
 }
 
-impl Deserialize for Schema {
-    /// Parents precede children (checked as the column fills) and every
-    /// foreign-key endpoint is an element of this schema — so no file can
-    /// make [`Schema::path`], [`Schema::neighborhoods`] or
-    /// [`crate::validate`] index out of bounds or walk a cycle.
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let file = SchemaFile::deserialize_value(v)?;
-        let n = file.elements.len();
-        for fk in &file.foreign_keys {
+impl Schema {
+    /// Append the schema as a `repo.json` object: `name`, `elements`,
+    /// `foreign_keys`.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        json::string_into(out, &self.name);
+        out.push_str(",\"elements\":");
+        self.elements.write_json(out);
+        out.push_str(",\"foreign_keys\":[");
+        for (i, fk) in self.foreign_keys.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            fk.write_json(out);
+        }
+        out.push_str("]}");
+    }
+
+    /// Read what [`Schema::write_json`] writes. Parents precede children
+    /// (checked as the column fills) and every foreign-key endpoint is an
+    /// element of this schema — so no file can make [`Schema::path`],
+    /// [`Schema::neighborhoods`] or [`crate::validate`] index out of
+    /// bounds or walk a cycle.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Schema, JsonError> {
+        let mut schema = Schema::new(String::new());
+        r.fields(["name", "elements", "foreign_keys"], |r, key| {
+            match key {
+                "name" => schema.name = r.string()?.into_owned(),
+                "elements" => schema.elements = ElementColumn::read_json(r)?,
+                _ => r.array(|r| {
+                    schema.foreign_keys.push(ForeignKey::read_json(r)?);
+                    Ok(())
+                })?,
+            }
+            Ok(())
+        })?;
+        let n = schema.len();
+        for fk in &schema.foreign_keys {
             let endpoints = [fk.from_entity, fk.to_entity];
             let mut ids = endpoints.iter().chain(&fk.from_attrs).chain(&fk.to_attrs);
             if let Some(id) = ids.find(|id| id.index() >= n) {
-                return Err(DeError(format!(
+                return Err(r.error(format!(
                     "foreign key references {id}, past the schema's {n} elements"
                 )));
             }
         }
-        let mut schema = Schema {
-            name: file.name,
-            elements: file.elements,
-            foreign_keys: file.foreign_keys,
-        };
         schema.shrink_to_fit();
         Ok(schema)
     }
@@ -137,20 +203,26 @@ impl Schema {
     }
 
     /// Append a root element (no parent) and return its id.
-    pub fn add_root(&mut self, mut element: Element) -> ElementId {
+    pub fn add_root(&mut self, element: Element) -> ElementId {
         debug_assert!(element.parent.is_none());
-        element.parent = None;
-        self.elements.push(element).expect("roots have no parent")
+        let root = ElementRef {
+            parent: None,
+            ..(&element).into()
+        };
+        self.elements.push(root).expect("roots have no parent")
     }
 
     /// Append `element` as a child of `parent` and return its id.
     ///
     /// # Panics
     /// Panics if `parent` was not issued by this schema.
-    pub fn add_child(&mut self, parent: ElementId, mut element: Element) -> ElementId {
+    pub fn add_child(&mut self, parent: ElementId, element: Element) -> ElementId {
         assert!(parent.index() < self.len(), "unknown parent {parent}");
-        element.parent = Some(parent);
-        self.elements.push(element).expect("the parent precedes")
+        let child = ElementRef {
+            parent: Some(parent),
+            ..(&element).into()
+        };
+        self.elements.push(child).expect("the parent precedes")
     }
 
     /// Rename the element behind `id`.
@@ -523,10 +595,14 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let (s, ..) = figure4_schema();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Schema = serde_json::from_str(&json).unwrap();
+    fn json_round_trip() {
+        let (mut s, ..) = figure4_schema();
+        s.set_doc(ElementId(1), Some("who \"treats\"\n\u{8}"));
+        let mut json = String::new();
+        s.write_json(&mut json);
+        let mut r = Reader::new(&json);
+        let back = Schema::read_json(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(s, back);
     }
 

@@ -1,13 +1,11 @@
 //! Schema statistics, used by the result table ("entities, attributes"
 //! columns in Figure 2), the corpus filter, and experiment reports.
 
-use serde::{Deserialize, Serialize};
-
 use crate::element::ElementKind;
 use crate::schema::Schema;
 
 /// Summary statistics of one schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchemaStats {
     /// Number of entity elements.
     pub entities: usize,

@@ -6,6 +6,7 @@ mod reference;
 use proptest::prelude::*;
 use reference::RefSchema;
 use schemr_model::{DataType, Element, ElementId, ElementKind, ForeignKey, Schema};
+use schemr_obs::json::{escape, Reader};
 
 /// Names and docs: empty, ASCII, multi-byte.
 const TEXTS: [&str; 9] = [
@@ -185,18 +186,60 @@ proptest! {
     #[test]
     fn json_is_the_reference_layouts_json(steps in steps()) {
         let (flat, model) = apply(&steps);
-        let json = serde_json::to_string(&flat).unwrap();
-        let expected = format!(
-            "{{\"name\":{},\"elements\":{},\"foreign_keys\":{}}}",
-            serde_json::to_string(&model.name).unwrap(),
-            serde_json::to_string(&model.elements).unwrap(),
-            serde_json::to_string(&model.foreign_keys).unwrap(),
-        );
-        prop_assert_eq!(&json, &expected);
-        let back: Schema = serde_json::from_str(&json).unwrap();
+        let mut json = String::new();
+        flat.write_json(&mut json);
+        prop_assert_eq!(&json, &reference_json(&model));
+        let mut r = Reader::new(&json);
+        let back = Schema::read_json(&mut r).unwrap();
+        r.finish().unwrap();
         prop_assert_eq!(&back, &flat);
         prop_assert_eq!(back.heap_bytes(), back.clone().heap_bytes());
     }
+}
+
+/// The reference layout written the obvious way: a `{name, elements,
+/// foreign_keys}` object, each element an object of its five fields in
+/// declaration order, unit variants by name, `None` as `null`.
+fn reference_json(model: &RefSchema) -> String {
+    let text = |s: &str| format!("\"{}\"", escape(s));
+    let or_null = |v: Option<String>| v.unwrap_or_else(|| "null".to_string());
+    let ids = |ids: &[ElementId]| {
+        let ids: Vec<String> = ids.iter().map(|id| id.0.to_string()).collect();
+        format!("[{}]", ids.join(","))
+    };
+    let elements: Vec<String> = model
+        .elements
+        .iter()
+        .map(|el| {
+            format!(
+                "{{\"name\":{},\"kind\":\"{:?}\",\"data_type\":\"{:?}\",\"parent\":{},\"doc\":{}}}",
+                text(&el.name),
+                el.kind,
+                el.data_type,
+                or_null(el.parent.map(|p| p.0.to_string())),
+                or_null(el.doc.as_deref().map(text)),
+            )
+        })
+        .collect();
+    let foreign_keys: Vec<String> = model
+        .foreign_keys
+        .iter()
+        .map(|fk| {
+            format!(
+                "{{\"from_entity\":{},\"from_attrs\":{},\"to_entity\":{},\"to_attrs\":{}}}",
+                fk.from_entity.0,
+                ids(&fk.from_attrs),
+                fk.to_entity.0,
+                ids(&fk.to_attrs),
+            )
+        })
+        .collect();
+    format!(
+        "{{\"name\":{},\"elements\":[{}],\"foreign_keys\":[{}]}}",
+        text(&model.name),
+        elements.join(","),
+        foreign_keys.join(","),
+    )
 }
 
 #[test]

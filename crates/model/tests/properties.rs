@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use schemr_model::{validate, DataType, DistanceClass, Element, ElementId, ForeignKey, Schema};
+use schemr_obs::json::Reader;
 
 /// Strategy: a random well-formed schema with `n` entities, up to 6
 /// attributes each, and random FK edges between entities.
@@ -114,11 +115,14 @@ proptest! {
         }
     }
 
-    /// Serde JSON round-trips schemas exactly.
+    /// The JSON codec round-trips schemas exactly.
     #[test]
-    fn serde_round_trip(s in arb_schema()) {
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Schema = serde_json::from_str(&json).unwrap();
+    fn json_round_trip(s in arb_schema()) {
+        let mut json = String::new();
+        s.write_json(&mut json);
+        let mut r = Reader::new(&json);
+        let back = Schema::read_json(&mut r).unwrap();
+        r.finish().unwrap();
         prop_assert_eq!(s, back);
     }
 

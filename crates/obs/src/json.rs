@@ -1,33 +1,66 @@
-//! A deliberately tiny JSON encoder/decoder.
+//! The workspace's one JSON codec.
 //!
-//! The event log ([`crate::eventlog`]) persists one JSON object per line
-//! and the trace endpoints render span trees as JSON, but this crate's
-//! contract is **zero dependencies** — so instead of pulling in a JSON
-//! library for the whole stack, we keep ~200 lines of recursive-descent
-//! parser here. It handles exactly the JSON this crate emits (objects,
-//! arrays, strings with standard escapes, f64 numbers, booleans, null)
-//! and rejects everything else with a position-carrying error.
+//! Writing is appending to a `String`: [`escape_into`] and
+//! [`string_into`] for text, [`number`] for floats. Reading is a pull
+//! [`Reader`] over `&str`: the caller walks objects and arrays with
+//! callbacks and asks for the type it expects next, so a typed document
+//! (`repo.json`, the community signals) goes straight into its types with
+//! no tree in between, and a string without escapes is borrowed from the
+//! input. [`Json`] is the untyped tree the event log, the trace endpoints
+//! and the benchmark read, built on the same reader. This crate has
+//! **zero dependencies**, so the codec is hand-rolled here.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
+
+/// Objects and arrays nested deeper than this are refused, so no input
+/// can exhaust the stack.
+const MAX_DEPTH: usize = 128;
+
+/// Append `s` escaped for a JSON string (quotes not included): `"` and
+/// `\` backslashed, `\n \r \t \b \f` in their short forms, every other
+/// control character as lowercase `\u00XX`, everything else raw.
+pub fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        // Every byte matched is ASCII, so `i` and `i + 1` are char
+        // boundaries.
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+    }
+    out.push_str(&s[plain..]);
+}
 
 /// Escape a string for embedding in a JSON document (quotes not
 /// included).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Append `s` as a JSON string, quotes included.
+pub fn string_into(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
 }
 
 /// Render an f64 the way the rest of the crate expects: finite numbers
@@ -57,18 +90,36 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            input,
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters"));
-        }
+        let mut r = Reader::new(input);
+        let v = Json::read(&mut r)?;
+        r.finish()?;
         Ok(v)
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Json, JsonError> {
+        Ok(match r.peek() {
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                r.object(|r, key| {
+                    fields.push((key.into_owned(), Json::read(r)?));
+                    Ok(())
+                })?;
+                Json::Obj(fields)
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                r.array(|r| {
+                    items.push(Json::read(r)?);
+                    Ok(())
+                })?;
+                Json::Arr(items)
+            }
+            Some(b'"') => Json::Str(r.string()?.into_owned()),
+            Some(b't' | b'f') => Json::Bool(r.bool()?),
+            Some(b'-' | b'0'..=b'9') => Json::Num(r.f64()?),
+            _ if r.null() => Json::Null,
+            _ => return Err(r.error("expected a value")),
+        })
     }
 
     /// Object field lookup (first match).
@@ -126,7 +177,7 @@ impl Json {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     pub pos: usize,
-    pub message: &'static str,
+    pub message: Cow<'static, str>,
 }
 
 impl std::fmt::Display for JsonError {
@@ -137,182 +188,321 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
+/// A pull reader over one JSON document.
+///
+/// Every read skips the whitespace before its value, consumes exactly one
+/// value of the type asked for, and otherwise fails with the byte offset
+/// it stopped at. [`Reader::finish`] checks that nothing but whitespace
+/// follows the document.
+pub struct Reader<'a> {
     input: &'a str,
-    bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, message: &'static str) -> JsonError {
+impl<'a> Reader<'a> {
+    pub fn new(input: &'a str) -> Self {
+        Reader {
+            input,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// An error at the current position.
+    pub fn error(&self, message: impl Into<Cow<'static, str>>) -> JsonError {
         JsonError {
             pos: self.pos,
-            message,
+            message: message.into(),
         }
     }
 
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
+    /// The next byte after any whitespace, without consuming it.
+    fn peek(&mut self) -> Option<u8> {
+        let rest = &self.input.as_bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .take_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .count();
+        self.input.as_bytes().get(self.pos).copied()
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), JsonError> {
+    fn expect(&mut self, b: u8, message: &'static str) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err("unexpected character"))
+            Err(self.error(message))
         }
     }
 
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err("invalid literal"))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// End of the document: only whitespace may follow.
+    pub fn finish(mut self) -> Result<(), JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.num(),
-            _ => Err(self.err("expected a value")),
+            None => Ok(()),
+            Some(_) => Err(self.error("trailing characters")),
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
+    /// Walk an object: `f` gets each key in document order and must read
+    /// or [`skip`](Reader::skip) its value.
+    pub fn object(
+        &mut self,
+        mut f: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.seq(b'{', b'}', |r| {
+            let key = r.string()?;
+            r.expect(b':', "expected ':'")?;
+            f(r, key)
+        })
+    }
+
+    /// Walk an array: `f` reads each item.
+    pub fn array(
+        &mut self,
+        f: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.seq(b'[', b']', f)
+    }
+
+    /// `open`, items separated by commas, `close`.
+    fn seq(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        let (expected, separator) = match open {
+            b'{' => ("expected an object", "expected ',' or '}'"),
+            _ => ("expected an array", "expected ',' or ']'"),
+        };
+        self.expect(open, expected)?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("nested too deeply"));
+        }
+        self.depth += 1;
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogates would need pairing; this crate
-                            // never emits them, so map to the
-                            // replacement character rather than failing.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
+        } else {
+            loop {
+                item(self)?;
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => {
+                        self.pos += 1;
+                        break;
                     }
+                    _ => return Err(self.error(separator)),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Walk an object whose keys are a struct's fields, `names`: `f` gets
+    /// each known key as it comes and reads its value. Unknown keys are
+    /// skipped; a repeated or a missing one is an error.
+    pub fn fields<const N: usize>(
+        &mut self,
+        names: [&'static str; N],
+        mut f: impl FnMut(&mut Self, &'static str) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        let mut seen = [false; N];
+        self.object(|r, key| match names.iter().position(|&n| n == key) {
+            Some(i) if seen[i] => Err(r.error(format!("duplicate field {key:?}"))),
+            Some(i) => {
+                seen[i] = true;
+                f(r, names[i])
+            }
+            None => r.skip(),
+        })?;
+        match seen.iter().position(|&s| !s) {
+            Some(i) => Err(self.error(format!("missing field {:?}", names[i]))),
+            None => Ok(()),
+        }
+    }
+
+    /// A string, borrowed from the input when it holds no escapes. A raw
+    /// control character is an error; `\u` escapes of a surrogate pair
+    /// decode to one character, and an unpaired surrogate is an error.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.expect(b'"', "expected a string")?;
+        let bytes = self.input.as_bytes();
+        let mut owned = String::new();
+        let mut escaped = false;
+        let mut start = self.pos;
+        loop {
+            let Some(run) = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            else {
+                self.pos = bytes.len();
+                return Err(self.error("unterminated string"));
+            };
+            self.pos += run;
+            // The byte found is ASCII, so `pos` is a char boundary.
+            let text = &self.input[start..self.pos];
+            match bytes[self.pos] {
+                b'"' => {
                     self.pos += 1;
+                    return Ok(if escaped {
+                        owned.push_str(text);
+                        Cow::Owned(owned)
+                    } else {
+                        Cow::Borrowed(text)
+                    });
                 }
-                Some(_) => {
-                    // `pos` only ever advances by whole scalars, so this
-                    // slice starts on a char boundary.
-                    let c = self.input[self.pos..].chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                b'\\' => {
+                    escaped = true;
+                    owned.push_str(text);
+                    self.pos += 1;
+                    owned.push(self.escape()?);
+                    start = self.pos;
                 }
+                _ => return Err(self.error("control character in string")),
             }
         }
     }
 
-    fn num(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    /// The character an escape (after its backslash) stands for.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let b = self.input.as_bytes().get(self.pos).copied();
+        self.pos += 1;
+        Ok(match b {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let high = self.hex4()?;
+                let code = if (0xd800..0xdc00).contains(&high) {
+                    if !self.input.as_bytes()[self.pos..].starts_with(b"\\u") {
+                        return Err(self.error("unpaired surrogate"));
+                    }
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if !(0xdc00..0xe000).contains(&low) {
+                        return Err(self.error("unpaired surrogate"));
+                    }
+                    0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00)
+                } else {
+                    high
+                };
+                // Only a lone low surrogate is not a char here.
+                char::from_u32(code).ok_or_else(|| self.error("unpaired surrogate"))?
+            }
+            _ => return Err(self.error("bad escape")),
+        })
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits = self.input.as_bytes().get(self.pos..self.pos + 4);
+        let code = digits.and_then(|digits| {
+            digits
+                .iter()
+                .try_fold(0, |code, &d| Some(code * 16 + char::from(d).to_digit(16)?))
+        });
+        let code = code.ok_or_else(|| self.error("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// An unsigned integer, exactly: digits only, no sign, fraction or
+    /// exponent, and a value past `u64::MAX` is an error.
+    pub fn u64(&mut self) -> Result<u64, JsonError> {
+        self.peek();
+        let bytes = &self.input.as_bytes()[self.pos..];
+        let len = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+        if len == 0 || matches!(bytes.get(len), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+            return Err(self.error("expected an unsigned integer"));
         }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
+        let n = self.input[self.pos..self.pos + len]
+            .parse()
+            .map_err(|_| self.error("integer out of range"))?;
+        self.pos += len;
+        Ok(n)
+    }
+
+    /// Any JSON number, as an `f64`.
+    fn f64(&mut self) -> Result<f64, JsonError> {
+        self.peek();
+        let len = self.input.as_bytes()[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
+            .count();
+        let n = self.input[self.pos..self.pos + len]
+            .parse()
+            .map_err(|_| self.error("expected a number"))?;
+        self.pos += len;
+        Ok(n)
+    }
+
+    fn bool(&mut self) -> Result<bool, JsonError> {
+        if self.literal("true") {
+            Ok(true)
+        } else if self.literal("false") {
+            Ok(false)
+        } else {
+            Err(self.error("expected true or false"))
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+    }
+
+    /// Consume a `null` if one comes next; `false` (and nothing consumed)
+    /// otherwise.
+    fn null(&mut self) -> bool {
+        self.literal("null")
+    }
+
+    /// `None` for a `null`, otherwise what `read` reads.
+    pub fn nullable<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<Option<T>, JsonError> {
+        if self.null() {
+            Ok(None)
+        } else {
+            read(self).map(Some)
+        }
+    }
+
+    fn literal(&mut self, word: &str) -> bool {
+        self.peek();
+        let found = self.input.as_bytes()[self.pos..].starts_with(word.as_bytes());
+        if found {
+            self.pos += word.len();
+        }
+        found
+    }
+
+    /// A unit enum variant, written as its name: the one of `all` whose
+    /// `name` is the string read.
+    pub fn variant<T: Copy>(
+        &mut self,
+        all: &[T],
+        name: impl Fn(T) -> &'static str,
+    ) -> Result<T, JsonError> {
+        let s = self.string()?;
+        all.iter()
+            .copied()
+            .find(|&v| name(v) == s)
+            .ok_or_else(|| self.error(format!("unknown variant {s:?}")))
+    }
+
+    /// Read past one value of any type (an unknown key's).
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => self.object(|r, _| r.skip()),
+            Some(b'[') => self.array(Self::skip),
+            Some(b'"') => self.string().map(drop),
+            Some(b't' | b'f') => self.bool().map(drop),
+            _ if self.null() => Ok(()),
+            _ => self.f64().map(drop),
+        }
     }
 }
 
@@ -322,10 +512,101 @@ mod tests {
 
     #[test]
     fn round_trips_escaped_strings() {
-        let original = "a \"quote\"\\ with\nnewline\tand\u{1}control";
+        let original = "a \"quote\"\\ with\nnewline\tand\u{1}control\u{8}\u{c}";
         let doc = format!("{{\"k\":\"{}\"}}", escape(original));
         let parsed = Json::parse(&doc).unwrap();
         assert_eq!(parsed.get("k").unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn escapes_are_the_repository_files_bytes() {
+        // What `repo.json` has always held: short forms for the five
+        // named controls, lowercase `\u00XX` for the rest, raw non-ASCII.
+        for c in (0u8..0x20).chain([b'"', b'\\']) {
+            let expected = match c {
+                b'"' => "\\\"".to_string(),
+                b'\\' => "\\\\".to_string(),
+                b'\n' => "\\n".to_string(),
+                b'\r' => "\\r".to_string(),
+                b'\t' => "\\t".to_string(),
+                0x08 => "\\b".to_string(),
+                0x0c => "\\f".to_string(),
+                c => format!("\\u{:04x}", c),
+            };
+            assert_eq!(escape(&char::from(c).to_string()), expected, "{c:#x}");
+        }
+        assert_eq!(escape("Größe ☂ \u{7f}"), "Größe ☂ \u{7f}");
+        let mut out = String::new();
+        string_into(&mut out, "a\u{1f}b");
+        assert_eq!(out, "\"a\\u001fb\"");
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let mut r = Reader::new(r#" "plain ☂" "esc\"aped" "#);
+        assert!(matches!(r.string().unwrap(), Cow::Borrowed("plain ☂")));
+        let escaped = r.string().unwrap();
+        assert!(matches!(escaped, Cow::Owned(_)));
+        assert_eq!(escaped, "esc\"aped");
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_halves_do_not() {
+        // The escaped pair for U+1F600, then an escaped U+00E9.
+        let bs = '\\';
+        let escaped = format!("\"{bs}ud83d{bs}ude00 {bs}u00e9\"");
+        assert_eq!(escaped.len(), 21);
+        let mut r = Reader::new(&escaped);
+        assert_eq!(r.string().unwrap(), "\u{1f600} \u{e9}");
+        for lone in [r#""\ud83d""#, r#""\ud83dx""#, r#""\ud83dA""#, r#""\ude00""#] {
+            assert!(Reader::new(lone).string().is_err(), "{lone}");
+        }
+    }
+
+    #[test]
+    fn a_raw_control_character_in_a_string_is_an_error() {
+        assert!(Reader::new("\"a\nb\"").string().is_err());
+        assert!(Json::parse("\"tab\there\"").is_err());
+    }
+
+    #[test]
+    fn integers_are_exact() {
+        for n in [0, 9_007_199_254_740_993, u64::MAX] {
+            assert_eq!(Reader::new(&n.to_string()).u64().unwrap(), n);
+        }
+        for bad in ["18446744073709551616", "-1", "1.5", "1e3", "\"7\"", "", "x"] {
+            assert!(Reader::new(bad).u64().is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn fields_skip_unknown_keys_and_refuse_repeated_or_missing_ones() {
+        let read = |doc: &str| {
+            let mut r = Reader::new(doc);
+            let mut a = 0;
+            r.fields(["a", "b"], |r, key| {
+                match key {
+                    "a" => a = r.u64()?,
+                    _ => assert!(r.null()),
+                }
+                Ok(())
+            })
+            .map(|()| a)
+        };
+        assert_eq!(read(r#"{"x":[1,{"y":null}],"b":null,"a":7}"#), Ok(7));
+        let missing = read(r#"{"a":7}"#).unwrap_err();
+        assert!(missing.message.contains("missing field \"b\""), "{missing}");
+        assert!(read(r#"{"a":7,"b":null,"a":8}"#).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert_eq!(Json::parse(&deep).unwrap_err().message, "nested too deeply");
+        assert!(Reader::new(&deep).skip().is_err());
+        let nested = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&nested).is_ok());
     }
 
     #[test]
@@ -347,6 +628,7 @@ mod tests {
         assert!(Json::parse("{").is_err());
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("[1,]").is_err());
+        assert!(Json::parse("{\"a\":1,}").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());

@@ -41,8 +41,9 @@
 //! The crate deliberately has **no dependencies** (not even workspace
 //! ones): it sits below `schemr-index`, `schemr` (core), and
 //! `schemr-server` in the crate graph, so anything it pulled in would be
-//! paid by the entire stack. That is also why [`json`] hand-rolls a
-//! ~300-line JSON encoder/parser instead of using serde.
+//! paid by the entire stack. That is also why [`json`] hand-rolls the
+//! workspace's one JSON codec: a pull reader the repository file and the
+//! community signals are read with, and the tree the event log uses.
 
 pub mod alloc;
 pub mod counter;

@@ -3,10 +3,24 @@
 //! One file holds the whole repository state — schemas, metadata, journal,
 //! and counters — so a restarted server resumes exactly where it left off
 //! (including incremental-index bookkeeping).
+//!
+//! The file is written and read with `schemr_obs::json`, each schema
+//! through its own wire form ([`Schema::write_json`] /
+//! [`Schema::read_json`]). Keys come in struct field order; `null` is
+//! `None`; the schema map's integer keys are decimal strings; a missing
+//! key is an error and an unknown one is skipped.
 
+use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
-use crate::repository::{RepoState, Repository};
+use parking_lot::RwLock;
+use schemr_model::{Schema, SchemaId};
+use schemr_obs::json::{self, JsonError, Reader};
+
+use crate::repository::{
+    ChangeEvent, ChangeKind, RepoState, Repository, SchemaMetadata, StoredSchema,
+};
 
 /// Errors from persistence operations.
 #[derive(Debug)]
@@ -14,7 +28,7 @@ pub enum PersistError {
     /// Filesystem failure.
     Io(std::io::Error),
     /// The file is not a valid repository dump.
-    Format(serde_json::Error),
+    Format(JsonError),
 }
 
 impl std::fmt::Display for PersistError {
@@ -34,23 +48,144 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-impl From<serde_json::Error> for PersistError {
-    fn from(e: serde_json::Error) -> Self {
+impl From<JsonError> for PersistError {
+    fn from(e: JsonError) -> Self {
         PersistError::Format(e)
+    }
+}
+
+fn kind_name(kind: ChangeKind) -> &'static str {
+    match kind {
+        ChangeKind::Put => "Put",
+        ChangeKind::Delete => "Delete",
     }
 }
 
 /// Serialize the repository to a JSON string.
 pub fn to_json(repo: &Repository) -> String {
-    serde_json::to_string(&*repo.state.read()).expect("repository state serializes")
+    let st = repo.state.read();
+    let mut out = String::new();
+    out.push_str("{\"schemas\":{");
+    for (i, (id, stored)) in st.schemas.iter().enumerate() {
+        let m = &stored.metadata;
+        let comma = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{comma}\"{id}\":{{\"metadata\":{{\"id\":{}", m.id.0);
+        for (key, text) in [
+            ("title", &m.title),
+            ("summary", &m.summary),
+            ("description", &m.description),
+            ("source", &m.source),
+        ] {
+            let _ = write!(out, ",\"{key}\":");
+            json::string_into(&mut out, text);
+        }
+        let _ = write!(out, ",\"revision\":{}}},\"schema\":", m.revision);
+        stored.schema.write_json(&mut out);
+        out.push('}');
+    }
+    out.push_str("},\"journal\":[");
+    for (i, e) in st.journal.iter().enumerate() {
+        let comma = if i > 0 { "," } else { "" };
+        let _ = write!(
+            out,
+            "{comma}{{\"revision\":{},\"id\":{},\"kind\":\"{}\"}}",
+            e.revision,
+            e.id.0,
+            kind_name(e.kind)
+        );
+    }
+    let _ = write!(
+        out,
+        "],\"next_id\":{},\"revision\":{}}}",
+        st.next_id, st.revision
+    );
+    out
 }
 
 /// Restore a repository from [`to_json`] output.
 pub fn from_json(json: &str) -> Result<Repository, PersistError> {
-    let state: RepoState = serde_json::from_str(json)?;
+    let mut r = Reader::new(json);
+    let mut st = RepoState::default();
+    r.fields(["schemas", "journal", "next_id", "revision"], |r, key| {
+        match key {
+            "schemas" => r.object(|r, id| {
+                let id = id
+                    .parse()
+                    .map_err(|_| r.error(format!("schema key {id:?} is not an id")))?;
+                st.schemas.insert(id, Arc::new(read_stored(r)?));
+                Ok(())
+            })?,
+            "journal" => r.array(|r| {
+                st.journal.push(read_change(r)?);
+                Ok(())
+            })?,
+            "next_id" => st.next_id = r.u64()?,
+            _ => st.revision = r.u64()?,
+        }
+        Ok(())
+    })?;
+    r.finish()?;
     Ok(Repository {
-        state: parking_lot::RwLock::new(state),
+        state: RwLock::new(st),
     })
+}
+
+fn read_stored(r: &mut Reader<'_>) -> Result<StoredSchema, JsonError> {
+    let mut metadata = SchemaMetadata {
+        id: SchemaId(0),
+        title: String::new(),
+        summary: String::new(),
+        description: String::new(),
+        source: String::new(),
+        revision: 0,
+    };
+    let mut schema = Schema::new(String::new());
+    r.fields(["metadata", "schema"], |r, key| {
+        match key {
+            "metadata" => {
+                let m = &mut metadata;
+                let names = [
+                    "id",
+                    "title",
+                    "summary",
+                    "description",
+                    "source",
+                    "revision",
+                ];
+                r.fields(names, |r, key| {
+                    match key {
+                        "id" => m.id = SchemaId(r.u64()?),
+                        "title" => m.title = r.string()?.into_owned(),
+                        "summary" => m.summary = r.string()?.into_owned(),
+                        "description" => m.description = r.string()?.into_owned(),
+                        "source" => m.source = r.string()?.into_owned(),
+                        _ => m.revision = r.u64()?,
+                    }
+                    Ok(())
+                })?
+            }
+            _ => schema = Schema::read_json(r)?,
+        }
+        Ok(())
+    })?;
+    Ok(StoredSchema { metadata, schema })
+}
+
+fn read_change(r: &mut Reader<'_>) -> Result<ChangeEvent, JsonError> {
+    let mut e = ChangeEvent {
+        revision: 0,
+        id: SchemaId(0),
+        kind: ChangeKind::Put,
+    };
+    r.fields(["revision", "id", "kind"], |r, key| {
+        match key {
+            "revision" => e.revision = r.u64()?,
+            "id" => e.id = SchemaId(r.u64()?),
+            _ => e.kind = r.variant(&[ChangeKind::Put, ChangeKind::Delete], kind_name)?,
+        }
+        Ok(())
+    })?;
+    Ok(e)
 }
 
 /// Write the repository to `path` — atomically *and* durably.
@@ -222,6 +357,46 @@ mod tests {
             Err(PersistError::Format(_))
         ));
         assert!(matches!(from_json("{}"), Err(PersistError::Format(_))));
+    }
+
+    #[test]
+    fn ids_and_revisions_round_trip_exactly_past_53_bits() {
+        let dump = to_json(&populated());
+        let (schema_key, revision) = ("\"0\":{\"metadata\":{\"id\":0,", ",\"revision\":2}");
+        assert!(
+            dump.contains(schema_key) && dump.ends_with(revision),
+            "{dump}"
+        );
+        let with = |n: &str| {
+            let body = dump.strip_suffix(revision).unwrap();
+            let key = format!("\"{n}\":{{\"metadata\":{{\"id\":{n},");
+            format!("{},\"revision\":{n}}}", body.replacen(schema_key, &key, 1))
+        };
+        // 2^53 + 1 rounds through an f64; u64::MAX saturates one.
+        for n in [9_007_199_254_740_993, u64::MAX] {
+            let edited = with(&n.to_string());
+            let loaded = from_json(&edited).unwrap();
+            assert_eq!(loaded.revision(), n);
+            assert_eq!(loaded.ids(), [SchemaId(n)]);
+            assert_eq!(loaded.get(SchemaId(n)).unwrap().metadata.id, SchemaId(n));
+            assert_eq!(to_json(&loaded), edited);
+        }
+        assert!(matches!(
+            from_json(&with("18446744073709551616")),
+            Err(PersistError::Format(_))
+        ));
+    }
+
+    #[test]
+    fn unknown_keys_are_skipped() {
+        let dump = to_json(&populated());
+        let edited = dump.replacen(
+            "\"metadata\":{\"id\":0,",
+            "\"metadata\":{\"x\":[1,{\"y\":null}],\"id\":0,",
+            1,
+        );
+        assert_ne!(edited, dump);
+        assert_eq!(to_json(&from_json(&edited).unwrap()), dump);
     }
 
     #[test]

@@ -5,11 +5,10 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use schemr_model::{validate, Schema, SchemaId, SchemaStats};
-use serde::{Deserialize, Serialize};
 
 /// Descriptive metadata for a stored schema — the fields the paper's
 /// document index stores ("a title, a summary, an ID") plus provenance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaMetadata {
     /// Repository-assigned id.
     pub id: SchemaId,
@@ -26,7 +25,7 @@ pub struct SchemaMetadata {
 }
 
 /// A schema plus its metadata, as stored.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredSchema {
     /// Metadata record.
     pub metadata: SchemaMetadata,
@@ -57,7 +56,7 @@ impl StoredSchema {
 }
 
 /// What a journal entry records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChangeKind {
     /// Insert or update.
     Put,
@@ -66,7 +65,7 @@ pub enum ChangeKind {
 }
 
 /// One entry in the change journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChangeEvent {
     /// Monotone revision of the mutation.
     pub revision: u64,
@@ -105,7 +104,7 @@ impl std::fmt::Display for RepositoryError {
 
 impl std::error::Error for RepositoryError {}
 
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub(crate) struct RepoState {
     /// Shared, so reads hand out a reference count, not a deep copy;
     /// writers replace or copy-on-write an entry.

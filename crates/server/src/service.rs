@@ -15,12 +15,12 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, TrySendError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use schemr::{parse_keywords, SchemrEngine, SearchRequest};
 use schemr_model::SchemaId;
 use schemr_obs::{
@@ -248,7 +248,10 @@ impl SchemrServer {
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(HttpMetrics::register(engine.metrics_registry()));
         let slo = Arc::new(SloTracker::new(config.slo));
-        let (tx, rx): (Sender<Pending>, Receiver<Pending>) = bounded(config.max_queue.max(1));
+        let (tx, rx) = mpsc::sync_channel::<Pending>(config.max_queue.max(1));
+        // Workers take turns on the one receiver; each lets go of it
+        // before serving what it took.
+        let rx = Arc::new(Mutex::new(rx));
         let (done_tx, worker_done) = mpsc::channel();
         let parked = Arc::new(ParkedConnections::default());
 
@@ -263,7 +266,8 @@ impl SchemrServer {
             let slo = slo.clone();
             let parked = parked.clone();
             workers.push(std::thread::spawn(move || {
-                while let Ok(pending) = rx.recv() {
+                loop {
+                    let Ok(pending) = rx.lock().recv() else { break };
                     metrics.queue_dequeued.inc();
                     let queue_wait = pending.enqueued.elapsed();
                     metrics.queue_wait.observe_duration(queue_wait);
