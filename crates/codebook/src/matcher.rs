@@ -48,7 +48,7 @@ impl Matcher for CodebookMatcher {
         true
     }
 
-    fn score(
+    fn score_into(
         &self,
         _prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
@@ -56,12 +56,13 @@ impl Matcher for CodebookMatcher {
         _prepared: &PreparedSchema,
         candidate: &Schema,
         _scratch: &mut ScoreScratch<'_>,
-    ) -> SimilarityMatrix {
-        let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
+        out: &mut SimilarityMatrix,
+    ) {
+        out.reset(terms.len(), candidate.len());
         let term_types: Vec<Option<SemanticType>> =
             terms.iter().map(|t| Self::term_type(t, query)).collect();
         if term_types.iter().all(Option::is_none) {
-            return m;
+            return;
         }
         for (col, id) in candidate.ids().enumerate() {
             let el = candidate.element(id);
@@ -75,12 +76,11 @@ impl Matcher for CodebookMatcher {
                 if let Some(tt) = term_type {
                     let s = tt.similarity(cand_type);
                     if s > 0.0 {
-                        m.set(row, col, s);
+                        out.set(row, col, s);
                     }
                 }
             }
         }
-        m
     }
 }
 

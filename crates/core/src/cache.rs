@@ -17,8 +17,9 @@
 //! Shared mechanics live in [`LruCore`]: a stamped entry map with a
 //! logical clock and weighted LRU eviction (weight 1 per entry for the
 //! candidate cache, heap bytes for the artifact cache). Recency is kept
-//! in an ordered side index, so finding a victim is O(log n) however
-//! many entries the budget holds.
+//! in an ordered side index, so finding a victim is O(log n) amortised
+//! however many entries the budget holds, and a hit only restamps its
+//! entry: the index re-files it when eviction reaches it.
 //!
 //! The artifact cache shares its byte budget with the engine's word
 //! lexicon (artifacts are word ids into it): [`MatchArtifactCache::put`]
@@ -48,6 +49,9 @@ struct LruEntry<V, S> {
     weight: usize,
     /// Logical timestamp of the last access, for LRU eviction.
     last_used: u64,
+    /// The timestamp this entry is filed under in the recency index: its
+    /// `last_used` when it was filed, older once a hit has touched it.
+    filed: u64,
 }
 
 /// Outcome of a stamped lookup.
@@ -63,10 +67,18 @@ enum Lookup<V> {
 /// The stamped-LRU core shared by both caches: entries carry the state
 /// stamp they were computed against and a weight; [`LruCore::put`] evicts
 /// least-recently-used entries until total weight fits the budget.
+///
+/// A hit only moves the entry's `last_used`; its place in the recency
+/// index moves when eviction reaches it. Every entry is filed once, at a
+/// timestamp no newer than its last use, so the first record whose
+/// timestamp still is its entry's last use names the least recently used
+/// entry — the same victim a re-filing on every hit would give, without
+/// the index's node splits on the hot path (a warm search's candidates
+/// are all hits).
 struct LruCore<K, V, S> {
     entries: HashMap<K, LruEntry<V, S>>,
-    /// `last_used → key` for every entry, oldest first. The clock ticks
-    /// on every access, so timestamps are unique.
+    /// `filed → key` for every entry, oldest first. The clock ticks on
+    /// every access, so timestamps are unique.
     recency: BTreeMap<u64, K>,
     clock: u64,
     weight: usize,
@@ -94,17 +106,12 @@ impl<K: Eq + Hash + Clone, V: Clone, S: PartialEq> LruCore<K, V, S> {
         let clock = self.tick();
         match self.entries.get_mut(key) {
             Some(entry) if entry.stamp == *stamp => {
-                let key = self
-                    .recency
-                    .remove(&entry.last_used)
-                    .expect("every entry is in the recency index");
-                self.recency.insert(clock, key);
                 entry.last_used = clock;
                 Lookup::Hit(entry.value.clone())
             }
             Some(_) => {
                 if let Some(old) = self.entries.remove(key) {
-                    self.recency.remove(&old.last_used);
+                    self.recency.remove(&old.filed);
                     self.weight -= old.weight;
                 }
                 Lookup::Stale
@@ -128,18 +135,29 @@ impl<K: Eq + Hash + Clone, V: Clone, S: PartialEq> LruCore<K, V, S> {
                 stamp,
                 weight,
                 last_used: clock,
+                filed: clock,
             },
         ) {
-            self.recency.remove(&old.last_used);
+            self.recency.remove(&old.filed);
             self.weight -= old.weight;
         }
         self.weight += weight;
         let mut evicted = 0u64;
         let mut evicted_weight = 0usize;
         while self.weight > budget {
-            let Some((_, victim)) = self.recency.pop_first() else {
+            let Some((filed, victim)) = self.recency.pop_first() else {
                 break;
             };
+            let entry = self
+                .entries
+                .get_mut(&victim)
+                .expect("the recency index names only resident entries");
+            if entry.last_used != filed {
+                // Used since it was filed: file it where it really is.
+                entry.filed = entry.last_used;
+                self.recency.insert(entry.filed, victim);
+                continue;
+            }
             let entry = self
                 .entries
                 .remove(&victim)
@@ -644,7 +662,8 @@ mod tests {
             for (key, entry) in &lru.entries {
                 let reference = scan.entries.get(key).expect("same residents");
                 assert_eq!((entry.stamp, entry.weight, entry.last_used), *reference);
-                assert_eq!(lru.recency.get(&entry.last_used), Some(key));
+                assert_eq!(lru.recency.get(&entry.filed), Some(key));
+                assert!(entry.filed <= entry.last_used);
             }
         }
         assert!(evictions > 1_000 && stale > 100, "the mix exercises both");

@@ -6,8 +6,9 @@
 //! ranked results carry the metadata and per-element detail the GUI
 //! renders.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
@@ -17,7 +18,7 @@ use schemr_index::{
 use schemr_match::{Ensemble, EnsembleQuery, MatchScratch, PreparedCandidate};
 use schemr_model::{QueryGraph, QueryTerm, SchemaId};
 use schemr_obs::{
-    CpuProbeDepth, DeepSize, EventResult, LedgerProbe, MetricsRegistry, ResourceLedger,
+    CpuProbeDepth, DeepSize, EventResult, Histogram, LedgerProbe, MetricsRegistry, ResourceLedger,
     SearchEvent, SearchOutcome, SpanGuard, SpanTimer, Tracer, TracerConfig,
 };
 use schemr_repo::{ChangeKind, Repository, StoredSchema};
@@ -27,7 +28,7 @@ use crate::cache::{ArtifactStamp, CacheKey, CandidateCache, MatchArtifactCache};
 use crate::metrics::EngineMetrics;
 use crate::request::SearchRequest;
 use crate::result::{MatcherTiming, PhaseTimings, SearchResponse, SearchResult, SearchTrace};
-use crate::tightness::{tightness_of_fit, TightnessConfig, TightnessScore};
+use crate::tightness::{tightness_of_fit_in, MatchedElement, TightnessConfig, TightnessScratch};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -156,7 +157,7 @@ pub struct MemoryReport {
 pub struct SchemrEngine {
     repo: Arc<Repository>,
     index: RwLock<Index>,
-    ensemble: RwLock<Ensemble>,
+    ensemble: RwLock<Matchers>,
     config: EngineConfig,
     last_indexed_revision: Mutex<u64>,
     candidate_cache: CandidateCache,
@@ -208,7 +209,7 @@ impl SchemrEngine {
         SchemrEngine {
             repo,
             index: RwLock::new(Index::new().with_metrics(metrics.index.clone())),
-            ensemble: RwLock::new(Ensemble::standard()),
+            ensemble: RwLock::new(Matchers::new(Ensemble::standard())),
             config,
             last_indexed_revision: Mutex::new(0),
             candidate_cache,
@@ -251,7 +252,7 @@ impl SchemrEngine {
     /// Replace the matcher ensemble (e.g. with learned weights or an
     /// ablation variant).
     pub fn set_ensemble(&self, ensemble: Ensemble) {
-        *self.ensemble.write() = ensemble;
+        *self.ensemble.write() = Matchers::new(ensemble);
         // Cached match artifacts are matcher-set-specific: a new
         // generation makes every existing entry stale, so a bundle
         // prepared for the old set can never be zipped against the new
@@ -262,7 +263,7 @@ impl SchemrEngine {
 
     /// Replace the ensemble weights in place.
     pub fn set_ensemble_weights(&self, weights: &[f64]) {
-        self.ensemble.write().set_weights(weights);
+        self.ensemble.write().ensemble.set_weights(weights);
     }
 
     /// Rebuild the document index from scratch — the offline indexer's
@@ -391,13 +392,13 @@ impl SchemrEngine {
     /// Phase 1 only: the coarse candidate list for a query graph. Exposed
     /// for the scalability and coordination experiments.
     pub fn extract_candidates(&self, graph: &QueryGraph) -> Vec<schemr_index::Hit> {
-        self.extract_candidates_traced(graph, None)
+        self.extract_candidates_traced(&graph.terms(), None)
     }
 
-    /// Phase 1 with tracing.
+    /// Phase 1 over the query's flattened terms, with tracing.
     fn extract_candidates_traced(
         &self,
-        graph: &QueryGraph,
+        terms: &[QueryTerm],
         span: Option<&SpanGuard<'_>>,
     ) -> Vec<schemr_index::Hit> {
         let options = SearchOptions {
@@ -407,7 +408,7 @@ impl SchemrEngine {
             ..SearchOptions::default()
         };
         let index = self.index.read();
-        let key = CacheKey(index.analyze_query(graph.flat_texts().iter().map(String::as_str)));
+        let key = CacheKey(index.analyze_query(terms.iter().map(|t| t.text.as_str())));
         // A revision observed *before* the lookup can only be older than
         // the entry's true state, which makes a stale hit impossible and
         // at worst turns a usable entry into a miss.
@@ -501,22 +502,35 @@ impl SchemrEngine {
     /// produced (so tightness parallelizes with matching and the matrix
     /// never leaves its thread). Sequential matching calls this once
     /// with every candidate; parallel matching once per worker. The
-    /// chunk owns the matchers' scratch: what one candidate's scoring
-    /// worked out about a word pair, the next candidate's reads.
+    /// chunk owns the scratch: what one candidate's scoring worked out
+    /// about a word pair, the next candidate's reads, and the matrices
+    /// and tightness tables one candidate filled, the next refills. What
+    /// a candidate leaves behind goes to flat arenas, so the chunk
+    /// allocates per run, not per candidate.
     fn match_chunk(
         &self,
         p2: &Phase2<'_>,
         cands: &[(schemr_index::Hit, Arc<StoredSchema>)],
     ) -> ChunkMatch {
+        let matchers = p2.ensemble.len();
+        let strengths = if p2.with_strengths {
+            cands.len() * matchers
+        } else {
+            0
+        };
         let mut done = ChunkMatch {
             scores: Vec::with_capacity(cands.len()),
-            strengths: Vec::with_capacity(cands.len()),
-            matcher_wall: vec![Duration::ZERO; p2.ensemble.len()],
+            matched: Vec::new(),
+            matched_at: Vec::with_capacity(cands.len()),
+            strengths: Vec::with_capacity(strengths),
+            matchers,
+            matcher_wall: vec![Duration::ZERO; matchers],
             tightness_wall: Duration::ZERO,
             artifact_hits: 0,
             artifact_misses: 0,
         };
         let mut scratch = MatchScratch::new(p2.equery, p2.lexicon);
+        let mut tightness = TightnessScratch::default();
         for (_, stored) in cands {
             let (artifacts, was_hit) = self.prepared_for(p2, stored);
             if was_hit {
@@ -524,24 +538,26 @@ impl SchemrEngine {
             } else {
                 done.artifact_misses += 1;
             }
-            let run = p2.ensemble.run(
+            let combined = p2.ensemble.run_into(
                 p2.terms,
                 p2.graph,
                 &artifacts,
                 &stored.schema,
                 &mut scratch,
-                p2.with_strengths,
+                &mut done.matcher_wall,
+                p2.with_strengths.then_some(&mut done.strengths),
             );
-            for (acc, d) in done.matcher_wall.iter_mut().zip(run.timings) {
-                *acc += d;
-            }
-            done.strengths.push(run.strengths);
             let tstart = Instant::now();
-            done.scores.push(tightness_of_fit(
+            let first = done.matched.len();
+            let fit = tightness_of_fit_in(
                 &stored.schema,
-                &run.matrix,
+                combined,
                 &self.config.tightness,
-            ));
+                &mut tightness,
+                &mut done.matched,
+            );
+            done.scores.push(fit.score);
+            done.matched_at.push(first..done.matched.len());
             done.tightness_wall += tstart.elapsed();
         }
         done
@@ -639,6 +655,9 @@ impl SchemrEngine {
             self.metrics.search_errors_total.inc();
             return Err(SearchError::EmptyQuery);
         }
+        // The flattened query, built once: Phase 1's key, the trace's
+        // query text and Phase 2's matrix rows all read it.
+        let terms = graph.terms();
         // Request tracing: when enabled, one root span per search with
         // one child per phase. The disabled path costs a single branch.
         let ctx = self.tracer.begin(request.trace_id.as_deref());
@@ -652,7 +671,7 @@ impl SchemrEngine {
         let deep_cpu = want_trace && self.cpu_depth == CpuProbeDepth::Full;
         let probe = want_trace.then(LedgerProbe::start);
         let query_text = if want_trace {
-            graph.flat_texts().join(" ")
+            joined_terms(&terms)
         } else {
             String::new()
         };
@@ -668,7 +687,7 @@ impl SchemrEngine {
         let t0 = Instant::now();
         let p1 = root.as_ref().map(|r| r.child("candidate_extraction"));
         let p1_probe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
-        let hits = self.extract_candidates_traced(&graph, p1.as_ref());
+        let hits = self.extract_candidates_traced(&terms, p1.as_ref());
         if let (Some(s), Some(pr)) = (&p1, &p1_probe) {
             annotate_ledger(s, &pr.delta());
         }
@@ -683,8 +702,8 @@ impl SchemrEngine {
         // parallel workers account for themselves on their `match_chunk`
         // spans and their deltas are folded into the root ledger below.
         let p2_probe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
-        let terms = graph.terms();
-        let ensemble = self.ensemble.read();
+        let matchers = self.ensemble.read();
+        let ensemble = &matchers.ensemble;
         let matcher_names = ensemble.matcher_names();
         let candidates: Vec<(schemr_index::Hit, Arc<StoredSchema>)> = hits
             .into_iter()
@@ -699,7 +718,7 @@ impl SchemrEngine {
         let equery = ensemble.prepare_query(&terms, &graph);
         let (lexicon, lexicon_generation) = self.lexicon_for_search();
         let phase2 = Phase2 {
-            ensemble: &ensemble,
+            ensemble,
             ensemble_generation: self.ensemble_generation.load(Ordering::Acquire),
             lexicon: &lexicon,
             lexicon_generation,
@@ -766,18 +785,14 @@ impl SchemrEngine {
                     .unzip()
             })
         };
-        // Fold the chunks back together in candidate order. Matcher and
-        // tightness walls are summed over chunks — under parallel
-        // matching, over threads.
-        let mut scores: Vec<TightnessScore> = Vec::with_capacity(candidates.len());
-        let mut strengths: Vec<Vec<f64>> = Vec::with_capacity(candidates.len());
+        // Sum the chunks' walls — under parallel matching, over threads.
+        // Their scores, matched elements and strengths stay in the chunks
+        // that wrote them, in candidate order.
         let mut matcher_wall: Vec<Duration> = vec![Duration::ZERO; ensemble.len()];
         let mut tightness_wall = Duration::ZERO;
-        for done in chunks {
-            scores.extend(done.scores);
-            strengths.extend(done.strengths);
-            for (acc, d) in matcher_wall.iter_mut().zip(done.matcher_wall) {
-                *acc += d;
+        for done in &chunks {
+            for (acc, d) in matcher_wall.iter_mut().zip(&done.matcher_wall) {
+                *acc += *d;
             }
             tightness_wall += done.tightness_wall;
         }
@@ -804,40 +819,46 @@ impl SchemrEngine {
         let p3 = root.as_ref().map(|r| r.child("tightness_scoring"));
         let p3_probe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
         let candidates_evaluated = candidates.len();
-        // Candidate ids in Phase 2 order, for mapping ranked results back
-        // to their per-matcher strengths.
-        let candidate_ids: Vec<SchemaId> = if want_trace {
-            candidates.iter().map(|(h, _)| h.id).collect()
-        } else {
-            Vec::new()
-        };
-        // Rank on the scores alone; only the rows that survive the limit
-        // get their display fields copied out of the shared schema.
-        let mut ranked: Vec<(SearchResult, Arc<StoredSchema>)> = candidates
+        // Rank on the scores alone, each row remembering the chunk that
+        // scored it and its place there; only the rows that survive the
+        // limit get their display fields copied out of the shared schema
+        // and their matched elements out of the chunk.
+        let scored = chunks
+            .iter()
+            .enumerate()
+            .flat_map(|(chunk, done)| (0..done.scores.len()).map(move |at| (chunk, at)));
+        let mut ranked: Vec<(SearchResult, Arc<StoredSchema>, (usize, usize))> = candidates
             .into_iter()
-            .zip(scores)
-            .map(|((hit, stored), t)| {
+            .zip(scored)
+            .map(|((hit, stored), (chunk, at))| {
                 let row = SearchResult {
                     id: stored.metadata.id,
                     title: String::new(),
                     summary: String::new(),
-                    score: t.score,
+                    score: chunks[chunk].scores[at],
                     coarse_score: hit.score,
                     matched_terms: hit.matched_terms,
                     stats: schemr_model::SchemaStats::default(),
-                    matches: t.matched,
+                    matches: Vec::new(),
                 };
-                (row, stored)
+                (row, stored, (chunk, at))
             })
             .collect();
         ranked.sort_by(|a, b| rank_order(&a.0, &b.0));
         ranked.truncate(request.limit.unwrap_or(self.config.default_limit));
+        // Where each surviving row was scored, for the event log's
+        // per-matcher strengths.
+        let mut origins: Vec<(usize, usize)> = Vec::new();
+        if want_trace {
+            origins.extend(ranked.iter().map(|(_, _, origin)| *origin));
+        }
         let results: Vec<SearchResult> = ranked
             .into_iter()
-            .map(|(mut row, stored)| {
+            .map(|(mut row, stored, (chunk, at))| {
                 row.title = stored.metadata.title.clone();
                 row.summary = stored.metadata.summary.clone();
                 row.stats = stored.stats();
+                row.matches = chunks[chunk].matched(at).to_vec();
                 row
             })
             .collect();
@@ -874,8 +895,8 @@ impl SchemrEngine {
             .observe_duration_exemplar(candidate_extraction, tid);
         m.phase_matching.observe_duration_exemplar(matching, tid);
         m.phase_scoring.observe_duration_exemplar(scoring, tid);
-        for (name, wall) in matcher_names.iter().zip(&matcher_wall) {
-            m.matcher_histogram(name).observe_duration(*wall);
+        for (seconds, wall) in matchers.seconds(m).iter().zip(&matcher_wall) {
+            seconds.observe_duration(*wall);
         }
 
         let trace = request.explain.then(|| SearchTrace {
@@ -913,23 +934,15 @@ impl SchemrEngine {
         let trace_id = ctx.map(|ctx| {
             let event_results = results
                 .iter()
-                .map(|r| {
-                    let matcher_scores = candidate_ids
+                .zip(&origins)
+                .map(|(r, &(chunk, at))| EventResult {
+                    id: r.id.to_string(),
+                    score: r.score,
+                    matcher_scores: matcher_names
                         .iter()
-                        .position(|id| *id == r.id)
-                        .map(|pos| {
-                            matcher_names
-                                .iter()
-                                .zip(&strengths[pos])
-                                .map(|(name, s)| (name.to_string(), *s))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    EventResult {
-                        id: r.id.to_string(),
-                        score: r.score,
-                        matcher_scores,
-                    }
+                        .zip(chunks[chunk].strengths(at))
+                        .map(|(name, s)| (name.to_string(), *s))
+                        .collect(),
                 })
                 .collect();
             let completed = self.tracer.finish(
@@ -986,14 +999,52 @@ struct Phase2<'a> {
     with_strengths: bool,
 }
 
+/// The matcher set searches run, with each matcher's
+/// `schemr_matcher_seconds` series. [`SchemrEngine::set_ensemble`]
+/// installs a new one, so the series are resolved once per ensemble
+/// generation — by its first search, which is when a series first
+/// appears on `/metrics` — and every later search only reads them.
+struct Matchers {
+    ensemble: Ensemble,
+    seconds: OnceLock<Vec<Arc<Histogram>>>,
+}
+
+impl Matchers {
+    fn new(ensemble: Ensemble) -> Self {
+        Matchers {
+            ensemble,
+            seconds: OnceLock::new(),
+        }
+    }
+
+    /// Per matcher, in registration order, its wall-time histogram.
+    fn seconds(&self, metrics: &EngineMetrics) -> &[Arc<Histogram>] {
+        self.seconds.get_or_init(|| {
+            self.ensemble
+                .matcher_names()
+                .into_iter()
+                .map(|name| metrics.matcher_histogram(name))
+                .collect()
+        })
+    }
+}
+
 /// What [`SchemrEngine::match_chunk`] produced for one contiguous run of
-/// candidates, in candidate order.
+/// candidates, in candidate order: per candidate a score, a range of the
+/// matched-element arena and (traced) a run of strengths, each list flat
+/// so the chunk grows a few arenas instead of allocating per candidate.
 struct ChunkMatch {
     /// Final (tightness-of-fit) score per candidate.
-    scores: Vec<TightnessScore>,
-    /// Per-candidate per-matcher strengths for the event log; each empty
+    scores: Vec<f64>,
+    /// Every candidate's matched elements, one after another.
+    matched: Vec<MatchedElement>,
+    /// Per candidate, its range of `matched`.
+    matched_at: Vec<Range<usize>>,
+    /// Per candidate, one strength per matcher for the event log; empty
     /// unless the search is traced.
-    strengths: Vec<Vec<f64>>,
+    strengths: Vec<f64>,
+    /// Matchers in the ensemble: the stride of `strengths`.
+    matchers: usize,
     /// Per-matcher wall time, accumulated over the chunk's candidates.
     matcher_wall: Vec<Duration>,
     /// Wall time spent in tightness-of-fit calls. Tightness executes in
@@ -1003,6 +1054,30 @@ struct ChunkMatch {
     tightness_wall: Duration,
     artifact_hits: u64,
     artifact_misses: u64,
+}
+
+impl ChunkMatch {
+    /// Candidate `at`'s matched elements.
+    fn matched(&self, at: usize) -> &[MatchedElement] {
+        &self.matched[self.matched_at[at].clone()]
+    }
+
+    /// Candidate `at`'s per-matcher strengths, in registration order.
+    fn strengths(&self, at: usize) -> &[f64] {
+        &self.strengths[at * self.matchers..(at + 1) * self.matchers]
+    }
+}
+
+/// The trace's query text: the flattened terms, space-separated.
+fn joined_terms(terms: &[QueryTerm]) -> String {
+    let mut text = String::with_capacity(terms.iter().map(|t| t.text.len() + 1).sum());
+    for (i, term) in terms.iter().enumerate() {
+        if i > 0 {
+            text.push(' ');
+        }
+        text.push_str(&term.text);
+    }
+    text
 }
 
 /// Stamp a thread's resource delta onto a span as annotations. Zero

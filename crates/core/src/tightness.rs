@@ -16,7 +16,7 @@
 //! * unrelated entities → larger penalty.
 
 use schemr_match::SimilarityMatrix;
-use schemr_model::{DistanceClass, ElementId, Schema};
+use schemr_model::{DistanceClass, ElementId, Neighborhoods, Schema};
 
 /// Tightness-of-fit parameters.
 #[derive(Debug, Clone, Copy)]
@@ -91,16 +91,52 @@ pub fn tightness_of_fit(
     matrix: &SimilarityMatrix,
     config: &TightnessConfig,
 ) -> TightnessScore {
+    let mut matched = Vec::new();
+    let score = tightness_of_fit_in(
+        candidate,
+        matrix,
+        config,
+        &mut TightnessScratch::default(),
+        &mut matched,
+    );
+    TightnessScore { matched, ..score }
+}
+
+/// The tables tightness-of-fit fills for a candidate, kept from one
+/// candidate to the next by whoever scores a run of them (one per Phase 2
+/// chunk in the engine), so a candidate costs no allocation unless it
+/// outgrows every one before it.
+#[derive(Debug, Default)]
+pub struct TightnessScratch {
+    /// Matched elements: `(element, best row, column max)`.
+    matched: Vec<(ElementId, usize, f64)>,
+    /// Distinct entities owning a matched element.
+    anchors: Vec<ElementId>,
+    neighborhoods: Neighborhoods,
+    union_find: Vec<u32>,
+}
+
+/// [`tightness_of_fit`] on `scratch`'s tables. The matched elements are
+/// appended to `matched` — an arena a caller keeps across candidates —
+/// instead of the returned score's own `matched`, which is empty.
+pub fn tightness_of_fit_in(
+    candidate: &Schema,
+    matrix: &SimilarityMatrix,
+    config: &TightnessConfig,
+    scratch: &mut TightnessScratch,
+    matched: &mut Vec<MatchedElement>,
+) -> TightnessScore {
     debug_assert_eq!(matrix.cols(), candidate.len());
     // Per-element final scores: column maxima above the matched threshold.
-    let mut matched: Vec<(ElementId, usize, f64)> = Vec::new();
+    let found = &mut scratch.matched;
+    found.clear();
     for (col, id) in candidate.ids().enumerate() {
         let (row, score) = matrix.column_max(col);
         if score >= config.min_element_score {
-            matched.push((id, row, score));
+            found.push((id, row, score));
         }
     }
-    if matched.is_empty() {
+    if found.is_empty() {
         return TightnessScore {
             score: 0.0,
             anchored_score: 0.0,
@@ -126,38 +162,40 @@ pub fn tightness_of_fit(
         1.0
     };
 
-    let neighborhoods = candidate.neighborhoods();
+    let neighborhoods = &mut scratch.neighborhoods;
+    candidate.neighborhoods_into(neighborhoods, &mut scratch.union_find);
     // Candidate anchors: every entity that owns at least one matched
     // element. (Anchoring on an unmatched entity can never beat anchoring
     // on a matched one — it penalizes strictly more elements.)
-    let mut anchors: Vec<ElementId> = matched
-        .iter()
-        .filter_map(|(id, _, _)| neighborhoods.owning_entity(*id))
-        .collect();
+    let anchors = &mut scratch.anchors;
+    anchors.clear();
+    anchors.extend(
+        found
+            .iter()
+            .filter_map(|(id, _, _)| neighborhoods.owning_entity(*id)),
+    );
     anchors.sort();
     anchors.dedup();
     if anchors.is_empty() {
         // Degenerate flat schema with no entities: no penalties apply.
-        let total: f64 = matched.iter().map(|(_, _, s)| s).sum();
+        let total: f64 = found.iter().map(|(_, _, s)| s).sum();
         let score = if config.mean_aggregation {
-            total / matched.len() as f64
+            total / found.len() as f64
         } else {
             total
         };
+        matched.extend(found.iter().map(|&(element, term, score)| MatchedElement {
+            element,
+            term,
+            score,
+            class: DistanceClass::SameEntity,
+        }));
         return TightnessScore {
             score: sanitize(score * weight),
             anchored_score: sanitize(score),
             coverage,
             best_anchor: None,
-            matched: matched
-                .into_iter()
-                .map(|(element, term, score)| MatchedElement {
-                    element,
-                    term,
-                    score,
-                    class: DistanceClass::SameEntity,
-                })
-                .collect(),
+            matched: Vec::new(),
         };
     }
 
@@ -170,8 +208,8 @@ pub fn tightness_of_fit(
     };
 
     let mut best: (f64, ElementId) = (f64::NEG_INFINITY, anchors[0]);
-    for &anchor in &anchors {
-        let total: f64 = matched
+    for &anchor in anchors.iter() {
+        let total: f64 = found
             .iter()
             .map(|&(id, _, s)| {
                 let p = penalty_for(neighborhoods.classify(anchor, id));
@@ -179,7 +217,7 @@ pub fn tightness_of_fit(
             })
             .sum();
         let t = if config.mean_aggregation {
-            total / matched.len() as f64
+            total / found.len() as f64
         } else {
             total
         };
@@ -189,21 +227,18 @@ pub fn tightness_of_fit(
     }
 
     let (anchored_score, best_anchor) = best;
-    let matched = matched
-        .into_iter()
-        .map(|(element, term, s)| MatchedElement {
-            element,
-            term,
-            score: s,
-            class: neighborhoods.classify(best_anchor, element),
-        })
-        .collect();
+    matched.extend(found.iter().map(|&(element, term, s)| MatchedElement {
+        element,
+        term,
+        score: s,
+        class: neighborhoods.classify(best_anchor, element),
+    }));
     TightnessScore {
         score: sanitize(anchored_score * weight),
         anchored_score: sanitize(anchored_score),
         coverage,
         best_anchor: Some(best_anchor),
-        matched,
+        matched: Vec::new(),
     }
 }
 
@@ -459,6 +494,39 @@ mod tests {
         let tb2 = tightness_of_fit(&b, &mb, &unweighted);
         assert!(tb2.score > ta2.score);
         assert!((tb2.score - tb2.anchored_score).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_scratch_across_candidates_scores_each_like_a_fresh_call() {
+        // Figure 4, a flat schema with no entity, an unmatched one, then
+        // Figure 4 again: the scratch and the arena carry over, and each
+        // candidate's score and slice are the fresh call's.
+        let (fig4, m4) = figure4();
+        let flat = {
+            let mut s = Schema::new("flat");
+            s.add_root(schemr_model::Element::attribute("height", DataType::Real));
+            s
+        };
+        let mut mflat = SimilarityMatrix::zeros(1, 1);
+        mflat.set(0, 0, 0.9);
+        let empty = SimilarityMatrix::zeros(5, fig4.len());
+        let config = TightnessConfig::default();
+        let mut scratch = TightnessScratch::default();
+        let mut arena = Vec::new();
+        for (schema, matrix) in [(&fig4, &m4), (&flat, &mflat), (&fig4, &empty), (&fig4, &m4)] {
+            let fresh = tightness_of_fit(schema, matrix, &config);
+            let start = arena.len();
+            let t = tightness_of_fit_in(schema, matrix, &config, &mut scratch, &mut arena);
+            assert!(t.matched.is_empty());
+            assert_eq!(
+                TightnessScore {
+                    matched: fresh.matched.clone(),
+                    ..t
+                },
+                fresh
+            );
+            assert_eq!(arena[start..], fresh.matched[..]);
+        }
     }
 
     #[test]

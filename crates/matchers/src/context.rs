@@ -196,7 +196,7 @@ impl Matcher for ContextMatcher {
         }
     }
 
-    fn score(
+    fn score_into(
         &self,
         prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
@@ -204,12 +204,13 @@ impl Matcher for ContextMatcher {
         prepared: &PreparedSchema,
         candidate: &Schema,
         scratch: &mut ScoreScratch<'_>,
-    ) -> SimilarityMatrix {
-        let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
+        out: &mut SimilarityMatrix,
+    ) {
+        out.reset(terms.len(), candidate.len());
         // Keyword-only queries produce an all-zero matrix; return before
         // any artifact is read or rebuilt.
         if Self::no_fragment_terms(terms) {
-            return m;
+            return;
         }
         let built_query;
         let term_contexts = match &prepared_query.term_contexts {
@@ -265,7 +266,7 @@ impl Matcher for ContextMatcher {
                 // but can intersect nothing.
                 let inter = scalar_merge(query_ids, ctx);
                 if inter > 0 {
-                    m.set(
+                    out.set(
                         row,
                         col,
                         2.0 * inter as f64 / (query_ctx.len() + ctx.len()) as f64,
@@ -273,7 +274,6 @@ impl Matcher for ContextMatcher {
                 }
             }
         }
-        m
     }
 }
 

@@ -73,7 +73,7 @@ impl Matcher for EditDistanceMatcher {
         "edit"
     }
 
-    fn score(
+    fn score_into(
         &self,
         _prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
@@ -81,18 +81,18 @@ impl Matcher for EditDistanceMatcher {
         _prepared: &PreparedSchema,
         candidate: &Schema,
         _scratch: &mut ScoreScratch<'_>,
-    ) -> SimilarityMatrix {
-        let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
+        out: &mut SimilarityMatrix,
+    ) {
+        out.reset(terms.len(), candidate.len());
         for (col, id) in candidate.ids().enumerate() {
             let el_name = &candidate.element(id).name;
             for (row, term) in terms.iter().enumerate() {
                 let s = self.similarity(&term.text, el_name);
                 if s > 0.0 {
-                    m.set(row, col, s);
+                    out.set(row, col, s);
                 }
             }
         }
-        m
     }
 }
 

@@ -31,7 +31,8 @@ pub struct Ensemble {
     pass_of: Vec<Option<usize>>,
 }
 
-/// The output of one ensemble pass over a candidate.
+/// The output of one ensemble pass over a candidate, owned
+/// ([`Ensemble::run`]).
 pub struct EnsembleRun {
     /// The weighted combined similarity matrix.
     pub matrix: SimilarityMatrix,
@@ -152,9 +153,10 @@ impl Ensemble {
         )
     }
 
-    /// Every matcher's matrix and wall time, in registration order. An
-    /// artifact bundle built for a different matcher set (length
-    /// mismatch) must not be zipped positionally; it is rebuilt here.
+    /// Score every matcher into its matrix of `scratch`, adding each
+    /// one's wall time to `wall` (registration order). An artifact bundle
+    /// built for a different matcher set (length mismatch) must not be
+    /// zipped positionally; it is rebuilt here.
     fn score_each(
         &self,
         terms: &[QueryTerm],
@@ -162,7 +164,8 @@ impl Ensemble {
         pcand: &PreparedCandidate,
         candidate: &Schema,
         scratch: &mut MatchScratch<'_>,
-    ) -> Vec<(SimilarityMatrix, Duration)> {
+        wall: &mut [Duration],
+    ) {
         let rebuilt_query;
         let equery = if scratch.equery.per_matcher.len() == self.matchers.len() {
             scratch.equery
@@ -181,30 +184,73 @@ impl Ensemble {
         scratch
             .per_matcher
             .resize_with(self.matchers.len(), || ScoreScratch::new(lexicon));
-        self.matchers
+        scratch
+            .matrices
+            .resize_with(self.matchers.len(), || SimilarityMatrix::zeros(0, 0));
+        for ((((m, _), (pq, ps)), (own, matrix)), wall) in self
+            .matchers
             .iter()
             .zip(equery.per_matcher.iter().zip(&pcand.per_matcher))
-            .zip(&mut scratch.per_matcher)
-            .map(|(((m, _), (pq, ps)), own)| {
-                let start = Instant::now();
-                let scored = m.score(pq, terms, query, ps, candidate, own);
-                (scored, start.elapsed())
-            })
-            .collect()
+            .zip(scratch.per_matcher.iter_mut().zip(&mut scratch.matrices))
+            .zip(wall)
+        {
+            let start = Instant::now();
+            m.score_into(pq, terms, query, ps, candidate, own, matrix);
+            *wall += start.elapsed();
+        }
     }
 
     /// The ensemble pass over one candidate: run every matcher on its
     /// prepared artifacts and combine the matrices with the current
-    /// weights. Matchers whose [`Matcher::abstains`] is true only
-    /// participate in cells where they produced a nonzero score. Also
-    /// reports per-matcher wall times and (when `with_strengths`) each
-    /// matcher's [`SimilarityMatrix::mean_row_max`] strength for the
-    /// event log.
+    /// weights, all in `scratch`'s buffers; returns the combined matrix.
+    /// Matchers whose [`Matcher::abstains`] is true only participate in
+    /// cells where they produced a nonzero score. Adds each matcher's
+    /// wall time to `wall` (registration order, one slot per matcher),
+    /// and when `strengths` is given pushes each matcher's
+    /// [`SimilarityMatrix::mean_row_max`] strength onto it for the event
+    /// log — a run of candidates fills one flat list, candidate by
+    /// candidate.
     ///
     /// `scratch` names the query artifacts and the lexicon, and keeps the
-    /// matchers' memos from one candidate to the next. `pcand` must have
-    /// been prepared in that lexicon, and one scratch serves one
-    /// (`terms`, `query`): the memos are keyed by its words.
+    /// matchers' memos and the matrices from one candidate to the next.
+    /// `pcand` must have been prepared in that lexicon, and one scratch
+    /// serves one (`terms`, `query`): the memos are keyed by its words.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_into<'s>(
+        &self,
+        terms: &[QueryTerm],
+        query: &QueryGraph,
+        pcand: &PreparedCandidate,
+        candidate: &Schema,
+        scratch: &'s mut MatchScratch<'_>,
+        wall: &mut [Duration],
+        strengths: Option<&mut Vec<f64>>,
+    ) -> &'s SimilarityMatrix {
+        assert_eq!(wall.len(), self.matchers.len(), "one wall slot per matcher");
+        self.score_each(terms, query, pcand, candidate, scratch, wall);
+        if let Some(strengths) = strengths {
+            strengths.extend(scratch.matrices.iter().map(SimilarityMatrix::mean_row_max));
+        }
+        if self.matchers.is_empty() {
+            scratch.combined.reset(terms.len(), candidate.len());
+        } else {
+            scratch.members.clear();
+            scratch
+                .members
+                .extend(self.matchers.iter().map(|(m, w)| (*w, m.abstains())));
+            let members = scratch
+                .matrices
+                .iter()
+                .zip(&scratch.members)
+                .map(|(matrix, &(w, abstains))| (matrix, w, abstains));
+            scratch.combined.combine_into(members);
+        }
+        &scratch.combined
+    }
+
+    /// [`Ensemble::run_into`] returning what it wrote as owned values: the
+    /// combined matrix, this candidate's per-matcher wall times, and its
+    /// strengths when `with_strengths`.
     pub fn run(
         &self,
         terms: &[QueryTerm],
@@ -214,25 +260,22 @@ impl Ensemble {
         scratch: &mut MatchScratch<'_>,
         with_strengths: bool,
     ) -> EnsembleRun {
-        let scored = self.score_each(terms, query, pcand, candidate, scratch);
-        let strengths = if with_strengths {
-            scored.iter().map(|(m, _)| m.mean_row_max()).collect()
-        } else {
-            Vec::new()
-        };
-        let matrix = if scored.is_empty() {
-            SimilarityMatrix::zeros(terms.len(), candidate.len())
-        } else {
-            let refs: Vec<(&SimilarityMatrix, f64, bool)> = scored
-                .iter()
-                .zip(&self.matchers)
-                .map(|((matrix, _), (m, w))| (matrix, *w, m.abstains()))
-                .collect();
-            SimilarityMatrix::combine_with_abstention(&refs)
-        };
+        let mut timings = vec![Duration::ZERO; self.matchers.len()];
+        let mut strengths = Vec::new();
+        let matrix = self
+            .run_into(
+                terms,
+                query,
+                pcand,
+                candidate,
+                scratch,
+                &mut timings,
+                with_strengths.then_some(&mut strengths),
+            )
+            .clone();
         EnsembleRun {
             matrix,
-            timings: scored.into_iter().map(|(_, wall)| wall).collect(),
+            timings,
             strengths,
         }
     }
@@ -248,17 +291,21 @@ impl Ensemble {
     ) -> Vec<(&'static str, SimilarityMatrix)> {
         let lexicon = Lexicon::new();
         let equery = self.prepare_query(terms, query);
-        let scored = self.score_each(
-            terms,
-            query,
-            &self.prepare(candidate, &lexicon),
-            candidate,
-            &mut MatchScratch::new(&equery, &lexicon),
-        );
+        let pcand = self.prepare(candidate, &lexicon);
         self.matchers
             .iter()
-            .zip(scored)
-            .map(|((m, _), (matrix, _))| (m.name(), matrix))
+            .zip(equery.per_matcher.iter().zip(&pcand.per_matcher))
+            .map(|((m, _), (pq, ps))| {
+                let scored = m.score(
+                    pq,
+                    terms,
+                    query,
+                    ps,
+                    candidate,
+                    &mut ScoreScratch::new(&lexicon),
+                );
+                (m.name(), scored)
+            })
             .collect()
     }
 }

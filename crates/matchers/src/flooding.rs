@@ -188,7 +188,7 @@ impl Matcher for FloodingMatcher {
         true
     }
 
-    fn score(
+    fn score_into(
         &self,
         _prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
@@ -196,8 +196,9 @@ impl Matcher for FloodingMatcher {
         _prepared: &PreparedSchema,
         candidate: &Schema,
         _scratch: &mut ScoreScratch<'_>,
-    ) -> SimilarityMatrix {
-        let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
+        out: &mut SimilarityMatrix,
+    ) {
+        out.reset(terms.len(), candidate.len());
         for (frag_ix, fragment) in query.fragments().iter().enumerate() {
             // Rows of this fragment, in element order.
             let frag_rows: Vec<usize> = terms
@@ -207,9 +208,8 @@ impl Matcher for FloodingMatcher {
                 .map(|(row, _)| row)
                 .collect();
             debug_assert_eq!(frag_rows.len(), fragment.len());
-            self.flood_fragment(fragment, &frag_rows, candidate, &mut m);
+            self.flood_fragment(fragment, &frag_rows, candidate, out);
         }
-        m
     }
 }
 

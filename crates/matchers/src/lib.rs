@@ -24,11 +24,13 @@
 //!   member,
 //! * [`TypeMatcher`] — data-type compatibility for fragment queries.
 //!
-//! Scoring has one path: [`Matcher::score`] over the artifacts of
+//! Scoring has one path: [`Matcher::score_into`] over the artifacts of
 //! [`prepare`] — word ids in the engine's [`schemr_text::Lexicon`], from
 //! one analyzer pass per candidate that matchers with equal analyzers
 //! share; word-pair similarities memoised in a [`MatchScratch`] — driven
-//! per candidate by [`Ensemble::run`]. The string-set scalar kernels the
+//! per candidate by [`Ensemble::run_into`], which scores every matcher
+//! and combines their matrices in buffers the scratch owns and reuses
+//! from one candidate to the next. The string-set scalar kernels the
 //! prepared kernels are tested against, bit for bit —
 //! [`NameMatcher::similarity`], [`TokenMatcher::similarity`], the context
 //! matcher's test-only `neighbor_terms` + `set_similarity` — are inherent
@@ -98,7 +100,7 @@ pub trait Matcher: Send + Sync {
     /// place a lexicon is written. Candidate schemas are immutable
     /// between repository revisions, so the engine caches the result per
     /// (schema id, revision, lexicon) and feeds it back through
-    /// [`Matcher::score`]. The default returns an empty artifact — a
+    /// [`Matcher::score_into`]. The default returns an empty artifact — a
     /// valid artifact for a matcher that reads only the schema itself.
     fn prepare(&self, schema: &Schema, words: &FlatLists<WordId>) -> PreparedSchema {
         let _ = (schema, words);
@@ -111,16 +113,35 @@ pub trait Matcher: Send + Sync {
         PreparedQuery::default()
     }
 
-    /// Score `query` against `candidate`. Row *i* corresponds to
-    /// `terms[i]`; column *j* to the candidate's element with id *j*.
-    /// `prepared_query` and `prepared` are what this matcher's
-    /// [`Matcher::prepare_query`] and [`Matcher::prepare`] returned for
-    /// the same inputs; an artifact that is missing or sized for another
-    /// input is rebuilt here, so the matrix depends only on `terms`,
-    /// `query` and `candidate`. `scratch` carries the lexicon `prepared`
-    /// was built in and whatever this matcher memoised while scoring
-    /// earlier candidates against the same query; it changes how much
-    /// work a call does, never a bit of its result.
+    /// Score `query` against `candidate` into `out`, which this call
+    /// resets to `terms.len()` rows and `candidate.len()` columns first:
+    /// whatever shape and values `out` held, only its buffer is reused.
+    /// Row *i* corresponds to `terms[i]`; column *j* to the candidate's
+    /// element with id *j*. `prepared_query` and `prepared` are what this
+    /// matcher's [`Matcher::prepare_query`] and [`Matcher::prepare`]
+    /// returned for the same inputs; an artifact that is missing or sized
+    /// for another input is rebuilt here, so the matrix depends only on
+    /// `terms`, `query` and `candidate`. `scratch` carries the lexicon
+    /// `prepared` was built in and whatever this matcher memoised while
+    /// scoring earlier candidates against the same query; it changes how
+    /// much work a call does, never a bit of its result.
+    ///
+    /// The one scoring method an implementor writes.
+    #[allow(clippy::too_many_arguments)]
+    fn score_into(
+        &self,
+        prepared_query: &PreparedQuery,
+        terms: &[QueryTerm],
+        query: &QueryGraph,
+        prepared: &PreparedSchema,
+        candidate: &Schema,
+        scratch: &mut ScoreScratch<'_>,
+        out: &mut SimilarityMatrix,
+    );
+
+    /// [`Matcher::score_into`] a matrix of its own — for tests and the
+    /// learner's [`Ensemble::individual`]; Phase 2 scores into the
+    /// matrices of a [`MatchScratch`].
     fn score(
         &self,
         prepared_query: &PreparedQuery,
@@ -129,12 +150,24 @@ pub trait Matcher: Send + Sync {
         prepared: &PreparedSchema,
         candidate: &Schema,
         scratch: &mut ScoreScratch<'_>,
-    ) -> SimilarityMatrix;
+    ) -> SimilarityMatrix {
+        let mut out = SimilarityMatrix::zeros(0, 0);
+        self.score_into(
+            prepared_query,
+            terms,
+            query,
+            prepared,
+            candidate,
+            scratch,
+            &mut out,
+        );
+        out
+    }
 }
 
 /// Score with artifacts prepared on the spot, in a lexicon and scratch of
 /// their own — what the unit tests of the matchers call where the
-/// production path goes through [`Ensemble::run`].
+/// production path goes through [`Ensemble::run_into`].
 #[cfg(test)]
 pub(crate) fn score_fresh(
     m: &dyn Matcher,

@@ -23,6 +23,16 @@ impl SimilarityMatrix {
         }
     }
 
+    /// Make this a zero matrix with `rows` query terms and `cols` schema
+    /// elements, keeping its buffer: a matrix reset for every candidate
+    /// of a run allocates only when a candidate outgrows all before it.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.values.clear();
+        self.values.resize(rows * cols, 0.0);
+    }
+
     /// Number of query-term rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -133,34 +143,47 @@ impl SimilarityMatrix {
     pub fn combine_with_abstention(
         matrices: &[(&SimilarityMatrix, f64, bool)],
     ) -> SimilarityMatrix {
-        let Some(((first, _, _), rest)) = matrices.split_first() else {
-            return SimilarityMatrix::zeros(0, 0);
-        };
-        for (m, _, _) in rest {
+        let mut out = SimilarityMatrix::zeros(0, 0);
+        out.combine_into(matrices.iter().map(|&(m, w, abstains)| (m, w, abstains)));
+        out
+    }
+
+    /// [`SimilarityMatrix::combine_with_abstention`] into this matrix,
+    /// reusing its buffer — the one kernel both forms run, so a cell is
+    /// the same arithmetic in the same matcher order either way. No
+    /// members leaves a 0 × 0 matrix.
+    pub(crate) fn combine_into<'m, I>(&mut self, members: I)
+    where
+        I: Iterator<Item = (&'m SimilarityMatrix, f64, bool)> + Clone,
+    {
+        let (rows, cols) = members
+            .clone()
+            .next()
+            .map_or((0, 0), |(m, _, _)| (m.rows, m.cols));
+        for (m, _, _) in members.clone() {
             assert_eq!(
                 (m.rows, m.cols),
-                (first.rows, first.cols),
+                (rows, cols),
                 "matcher matrices must agree on dimensions"
             );
         }
-        let mut out = SimilarityMatrix::zeros(first.rows, first.cols);
-        for i in 0..out.values.len() {
+        self.reset(rows, cols);
+        for i in 0..self.values.len() {
             let mut num = 0.0f64;
             let mut den = 0.0f64;
-            for (m, w, abstaining) in matrices {
+            for (m, w, abstaining) in members.clone() {
                 let w = w.max(0.0);
                 let v = m.values[i];
-                if *abstaining && v == 0.0 {
+                if abstaining && v == 0.0 {
                     continue;
                 }
                 num += w * v;
                 den += w;
             }
             if den > 0.0 {
-                out.values[i] = (num / den).clamp(0.0, 1.0);
+                self.values[i] = (num / den).clamp(0.0, 1.0);
             }
         }
-        out
     }
 
     /// Iterate `(row, col, value)` over non-zero entries.
@@ -282,6 +305,32 @@ mod tests {
         m.set(1, 0, 0.6);
         let entries: Vec<_> = m.nonzero().collect();
         assert_eq!(entries, vec![(0, 1, 0.3), (1, 0, 0.6)]);
+    }
+
+    #[test]
+    fn reset_zeroes_and_reshapes_in_place() {
+        let mut m = SimilarityMatrix::zeros(3, 4);
+        m.set(2, 3, 0.9);
+        m.reset(2, 2);
+        assert_eq!(m, SimilarityMatrix::zeros(2, 2));
+        m.set(1, 1, 0.5);
+        m.reset(3, 4);
+        assert_eq!(m, SimilarityMatrix::zeros(3, 4));
+    }
+
+    #[test]
+    fn combine_into_reuses_a_matrix_of_another_shape() {
+        let mut a = SimilarityMatrix::zeros(2, 3);
+        a.set(0, 1, 0.6);
+        let mut b = SimilarityMatrix::zeros(2, 3);
+        b.set(1, 2, 0.4);
+        let members = [(&a, 1.0, false), (&b, 0.5, true)];
+        let mut out = SimilarityMatrix::zeros(5, 5);
+        out.set(4, 4, 1.0);
+        out.combine_into(members.iter().copied());
+        assert_eq!(out, SimilarityMatrix::combine_with_abstention(&members));
+        out.combine_into(std::iter::empty());
+        assert_eq!((out.rows(), out.cols()), (0, 0));
     }
 
     #[test]

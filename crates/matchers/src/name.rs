@@ -217,7 +217,7 @@ impl Matcher for NameMatcher {
         }
     }
 
-    fn score(
+    fn score_into(
         &self,
         prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
@@ -225,7 +225,8 @@ impl Matcher for NameMatcher {
         prepared: &PreparedSchema,
         candidate: &Schema,
         scratch: &mut ScoreScratch<'_>,
-    ) -> SimilarityMatrix {
+        out: &mut SimilarityMatrix,
+    ) {
         // Query words: from the per-search artifact when present, else
         // built here.
         let built_query;
@@ -247,7 +248,7 @@ impl Matcher for NameMatcher {
                 &built_names
             }
         };
-        let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
+        out.reset(terms.len(), candidate.len());
         let lexicon = scratch.lexicon().read();
         scratch.pairs.fit(query_words.grams.len(), lexicon.len());
         for (col, element) in names.iter().enumerate() {
@@ -265,11 +266,10 @@ impl Matcher for NameMatcher {
                     &lexicon,
                 );
                 if s > 0.0 {
-                    m.set(row, col, s);
+                    out.set(row, col, s);
                 }
             }
         }
-        m
     }
 }
 

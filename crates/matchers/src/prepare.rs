@@ -28,7 +28,8 @@
 //! * **per (query word, candidate word)** — a [`MatchScratch`] holds each
 //!   matcher's memo of word-pair similarities, filled on first use while
 //!   a run of candidates is scored, so a cell of the similarity matrix is
-//!   composed from table reads.
+//!   composed from table reads; and the matrices themselves, reset for
+//!   each candidate of the run.
 //!
 //! Query-side artifacts ([`PreparedQuery`], bundled as
 //! [`EnsembleQuery`]) are built once per search, through the same
@@ -42,6 +43,7 @@
 use schemr_model::{QueryGraph, QueryTerm, Schema};
 use schemr_text::{AnalyzeScratch, Analyzer, GramSet, Lexicon, WordId};
 
+use crate::matrix::SimilarityMatrix;
 use crate::Matcher;
 
 /// A list of lists stored flat: one items array plus one end offset per
@@ -384,16 +386,25 @@ impl<'a> ScoreScratch<'a> {
 }
 
 /// The ensemble-level scratch for one run of candidates scored against
-/// one query: the query's artifacts, the lexicon, and one
-/// [`ScoreScratch`] per matcher. Owned by whoever drives the run (one
-/// per Phase 2 chunk in the engine) and handed down as `&mut`, so the
-/// memos need no lock and the shared [`EnsembleQuery`] no interior
-/// mutability. Results do not depend on what a scratch already holds —
-/// only the work does.
+/// one query: the query's artifacts, the lexicon, one [`ScoreScratch`]
+/// per matcher, and the matrices [`crate::Ensemble::run_into`] writes —
+/// one per matcher and the combined one, reset for every candidate so
+/// they are allocated once a run, not once a candidate. Owned by
+/// whoever drives the run (one per Phase 2 chunk in the engine) and
+/// handed down as `&mut`, so the memos need no lock and the shared
+/// [`EnsembleQuery`] no interior mutability. Results do not depend on
+/// what a scratch already holds — only the work does.
 pub struct MatchScratch<'a> {
     pub(crate) equery: &'a EnsembleQuery,
     pub(crate) lexicon: &'a Lexicon,
     pub(crate) per_matcher: Vec<ScoreScratch<'a>>,
+    /// Per matcher, its matrix for the candidate being scored.
+    pub(crate) matrices: Vec<SimilarityMatrix>,
+    /// Per matcher, `(weight, abstains)`: what the combination reads of
+    /// it for every cell, gathered once a candidate.
+    pub(crate) members: Vec<(f64, bool)>,
+    /// The weighted combination of `matrices`.
+    pub(crate) combined: SimilarityMatrix,
 }
 
 impl<'a> MatchScratch<'a> {
@@ -404,6 +415,9 @@ impl<'a> MatchScratch<'a> {
             equery,
             lexicon,
             per_matcher: Vec::new(),
+            matrices: Vec::new(),
+            members: Vec::new(),
+            combined: SimilarityMatrix::zeros(0, 0),
         }
     }
 }

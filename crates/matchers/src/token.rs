@@ -93,7 +93,7 @@ impl Matcher for TokenMatcher {
         }
     }
 
-    fn score(
+    fn score_into(
         &self,
         prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
@@ -101,8 +101,9 @@ impl Matcher for TokenMatcher {
         prepared: &PreparedSchema,
         candidate: &Schema,
         _scratch: &mut ScoreScratch<'_>,
-    ) -> SimilarityMatrix {
-        let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
+        out: &mut SimilarityMatrix,
+    ) {
+        out.reset(terms.len(), candidate.len());
         let local_terms;
         let term_tokens: &[GramSet] = match &prepared_query.term_tokens {
             Some(tt) if tt.len() == terms.len() => tt,
@@ -127,11 +128,10 @@ impl Matcher for TokenMatcher {
                 let inter = tt.intersection_size(el);
                 if inter > 0 {
                     let union = tt.len() + el.len() - inter;
-                    m.set(row, col, inter as f64 / union as f64);
+                    out.set(row, col, inter as f64 / union as f64);
                 }
             }
         }
-        m
     }
 }
 

@@ -60,7 +60,7 @@ impl Matcher for TypeMatcher {
         true
     }
 
-    fn score(
+    fn score_into(
         &self,
         _prepared_query: &PreparedQuery,
         terms: &[QueryTerm],
@@ -68,8 +68,9 @@ impl Matcher for TypeMatcher {
         _prepared: &PreparedSchema,
         candidate: &Schema,
         _scratch: &mut ScoreScratch<'_>,
-    ) -> SimilarityMatrix {
-        let mut m = SimilarityMatrix::zeros(terms.len(), candidate.len());
+        out: &mut SimilarityMatrix,
+    ) {
+        out.reset(terms.len(), candidate.len());
         for (row, term) in terms.iter().enumerate() {
             let (Some(frag_ix), Some(el)) = (term.fragment, term.element) else {
                 continue;
@@ -85,11 +86,10 @@ impl Matcher for TypeMatcher {
                 }
                 let s = type_compatibility(q_el.data_type, c_el.data_type);
                 if s > 0.0 {
-                    m.set(row, col, s);
+                    out.set(row, col, s);
                 }
             }
         }
-        m
     }
 }
 

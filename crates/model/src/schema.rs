@@ -374,11 +374,13 @@ impl Schema {
     /// Union-find over entities joined by foreign keys — the "transitive
     /// closure on foreign key" the paper uses to define entity neighborhoods.
     ///
-    /// Returns a component label per element index (labels are only
-    /// meaningful for entities).
-    fn fk_components(&self) -> Vec<u32> {
+    /// Writes a component label per element index into `component`
+    /// (labels are only meaningful for entities); `parent` is the
+    /// union-find array, a caller's buffer like `component`.
+    fn fk_components_into(&self, parent: &mut Vec<u32>, component: &mut Vec<u32>) {
         let n = self.len();
-        let mut parent: Vec<u32> = (0..n as u32).collect();
+        parent.clear();
+        parent.extend(0..n as u32);
         fn find(parent: &mut [u32], x: u32) -> u32 {
             let mut root = x;
             while parent[root as usize] != root {
@@ -399,20 +401,33 @@ impl Schema {
             if fk.from_entity.index() >= n || fk.to_entity.index() >= n {
                 continue;
             }
-            let ra = find(&mut parent, fk.from_entity.0);
-            let rb = find(&mut parent, fk.to_entity.0);
+            let ra = find(parent, fk.from_entity.0);
+            let rb = find(parent, fk.to_entity.0);
             if ra != rb {
                 parent[ra as usize] = rb;
             }
         }
-        (0..n as u32).map(|i| find(&mut parent, i)).collect()
+        component.clear();
+        component.extend((0..n as u32).map(|i| find(parent, i)));
     }
 
     /// Precomputed structural-distance oracle for tightness-of-fit scoring.
     pub fn neighborhoods(&self) -> Neighborhoods {
+        let mut neighborhoods = Neighborhoods::default();
+        self.neighborhoods_into(&mut neighborhoods, &mut Vec::new());
+        neighborhoods
+    }
+
+    /// [`Schema::neighborhoods`] into `out`'s tables, with `union_find`
+    /// as the foreign-key union-find array: a caller that classifies one
+    /// candidate after another keeps both and allocates only when a
+    /// schema outgrows every one before it.
+    pub fn neighborhoods_into(&self, out: &mut Neighborhoods, union_find: &mut Vec<u32>) {
         // Parents precede children, so one forward pass sees every
         // element's parent before the element.
-        let mut owning: Vec<Option<ElementId>> = Vec::with_capacity(self.len());
+        let owning = &mut out.owning;
+        owning.clear();
+        owning.reserve(self.len());
         for id in self.ids() {
             let owner = match self.kind(id) {
                 ElementKind::Entity => Some(id),
@@ -420,10 +435,7 @@ impl Schema {
             };
             owning.push(owner);
         }
-        Neighborhoods {
-            owning,
-            component: self.fk_components(),
-        }
+        self.fk_components_into(union_find, &mut out.component);
     }
 
     /// Classify the structural distance from `anchor` (an entity) to the
@@ -436,9 +448,10 @@ impl Schema {
 
 /// Precomputed owning-entity and FK-component tables for a schema.
 ///
-/// Built once per candidate schema by [`Schema::neighborhoods`]; answers
-/// [`DistanceClass`] queries in O(1).
-#[derive(Debug, Clone)]
+/// Built once per candidate schema by [`Schema::neighborhoods`] (or
+/// refilled by [`Schema::neighborhoods_into`]); answers [`DistanceClass`]
+/// queries in O(1). The default is the tables of an empty schema.
+#[derive(Debug, Clone, Default)]
 pub struct Neighborhoods {
     owning: Vec<Option<ElementId>>,
     component: Vec<u32>,
@@ -560,6 +573,31 @@ mod tests {
             nb.classify(case_attr, patient_attr),
             DistanceClass::Neighborhood
         );
+    }
+
+    #[test]
+    fn refilled_tables_classify_like_fresh_ones() {
+        // Tables left by a larger schema, then by a smaller one: every
+        // answer is the fresh oracle's.
+        let (big, ..) = figure4_schema();
+        let small = {
+            let mut s = Schema::new("small");
+            let order = s.add_root(Element::entity("order"));
+            s.add_child(order, Element::attribute("sku", DataType::Text));
+            s.add_root(Element::attribute("loose", DataType::Text));
+            s
+        };
+        let (mut reused, mut union_find) = (Neighborhoods::default(), Vec::new());
+        for s in [&big, &small, &big] {
+            s.neighborhoods_into(&mut reused, &mut union_find);
+            let fresh = s.neighborhoods();
+            for a in s.ids() {
+                assert_eq!(reused.owning_entity(a), fresh.owning_entity(a));
+                for b in s.ids() {
+                    assert_eq!(reused.classify(a, b), fresh.classify(a, b));
+                }
+            }
+        }
     }
 
     #[test]

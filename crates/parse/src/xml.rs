@@ -338,6 +338,13 @@ fn decode_entities(s: &str, pos: Position) -> Result<String, ParseError> {
 /// Escape text for inclusion in XML character data or attribute values.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`] appended to `out`, for a writer that builds a document in
+/// one buffer.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '&' => out.push_str("&amp;"),
@@ -348,7 +355,6 @@ pub fn escape(s: &str) -> String {
             other => out.push(other),
         }
     }
-    out
 }
 
 #[cfg(test)]
