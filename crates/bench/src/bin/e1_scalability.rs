@@ -492,14 +492,11 @@ fn run_phase2(quick: bool, check_speedup: bool, check_kernel: bool) -> i32 {
             ..Default::default()
         },
     );
-    // Sequential matching so per-candidate wall time is not divided
-    // across threads, and a raised candidate budget so Phase 2 is the
-    // bulk of every search.
+    // A raised candidate budget so Phase 2 is the bulk of every search.
     let bed = Testbed::build_with_config(
         &corpus,
         EngineConfig {
             top_candidates: top,
-            match_threads: 1,
             match_artifact_cache_bytes: 64 * 1024 * 1024,
             ..EngineConfig::default()
         },

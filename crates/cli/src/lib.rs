@@ -302,8 +302,8 @@ fn cmd_search(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
         writeln!(out, "trace:")?;
         writeln!(
             out,
-            "  candidates: {} from index, {} evaluated on {} thread(s)",
-            trace.candidates_from_index, trace.candidates_evaluated, trace.match_threads_used
+            "  candidates: {} from index, {} evaluated",
+            trace.candidates_from_index, trace.candidates_evaluated
         )?;
         let t = &response.timings;
         for (name, d) in [
@@ -1005,7 +1005,7 @@ mod tests {
         assert!(out.contains("phase scoring"));
         assert!(out.contains("matcher name"));
         assert!(out.contains("matcher context"));
-        assert!(out.contains("evaluated on"));
+        assert!(out.contains("candidates: "));
     }
 
     #[test]

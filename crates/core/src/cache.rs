@@ -336,7 +336,7 @@ struct ArtifactState {
 
 /// A byte-budgeted LRU cache of [`PreparedCandidate`] artifact bundles,
 /// keyed by schema id and stamped with [`ArtifactStamp`]. Survives across
-/// searches and is shared by the parallel `match_chunk` workers.
+/// searches and is shared by concurrent ones.
 /// `budget_bytes == 0` disables it entirely: every lookup misses without
 /// being counted and nothing is admitted.
 pub(crate) struct MatchArtifactCache {

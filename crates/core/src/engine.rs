@@ -41,8 +41,6 @@ pub struct EngineConfig {
     pub proximity_weight: f64,
     /// Phase 3 parameters.
     pub tightness: TightnessConfig,
-    /// Threads for Phase 2 matching (1 = sequential).
-    pub match_threads: usize,
     /// Default result-list length when the request doesn't set one.
     pub default_limit: usize,
     /// Request-tracing configuration (trace ring, slowlog, event log).
@@ -77,9 +75,6 @@ impl Default for EngineConfig {
             coordination: true,
             proximity_weight: 0.25,
             tightness: TightnessConfig::default(),
-            match_threads: std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(8),
             default_limit: 10,
             trace: TracerConfig::default(),
             candidate_cache_entries: 512,
@@ -447,9 +442,9 @@ impl SchemrEngine {
     /// miss. Returns the artifacts and whether the lookup was a hit. A
     /// disabled cache (zero budget) never hits, admits nothing and counts
     /// nothing, so the artifacts are simply built here every time.
-    /// Concurrent `match_chunk` workers may race on a cold entry; both
-    /// build the same deterministic bundle and the second put replaces
-    /// the first, so the race costs work but never correctness.
+    /// Concurrent searches may race on a cold entry; both build the same
+    /// deterministic bundle and the second put replaces the first, so the
+    /// race costs work but never correctness.
     ///
     /// A miss is the only place the lexicon grows, so its size is checked
     /// here: artifacts are admitted into what the lexicon leaves of the
@@ -496,29 +491,26 @@ impl SchemrEngine {
         }
     }
 
-    /// Phase 2 over one contiguous run of candidates, on the calling
-    /// thread: resolve each candidate's artifacts, run the ensemble, and
-    /// score tightness-of-fit on the combined matrix where it was
-    /// produced (so tightness parallelizes with matching and the matrix
-    /// never leaves its thread). Sequential matching calls this once
-    /// with every candidate; parallel matching once per worker. The
-    /// chunk owns the scratch: what one candidate's scoring worked out
+    /// Phase 2 over every candidate, on the request's thread: resolve
+    /// each candidate's artifacts, run the ensemble, and score
+    /// tightness-of-fit on the combined matrix it produced. One scratch
+    /// serves the whole loop: what one candidate's scoring worked out
     /// about a word pair, the next candidate's reads, and the matrices
     /// and tightness tables one candidate filled, the next refills. What
-    /// a candidate leaves behind goes to flat arenas, so the chunk
-    /// allocates per run, not per candidate.
-    fn match_chunk(
+    /// a candidate leaves behind goes to flat arenas, so the loop
+    /// allocates per search, not per candidate.
+    fn match_candidates(
         &self,
         p2: &Phase2<'_>,
         cands: &[(schemr_index::Hit, Arc<StoredSchema>)],
-    ) -> ChunkMatch {
+    ) -> Matched {
         let matchers = p2.ensemble.len();
         let strengths = if p2.with_strengths {
             cands.len() * matchers
         } else {
             0
         };
-        let mut done = ChunkMatch {
+        let mut done = Matched {
             scores: Vec::with_capacity(cands.len()),
             matched: Vec::new(),
             matched_at: Vec::with_capacity(cands.len()),
@@ -667,7 +659,7 @@ impl SchemrEngine {
         // clock reads the *traced* path takes is governed by the
         // measured probe depth — on kernels where the thread-CPU clock
         // is a trapped syscall (tens of µs a read), only the root probe
-        // reads it and phase/worker probes collect allocations alone.
+        // reads it and phase probes collect allocations alone.
         let deep_cpu = want_trace && self.cpu_depth == CpuProbeDepth::Full;
         let probe = want_trace.then(LedgerProbe::start);
         let query_text = if want_trace {
@@ -698,9 +690,6 @@ impl SchemrEngine {
         // Phase 2: matcher ensemble over the candidates.
         let t1 = Instant::now();
         let p2 = root.as_ref().map(|r| r.child("matching"));
-        // The matching span's own ledger covers the request thread only;
-        // parallel workers account for themselves on their `match_chunk`
-        // spans and their deltas are folded into the root ledger below.
         let p2_probe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
         let matchers = self.ensemble.read();
         let ensemble = &matchers.ensemble;
@@ -727,79 +716,23 @@ impl SchemrEngine {
             graph: &graph,
             with_strengths: want_trace,
         };
-        let cache_artifacts = self.artifact_cache.enabled();
-        let threads_used = if self.config.match_threads > 1 && candidates.len() > 1 {
-            self.config.match_threads.min(candidates.len())
-        } else {
-            1
-        };
-        // `worker_ledgers`: per-thread resource deltas from parallel
-        // matching workers, merged into the request ledger below.
-        let (chunks, worker_ledgers): (Vec<ChunkMatch>, Vec<ResourceLedger>) = if threads_used == 1
-        {
-            let done = self.match_chunk(&phase2, &candidates);
-            if let (Some(s), true) = (&p2, cache_artifacts) {
-                // The sequential pass is one candidate batch.
-                cs_annotate_batch(s, done.artifact_hits, done.artifact_misses);
-            }
-            (vec![done], Vec::new())
-        } else {
-            let chunk = candidates.len().div_ceil(threads_used);
-            // Span plumbing that crosses into the scoped threads: the
-            // context reference and the matching span's index are both
-            // Copy, so each worker opens its own `match_chunk` child.
-            let tctx = ctx.as_ref();
-            let p2_idx = p2.as_ref().map(|s| s.index());
-            let phase2 = &phase2;
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = candidates
-                    .chunks(chunk)
-                    .map(|cands| {
-                        scope.spawn(move || {
-                            let chunk_span =
-                                tctx.and_then(|c| p2_idx.map(|p| c.child_of(p, "match_chunk")));
-                            // Worker-thread resource delta; probes are
-                            // per-thread, so each worker opens its own.
-                            let wprobe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
-                            if let Some(cs) = &chunk_span {
-                                cs.annotate("candidates", cands.len());
-                            }
-                            let done = self.match_chunk(phase2, cands);
-                            if let (Some(cs), true) = (&chunk_span, cache_artifacts) {
-                                // One batch per chunk: "hit" only when every
-                                // candidate's artifacts came from the cache.
-                                cs_annotate_batch(cs, done.artifact_hits, done.artifact_misses);
-                            }
-                            let ledger =
-                                wprobe.map_or_else(ResourceLedger::default, |pr| pr.delta());
-                            if let Some(cs) = &chunk_span {
-                                annotate_ledger(cs, &ledger);
-                            }
-                            (done, ledger)
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("matcher threads do not panic"))
-                    .unzip()
-            })
-        };
-        // Sum the chunks' walls — under parallel matching, over threads.
-        // Their scores, matched elements and strengths stay in the chunks
-        // that wrote them, in candidate order.
-        let mut matcher_wall: Vec<Duration> = vec![Duration::ZERO; ensemble.len()];
-        let mut tightness_wall = Duration::ZERO;
-        for done in &chunks {
-            for (acc, d) in matcher_wall.iter_mut().zip(&done.matcher_wall) {
-                *acc += *d;
-            }
-            tightness_wall += done.tightness_wall;
+        let done = self.match_candidates(&phase2, &candidates);
+        if let (Some(s), true) = (&p2, self.artifact_cache.enabled()) {
+            // "hit" only when every candidate's artifacts came from the
+            // cache.
+            let outcome = if done.artifact_misses == 0 {
+                "hit"
+            } else {
+                "miss"
+            };
+            s.annotate("artifact_cache", outcome);
+            s.annotate("artifact_hits", done.artifact_hits);
+            s.annotate("artifact_misses", done.artifact_misses);
         }
         // Materialize each matcher's accumulated wall as a closed child
         // of the matching span.
         if let Some(s) = &p2 {
-            for (name, wall) in matcher_names.iter().zip(&matcher_wall) {
+            for (name, wall) in matcher_names.iter().zip(&done.matcher_wall) {
                 s.add_closed_child(&format!("matcher:{name}"), *wall);
             }
         }
@@ -807,58 +740,53 @@ impl SchemrEngine {
             annotate_ledger(s, &pr.delta());
         }
         drop(p2);
-        // The loop's wall minus its hosted tightness time: saturating,
-        // because the summed-over-workers tightness wall can exceed the
-        // loop's elapsed wall under parallel matching.
-        let matching = t1.elapsed().saturating_sub(tightness_wall);
+        // The loop's wall minus its hosted tightness time.
+        let matching = t1.elapsed().saturating_sub(done.tightness_wall);
 
         // Phase 3: final ranking. Tightness-of-fit itself ran inside
-        // `match_chunk`; its wall was accumulated there and is added back
-        // to this phase, which otherwise assembles, sorts, and truncates.
+        // `match_candidates`; its wall was accumulated there and is added
+        // back to this phase, which otherwise assembles, sorts, and
+        // truncates.
         let t2 = Instant::now();
         let p3 = root.as_ref().map(|r| r.child("tightness_scoring"));
         let p3_probe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
         let candidates_evaluated = candidates.len();
-        // Rank on the scores alone, each row remembering the chunk that
-        // scored it and its place there; only the rows that survive the
-        // limit get their display fields copied out of the shared schema
-        // and their matched elements out of the chunk.
-        let scored = chunks
-            .iter()
-            .enumerate()
-            .flat_map(|(chunk, done)| (0..done.scores.len()).map(move |at| (chunk, at)));
-        let mut ranked: Vec<(SearchResult, Arc<StoredSchema>, (usize, usize))> = candidates
+        // Rank on the scores alone, each row remembering its candidate
+        // position; only the rows that survive the limit get their
+        // display fields copied out of the shared schema and their
+        // matched elements out of the arena.
+        let mut ranked: Vec<(SearchResult, Arc<StoredSchema>, usize)> = candidates
             .into_iter()
-            .zip(scored)
-            .map(|((hit, stored), (chunk, at))| {
+            .enumerate()
+            .map(|(at, (hit, stored))| {
                 let row = SearchResult {
                     id: stored.metadata.id,
                     title: String::new(),
                     summary: String::new(),
-                    score: chunks[chunk].scores[at],
+                    score: done.scores[at],
                     coarse_score: hit.score,
                     matched_terms: hit.matched_terms,
                     stats: schemr_model::SchemaStats::default(),
                     matches: Vec::new(),
                 };
-                (row, stored, (chunk, at))
+                (row, stored, at)
             })
             .collect();
         ranked.sort_by(|a, b| rank_order(&a.0, &b.0));
         ranked.truncate(request.limit.unwrap_or(self.config.default_limit));
-        // Where each surviving row was scored, for the event log's
+        // Each surviving row's candidate position, for the event log's
         // per-matcher strengths.
-        let mut origins: Vec<(usize, usize)> = Vec::new();
+        let mut origins: Vec<usize> = Vec::new();
         if want_trace {
-            origins.extend(ranked.iter().map(|(_, _, origin)| *origin));
+            origins.extend(ranked.iter().map(|(_, _, at)| *at));
         }
         let results: Vec<SearchResult> = ranked
             .into_iter()
-            .map(|(mut row, stored, (chunk, at))| {
+            .map(|(mut row, stored, at)| {
                 row.title = stored.metadata.title.clone();
                 row.summary = stored.metadata.summary.clone();
                 row.stats = stored.stats();
-                row.matches = chunks[chunk].matched(at).to_vec();
+                row.matches = done.matched(at).to_vec();
                 row
             })
             .collect();
@@ -869,7 +797,7 @@ impl SchemrEngine {
             }
         }
         drop(p3);
-        let scoring = t2.elapsed() + tightness_wall;
+        let scoring = t2.elapsed() + done.tightness_wall;
 
         // Zero-result accounting: the counter feeds the zero-result rate
         // on `/metrics`; the root-span annotation makes empty searches
@@ -886,7 +814,6 @@ impl SchemrEngine {
         let m = &self.metrics;
         m.candidates_evaluated_total
             .add(candidates_evaluated as u64);
-        m.match_threads_used_total.add(threads_used as u64);
         // Offer each observation as its bucket's exemplar: a p99 spike on
         // `/metrics` then links straight to `/debug/traces/{id}`. With
         // tracing off the id is empty and the histogram records plainly.
@@ -895,17 +822,16 @@ impl SchemrEngine {
             .observe_duration_exemplar(candidate_extraction, tid);
         m.phase_matching.observe_duration_exemplar(matching, tid);
         m.phase_scoring.observe_duration_exemplar(scoring, tid);
-        for (seconds, wall) in matchers.seconds(m).iter().zip(&matcher_wall) {
+        for (seconds, wall) in matchers.seconds(m).iter().zip(&done.matcher_wall) {
             seconds.observe_duration(*wall);
         }
 
         let trace = request.explain.then(|| SearchTrace {
             candidates_from_index,
             candidates_evaluated,
-            match_threads_used: threads_used,
             matchers: matcher_names
                 .iter()
-                .zip(&matcher_wall)
+                .zip(&done.matcher_wall)
                 .map(|(name, wall)| MatcherTiming {
                     name: name.to_string(),
                     wall: *wall,
@@ -913,17 +839,9 @@ impl SchemrEngine {
                 .collect(),
         });
 
-        // Fold the per-worker deltas into the request thread's own delta:
-        // the full cost of this search across every thread that touched
-        // it. Stamped on the root span so traces, the event log, and the
-        // `X-Schemr-Cost` header all agree.
-        let ledger = probe.map_or_else(ResourceLedger::default, |p| {
-            let mut total = p.delta();
-            for wl in &worker_ledgers {
-                total.merge(wl);
-            }
-            total
-        });
+        // The full cost of this search, stamped on the root span so
+        // traces, the event log, and the `X-Schemr-Cost` header all agree.
+        let ledger = probe.map_or_else(ResourceLedger::default, |p| p.delta());
         if let Some(r) = &root {
             annotate_ledger(r, &ledger);
         }
@@ -935,12 +853,12 @@ impl SchemrEngine {
             let event_results = results
                 .iter()
                 .zip(&origins)
-                .map(|(r, &(chunk, at))| EventResult {
+                .map(|(r, &at)| EventResult {
                     id: r.id.to_string(),
                     score: r.score,
                     matcher_scores: matcher_names
                         .iter()
-                        .zip(chunks[chunk].strengths(at))
+                        .zip(done.strengths(at))
                         .map(|(name, s)| (name.to_string(), *s))
                         .collect(),
                 })
@@ -984,9 +902,9 @@ fn index_document(stored: &StoredSchema) -> IndexDocument<'_> {
     }
 }
 
-/// What every Phase 2 chunk of one search shares: the matcher set and
-/// the query's artifacts, and the lexicon candidate artifacts live in.
-/// The two generations stamp artifact-cache entries.
+/// What Phase 2 of one search reads: the matcher set and the query's
+/// artifacts, and the lexicon candidate artifacts live in. The two
+/// generations stamp artifact-cache entries.
 struct Phase2<'a> {
     ensemble: &'a Ensemble,
     ensemble_generation: u64,
@@ -1029,11 +947,11 @@ impl Matchers {
     }
 }
 
-/// What [`SchemrEngine::match_chunk`] produced for one contiguous run of
-/// candidates, in candidate order: per candidate a score, a range of the
-/// matched-element arena and (traced) a run of strengths, each list flat
-/// so the chunk grows a few arenas instead of allocating per candidate.
-struct ChunkMatch {
+/// What [`SchemrEngine::match_candidates`] produced, indexed by candidate
+/// position: per candidate a score, a range of the matched-element arena
+/// and (traced) a run of strengths, each list flat so the loop grows a
+/// few arenas instead of allocating per candidate.
+struct Matched {
     /// Final (tightness-of-fit) score per candidate.
     scores: Vec<f64>,
     /// Every candidate's matched elements, one after another.
@@ -1045,18 +963,18 @@ struct ChunkMatch {
     strengths: Vec<f64>,
     /// Matchers in the ensemble: the stride of `strengths`.
     matchers: usize,
-    /// Per-matcher wall time, accumulated over the chunk's candidates.
+    /// Per-matcher wall time, accumulated over the candidates.
     matcher_wall: Vec<Duration>,
     /// Wall time spent in tightness-of-fit calls. Tightness executes in
-    /// the chunk but is *accounted* to Phase 3, so the matching/scoring
-    /// split keeps its meaning — Phase 2 = matchers, Phase 3 = tightness
-    /// + assembly.
+    /// the candidate loop but is *accounted* to Phase 3, so the
+    /// matching/scoring split keeps its meaning — Phase 2 = matchers,
+    /// Phase 3 = tightness + assembly.
     tightness_wall: Duration,
     artifact_hits: u64,
     artifact_misses: u64,
 }
 
-impl ChunkMatch {
+impl Matched {
     /// Candidate `at`'s matched elements.
     fn matched(&self, at: usize) -> &[MatchedElement] {
         &self.matched[self.matched_at[at].clone()]
@@ -1107,15 +1025,6 @@ pub(crate) fn rank_order(a: &SearchResult, b: &SearchResult) -> std::cmp::Orderi
         .total_cmp(&a.score)
         .then(b.coarse_score.total_cmp(&a.coarse_score))
         .then(a.id.cmp(&b.id))
-}
-
-/// Annotate a matching-phase batch span with its artifact-cache outcome:
-/// `artifact_cache=hit` only when every candidate in the batch was served
-/// from the cache, plus the raw hit/miss counts.
-fn cs_annotate_batch(span: &SpanGuard<'_>, hits: u64, misses: u64) {
-    span.annotate("artifact_cache", if misses == 0 { "hit" } else { "miss" });
-    span.annotate("artifact_hits", hits);
-    span.annotate("artifact_misses", misses);
 }
 
 #[cfg(test)]
@@ -1294,35 +1203,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_matching_agree() {
-        let repo = clinic_repo();
-        let seq = SchemrEngine::with_config(
-            repo.clone(),
-            EngineConfig {
-                match_threads: 1,
-                ..Default::default()
-            },
-        );
-        seq.reindex_full();
-        let par = SchemrEngine::with_config(
-            repo,
-            EngineConfig {
-                match_threads: 4,
-                ..Default::default()
-            },
-        );
-        par.reindex_full();
-        let request = SearchRequest::keywords(["patient", "gender"]);
-        let a = seq.search(&request).unwrap();
-        let b = par.search(&request).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.id, y.id);
-            assert!((x.score - y.score).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn index_persists_and_reloads() {
         let dir = std::env::temp_dir().join("schemr-engine-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1363,11 +1243,6 @@ mod tests {
         );
         assert!(
             reg.counter_value("schemr_candidates_evaluated_total", &[])
-                .unwrap()
-                >= 2
-        );
-        assert!(
-            reg.counter_value("schemr_match_threads_used_total", &[])
                 .unwrap()
                 >= 2
         );
@@ -1445,27 +1320,8 @@ mod tests {
         let trace = explained.trace.expect("explain requested");
         assert!(trace.candidates_from_index >= trace.candidates_evaluated);
         assert!(trace.candidates_evaluated >= 2);
-        assert!(trace.match_threads_used >= 1);
         let names: Vec<&str> = trace.matchers.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, ["name", "context"]);
-    }
-
-    #[test]
-    fn parallel_explain_reports_threads_and_matcher_walls() {
-        let engine = SchemrEngine::with_config(
-            clinic_repo(),
-            EngineConfig {
-                match_threads: 2,
-                ..Default::default()
-            },
-        );
-        engine.reindex_full();
-        let resp = engine
-            .search_detailed(&SearchRequest::keywords(["gender"]).with_explain())
-            .unwrap();
-        let trace = resp.trace.unwrap();
-        assert_eq!(trace.match_threads_used, 2);
-        assert_eq!(trace.matchers.len(), 2);
     }
 
     #[test]
@@ -1522,34 +1378,6 @@ mod tests {
             .unwrap();
         let auto_id = auto.trace_id.expect("tracer enabled");
         assert!(engine.tracer().get(&auto_id).is_some());
-    }
-
-    #[test]
-    fn parallel_matching_traces_chunk_spans() {
-        let engine = SchemrEngine::with_config(
-            clinic_repo(),
-            EngineConfig {
-                match_threads: 2,
-                ..Default::default()
-            },
-        );
-        engine.reindex_full();
-        let resp = engine
-            .search_detailed(&SearchRequest::keywords(["gender"]).with_trace_id("par-1"))
-            .unwrap();
-        assert_eq!(resp.trace_id.as_deref(), Some("par-1"));
-        let trace = engine.tracer().get("par-1").unwrap();
-        let matching_idx = trace
-            .spans
-            .iter()
-            .position(|s| s.name == "matching")
-            .unwrap();
-        let chunks = trace
-            .spans
-            .iter()
-            .filter(|s| s.name == "match_chunk" && s.parent == Some(matching_idx))
-            .count();
-        assert!(chunks >= 2, "expected >=2 chunk spans, got {chunks}");
     }
 
     #[test]
@@ -1737,26 +1565,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matching_shares_the_artifact_cache() {
-        let engine = SchemrEngine::with_config(
-            clinic_repo(),
-            EngineConfig {
-                match_threads: 4,
-                ..Default::default()
-            },
-        );
-        engine.reindex_full();
-        let request = SearchRequest::keywords(["patient", "gender"]);
-        let first = engine.search(&request).unwrap();
-        let second = engine.search(&request).unwrap();
-        assert!(engine.metrics().match_artifact_cache_hits.get() > 0);
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
-    }
-
-    #[test]
     fn matching_spans_report_the_artifact_cache_outcome() {
         let engine = SchemrEngine::new(clinic_repo());
         engine.reindex_full();
@@ -1790,7 +1598,7 @@ mod tests {
 
     /// Fifteen schemas that all reach Phase 2 for `patient archive`:
     /// three match the query exactly, twelve only through their summary
-    /// text — enough candidates that eight workers get uneven chunks.
+    /// text.
     fn wide_repo() -> Arc<Repository> {
         use schemr_model::{DataType, SchemaBuilder};
         let repo = Arc::new(Repository::new());
@@ -1817,35 +1625,55 @@ mod tests {
         repo
     }
 
+    /// Eight distinct queries over `wide_repo`'s words.
+    const RACING_QUERIES: [&[&str]; 8] = [
+        &["patient", "archive"],
+        &["patient"],
+        &["archive", "data"],
+        &["registry", "one"],
+        &["patient", "registry", "two"],
+        &["data", "three"],
+        &["patient", "data"],
+        &["archive", "registry"],
+    ];
+
+    /// Run every racing query on its own thread, all released at once.
+    fn race(engine: &Arc<SchemrEngine>) {
+        let start = Arc::new(std::sync::Barrier::new(RACING_QUERIES.len()));
+        let searches: Vec<_> = RACING_QUERIES
+            .iter()
+            .map(|query| {
+                let (engine, start) = (engine.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    engine.search(&SearchRequest::keywords(query.iter().copied()))
+                })
+            })
+            .collect();
+        for search in searches {
+            search.join().expect("a search does not panic").unwrap();
+        }
+    }
+
     #[test]
-    fn match_threads_1_and_8_return_identical_bits() {
+    fn concurrent_searches_on_a_cold_engine_score_what_sequential_ones_do() {
         let repo = wide_repo();
-        let engine_with = |match_threads| {
-            let engine = SchemrEngine::with_config(
-                repo.clone(),
-                EngineConfig {
-                    match_threads,
-                    ..Default::default()
-                },
-            );
+        let fresh = || {
+            let engine = Arc::new(SchemrEngine::new(repo.clone()));
             engine.reindex_full();
             engine
         };
-        // Chunking decides which thread scores a candidate, never what it
-        // scores or where its row lands — and neither does what a chunk's
-        // scratch or the engine's lexicon already hold.
-        let compare = |seq: &SchemrEngine, par: &SchemrEngine, what: &str| {
+        // Racing searches number a cold lexicon's words and fill the
+        // artifact cache in whatever order they meet them; neither may
+        // change a result.
+        let compare = |raced: &SchemrEngine, sequential: &SchemrEngine, what: &str| {
             for limit in [1, 2, 5, 15] {
                 let request = SearchRequest::keywords(["patient", "archive"]).with_limit(limit);
-                let a = seq
-                    .search_detailed(&request.clone().with_explain())
-                    .unwrap();
-                let b = par.search_detailed(&request.with_explain()).unwrap();
-                assert_eq!(a.trace.unwrap().match_threads_used, 1);
-                assert_eq!(b.trace.unwrap().match_threads_used, 8);
-                assert_eq!(a.results.len(), limit, "{what}, limit {limit}");
-                assert_eq!(a.results.len(), b.results.len(), "{what}, limit {limit}");
-                for (x, y) in a.results.iter().zip(&b.results) {
+                let a = raced.search(&request).unwrap();
+                let b = sequential.search(&request).unwrap();
+                assert_eq!(a.len(), limit, "{what}, limit {limit}");
+                assert_eq!(a.len(), b.len(), "{what}, limit {limit}");
+                for (x, y) in a.iter().zip(&b) {
                     assert_eq!(x.id, y.id, "{what}, limit {limit}");
                     assert_eq!(
                         x.score.to_bits(),
@@ -1857,17 +1685,24 @@ mod tests {
                 }
             }
         };
-        let (seq, par) = (engine_with(1), engine_with(8));
-        compare(&seq, &par, "cold, then warm as the grid goes");
-        // A cold lexicon on one side only: eight racing workers number
-        // the words in whatever order they meet them.
-        compare(&seq, &engine_with(8), "fresh parallel engine");
-        compare(&engine_with(1), &par, "fresh sequential engine");
+        let warm_sequentially = |engine: &SchemrEngine| {
+            for query in RACING_QUERIES {
+                engine
+                    .search(&SearchRequest::keywords(query.iter().copied()))
+                    .unwrap();
+            }
+        };
+        let (raced, sequential) = (fresh(), fresh());
+        race(&raced);
+        warm_sequentially(&sequential);
+        compare(&raced, &sequential, "cold engine, eight racing searches");
         // A new matcher set makes every cached artifact stale; the words
         // already interned stay.
-        seq.set_ensemble(Ensemble::standard());
-        par.set_ensemble(Ensemble::standard());
-        compare(&seq, &par, "after a generation bump");
+        raced.set_ensemble(Ensemble::standard());
+        sequential.set_ensemble(Ensemble::standard());
+        race(&raced);
+        warm_sequentially(&sequential);
+        compare(&raced, &sequential, "after a generation bump");
     }
 
     #[test]

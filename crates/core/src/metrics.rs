@@ -21,7 +21,6 @@ use schemr_obs::{Counter, Histogram, MetricsRegistry, LATENCY_BUCKETS};
 /// | `schemr_search_errors_total` | counter | searches rejected (empty query) |
 /// | `schemr_search_empty_total` | counter | searches that returned zero results |
 /// | `schemr_candidates_evaluated_total` | counter | Phase 1 survivors matched in Phase 2 |
-/// | `schemr_match_threads_used_total` | counter | threads used by Phase 2, summed per search |
 /// | `schemr_phase_seconds{phase=…}` | histogram | per-phase wall time per search |
 /// | `schemr_matcher_seconds{matcher=…}` | histogram | per-matcher wall time per search |
 /// | `schemr_reindex_seconds` | histogram | full re-index wall time |
@@ -41,9 +40,6 @@ pub struct EngineMetrics {
     pub search_empty_total: Arc<Counter>,
     /// Candidates that reached the Phase 2 matcher ensemble.
     pub candidates_evaluated_total: Arc<Counter>,
-    /// Threads used by Phase 2, summed over searches; divide by
-    /// `searches_total` for mean utilization.
-    pub match_threads_used_total: Arc<Counter>,
     /// Phase 1 wall time.
     pub phase_candidate_extraction: Arc<Histogram>,
     /// Phase 2 wall time.
@@ -109,10 +105,6 @@ impl EngineMetrics {
             candidates_evaluated_total: registry.counter(
                 "schemr_candidates_evaluated_total",
                 "Phase 1 candidates evaluated by the Phase 2 matcher ensemble.",
-            ),
-            match_threads_used_total: registry.counter(
-                "schemr_match_threads_used_total",
-                "Threads used by Phase 2 matching, summed per search.",
             ),
             phase_candidate_extraction: phase("candidate_extraction"),
             phase_matching: phase("matching"),
@@ -204,7 +196,6 @@ mod tests {
             "schemr_search_errors_total",
             "schemr_search_empty_total",
             "schemr_candidates_evaluated_total",
-            "schemr_match_threads_used_total",
             "schemr_phase_seconds",
             "schemr_reindex_seconds",
             "schemr_index_terms_looked_up_total",

@@ -52,9 +52,7 @@ impl PhaseTimings {
 pub struct MatcherTiming {
     /// The matcher's registered name (`name`, `context`, …).
     pub name: String,
-    /// Total wall time across candidates. Under parallel matching this
-    /// is CPU-side wall time summed over threads, so it can exceed the
-    /// phase's elapsed time.
+    /// Total wall time across candidates.
     pub wall: std::time::Duration,
 }
 
@@ -68,8 +66,6 @@ pub struct SearchTrace {
     pub candidates_from_index: usize,
     /// Candidates that survived repository lookup and were matched.
     pub candidates_evaluated: usize,
-    /// Threads Phase 2 ran on.
-    pub match_threads_used: usize,
     /// Per-matcher cost split, in ensemble registration order.
     pub matchers: Vec<MatcherTiming>,
 }
@@ -89,10 +85,10 @@ pub struct SearchResponse {
     /// assigned); `None` when the engine's tracer is disabled. Look the
     /// full span tree up via `Tracer::get` / `GET /debug/traces/{id}`.
     pub trace_id: Option<String>,
-    /// What this search cost across every thread that worked on it:
-    /// scheduled CPU time plus allocator traffic (the latter zero unless
-    /// a counting allocator is installed). `None` when tracing is
-    /// disabled. The server renders this as the `X-Schemr-Cost` header.
+    /// What this search cost: scheduled CPU time plus allocator traffic
+    /// (the latter zero unless a counting allocator is installed). `None`
+    /// when tracing is disabled. The server renders this as the
+    /// `X-Schemr-Cost` header.
     pub ledger: Option<ResourceLedger>,
 }
 

@@ -3,11 +3,11 @@
 //! A [`ResourceLedger`] answers "what did this one search actually
 //! cost?" in units the latency histograms cannot: CPU time actually
 //! scheduled (as opposed to wall time spent queued or blocked) and
-//! allocator traffic. Each thread that works on a request opens a
+//! allocator traffic. A search runs on one thread, which opens a
 //! [`LedgerProbe`] when it starts and reads the delta when it finishes;
-//! the engine merges the per-thread deltas into one ledger that travels
-//! with the trace — into the root span's annotations, the JSONL event
-//! log, the `explain=1` trace, and the `X-Schemr-Cost` response header.
+//! that ledger travels with the trace — into the root span's
+//! annotations, the JSONL event log, the `explain=1` trace, and the
+//! `X-Schemr-Cost` response header.
 //!
 //! CPU time comes from `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` — a
 //! direct `extern "C"` call into the libc that std already links, so the
@@ -69,17 +69,16 @@ pub fn thread_clock_cost() -> std::time::Duration {
     })
 }
 
-/// How deeply a query's threads read the thread-CPU clock. Allocation
-/// counters are thread-local cell reads and are always collected; only
-/// the clock — a real syscall — is rationed.
+/// How deeply a query reads the thread-CPU clock. Allocation counters
+/// are thread-local cell reads and are always collected; only the clock
+/// — a real syscall — is rationed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuProbeDepth {
-    /// Clock reads on the root thread, every phase boundary, and every
-    /// parallel match worker — complete attribution.
+    /// Clock reads at the root and at every phase boundary — complete
+    /// attribution.
     Full,
-    /// Clock reads on the root thread only (2 per query). Phase spans
-    /// and workers still carry allocation deltas, but their `cpu_us`
-    /// stays 0 and the query total covers the root thread alone.
+    /// Clock reads at the root only (2 per query). Phase spans still
+    /// carry allocation deltas, but their `cpu_us` stays 0.
     RootOnly,
 }
 
@@ -99,11 +98,10 @@ impl CpuProbeDepth {
     }
 }
 
-/// What one search cost, summed across every thread that worked on it.
+/// What one search cost on the thread that ran it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceLedger {
-    /// Scheduled CPU time in microseconds (can exceed wall time under
-    /// parallel matching).
+    /// Scheduled CPU time in microseconds.
     pub cpu_us: u64,
     /// Allocation events (alloc/alloc_zeroed/realloc calls).
     pub alloc_count: u64,
@@ -115,13 +113,6 @@ impl ResourceLedger {
     /// True when nothing was recorded (e.g. tracing disabled).
     pub fn is_zero(&self) -> bool {
         *self == ResourceLedger::default()
-    }
-
-    /// Fold another thread's delta into this ledger.
-    pub fn merge(&mut self, other: &ResourceLedger) {
-        self.cpu_us += other.cpu_us;
-        self.alloc_count += other.alloc_count;
-        self.alloc_bytes += other.alloc_bytes;
     }
 
     /// Compact `k=v;…` form for the `X-Schemr-Cost` response header.
@@ -222,25 +213,16 @@ mod tests {
     }
 
     #[test]
-    fn ledger_merges_and_renders() {
-        let mut total = ResourceLedger::default();
-        assert!(total.is_zero());
-        total.merge(&ResourceLedger {
-            cpu_us: 120,
-            alloc_count: 7,
-            alloc_bytes: 4096,
-        });
-        total.merge(&ResourceLedger {
-            cpu_us: 80,
-            alloc_count: 3,
-            alloc_bytes: 1024,
-        });
-        assert!(!total.is_zero());
-        assert_eq!(total.cpu_us, 200);
-        assert_eq!(total.alloc_count, 10);
-        assert_eq!(total.alloc_bytes, 5120);
+    fn ledger_renders_the_cost_header() {
+        assert!(ResourceLedger::default().is_zero());
+        let ledger = ResourceLedger {
+            cpu_us: 200,
+            alloc_count: 10,
+            alloc_bytes: 5120,
+        };
+        assert!(!ledger.is_zero());
         assert_eq!(
-            total.header_value(950),
+            ledger.header_value(950),
             "wall_us=950;cpu_us=200;alloc=10;alloc_bytes=5120"
         );
     }

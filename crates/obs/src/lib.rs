@@ -20,7 +20,7 @@
 //! per-request layer:
 //!
 //! * [`TraceContext`] / [`SpanGuard`] — hierarchical spans with RAII
-//!   close semantics and cross-thread child attachment,
+//!   close semantics, on the request's thread,
 //! * [`Tracer`] — monotonic trace IDs, a bounded [`Ring`] of recent
 //!   [`CompletedTrace`]s, a threshold-gated slow-query ring, and an
 //!   optional durable [`EventLog`],

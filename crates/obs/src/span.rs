@@ -5,13 +5,14 @@
 //! [`SpanGuard::child`]); dropping a guard closes its span. Span records
 //! are flat `(name, parent, start, duration, attrs)` rows — the tree is
 //! reconstructed from parent indices when rendering, which keeps the
-//! hot-path cost to one short mutex-protected `Vec::push` per span.
+//! hot-path cost to one `Vec::push` per span.
 //!
-//! The context is `Sync`: Phase 2's scoped matcher threads open child
-//! spans concurrently via [`TraceContext::child_of`].
+//! A search runs on one thread, and so does its trace: the span list is a
+//! `RefCell`, so the context is `Send` but not `Sync` and no span can be
+//! opened from another thread.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::eventlog::EventResult;
@@ -45,7 +46,7 @@ pub struct TraceContext {
     trace_id: String,
     started_unix_ms: u64,
     t0: Instant,
-    spans: Mutex<Vec<SpanRecord>>,
+    spans: RefCell<Vec<SpanRecord>>,
 }
 
 impl TraceContext {
@@ -57,7 +58,7 @@ impl TraceContext {
                 .duration_since(UNIX_EPOCH)
                 .map_or(0, |d| d.as_millis() as u64),
             t0: Instant::now(),
-            spans: Mutex::new(Vec::with_capacity(16)),
+            spans: RefCell::new(Vec::with_capacity(16)),
         }
     }
 
@@ -73,7 +74,7 @@ impl TraceContext {
 
     fn open(&self, parent: Option<usize>, name: &str) -> usize {
         let start_us = self.elapsed_us();
-        let mut spans = self.spans.lock().expect("trace lock");
+        let mut spans = self.spans.borrow_mut();
         spans.push(SpanRecord {
             name: name.to_string(),
             parent,
@@ -92,18 +93,9 @@ impl TraceContext {
         }
     }
 
-    /// Open a child of the span at `parent` (obtained from
-    /// [`SpanGuard::index`]) — the cross-thread entry point.
-    pub fn child_of(&self, parent: usize, name: &str) -> SpanGuard<'_> {
-        SpanGuard {
-            ctx: self,
-            idx: self.open(Some(parent), name),
-        }
-    }
-
     fn close(&self, idx: usize) {
         let now = self.elapsed_us();
-        let mut spans = self.spans.lock().expect("trace lock");
+        let mut spans = self.spans.borrow_mut();
         if let Some(span) = spans.get_mut(idx) {
             if span.dur_us.is_none() {
                 span.dur_us = Some(now.saturating_sub(span.start_us));
@@ -112,7 +104,7 @@ impl TraceContext {
     }
 
     fn annotate(&self, idx: usize, key: &str, value: String) {
-        let mut spans = self.spans.lock().expect("trace lock");
+        let mut spans = self.spans.borrow_mut();
         if let Some(span) = spans.get_mut(idx) {
             span.attrs.push((key.to_string(), value));
         }
@@ -123,7 +115,7 @@ impl TraceContext {
     pub fn add_closed_child(&self, parent: usize, name: &str, wall: Duration) {
         let now = self.elapsed_us();
         let dur = wall.as_micros() as u64;
-        let mut spans = self.spans.lock().expect("trace lock");
+        let mut spans = self.spans.borrow_mut();
         spans.push(SpanRecord {
             name: name.to_string(),
             parent: Some(parent),
@@ -137,7 +129,7 @@ impl TraceContext {
     /// (`trace_id`, start wall-clock ms, total µs, spans).
     pub fn into_parts(self) -> (String, u64, u64, Vec<SpanRecord>) {
         let total_us = self.elapsed_us();
-        let mut spans = self.spans.into_inner().expect("trace lock");
+        let mut spans = self.spans.into_inner();
         for span in &mut spans {
             if span.dur_us.is_none() {
                 span.dur_us = Some(total_us.saturating_sub(span.start_us));
@@ -157,15 +149,12 @@ pub struct SpanGuard<'a> {
 }
 
 impl<'a> SpanGuard<'a> {
-    /// This span's index — pass to [`TraceContext::child_of`] from other
-    /// threads.
-    pub fn index(&self) -> usize {
-        self.idx
-    }
-
     /// Open a child span.
     pub fn child(&self, name: &str) -> SpanGuard<'a> {
-        self.ctx.child_of(self.idx, name)
+        SpanGuard {
+            ctx: self.ctx,
+            idx: self.ctx.open(Some(self.idx), name),
+        }
     }
 
     /// Attach a key/value annotation to this span.
@@ -205,8 +194,7 @@ pub struct CompletedTrace {
     pub candidates_evaluated: usize,
     /// Top-k results (ids, scores, per-matcher strengths).
     pub results: Vec<EventResult>,
-    /// What the search cost across every thread that worked on it
-    /// (zeroed when the engine recorded no ledger).
+    /// What the search cost (zeroed when the engine recorded no ledger).
     pub ledger: ResourceLedger,
     /// Flat span records; tree via `parent` indices.
     pub spans: Vec<SpanRecord>,
@@ -359,7 +347,7 @@ mod tests {
             {
                 let p2 = root.child("matching");
                 p2.add_closed_child("matcher:name", Duration::from_micros(120));
-                let _grand = p2.child("match_chunk");
+                let _grand = p2.child("nested");
             }
         }
         let trace = finish(ctx);
@@ -394,31 +382,6 @@ mod tests {
         std::mem::forget(root); // never dropped → still open
         let trace = finish(ctx);
         assert!(trace.spans[0].dur_us.is_some());
-    }
-
-    #[test]
-    fn cross_thread_children_attach_to_the_right_parent() {
-        let ctx = TraceContext::new("t3".into());
-        let root = ctx.root_span("search");
-        let root_idx = root.index();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let ctx = &ctx;
-                scope.spawn(move || {
-                    let child = ctx.child_of(root_idx, "match_chunk");
-                    child.annotate("candidates", 3);
-                });
-            }
-        });
-        drop(root);
-        let trace = finish(ctx);
-        let chunks: Vec<_> = trace
-            .spans
-            .iter()
-            .filter(|s| s.name == "match_chunk")
-            .collect();
-        assert_eq!(chunks.len(), 4);
-        assert!(chunks.iter().all(|s| s.parent == Some(root_idx)));
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub struct SearchOutcome {
     pub candidates_evaluated: usize,
     /// Top-k results with per-matcher strengths.
     pub results: Vec<EventResult>,
-    /// What the search cost (CPU, allocations) across its threads.
+    /// What the search cost (CPU, allocations).
     pub ledger: ResourceLedger,
 }
 

@@ -971,6 +971,7 @@ fn handle_search(
     }
     if let Some(limit) = request.param("limit") {
         match limit.parse::<usize>() {
+            Ok(0) => return Response::bad_request("limit must be at least 1"),
             Ok(n) => sr.limit = Some(n),
             Err(_) => return Response::bad_request("limit must be an integer"),
         }
@@ -1292,6 +1293,8 @@ mod tests {
         assert_eq!(get(addr, "/schema/s9999").0, 404);
         assert_eq!(get(addr, "/search").0, 400); // empty query
         assert_eq!(get(addr, "/search?q=patient&limit=abc").0, 400);
+        let (status, body) = get(addr, "/search?q=patient&limit=0");
+        assert_eq!((status, body.as_str()), (400, "limit must be at least 1"));
         assert_eq!(get(addr, "/schema/s0/svg?layout=spiral").0, 400);
         assert!(server.shutdown());
     }

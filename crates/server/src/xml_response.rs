@@ -32,7 +32,7 @@ pub fn results_to_xml(results: &[SearchResult]) -> String {
 /// ```xml
 /// <results count="1">
 ///   <result …>…</result>
-///   <trace candidates-from-index="5" candidates-evaluated="5" match-threads="4">
+///   <trace candidates-from-index="5" candidates-evaluated="5" match-threads="1">
 ///     <phase name="candidate_extraction" seconds="0.000041"/>
 ///     <phase name="matching" seconds="0.000305"/>
 ///     <phase name="scoring" seconds="0.000012"/>
@@ -81,8 +81,9 @@ fn write_xml(
     if let Some((trace, response)) = trace {
         writeln!(
             out,
-            "  <trace candidates-from-index=\"{}\" candidates-evaluated=\"{}\" match-threads=\"{}\">",
-            trace.candidates_from_index, trace.candidates_evaluated, trace.match_threads_used
+            // Phase 2 runs on one thread; `match-threads` stays for clients that parse it.
+            "  <trace candidates-from-index=\"{}\" candidates-evaluated=\"{}\" match-threads=\"1\">",
+            trace.candidates_from_index, trace.candidates_evaluated
         )?;
         let t = &response.timings;
         for (name, d) in [
@@ -208,7 +209,6 @@ mod tests {
             trace: Some(SearchTrace {
                 candidates_from_index: 7,
                 candidates_evaluated: 5,
-                match_threads_used: 2,
                 matchers: vec![
                     MatcherTiming {
                         name: "name".to_string(),
@@ -234,7 +234,7 @@ mod tests {
             "    <title>plain</title>\n",
             "    <summary></summary>\n",
             "  </result>\n",
-            "  <trace candidates-from-index=\"7\" candidates-evaluated=\"5\" match-threads=\"2\">\n",
+            "  <trace candidates-from-index=\"7\" candidates-evaluated=\"5\" match-threads=\"1\">\n",
             "    <phase name=\"candidate_extraction\" seconds=\"0.000041\"/>\n",
             "    <phase name=\"matching\" seconds=\"0.001305\"/>\n",
             "    <phase name=\"scoring\" seconds=\"0.000012\"/>\n",
@@ -267,7 +267,6 @@ mod tests {
             trace: Some(SearchTrace {
                 candidates_from_index: 7,
                 candidates_evaluated: 5,
-                match_threads_used: 4,
                 matchers: vec![
                     MatcherTiming {
                         name: "name".to_string(),
@@ -285,7 +284,7 @@ mod tests {
         let xml = search_response_to_xml(&response);
         assert!(XmlParser::parse_all(&xml).is_ok(), "{xml}");
         assert!(xml.contains(
-            "<trace candidates-from-index=\"7\" candidates-evaluated=\"5\" match-threads=\"4\">"
+            "<trace candidates-from-index=\"7\" candidates-evaluated=\"5\" match-threads=\"1\">"
         ));
         assert!(xml.contains("<phase name=\"candidate_extraction\" seconds=\"0.000041\"/>"));
         assert!(xml.contains("<phase name=\"matching\" seconds=\"0.000305\"/>"));
