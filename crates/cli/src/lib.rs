@@ -278,7 +278,11 @@ fn cmd_search(args: &Args, out: &mut impl Write) -> Result<i32, CliError> {
         request.fragments.push(fragment);
     }
     if let Some(n) = args.flag(&["n", "limit"]) {
-        request.limit = Some(n.parse().map_err(|_| err("limit must be an integer"))?);
+        match n.parse() {
+            Ok(0) => return Err(err("limit must be at least 1")),
+            Ok(n) => request.limit = Some(n),
+            Err(_) => return Err(err("limit must be an integer")),
+        }
     }
     if request.is_empty() {
         return Err(err("search needs -k keywords and/or -f fragment-file"));
@@ -974,6 +978,9 @@ mod tests {
         assert_eq!(code, 0);
         assert!(out.contains("clinic"), "{out}");
         assert!(!out.lines().any(|l| l.starts_with("2")), "limit 1: {out}");
+        // A zero limit is refused, as the server's `limit=0` is.
+        let refused = run_err(&["search", &repo, "-k", "patient", "-n", "0"]);
+        assert!(refused.contains("limit must be at least 1"), "{refused}");
 
         // Fragment search from a file.
         let frag = dir.path.join("frag.sql");

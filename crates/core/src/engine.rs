@@ -13,13 +13,13 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use schemr_index::{
-    codec, Index, IndexChange, IndexDocument, IndexRevision, IndexStats, SearchOptions,
+    codec, Index, IndexChange, IndexDocument, IndexRevision, IndexStats, ProbeStats, SearchOptions,
 };
 use schemr_match::{Ensemble, EnsembleQuery, MatchScratch, PreparedCandidate};
 use schemr_model::{QueryGraph, QueryTerm, SchemaId};
 use schemr_obs::{
     CpuProbeDepth, DeepSize, EventResult, Histogram, LedgerProbe, MetricsRegistry, ResourceLedger,
-    SearchEvent, SearchOutcome, SpanGuard, SpanTimer, Tracer, TracerConfig,
+    SearchEvent, TraceContext, Tracer, TracerConfig,
 };
 use schemr_repo::{ChangeKind, Repository, StoredSchema};
 use schemr_text::Lexicon;
@@ -264,7 +264,7 @@ impl SchemrEngine {
     /// Rebuild the document index from scratch — the offline indexer's
     /// full pass.
     pub fn reindex_full(&self) {
-        let _span = SpanTimer::start(self.metrics.reindex_seconds.clone());
+        let started = Instant::now();
         let revision = self.repo.revision();
         let fresh = Index::new().with_metrics(self.metrics.index.clone());
         // Nobody sees `fresh` until it is swapped in, and the result does
@@ -274,6 +274,9 @@ impl SchemrEngine {
         });
         *self.index.write() = fresh;
         *self.last_indexed_revision.lock() = revision;
+        self.metrics
+            .reindex_seconds
+            .observe_duration(started.elapsed());
     }
 
     /// Apply repository changes since the last (re)index — the "scheduled
@@ -387,15 +390,13 @@ impl SchemrEngine {
     /// Phase 1 only: the coarse candidate list for a query graph. Exposed
     /// for the scalability and coordination experiments.
     pub fn extract_candidates(&self, graph: &QueryGraph) -> Vec<schemr_index::Hit> {
-        self.extract_candidates_traced(&graph.terms(), None)
+        self.candidates_for(&graph.terms()).0
     }
 
-    /// Phase 1 over the query's flattened terms, with tracing.
-    fn extract_candidates_traced(
-        &self,
-        terms: &[QueryTerm],
-        span: Option<&SpanGuard<'_>>,
-    ) -> Vec<schemr_index::Hit> {
+    /// Phase 1 over the query's flattened terms, through the candidate
+    /// cache. Also returns the index probe's work: `None` when the cache
+    /// answered.
+    fn candidates_for(&self, terms: &[QueryTerm]) -> (Vec<schemr_index::Hit>, Option<ProbeStats>) {
         let options = SearchOptions {
             top_n: self.config.top_candidates,
             coordination: self.config.coordination,
@@ -408,22 +409,15 @@ impl SchemrEngine {
         // the entry's true state, which makes a stale hit impossible and
         // at worst turns a usable entry into a miss.
         if let Some(hits) = self.candidate_cache.get(&key, index.revision()) {
-            if let Some(s) = span {
-                s.annotate("candidate_cache", "hit");
-                s.annotate("hits", hits.len());
-            }
-            return hits;
+            return (hits, None);
         }
         // The versioned search reads the revision and the postings under
         // one lock hold, so the entry is stamped with exactly the state
         // that produced it — the invariant the cache's correctness rests
         // on.
-        let (hits, revision) = index.search_terms_versioned(&key.0, &options, span);
-        if let Some(s) = span {
-            s.annotate("candidate_cache", "miss");
-        }
+        let (hits, revision, probe) = index.search_terms_versioned(&key.0, &options);
         self.candidate_cache.put(key, revision, hits.clone());
-        hits
+        (hits, Some(probe))
     }
 
     /// The lexicon a search prepares and reads its candidates' artifacts
@@ -650,57 +644,27 @@ impl SchemrEngine {
         // The flattened query, built once: Phase 1's key, the trace's
         // query text and Phase 2's matrix rows all read it.
         let terms = graph.terms();
-        // Request tracing: when enabled, one root span per search with
-        // one child per phase. The disabled path costs a single branch.
+        // Request tracing: when disabled, `begin` is a single branch and
+        // no boundary reads the ledger. Where the thread-CPU clock is a
+        // trapped syscall (tens of µs a read), only the first and last
+        // boundaries read it and the phases carry allocations alone.
         let ctx = self.tracer.begin(request.trace_id.as_deref());
-        let want_trace = ctx.is_some();
-        // Resource accounting rides the same gate as tracing: the
-        // disabled path takes no clock_gettime calls at all. How many
-        // clock reads the *traced* path takes is governed by the
-        // measured probe depth — on kernels where the thread-CPU clock
-        // is a trapped syscall (tens of µs a read), only the root probe
-        // reads it and phase probes collect allocations alone.
-        let deep_cpu = want_trace && self.cpu_depth == CpuProbeDepth::Full;
-        let probe = want_trace.then(LedgerProbe::start);
-        let query_text = if want_trace {
-            joined_terms(&terms)
-        } else {
-            String::new()
-        };
-        let root = ctx.as_ref().map(|c| c.root_span("search"));
-        if let Some(r) = &root {
-            r.annotate("query", &query_text);
-            if let Some(wait) = request.queue_wait {
-                r.annotate("queue_wait_us", wait.as_micros());
-            }
-        }
+        let traced = ctx.is_some();
+        let deep_cpu = self.cpu_depth == CpuProbeDepth::Full;
+        let start = Mark::first(traced);
 
         // Phase 1: candidate extraction.
-        let t0 = Instant::now();
-        let p1 = root.as_ref().map(|r| r.child("candidate_extraction"));
-        let p1_probe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
-        let hits = self.extract_candidates_traced(&terms, p1.as_ref());
-        if let (Some(s), Some(pr)) = (&p1, &p1_probe) {
-            annotate_ledger(s, &pr.delta());
-        }
-        drop(p1);
-        let candidate_extraction = t0.elapsed();
+        let (hits, probe) = self.candidates_for(&terms);
         let candidates_from_index = hits.len();
+        let extracted = Mark::now(traced, deep_cpu);
 
         // Phase 2: matcher ensemble over the candidates.
-        let t1 = Instant::now();
-        let p2 = root.as_ref().map(|r| r.child("matching"));
-        let p2_probe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
         let matchers = self.ensemble.read();
         let ensemble = &matchers.ensemble;
-        let matcher_names = ensemble.matcher_names();
         let candidates: Vec<(schemr_index::Hit, Arc<StoredSchema>)> = hits
             .into_iter()
             .filter_map(|h| self.repo.get(h.id).map(|s| (h, s)))
             .collect();
-        if let Some(s) = &p2 {
-            s.annotate("candidates", candidates.len());
-        }
         // Query-side artifacts are built once per search; candidate-side
         // artifacts resolve through the revision-keyed cache, in the
         // lexicon this search holds from here to its end.
@@ -714,43 +678,14 @@ impl SchemrEngine {
             equery: &equery,
             terms: &terms,
             graph: &graph,
-            with_strengths: want_trace,
+            with_strengths: traced,
         };
         let done = self.match_candidates(&phase2, &candidates);
-        if let (Some(s), true) = (&p2, self.artifact_cache.enabled()) {
-            // "hit" only when every candidate's artifacts came from the
-            // cache.
-            let outcome = if done.artifact_misses == 0 {
-                "hit"
-            } else {
-                "miss"
-            };
-            s.annotate("artifact_cache", outcome);
-            s.annotate("artifact_hits", done.artifact_hits);
-            s.annotate("artifact_misses", done.artifact_misses);
-        }
-        // Materialize each matcher's accumulated wall as a closed child
-        // of the matching span.
-        if let Some(s) = &p2 {
-            for (name, wall) in matcher_names.iter().zip(&done.matcher_wall) {
-                s.add_closed_child(&format!("matcher:{name}"), *wall);
-            }
-        }
-        if let (Some(s), Some(pr)) = (&p2, &p2_probe) {
-            annotate_ledger(s, &pr.delta());
-        }
-        drop(p2);
-        // The loop's wall minus its hosted tightness time.
-        let matching = t1.elapsed().saturating_sub(done.tightness_wall);
+        let matched = Mark::now(traced, deep_cpu);
 
         // Phase 3: final ranking. Tightness-of-fit itself ran inside
-        // `match_candidates`; its wall was accumulated there and is added
-        // back to this phase, which otherwise assembles, sorts, and
-        // truncates.
-        let t2 = Instant::now();
-        let p3 = root.as_ref().map(|r| r.child("tightness_scoring"));
-        let p3_probe = want_trace.then(|| LedgerProbe::start_with_cpu(deep_cpu));
-        let candidates_evaluated = candidates.len();
+        // `match_candidates`; `report` charges its wall to this phase,
+        // which otherwise assembles, sorts, and truncates.
         // Rank on the scores alone, each row remembering its candidate
         // position; only the rows that survive the limit get their
         // display fields copied out of the shared schema and their
@@ -777,7 +712,7 @@ impl SchemrEngine {
         // Each surviving row's candidate position, for the event log's
         // per-matcher strengths.
         let mut origins: Vec<usize> = Vec::new();
-        if want_trace {
+        if traced {
             origins.extend(ranked.iter().map(|(_, _, at)| *at));
         }
         let results: Vec<SearchResult> = ranked
@@ -790,48 +725,65 @@ impl SchemrEngine {
                 row
             })
             .collect();
-        if let Some(s) = &p3 {
-            s.annotate("results", results.len());
-            if let Some(pr) = &p3_probe {
-                annotate_ledger(s, &pr.delta());
-            }
-        }
-        drop(p3);
-        let scoring = t2.elapsed() + done.tightness_wall;
+        let ranked = Mark::now(traced, true);
 
-        // Zero-result accounting: the counter feeds the zero-result rate
-        // on `/metrics`; the root-span annotation makes empty searches
-        // findable in `/debug/traces` without opening each span tree.
-        if results.is_empty() {
-            self.metrics.search_empty_total.inc();
-            if let Some(r) = &root {
-                r.annotate("results", 0usize);
-            }
-        }
+        let record = SearchRecord {
+            request,
+            terms: &terms,
+            marks: [start, extracted, matched, ranked],
+            probe,
+            candidates_from_index,
+            matchers: &matchers,
+            done: &done,
+            origins: &origins,
+        };
+        Ok(self.report(ctx, &record, results))
+    }
 
+    /// Turn what a search recorded into everything it reports: the phase
+    /// timings, the registry's counters and histograms, the explain
+    /// trace and, when traced, the span tree and the event record. This
+    /// is the one place a search makes span and ledger calls, so every
+    /// reader sees one split: tightness-of-fit runs inside the matching
+    /// loop but is charged to Phase 3, in the timings and spans alike.
+    fn report(
+        &self,
+        ctx: Option<TraceContext>,
+        s: &SearchRecord<'_>,
+        results: Vec<SearchResult>,
+    ) -> SearchResponse {
+        let [start, extracted, matched, ranked] = s.marks;
+        let evaluated = s.done.scores.len();
+        let tightness = s.done.tightness_wall;
+        let t1 = extracted.at - start.at;
+        let t2 = (matched.at - extracted.at).saturating_sub(tightness);
+        let t3 = ranked.at - matched.at + tightness;
         // Record the phase work into the registry on every search (not just
-        // when the caller keeps the timings).
-        let m = &self.metrics;
-        m.candidates_evaluated_total
-            .add(candidates_evaluated as u64);
-        // Offer each observation as its bucket's exemplar: a p99 spike on
+        // when the caller keeps the timings). Each phase histogram offers
+        // its observation as the bucket's exemplar: a p99 spike on
         // `/metrics` then links straight to `/debug/traces/{id}`. With
         // tracing off the id is empty and the histogram records plainly.
+        let m = &self.metrics;
+        if results.is_empty() {
+            m.search_empty_total.inc();
+        }
+        m.candidates_evaluated_total.add(evaluated as u64);
         let tid = ctx.as_ref().map_or("", |c| c.trace_id());
         m.phase_candidate_extraction
-            .observe_duration_exemplar(candidate_extraction, tid);
-        m.phase_matching.observe_duration_exemplar(matching, tid);
-        m.phase_scoring.observe_duration_exemplar(scoring, tid);
-        for (seconds, wall) in matchers.seconds(m).iter().zip(&done.matcher_wall) {
+            .observe_duration_exemplar(t1, tid);
+        m.phase_matching.observe_duration_exemplar(t2, tid);
+        m.phase_scoring.observe_duration_exemplar(t3, tid);
+        for (seconds, wall) in s.matchers.seconds(m).iter().zip(&s.done.matcher_wall) {
             seconds.observe_duration(*wall);
         }
 
-        let trace = request.explain.then(|| SearchTrace {
-            candidates_from_index,
-            candidates_evaluated,
-            matchers: matcher_names
+        let names = s.matchers.ensemble.matcher_names();
+        let trace = s.request.explain.then(|| SearchTrace {
+            candidates_from_index: s.candidates_from_index,
+            candidates_evaluated: evaluated,
+            matchers: names
                 .iter()
-                .zip(&done.matcher_wall)
+                .zip(&s.done.matcher_wall)
                 .map(|(name, wall)| MatcherTiming {
                     name: name.to_string(),
                     wall: *wall,
@@ -839,55 +791,115 @@ impl SchemrEngine {
                 .collect(),
         });
 
-        // The full cost of this search, stamped on the root span so
-        // traces, the event log, and the `X-Schemr-Cost` header all agree.
-        let ledger = probe.map_or_else(ResourceLedger::default, |p| p.delta());
-        if let Some(r) = &root {
-            annotate_ledger(r, &ledger);
-        }
+        let ledger = start.spent_until(&ranked);
+        let trace_id = ctx.map(|mut ctx| {
+            let query = joined_terms(s.terms);
+            let mut root = Vec::with_capacity(6);
+            root.push(attr("query", &query));
+            if let Some(wait) = s.request.queue_wait {
+                root.push(attr("queue_wait_us", wait.as_micros()));
+            }
+            // Makes empty searches findable in `/debug/traces` without
+            // opening each span tree.
+            if results.is_empty() {
+                root.push(attr("results", 0));
+            }
+            ledger_attrs(&mut root, &ledger);
+            let mut extraction = Vec::with_capacity(9);
+            match &s.probe {
+                None => {
+                    extraction.push(attr("candidate_cache", "hit"));
+                    extraction.push(attr("hits", s.candidates_from_index));
+                }
+                Some(probe) => {
+                    extraction.push(attr("distinct_terms", probe.distinct_terms));
+                    extraction.push(attr("postings_scanned", probe.postings_scanned));
+                    extraction.push(attr("hits", s.candidates_from_index));
+                    if probe.pruned_lists > 0 || probe.pruned_postings > 0 {
+                        extraction.push(attr("pruned_lists", probe.pruned_lists));
+                        extraction.push(attr("pruned_postings", probe.pruned_postings));
+                    }
+                    extraction.push(attr("candidate_cache", "miss"));
+                }
+            }
+            ledger_attrs(&mut extraction, &start.spent_until(&extracted));
+            let mut matching = Vec::with_capacity(7);
+            matching.push(attr("candidates", evaluated));
+            if self.artifact_cache.enabled() {
+                // "hit" only when every candidate's artifacts came from
+                // the cache.
+                let outcome = if s.done.artifact_misses == 0 {
+                    "hit"
+                } else {
+                    "miss"
+                };
+                matching.push(attr("artifact_cache", outcome));
+                matching.push(attr("artifact_hits", s.done.artifact_hits));
+                matching.push(attr("artifact_misses", s.done.artifact_misses));
+            }
+            ledger_attrs(&mut matching, &extracted.spent_until(&matched));
+            let mut ranking = Vec::with_capacity(4);
+            ranking.push(attr("results", results.len()));
+            ledger_attrs(&mut ranking, &matched.spent_until(&ranked));
 
-        // Close the trace: publish to the ring/slowlog/event log and
-        // echo the id so callers can fetch the span tree.
-        drop(root);
-        let trace_id = ctx.map(|ctx| {
-            let event_results = results
-                .iter()
-                .zip(&origins)
-                .map(|(r, &at)| EventResult {
-                    id: r.id.to_string(),
-                    score: r.score,
-                    matcher_scores: matcher_names
-                        .iter()
-                        .zip(done.strengths(at))
-                        .map(|(name, s)| (name.to_string(), *s))
-                        .collect(),
-                })
-                .collect();
-            let completed = self.tracer.finish(
-                ctx,
-                SearchOutcome {
-                    query: query_text,
-                    candidates_from_index,
-                    candidates_evaluated,
-                    results: event_results,
-                    ledger,
-                },
-            );
-            completed.trace_id.clone()
+            // The root holds the three phases laid end to end, each span
+            // as long as its `PhaseTimings` field.
+            let root = ctx.push(None, "search", Duration::ZERO, t1 + t2 + t3, root);
+            ctx.push(Some(root), PHASES[0], Duration::ZERO, t1, extraction);
+            let parent = ctx.push(Some(root), PHASES[1], t1, t2, matching);
+            // Each matcher's wall, accumulated over the candidates.
+            let mut at = t1;
+            for (name, &wall) in names.iter().zip(&s.done.matcher_wall) {
+                let name = format!("matcher:{name}");
+                ctx.push(Some(parent), name, at, wall, Vec::new());
+                at += wall;
+            }
+            ctx.push(Some(root), PHASES[2], t1 + t2, t3, ranking);
+
+            let us = |d: Duration| d.as_micros() as u64;
+            let event = SearchEvent {
+                query,
+                candidates_from_index: s.candidates_from_index,
+                candidates_evaluated: evaluated,
+                phase_us: PHASES
+                    .iter()
+                    .zip([t1, t2, t3])
+                    .map(|(name, wall)| (name.to_string(), us(wall)))
+                    .collect(),
+                total_us: us(t1 + t2 + t3),
+                results: results
+                    .iter()
+                    .zip(s.origins)
+                    .map(|(r, &at)| EventResult {
+                        id: r.id.to_string(),
+                        score: r.score,
+                        matcher_scores: names
+                            .iter()
+                            .zip(s.done.strengths(at))
+                            .map(|(name, v)| (name.to_string(), *v))
+                            .collect(),
+                    })
+                    .collect(),
+                cpu_us: ledger.cpu_us,
+                alloc_count: ledger.alloc_count,
+                alloc_bytes: ledger.alloc_bytes,
+                ..SearchEvent::default()
+            };
+            self.tracer.finish(ctx, event).event.trace_id.clone()
         });
 
-        Ok(SearchResponse {
+        SearchResponse {
             results,
             timings: PhaseTimings {
-                candidate_extraction,
-                matching,
-                scoring,
+                candidate_extraction: t1,
+                matching: t2,
+                scoring: t3,
             },
-            candidates_evaluated,
+            candidates_evaluated: evaluated,
             trace,
+            ledger: trace_id.is_some().then_some(ledger),
             trace_id,
-            ledger: want_trace.then_some(ledger),
-        })
+        }
     }
 }
 
@@ -900,6 +912,62 @@ fn index_document(stored: &StoredSchema) -> IndexDocument<'_> {
         summary: &stored.metadata.summary,
         schema: &stored.schema,
     }
+}
+
+/// One phase boundary of a search: a reading of the monotonic clock
+/// and, when the search is traced, of the thread's ledger.
+#[derive(Clone, Copy)]
+struct Mark {
+    at: Instant,
+    ledger: Option<LedgerProbe>,
+}
+
+impl Mark {
+    /// The search's first boundary: the ledger (with the CPU clock) is
+    /// read before the clock, so its cost stays out of Phase 1.
+    fn first(traced: bool) -> Mark {
+        let ledger = traced.then(LedgerProbe::start);
+        Mark {
+            at: Instant::now(),
+            ledger,
+        }
+    }
+
+    /// A later boundary: the clock, then the ledger when `traced`, whose
+    /// CPU clock is read only when `cpu` is set.
+    fn now(traced: bool, cpu: bool) -> Mark {
+        let at = Instant::now();
+        Mark {
+            at,
+            ledger: traced.then(|| LedgerProbe::start_with_cpu(cpu)),
+        }
+    }
+
+    /// What the thread spent from this boundary to `later`; zero when
+    /// untraced.
+    fn spent_until(&self, later: &Mark) -> ResourceLedger {
+        match (&self.ledger, &later.ledger) {
+            (Some(a), Some(b)) => a.until(b),
+            _ => ResourceLedger::default(),
+        }
+    }
+}
+
+/// Everything one search did, phase by phase: what
+/// [`SchemrEngine::report`] turns into timings, metrics, the explain
+/// trace and the span tree.
+struct SearchRecord<'a> {
+    request: &'a SearchRequest,
+    terms: &'a [QueryTerm],
+    /// The search's start and the end of each of its three phases.
+    marks: [Mark; 4],
+    /// The index probe's work; `None` when the candidate cache answered.
+    probe: Option<ProbeStats>,
+    candidates_from_index: usize,
+    matchers: &'a Matchers,
+    done: &'a Matched,
+    /// Each result's candidate position (traced searches only).
+    origins: &'a [usize],
 }
 
 /// What Phase 2 of one search reads: the matcher set and the query's
@@ -998,19 +1066,28 @@ fn joined_terms(terms: &[QueryTerm]) -> String {
     text
 }
 
-/// Stamp a thread's resource delta onto a span as annotations. Zero
-/// fields are skipped rather than printed: `cpu_us` is 0 whenever the
-/// probe depth withheld the clock from this span, and the allocation
-/// counters are 0 unless a counting allocator is installed
-/// (`schemr_obs::CountingAlloc`) — either way an explicit 0 would read
-/// as a measurement when it is really an absence.
-fn annotate_ledger(span: &SpanGuard<'_>, ledger: &ResourceLedger) {
+/// The three phase spans' names, in order; each also names its
+/// duration in the event record's `phases`.
+const PHASES: [&str; 3] = ["candidate_extraction", "matching", "tightness_scoring"];
+
+/// One span annotation.
+fn attr(key: &str, value: impl std::fmt::Display) -> (String, String) {
+    (key.to_string(), value.to_string())
+}
+
+/// A resource delta as span annotations. Zero fields are skipped rather
+/// than printed: `cpu_us` is 0 whenever the probe depth withheld the
+/// clock from this span, and the allocation counters are 0 unless a
+/// counting allocator is installed (`schemr_obs::CountingAlloc`) —
+/// either way an explicit 0 would read as a measurement when it is
+/// really an absence.
+fn ledger_attrs(attrs: &mut Vec<(String, String)>, ledger: &ResourceLedger) {
     if ledger.cpu_us > 0 {
-        span.annotate("cpu_us", ledger.cpu_us);
+        attrs.push(attr("cpu_us", ledger.cpu_us));
     }
     if ledger.alloc_count > 0 || ledger.alloc_bytes > 0 {
-        span.annotate("alloc_count", ledger.alloc_count);
-        span.annotate("alloc_bytes", ledger.alloc_bytes);
+        attrs.push(attr("alloc_count", ledger.alloc_count));
+        attrs.push(attr("alloc_bytes", ledger.alloc_bytes));
     }
 }
 
@@ -1335,8 +1412,8 @@ mod tests {
             .unwrap();
         assert_eq!(resp.trace_id.as_deref(), Some("test-trace-1"));
         let trace = engine.tracer().get("test-trace-1").expect("retained");
-        assert_eq!(trace.query, "patient gender");
-        assert!(trace.candidates_from_index >= trace.candidates_evaluated);
+        assert_eq!(trace.event.query, "patient gender");
+        assert!(trace.event.candidates_from_index >= trace.event.candidates_evaluated);
         let phases = trace.phase_names();
         assert_eq!(
             phases,
@@ -1363,9 +1440,9 @@ mod tests {
             .unwrap()];
         assert!(p1.attrs.iter().any(|(k, _)| k == "postings_scanned"));
         // Results carry per-matcher strengths for the event log.
-        assert!(!trace.results.is_empty());
+        assert!(!trace.event.results.is_empty());
         assert_eq!(
-            trace.results[0]
+            trace.event.results[0]
                 .matcher_scores
                 .iter()
                 .map(|(n, _)| n.as_str())
@@ -1703,6 +1780,50 @@ mod tests {
         race(&raced);
         warm_sequentially(&sequential);
         compare(&raced, &sequential, "after a generation bump");
+    }
+
+    #[test]
+    fn every_reader_sees_one_phase_split() {
+        let dir = std::env::temp_dir().join(format!("schemr-engine-split-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = EngineConfig::default();
+        config.trace.event_log_path = Some(dir.join("events.jsonl"));
+        let engine = SchemrEngine::with_config(wide_repo(), config);
+        engine.reindex_full();
+        let us = |d: Duration| d.as_micros() as u64;
+        // Cold, then warm: both caches miss, then both hit.
+        for id in ["split-cold", "split-warm"] {
+            let request = SearchRequest::keywords(["patient", "archive"]).with_trace_id(id);
+            let t = engine.search_detailed(&request).unwrap().timings;
+            let split = vec![
+                (
+                    "candidate_extraction".to_string(),
+                    us(t.candidate_extraction),
+                ),
+                ("matching".to_string(), us(t.matching)),
+                ("tightness_scoring".to_string(), us(t.scoring)),
+            ];
+            let trace = engine.tracer().get(id).unwrap();
+            let spans = &trace.spans;
+            let root_children = spans.iter().filter(|s| s.parent == Some(0));
+            let phases: Vec<_> = root_children.map(|s| (s.name.clone(), s.dur_us)).collect();
+            assert_eq!(phases, split, "{id}: spans vs timings");
+            let events = engine.tracer().event_log().unwrap().read_events().unwrap();
+            let event = events.iter().find(|e| e.trace_id == id).unwrap();
+            assert_eq!(event.phase_us, split, "{id}: event log vs timings");
+            assert_eq!(
+                (spans[0].dur_us, event.total_us),
+                (us(t.total()), us(t.total()))
+            );
+            let matching = spans.iter().position(|s| s.name == "matching").unwrap();
+            let matchers: u64 = spans
+                .iter()
+                .filter(|s| s.parent == Some(matching) && s.name.starts_with("matcher:"))
+                .map(|s| s.dur_us)
+                .sum();
+            assert!(matchers <= spans[matching].dur_us, "{id}: {matchers} µs");
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

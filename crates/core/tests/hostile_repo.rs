@@ -205,3 +205,23 @@ fn a_dump_truncated_at_any_length_is_an_error() {
         }
     }
 }
+
+#[test]
+fn json_punctuation_over_any_ascii_byte_loads_a_walkable_repo_or_is_a_format_error() {
+    let dump = persist::to_json(&small_repo());
+    for (at, original) in dump.bytes().enumerate() {
+        if !original.is_ascii() {
+            continue;
+        }
+        for &byte in br#""{}[],:0\"# {
+            let mut bytes = dump.clone().into_bytes();
+            bytes[at] = byte;
+            let hostile = String::from_utf8(bytes).expect("ASCII over ASCII");
+            match persist::from_json(&hostile) {
+                Ok(loaded) => walk(loaded),
+                Err(PersistError::Format(_)) => {}
+                Err(other) => panic!("byte {at} = {:?}: {other}", byte as char),
+            }
+        }
+    }
+}

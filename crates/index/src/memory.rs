@@ -40,14 +40,14 @@ use std::sync::{mpsc, Arc};
 
 use parking_lot::{Mutex, RwLock};
 use schemr_model::SchemaId;
-use schemr_obs::{DeepSize, SpanGuard};
+use schemr_obs::DeepSize;
 use schemr_text::{AnalyzeScratch, Analyzer};
 
 use crate::document::IndexDocument;
 use crate::field::Field;
 use crate::head::HeadBuilder;
 use crate::metrics::IndexMetrics;
-use crate::search::{idf_weight, impact, search_postings, Hit, SearchOptions};
+use crate::search::{idf_weight, impact, search_postings, Hit, ProbeStats, SearchOptions};
 use crate::segment::{
     compact, empty_overlay, late_tombstones, FlatSegment, SealedSegment, Segment,
 };
@@ -517,38 +517,27 @@ impl Index {
 
     /// Search with pre-analyzed terms.
     pub fn search_terms(&self, terms: &[String], options: &SearchOptions) -> Vec<Hit> {
-        self.search_terms_versioned(terms, options, None).0
+        self.search_terms_versioned(terms, options).0
     }
 
-    /// [`Index::search_terms`] with an optional trace span to annotate
-    /// with probe statistics (distinct terms, postings scanned, hits),
-    /// also returning the [`IndexRevision`] the results were computed
-    /// against. The snapshot carries its epoch, so the pair is consistent
-    /// by construction even while writers, sealers, and mergers run
+    /// [`Index::search_terms`], also returning the [`IndexRevision`] the
+    /// results were computed against and how much work the probe did.
+    /// The snapshot carries its epoch, so the pair is consistent by
+    /// construction even while writers, sealers, and mergers run
     /// concurrently — no lock is held during the scan. This is the safe
     /// way to populate a revision-keyed cache.
     pub fn search_terms_versioned(
         &self,
         terms: &[String],
         options: &SearchOptions,
-        span: Option<&SpanGuard<'_>>,
-    ) -> (Vec<Hit>, IndexRevision) {
+    ) -> (Vec<Hit>, IndexRevision, ProbeStats) {
         let snap = self.snapshot();
         let revision = IndexRevision {
             instance: self.instance,
             mutations: snap.epoch,
         };
         let (hits, stats) = search_postings(&snap, terms, options, &self.metrics);
-        if let Some(span) = span {
-            span.annotate("distinct_terms", stats.distinct_terms);
-            span.annotate("postings_scanned", stats.postings_scanned);
-            span.annotate("hits", hits.len());
-            if stats.pruned_lists > 0 || stats.pruned_postings > 0 {
-                span.annotate("pruned_lists", stats.pruned_lists);
-                span.annotate("pruned_postings", stats.pruned_postings);
-            }
-        }
-        (hits, revision)
+        (hits, revision, stats)
     }
 
     /// Index statistics.

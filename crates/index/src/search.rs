@@ -121,8 +121,8 @@ pub struct Hit {
     pub matched_terms: usize,
 }
 
-/// How much work one Phase 1 probe did — annotated onto the request's
-/// `candidate_extraction` span when tracing is on.
+/// How much work one Phase 1 probe did. The engine annotates it onto the
+/// request's `candidate_extraction` span when tracing is on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeStats {
     /// Distinct analyzed query terms probed.

@@ -86,7 +86,7 @@ impl EventResult {
 }
 
 /// One search-history record (one JSONL line).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchEvent {
     /// Trace id the record belongs to.
     pub trace_id: String,
@@ -117,6 +117,16 @@ pub struct SearchEvent {
     /// non-empty, so ordinary lines are unchanged and old readers that
     /// ignore unknown fields keep parsing.
     pub tags: Vec<(String, String)>,
+}
+
+impl DeepSize for SearchEvent {
+    fn deep_size_of_children(&self) -> usize {
+        self.trace_id.deep_size_of_children()
+            + self.query.deep_size_of_children()
+            + self.phase_us.deep_size_of_children()
+            + self.results.deep_size_of_children()
+            + self.tags.deep_size_of_children()
+    }
 }
 
 impl SearchEvent {

@@ -3,10 +3,11 @@
 //! A [`ResourceLedger`] answers "what did this one search actually
 //! cost?" in units the latency histograms cannot: CPU time actually
 //! scheduled (as opposed to wall time spent queued or blocked) and
-//! allocator traffic. A search runs on one thread, which opens a
-//! [`LedgerProbe`] when it starts and reads the delta when it finishes;
-//! that ledger travels with the trace — into the root span's
-//! annotations, the JSONL event log, the `explain=1` trace, and the
+//! allocator traffic. A search runs on one thread, which takes a
+//! [`LedgerProbe`] reading at its start and at each phase boundary; the
+//! difference of two readings ([`LedgerProbe::until`]) is what the span
+//! between them cost. The whole search's ledger travels with the trace —
+//! into the root span's annotations, the JSONL event log, and the
 //! `X-Schemr-Cost` response header.
 //!
 //! CPU time comes from `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` — a
@@ -157,12 +158,19 @@ impl LedgerProbe {
     /// Resources the calling thread spent since [`LedgerProbe::start`].
     /// Must be read on the same thread that started the probe.
     pub fn delta(&self) -> ResourceLedger {
+        self.until(&LedgerProbe::start_with_cpu(self.cpu_us.is_some()))
+    }
+
+    /// Resources spent between this reading and a `later` one taken on
+    /// the same thread. `cpu_us` is 0 unless both read the CPU clock.
+    pub fn until(&self, later: &LedgerProbe) -> ResourceLedger {
         ResourceLedger {
-            cpu_us: self
-                .cpu_us
-                .map_or(0, |start| thread_cpu_us().saturating_sub(start)),
-            alloc_count: thread_alloc_count().saturating_sub(self.alloc_count),
-            alloc_bytes: thread_alloc_bytes().saturating_sub(self.alloc_bytes),
+            cpu_us: match (self.cpu_us, later.cpu_us) {
+                (Some(start), Some(end)) => end.saturating_sub(start),
+                _ => 0,
+            },
+            alloc_count: later.alloc_count.saturating_sub(self.alloc_count),
+            alloc_bytes: later.alloc_bytes.saturating_sub(self.alloc_bytes),
         }
     }
 }
@@ -243,6 +251,10 @@ mod tests {
         }
         std::hint::black_box(acc);
         assert_eq!(p.delta().cpu_us, 0, "no clock read, no cpu delta");
+        // Between two readings, the clock counts only if both read it.
+        let end = LedgerProbe::start_with_cpu(false);
+        assert_eq!(LedgerProbe::start().until(&end).cpu_us, 0);
+        assert_eq!(end.until(&LedgerProbe::start()).cpu_us, 0);
     }
 
     #[test]

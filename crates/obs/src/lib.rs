@@ -12,18 +12,19 @@
 //!   `observe` and p50/p95/p99 readout via [`HistogramSnapshot`],
 //! * [`MetricsRegistry`] — names and labels metrics, hands out shared
 //!   handles, and renders the whole set in Prometheus text exposition
-//!   format ([`MetricsRegistry::render_prometheus`]),
-//! * [`SpanTimer`] — an RAII guard that observes its lifetime into a
-//!   histogram.
+//!   format ([`MetricsRegistry::render_prometheus`]).
 //!
 //! On top of the aggregate metrics sits **schemr-trace**, the
 //! per-request layer:
 //!
-//! * [`TraceContext`] / [`SpanGuard`] — hierarchical spans with RAII
-//!   close semantics, on the request's thread,
+//! * [`TraceContext`] — a request's span tree, recorded closed: the
+//!   caller times each phase once and pushes the finished records, so
+//!   a span's duration is the number every other reader of that phase
+//!   reports,
 //! * [`Tracer`] — monotonic trace IDs, a bounded [`Ring`] of recent
-//!   [`CompletedTrace`]s, a threshold-gated slow-query ring, and an
-//!   optional durable [`EventLog`],
+//!   [`CompletedTrace`]s (the request's [`SearchEvent`] plus its spans),
+//!   a threshold-gated slow-query ring, and an optional durable
+//!   [`EventLog`],
 //! * [`EventLog`] — append-only JSONL search history with size-based
 //!   rotation and a replay reader ([`read_events_at`]), one versioned
 //!   [`SearchEvent`] record per search.
@@ -57,7 +58,6 @@ pub mod render;
 pub mod ring;
 pub mod slo;
 pub mod span;
-pub mod timer;
 pub mod tracer;
 
 pub use alloc::CountingAlloc;
@@ -69,6 +69,5 @@ pub use memsize::DeepSize;
 pub use registry::{LabelSet, MetricsRegistry};
 pub use ring::Ring;
 pub use slo::{SloConfig, SloReport, SloTracker, WindowBurn};
-pub use span::{CompletedTrace, SpanGuard, SpanRecord, TraceContext};
-pub use timer::SpanTimer;
-pub use tracer::{SearchOutcome, Tracer, TracerConfig};
+pub use span::{CompletedTrace, SpanRecord, TraceContext};
+pub use tracer::{Tracer, TracerConfig};

@@ -1,23 +1,17 @@
-//! Hierarchical request spans with an RAII guard API.
+//! Hierarchical request spans, recorded closed.
 //!
-//! One [`TraceContext`] lives for the duration of one search request.
-//! Layers open spans against it ([`TraceContext::root_span`],
-//! [`SpanGuard::child`]); dropping a guard closes its span. Span records
-//! are flat `(name, parent, start, duration, attrs)` rows — the tree is
-//! reconstructed from parent indices when rendering, which keeps the
-//! hot-path cost to one `Vec::push` per span.
-//!
-//! A search runs on one thread, and so does its trace: the span list is a
-//! `RefCell`, so the context is `Send` but not `Sync` and no span can be
-//! opened from another thread.
+//! One [`TraceContext`] lives for the duration of one search request. The
+//! caller times its work itself and, once it is done, pushes each span
+//! with its start, duration and annotations ([`TraceContext::push`]); no
+//! span is ever open, so there is nothing to close or to finish. Span
+//! records are flat `(name, parent, start, duration, attrs)` rows — the
+//! tree is reconstructed from parent indices when rendering.
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use crate::eventlog::EventResult;
+use crate::eventlog::SearchEvent;
 use crate::json;
-use crate::ledger::ResourceLedger;
 use crate::memsize::DeepSize;
 
 /// One recorded span: a named interval within a request, positioned
@@ -31,22 +25,20 @@ pub struct SpanRecord {
     pub parent: Option<usize>,
     /// Microseconds from the request start to this span opening.
     pub start_us: u64,
-    /// Span duration in microseconds (`None` while still open).
-    pub dur_us: Option<u64>,
+    /// Span duration in microseconds.
+    pub dur_us: u64,
     /// Free-form key/value annotations, in insertion order.
     pub attrs: Vec<(String, String)>,
 }
 
 /// Per-request span collector. Create one per search via
-/// [`crate::Tracer::begin`]; hand out spans with [`Self::root_span`] /
-/// [`SpanGuard::child`]; turn it into a [`CompletedTrace`] when the
-/// request finishes.
+/// [`crate::Tracer::begin`], [`push`](Self::push) the spans, and hand it
+/// to [`crate::Tracer::finish`] with the request's [`SearchEvent`].
 #[derive(Debug)]
 pub struct TraceContext {
-    trace_id: String,
-    started_unix_ms: u64,
-    t0: Instant,
-    spans: RefCell<Vec<SpanRecord>>,
+    pub(crate) trace_id: String,
+    pub(crate) started_unix_ms: u64,
+    pub(crate) spans: Vec<SpanRecord>,
 }
 
 impl TraceContext {
@@ -57,8 +49,7 @@ impl TraceContext {
             started_unix_ms: SystemTime::now()
                 .duration_since(UNIX_EPOCH)
                 .map_or(0, |d| d.as_millis() as u64),
-            t0: Instant::now(),
-            spans: RefCell::new(Vec::with_capacity(16)),
+            spans: Vec::with_capacity(16),
         }
     }
 
@@ -67,135 +58,36 @@ impl TraceContext {
         &self.trace_id
     }
 
-    /// Microseconds since the context was created.
-    pub fn elapsed_us(&self) -> u64 {
-        self.t0.elapsed().as_micros() as u64
-    }
-
-    fn open(&self, parent: Option<usize>, name: &str) -> usize {
-        let start_us = self.elapsed_us();
-        let mut spans = self.spans.borrow_mut();
-        spans.push(SpanRecord {
-            name: name.to_string(),
+    /// Record one closed span: `start` is measured from the request's
+    /// start, `parent` is an index this method returned earlier (`None`
+    /// for the root). Returns the new span's index.
+    pub fn push(
+        &mut self,
+        parent: Option<usize>,
+        name: impl Into<String>,
+        start: Duration,
+        duration: Duration,
+        attrs: Vec<(String, String)>,
+    ) -> usize {
+        self.spans.push(SpanRecord {
+            name: name.into(),
             parent,
-            start_us,
-            dur_us: None,
-            attrs: Vec::new(),
+            start_us: start.as_micros() as u64,
+            dur_us: duration.as_micros() as u64,
+            attrs,
         });
-        spans.len() - 1
-    }
-
-    /// Open the root span. Call once per request.
-    pub fn root_span(&self, name: &str) -> SpanGuard<'_> {
-        SpanGuard {
-            ctx: self,
-            idx: self.open(None, name),
-        }
-    }
-
-    fn close(&self, idx: usize) {
-        let now = self.elapsed_us();
-        let mut spans = self.spans.borrow_mut();
-        if let Some(span) = spans.get_mut(idx) {
-            if span.dur_us.is_none() {
-                span.dur_us = Some(now.saturating_sub(span.start_us));
-            }
-        }
-    }
-
-    fn annotate(&self, idx: usize, key: &str, value: String) {
-        let mut spans = self.spans.borrow_mut();
-        if let Some(span) = spans.get_mut(idx) {
-            span.attrs.push((key.to_string(), value));
-        }
-    }
-
-    /// Insert an already-measured child span (used for per-matcher wall
-    /// times that are accumulated outside the span API).
-    pub fn add_closed_child(&self, parent: usize, name: &str, wall: Duration) {
-        let now = self.elapsed_us();
-        let dur = wall.as_micros() as u64;
-        let mut spans = self.spans.borrow_mut();
-        spans.push(SpanRecord {
-            name: name.to_string(),
-            parent: Some(parent),
-            start_us: now.saturating_sub(dur),
-            dur_us: Some(dur),
-            attrs: Vec::new(),
-        });
-    }
-
-    /// Close any still-open spans and return the raw parts
-    /// (`trace_id`, start wall-clock ms, total µs, spans).
-    pub fn into_parts(self) -> (String, u64, u64, Vec<SpanRecord>) {
-        let total_us = self.elapsed_us();
-        let mut spans = self.spans.into_inner();
-        for span in &mut spans {
-            if span.dur_us.is_none() {
-                span.dur_us = Some(total_us.saturating_sub(span.start_us));
-            }
-        }
-        (self.trace_id, self.started_unix_ms, total_us, spans)
+        self.spans.len() - 1
     }
 }
 
-/// RAII guard for one open span. Dropping it closes the span; it never
-/// records into a metrics registry (that's [`crate::SpanTimer`]'s job) —
-/// it only marks the interval inside its request's trace.
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    ctx: &'a TraceContext,
-    idx: usize,
-}
-
-impl<'a> SpanGuard<'a> {
-    /// Open a child span.
-    pub fn child(&self, name: &str) -> SpanGuard<'a> {
-        SpanGuard {
-            ctx: self.ctx,
-            idx: self.ctx.open(Some(self.idx), name),
-        }
-    }
-
-    /// Attach a key/value annotation to this span.
-    pub fn annotate(&self, key: &str, value: impl std::fmt::Display) {
-        self.ctx.annotate(self.idx, key, value.to_string());
-    }
-
-    /// Insert an already-measured, immediately-closed child (per-matcher
-    /// walls summed across candidates).
-    pub fn add_closed_child(&self, name: &str, wall: Duration) {
-        self.ctx.add_closed_child(self.idx, name, wall);
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.ctx.close(self.idx);
-    }
-}
-
-/// A finished request trace: the span tree plus enough request/response
-/// context to make `/debug/traces/{id}` and the slow-query log useful on
-/// their own.
+/// A finished request trace: the request's [`SearchEvent`] — the record
+/// the event log appends — plus its span tree. That is enough context to
+/// make `/debug/traces/{id}` and the slow-query log useful on their own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompletedTrace {
-    /// The request's trace id (client-supplied or generated).
-    pub trace_id: String,
-    /// Wall-clock start, milliseconds since the Unix epoch.
-    pub started_unix_ms: u64,
-    /// End-to-end duration in microseconds.
-    pub total_us: u64,
-    /// The normalized query text.
-    pub query: String,
-    /// Phase 1 hits.
-    pub candidates_from_index: usize,
-    /// Candidates scored by Phase 2/3.
-    pub candidates_evaluated: usize,
-    /// Top-k results (ids, scores, per-matcher strengths).
-    pub results: Vec<EventResult>,
-    /// What the search cost (zeroed when the engine recorded no ledger).
-    pub ledger: ResourceLedger,
+    /// Trace id, start time, query, candidate counts, per-phase and total
+    /// durations, top-k results and the ledger.
+    pub event: SearchEvent,
     /// Flat span records; tree via `parent` indices.
     pub spans: Vec<SpanRecord>,
 }
@@ -208,42 +100,41 @@ impl DeepSize for SpanRecord {
 
 impl DeepSize for CompletedTrace {
     fn deep_size_of_children(&self) -> usize {
-        self.trace_id.deep_size_of_children()
-            + self.query.deep_size_of_children()
-            + self.results.deep_size_of_children()
-            + self.spans.deep_size_of_children()
+        self.event.deep_size_of_children() + self.spans.deep_size_of_children()
     }
 }
 
 impl CompletedTrace {
     /// One-line JSON summary (for `/debug/traces` listings).
     pub fn summary_json(&self) -> String {
+        let e = &self.event;
         format!(
             "{{\"trace_id\":\"{}\",\"unix_ms\":{},\"total_us\":{},\"query\":\"{}\",\"candidates\":{},\"results\":{}}}",
-            json::escape(&self.trace_id),
-            self.started_unix_ms,
-            self.total_us,
-            json::escape(&self.query),
-            self.candidates_evaluated,
-            self.results.len(),
+            json::escape(&e.trace_id),
+            e.unix_ms,
+            e.total_us,
+            json::escape(&e.query),
+            e.candidates_evaluated,
+            e.results.len(),
         )
     }
 
     /// Full JSON: header fields, top-k results, and the span tree nested
     /// via `children`.
     pub fn to_json(&self) -> String {
+        let e = &self.event;
         let mut out = String::with_capacity(256 + self.spans.len() * 96);
         let _ = write!(
             out,
             "{{\"trace_id\":\"{}\",\"unix_ms\":{},\"total_us\":{},\"query\":\"{}\",\"candidates_from_index\":{},\"candidates_evaluated\":{},\"results\":[",
-            json::escape(&self.trace_id),
-            self.started_unix_ms,
-            self.total_us,
-            json::escape(&self.query),
-            self.candidates_from_index,
-            self.candidates_evaluated,
+            json::escape(&e.trace_id),
+            e.unix_ms,
+            e.total_us,
+            json::escape(&e.query),
+            e.candidates_from_index,
+            e.candidates_evaluated,
         );
-        for (i, r) in self.results.iter().enumerate() {
+        for (i, r) in e.results.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -252,7 +143,7 @@ impl CompletedTrace {
         let _ = write!(
             out,
             "],\"ledger\":{{\"cpu_us\":{},\"alloc_count\":{},\"alloc_bytes\":{}}},\"spans\":[",
-            self.ledger.cpu_us, self.ledger.alloc_count, self.ledger.alloc_bytes,
+            e.cpu_us, e.alloc_count, e.alloc_bytes,
         );
         // children[i] = indices of spans whose parent is i.
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); self.spans.len()];
@@ -280,7 +171,7 @@ impl CompletedTrace {
             "{{\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}",
             json::escape(&span.name),
             span.start_us,
-            span.dur_us.unwrap_or(0),
+            span.dur_us,
         );
         if !span.attrs.is_empty() {
             out.push_str(",\"attrs\":{");
@@ -321,76 +212,63 @@ mod tests {
     use super::*;
 
     fn finish(ctx: TraceContext) -> CompletedTrace {
-        let (trace_id, started_unix_ms, total_us, spans) = ctx.into_parts();
         CompletedTrace {
-            trace_id,
-            started_unix_ms,
-            total_us,
-            query: "q".into(),
-            candidates_from_index: 0,
-            candidates_evaluated: 0,
-            results: vec![],
-            ledger: ResourceLedger::default(),
-            spans,
+            event: SearchEvent {
+                trace_id: ctx.trace_id,
+                unix_ms: ctx.started_unix_ms,
+                query: "q".into(),
+                ..SearchEvent::default()
+            },
+            spans: ctx.spans,
         }
     }
 
+    fn us(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
+
     #[test]
-    fn guards_build_a_tree() {
-        let ctx = TraceContext::new("t1".into());
-        {
-            let root = ctx.root_span("search");
-            {
-                let p1 = root.child("candidate_extraction");
-                p1.annotate("hits", 42);
-            }
-            {
-                let p2 = root.child("matching");
-                p2.add_closed_child("matcher:name", Duration::from_micros(120));
-                let _grand = p2.child("nested");
-            }
-        }
+    fn pushed_spans_build_a_tree() {
+        let mut ctx = TraceContext::new("t1".into());
+        let root = ctx.push(None, "search", us(0), us(500), Vec::new());
+        ctx.push(
+            Some(root),
+            "candidate_extraction",
+            us(0),
+            us(100),
+            vec![("hits".into(), "42".into())],
+        );
+        let matching = ctx.push(Some(root), "matching", us(100), us(400), Vec::new());
+        ctx.push(Some(matching), "matcher:name", us(100), us(120), Vec::new());
+        ctx.push(Some(matching), "nested", us(220), us(10), Vec::new());
         let trace = finish(ctx);
-        assert_eq!(trace.trace_id, "t1");
+        assert_eq!(trace.event.trace_id, "t1");
         assert_eq!(trace.spans.len(), 5);
         assert_eq!(trace.spans[0].parent, None);
         assert_eq!(
             trace.phase_names(),
             vec!["candidate_extraction", "matching"]
         );
-        // All spans closed.
-        assert!(trace.spans.iter().all(|s| s.dur_us.is_some()));
         // Annotation survived.
         assert_eq!(
             trace.spans[1].attrs,
             vec![("hits".to_string(), "42".to_string())]
         );
-        // Closed child carries the externally measured wall.
+        // A child carries the start and duration it was pushed with.
         let matcher = trace
             .spans
             .iter()
             .find(|s| s.name == "matcher:name")
             .unwrap();
-        assert_eq!(matcher.dur_us, Some(120));
+        assert_eq!((matcher.start_us, matcher.dur_us), (100, 120));
         assert_eq!(matcher.parent, Some(2));
     }
 
     #[test]
-    fn open_spans_are_closed_at_finish() {
-        let ctx = TraceContext::new("t2".into());
-        let root = ctx.root_span("search");
-        std::mem::forget(root); // never dropped → still open
-        let trace = finish(ctx);
-        assert!(trace.spans[0].dur_us.is_some());
-    }
-
-    #[test]
     fn json_rendering_nests_children() {
-        let ctx = TraceContext::new("t\"4".into());
-        {
-            let root = ctx.root_span("search");
-            let _p1 = root.child("candidate_extraction");
-        }
+        let mut ctx = TraceContext::new("t\"4".into());
+        let root = ctx.push(None, "search", us(0), us(7), Vec::new());
+        ctx.push(Some(root), "candidate_extraction", us(0), us(5), Vec::new());
         let trace = finish(ctx);
         let json_text = trace.to_json();
         let parsed = crate::json::Json::parse(&json_text).expect("valid json");

@@ -18,8 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::eventlog::{EventLog, EventResult, SearchEvent};
-use crate::ledger::ResourceLedger;
+use crate::eventlog::{EventLog, SearchEvent};
 use crate::ring::Ring;
 use crate::span::{CompletedTrace, TraceContext};
 
@@ -61,22 +60,6 @@ impl TracerConfig {
             ..TracerConfig::default()
         }
     }
-}
-
-/// What the engine knows about a finished search, handed to
-/// [`Tracer::finish`] alongside the span context.
-#[derive(Debug, Clone, Default)]
-pub struct SearchOutcome {
-    /// Normalized query text.
-    pub query: String,
-    /// Phase 1 hit count.
-    pub candidates_from_index: usize,
-    /// Candidates scored by Phase 2/3.
-    pub candidates_evaluated: usize,
-    /// Top-k results with per-matcher strengths.
-    pub results: Vec<EventResult>,
-    /// What the search cost (CPU, allocations).
-    pub ledger: ResourceLedger,
 }
 
 /// Per-engine trace manager; all methods take `&self`.
@@ -154,47 +137,24 @@ impl Tracer {
             .store(threshold.as_micros() as u64, Ordering::Relaxed);
     }
 
-    /// Complete a trace: publish it to the recent ring, admit it to the
-    /// slowlog if over threshold, and append a [`SearchEvent`] to the
-    /// event log. Returns the completed trace.
-    pub fn finish(&self, ctx: TraceContext, outcome: SearchOutcome) -> Arc<CompletedTrace> {
-        let (trace_id, started_unix_ms, total_us, spans) = ctx.into_parts();
+    /// Complete a trace: stamp `event` with the context's trace id and
+    /// start time, publish it with the context's spans to the recent
+    /// ring, admit it to the slowlog if its `total_us` is over threshold,
+    /// and append the same record to the event log. Returns the completed
+    /// trace.
+    pub fn finish(&self, ctx: TraceContext, mut event: SearchEvent) -> Arc<CompletedTrace> {
+        event.trace_id = ctx.trace_id;
+        event.unix_ms = ctx.started_unix_ms;
         let trace = Arc::new(CompletedTrace {
-            trace_id,
-            started_unix_ms,
-            total_us,
-            query: outcome.query,
-            candidates_from_index: outcome.candidates_from_index,
-            candidates_evaluated: outcome.candidates_evaluated,
-            results: outcome.results,
-            ledger: outcome.ledger,
-            spans,
+            event,
+            spans: ctx.spans,
         });
         self.ring.push(Arc::clone(&trace));
-        if total_us >= self.slow_threshold_us.load(Ordering::Relaxed) {
+        if trace.event.total_us >= self.slow_threshold_us.load(Ordering::Relaxed) {
             self.slow.push(Arc::clone(&trace));
         }
         if let Some(log) = &self.event_log {
-            let event = SearchEvent {
-                trace_id: trace.trace_id.clone(),
-                unix_ms: trace.started_unix_ms,
-                query: trace.query.clone(),
-                candidates_from_index: trace.candidates_from_index,
-                candidates_evaluated: trace.candidates_evaluated,
-                phase_us: trace
-                    .spans
-                    .iter()
-                    .filter(|s| s.parent == Some(0))
-                    .map(|s| (s.name.clone(), s.dur_us.unwrap_or(0)))
-                    .collect(),
-                total_us: trace.total_us,
-                results: trace.results.clone(),
-                cpu_us: trace.ledger.cpu_us,
-                alloc_count: trace.ledger.alloc_count,
-                alloc_bytes: trace.ledger.alloc_bytes,
-                tags: Vec::new(),
-            };
-            if let Err(err) = log.append(&event) {
+            if let Err(err) = log.append(&trace.event) {
                 eprintln!("schemr-trace: event log append failed: {err}");
             }
         }
@@ -209,8 +169,8 @@ impl Tracer {
     /// Look up a retained trace by id (newest match wins).
     pub fn get(&self, trace_id: &str) -> Option<Arc<CompletedTrace>> {
         self.ring
-            .find(|t| t.trace_id == trace_id)
-            .or_else(|| self.slow.find(|t| t.trace_id == trace_id))
+            .find(|t| t.event.trace_id == trace_id)
+            .or_else(|| self.slow.find(|t| t.event.trace_id == trace_id))
     }
 
     /// Up to `limit` most recent slow traces, newest first.
@@ -248,9 +208,10 @@ fn valid_trace_id(s: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eventlog::EventResult;
 
-    fn outcome(query: &str) -> SearchOutcome {
-        SearchOutcome {
+    fn outcome(query: &str) -> SearchEvent {
+        SearchEvent {
             query: query.to_string(),
             candidates_from_index: 7,
             candidates_evaluated: 4,
@@ -259,11 +220,10 @@ mod tests {
                 score: 0.9,
                 matcher_scores: vec![("name".into(), 0.9)],
             }],
-            ledger: ResourceLedger {
-                cpu_us: 321,
-                alloc_count: 12,
-                alloc_bytes: 2048,
-            },
+            cpu_us: 321,
+            alloc_count: 12,
+            alloc_bytes: 2048,
+            ..SearchEvent::default()
         }
     }
 
@@ -292,15 +252,11 @@ mod tests {
     fn finish_publishes_to_ring_and_lookup() {
         let tracer = Tracer::new(TracerConfig::default());
         let ctx = tracer.begin(Some("lookup-me")).unwrap();
-        {
-            let root = ctx.root_span("search");
-            let _p1 = root.child("candidate_extraction");
-        }
         let trace = tracer.finish(ctx, outcome("customer"));
-        assert_eq!(trace.trace_id, "lookup-me");
+        assert_eq!(trace.event.trace_id, "lookup-me");
         assert_eq!(tracer.recent(10).len(), 1);
         let found = tracer.get("lookup-me").expect("retrievable");
-        assert_eq!(found.query, "customer");
+        assert_eq!(found.event.query, "customer");
         assert!(tracer.get("missing").is_none());
     }
 
@@ -315,13 +271,16 @@ mod tests {
         let ctx = tracer.begin(None).unwrap();
         tracer.finish(ctx, outcome("fast"));
         assert!(tracer.slow(10).is_empty());
-        // Slow search: sleep past the threshold.
+        // Slow search: its record's total is past the threshold.
         let ctx = tracer.begin(None).unwrap();
-        std::thread::sleep(Duration::from_millis(8));
-        let trace = tracer.finish(ctx, outcome("slow"));
+        let slow_event = SearchEvent {
+            total_us: 8_000,
+            ..outcome("slow")
+        };
+        let trace = tracer.finish(ctx, slow_event);
         let slow = tracer.slow(10);
         assert_eq!(slow.len(), 1);
-        assert_eq!(slow[0].trace_id, trace.trace_id);
+        assert_eq!(slow[0].event.trace_id, trace.event.trace_id);
     }
 
     #[test]
@@ -334,13 +293,15 @@ mod tests {
         };
         let tracer = Tracer::new(config);
         let ctx = tracer.begin(Some("evt-1")).unwrap();
-        {
-            let root = ctx.root_span("search");
-            let _p = root.child("matching");
-        }
-        tracer.finish(ctx, outcome("order items"));
+        let event = SearchEvent {
+            phase_us: vec![("matching".into(), 40)],
+            ..outcome("order items")
+        };
+        let trace = tracer.finish(ctx, event);
         let events = tracer.event_log().unwrap().read_events().unwrap();
         assert_eq!(events.len(), 1);
+        // The log appends the record the ring holds.
+        assert_eq!(events[0], trace.event);
         assert_eq!(events[0].trace_id, "evt-1");
         assert_eq!(events[0].query, "order items");
         assert_eq!(events[0].phase_us.len(), 1);
@@ -386,7 +347,7 @@ mod tests {
         let tracer = Tracer::new(TracerConfig::default());
         let ctx = tracer.begin(None).unwrap();
         let trace = tracer.finish(ctx, outcome("cost"));
-        assert_eq!(trace.ledger.cpu_us, 321);
+        assert_eq!(trace.event.cpu_us, 321);
         assert!(
             trace.to_json().contains("\"cpu_us\":321"),
             "{}",

@@ -34,6 +34,7 @@
 pub mod http;
 pub mod xml_response;
 
+mod debug;
 mod service;
 
 pub use http::HttpLimits;

@@ -24,11 +24,14 @@ use parking_lot::Mutex;
 use schemr::{parse_keywords, SchemrEngine, SearchRequest};
 use schemr_model::SchemaId;
 use schemr_obs::{
-    Counter, Histogram, LedgerProbe, MetricsRegistry, SearchOutcome, SloConfig, SloTracker,
-    LATENCY_BUCKETS,
+    Counter, Histogram, MetricsRegistry, SearchEvent, SloConfig, SloTracker, LATENCY_BUCKETS,
 };
 use schemr_viz::{radial_layout, to_graphml, tree_layout, GraphmlOptions, SvgOptions};
 
+use crate::debug::{
+    handle_index, handle_memory, handle_slowlog, handle_slowlog_threshold, handle_trace_by_id,
+    handle_traces,
+};
 use crate::http::{read_request, HttpLimits, Request, Response};
 use crate::xml_response::search_response_to_xml;
 
@@ -419,22 +422,19 @@ fn shed(
 /// straight into the trace ring and event log. Without this, rejected
 /// work is invisible exactly where one looks when clients report errors.
 fn trace_rejection(engine: &SchemrEngine, kind: &str, queue_wait: Option<Duration>) {
-    let Some(ctx) = engine.tracer().begin(None) else {
+    let Some(mut ctx) = engine.tracer().begin(None) else {
         return;
     };
-    let probe = LedgerProbe::start();
-    {
-        let root = ctx.root_span(kind);
-        if let Some(wait) = queue_wait {
-            root.annotate("queue_wait_us", wait.as_micros());
-        }
-    }
+    let attrs = queue_wait
+        .map(|wait| ("queue_wait_us".to_string(), wait.as_micros().to_string()))
+        .into_iter()
+        .collect();
+    ctx.push(None, kind, Duration::ZERO, Duration::ZERO, attrs);
     engine.tracer().finish(
         ctx,
-        SearchOutcome {
+        SearchEvent {
             query: format!("<{kind}>"),
-            ledger: probe.delta(),
-            ..Default::default()
+            ..SearchEvent::default()
         },
     );
 }
@@ -763,86 +763,6 @@ fn handle_metrics(engine: &SchemrEngine) -> Response {
     Response::ok("text/plain; version=0.0.4", body)
 }
 
-/// `GET /debug/index?limit=N`: corpus aggregates plus per-postings-list
-/// statistics for the heaviest lists, including each list's max-impact
-/// score (the WAND/MaxScore upper bound).
-fn handle_index(engine: &SchemrEngine, request: &Request) -> Response {
-    use std::fmt::Write as _;
-    let top_lists = limit_param(request, 20, 500);
-    let report = engine.index_introspection(top_lists);
-    let written = &engine.metrics().index;
-    let mut body = format!(
-        "{{\"live_docs\":{},\"total_docs\":{},\"distinct_terms\":{},\"postings\":{},\"occurrences\":{},\"revision\":{},\"tombstone_ratio\":{:.6},\"postings_bytes\":{},\"deep_bytes\":{},\"write_tokens\":{},\"write_token_analyses\":{},\"top_lists\":[",
-        report.stats.live_docs,
-        report.stats.total_docs,
-        report.stats.distinct_terms,
-        report.stats.postings,
-        report.stats.occurrences,
-        report.revision,
-        report.tombstone_ratio,
-        report.postings_bytes,
-        report.deep_bytes,
-        written.tokens.get(),
-        written.token_analyses.get(),
-    );
-    for (i, list) in report.top_lists.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let _ = write!(
-            body,
-            "{{\"field\":\"{}\",\"term\":\"{}\",\"doc_freq\":{},\"live_doc_freq\":{},\"tombstone_ratio\":{:.6},\"approx_bytes\":{},\"max_impact\":{:.6}}}",
-            list.field.label(),
-            schemr_obs::json::escape(&list.term),
-            list.doc_freq,
-            list.live_doc_freq,
-            list.tombstone_ratio,
-            list.approx_bytes,
-            list.max_impact,
-        );
-    }
-    body.push_str("]}");
-    Response::ok("application/json", body)
-}
-
-/// `GET /debug/memory`: the engine's deep-memory report — estimated
-/// resident bytes of the repository, the index, both caches, and the
-/// trace rings.
-fn handle_memory(engine: &SchemrEngine) -> Response {
-    let m = engine.memory_report();
-    let event_log_bytes = m
-        .event_log_bytes
-        .map_or("null".to_string(), |b| b.to_string());
-    let body = format!(
-        "{{\"repository\":{{\"schemas\":{},\"deep_bytes\":{}}},\
-         \"index\":{{\"deep_bytes\":{},\"postings_bytes\":{}}},\
-         \"candidate_cache\":{{\"entries\":{},\"budget_entries\":{},\"bytes\":{}}},\
-         \"match_artifact_cache\":{{\"entries\":{},\"resident_bytes\":{},\"budget_bytes\":{},\
-         \"lexicon_words\":{},\"lexicon_bytes\":{}}},\
-         \"trace_ring\":{{\"traces\":{},\"bytes\":{}}},\
-         \"slowlog_ring\":{{\"traces\":{},\"bytes\":{}}},\
-         \"event_log_bytes\":{}}}",
-        m.repository_schemas,
-        m.repository_bytes,
-        m.index_deep_bytes,
-        m.index_postings_bytes,
-        m.candidate_cache_entries,
-        m.candidate_cache_budget,
-        m.candidate_cache_bytes,
-        m.artifact_cache_entries,
-        m.artifact_cache_resident_bytes,
-        m.artifact_cache_budget_bytes,
-        m.lexicon_words,
-        m.lexicon_bytes,
-        m.trace_ring_len,
-        m.trace_ring_bytes,
-        m.slow_ring_len,
-        m.slow_ring_bytes,
-        event_log_bytes,
-    );
-    Response::ok("application/json", body)
-}
-
 fn handle_healthz(engine: &SchemrEngine, slo: &SloTracker) -> Response {
     // A liveness probe: the O(1) counts, not `index_stats()`, which
     // walks every segment's term dictionary.
@@ -871,72 +791,6 @@ fn handle_healthz(engine: &SchemrEngine, slo: &SloTracker) -> Response {
     } else {
         Response::ok("application/json", body)
     }
-}
-
-/// `POST /debug/slowlog?threshold_ms=N`: adjust the slowlog admission
-/// threshold at runtime. Loopback-only — it changes what the server
-/// retains, so a remote client must not be able to flip it.
-fn handle_slowlog_threshold(
-    engine: &SchemrEngine,
-    request: &Request,
-    peer: Option<std::net::SocketAddr>,
-) -> Response {
-    if !peer.is_some_and(|p| p.ip().is_loopback()) {
-        return Response::forbidden("slowlog threshold changes are loopback-only");
-    }
-    let Some(raw) = request.param("threshold_ms") else {
-        return Response::bad_request("missing threshold_ms parameter");
-    };
-    let Ok(ms) = raw.parse::<u64>() else {
-        return Response::bad_request("threshold_ms must be a non-negative integer");
-    };
-    engine
-        .tracer()
-        .set_slow_threshold(Duration::from_millis(ms));
-    Response::ok(
-        "application/json",
-        format!("{{\"slow_threshold_ms\":{ms}}}"),
-    )
-}
-
-/// Parse a `limit` query param with a default and an upper bound.
-fn limit_param(request: &Request, default: usize, max: usize) -> usize {
-    request
-        .param("limit")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(default)
-        .min(max)
-}
-
-fn handle_traces(engine: &SchemrEngine, request: &Request) -> Response {
-    let limit = limit_param(request, 50, 1000);
-    let summaries: Vec<String> = engine
-        .tracer()
-        .recent(limit)
-        .iter()
-        .map(|t| t.summary_json())
-        .collect();
-    Response::ok("application/json", format!("[{}]", summaries.join(",")))
-}
-
-fn handle_trace_by_id(engine: &SchemrEngine, id: &str) -> Response {
-    match engine.tracer().get(id) {
-        Some(trace) => Response::ok("application/json", trace.to_json()),
-        None => Response::not_found(format!("no retained trace with id `{id}`")),
-    }
-}
-
-fn handle_slowlog(engine: &SchemrEngine, request: &Request) -> Response {
-    let limit = limit_param(request, 50, 1000);
-    // The slowlog keeps few entries by design, so return the full span
-    // trees — that's what makes a slow query diagnosable after the fact.
-    let entries: Vec<String> = engine
-        .tracer()
-        .slow(limit)
-        .iter()
-        .map(|t| t.to_json())
-        .collect();
-    Response::ok("application/json", format!("[{}]", entries.join(",")))
 }
 
 fn handle_stats(engine: &SchemrEngine) -> Response {
@@ -1044,12 +898,12 @@ fn handle_schema(engine: &SchemrEngine, request: &Request) -> Response {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use schemr_repo::{import::import_str, Repository};
     use std::io::{Read, Write};
 
-    fn engine() -> Arc<SchemrEngine> {
+    pub(crate) fn engine() -> Arc<SchemrEngine> {
         let repo = Arc::new(Repository::new());
         import_str(
             &repo,
@@ -1072,7 +926,7 @@ mod tests {
 
     /// One-shot GET: sends `Connection: close` so `read_to_string` sees
     /// EOF as soon as the response is written.
-    fn get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
+    pub(crate) fn get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
         request(
             addr,
             &format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"),
@@ -1080,7 +934,7 @@ mod tests {
     }
 
     /// Like `get`, but returns the raw response text (headers included).
-    fn get_raw(addr: std::net::SocketAddr, target: &str, extra_headers: &str) -> String {
+    pub(crate) fn get_raw(addr: std::net::SocketAddr, target: &str, extra_headers: &str) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
             .write_all(
@@ -1095,7 +949,7 @@ mod tests {
         buf
     }
 
-    fn request(addr: std::net::SocketAddr, raw: &str) -> (u16, String) {
+    pub(crate) fn request(addr: std::net::SocketAddr, raw: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(raw.as_bytes()).unwrap();
         let mut buf = String::new();
@@ -1360,76 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn client_trace_ids_round_trip_through_debug_traces() {
-        let server = SchemrServer::start(engine(), ServerConfig::default()).unwrap();
-        let addr = server.addr();
-        let raw = get_raw(
-            addr,
-            "/search?q=patient+height",
-            "X-Schemr-Trace-Id: my-req-7\r\n",
-        );
-        assert!(raw.starts_with("HTTP/1.1 200"));
-        assert!(raw.contains("X-Schemr-Trace-Id: my-req-7\r\n"), "{raw}");
-        // The span tree is retrievable by that id and covers all three
-        // phases.
-        let (status, body) = get(addr, "/debug/traces/my-req-7");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"trace_id\":\"my-req-7\""), "{body}");
-        assert!(body.contains("\"query\":\"patient height\""));
-        for phase in ["candidate_extraction", "matching", "tightness_scoring"] {
-            assert!(body.contains(&format!("\"name\":\"{phase}\"")), "{body}");
-        }
-        // Served over HTTP, the root span also records how long the
-        // connection waited for admission.
-        assert!(body.contains("\"queue_wait_us\""), "{body}");
-        // The listing shows it too.
-        let (status, listing) = get(addr, "/debug/traces");
-        assert_eq!(status, 200);
-        assert!(listing.contains("my-req-7"), "{listing}");
-        // Searches without the header still get an id assigned.
-        let raw = get_raw(addr, "/search?q=gender", "");
-        assert!(raw.contains("X-Schemr-Trace-Id: "), "{raw}");
-        // Unknown ids are 404.
-        assert_eq!(get(addr, "/debug/traces/never-seen").0, 404);
-        assert!(server.shutdown());
-    }
-
-    #[test]
-    fn slow_searches_appear_in_the_slowlog() {
-        use schemr::EngineConfig;
-        let repo = Arc::new(Repository::new());
-        import_str(
-            &repo,
-            "clinic",
-            "rural health clinic",
-            "CREATE TABLE patient (id INT, height REAL, gender TEXT)",
-        )
-        .unwrap();
-        // Threshold zero: every search is "slow".
-        let eng = Arc::new(SchemrEngine::with_config(
-            repo,
-            EngineConfig {
-                trace: schemr_obs::TracerConfig {
-                    slow_threshold: std::time::Duration::ZERO,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        ));
-        eng.reindex_full();
-        let server = SchemrServer::start(eng, ServerConfig::default()).unwrap();
-        let addr = server.addr();
-        let raw = get_raw(addr, "/search?q=patient", "X-Schemr-Trace-Id: slow-1\r\n");
-        assert!(raw.starts_with("HTTP/1.1 200"));
-        let (status, body) = get(addr, "/debug/slowlog");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"trace_id\":\"slow-1\""), "{body}");
-        // Full span trees, not just summaries.
-        assert!(body.contains("\"spans\":["), "{body}");
-        assert!(server.shutdown());
-    }
-
-    #[test]
     fn unknown_routes_share_one_metric_label() {
         let server = SchemrServer::start(engine(), ServerConfig::default()).unwrap();
         let addr = server.addr();
@@ -1583,134 +1367,6 @@ mod tests {
         assert!(body.contains("\"slo_degraded\":false"), "{body}");
         assert!(server.shutdown());
         assert!(healthy.shutdown());
-    }
-
-    #[test]
-    fn slowlog_threshold_is_adjustable_at_runtime_from_loopback() {
-        let server = SchemrServer::start(engine(), ServerConfig::default()).unwrap();
-        let addr = server.addr();
-        // Default threshold: an ordinary fast search is not slow.
-        let raw = get_raw(addr, "/search?q=patient", "X-Schemr-Trace-Id: fast-1\r\n");
-        assert!(raw.starts_with("HTTP/1.1 200"));
-        let (_, body) = get(addr, "/debug/slowlog");
-        assert!(!body.contains("fast-1"), "{body}");
-        // Drop the threshold to zero at runtime: now everything is slow.
-        let (status, body) = request(
-            addr,
-            "POST /debug/slowlog?threshold_ms=0 HTTP/1.1\r\nHost: t\r\n\
-             Connection: close\r\nContent-Length: 0\r\n\r\n",
-        );
-        assert_eq!(status, 200, "{body}");
-        assert!(body.contains("\"slow_threshold_ms\":0"), "{body}");
-        let raw = get_raw(addr, "/search?q=patient", "X-Schemr-Trace-Id: now-slow\r\n");
-        assert!(raw.starts_with("HTTP/1.1 200"));
-        let (_, body) = get(addr, "/debug/slowlog");
-        assert!(body.contains("now-slow"), "{body}");
-        // Garbage and missing parameters are 400s, not silent defaults.
-        let (status, _) = request(
-            addr,
-            "POST /debug/slowlog?threshold_ms=abc HTTP/1.1\r\nHost: t\r\n\
-             Connection: close\r\nContent-Length: 0\r\n\r\n",
-        );
-        assert_eq!(status, 400);
-        let (status, _) = request(
-            addr,
-            "POST /debug/slowlog HTTP/1.1\r\nHost: t\r\n\
-             Connection: close\r\nContent-Length: 0\r\n\r\n",
-        );
-        assert_eq!(status, 400);
-        assert!(server.shutdown());
-    }
-
-    #[test]
-    fn debug_index_reports_postings_statistics() {
-        let server = SchemrServer::start(engine(), ServerConfig::default()).unwrap();
-        let addr = server.addr();
-        let (status, body) = get(addr, "/debug/index");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"live_docs\":2"), "{body}");
-        assert!(body.contains("\"tombstone_ratio\":0.000000"), "{body}");
-        assert!(body.contains("\"postings_bytes\":"), "{body}");
-        assert!(body.contains("\"deep_bytes\":"), "{body}");
-        // The write path's memo: every token looked up, each distinct
-        // one analyzed once.
-        assert!(body.contains("\"write_tokens\":"), "{body}");
-        assert!(!body.contains("\"write_token_analyses\":0,"), "{body}");
-        assert!(body.contains("\"top_lists\":["), "{body}");
-        assert!(body.contains("\"field\":\"elements\""), "{body}");
-        assert!(body.contains("\"max_impact\":"), "{body}");
-        // The limit caps how many lists come back.
-        let (status, capped) = get(addr, "/debug/index?limit=1");
-        assert_eq!(status, 200);
-        assert_eq!(capped.matches("\"term\":").count(), 1, "{capped}");
-        assert!(server.shutdown());
-    }
-
-    #[test]
-    fn debug_memory_reports_resident_structures() {
-        let server = SchemrServer::start(engine(), ServerConfig::default()).unwrap();
-        let addr = server.addr();
-        assert_eq!(get(addr, "/search?q=patient+height").0, 200);
-        let (status, body) = get(addr, "/debug/memory");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"repository\":{\"schemas\":2"), "{body}");
-        assert!(body.contains("\"index\":{\"deep_bytes\":"), "{body}");
-        assert!(
-            body.contains("\"candidate_cache\":{\"entries\":1"),
-            "{body}"
-        );
-        assert!(
-            body.contains("\"match_artifact_cache\":{\"entries\":"),
-            "{body}"
-        );
-        // The search interned the candidate's words: the lexicon is not
-        // empty and its bytes are part of the resident figure.
-        let field = |key: &str| -> u64 {
-            let at = body.find(key).unwrap_or_else(|| panic!("{key} in {body}")) + key.len();
-            body[at..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse()
-                .unwrap()
-        };
-        assert!(field("\"lexicon_words\":") > 0, "{body}");
-        assert!(field("\"budget_entries\":512,\"bytes\":") > 0, "{body}");
-        assert!(
-            field("\"resident_bytes\":") >= field("\"lexicon_bytes\":")
-                && field("\"lexicon_bytes\":") > 0,
-            "{body}"
-        );
-        assert!(body.contains("\"trace_ring\":{\"traces\":1"), "{body}");
-        assert!(body.contains("\"slowlog_ring\":"), "{body}");
-        assert!(body.contains("\"event_log_bytes\":null"), "{body}");
-        // The same residency figures are exported as /metrics gauges.
-        let (_, metrics) = get(addr, "/metrics");
-        assert!(
-            metrics.contains("# TYPE schemr_index_deep_bytes gauge"),
-            "{metrics}"
-        );
-        assert!(
-            metrics.contains("# TYPE schemr_repository_deep_bytes gauge"),
-            "{metrics}"
-        );
-        assert!(
-            metrics.contains("# TYPE schemr_candidate_cache_resident_entries gauge"),
-            "{metrics}"
-        );
-        assert!(
-            metrics.contains("schemr_candidate_cache_resident_entries 1"),
-            "{metrics}"
-        );
-        assert!(
-            metrics.contains("# TYPE schemr_match_artifact_cache_resident_bytes gauge"),
-            "{metrics}"
-        );
-        assert!(
-            metrics.contains("# TYPE schemr_trace_ring_bytes gauge"),
-            "{metrics}"
-        );
-        assert!(server.shutdown());
     }
 
     #[test]
