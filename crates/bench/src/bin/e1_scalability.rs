@@ -307,17 +307,16 @@ impl Phase2Segment {
 }
 
 /// One pass over the workload on `bed`, sampling per-candidate matching
-/// cost. When `invalidate`, the ensemble generation is bumped before
-/// every query so each search sees a fully cold artifact cache.
+/// cost. When `invalidate`, the ensemble is replaced before every query
+/// so each search sees a fully cold artifact cache.
 fn phase2_pass(bed: &Testbed, workload: &Workload, invalidate: bool, seg: &mut Phase2Segment) {
     for q in &workload.queries {
         if invalidate {
-            // Replacing the ensemble stamps a new generation: every
-            // cached artifact goes stale, so this query re-analyzes every
-            // candidate name and looks its words up again — the cold
-            // measurement. The engine's word lexicon survives the bump,
-            // so gram sets are not rebuilt; the memo starts empty on
-            // every search, cold or warm.
+            // A new ensemble comes with an empty artifact cache, so this
+            // query re-analyzes every candidate name and looks its words
+            // up again — the cold measurement. The engine's word lexicon
+            // survives the replacement, so gram sets are not rebuilt; the
+            // memo starts empty on every search, cold or warm.
             bed.engine.set_ensemble(Ensemble::standard());
         }
         let a0 = process_alloc_count();

@@ -10,16 +10,19 @@
 //!   [`IndexRevision`] — any index mutation (add, tombstone, swap)
 //!   changes it.
 //! * [`MatchArtifactCache`] stores `schema id → prepared matcher
-//!   artifacts` stamped with the schema's repository revision plus the
-//!   engine's ensemble generation — a schema update or a matcher-set
-//!   replacement changes it.
+//!   artifacts` stamped with the schema's repository revision — a schema
+//!   update changes it. What else the artifacts depend on, the matcher
+//!   set and the lexicon their word ids live in, is fixed for the cache's
+//!   whole life: the engine pairs one cache with one of each and replaces
+//!   all three together.
 //!
 //! Shared mechanics live in [`LruCore`]: a stamped entry map with a
 //! logical clock and weighted LRU eviction (weight 1 per entry for the
 //! candidate cache, heap bytes for the artifact cache). Recency is kept
 //! in an ordered side index, so finding a victim is O(log n) amortised
 //! however many entries the budget holds, and a hit only restamps its
-//! entry: the index re-files it when eviction reaches it.
+//! entry: the index re-files it when eviction reaches it. [`CountedLru`]
+//! puts one behind a mutex, under a budget, and counts its lookups.
 //!
 //! The artifact cache shares its byte budget with the engine's word
 //! lexicon (artifacts are word ids into it): [`MatchArtifactCache::put`]
@@ -169,47 +172,39 @@ impl<K: Eq + Hash + Clone, V: Clone, S: PartialEq> LruCore<K, V, S> {
         (evicted, evicted_weight)
     }
 
-    /// Drop every entry. Returns how many there were.
-    fn clear(&mut self) -> usize {
-        let dropped = self.entries.len();
-        self.entries.clear();
-        self.recency.clear();
-        self.weight = 0;
-        dropped
-    }
-
     /// Resident entries.
     fn len(&self) -> usize {
         self.entries.len()
     }
 }
 
-/// A small LRU cache of Phase 1 results, safe under concurrent searches
-/// and writers. `capacity == 0` is a cache that always misses: nothing is
-/// admitted and nothing is counted.
-pub(crate) struct CandidateCache {
-    capacity: usize,
-    state: Mutex<LruCore<CacheKey, Vec<Hit>, IndexRevision>>,
+/// An [`LruCore`] behind a mutex, held under a weight budget, counting
+/// its lookups, safe under concurrent searches and writers. A zero
+/// budget is a cache that always misses: nothing is admitted and nothing
+/// is counted.
+pub(crate) struct CountedLru<K, V, S> {
+    budget: usize,
+    state: Mutex<LruCore<K, V, S>>,
     /// Lookups answered from the cache.
     pub hits: Arc<Counter>,
-    /// Lookups that fell through to the index.
+    /// Lookups that fell through to the work the cache saves.
     pub misses: Arc<Counter>,
-    /// Entries evicted to make room (capacity pressure).
+    /// Entries evicted under budget pressure.
     pub evictions: Arc<Counter>,
-    /// Entries dropped because their revision no longer matched.
+    /// Entries dropped because their stamp no longer matched.
     pub invalidations: Arc<Counter>,
 }
 
-impl CandidateCache {
+impl<K: Eq + Hash + Clone, V: Clone, S: PartialEq> CountedLru<K, V, S> {
     pub(crate) fn new(
-        capacity: usize,
+        budget: usize,
         hits: Arc<Counter>,
         misses: Arc<Counter>,
         evictions: Arc<Counter>,
         invalidations: Arc<Counter>,
     ) -> Self {
-        CandidateCache {
-            capacity,
+        CountedLru {
+            budget,
             state: Mutex::new(LruCore::new()),
             hits,
             misses,
@@ -218,22 +213,34 @@ impl CandidateCache {
         }
     }
 
-    fn enabled(&self) -> bool {
-        self.capacity > 0
+    /// An empty cache under the same budget, counting into the same
+    /// counters.
+    pub(crate) fn emptied(&self) -> Self {
+        CountedLru::new(
+            self.budget,
+            self.hits.clone(),
+            self.misses.clone(),
+            self.evictions.clone(),
+            self.invalidations.clone(),
+        )
     }
 
-    /// Look up `key` against the index's `current` revision. A present
-    /// entry with a different revision is stale — it is removed and
-    /// counted as an invalidation, and the lookup is a miss.
-    pub(crate) fn get(&self, key: &CacheKey, current: IndexRevision) -> Option<Vec<Hit>> {
+    pub(crate) fn enabled(&self) -> bool {
+        self.budget > 0
+    }
+
+    /// Look up `key` against the caller's current `stamp`. A present
+    /// entry with a different stamp is stale — it is removed and counted
+    /// as an invalidation, and the lookup is a miss.
+    fn lookup(&self, key: &K, stamp: &S) -> Option<V> {
         if !self.enabled() {
             return None;
         }
-        let outcome = self.state.lock().get(key, &current);
+        let outcome = self.state.lock().get(key, stamp);
         match outcome {
-            Lookup::Hit(hits) => {
+            Lookup::Hit(value) => {
                 self.hits.inc();
-                Some(hits)
+                Some(value)
             }
             Lookup::Stale => {
                 self.invalidations.inc();
@@ -247,30 +254,67 @@ impl CandidateCache {
         }
     }
 
-    /// Store a result computed at `revision`. The caller must have read
-    /// `revision` under the same index lock hold that produced `hits`
-    /// (see `Index::search_terms_versioned`), otherwise a concurrent
-    /// writer could stamp the entry with a state it does not reflect.
-    pub(crate) fn put(&self, key: CacheKey, revision: IndexRevision, hits: Vec<Hit>) {
+    /// Store `value` at `stamp` with `weight`, then evict LRU entries
+    /// until the resident weight fits the budget less `reserved`.
+    /// Returns the evicted weight; `None` when the cache is disabled and
+    /// admitted nothing.
+    fn insert(&self, key: K, stamp: S, value: V, weight: usize, reserved: usize) -> Option<usize> {
         if !self.enabled() {
-            return;
+            return None;
         }
-        // Weight 1 per entry: the byte budget degenerates to an entry
-        // count.
-        let (evicted, _) = self.state.lock().put(key, revision, hits, 1, self.capacity);
+        let budget = self.budget.saturating_sub(reserved);
+        let (evicted, evicted_weight) = self.state.lock().put(key, stamp, value, weight, budget);
         self.evictions.add(evicted);
+        Some(evicted_weight)
     }
 
-    /// Resident occupancy under one lock hold: `(entries, capacity)`.
-    /// Weight is 1 per entry, so entries double as resident weight —
-    /// surfaced by `/debug/memory`.
+    /// Resident occupancy under one lock hold — surfaced by
+    /// `/debug/memory`.
     pub(crate) fn usage(&self) -> CacheUsage {
         let state = self.state.lock();
         CacheUsage {
             entries: state.len(),
             resident_weight: state.weight,
-            budget: self.capacity,
+            budget: self.budget,
         }
+    }
+
+    /// Resident entries.
+    pub(crate) fn len(&self) -> usize {
+        self.state.lock().len()
+    }
+}
+
+/// A point-in-time occupancy snapshot of one stamped-LRU cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CacheUsage {
+    /// Entries currently resident.
+    pub entries: usize,
+    /// Total resident weight (entry count for the candidate cache,
+    /// heap bytes for the artifact cache).
+    pub resident_weight: usize,
+    /// The eviction budget the weight is held under.
+    pub budget: usize,
+}
+
+/// A small LRU cache of Phase 1 results, keyed by the analyzed query
+/// terms and stamped with the index revision; its budget is an entry
+/// count.
+pub(crate) type CandidateCache = CountedLru<CacheKey, Vec<Hit>, IndexRevision>;
+
+impl CandidateCache {
+    /// Look up `key` against the index's `current` revision.
+    pub(crate) fn get(&self, key: &CacheKey, current: IndexRevision) -> Option<Vec<Hit>> {
+        self.lookup(key, &current)
+    }
+
+    /// Store a result computed at `revision`. The caller must have read
+    /// `revision` under the same index lock hold that produced `hits`
+    /// (see `Index::search_terms_versioned`), otherwise a concurrent
+    /// writer could stamp the entry with a state it does not reflect.
+    pub(crate) fn put(&self, key: CacheKey, revision: IndexRevision, hits: Vec<Hit>) {
+        // Weight 1 per entry: the budget is an entry count.
+        self.insert(key, revision, hits, 1, 0);
     }
 
     /// Estimated heap bytes of the resident entries: each key (held by
@@ -289,204 +333,43 @@ impl CandidateCache {
             })
             .sum()
     }
-
-    /// Resident entries (tests).
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.state.lock().len()
-    }
-}
-
-/// A point-in-time occupancy snapshot of one stamped-LRU cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CacheUsage {
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Total resident weight (entry count for the candidate cache,
-    /// heap bytes for the artifact cache).
-    pub resident_weight: usize,
-    /// The eviction budget the weight is held under.
-    pub budget: usize,
-}
-
-/// Stamp for a prepared-candidate entry: the schema's repository
-/// revision, the engine's ensemble generation and the generation of the
-/// lexicon its word ids live in. `Repository::update` bumps the first,
-/// `SchemrEngine::set_ensemble` the second, retiring a full lexicon the
-/// third; weight-only changes (`set_ensemble_weights`) leave artifacts
-/// valid because they are weight-independent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ArtifactStamp {
-    /// `StoredSchema::metadata::revision` at preparation time.
-    pub schema_revision: u64,
-    /// The engine's ensemble generation at preparation time.
-    pub ensemble_generation: u64,
-    /// The generation of the lexicon the artifacts were prepared in.
-    pub lexicon_generation: u64,
-}
-
-struct ArtifactState {
-    entries: LruCore<SchemaId, Arc<PreparedCandidate>, ArtifactStamp>,
-    /// The lexicon generation the cache serves. A search still running
-    /// in a retired lexicon neither reads nor writes the cache: its
-    /// stamps would drop, and its artifacts replace, entries the current
-    /// lexicon's searches use.
-    lexicon_generation: u64,
 }
 
 /// A byte-budgeted LRU cache of [`PreparedCandidate`] artifact bundles,
-/// keyed by schema id and stamped with [`ArtifactStamp`]. Survives across
-/// searches and is shared by concurrent ones.
-/// `budget_bytes == 0` disables it entirely: every lookup misses without
-/// being counted and nothing is admitted.
-pub(crate) struct MatchArtifactCache {
-    budget_bytes: usize,
-    state: Mutex<ArtifactState>,
-    /// Lookups answered from the cache.
-    pub hits: Arc<Counter>,
-    /// Lookups that fell through to `Ensemble::prepare`.
-    pub misses: Arc<Counter>,
-    /// Entries evicted under byte-budget pressure.
-    pub evictions: Arc<Counter>,
-    /// Entries dropped because their stamp no longer matched.
-    pub invalidations: Arc<Counter>,
-    /// Artifact bytes admitted into the cache.
-    pub bytes_inserted: Arc<Counter>,
-    /// Artifact bytes released by eviction.
-    pub bytes_evicted: Arc<Counter>,
-}
+/// keyed by schema id and stamped with the schema's repository revision.
+/// It serves one matcher set and one lexicon: the engine replaces it
+/// whenever it replaces either.
+pub(crate) type MatchArtifactCache = CountedLru<SchemaId, Arc<PreparedCandidate>, u64>;
 
 impl MatchArtifactCache {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        budget_bytes: usize,
-        hits: Arc<Counter>,
-        misses: Arc<Counter>,
-        evictions: Arc<Counter>,
-        invalidations: Arc<Counter>,
-        bytes_inserted: Arc<Counter>,
-        bytes_evicted: Arc<Counter>,
-    ) -> Self {
-        MatchArtifactCache {
-            budget_bytes,
-            state: Mutex::new(ArtifactState {
-                entries: LruCore::new(),
-                lexicon_generation: 0,
-            }),
-            hits,
-            misses,
-            evictions,
-            invalidations,
-            bytes_inserted,
-            bytes_evicted,
-        }
+    /// Look up the artifacts for `id` as of `schema_revision`. An entry
+    /// prepared at another revision (the schema was updated) is dropped
+    /// and counted as an invalidation.
+    pub(crate) fn get(&self, id: SchemaId, schema_revision: u64) -> Option<Arc<PreparedCandidate>> {
+        self.lookup(&id, &schema_revision)
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.budget_bytes > 0
-    }
-
-    /// Look up the artifacts for `id` against the caller's current
-    /// `stamp`. A present entry with a different stamp (schema updated,
-    /// or matcher set replaced) is dropped and counted as an
-    /// invalidation. A caller whose lexicon has been retired misses and
-    /// drops nothing.
-    pub(crate) fn get(&self, id: SchemaId, stamp: ArtifactStamp) -> Option<Arc<PreparedCandidate>> {
-        if !self.enabled() {
-            return None;
-        }
-        let outcome = {
-            let mut state = self.state.lock();
-            if stamp.lexicon_generation < state.lexicon_generation {
-                Lookup::Absent
-            } else {
-                state.entries.get(&id, &stamp)
-            }
-        };
-        match outcome {
-            Lookup::Hit(artifacts) => {
-                self.hits.inc();
-                Some(artifacts)
-            }
-            Lookup::Stale => {
-                self.invalidations.inc();
-                self.misses.inc();
-                None
-            }
-            Lookup::Absent => {
-                self.misses.inc();
-                None
-            }
-        }
-    }
-
-    /// Store `artifacts` prepared at `stamp`, then evict LRU entries
-    /// until resident artifact bytes plus `lexicon_bytes` — what the
-    /// lexicon behind the artifacts' word ids holds — fit the budget.
-    /// Artifacts prepared in a retired lexicon are not admitted.
+    /// Store `artifacts` prepared at `schema_revision`, then evict LRU
+    /// entries until resident artifact bytes plus `lexicon_bytes` — what
+    /// the lexicon behind the artifacts' word ids holds — fit the budget.
+    /// Returns the bytes admitted and the bytes evicted; `None` when the
+    /// cache is disabled.
     pub(crate) fn put(
         &self,
         id: SchemaId,
-        stamp: ArtifactStamp,
+        schema_revision: u64,
         artifacts: Arc<PreparedCandidate>,
         lexicon_bytes: usize,
-    ) {
-        if !self.enabled() {
-            return;
-        }
+    ) -> Option<(usize, usize)> {
         let bytes = artifacts.bytes.max(1);
-        let (evicted, evicted_bytes) = {
-            let mut state = self.state.lock();
-            if stamp.lexicon_generation < state.lexicon_generation {
-                return;
-            }
-            state.entries.put(
-                id,
-                stamp,
-                artifacts,
-                bytes,
-                self.budget_bytes.saturating_sub(lexicon_bytes),
-            )
-        };
-        self.bytes_inserted.add(bytes as u64);
-        self.evictions.add(evicted);
-        self.bytes_evicted.add(evicted_bytes as u64);
-    }
-
-    /// The lexicon the entries' word ids live in is retired: drop every
-    /// entry — all stale at once, counted as invalidations — and serve
-    /// `next_generation` from here on.
-    pub(crate) fn retire_lexicon(&self, next_generation: u64) {
-        let dropped = {
-            let mut state = self.state.lock();
-            state.lexicon_generation = next_generation;
-            state.entries.clear()
-        };
-        self.invalidations.add(dropped as u64);
-    }
-
-    /// Resident occupancy under one lock hold: entries plus resident
-    /// artifact bytes against the byte budget — surfaced by
-    /// `/debug/memory`.
-    pub(crate) fn usage(&self) -> CacheUsage {
-        let state = self.state.lock();
-        CacheUsage {
-            entries: state.entries.len(),
-            resident_weight: state.entries.weight,
-            budget: self.budget_bytes,
-        }
+        let evicted = self.insert(id, schema_revision, artifacts, bytes, lexicon_bytes)?;
+        Some((bytes, evicted))
     }
 
     /// Resident bytes (tests).
     #[cfg(test)]
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.state.lock().entries.weight
-    }
-
-    /// Resident entries (tests).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().entries.len()
+        self.usage().resident_weight
     }
 }
 
@@ -678,8 +561,6 @@ mod tests {
             Arc::new(Counter::new()),
             Arc::new(Counter::new()),
             Arc::new(Counter::new()),
-            Arc::new(Counter::new()),
-            Arc::new(Counter::new()),
         )
     }
 
@@ -690,123 +571,75 @@ mod tests {
         })
     }
 
-    fn stamp(schema_revision: u64, ensemble_generation: u64) -> ArtifactStamp {
-        ArtifactStamp {
-            schema_revision,
-            ensemble_generation,
-            lexicon_generation: 0,
-        }
-    }
-
     #[test]
     fn artifact_hit_after_put_at_same_stamp() {
         let c = artifact_cache(1024);
-        assert!(c.get(SchemaId(1), stamp(3, 1)).is_none());
-        c.put(SchemaId(1), stamp(3, 1), artifacts(100), 0);
-        let got = c.get(SchemaId(1), stamp(3, 1)).unwrap();
+        assert!(c.get(SchemaId(1), 3).is_none());
+        assert_eq!(c.put(SchemaId(1), 3, artifacts(100), 0), Some((100, 0)));
+        let got = c.get(SchemaId(1), 3).unwrap();
         assert_eq!(got.bytes, 100);
         assert_eq!(c.hits.get(), 1);
         assert_eq!(c.misses.get(), 1);
-        assert_eq!(c.bytes_inserted.get(), 100);
         assert_eq!(c.resident_bytes(), 100);
     }
 
     #[test]
     fn schema_revision_change_invalidates_artifacts() {
         let c = artifact_cache(1024);
-        c.put(SchemaId(1), stamp(3, 1), artifacts(100), 0);
-        assert!(c.get(SchemaId(1), stamp(4, 1)).is_none(), "schema updated");
+        c.put(SchemaId(1), 3, artifacts(100), 0);
+        assert!(c.get(SchemaId(1), 4).is_none(), "schema updated");
         assert_eq!(c.invalidations.get(), 1);
         assert_eq!(c.len(), 0, "stale entry dropped eagerly");
         assert_eq!(c.resident_bytes(), 0, "stale bytes released");
     }
 
     #[test]
-    fn ensemble_generation_change_invalidates_artifacts() {
-        let c = artifact_cache(1024);
-        c.put(SchemaId(1), stamp(3, 1), artifacts(100), 0);
-        assert!(
-            c.get(SchemaId(1), stamp(3, 2)).is_none(),
-            "matcher set replaced"
-        );
-        assert_eq!(c.invalidations.get(), 1);
-    }
-
-    #[test]
     fn byte_budget_evicts_least_recently_used() {
         let c = artifact_cache(250);
-        c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
-        c.put(SchemaId(2), stamp(1, 1), artifacts(100), 0);
+        c.put(SchemaId(1), 1, artifacts(100), 0);
+        c.put(SchemaId(2), 1, artifacts(100), 0);
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(c.get(SchemaId(1), stamp(1, 1)).is_some());
-        c.put(SchemaId(3), stamp(1, 1), artifacts(100), 0);
+        assert!(c.get(SchemaId(1), 1).is_some());
+        assert_eq!(c.put(SchemaId(3), 1, artifacts(100), 0), Some((100, 100)));
         assert_eq!(c.evictions.get(), 1);
-        assert_eq!(c.bytes_evicted.get(), 100);
-        assert!(c.get(SchemaId(1), stamp(1, 1)).is_some());
-        assert!(c.get(SchemaId(2), stamp(1, 1)).is_none());
-        assert!(c.get(SchemaId(3), stamp(1, 1)).is_some());
+        assert!(c.get(SchemaId(1), 1).is_some());
+        assert!(c.get(SchemaId(2), 1).is_none());
+        assert!(c.get(SchemaId(3), 1).is_some());
         assert!(c.resident_bytes() <= 250);
     }
 
     #[test]
     fn lexicon_bytes_share_the_artifact_budget() {
         let c = artifact_cache(250);
-        c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
-        c.put(SchemaId(2), stamp(1, 1), artifacts(100), 0);
+        c.put(SchemaId(1), 1, artifacts(100), 0);
+        c.put(SchemaId(2), 1, artifacts(100), 0);
         assert_eq!(c.resident_bytes(), 200);
         // 100 bytes of lexicon leave 150 for artifacts: the LRU entry goes.
-        c.put(SchemaId(3), stamp(1, 1), artifacts(40), 100);
+        c.put(SchemaId(3), 1, artifacts(40), 100);
         assert_eq!(c.evictions.get(), 1);
         assert_eq!(c.resident_bytes(), 140);
-        assert!(c.get(SchemaId(1), stamp(1, 1)).is_none());
+        assert!(c.get(SchemaId(1), 1).is_none());
         // A lexicon at the budget leaves no room at all.
-        c.put(SchemaId(4), stamp(1, 1), artifacts(10), 250);
+        c.put(SchemaId(4), 1, artifacts(10), 250);
         assert_eq!(c.resident_bytes(), 0);
         assert_eq!(c.len(), 0);
     }
 
     #[test]
-    fn retiring_the_lexicon_drops_everything_and_shuts_its_searches_out() {
-        let c = artifact_cache(1024);
-        let next = |schema_revision| ArtifactStamp {
-            lexicon_generation: 1,
-            ..stamp(schema_revision, 1)
-        };
-        c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
-        c.put(SchemaId(2), stamp(1, 1), artifacts(60), 0);
-        c.retire_lexicon(1);
-        assert_eq!((c.len(), c.resident_bytes()), (0, 0));
-        assert_eq!(c.invalidations.get(), 2);
-        assert_eq!(c.evictions.get(), 0);
-        // Usable afterwards, by searches in the next lexicon.
-        c.put(SchemaId(1), next(1), artifacts(100), 0);
-        assert!(c.get(SchemaId(1), next(1)).is_some());
-        // A search still running in the retired lexicon misses without
-        // dropping the entry, and what it prepares is not admitted — over
-        // the resident entry or beside it.
-        assert!(c.get(SchemaId(1), stamp(1, 1)).is_none());
-        c.put(SchemaId(1), stamp(1, 1), artifacts(70), 0);
-        c.put(SchemaId(3), stamp(1, 1), artifacts(70), 0);
-        assert_eq!((c.len(), c.resident_bytes()), (1, 100));
-        assert_eq!(c.invalidations.get(), 2);
-        assert_eq!(c.get(SchemaId(1), next(1)).unwrap().bytes, 100);
-    }
-
-    #[test]
     fn oversized_entry_does_not_stick() {
         let c = artifact_cache(50);
-        c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
+        c.put(SchemaId(1), 1, artifacts(100), 0);
         // The entry alone exceeds the budget: admitted, then immediately
         // evicted — the cache never holds more than the budget.
         assert_eq!(c.resident_bytes(), 0);
-        assert!(c.get(SchemaId(1), stamp(1, 1)).is_none());
+        assert!(c.get(SchemaId(1), 1).is_none());
     }
 
     #[test]
     fn replacing_an_entry_adjusts_resident_bytes() {
         let c = artifact_cache(1024);
-        c.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
-        c.put(SchemaId(1), stamp(2, 1), artifacts(60), 0);
+        c.put(SchemaId(1), 1, artifacts(100), 0);
+        c.put(SchemaId(1), 2, artifacts(60), 0);
         assert_eq!(c.resident_bytes(), 60);
         assert_eq!(c.len(), 1);
     }
@@ -822,8 +655,8 @@ mod tests {
         assert_eq!(usage.budget, 4);
 
         let a = artifact_cache(1024);
-        a.put(SchemaId(1), stamp(1, 1), artifacts(100), 0);
-        a.put(SchemaId(2), stamp(1, 1), artifacts(60), 0);
+        a.put(SchemaId(1), 1, artifacts(100), 0);
+        a.put(SchemaId(2), 1, artifacts(60), 0);
         let usage = a.usage();
         assert_eq!(usage.entries, 2);
         assert_eq!(usage.resident_weight, 160, "artifact weight is bytes");
@@ -834,8 +667,8 @@ mod tests {
     fn zero_budget_disables_artifacts() {
         let c = artifact_cache(0);
         assert!(!c.enabled());
-        c.put(SchemaId(1), stamp(1, 1), artifacts(10), 0);
-        assert!(c.get(SchemaId(1), stamp(1, 1)).is_none());
+        assert_eq!(c.put(SchemaId(1), 1, artifacts(10), 0), None);
+        assert!(c.get(SchemaId(1), 1).is_none());
         assert_eq!(c.misses.get(), 0, "disabled cache records nothing");
     }
 }

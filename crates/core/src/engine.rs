@@ -7,11 +7,10 @@
 //! renders.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use schemr_index::{
     codec, Index, IndexChange, IndexDocument, IndexRevision, IndexStats, ProbeStats, SearchOptions,
 };
@@ -24,7 +23,7 @@ use schemr_obs::{
 use schemr_repo::{ChangeKind, Repository, StoredSchema};
 use schemr_text::Lexicon;
 
-use crate::cache::{ArtifactStamp, CacheKey, CandidateCache, MatchArtifactCache};
+use crate::cache::{CacheKey, CandidateCache, MatchArtifactCache};
 use crate::metrics::EngineMetrics;
 use crate::request::SearchRequest;
 use crate::result::{MatcherTiming, PhaseTimings, SearchResponse, SearchResult, SearchTrace};
@@ -61,9 +60,9 @@ pub struct EngineConfig {
     /// the 30,000-schema benchmark corpus; `memory_report().lexicon_bytes`
     /// says how far along it is). Below the vocabulary the artifacts'
     /// share shrinks towards nothing as the lexicon fills, and each time
-    /// it reaches the budget the lexicon is retired — emptied, every
-    /// cached artifact with it. That costs re-interning, never a result:
-    /// DESIGN.md, "Match-artifact cache and the lexicon's bound", has the
+    /// it outgrows the budget a new, empty lexicon and artifact cache
+    /// replace it. That costs re-interning, never a result: DESIGN.md,
+    /// "Match-artifact cache and the lexicon's bound", has the
     /// measurements.
     pub match_artifact_cache_bytes: usize,
 }
@@ -152,20 +151,12 @@ pub struct MemoryReport {
 pub struct SchemrEngine {
     repo: Arc<Repository>,
     index: RwLock<Index>,
-    ensemble: RwLock<Matchers>,
     config: EngineConfig,
     last_indexed_revision: Mutex<u64>,
     candidate_cache: CandidateCache,
-    artifact_cache: MatchArtifactCache,
-    /// The word lexicon cached artifacts point into, with its generation.
-    /// Append-only while it lives; retired — replaced by an empty one
-    /// under the next generation, which makes every cached artifact stale
-    /// — once it alone outgrows the artifact budget.
-    lexicon: RwLock<(Arc<Lexicon>, u64)>,
-    /// Generation of the current matcher set; part of every artifact
-    /// stamp so [`SchemrEngine::set_ensemble`] invalidates cached
-    /// artifacts lazily.
-    ensemble_generation: AtomicU64,
+    /// What Phase 2 reads: each search clones the `Arc` once and reads
+    /// nothing else; every change installs a whole new state.
+    phase2: RwLock<Arc<Phase2State>>,
     metrics: EngineMetrics,
     tracer: Tracer,
     /// How deeply traced searches read the thread-CPU clock, from the
@@ -192,25 +183,24 @@ impl SchemrEngine {
             metrics.candidate_cache_evictions.clone(),
             metrics.candidate_cache_invalidations.clone(),
         );
-        let artifact_cache = MatchArtifactCache::new(
-            config.match_artifact_cache_bytes,
-            metrics.match_artifact_cache_hits.clone(),
-            metrics.match_artifact_cache_misses.clone(),
-            metrics.match_artifact_cache_evictions.clone(),
-            metrics.match_artifact_cache_invalidations.clone(),
-            metrics.match_artifact_cache_bytes_inserted.clone(),
-            metrics.match_artifact_cache_bytes_evicted.clone(),
-        );
+        let phase2 = Phase2State {
+            matchers: Arc::new(Matchers::new(Ensemble::standard())),
+            lexicon: Arc::new(Lexicon::new()),
+            artifacts: MatchArtifactCache::new(
+                config.match_artifact_cache_bytes,
+                metrics.match_artifact_cache_hits.clone(),
+                metrics.match_artifact_cache_misses.clone(),
+                metrics.match_artifact_cache_evictions.clone(),
+                metrics.match_artifact_cache_invalidations.clone(),
+            ),
+        };
         SchemrEngine {
             repo,
             index: RwLock::new(Index::new().with_metrics(metrics.index.clone())),
-            ensemble: RwLock::new(Matchers::new(Ensemble::standard())),
             config,
             last_indexed_revision: Mutex::new(0),
             candidate_cache,
-            artifact_cache,
-            lexicon: RwLock::new((Arc::new(Lexicon::new()), 0)),
-            ensemble_generation: AtomicU64::new(0),
+            phase2: RwLock::new(Arc::new(phase2)),
             metrics,
             tracer,
             cpu_depth: CpuProbeDepth::measured(),
@@ -245,20 +235,37 @@ impl SchemrEngine {
     }
 
     /// Replace the matcher ensemble (e.g. with learned weights or an
-    /// ablation variant).
+    /// ablation variant). Searches already in Phase 2 finish with the
+    /// set they started with; this call does not wait for them.
     pub fn set_ensemble(&self, ensemble: Ensemble) {
-        *self.ensemble.write() = Matchers::new(ensemble);
-        // Cached match artifacts are matcher-set-specific: a new
-        // generation makes every existing entry stale, so a bundle
-        // prepared for the old set can never be zipped against the new
-        // one. Weight changes (`set_ensemble_weights`) don't bump it —
-        // artifacts are weight-independent.
-        self.ensemble_generation.fetch_add(1, Ordering::AcqRel);
+        let matchers = Arc::new(Matchers::new(ensemble));
+        // Cached artifacts are matcher-set-specific, so the new set gets
+        // an empty cache; the lexicon's words are not, so it keeps them.
+        let slot = self.phase2.write();
+        let lexicon = slot.lexicon.clone();
+        self.install(slot, matchers, lexicon);
     }
 
-    /// Replace the ensemble weights in place.
-    pub fn set_ensemble_weights(&self, weights: &[f64]) {
-        self.ensemble.write().ensemble.set_weights(weights);
+    /// Put a state of `matchers` and `lexicon`, with an empty artifact
+    /// cache, in `slot`. The old state's artifacts go with it, counted as
+    /// invalidations; a search still holding it keeps reading (and
+    /// filling) that old cache until it finishes.
+    fn install(
+        &self,
+        mut slot: RwLockWriteGuard<'_, Arc<Phase2State>>,
+        matchers: Arc<Matchers>,
+        lexicon: Arc<Lexicon>,
+    ) {
+        let artifacts = slot.artifacts.emptied();
+        let next = Phase2State {
+            matchers,
+            lexicon,
+            artifacts,
+        };
+        let old = std::mem::replace(&mut *slot, Arc::new(next));
+        drop(slot);
+        let dropped = old.artifacts.len() as u64;
+        old.artifacts.invalidations.add(dropped);
     }
 
     /// Rebuild the document index from scratch — the offline indexer's
@@ -342,11 +349,9 @@ impl SchemrEngine {
             (index.deep_size_of(), index.introspect(0).postings_bytes)
         };
         let candidate = self.candidate_cache.usage();
-        let artifact = self.artifact_cache.usage();
-        let (lexicon_words, lexicon_bytes) = {
-            let slot = self.lexicon.read();
-            (slot.0.len(), slot.0.heap_bytes())
-        };
+        let phase2 = self.phase2.read().clone();
+        let artifact = phase2.artifacts.usage();
+        let (lexicon_words, lexicon_bytes) = (phase2.lexicon.len(), phase2.lexicon.heap_bytes());
         let (trace_ring_bytes, slow_ring_bytes) = self.tracer.ring_bytes();
         let (trace_ring_len, slow_ring_len) = self.tracer.ring_lens();
         MemoryReport {
@@ -420,69 +425,66 @@ impl SchemrEngine {
         (hits, Some(probe))
     }
 
-    /// The lexicon a search prepares and reads its candidates' artifacts
-    /// in, with its generation. With a zero budget nothing is retained,
-    /// the lexicon included: each search gets one of its own.
-    fn lexicon_for_search(&self) -> (Arc<Lexicon>, u64) {
-        if self.artifact_cache.enabled() {
-            self.lexicon.read().clone()
-        } else {
-            (Arc::new(Lexicon::new()), 0)
+    /// The Phase 2 state a search reads from start to end. With a zero
+    /// artifact budget nothing is retained, the lexicon included: each
+    /// search gets a state of its own, whose cache admits and counts
+    /// nothing.
+    fn phase2_for_search(&self) -> Arc<Phase2State> {
+        let shared = self.phase2.read().clone();
+        if shared.artifacts.enabled() {
+            return shared;
         }
+        Arc::new(Phase2State {
+            matchers: shared.matchers.clone(),
+            lexicon: Arc::new(Lexicon::new()),
+            artifacts: shared.artifacts.emptied(),
+        })
     }
 
     /// Resolve the prepared match artifacts for `stored` through the
-    /// revision-keyed artifact cache, building and admitting them on a
-    /// miss. Returns the artifacts and whether the lookup was a hit. A
-    /// disabled cache (zero budget) never hits, admits nothing and counts
-    /// nothing, so the artifacts are simply built here every time.
+    /// state's artifact cache, building and admitting them on a miss.
+    /// Returns the artifacts and whether the lookup was a hit.
     /// Concurrent searches may race on a cold entry; both build the same
     /// deterministic bundle and the second put replaces the first, so the
     /// race costs work but never correctness.
     ///
     /// A miss is the only place the lexicon grows, so its size is checked
     /// here: artifacts are admitted into what the lexicon leaves of the
-    /// budget, and a lexicon that alone exceeds the budget is retired.
-    /// This search keeps scoring in the lexicon it started with.
+    /// budget, and a lexicon that alone exceeds the budget is replaced,
+    /// with the cache, by empty ones — if `state` is still the engine's.
+    /// This search keeps scoring in the state it started with.
     fn prepared_for(
         &self,
-        p2: &Phase2<'_>,
+        state: &Arc<Phase2State>,
         stored: &StoredSchema,
     ) -> (Arc<PreparedCandidate>, bool) {
-        let stamp = ArtifactStamp {
-            schema_revision: stored.metadata.revision,
-            ensemble_generation: p2.ensemble_generation,
-            lexicon_generation: p2.lexicon_generation,
-        };
-        if let Some(artifacts) = self.artifact_cache.get(stored.metadata.id, stamp) {
+        let Phase2State {
+            matchers,
+            lexicon,
+            artifacts: cache,
+        } = &**state;
+        let (id, revision) = (stored.metadata.id, stored.metadata.revision);
+        if let Some(artifacts) = cache.get(id, revision) {
             return (artifacts, true);
         }
-        let artifacts = Arc::new(p2.ensemble.prepare(&stored.schema, p2.lexicon));
-        if self.artifact_cache.enabled() {
-            let lexicon_bytes = p2.lexicon.heap_bytes();
-            if lexicon_bytes > self.config.match_artifact_cache_bytes {
-                self.retire_lexicon(p2.lexicon_generation);
-            } else {
-                self.artifact_cache.put(
-                    stored.metadata.id,
-                    stamp,
-                    artifacts.clone(),
-                    lexicon_bytes,
-                );
+        let artifacts = Arc::new(matchers.ensemble.prepare(&stored.schema, lexicon));
+        let lexicon_bytes = lexicon.heap_bytes();
+        if lexicon_bytes > self.config.match_artifact_cache_bytes {
+            // Replace the engine's state only if it is still this one: a
+            // racing search may have replaced it already, and a zero
+            // budget's per-search state never is the engine's.
+            let slot = self.phase2.write();
+            if Arc::ptr_eq(&slot, state) {
+                self.install(slot, matchers.clone(), Arc::new(Lexicon::new()));
             }
+        } else if let Some((admitted, evicted)) =
+            cache.put(id, revision, artifacts.clone(), lexicon_bytes)
+        {
+            let m = &self.metrics;
+            m.match_artifact_cache_bytes_inserted.add(admitted as u64);
+            m.match_artifact_cache_bytes_evicted.add(evicted as u64);
         }
         (artifacts, false)
-    }
-
-    /// Replace the lexicon of `generation` with an empty one and drop the
-    /// artifacts that point into it. A no-op when another thread already
-    /// did. Searches in flight hold the old lexicon until they finish.
-    fn retire_lexicon(&self, generation: u64) {
-        let mut slot = self.lexicon.write();
-        if slot.1 == generation {
-            *slot = (Arc::new(Lexicon::new()), generation + 1);
-            self.artifact_cache.retire_lexicon(generation + 1);
-        }
     }
 
     /// Phase 2 over every candidate, on the request's thread: resolve
@@ -498,7 +500,7 @@ impl SchemrEngine {
         p2: &Phase2<'_>,
         cands: &[(schemr_index::Hit, Arc<StoredSchema>)],
     ) -> Matched {
-        let matchers = p2.ensemble.len();
+        let matchers = p2.state.matchers.ensemble.len();
         let strengths = if p2.with_strengths {
             cands.len() * matchers
         } else {
@@ -515,16 +517,16 @@ impl SchemrEngine {
             artifact_hits: 0,
             artifact_misses: 0,
         };
-        let mut scratch = MatchScratch::new(p2.equery, p2.lexicon);
+        let mut scratch = MatchScratch::new(p2.equery, &p2.state.lexicon);
         let mut tightness = TightnessScratch::default();
         for (_, stored) in cands {
-            let (artifacts, was_hit) = self.prepared_for(p2, stored);
+            let (artifacts, was_hit) = self.prepared_for(p2.state, stored);
             if was_hit {
                 done.artifact_hits += 1;
             } else {
                 done.artifact_misses += 1;
             }
-            let combined = p2.ensemble.run_into(
+            let combined = p2.state.matchers.ensemble.run_into(
                 p2.terms,
                 p2.graph,
                 &artifacts,
@@ -658,23 +660,18 @@ impl SchemrEngine {
         let candidates_from_index = hits.len();
         let extracted = Mark::now(traced, deep_cpu);
 
-        // Phase 2: matcher ensemble over the candidates.
-        let matchers = self.ensemble.read();
-        let ensemble = &matchers.ensemble;
+        // Phase 2: matcher ensemble over the candidates, all of it in the
+        // one state read here.
+        let state = self.phase2_for_search();
         let candidates: Vec<(schemr_index::Hit, Arc<StoredSchema>)> = hits
             .into_iter()
             .filter_map(|h| self.repo.get(h.id).map(|s| (h, s)))
             .collect();
         // Query-side artifacts are built once per search; candidate-side
-        // artifacts resolve through the revision-keyed cache, in the
-        // lexicon this search holds from here to its end.
-        let equery = ensemble.prepare_query(&terms, &graph);
-        let (lexicon, lexicon_generation) = self.lexicon_for_search();
+        // artifacts resolve through the state's revision-keyed cache.
+        let equery = state.matchers.ensemble.prepare_query(&terms, &graph);
         let phase2 = Phase2 {
-            ensemble,
-            ensemble_generation: self.ensemble_generation.load(Ordering::Acquire),
-            lexicon: &lexicon,
-            lexicon_generation,
+            state: &state,
             equery: &equery,
             terms: &terms,
             graph: &graph,
@@ -733,7 +730,7 @@ impl SchemrEngine {
             marks: [start, extracted, matched, ranked],
             probe,
             candidates_from_index,
-            matchers: &matchers,
+            phase2: &state,
             done: &done,
             origins: &origins,
         };
@@ -773,11 +770,12 @@ impl SchemrEngine {
             .observe_duration_exemplar(t1, tid);
         m.phase_matching.observe_duration_exemplar(t2, tid);
         m.phase_scoring.observe_duration_exemplar(t3, tid);
-        for (seconds, wall) in s.matchers.seconds(m).iter().zip(&s.done.matcher_wall) {
+        let matchers = &s.phase2.matchers;
+        for (seconds, wall) in matchers.seconds(m).iter().zip(&s.done.matcher_wall) {
             seconds.observe_duration(*wall);
         }
 
-        let names = s.matchers.ensemble.matcher_names();
+        let names = matchers.ensemble.matcher_names();
         let trace = s.request.explain.then(|| SearchTrace {
             candidates_from_index: s.candidates_from_index,
             candidates_evaluated: evaluated,
@@ -825,7 +823,7 @@ impl SchemrEngine {
             ledger_attrs(&mut extraction, &start.spent_until(&extracted));
             let mut matching = Vec::with_capacity(7);
             matching.push(attr("candidates", evaluated));
-            if self.artifact_cache.enabled() {
+            if s.phase2.artifacts.enabled() {
                 // "hit" only when every candidate's artifacts came from
                 // the cache.
                 let outcome = if s.done.artifact_misses == 0 {
@@ -964,20 +962,16 @@ struct SearchRecord<'a> {
     /// The index probe's work; `None` when the candidate cache answered.
     probe: Option<ProbeStats>,
     candidates_from_index: usize,
-    matchers: &'a Matchers,
+    phase2: &'a Phase2State,
     done: &'a Matched,
     /// Each result's candidate position (traced searches only).
     origins: &'a [usize],
 }
 
-/// What Phase 2 of one search reads: the matcher set and the query's
-/// artifacts, and the lexicon candidate artifacts live in. The two
-/// generations stamp artifact-cache entries.
+/// What Phase 2 of one search reads: the engine's Phase 2 state as the
+/// search found it, and the query's artifacts.
 struct Phase2<'a> {
-    ensemble: &'a Ensemble,
-    ensemble_generation: u64,
-    lexicon: &'a Lexicon,
-    lexicon_generation: u64,
+    state: &'a Arc<Phase2State>,
     equery: &'a EnsembleQuery,
     terms: &'a [QueryTerm],
     graph: &'a QueryGraph,
@@ -985,11 +979,22 @@ struct Phase2<'a> {
     with_strengths: bool,
 }
 
+/// Everything Phase 2 reads that outlives a search: the matcher set, the
+/// word lexicon candidate artifacts point into (append-only while it
+/// lives), and the artifacts cached for that pair. A new matcher set or
+/// a full lexicon comes with a new state and an empty cache, so an
+/// artifact's stamp is its schema's revision alone.
+struct Phase2State {
+    matchers: Arc<Matchers>,
+    lexicon: Arc<Lexicon>,
+    artifacts: MatchArtifactCache,
+}
+
 /// The matcher set searches run, with each matcher's
 /// `schemr_matcher_seconds` series. [`SchemrEngine::set_ensemble`]
-/// installs a new one, so the series are resolved once per ensemble
-/// generation — by its first search, which is when a series first
-/// appears on `/metrics` — and every later search only reads them.
+/// installs a new one, so the series are resolved once per matcher
+/// set — by its first search, which is when a series first appears on
+/// `/metrics` — and every later search only reads them.
 struct Matchers {
     ensemble: Ensemble,
     seconds: OnceLock<Vec<Arc<Histogram>>>,
@@ -1780,6 +1785,159 @@ mod tests {
         race(&raced);
         warm_sequentially(&sequential);
         compare(&raced, &sequential, "after a generation bump");
+    }
+
+    #[test]
+    fn a_replaced_phase2_state_never_touches_the_one_that_replaced_it() {
+        let repo = wide_repo();
+        // A few words' worth: far below the corpus vocabulary, so the
+        // searches below outgrow it and replace the lexicon.
+        let config = EngineConfig {
+            match_artifact_cache_bytes: 4 * 1024,
+            ..Default::default()
+        };
+        let engine = SchemrEngine::with_config(repo.clone(), config);
+        engine.reindex_full();
+        let held = engine.phase2_for_search();
+        for query in RACING_QUERIES {
+            engine
+                .search(&SearchRequest::keywords(query.iter().copied()))
+                .unwrap();
+        }
+        assert!(
+            !Arc::ptr_eq(&held, &engine.phase2.read()),
+            "the lexicon outgrew the budget and was replaced"
+        );
+        engine.set_ensemble(Ensemble::standard());
+        // Three candidates whose words fit the budget: the new state
+        // keeps their artifacts.
+        engine
+            .search(&SearchRequest::keywords(["registry"]))
+            .unwrap();
+        let report = engine.memory_report();
+        assert_eq!(report.artifact_cache_entries, 3);
+
+        // The held state's lookups, prepares and puts stay in the held
+        // state, whatever they find there.
+        for stored in repo.snapshot() {
+            for _ in 0..2 {
+                let (artifacts, _) = engine.prepared_for(&held, &stored);
+                let (id, revision) = (stored.metadata.id, stored.metadata.revision);
+                held.artifacts.put(id, revision, artifacts, 0);
+            }
+        }
+        assert!(held.artifacts.len() > 0, "the held state was written");
+        assert_eq!(engine.memory_report(), report);
+
+        // And every search from here on ranks what a fresh engine does.
+        let fresh = SchemrEngine::new(repo);
+        fresh.reindex_full();
+        for round in 0..2 {
+            for query in RACING_QUERIES {
+                let request = SearchRequest::keywords(query.iter().copied()).with_limit(15);
+                let got = engine.search(&request).unwrap();
+                let want = fresh.search(&request).unwrap();
+                assert_eq!(got.len(), want.len(), "{query:?}, round {round}");
+                for (x, y) in got.iter().zip(&want) {
+                    assert_eq!(x.id, y.id, "{query:?}, round {round}");
+                    assert_eq!(x.score.to_bits(), y.score.to_bits(), "{query:?}");
+                    assert_eq!(x.matches, y.matches, "{query:?}, round {round}");
+                }
+            }
+        }
+    }
+
+    /// A matcher that stops the one search it is part of in the middle of
+    /// Phase 2, says so on `entered`, and goes on when `resume` speaks —
+    /// or panics, failing that search, if it stays silent for 10 s.
+    struct Pause {
+        entered: Mutex<std::sync::mpsc::Sender<()>>,
+        resume: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl schemr_match::Matcher for Pause {
+        fn name(&self) -> &'static str {
+            "pause"
+        }
+
+        fn prepare_query(&self, _: &[QueryTerm], _: &QueryGraph) -> schemr_match::PreparedQuery {
+            let _ = self.entered.lock().send(());
+            let resumed = self.resume.lock().recv_timeout(Duration::from_secs(10));
+            assert!(
+                resumed.is_ok(),
+                "set_ensemble did not return while a search was in Phase 2"
+            );
+            schemr_match::PreparedQuery::default()
+        }
+
+        fn score_into(
+            &self,
+            prepared_query: &schemr_match::PreparedQuery,
+            terms: &[QueryTerm],
+            query: &QueryGraph,
+            prepared: &schemr_match::PreparedSchema,
+            candidate: &schemr_model::Schema,
+            scratch: &mut schemr_match::ScoreScratch<'_>,
+            out: &mut schemr_match::SimilarityMatrix,
+        ) {
+            schemr_match::EditDistanceMatcher::new().score_into(
+                prepared_query,
+                terms,
+                query,
+                prepared,
+                candidate,
+                scratch,
+                out,
+            );
+        }
+    }
+
+    #[test]
+    fn set_ensemble_returns_while_a_search_is_in_phase_2() {
+        let engine = Arc::new(SchemrEngine::new(clinic_repo()));
+        engine.reindex_full();
+        let (entered, in_phase2) = std::sync::mpsc::channel();
+        let (resume, resumed) = std::sync::mpsc::channel();
+        let mut paused = Ensemble::standard();
+        let pause = Pause {
+            entered: Mutex::new(entered),
+            resume: Mutex::new(resumed),
+        };
+        paused.push(Box::new(pause), 0.5);
+        engine.set_ensemble(paused);
+        let search = {
+            let engine = engine.clone();
+            std::thread::spawn(move || {
+                engine.search(&SearchRequest::keywords(["patient", "gender"]))
+            })
+        };
+        in_phase2
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the search reaches Phase 2");
+        let swap = {
+            let engine = engine.clone();
+            std::thread::spawn(move || {
+                engine.set_ensemble(Ensemble::standard());
+                let _ = resume.send(());
+            })
+        };
+        swap.join().unwrap();
+        let results = search
+            .join()
+            .expect("the paused search was let go")
+            .unwrap();
+        assert_eq!(results[0].title, "clinic");
+        // Searches from here on run the standard set again.
+        let names: Vec<String> = engine
+            .search_detailed(&SearchRequest::keywords(["gender"]).with_explain())
+            .unwrap()
+            .trace
+            .unwrap()
+            .matchers
+            .into_iter()
+            .map(|m| m.name)
+            .collect();
+        assert_eq!(names, ["name", "context"]);
     }
 
     #[test]

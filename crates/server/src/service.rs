@@ -11,10 +11,9 @@
 //! configurable deadline, answering keep-alive clients with
 //! `Connection: close` while draining.
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,90 +33,6 @@ use crate::debug::{
 };
 use crate::http::{read_request, HttpLimits, Request, Response};
 use crate::xml_response::search_response_to_xml;
-
-/// Connections currently parked between keep-alive requests, indexed so
-/// a drain can wake their blocking reads with `shutdown(Read)` instead of
-/// waiting out their idle budgets. Each parked worker blocks in a single
-/// `recv` with the OS socket timeout set to its remaining idle budget —
-/// one syscall per wait, instead of the seed's 25ms poll loop that burned
-/// a wakeup per slice per idle connection (400k wakeups/s at the 10k
-/// connection target).
-#[derive(Default)]
-struct ParkedConnections {
-    /// Parked sockets by ticket id, each with whether a drain has shut
-    /// its read side down.
-    streams: Mutex<HashMap<u64, (TcpStream, bool)>>,
-    next_id: AtomicU64,
-}
-
-impl ParkedConnections {
-    /// Register a connection about to park. The returned ticket
-    /// deregisters on drop; `None` (fd exhaustion on `try_clone`) parks
-    /// unregistered — such a wait still honors its idle budget, it just
-    /// cannot be woken early by a drain.
-    fn park(&self, stream: &TcpStream) -> Option<ParkTicket<'_>> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.streams.lock().insert(id, (clone, false));
-        Some(ParkTicket { registry: self, id })
-    }
-
-    /// Wake every idle parked wait by shutting down the read side of its
-    /// socket: the blocking `recv` returns EOF and the worker closes the
-    /// connection — exactly what a drain wants from an idle session.
-    ///
-    /// A socket with unread bytes is not idle: a request's first bytes
-    /// have arrived and its worker, not yet scheduled, is about to wake
-    /// on its own and deregister. Shutting that one down would cut the
-    /// request off mid-read (EOF → `400`), so it is left alone and the
-    /// request is served like any other in flight. The whole walk holds
-    /// the registry lock, and a worker deregisters (takes the lock)
-    /// before it reads a request, so the decision cannot interleave with
-    /// a request read.
-    fn wake_all(&self) {
-        for (stream, woken) in self.streams.lock().values_mut() {
-            if !has_unread_bytes(stream) {
-                let _ = stream.shutdown(Shutdown::Read);
-                *woken = true;
-            }
-        }
-    }
-}
-
-/// Non-blocking probe: has the peer sent bytes nobody has read yet?
-/// Called only under the registry lock, on a socket whose worker is
-/// parked. Non-blocking mode is shared with the worker's handle, which is
-/// harmless there: a `recv` that is already blocked stays blocked, and
-/// one that starts inside the probe sees `WouldBlock` and closes
-/// silently — the right end for an idle connection during a drain.
-fn has_unread_bytes(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return false;
-    }
-    let unread = matches!(stream.peek(&mut [0u8; 1]), Ok(n) if n > 0);
-    let _ = stream.set_nonblocking(false);
-    unread
-}
-
-/// RAII deregistration for [`ParkedConnections::park`].
-struct ParkTicket<'a> {
-    registry: &'a ParkedConnections,
-    id: u64,
-}
-
-impl ParkTicket<'_> {
-    /// Did a drain shut this connection's read side down?
-    fn woken(&self) -> bool {
-        let streams = self.registry.streams.lock();
-        streams.get(&self.id).is_some_and(|(_, woken)| *woken)
-    }
-}
-
-impl Drop for ParkTicket<'_> {
-    fn drop(&mut self) {
-        self.registry.streams.lock().remove(&self.id);
-    }
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -237,9 +152,6 @@ pub struct SchemrServer {
     /// Each worker sends one `()` here when it exits; drain counts them
     /// against the deadline instead of `join`ing (which has no timeout).
     worker_done: mpsc::Receiver<()>,
-    /// Idle keep-alive connections parked in a blocking read; a drain
-    /// wakes them instead of waiting out their idle budgets.
-    parked: Arc<ParkedConnections>,
     drain_deadline: Duration,
 }
 
@@ -256,7 +168,6 @@ impl SchemrServer {
         // before serving what it took.
         let rx = Arc::new(Mutex::new(rx));
         let (done_tx, worker_done) = mpsc::channel();
-        let parked = Arc::new(ParkedConnections::default());
 
         let mut workers = Vec::with_capacity(config.workers);
         for _ in 0..config.workers.max(1) {
@@ -267,7 +178,6 @@ impl SchemrServer {
             let config = config.clone();
             let done_tx = done_tx.clone();
             let slo = slo.clone();
-            let parked = parked.clone();
             workers.push(std::thread::spawn(move || {
                 loop {
                     let Ok(pending) = rx.lock().recv() else { break };
@@ -282,7 +192,6 @@ impl SchemrServer {
                         &config,
                         &stop,
                         &slo,
-                        &parked,
                     );
                 }
                 let _ = done_tx.send(());
@@ -322,7 +231,6 @@ impl SchemrServer {
             accept_thread: Some(accept_thread),
             workers,
             worker_done,
-            parked,
             drain_deadline: config.drain_deadline,
         })
     }
@@ -342,10 +250,9 @@ impl SchemrServer {
     }
 
     fn stop_threads(&mut self) -> bool {
+        // Parked keep-alive waits see the flag within one slice; requests
+        // in flight are untouched and finish normally.
         self.stop.store(true, Ordering::Relaxed);
-        // Wake idle keep-alive connections out of their blocking reads —
-        // in-flight requests are untouched and finish normally.
-        self.parked.wake_all();
         // Unblock the accept loop with a no-op connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
@@ -448,74 +355,58 @@ enum Wake {
     Close,
 }
 
+/// How long one read of a parked keep-alive wait blocks before the wait
+/// looks at the drain flag again.
+const PARK_SLICE: Duration = Duration::from_millis(25);
+
 /// Park until the next request's first byte arrives, without consuming
-/// it. The wait is one blocking `recv` with the OS socket timeout set to
-/// the remaining idle budget — a timeout (or EOF) closes silently, bytes
-/// hand off to the request reader. A drain wakes the blocked read by
-/// shutting down the socket's read side (see [`ParkedConnections`]), so
-/// parked workers notice shutdown immediately without ever polling.
+/// it. The wait reads in [`PARK_SLICE`]s, each capped by what is left of
+/// the idle budget: bytes hand off to the request reader, EOF or an
+/// exhausted budget closes silently, and between slices the wait looks
+/// at the drain flag. The flag is read before the slice's read, so bytes
+/// that arrived before a drain began are always served (with
+/// `Connection: close`); a drain ends an idle wait within two slices,
+/// and never touches the socket.
 fn wait_for_request(
     reader: &mut BufReader<TcpStream>,
     idle_timeout: Option<Duration>,
     stop: &AtomicBool,
-    parked: &ParkedConnections,
 ) -> Wake {
-    // Pipelined bytes already buffered are a request in flight: nothing
-    // to wait for, and nothing a drain wake may cut off.
+    // Pipelined bytes already buffered are a request in flight.
     if !reader.buffer().is_empty() {
         return Wake::Bytes;
     }
     let deadline = idle_timeout.map(|d| Instant::now() + d);
-    // Register for the drain wake *before* checking the stop flag: a
-    // drain sets the flag and then walks the registry, so every park
-    // either sees the flag here or is woken by the walk — never missed.
-    let ticket = parked.park(reader.get_ref());
-    // Seeing the flag means the walk may already be past: nothing would
-    // wake a blocking wait, so read without waiting instead. A request
-    // whose first bytes beat the drain here is still served; a
-    // connection with nothing to read closes, as any idle one does.
-    let draining = stop.load(Ordering::Relaxed);
     loop {
-        let budget = match deadline {
-            _ if draining => Some(Duration::from_millis(1)),
+        let draining = stop.load(Ordering::Relaxed);
+        let slice = match deadline {
             Some(d) => match d
                 .checked_duration_since(Instant::now())
                 .filter(|b| !b.is_zero())
             {
-                Some(b) => Some(b),
+                Some(left) => left.min(PARK_SLICE),
                 None => return Wake::Close, // idle budget exhausted
             },
-            None => None, // no idle timeout: block until bytes, EOF, or drain wake
+            None => PARK_SLICE,
         };
-        if reader.get_ref().set_read_timeout(budget).is_err() {
+        if reader.get_ref().set_read_timeout(Some(slice)).is_err() {
             return Wake::Close;
         }
         match reader.fill_buf() {
-            // Checked before everything else: bytes already sent during a
-            // drain still get served (with `Connection: close`) — unless
-            // they slipped in behind a drain wake. That read side is
-            // shut, the rest of the request can never arrive, and a
-            // connection the drain closed must end silently, not in the
-            // `400` a truncated request earns.
-            Ok(buf) if !buf.is_empty() => {
-                let woken = ticket.as_ref().is_some_and(ParkTicket::woken);
-                return if woken { Wake::Close } else { Wake::Bytes };
-            }
-            // Clean EOF — also how a drain wake surfaces.
+            Ok(buf) if !buf.is_empty() => return Wake::Bytes,
+            // Clean EOF: the peer hung up between requests.
             Ok(_) => return Wake::Close,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // Timed out while parked: the whole idle budget elapsed
-            // before the first byte — close without a 408. A stall
-            // *inside* a request is the request reader's business and
-            // still answers 408 under `read_timeout`.
+            // A slice passed with nothing sent: go on waiting, unless a
+            // drain had begun before it. A stall *inside* a request is
+            // the request reader's business and still answers 408 under
+            // `read_timeout`.
             Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Wake::Close;
-            }
+                if !draining
+                    && matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) => {}
             Err(_) => return Wake::Close,
         }
     }
@@ -534,7 +425,6 @@ fn serve_connection(
     config: &ServerConfig,
     stop: &AtomicBool,
     slo: &SloTracker,
-    parked: &ParkedConnections,
 ) {
     let _ = stream.set_write_timeout(config.write_timeout);
     // The peer address gates operator-only endpoints (e.g. adjusting the
@@ -545,7 +435,7 @@ fn serve_connection(
     let mut served = 0usize;
     while served < budget {
         if matches!(
-            wait_for_request(&mut reader, config.idle_timeout, stop, parked),
+            wait_for_request(&mut reader, config.idle_timeout, stop),
             Wake::Close
         ) {
             break;
@@ -975,54 +865,45 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_drain_wake_spares_a_parked_socket_whose_request_has_begun() {
-        // Regression: the wake used to shut down every registered socket,
-        // including one whose request bytes had landed but whose worker
-        // had not yet run to deregister — the request then hit EOF
-        // mid-read and was answered 400 instead of being served.
-        let parked = ParkedConnections::default();
-        let (mut busy_client, mut busy) = socket_pair();
-        let (_idle_client, mut idle) = socket_pair();
-        let busy_ticket = parked.park(&busy).unwrap();
-        let idle_ticket = parked.park(&idle).unwrap();
-        busy_client.write_all(b"GET /half").unwrap();
-        // Blocks until the bytes have arrived, consuming nothing.
-        assert_eq!(busy.peek(&mut [0u8; 1]).unwrap(), 1);
-
-        parked.wake_all();
-
-        // The socket with unread bytes kept its read side: the rest of
-        // the request still arrives.
-        assert!(!busy_ticket.woken());
-        busy_client.write_all(b" rest").unwrap();
-        let mut request = [0u8; 14];
-        busy.read_exact(&mut request).unwrap();
-        assert_eq!(&request, b"GET /half rest");
-        // The idle one was woken: its blocking read returns EOF at once.
-        assert!(idle_ticket.woken());
-        assert_eq!(idle.read(&mut [0u8; 1]).unwrap(), 0);
-    }
-
-    #[test]
     fn a_park_that_finds_the_drain_begun_still_serves_bytes_already_sent() {
         // Regression: a worker that re-parked just after the drain flag
         // was set closed the connection unread, dropping a request whose
         // first bytes had already arrived.
-        let parked = ParkedConnections::default();
         let stop = AtomicBool::new(true);
         let idle_budget = Some(Duration::from_secs(60));
         let (mut client, served) = socket_pair();
         client.write_all(b"GET /half").unwrap();
         assert_eq!(served.peek(&mut [0u8; 1]).unwrap(), 1);
         let mut reader = BufReader::new(served);
-        let wake = wait_for_request(&mut reader, idle_budget, &stop, &parked);
+        let wake = wait_for_request(&mut reader, idle_budget, &stop);
         assert!(matches!(wake, Wake::Bytes));
         // With nothing sent it closes, and without sitting out the budget.
         let (_idle_client, idle) = socket_pair();
         let started = Instant::now();
-        let wake = wait_for_request(&mut BufReader::new(idle), idle_budget, &stop, &parked);
+        let wake = wait_for_request(&mut BufReader::new(idle), idle_budget, &stop);
         assert!(matches!(wake, Wake::Close));
         assert!(started.elapsed() < Duration::from_secs(30));
+        // A wait already parked when the drain begins closes within a
+        // second of the flag flipping, not at the end of its budget.
+        let stop = Arc::new(AtomicBool::new(false));
+        let (_idle_client, idle) = socket_pair();
+        let waiting = {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let wake = wait_for_request(&mut BufReader::new(idle), idle_budget, &stop);
+                (wake, Instant::now())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        let flipped = Instant::now();
+        stop.store(true, Ordering::Relaxed);
+        let (wake, woke) = waiting.join().unwrap();
+        assert!(matches!(wake, Wake::Close));
+        assert!(
+            woke - flipped < Duration::from_secs(1),
+            "{:?}",
+            woke - flipped
+        );
     }
 
     #[test]

@@ -366,10 +366,9 @@ fn drain_completes_in_flight_requests_and_refuses_new_connections() {
         .write_all(b"GET /search?q=patient HTTP/1.1\r\nHost: t")
         .unwrap();
     let shutdown = std::thread::spawn(move || server.shutdown());
-    // The drain sets its flag and wakes the parked connections before it
-    // closes the listener, so a refused connect means both have happened
-    // — whether or not this connection's worker had already picked the
-    // half-request up when the wake ran.
+    // The drain sets its flag before it closes the listener, so a refused
+    // connect means the drain has begun — whether or not this
+    // connection's worker had already picked the half-request up.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while TcpStream::connect(addr).is_ok() {
         assert!(
@@ -408,11 +407,9 @@ fn drain_completes_in_flight_requests_and_refuses_new_connections() {
 
 #[test]
 fn drain_wakes_parked_keepalive_connections_immediately() {
-    // Regression for the idle-wait rework: the between-requests wait is
-    // now one blocking read with the OS socket timeout set to the whole
-    // remaining idle budget (no 25ms poll slices), so a drain must
-    // actively wake parked connections — otherwise shutdown would sit
-    // out the idle budget (60s here) or bust the drain deadline.
+    // A parked keep-alive wait must notice a drain long before its idle
+    // budget runs out — otherwise shutdown would sit out the idle budget
+    // (60s here) or bust the drain deadline.
     let server = SchemrServer::start(
         engine(),
         ServerConfig {
