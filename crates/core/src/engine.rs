@@ -1586,7 +1586,8 @@ mod tests {
         let cold = cached.search(&request).unwrap();
         let warm = cached.search(&request).unwrap();
         assert!(cached.metrics().match_artifact_cache_hits.get() > 0);
-        // A generation bump makes every cached bundle stale.
+        // A new matcher set comes with an empty artifact cache: every
+        // bundle is prepared again, by the set that scores it.
         cached.set_ensemble(with_edit());
         let restamped = cached.search(&request).unwrap();
         assert!(cached.metrics().match_artifact_cache_invalidations.get() >= 1);
@@ -1784,7 +1785,7 @@ mod tests {
         sequential.set_ensemble(Ensemble::standard());
         race(&raced);
         warm_sequentially(&sequential);
-        compare(&raced, &sequential, "after a generation bump");
+        compare(&raced, &sequential, "after a matcher-set swap");
     }
 
     #[test]

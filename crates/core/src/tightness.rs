@@ -103,9 +103,9 @@ pub fn tightness_of_fit(
 }
 
 /// The tables tightness-of-fit fills for a candidate, kept from one
-/// candidate to the next by whoever scores a run of them (one per Phase 2
-/// chunk in the engine), so a candidate costs no allocation unless it
-/// outgrows every one before it.
+/// candidate to the next by whoever scores a run of them (one per search
+/// in the engine), so a candidate costs no allocation unless it outgrows
+/// every one before it.
 #[derive(Debug, Default)]
 pub struct TightnessScratch {
     /// Matched elements: `(element, best row, column max)`.

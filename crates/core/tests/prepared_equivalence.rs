@@ -1,18 +1,15 @@
 //! The artifact-cache equivalence oracle.
 //!
 //! Phase 2 has one scoring path; what varies is where a candidate's
-//! prepared artifacts come from — the revision-keyed cache, a fresh
-//! build, or a rebuild after a stale bundle. None of that may change a
-//! single bit of any similarity matrix or final score. Two layers of
-//! checks enforce it over a generated corpus:
+//! prepared artifacts come from — the revision-keyed cache or a fresh
+//! build. None of that may change a single bit of any similarity matrix
+//! or final score. Two layers of checks enforce it over a generated
+//! corpus:
 //!
-//! * ensemble level — `Ensemble::run` handed stale bundles (built for a
-//!   different matcher set, so a length mismatch) rebuilds them and
-//!   reproduces the fresh-artifact matrices bitwise, for keyword and
-//!   fragment queries across corpus schemas; and the name and token
-//!   matchers' matrices equal their public string-set scalar references
-//!   cell by cell (the context matcher's reference is private to its
-//!   own unit tests);
+//! * ensemble level — for keyword and fragment queries across corpus
+//!   schemas, the name and token matchers' matrices equal their public
+//!   string-set scalar references cell by cell (the context matcher's
+//!   reference is private to its own unit tests);
 //! * engine level — an engine with the artifact cache enabled and one
 //!   with it disabled (`match_artifact_cache_bytes: 0`: artifacts built
 //!   per search, in a lexicon that lives for that search) return
@@ -29,7 +26,7 @@ use std::sync::Arc;
 
 use schemr::{EngineConfig, SchemrEngine, SearchRequest};
 use schemr_corpus::{Corpus, CorpusConfig};
-use schemr_match::{Ensemble, MatchScratch, NameMatcher, TokenMatcher};
+use schemr_match::{Ensemble, NameMatcher, TokenMatcher};
 use schemr_model::{DataType, QueryGraph, SchemaBuilder, SchemaId};
 use schemr_repo::Repository;
 use schemr_text::{Analyzer, Lexicon};
@@ -68,15 +65,12 @@ fn query_for(corpus: &Corpus, i: usize) -> SearchRequest {
 }
 
 #[test]
-fn stale_bundles_rebuild_and_matrices_equal_their_scalar_references_bitwise() {
+fn matrices_equal_their_scalar_references_bitwise() {
     let corpus = Corpus::generate(&CorpusConfig::small(11));
     let n = corpus.schemas.len();
     assert!(n >= 10, "corpus too small to be a test");
     let mut ensemble = Ensemble::standard();
     ensemble.push(Box::new(TokenMatcher::new()), 0.5);
-    // Bundles as the two-matcher standard ensemble prepares them: what a
-    // cache entry from before a matcher-set change would hold.
-    let old_set = Ensemble::standard();
     let (name, token) = (NameMatcher::new(), TokenMatcher::new());
 
     for i in (0..n).step_by(4) {
@@ -86,41 +80,10 @@ fn stale_bundles_rebuild_and_matrices_equal_their_scalar_references_bitwise() {
         q.add_keyword(corpus.schemas[i].title.clone());
         q.add_fragment(corpus.schemas[(i + 1) % n].schema.clone());
         let terms = q.terms();
-        let equery = ensemble.prepare_query(&terms, &q);
-        let stale_query = old_set.prepare_query(&terms, &q);
-        // One lexicon and one scratch per side for the whole candidate
-        // run, as a Phase 2 chunk has: memos carry over between
-        // candidates while the lexicon keeps growing.
-        let lexicon = Lexicon::new();
-        let mut scratch = MatchScratch::new(&equery, &lexicon);
-        let mut stale_scratch = MatchScratch::new(&stale_query, &lexicon);
-        for j in (0..n).step_by(3) {
+        // The string-set references are slow; every sixth candidate is
+        // plenty.
+        for j in (0..n).step_by(6) {
             let candidate = &corpus.schemas[j].schema;
-            let pcand = ensemble.prepare(candidate, &lexicon);
-            let stale_cand = old_set.prepare(candidate, &lexicon);
-            let fresh = ensemble.run(&terms, &q, &pcand, candidate, &mut scratch, true);
-            let rebuilt =
-                ensemble.run(&terms, &q, &stale_cand, candidate, &mut stale_scratch, true);
-            assert_eq!(fresh.matrix.rows(), rebuilt.matrix.rows());
-            assert_eq!(fresh.matrix.cols(), rebuilt.matrix.cols());
-            for r in 0..fresh.matrix.rows() {
-                for c in 0..fresh.matrix.cols() {
-                    assert_eq!(
-                        rebuilt.matrix.get(r, c).to_bits(),
-                        fresh.matrix.get(r, c).to_bits(),
-                        "query {i} × candidate {j}, cell ({r},{c})"
-                    );
-                }
-            }
-            assert_eq!(rebuilt.strengths.len(), 3);
-            for (s, t) in rebuilt.strengths.iter().zip(fresh.strengths.iter()) {
-                assert_eq!(s.to_bits(), t.to_bits(), "query {i} × candidate {j}");
-            }
-            // The string-set references are slow; every other candidate
-            // is plenty.
-            if j % 2 == 1 {
-                continue;
-            }
             let per = ensemble.individual(&terms, &q, candidate);
             assert_eq!((per[0].0, per[2].0), ("name", "token"));
             for (r, term) in terms.iter().enumerate() {

@@ -154,9 +154,7 @@ impl Ensemble {
     }
 
     /// Score every matcher into its matrix of `scratch`, adding each
-    /// one's wall time to `wall` (registration order). An artifact bundle
-    /// built for a different matcher set (length mismatch) must not be
-    /// zipped positionally; it is rebuilt here.
+    /// one's wall time to `wall` (registration order).
     fn score_each(
         &self,
         terms: &[QueryTerm],
@@ -166,20 +164,6 @@ impl Ensemble {
         scratch: &mut MatchScratch<'_>,
         wall: &mut [Duration],
     ) {
-        let rebuilt_query;
-        let equery = if scratch.equery.per_matcher.len() == self.matchers.len() {
-            scratch.equery
-        } else {
-            rebuilt_query = self.prepare_query(terms, query);
-            &rebuilt_query
-        };
-        let rebuilt_cand;
-        let pcand = if pcand.per_matcher.len() == self.matchers.len() {
-            pcand
-        } else {
-            rebuilt_cand = self.prepare(candidate, scratch.lexicon);
-            &rebuilt_cand
-        };
         let lexicon = scratch.lexicon;
         scratch
             .per_matcher
@@ -190,7 +174,7 @@ impl Ensemble {
         for ((((m, _), (pq, ps)), (own, matrix)), wall) in self
             .matchers
             .iter()
-            .zip(equery.per_matcher.iter().zip(&pcand.per_matcher))
+            .zip(scratch.equery.per_matcher.iter().zip(&pcand.per_matcher))
             .zip(scratch.per_matcher.iter_mut().zip(&mut scratch.matrices))
             .zip(wall)
         {
@@ -213,8 +197,15 @@ impl Ensemble {
     ///
     /// `scratch` names the query artifacts and the lexicon, and keeps the
     /// matchers' memos and the matrices from one candidate to the next.
-    /// `pcand` must have been prepared in that lexicon, and one scratch
-    /// serves one (`terms`, `query`): the memos are keyed by its words.
+    /// Both bundles are this ensemble's own: the scratch's query
+    /// artifacts are what [`Ensemble::prepare_query`] built for
+    /// (`terms`, `query`), and `pcand` is what [`Ensemble::prepare`]
+    /// built for `candidate` in the scratch's lexicon. One scratch serves
+    /// one (`terms`, `query`): the memos are keyed by its words.
+    ///
+    /// # Panics
+    /// Panics if `wall` or either bundle does not hold one entry per
+    /// matcher.
     #[allow(clippy::too_many_arguments)]
     pub fn run_into<'s>(
         &self,
@@ -227,6 +218,16 @@ impl Ensemble {
         strengths: Option<&mut Vec<f64>>,
     ) -> &'s SimilarityMatrix {
         assert_eq!(wall.len(), self.matchers.len(), "one wall slot per matcher");
+        assert_eq!(
+            scratch.equery.per_matcher.len(),
+            self.matchers.len(),
+            "query artifacts prepared by this ensemble: one per matcher"
+        );
+        assert_eq!(
+            pcand.per_matcher.len(),
+            self.matchers.len(),
+            "candidate artifacts prepared by this ensemble: one per matcher"
+        );
         self.score_each(terms, query, pcand, candidate, scratch, wall);
         if let Some(strengths) = strengths {
             strengths.extend(scratch.matrices.iter().map(SimilarityMatrix::mean_row_max));
@@ -282,7 +283,8 @@ impl Ensemble {
 
     /// Run every matcher, on artifacts prepared here in a lexicon of
     /// their own, and return the individual matrices (the learner's
-    /// feature extraction path).
+    /// feature extraction path): [`Ensemble::run_into`]'s per-matcher
+    /// matrices, named.
     pub fn individual(
         &self,
         terms: &[QueryTerm],
@@ -292,20 +294,20 @@ impl Ensemble {
         let lexicon = Lexicon::new();
         let equery = self.prepare_query(terms, query);
         let pcand = self.prepare(candidate, &lexicon);
-        self.matchers
-            .iter()
-            .zip(equery.per_matcher.iter().zip(&pcand.per_matcher))
-            .map(|((m, _), (pq, ps))| {
-                let scored = m.score(
-                    pq,
-                    terms,
-                    query,
-                    ps,
-                    candidate,
-                    &mut ScoreScratch::new(&lexicon),
-                );
-                (m.name(), scored)
-            })
+        let mut scratch = MatchScratch::new(&equery, &lexicon);
+        let mut wall = vec![Duration::ZERO; self.matchers.len()];
+        self.run_into(
+            terms,
+            query,
+            &pcand,
+            candidate,
+            &mut scratch,
+            &mut wall,
+            None,
+        );
+        self.matcher_names()
+            .into_iter()
+            .zip(scratch.matrices)
             .collect()
     }
 }
@@ -486,29 +488,26 @@ mod tests {
     }
 
     #[test]
-    fn run_rebuilds_artifacts_on_shape_mismatch() {
+    #[should_panic(expected = "candidate artifacts prepared by this ensemble")]
+    fn run_refuses_a_bundle_another_matcher_set_prepared() {
         let (q, terms, candidate) = query_and_candidate();
         let e = four_matcher_ensemble();
-        let fresh = run_fresh(&e, &terms, &q, &candidate, true);
-        // Artifacts built for a different matcher count must not be
-        // zipped positionally — each stale side is rebuilt, alone or
-        // together, and the pass scores the same bits.
         let lexicon = Lexicon::new();
-        let stale_query = EnsembleQuery::default();
-        let stale_cand = Ensemble::standard().prepare(&candidate, &lexicon);
-        let (equery, pcand) = (e.prepare_query(&terms, &q), e.prepare(&candidate, &lexicon));
-        for (eq, pc) in [
-            (&stale_query, &pcand),
-            (&equery, &stale_cand),
-            (&stale_query, &stale_cand),
-        ] {
-            let mut scratch = MatchScratch::new(eq, &lexicon);
-            let out = e.run(&terms, &q, pc, &candidate, &mut scratch, true);
-            assert_same_bits(&out.matrix, &fresh.matrix);
-            for (s, f) in out.strengths.iter().zip(&fresh.strengths) {
-                assert_eq!(s.to_bits(), f.to_bits());
-            }
-        }
+        // What the two-matcher standard set prepares: not this
+        // ensemble's bundle, so it is never zipped positionally.
+        let foreign = Ensemble::standard().prepare(&candidate, &lexicon);
+        let equery = e.prepare_query(&terms, &q);
+        let mut scratch = MatchScratch::new(&equery, &lexicon);
+        let mut wall = vec![Duration::ZERO; e.len()];
+        e.run_into(
+            &terms,
+            &q,
+            &foreign,
+            &candidate,
+            &mut scratch,
+            &mut wall,
+            None,
+        );
     }
 
     #[test]

@@ -68,6 +68,12 @@ pub use typematch::TypeMatcher;
 use schemr_model::{QueryGraph, QueryTerm, Schema};
 use schemr_text::{Analyzer, WordId};
 
+/// What a matcher's `score_into` panics with when an artifact it reads is
+/// absent: the artifact was not built by its own `prepare_query` /
+/// `prepare`, which [`Matcher::score_into`] requires.
+pub(crate) const NOT_PREPARED_HERE: &str =
+    "score_into reads only what this matcher's prepare_query/prepare built";
+
 /// A schema matcher: scores every (query term, candidate element) pair into
 /// a [`SimilarityMatrix`] with values in `[0, 1]`.
 pub trait Matcher: Send + Sync {
@@ -117,10 +123,10 @@ pub trait Matcher: Send + Sync {
     /// resets to `terms.len()` rows and `candidate.len()` columns first:
     /// whatever shape and values `out` held, only its buffer is reused.
     /// Row *i* corresponds to `terms[i]`; column *j* to the candidate's
-    /// element with id *j*. `prepared_query` and `prepared` are what this
-    /// matcher's [`Matcher::prepare_query`] and [`Matcher::prepare`]
-    /// returned for the same inputs; an artifact that is missing or sized
-    /// for another input is rebuilt here, so the matrix depends only on
+    /// element with id *j*. `prepared_query` and `prepared` must be what
+    /// this matcher's [`Matcher::prepare_query`] and [`Matcher::prepare`]
+    /// returned for the same inputs — a matcher reads its own artifact
+    /// fields and panics when one is absent — so the matrix depends only on
     /// `terms`, `query` and `candidate`. `scratch` carries the lexicon
     /// `prepared` was built in and whatever this matcher memoised while
     /// scoring earlier candidates against the same query; it changes how
@@ -139,9 +145,9 @@ pub trait Matcher: Send + Sync {
         out: &mut SimilarityMatrix,
     );
 
-    /// [`Matcher::score_into`] a matrix of its own — for tests and the
-    /// learner's [`Ensemble::individual`]; Phase 2 scores into the
-    /// matrices of a [`MatchScratch`].
+    /// [`Matcher::score_into`] a matrix of its own — for a matcher driven
+    /// on its own, as tests do; Phase 2 and [`Ensemble::individual`] score
+    /// into the matrices of a [`MatchScratch`].
     fn score(
         &self,
         prepared_query: &PreparedQuery,

@@ -16,9 +16,9 @@ use schemr_text::{AnalyzeScratch, Analyzer, GramSet, LexiconReader, WordId};
 
 use crate::matrix::SimilarityMatrix;
 use crate::prepare::{
-    element_words, FlatLists, PairMemo, PreparedQuery, PreparedSchema, QueryWords, ScoreScratch,
+    FlatLists, PairMemo, PreparedQuery, PreparedSchema, QueryWords, ScoreScratch,
 };
-use crate::Matcher;
+use crate::{Matcher, NOT_PREPARED_HERE};
 
 /// Name matcher configuration.
 #[derive(Debug, Clone)]
@@ -227,27 +227,8 @@ impl Matcher for NameMatcher {
         scratch: &mut ScoreScratch<'_>,
         out: &mut SimilarityMatrix,
     ) {
-        // Query words: from the per-search artifact when present, else
-        // built here.
-        let built_query;
-        let query_words = match &prepared_query.term_words {
-            Some(qw) if qw.terms.len() == terms.len() => qw,
-            _ => {
-                built_query = self.query_words(terms);
-                &built_query
-            }
-        };
-        // Element words: from the cached candidate artifact when present
-        // (the warm path — zero analysis), else interned on the fly.
-        // Before the read view below: interning takes the write lock.
-        let built_names;
-        let names = match &prepared.name_words {
-            Some(nw) if nw.len() == candidate.len() => nw,
-            _ => {
-                built_names = element_words(&self.analyzer, candidate, scratch.lexicon());
-                &built_names
-            }
-        };
+        let query_words = prepared_query.term_words.as_ref().expect(NOT_PREPARED_HERE);
+        let names = prepared.name_words.as_ref().expect(NOT_PREPARED_HERE);
         out.reset(terms.len(), candidate.len());
         let lexicon = scratch.lexicon().read();
         scratch.pairs.fit(query_words.grams.len(), lexicon.len());
@@ -382,15 +363,6 @@ mod tests {
         let q = QueryGraph::new();
         let ts = terms(&["pat_ht", "height", "description", "xyzzy"]);
         let prepared = crate::score_fresh(&matcher, &ts, &q, &schema);
-        // Empty artifacts on both sides are rebuilt inside `score`.
-        let rebuilt = matcher.score(
-            &PreparedQuery::default(),
-            &ts,
-            &q,
-            &PreparedSchema::default(),
-            &schema,
-            &mut ScoreScratch::new(&schemr_text::Lexicon::new()),
-        );
         for (r, term) in ts.iter().enumerate() {
             for (c, id) in schema.ids().enumerate() {
                 let reference = matcher.similarity(&term.text, schema.element(id).name);
@@ -400,7 +372,6 @@ mod tests {
                     "cell ({r},{c}): matrix {} vs reference {reference}",
                     prepared.get(r, c)
                 );
-                assert_eq!(rebuilt.get(r, c).to_bits(), reference.to_bits());
             }
         }
     }

@@ -390,10 +390,10 @@ impl<'a> ScoreScratch<'a> {
 /// per matcher, and the matrices [`crate::Ensemble::run_into`] writes —
 /// one per matcher and the combined one, reset for every candidate so
 /// they are allocated once a run, not once a candidate. Owned by
-/// whoever drives the run (one per Phase 2 chunk in the engine) and
-/// handed down as `&mut`, so the memos need no lock and the shared
-/// [`EnsembleQuery`] no interior mutability. Results do not depend on
-/// what a scratch already holds — only the work does.
+/// whoever drives the run (one per search in the engine, on the
+/// request's thread) and handed down as `&mut`, so the memos need no
+/// lock and the shared [`EnsembleQuery`] no interior mutability. Results
+/// do not depend on what a scratch already holds — only the work does.
 pub struct MatchScratch<'a> {
     pub(crate) equery: &'a EnsembleQuery,
     pub(crate) lexicon: &'a Lexicon,

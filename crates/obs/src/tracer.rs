@@ -93,7 +93,7 @@ impl Tracer {
             ring: Ring::new(config.ring_capacity),
             slow: Ring::new(config.slowlog_capacity),
             seq: AtomicU64::new(0),
-            slow_threshold_us: AtomicU64::new(config.slow_threshold.as_micros() as u64),
+            slow_threshold_us: AtomicU64::new(whole_micros(config.slow_threshold)),
             event_log,
             config,
         }
@@ -134,7 +134,7 @@ impl Tracer {
     /// `finish`; already-admitted traces stay in the slowlog.
     pub fn set_slow_threshold(&self, threshold: Duration) {
         self.slow_threshold_us
-            .store(threshold.as_micros() as u64, Ordering::Relaxed);
+            .store(whole_micros(threshold), Ordering::Relaxed);
     }
 
     /// Complete a trace: stamp `event` with the context's trace id and
@@ -194,6 +194,12 @@ impl Tracer {
     pub fn ring_lens(&self) -> (usize, usize) {
         (self.ring.len(), self.slow.len())
     }
+}
+
+/// `d` in whole microseconds, saturating at `u64::MAX` (≈584,542 years)
+/// instead of wrapping.
+fn whole_micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Client-supplied trace ids must be short and header/JSON-safe:
@@ -329,6 +335,29 @@ mod tests {
         let ctx = tracer.begin(None).unwrap();
         tracer.finish(ctx, outcome("fast again"));
         assert_eq!(tracer.slow(10).len(), 1, "still only the first trace");
+    }
+
+    #[test]
+    fn a_threshold_past_u64_micros_saturates_instead_of_wrapping() {
+        // 18,446,744,073,709,552 ms is 2^64 µs + 384 µs: wrapped, it
+        // would admit every search slower than 384 µs.
+        let huge = Duration::from_millis(18_446_744_073_709_552);
+        let fast = || SearchEvent {
+            total_us: 1_000,
+            ..outcome("fast")
+        };
+        let set_later = Tracer::new(TracerConfig::default());
+        set_later.set_slow_threshold(huge);
+        let from_config = Tracer::new(TracerConfig {
+            slow_threshold: huge,
+            ..TracerConfig::default()
+        });
+        for tracer in [set_later, from_config] {
+            assert_eq!(tracer.slow_threshold(), Duration::from_micros(u64::MAX));
+            let ctx = tracer.begin(None).unwrap();
+            tracer.finish(ctx, fast());
+            assert!(tracer.slow(10).is_empty());
+        }
     }
 
     #[test]

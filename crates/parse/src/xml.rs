@@ -336,6 +336,10 @@ fn decode_entities(s: &str, pos: Position) -> Result<String, ParseError> {
 }
 
 /// Escape text for inclusion in XML character data or attribute values.
+/// TAB, LF and CR are written as character references, so an attribute
+/// value keeps them through a conforming parser's normalisation; a
+/// character outside XML 1.0's `Char` production, which no document can
+/// carry even as a reference, is written as U+FFFD.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     escape_into(&mut out, s);
@@ -352,6 +356,10 @@ pub fn escape_into(out: &mut String, s: &str) {
             '>' => out.push_str("&gt;"),
             '"' => out.push_str("&quot;"),
             '\'' => out.push_str("&apos;"),
+            '\t' => out.push_str("&#9;"),
+            '\n' => out.push_str("&#10;"),
+            '\r' => out.push_str("&#13;"),
+            '\u{0}'..='\u{1F}' | '\u{FFFE}' | '\u{FFFF}' => out.push(char::REPLACEMENT_CHARACTER),
             other => out.push(other),
         }
     }

@@ -16,6 +16,33 @@ fn arb_type() -> impl Strategy<Value = DataType> {
     proptest::sample::select(DataType::ALL.to_vec())
 }
 
+/// Arbitrary strings: any Unicode scalar value, weighted toward what XML
+/// treats specially — every C0 control, U+FFFE and U+FFFF, the markup
+/// characters, and whitespace.
+fn arb_text() -> impl Strategy<Value = String> {
+    let special: Vec<char> = (0u32..0x20)
+        .filter_map(char::from_u32)
+        .chain([
+            '\u{FFFE}', '\u{FFFF}', '&', '<', '>', '"', '\'', ' ', '#', ';',
+        ])
+        .collect();
+    let one = (0u32..2, proptest::sample::select(special), 0u32..0x11_0000);
+    proptest::collection::vec(one, 0..40).prop_map(|chars| {
+        chars
+            .into_iter()
+            .map(|(pick, special, any)| match pick {
+                0 => special,
+                _ => char::from_u32(any).unwrap_or('\u{D7FF}'),
+            })
+            .collect()
+    })
+}
+
+/// XML 1.0's `Char` production (surrogates are no `char`).
+fn xml_char(c: char) -> bool {
+    matches!(c, '\t' | '\n' | '\r' | '\u{20}'..='\u{D7FF}' | '\u{E000}'..='\u{FFFD}' | '\u{10000}'..)
+}
+
 proptest! {
     /// Any schema built from identifier-safe names survives a DDL
     /// print → parse round trip with identical structure.
@@ -88,6 +115,43 @@ proptest! {
                 schemr_parse::xml::Event::Text(t) => prop_assert_eq!(t.as_str(), text.trim()),
                 other => prop_assert!(false, "expected text event, got {:?}", other),
             }
+        }
+    }
+
+    /// Escaped text holds only characters an XML document can carry, and
+    /// no raw TAB, LF or CR, which attribute-value normalisation would
+    /// turn into spaces.
+    #[test]
+    fn escape_writes_only_xml_chars(text in arb_text()) {
+        let mut out = String::new();
+        schemr_parse::xml::escape_into(&mut out, &text);
+        prop_assert!(
+            out.chars().all(|c| xml_char(c) && !matches!(c, '\t' | '\n' | '\r')),
+            "{:?} escaped to {:?}",
+            text,
+            out
+        );
+    }
+
+    /// An escaped attribute value decodes back through the in-tree parser
+    /// to the original, exactly when every character is legal, and with
+    /// U+FFFD for each one that is not.
+    #[test]
+    fn escaped_attribute_values_decode_exactly(text in arb_text()) {
+        let doc = format!("<a v=\"{}\"/>", schemr_parse::xml::escape(&text));
+        let events = XmlParser::parse_all(&doc).unwrap();
+        let expected: String = text
+            .chars()
+            .map(|c| if xml_char(c) { c } else { char::REPLACEMENT_CHARACTER })
+            .collect();
+        match &events[0] {
+            schemr_parse::xml::Event::Start { attributes, .. } => {
+                prop_assert_eq!(&attributes[0].value, &expected);
+                if text.chars().all(xml_char) {
+                    prop_assert_eq!(&attributes[0].value, &text);
+                }
+            }
+            other => prop_assert!(false, "expected a start tag, got {:?}", other),
         }
     }
 

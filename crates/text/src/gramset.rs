@@ -31,13 +31,15 @@
 //!   small side and exponentially probe + binary-search the large side:
 //!   O(|small| · log |large|) beats the linear merge on asymmetric pairs,
 //!   with or without SIMD.
-//! * **AVX2 block merge** (`simd` feature, x86-64 with runtime AVX2) —
+//! * **AVX2 block merge** (x86-64, when the CPU reports AVX2) —
 //!   compares 4×4 u64 blocks per iteration via lane rotations, advancing
 //!   whichever block exhausts first; the scalar merge finishes the tail.
-//! * **scalar merge** — the portable two-pointer fallback.
+//! * **scalar merge** — the portable two-pointer merge, on CPUs without
+//!   AVX2.
 //!
-//! The merge kernel is resolved once per process (a `OnceLock` function
-//! pointer seeded by `is_x86_feature_detected!`), never per call.
+//! The merge kernel is chosen at run time only, once per process (a
+//! `OnceLock` function pointer seeded by `is_x86_feature_detected!`),
+//! never per call; every x86-64 build compiles the AVX2 kernel.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -108,9 +110,9 @@ impl GramSet {
 
     /// `|self ∩ other|` — no allocation. Dispatches to galloping search
     /// for highly asymmetric sizes, otherwise to the process-wide merge
-    /// kernel (AVX2 block merge under the `simd` feature when the CPU
-    /// supports it, scalar two-pointer merge elsewhere). All paths return
-    /// the exact count, so coefficient scores are kernel-independent.
+    /// kernel (AVX2 block merge when the CPU supports it, scalar
+    /// two-pointer merge elsewhere). All paths return the exact count,
+    /// so coefficient scores are kernel-independent.
     pub fn intersection_size(&self, other: &GramSet) -> usize {
         let (a, b) = (self.hashes.as_slice(), other.hashes.as_slice());
         if a.is_empty() || b.is_empty() {
@@ -162,30 +164,23 @@ const GALLOP_RATIO: usize = 16;
 type MergeFn = fn(&[u64], &[u64]) -> usize;
 
 /// The process-wide merge kernel, resolved exactly once: AVX2 block merge
-/// when the `simd` feature is compiled in and the CPU reports AVX2,
-/// scalar two-pointer merge otherwise.
+/// when the CPU reports AVX2, scalar two-pointer merge otherwise.
 fn merge_kernel() -> MergeFn {
     static KERNEL: std::sync::OnceLock<MergeFn> = std::sync::OnceLock::new();
     *KERNEL.get_or_init(select_merge_kernel)
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
 fn select_merge_kernel() -> MergeFn {
+    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        avx2_merge
-    } else {
-        scalar_merge
+        return avx2_merge;
     }
-}
-
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-fn select_merge_kernel() -> MergeFn {
     scalar_merge
 }
 
 /// Safe shim with the plain `MergeFn` ABI around the `target_feature`
 /// kernel; installed only after runtime AVX2 detection.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn avx2_merge(a: &[u64], b: &[u64]) -> usize {
     // SAFETY: `select_merge_kernel` picks this path only when
     // `is_x86_feature_detected!("avx2")` held, so the required target
@@ -248,7 +243,7 @@ fn gallop_intersect(small: &[u64], large: &[u64]) -> usize {
 /// deduplicated set are distinct). Whichever block's maximum is smaller
 /// cannot match anything beyond the other block, so it advances; the
 /// scalar merge finishes the tails.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
         __m256i, _mm256_castsi256_pd, _mm256_cmpeq_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
@@ -381,11 +376,20 @@ mod tests {
         assert_eq!(b.intersection_size(a), expect);
         let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
         assert_eq!(gallop_intersect(&small.hashes, &large.hashes), expect);
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: guarded by the runtime AVX2 check above.
             assert_eq!(unsafe { avx2::merge_count(&a.hashes, &b.hashes) }, expect);
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_dispatcher_resolves_avx2_on_a_cpu_that_reports_it() {
+        assert_eq!(
+            std::ptr::fn_addr_eq(merge_kernel(), avx2_merge as MergeFn),
+            std::arch::is_x86_feature_detected!("avx2")
+        );
     }
 
     proptest::proptest! {

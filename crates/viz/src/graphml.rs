@@ -454,4 +454,68 @@ mod tests {
         assert_eq!(labels.len(), s.len());
         assert!(labels.iter().any(|l| *l == "patient"));
     }
+
+    /// Names as a repository can hold them: printable text with XML's
+    /// markup characters, TAB, LF, CR and the controls XML 1.0 cannot
+    /// carry mixed in.
+    fn arb_name() -> impl proptest::prelude::Strategy<Value = String> {
+        use proptest::prelude::Strategy;
+        let special = vec![
+            '\t', '\n', '\r', '\u{1}', '\u{8}', '\u{C}', '\u{FFFF}', '&', '<',
+        ];
+        let one = (0u32..3, proptest::sample::select(special), ".");
+        proptest::collection::vec(one, 0..12).prop_map(|parts| {
+            parts
+                .into_iter()
+                .map(|(pick, special, plain)| match pick {
+                    0 => special.to_string(),
+                    _ => plain,
+                })
+                .collect()
+        })
+    }
+
+    /// XML 1.0's `Char` production (surrogates are no `char`).
+    fn xml_char(c: char) -> bool {
+        matches!(c, '\t' | '\n' | '\r' | '\u{20}'..='\u{D7FF}' | '\u{E000}'..='\u{FFFD}' | '\u{10000}'..)
+    }
+
+    /// What an XML document can carry of `name`: U+FFFD for each
+    /// character outside XML 1.0's `Char` production.
+    fn carried(name: &str) -> String {
+        name.chars()
+            .map(|c| {
+                if xml_char(c) {
+                    c
+                } else {
+                    char::REPLACEMENT_CHARACTER
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Any schema and element names give a well-formed document whose
+        /// names come back through `from_graphml`: the schema name (an
+        /// attribute) exactly, TAB, LF and CR included; an element label
+        /// (character data, which the parser trims) once its ends are
+        /// free of whitespace.
+        #[test]
+        fn names_round_trip_through_graphml(graph in arb_name(), names in proptest::collection::vec(arb_name(), 1..5)) {
+            let names: Vec<String> = names.iter().map(|n| n.trim().to_string()).collect();
+            let mut s = schemr_model::Schema::new(graph.clone());
+            let root = s.add_root(schemr_model::Element::entity(names[0].clone()));
+            for name in &names[1..] {
+                s.add_child(root, schemr_model::Element::attribute(name.clone(), DataType::Text));
+            }
+            let xml = to_graphml(&s, &GraphmlOptions::default());
+            proptest::prop_assert!(xml.chars().all(xml_char));
+            let (back, _) = from_graphml(&xml).unwrap();
+            proptest::prop_assert_eq!(&back.name, &carried(&graph));
+            proptest::prop_assert_eq!(back.len(), names.len());
+            for (id, name) in back.ids().zip(&names) {
+                proptest::prop_assert_eq!(back.element(id).name, carried(name).trim());
+            }
+        }
+    }
 }
