@@ -565,69 +565,11 @@ impl SchemrEngine {
         if threshold <= 0.0 {
             return false;
         }
-        let index = self.index.read();
-        let (live, total) = index.doc_counts();
-        let before_ratio = (total - live) as f64 / total.max(1) as f64;
-        let started = Instant::now();
         // Runs on every scheduler tick: `merge` looks at the writer's
-        // per-segment counts and returns at once when neither rule holds.
-        let Some(outcome) = index.merge(threshold) else {
-            // Nothing to do, or a concurrent merge beat this one to the
-            // segments; nothing was lost and nothing needs recording.
-            return false;
-        };
-        let took = started.elapsed();
-        // Leave a maintenance record in the event log so offline analysis
-        // of a latency window can see the merge that ran inside it. The
-        // `<merge>` query marker keeps the record parseable by every
-        // reader of ordinary search lines.
-        if let Some(log) = self.tracer.event_log() {
-            let (live, total) = index.doc_counts();
-            let after_ratio = if total == 0 {
-                0.0
-            } else {
-                (total - live) as f64 / total as f64
-            };
-            let event = SearchEvent {
-                trace_id: format!("merge-r{}", index.revision().mutations),
-                unix_ms: std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map_or(0, |d| d.as_millis() as u64),
-                query: "<merge>".to_string(),
-                candidates_from_index: 0,
-                candidates_evaluated: 0,
-                phase_us: vec![("merge".to_string(), took.as_micros() as u64)],
-                total_us: took.as_micros() as u64,
-                results: Vec::new(),
-                cpu_us: 0,
-                alloc_count: 0,
-                alloc_bytes: 0,
-                tags: vec![
-                    (
-                        "tombstone_ratio_before".to_string(),
-                        format!("{before_ratio:.4}"),
-                    ),
-                    (
-                        "tombstone_ratio_after".to_string(),
-                        format!("{after_ratio:.4}"),
-                    ),
-                    (
-                        "docs_reclaimed".to_string(),
-                        outcome.docs_reclaimed.to_string(),
-                    ),
-                    (
-                        "segments_before".to_string(),
-                        outcome.segments_before.to_string(),
-                    ),
-                    (
-                        "segments_after".to_string(),
-                        outcome.segments_after.to_string(),
-                    ),
-                ],
-            };
-            let _ = log.append(&event);
-        }
-        true
+        // per-segment counts and returns at once when neither rule holds,
+        // or when a concurrent merge beat this one to the segments.
+        // Committed merges are counted by `schemr_index_merges_total`.
+        self.index.read().merge(threshold).is_some()
     }
 
     /// Run the full three-phase search.
@@ -756,20 +698,15 @@ impl SchemrEngine {
         let t2 = (matched.at - extracted.at).saturating_sub(tightness);
         let t3 = ranked.at - matched.at + tightness;
         // Record the phase work into the registry on every search (not just
-        // when the caller keeps the timings). Each phase histogram offers
-        // its observation as the bucket's exemplar: a p99 spike on
-        // `/metrics` then links straight to `/debug/traces/{id}`. With
-        // tracing off the id is empty and the histogram records plainly.
+        // when the caller keeps the timings).
         let m = &self.metrics;
         if results.is_empty() {
             m.search_empty_total.inc();
         }
         m.candidates_evaluated_total.add(evaluated as u64);
-        let tid = ctx.as_ref().map_or("", |c| c.trace_id());
-        m.phase_candidate_extraction
-            .observe_duration_exemplar(t1, tid);
-        m.phase_matching.observe_duration_exemplar(t2, tid);
-        m.phase_scoring.observe_duration_exemplar(t3, tid);
+        m.phase_candidate_extraction.observe_duration(t1);
+        m.phase_matching.observe_duration(t2);
+        m.phase_scoring.observe_duration(t3);
         let matchers = &s.phase2.matchers;
         for (seconds, wall) in matchers.seconds(m).iter().zip(&s.done.matcher_wall) {
             seconds.observe_duration(*wall);
@@ -790,29 +727,22 @@ impl SchemrEngine {
         });
 
         let ledger = start.spent_until(&ranked);
+        // A span annotates only what the trace's header does not already
+        // say: the query, the candidate counts, the results and the
+        // search's ledger are there once.
         let trace_id = ctx.map(|mut ctx| {
-            let query = joined_terms(s.terms);
-            let mut root = Vec::with_capacity(6);
-            root.push(attr("query", &query));
-            if let Some(wait) = s.request.queue_wait {
-                root.push(attr("queue_wait_us", wait.as_micros()));
-            }
-            // Makes empty searches findable in `/debug/traces` without
-            // opening each span tree.
-            if results.is_empty() {
-                root.push(attr("results", 0));
-            }
-            ledger_attrs(&mut root, &ledger);
-            let mut extraction = Vec::with_capacity(9);
+            let root = s
+                .request
+                .queue_wait
+                .map(|wait| attr("queue_wait_us", wait.as_micros()))
+                .into_iter()
+                .collect();
+            let mut extraction = Vec::with_capacity(8);
             match &s.probe {
-                None => {
-                    extraction.push(attr("candidate_cache", "hit"));
-                    extraction.push(attr("hits", s.candidates_from_index));
-                }
+                None => extraction.push(attr("candidate_cache", "hit")),
                 Some(probe) => {
                     extraction.push(attr("distinct_terms", probe.distinct_terms));
                     extraction.push(attr("postings_scanned", probe.postings_scanned));
-                    extraction.push(attr("hits", s.candidates_from_index));
                     if probe.pruned_lists > 0 || probe.pruned_postings > 0 {
                         extraction.push(attr("pruned_lists", probe.pruned_lists));
                         extraction.push(attr("pruned_postings", probe.pruned_postings));
@@ -821,23 +751,13 @@ impl SchemrEngine {
                 }
             }
             ledger_attrs(&mut extraction, &start.spent_until(&extracted));
-            let mut matching = Vec::with_capacity(7);
-            matching.push(attr("candidates", evaluated));
+            let mut matching = Vec::with_capacity(5);
             if s.phase2.artifacts.enabled() {
-                // "hit" only when every candidate's artifacts came from
-                // the cache.
-                let outcome = if s.done.artifact_misses == 0 {
-                    "hit"
-                } else {
-                    "miss"
-                };
-                matching.push(attr("artifact_cache", outcome));
                 matching.push(attr("artifact_hits", s.done.artifact_hits));
                 matching.push(attr("artifact_misses", s.done.artifact_misses));
             }
             ledger_attrs(&mut matching, &extracted.spent_until(&matched));
-            let mut ranking = Vec::with_capacity(4);
-            ranking.push(attr("results", results.len()));
+            let mut ranking = Vec::with_capacity(3);
             ledger_attrs(&mut ranking, &matched.spent_until(&ranked));
 
             // The root holds the three phases laid end to end, each span
@@ -856,7 +776,7 @@ impl SchemrEngine {
 
             let us = |d: Duration| d.as_micros() as u64;
             let event = SearchEvent {
-                query,
+                query: joined_terms(s.terms),
                 candidates_from_index: s.candidates_from_index,
                 candidates_evaluated: evaluated,
                 phase_us: PHASES
@@ -1651,32 +1571,21 @@ mod tests {
     fn matching_spans_report_the_artifact_cache_outcome() {
         let engine = SchemrEngine::new(clinic_repo());
         engine.reindex_full();
-        engine
-            .search_detailed(&SearchRequest::keywords(["gender"]).with_trace_id("art-cold"))
-            .unwrap();
-        let cold = engine.tracer().get("art-cold").unwrap();
-        let batch = cold
-            .spans
-            .iter()
-            .find(|s| s.attrs.iter().any(|(k, _)| k == "artifact_cache"))
-            .expect("a batch span carries the artifact_cache annotation");
-        assert!(batch
-            .attrs
-            .iter()
-            .any(|(k, v)| k == "artifact_cache" && v == "miss"));
-        engine
-            .search_detailed(&SearchRequest::keywords(["gender"]).with_trace_id("art-warm"))
-            .unwrap();
-        let warm = engine.tracer().get("art-warm").unwrap();
-        let batch = warm
-            .spans
-            .iter()
-            .find(|s| s.attrs.iter().any(|(k, _)| k == "artifact_cache"))
-            .unwrap();
-        assert!(batch
-            .attrs
-            .iter()
-            .any(|(k, v)| k == "artifact_cache" && v == "hit"));
+        let misses = |trace_id: &str| -> u64 {
+            engine
+                .search_detailed(&SearchRequest::keywords(["gender"]).with_trace_id(trace_id))
+                .unwrap();
+            let trace = engine.tracer().get(trace_id).unwrap();
+            let (_, v) = trace
+                .spans
+                .iter()
+                .flat_map(|s| &s.attrs)
+                .find(|(k, _)| k == "artifact_misses")
+                .expect("the matching span carries artifact_misses");
+            v.parse().unwrap()
+        };
+        assert!(misses("art-cold") > 0);
+        assert_eq!(misses("art-warm"), 0);
     }
 
     /// Fifteen schemas that all reach Phase 2 for `patient archive`:

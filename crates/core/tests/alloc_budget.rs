@@ -10,7 +10,8 @@
 //!   get a `matches` list, so what is left to grow is a few doublings of
 //!   the loop's flat arenas;
 //! * a warm untraced search over 50 candidates allocates at most
-//!   [`WARM_SEARCH_CEILING`] times;
+//!   [`WARM_SEARCH_CEILING`] times, and a traced one at most
+//!   [`WARM_TRACED_SEARCH_CEILING`] times;
 //! * a warm [`Ensemble::run_into`] plus tightness-of-fit over a second
 //!   candidate of the same shape allocates nothing at all.
 //!
@@ -53,6 +54,12 @@ const PER_EXTRA_CANDIDATES: u64 = 16;
 /// A second match thread cost ≈45–70 more (a spawn, a join and a second
 /// scratch), which this ceiling would catch.
 const WARM_SEARCH_CEILING: u64 = 126;
+
+/// What the same search may allocate traced: 199, measured (debug and
+/// release alike) once a span stopped repeating the trace header's
+/// facts and the histograms stopped holding trace ids, plus 5. Before
+/// that it took 217.
+const WARM_TRACED_SEARCH_CEILING: u64 = 204;
 
 /// Attribute names the schemas draw from, so candidates differ in shape
 /// and in the words the matchers meet.
@@ -146,12 +153,15 @@ fn a_warm_search_allocates_per_request_not_per_candidate() {
             many <= few + PER_EXTRA_CANDIDATES,
             "traced {traced}: {few} allocations over 50 candidates, {many} over 200"
         );
-        if !traced {
-            assert!(
-                few <= WARM_SEARCH_CEILING,
-                "{few} allocations over 50 candidates, ceiling {WARM_SEARCH_CEILING}"
-            );
-        }
+        let ceiling = if traced {
+            WARM_TRACED_SEARCH_CEILING
+        } else {
+            WARM_SEARCH_CEILING
+        };
+        assert!(
+            few <= ceiling,
+            "traced {traced}: {few} allocations over 50 candidates, ceiling {ceiling}"
+        );
     }
 }
 

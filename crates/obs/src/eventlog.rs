@@ -18,7 +18,7 @@
 
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -111,12 +111,6 @@ pub struct SearchEvent {
     pub alloc_count: u64,
     /// Bytes requested from the allocator (ledger).
     pub alloc_bytes: u64,
-    /// Free-form `(key, value)` annotations. Empty for ordinary search
-    /// records; maintenance records (e.g. `query = "<merge>"`) carry
-    /// their before/after measurements here. Serialized only when
-    /// non-empty, so ordinary lines are unchanged and old readers that
-    /// ignore unknown fields keep parsing.
-    pub tags: Vec<(String, String)>,
 }
 
 impl DeepSize for SearchEvent {
@@ -125,7 +119,6 @@ impl DeepSize for SearchEvent {
             + self.query.deep_size_of_children()
             + self.phase_us.deep_size_of_children()
             + self.results.deep_size_of_children()
-            + self.tags.deep_size_of_children()
     }
 }
 
@@ -160,23 +153,13 @@ impl SearchEvent {
             }
             out.push_str(&r.to_json());
         }
-        out.push(']');
-        if !self.tags.is_empty() {
-            out.push_str(",\"tags\":{");
-            for (i, (key, value)) in self.tags.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":\"{}\"", json::escape(key), json::escape(value));
-            }
-            out.push('}');
-        }
-        out.push('}');
+        out.push_str("]}");
         out
     }
 
     /// Parse one JSONL line back into a record. Returns `None` for lines
     /// that don't parse or miss required fields (replay skips them).
+    /// Unknown fields are ignored.
     pub fn from_json_line(line: &str) -> Option<SearchEvent> {
         let v = Json::parse(line.trim()).ok()?;
         // Unknown future versions are still read best-effort; the
@@ -212,16 +195,6 @@ impl SearchEvent {
         let cpu_us = v.get("cpu_us").and_then(Json::as_u64).unwrap_or(0);
         let alloc_count = v.get("alloc_count").and_then(Json::as_u64).unwrap_or(0);
         let alloc_bytes = v.get("alloc_bytes").and_then(Json::as_u64).unwrap_or(0);
-        let tags = v
-            .get("tags")
-            .and_then(Json::as_obj)
-            .map(|fields| {
-                fields
-                    .iter()
-                    .filter_map(|(k, val)| Some((k.clone(), val.as_str()?.to_string())))
-                    .collect()
-            })
-            .unwrap_or_default();
         Some(SearchEvent {
             trace_id,
             unix_ms,
@@ -234,7 +207,6 @@ impl SearchEvent {
             cpu_us,
             alloc_count,
             alloc_bytes,
-            tags,
         })
     }
 }
@@ -265,7 +237,9 @@ impl EventLog {
     /// Open (creating if needed) the log at `path`. `max_bytes` bounds
     /// the size of the active file; a record that would push it past the
     /// bound triggers rotation first. Rotated files never exceed
-    /// `max_bytes` plus one record.
+    /// `max_bytes` plus one record. A file whose last record was torn
+    /// (no trailing newline) gets one first, so the torn bytes stay on
+    /// their own line and the next record is not glued onto them.
     pub fn open(path: impl Into<PathBuf>, max_bytes: u64) -> io::Result<EventLog> {
         let path = path.into();
         if let Some(parent) = path.parent() {
@@ -273,8 +247,21 @@ impl EventLog {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let written = file.metadata()?.len();
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(&path)?;
+        let mut written = file.metadata()?.len();
+        if written > 0 {
+            let mut last = [0u8];
+            file.seek(SeekFrom::End(-1))?;
+            file.read_exact(&mut last)?;
+            if last[0] != b'\n' {
+                file.write_all(b"\n")?;
+                written += 1;
+            }
+        }
         Ok(EventLog {
             path,
             max_bytes: max_bytes.max(1),
@@ -345,7 +332,9 @@ fn rotated_path(path: &Path, n: u64) -> PathBuf {
 /// Replay reader: read every record for the log at `path` (rotated files
 /// in order, then the active file). Standalone so the CLI can read a log
 /// without opening it for writing. A path with neither an active file
-/// nor rotated siblings is `NotFound`, not an empty log.
+/// nor rotated siblings is `NotFound`, not an empty log. Lines that are
+/// not UTF-8 (a record torn inside a character) or do not parse are
+/// skipped.
 pub fn read_events_at(path: &Path) -> io::Result<Vec<SearchEvent>> {
     let mut files: Vec<PathBuf> = Vec::new();
     for n in 1.. {
@@ -366,13 +355,12 @@ pub fn read_events_at(path: &Path) -> io::Result<Vec<SearchEvent>> {
     }
     let mut events = Vec::new();
     for file in files {
-        let reader = BufReader::new(File::open(&file)?);
-        for line in reader.lines() {
+        for line in BufReader::new(File::open(&file)?).split(b'\n') {
             let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Some(event) = SearchEvent::from_json_line(&line) {
+            if let Some(event) = std::str::from_utf8(&line)
+                .ok()
+                .and_then(SearchEvent::from_json_line)
+            {
                 events.push(event);
             }
         }
@@ -405,7 +393,6 @@ mod tests {
             cpu_us: 650,
             alloc_count: 42,
             alloc_bytes: 16_384,
-            tags: Vec::new(),
         }
     }
 
@@ -421,41 +408,22 @@ mod tests {
     fn round_trips_records() {
         let event = sample(3);
         let line = event.to_json();
-        assert!(!line.contains("\"tags\""), "empty tags are not serialized");
         let parsed = SearchEvent::from_json_line(&line).expect("parses");
         assert_eq!(parsed, event);
     }
 
     #[test]
-    fn tagged_maintenance_records_round_trip() {
-        // The shape `maybe_merge` writes: a `<merge>` query with the
-        // before/after measurements as tags and no results.
-        let event = SearchEvent {
-            trace_id: "merge-r3".into(),
-            unix_ms: 2_000,
-            query: "<merge>".into(),
-            candidates_from_index: 0,
-            candidates_evaluated: 0,
-            phase_us: vec![("merge".into(), 1_234)],
-            total_us: 1_234,
-            results: Vec::new(),
-            cpu_us: 0,
-            alloc_count: 0,
-            alloc_bytes: 0,
-            tags: vec![
-                ("tombstone_ratio_before".into(), "0.400".into()),
-                ("tombstone_ratio_after".into(), "0.000".into()),
-            ],
-        };
-        let line = event.to_json();
-        assert!(line.contains("\"tags\""), "{line}");
-        let parsed = SearchEvent::from_json_line(&line).expect("parses");
-        assert_eq!(parsed, event);
-        // Readers of pre-tags logs: a line without tags parses to empty.
-        assert!(SearchEvent::from_json_line(&sample(0).to_json())
-            .unwrap()
-            .tags
-            .is_empty());
+    fn a_line_an_earlier_build_wrote_with_tags_still_parses() {
+        // Earlier builds wrote a `tags` object on maintenance records;
+        // the reader ignores it like any other unknown field.
+        let old = "{\"v\":1,\"trace_id\":\"merge-r3\",\"unix_ms\":2000,\"query\":\"q\",\
+                   \"total_us\":1234,\"phases\":{\"merge\":1234},\"results\":[],\
+                   \"tags\":{\"tombstone_ratio_before\":\"0.400\"}}";
+        let parsed = SearchEvent::from_json_line(old).expect("parses");
+        assert_eq!(parsed.trace_id, "merge-r3");
+        assert_eq!(parsed.total_us, 1_234);
+        assert_eq!(parsed.phase_us, vec![("merge".to_string(), 1_234)]);
+        assert!(!parsed.to_json().contains("tags"));
     }
 
     #[test]

@@ -1,28 +1,7 @@
-//! Fixed-bucket latency histograms with lock-free observation and
-//! optional per-bucket exemplars.
+//! Fixed-bucket latency histograms with lock-free observation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
-
-/// An exemplar window: within it, only a *worse* (larger) observation
-/// replaces a bucket's exemplar; after it, any observation does. Keeps
-/// the p99-spike trace id around long enough to scrape, without pinning
-/// a stale one forever.
-pub const EXEMPLAR_WINDOW: Duration = Duration::from_secs(60);
-
-/// A trace-linked observation attached to one histogram bucket — the
-/// OpenMetrics exemplar: "the worst thing this bucket saw recently, and
-/// the trace that explains it".
-#[derive(Debug, Clone, PartialEq)]
-pub struct Exemplar {
-    /// Trace id of the observation (`/debug/traces/{id}`).
-    pub trace_id: String,
-    /// The observed value (seconds, for latency histograms).
-    pub value: f64,
-    /// When it was observed, ms since the Unix epoch.
-    pub unix_ms: u64,
-}
+use std::time::Duration;
 
 /// Default latency buckets in seconds — tuned for an interactive search
 /// engine: sub-millisecond index probes up to multi-second cold queries.
@@ -45,10 +24,6 @@ pub struct Histogram {
     /// Per-bucket counts (same length as `bounds`, non-cumulative), plus
     /// one trailing slot for the `+Inf` bucket.
     buckets: Vec<AtomicU64>,
-    /// Per-bucket exemplar slots (same length as `buckets`). Only
-    /// touched by [`Histogram::observe_exemplar`]; plain `observe` stays
-    /// wait-free.
-    exemplars: Vec<Mutex<Option<Exemplar>>>,
     count: AtomicU64,
     sum_bits: AtomicU64,
 }
@@ -69,7 +44,6 @@ impl Histogram {
         Histogram {
             bounds: bounds.to_vec(),
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            exemplars: (0..=bounds.len()).map(|_| Mutex::new(None)).collect(),
             count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0f64.to_bits()),
         }
@@ -114,45 +88,6 @@ impl Histogram {
         self.observe(d.as_secs_f64());
     }
 
-    /// Record one observation and offer it as the exemplar for its
-    /// bucket. Within [`EXEMPLAR_WINDOW`] the worst (largest)
-    /// observation wins; once the held exemplar ages out, any
-    /// observation replaces it.
-    pub fn observe_exemplar(&self, value: f64, trace_id: &str) {
-        self.observe(value);
-        if trace_id.is_empty() {
-            return;
-        }
-        let ix = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        let now_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map_or(0, |d| d.as_millis() as u64);
-        let mut slot = self.exemplars[ix].lock().expect("exemplar lock");
-        let replace = match &*slot {
-            None => true,
-            Some(held) => {
-                value >= held.value
-                    || now_ms.saturating_sub(held.unix_ms) > EXEMPLAR_WINDOW.as_millis() as u64
-            }
-        };
-        if replace {
-            *slot = Some(Exemplar {
-                trace_id: trace_id.to_string(),
-                value,
-                unix_ms: now_ms,
-            });
-        }
-    }
-
-    /// Record a duration with its trace id as the exemplar candidate.
-    pub fn observe_duration_exemplar(&self, d: Duration, trace_id: &str) {
-        self.observe_exemplar(d.as_secs_f64(), trace_id);
-    }
-
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -171,11 +106,6 @@ impl Histogram {
                 .buckets
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            exemplars: self
-                .exemplars
-                .iter()
-                .map(|e| e.lock().expect("exemplar lock").clone())
                 .collect(),
             count: self.count(),
             sum: self.sum(),
@@ -196,9 +126,6 @@ pub struct HistogramSnapshot {
     /// Non-cumulative per-bucket counts; the last entry is the `+Inf`
     /// bucket.
     pub counts: Vec<u64>,
-    /// Per-bucket exemplars (same length as `counts`); `None` where no
-    /// exemplar-carrying observation landed.
-    pub exemplars: Vec<Option<Exemplar>>,
     /// Total observations.
     pub count: u64,
     /// Sum of observed values.
@@ -341,42 +268,5 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_bounds_are_rejected() {
         Histogram::new(&[2.0, 1.0]);
-    }
-
-    #[test]
-    fn worst_observation_wins_the_bucket_exemplar() {
-        let h = Histogram::new(&[1.0, 10.0]);
-        h.observe_exemplar(2.0, "trace-a");
-        h.observe_exemplar(5.0, "trace-b"); // same bucket, worse
-        h.observe_exemplar(3.0, "trace-c"); // same bucket, better: loses
-        h.observe_exemplar(0.5, "trace-d"); // different bucket
-        let s = h.snapshot();
-        assert_eq!(s.count, 4);
-        let b0 = s.exemplars[0].as_ref().expect("bucket 0 exemplar");
-        assert_eq!(b0.trace_id, "trace-d");
-        let b1 = s.exemplars[1].as_ref().expect("bucket 1 exemplar");
-        assert_eq!(b1.trace_id, "trace-b");
-        assert_eq!(b1.value, 5.0);
-        assert!(s.exemplars[2].is_none(), "+Inf bucket untouched");
-    }
-
-    #[test]
-    fn plain_observe_records_no_exemplar() {
-        let h = Histogram::new(&[1.0]);
-        h.observe(0.5);
-        h.observe_exemplar(0.5, ""); // empty trace id: counted, no exemplar
-        let s = h.snapshot();
-        assert_eq!(s.count, 2);
-        assert!(s.exemplars.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn overflow_values_exemplar_the_inf_bucket() {
-        let h = Histogram::new(&[1.0]);
-        h.observe_exemplar(42.0, "spike");
-        let s = h.snapshot();
-        let inf = s.exemplars[1].as_ref().expect("+Inf exemplar");
-        assert_eq!(inf.trace_id, "spike");
-        assert!(inf.unix_ms > 0);
     }
 }

@@ -34,8 +34,6 @@
 //! * [`ResourceLedger`] / [`LedgerProbe`] — per-query CPU time (via
 //!   `CLOCK_THREAD_CPUTIME_ID`) and allocator traffic (via the
 //!   [`alloc::CountingAlloc`] counting allocator, feature `obs-alloc`),
-//! * [`Exemplar`] — per-bucket histogram exemplars linking latency
-//!   spikes to the trace that caused them (OpenMetrics syntax),
 //! * [`SloTracker`] — rolling 5m/1h latency- and error-budget burn
 //!   rates against configurable objectives.
 //!
@@ -63,7 +61,7 @@ pub mod tracer;
 pub use alloc::CountingAlloc;
 pub use counter::Counter;
 pub use eventlog::{read_events_at, EventLog, EventResult, SearchEvent, EVENT_SCHEMA_VERSION};
-pub use histogram::{Exemplar, Histogram, HistogramSnapshot, LATENCY_BUCKETS};
+pub use histogram::{Histogram, HistogramSnapshot, LATENCY_BUCKETS};
 pub use ledger::{thread_clock_cost, thread_cpu_us, CpuProbeDepth, LedgerProbe, ResourceLedger};
 pub use memsize::DeepSize;
 pub use registry::{LabelSet, MetricsRegistry};

@@ -2,7 +2,6 @@
 
 use std::fmt::Write;
 
-use crate::histogram::Exemplar;
 use crate::registry::{LabelSet, MetricsRegistry, Series};
 
 /// Escape a HELP string: backslash and newline.
@@ -34,23 +33,6 @@ fn render_labels(set: &LabelSet, extra: Option<(&str, &str)>) -> String {
     }
 }
 
-/// Append OpenMetrics exemplar syntax (` # {trace_id="…"} value ts`)
-/// when the bucket holds one. Buckets without exemplars render exactly
-/// as before, so the Prometheus-0.0.4 exposition stays byte-identical
-/// unless exemplars were actually recorded.
-fn write_exemplar(out: &mut String, exemplar: Option<&Option<Exemplar>>) {
-    if let Some(Some(e)) = exemplar {
-        let _ = write!(
-            out,
-            " # {{trace_id=\"{}\"}} {} {}.{:03}",
-            escape_label_value(&e.trace_id),
-            e.value,
-            e.unix_ms / 1000,
-            e.unix_ms % 1000,
-        );
-    }
-}
-
 pub(crate) fn render(registry: &MetricsRegistry) -> String {
     let families = registry.families.read().expect("metrics lock");
     let mut out = String::new();
@@ -65,24 +47,20 @@ pub(crate) fn render(registry: &MetricsRegistry) -> String {
                 Series::Histogram(h) => {
                     let snap = h.snapshot();
                     let cumulative = snap.cumulative();
-                    for (i, (bound, cum)) in snap.bounds.iter().zip(&cumulative).enumerate() {
+                    for (bound, cum) in snap.bounds.iter().zip(&cumulative) {
                         let le = format!("{bound}");
-                        let _ = write!(
+                        let _ = writeln!(
                             out,
                             "{name}_bucket{} {cum}",
                             render_labels(labels, Some(("le", &le)))
                         );
-                        write_exemplar(&mut out, snap.exemplars.get(i));
-                        out.push('\n');
                     }
-                    let _ = write!(
+                    let _ = writeln!(
                         out,
                         "{name}_bucket{} {}",
                         render_labels(labels, Some(("le", "+Inf"))),
                         snap.count
                     );
-                    write_exemplar(&mut out, snap.exemplars.get(snap.bounds.len()));
-                    out.push('\n');
                     let _ = writeln!(
                         out,
                         "{name}_sum{} {}",
@@ -158,37 +136,6 @@ mod tests {
              schemr_phase_seconds_sum{phase=\"matching\"} 2.055\n\
              schemr_phase_seconds_count{phase=\"matching\"} 3\n"
         );
-    }
-
-    #[test]
-    fn exemplars_render_openmetrics_syntax() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram_with(
-            "schemr_http_request_seconds",
-            "Request latency.",
-            &[("route", "/search")],
-            &[0.01, 0.1],
-        );
-        h.observe(0.005); // no exemplar on this bucket
-        h.observe_exemplar(0.05, "t42");
-        let text = reg.render_prometheus();
-        // The exemplar-free bucket renders exactly as before…
-        assert!(
-            text.contains("schemr_http_request_seconds_bucket{route=\"/search\",le=\"0.01\"} 1\n"),
-            "{text}"
-        );
-        // …and the exemplar-carrying one appends OpenMetrics syntax.
-        let line = text
-            .lines()
-            .find(|l| l.contains("le=\"0.1\""))
-            .expect("0.1 bucket line");
-        assert!(
-            line.contains("} 2 # {trace_id=\"t42\"} 0.05 "),
-            "exemplar syntax wrong: {line}"
-        );
-        // Timestamp is seconds.millis.
-        let ts = line.rsplit(' ').next().unwrap();
-        assert!(ts.contains('.') && ts.len() > 4, "timestamp: {ts}");
     }
 
     #[test]

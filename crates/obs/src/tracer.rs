@@ -66,9 +66,6 @@ impl TracerConfig {
 #[derive(Debug)]
 pub struct Tracer {
     config: TracerConfig,
-    /// Slowlog admission threshold in µs — atomic so `POST
-    /// /debug/slowlog` can adjust it at runtime.
-    slow_threshold_us: AtomicU64,
     seq: AtomicU64,
     ring: Ring<CompletedTrace>,
     slow: Ring<CompletedTrace>,
@@ -93,7 +90,6 @@ impl Tracer {
             ring: Ring::new(config.ring_capacity),
             slow: Ring::new(config.slowlog_capacity),
             seq: AtomicU64::new(0),
-            slow_threshold_us: AtomicU64::new(whole_micros(config.slow_threshold)),
             event_log,
             config,
         }
@@ -124,19 +120,6 @@ impl Tracer {
         Some(TraceContext::new(id))
     }
 
-    /// The current slowlog admission threshold.
-    pub fn slow_threshold(&self) -> Duration {
-        Duration::from_micros(self.slow_threshold_us.load(Ordering::Relaxed))
-    }
-
-    /// Adjust the slowlog admission threshold at runtime (`POST
-    /// /debug/slowlog?threshold_ms=N`). Takes effect for the next
-    /// `finish`; already-admitted traces stay in the slowlog.
-    pub fn set_slow_threshold(&self, threshold: Duration) {
-        self.slow_threshold_us
-            .store(whole_micros(threshold), Ordering::Relaxed);
-    }
-
     /// Complete a trace: stamp `event` with the context's trace id and
     /// start time, publish it with the context's spans to the recent
     /// ring, admit it to the slowlog if its `total_us` is over threshold,
@@ -150,7 +133,7 @@ impl Tracer {
             spans: ctx.spans,
         });
         self.ring.push(Arc::clone(&trace));
-        if trace.event.total_us >= self.slow_threshold_us.load(Ordering::Relaxed) {
+        if Duration::from_micros(trace.event.total_us) >= self.config.slow_threshold {
             self.slow.push(Arc::clone(&trace));
         }
         if let Some(log) = &self.event_log {
@@ -194,12 +177,6 @@ impl Tracer {
     pub fn ring_lens(&self) -> (usize, usize) {
         (self.ring.len(), self.slow.len())
     }
-}
-
-/// `d` in whole microseconds, saturating at `u64::MAX` (≈584,542 years)
-/// instead of wrapping.
-fn whole_micros(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Client-supplied trace ids must be short and header/JSON-safe:
@@ -321,43 +298,33 @@ mod tests {
     }
 
     #[test]
-    fn slow_threshold_is_runtime_adjustable() {
-        let tracer = Tracer::new(TracerConfig::default());
-        assert_eq!(tracer.slow_threshold(), Duration::from_millis(250));
-        // Everything is slow at threshold 0.
-        tracer.set_slow_threshold(Duration::ZERO);
-        let ctx = tracer.begin(None).unwrap();
-        tracer.finish(ctx, outcome("now slow"));
-        assert_eq!(tracer.slow(10).len(), 1);
-        // Raise it back: fast searches stop being admitted.
-        tracer.set_slow_threshold(Duration::from_secs(5));
-        assert_eq!(tracer.slow_threshold(), Duration::from_secs(5));
-        let ctx = tracer.begin(None).unwrap();
-        tracer.finish(ctx, outcome("fast again"));
-        assert_eq!(tracer.slow(10).len(), 1, "still only the first trace");
+    fn the_config_threshold_admits_at_zero_and_not_at_five_seconds() {
+        for (threshold, admitted) in [(Duration::ZERO, 1), (Duration::from_secs(5), 0)] {
+            let tracer = Tracer::new(TracerConfig {
+                slow_threshold: threshold,
+                ..TracerConfig::default()
+            });
+            let ctx = tracer.begin(None).unwrap();
+            tracer.finish(ctx, outcome("fast"));
+            assert_eq!(tracer.slow(10).len(), admitted, "{threshold:?}");
+        }
     }
 
     #[test]
-    fn a_threshold_past_u64_micros_saturates_instead_of_wrapping() {
-        // 18,446,744,073,709,552 ms is 2^64 µs + 384 µs: wrapped, it
-        // would admit every search slower than 384 µs.
-        let huge = Duration::from_millis(18_446_744_073_709_552);
-        let fast = || SearchEvent {
+    fn a_threshold_past_u64_micros_admits_nothing() {
+        // 18,446,744,073,709,552 ms is 2^64 µs + 384 µs: converted to µs
+        // and wrapped, it would admit every search slower than 384 µs.
+        let tracer = Tracer::new(TracerConfig {
+            slow_threshold: Duration::from_millis(18_446_744_073_709_552),
+            ..TracerConfig::default()
+        });
+        let ctx = tracer.begin(None).unwrap();
+        let fast = SearchEvent {
             total_us: 1_000,
             ..outcome("fast")
         };
-        let set_later = Tracer::new(TracerConfig::default());
-        set_later.set_slow_threshold(huge);
-        let from_config = Tracer::new(TracerConfig {
-            slow_threshold: huge,
-            ..TracerConfig::default()
-        });
-        for tracer in [set_later, from_config] {
-            assert_eq!(tracer.slow_threshold(), Duration::from_micros(u64::MAX));
-            let ctx = tracer.begin(None).unwrap();
-            tracer.finish(ctx, fast());
-            assert!(tracer.slow(10).is_empty());
-        }
+        tracer.finish(ctx, fast);
+        assert!(tracer.slow(10).is_empty());
     }
 
     #[test]

@@ -49,7 +49,6 @@ fn event(trace_id: &str, query: &str) -> SearchEvent {
             score: 0.75,
             matcher_scores: vec![("name".to_string(), 0.8), ("context".to_string(), 0.7)],
         }],
-        tags: Vec::new(),
     }
 }
 
@@ -185,4 +184,46 @@ fn concurrent_writers_never_tear_lines() {
             "writer {w} order"
         );
     }
+}
+
+/// Write `a`, then the first `cut(line)` bytes of `b`'s line as if the
+/// process died mid-append, then reopen the log and append `c`.
+fn tear_then_append(dir: &TempDir, b: &SearchEvent, cut: impl Fn(&str) -> usize) -> PathBuf {
+    use std::io::Write as _;
+    let path = dir.path.join("events.log");
+    let log = EventLog::open(&path, 1 << 20).unwrap();
+    log.append(&event("a", "warm")).unwrap();
+    drop(log);
+    let line = b.to_json();
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    file.write_all(&line.as_bytes()[..cut(&line)]).unwrap();
+    drop(file);
+    let log = EventLog::open(&path, 1 << 20).unwrap();
+    log.append(&event("c", "warm")).unwrap();
+    path
+}
+
+fn ids(path: &std::path::Path) -> Vec<String> {
+    let events = read_events_at(path).expect("a torn record does not fail the log");
+    events.into_iter().map(|e| e.trace_id).collect()
+}
+
+#[test]
+fn a_record_torn_inside_a_character_is_skipped() {
+    let dir = TempDir::new("torn-utf8");
+    // Cut after the first byte of `ö`: the torn line is not UTF-8.
+    let path = tear_then_append(&dir, &event("b", "größe"), |line| {
+        line.find('ö').unwrap() + 1
+    });
+    assert_eq!(ids(&path), ["a", "c"]);
+}
+
+#[test]
+fn a_record_torn_in_ascii_does_not_swallow_the_next() {
+    let dir = TempDir::new("torn-ascii");
+    let path = tear_then_append(&dir, &event("b", "warm"), |line| line.len() / 2);
+    assert_eq!(ids(&path), ["a", "c"]);
 }

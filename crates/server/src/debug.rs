@@ -1,8 +1,6 @@
 //! The operator's `/debug/*` handlers: recent traces, one trace by id,
-//! the slow-query log and its threshold, and the index and memory
-//! reports. `route` dispatches here only after its loopback gate.
-
-use std::time::Duration;
+//! the slow-query log, and the index and memory reports. `route`
+//! dispatches here only after its loopback gate.
 
 use schemr::SchemrEngine;
 
@@ -37,32 +35,6 @@ pub(crate) fn handle_slowlog(engine: &SchemrEngine, request: &Request) -> Respon
         .map(|t| t.to_json())
         .collect();
     Response::ok("application/json", format!("[{}]", entries.join(",")))
-}
-
-/// `POST /debug/slowlog?threshold_ms=N`: adjust the slowlog admission
-/// threshold at runtime. Loopback-only — it changes what the server
-/// retains, so a remote client must not be able to flip it.
-pub(crate) fn handle_slowlog_threshold(
-    engine: &SchemrEngine,
-    request: &Request,
-    peer: Option<std::net::SocketAddr>,
-) -> Response {
-    if !peer.is_some_and(|p| p.ip().is_loopback()) {
-        return Response::forbidden("slowlog threshold changes are loopback-only");
-    }
-    let Some(raw) = request.param("threshold_ms") else {
-        return Response::bad_request("missing threshold_ms parameter");
-    };
-    let Ok(ms) = raw.parse::<u64>() else {
-        return Response::bad_request("threshold_ms must be a non-negative integer");
-    };
-    engine
-        .tracer()
-        .set_slow_threshold(Duration::from_millis(ms));
-    Response::ok(
-        "application/json",
-        format!("{{\"slow_threshold_ms\":{ms}}}"),
-    )
 }
 
 /// `GET /debug/index?limit=N`: corpus aggregates plus per-postings-list
@@ -161,7 +133,7 @@ mod tests {
     use schemr::SchemrEngine;
     use schemr_repo::{import::import_str, Repository};
 
-    use crate::service::tests::{engine, get, get_raw, request};
+    use crate::service::tests::{engine, get, get_raw};
     use crate::{SchemrServer, ServerConfig};
 
     #[test]
@@ -231,43 +203,6 @@ mod tests {
         assert!(body.contains("\"trace_id\":\"slow-1\""), "{body}");
         // Full span trees, not just summaries.
         assert!(body.contains("\"spans\":["), "{body}");
-        assert!(server.shutdown());
-    }
-
-    #[test]
-    fn slowlog_threshold_is_adjustable_at_runtime_from_loopback() {
-        let server = SchemrServer::start(engine(), ServerConfig::default()).unwrap();
-        let addr = server.addr();
-        // Default threshold: an ordinary fast search is not slow.
-        let raw = get_raw(addr, "/search?q=patient", "X-Schemr-Trace-Id: fast-1\r\n");
-        assert!(raw.starts_with("HTTP/1.1 200"));
-        let (_, body) = get(addr, "/debug/slowlog");
-        assert!(!body.contains("fast-1"), "{body}");
-        // Drop the threshold to zero at runtime: now everything is slow.
-        let (status, body) = request(
-            addr,
-            "POST /debug/slowlog?threshold_ms=0 HTTP/1.1\r\nHost: t\r\n\
-             Connection: close\r\nContent-Length: 0\r\n\r\n",
-        );
-        assert_eq!(status, 200, "{body}");
-        assert!(body.contains("\"slow_threshold_ms\":0"), "{body}");
-        let raw = get_raw(addr, "/search?q=patient", "X-Schemr-Trace-Id: now-slow\r\n");
-        assert!(raw.starts_with("HTTP/1.1 200"));
-        let (_, body) = get(addr, "/debug/slowlog");
-        assert!(body.contains("now-slow"), "{body}");
-        // Garbage and missing parameters are 400s, not silent defaults.
-        let (status, _) = request(
-            addr,
-            "POST /debug/slowlog?threshold_ms=abc HTTP/1.1\r\nHost: t\r\n\
-             Connection: close\r\nContent-Length: 0\r\n\r\n",
-        );
-        assert_eq!(status, 400);
-        let (status, _) = request(
-            addr,
-            "POST /debug/slowlog HTTP/1.1\r\nHost: t\r\n\
-             Connection: close\r\nContent-Length: 0\r\n\r\n",
-        );
-        assert_eq!(status, 400);
         assert!(server.shutdown());
     }
 

@@ -22,14 +22,11 @@ use parking_lot::Mutex;
 
 use schemr::{parse_keywords, SchemrEngine, SearchRequest};
 use schemr_model::SchemaId;
-use schemr_obs::{
-    Counter, Histogram, MetricsRegistry, SearchEvent, SloConfig, SloTracker, LATENCY_BUCKETS,
-};
+use schemr_obs::{Counter, Histogram, MetricsRegistry, SloConfig, SloTracker, LATENCY_BUCKETS};
 use schemr_viz::{radial_layout, to_graphml, tree_layout, GraphmlOptions, SvgOptions};
 
 use crate::debug::{
-    handle_index, handle_memory, handle_slowlog, handle_slowlog_threshold, handle_trace_by_id,
-    handle_traces,
+    handle_index, handle_memory, handle_slowlog, handle_trace_by_id, handle_traces,
 };
 use crate::http::{read_request, HttpLimits, Request, Response};
 use crate::xml_response::search_response_to_xml;
@@ -315,35 +312,12 @@ fn shed(
     // understates waiting exactly when the queue is full.
     let queue_wait = pending.enqueued.elapsed();
     m.queue_wait.observe_duration(queue_wait);
-    trace_rejection(engine, "shed", Some(queue_wait));
     let started = Instant::now();
     let response = Response::overloaded(retry_after_secs);
     record_request(engine.metrics_registry(), "shed", &response, started, slo);
     let mut stream = pending.stream;
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let _ = response.write_to(&mut stream);
-}
-
-/// Give a rejected request a trace of its own: a root span named after
-/// the rejection (`shed`, `timeout`) carrying the queue wait, finished
-/// straight into the trace ring and event log. Without this, rejected
-/// work is invisible exactly where one looks when clients report errors.
-fn trace_rejection(engine: &SchemrEngine, kind: &str, queue_wait: Option<Duration>) {
-    let Some(mut ctx) = engine.tracer().begin(None) else {
-        return;
-    };
-    let attrs = queue_wait
-        .map(|wait| ("queue_wait_us".to_string(), wait.as_micros().to_string()))
-        .into_iter()
-        .collect();
-    ctx.push(None, kind, Duration::ZERO, Duration::ZERO, attrs);
-    engine.tracer().finish(
-        ctx,
-        SearchEvent {
-            query: format!("<{kind}>"),
-            ..SearchEvent::default()
-        },
-    );
 }
 
 /// What the between-requests wait ended with.
@@ -427,8 +401,8 @@ fn serve_connection(
     slo: &SloTracker,
 ) {
     let _ = stream.set_write_timeout(config.write_timeout);
-    // The peer address gates operator-only endpoints (e.g. adjusting the
-    // slowlog threshold) to loopback clients.
+    // The peer address gates the operator-only `/debug/*` endpoints to
+    // loopback clients.
     let peer = stream.peer_addr().ok();
     let mut reader = BufReader::new(stream);
     let budget = config.keepalive_requests.max(1);
@@ -470,11 +444,6 @@ fn serve_connection(
                     } else {
                         "malformed"
                     };
-                    if e.is_timeout() {
-                        // A stalled request still waited for admission;
-                        // give it a trace like any served request gets.
-                        trace_rejection(engine, "timeout", (served == 0).then_some(queue_wait));
-                    }
                     match Response::for_error(&e) {
                         // Parse errors always close: the reader may be
                         // mid-garbage and request framing is lost.
@@ -512,7 +481,6 @@ fn route_label(path: &str) -> &'static str {
     match path {
         "/healthz" => "/healthz",
         "/metrics" => "/metrics",
-        "/stats" => "/stats",
         "/search" => "/search",
         "/debug/traces" => "/debug/traces",
         "/debug/slowlog" => "/debug/slowlog",
@@ -555,14 +523,6 @@ fn record_request(
             &[("route", label), ("status", status)],
         )
         .inc();
-    // The request's trace id (echoed in `X-Schemr-Trace-Id` for /search)
-    // doubles as the latency exemplar, linking a slow bucket on
-    // `/metrics` to its span tree under `/debug/traces/{id}`.
-    let trace_id = response
-        .headers
-        .iter()
-        .find(|(name, _)| name.eq_ignore_ascii_case("x-schemr-trace-id"))
-        .map_or("", |(_, value)| value.as_str());
     registry
         .histogram_with(
             "schemr_http_request_seconds",
@@ -570,7 +530,7 @@ fn record_request(
             &[("route", label)],
             LATENCY_BUCKETS,
         )
-        .observe_duration_exemplar(latency, trace_id);
+        .observe_duration(latency);
 }
 
 /// Dispatch a request to a handler. `queue_wait` is the admission-queue
@@ -585,19 +545,16 @@ fn route(
 ) -> Response {
     // The whole `/debug/*` surface is operator-only: span trees expose
     // query text, and the memory/index reports
-    // expose corpus internals. Gate all of it to loopback clients the
-    // way POST /debug/slowlog always was.
+    // expose corpus internals. Gate all of it to loopback clients.
     if request.path.starts_with("/debug/") && !peer.is_some_and(|p| p.ip().is_loopback()) {
         return Response::forbidden("debug endpoints are loopback-only");
     }
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => handle_healthz(engine, slo),
         ("GET", "/metrics") => handle_metrics(engine),
-        ("GET", "/stats") => handle_stats(engine),
         ("GET" | "POST", "/search") => handle_search(engine, request, queue_wait),
         ("GET", "/debug/traces") => handle_traces(engine, request),
         ("GET", "/debug/slowlog") => handle_slowlog(engine, request),
-        ("POST", "/debug/slowlog") => handle_slowlog_threshold(engine, request, peer),
         ("GET", "/debug/slo") => Response::ok("application/json", slo.report().to_json()),
         ("GET", "/debug/index") => handle_index(engine, request),
         ("GET", "/debug/memory") => handle_memory(engine),
@@ -681,20 +638,6 @@ fn handle_healthz(engine: &SchemrEngine, slo: &SloTracker) -> Response {
     } else {
         Response::ok("application/json", body)
     }
-}
-
-fn handle_stats(engine: &SchemrEngine) -> Response {
-    let repo = engine.repository();
-    let ix = engine.index_stats();
-    let xml = format!(
-        "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<stats schemas=\"{}\" revision=\"{}\" indexed=\"{}\" terms=\"{}\" postings=\"{}\"/>\n",
-        repo.len(),
-        repo.revision(),
-        ix.live_docs,
-        ix.distinct_terms,
-        ix.postings
-    );
-    Response::ok("text/xml", xml)
 }
 
 fn handle_search(
@@ -1149,16 +1092,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn stats_endpoint_reports_repository_and_index() {
-        let server = SchemrServer::start(engine(), ServerConfig::default()).unwrap();
-        let (status, body) = get(server.addr(), "/stats");
-        assert_eq!(status, 200);
-        assert!(body.contains("schemas=\"2\""), "{body}");
-        assert!(body.contains("indexed=\"2\""));
-        assert!(server.shutdown());
-    }
-
-    #[test]
     fn limit_param_caps_results() {
         let server = SchemrServer::start(engine(), ServerConfig::default()).unwrap();
         let (_, body) = get(server.addr(), "/search?q=id&limit=1");
@@ -1304,7 +1237,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn metrics_render_exemplars_with_live_trace_ids() {
+    fn metrics_are_valid_0_0_4_text_after_traced_traffic() {
         let server = SchemrServer::start(engine(), ServerConfig::default()).unwrap();
         let addr = server.addr();
         let raw = get_raw(
@@ -1313,24 +1246,26 @@ pub(crate) mod tests {
             "X-Schemr-Trace-Id: ex-9\r\n",
         );
         assert!(raw.starts_with("HTTP/1.1 200"));
+        assert_eq!(get(addr, "/healthz").0, 200);
         let (status, metrics) = get(addr, "/metrics");
         assert_eq!(status, 200);
-        // Both the engine phase histograms and the HTTP latency histogram
-        // carry OpenMetrics exemplars pointing at the trace that produced
-        // the worst observation in the bucket's window.
-        assert!(metrics.contains("# {trace_id=\"ex-9\"}"), "{metrics}");
-        let phase_line = metrics
-            .lines()
-            .find(|l| l.starts_with("schemr_phase_seconds_bucket") && l.contains("# {trace_id="))
-            .unwrap_or_else(|| panic!("no phase exemplar: {metrics}"));
-        assert!(phase_line.contains("trace_id=\"ex-9\""), "{phase_line}");
-        let http_line = metrics
-            .lines()
-            .find(|l| {
-                l.starts_with("schemr_http_request_seconds_bucket") && l.contains("# {trace_id=")
-            })
-            .unwrap_or_else(|| panic!("no http exemplar: {metrics}"));
-        assert!(http_line.contains("trace_id=\"ex-9\""), "{http_line}");
+        // Every sample is `name{labels} value` and nothing after it.
+        for line in metrics.lines().filter(|l| !l.starts_with('#')) {
+            let (series, value) = line.rsplit_once(' ').unwrap_or((line, ""));
+            let name = series.split('{').next().unwrap();
+            let labels = &series[name.len()..];
+            assert!(
+                !name.is_empty()
+                    && !name.starts_with(|c: char| c.is_ascii_digit())
+                    && name
+                        .chars()
+                        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+                    && (labels.is_empty() || labels.starts_with('{') && labels.ends_with('}'))
+                    && !series.contains(' ')
+                    && value.parse::<f64>().is_ok(),
+                "not a 0.0.4 sample: {line}"
+            );
+        }
         assert!(server.shutdown());
     }
 }
