@@ -760,7 +760,10 @@ fn cmd_tracelog_tail(args: &Args, out: &mut impl Write) -> Result<i32, CliError>
     };
     let start = events.len().saturating_sub(limit);
     for ev in &events[start..] {
-        let top = ev.results.first().map(|r| r.id.as_str()).unwrap_or("-");
+        let top = ev
+            .results
+            .first()
+            .map_or("-".to_string(), |r| r.id.to_string());
         writeln!(
             out,
             "{}\t{:>9.3} ms\t{} result(s)\ttop={}\t\"{}\"",
@@ -784,18 +787,9 @@ fn cmd_tracelog_stats(args: &Args, out: &mut impl Write) -> Result<i32, CliError
     let n = events.len() as f64;
     let total: u64 = events.iter().map(|e| e.total_us).sum();
     writeln!(out, "mean total:   {:.3} ms", total as f64 / n / 1e3)?;
-    // Mean per phase, in the order phases first appear in the log.
-    let mut phases: Vec<(String, u64)> = Vec::new();
-    for ev in &events {
-        for (name, us) in &ev.phase_us {
-            match phases.iter_mut().find(|(n, _)| n == name) {
-                Some((_, sum)) => *sum += us,
-                None => phases.push((name.clone(), *us)),
-            }
-        }
-    }
-    for (name, sum) in &phases {
-        writeln!(out, "mean {:<21} {:>9.3} ms", name, *sum as f64 / n / 1e3)?;
+    for (at, name) in schemr_obs::PHASES.iter().enumerate() {
+        let sum: u64 = events.iter().map(|e| e.phase_us[at]).sum();
+        writeln!(out, "mean {:<21} {:>9.3} ms", name, sum as f64 / n / 1e3)?;
     }
     let slowest = events.iter().max_by_key(|e| e.total_us).expect("non-empty");
     writeln!(
@@ -839,7 +833,7 @@ fn cmd_tracelog_replay(args: &Args, out: &mut impl Write) -> Result<i32, CliErro
             .search_detailed(&request)
             .map_err(|e| err(e.to_string()))?;
         replayed += 1;
-        let logged: Vec<String> = ev.results.iter().map(|r| r.id.clone()).collect();
+        let logged: Vec<String> = ev.results.iter().map(|r| r.id.to_string()).collect();
         let now: Vec<String> = response.results.iter().map(|r| r.id.to_string()).collect();
         if logged == now {
             writeln!(out, "{}\tok ({} result(s))", ev.trace_id, now.len())?;

@@ -545,6 +545,13 @@ impl Index {
         self.snapshot().stats()
     }
 
+    /// Estimated heap bytes across all postings lists: the figure
+    /// [`introspect`](Self::introspect) reports, without its per-list
+    /// walk.
+    pub fn postings_bytes(&self) -> usize {
+        self.snapshot().postings_bytes()
+    }
+
     /// Document frequency of an (already analyzed) term in a field,
     /// summed across segments and including tombstoned postings (they
     /// stay until a merge reclaims them). Exposed for tests and
@@ -728,7 +735,6 @@ impl Index {
                 });
             }
         }
-        let postings_bytes: usize = lists.iter().map(|l| l.approx_bytes).sum();
         lists.sort_by(|a, b| {
             b.live_doc_freq
                 .cmp(&a.live_doc_freq)
@@ -747,7 +753,7 @@ impl Index {
             revision: snap.epoch,
             tombstone_ratio,
             segments: snap.segments.len(),
-            postings_bytes,
+            postings_bytes: snap.postings_bytes(),
             deep_bytes: snap.deep_bytes(),
             top_lists: lists,
         }

@@ -121,20 +121,9 @@ pub struct Hit {
     pub matched_terms: usize,
 }
 
-/// How much work one Phase 1 probe did. The engine annotates it onto the
-/// request's `candidate_extraction` span when tracing is on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProbeStats {
-    /// Distinct analyzed query terms probed.
-    pub distinct_terms: usize,
-    /// Postings entries scanned across all term/field lookups.
-    pub postings_scanned: u64,
-    /// Query list portions the pruner skipped entirely (no posting
-    /// visited).
-    pub pruned_lists: usize,
-    /// Posting entries the pruner proved irrelevant and never visited.
-    pub pruned_postings: u64,
-}
+/// How much work one Phase 1 probe did: the trace view's
+/// `candidate_extraction` facts, so the type lives with that view.
+pub use schemr_obs::ProbeStats;
 
 /// Min-heap entry for top-n selection (reverse ordering on score). Carries
 /// the matched-term count along so building a hit never needs a side

@@ -66,6 +66,18 @@ impl IndexSnapshot {
         }
     }
 
+    /// Estimated heap bytes of every postings list in every segment, each
+    /// list's `approx_bytes`.
+    pub(crate) fn postings_bytes(&self) -> usize {
+        let bytes = |seg: &Segment| -> usize {
+            (0..Field::COUNT)
+                .flat_map(|f| seg.data.field_lists(f))
+                .map(|id| seg.data.list(id).approx_bytes())
+                .sum()
+        };
+        self.segments.iter().map(bytes).sum()
+    }
+
     /// Heap bytes across all segments (each counted once; the writer's
     /// master copies are the same `Arc`s, not duplicates).
     pub(crate) fn deep_bytes(&self) -> usize {

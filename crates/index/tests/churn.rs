@@ -369,3 +369,27 @@ fn a_batch_equals_the_same_changes_applied_one_by_one() {
     );
     assert!(batched.segment_count() > 1, "threshold 3 must have sealed");
 }
+
+#[test]
+fn postings_bytes_sums_every_list_of_a_churned_multi_segment_index() {
+    let mut rng = Rng(0xB17E_5000);
+    let index = Index::new().with_seal_threshold(8);
+    for _ in 0..300 {
+        let id = rng.below(64);
+        if rng.below(4) == 0 {
+            index.remove(SchemaId(id));
+        } else {
+            index.add(doc(id, &mut rng).view());
+        }
+    }
+    assert!(
+        index.segment_count() > 1,
+        "{} segments",
+        index.segment_count()
+    );
+    let report = index.introspect(usize::MAX);
+    let listed: usize = report.top_lists.iter().map(|l| l.approx_bytes).sum();
+    assert!(listed > 0);
+    assert_eq!(index.postings_bytes(), listed);
+    assert_eq!(index.postings_bytes(), index.introspect(0).postings_bytes);
+}

@@ -36,28 +36,9 @@ pub use schema::{DistanceClass, ForeignKey, Neighborhoods, Schema};
 pub use stats::SchemaStats;
 pub use validate::{validate, ValidationError};
 
-/// A stable identifier for a schema within a repository.
-///
-/// The repository assigns these; the model only carries them around so that
-/// search results, visualizations, and HTTP responses can refer back to the
-/// stored schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SchemaId(pub u64);
-
-impl std::fmt::Display for SchemaId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "s{}", self.0)
-    }
-}
-
-impl std::str::FromStr for SchemaId {
-    type Err = std::num::ParseIntError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let digits = s.strip_prefix('s').unwrap_or(s);
-        digits.parse().map(SchemaId)
-    }
-}
+/// A stable identifier for a schema within a repository, defined beside
+/// the event log that records result ids.
+pub use schemr_obs::SchemaId;
 
 #[cfg(test)]
 mod tests {

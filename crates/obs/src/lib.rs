@@ -17,14 +17,13 @@
 //! On top of the aggregate metrics sits **schemr-trace**, the
 //! per-request layer:
 //!
-//! * [`TraceContext`] — a request's span tree, recorded closed: the
-//!   caller times each phase once and pushes the finished records, so
-//!   a span's duration is the number every other reader of that phase
-//!   reports,
+//! * [`CompletedTrace`] — a request's [`SearchEvent`] plus the few
+//!   numbers only its span view adds ([`SpanFacts`]); the span tree is
+//!   written from those on read, so a span's duration is the number
+//!   every other reader of that phase reports,
 //! * [`Tracer`] — monotonic trace IDs, a bounded [`Ring`] of recent
-//!   [`CompletedTrace`]s (the request's [`SearchEvent`] plus its spans),
-//!   a threshold-gated slow-query ring, and an optional durable
-//!   [`EventLog`],
+//!   [`CompletedTrace`]s, a threshold-gated slow-query ring, and an
+//!   optional durable [`EventLog`],
 //! * [`EventLog`] — append-only JSONL search history with size-based
 //!   rotation and a replay reader ([`read_events_at`]), one versioned
 //!   [`SearchEvent`] record per search.
@@ -60,12 +59,14 @@ pub mod tracer;
 
 pub use alloc::CountingAlloc;
 pub use counter::Counter;
-pub use eventlog::{read_events_at, EventLog, EventResult, SearchEvent, EVENT_SCHEMA_VERSION};
+pub use eventlog::{
+    read_events_at, EventLog, EventResult, SchemaId, SearchEvent, EVENT_SCHEMA_VERSION, PHASES,
+};
 pub use histogram::{Histogram, HistogramSnapshot, LATENCY_BUCKETS};
 pub use ledger::{thread_clock_cost, thread_cpu_us, CpuProbeDepth, LedgerProbe, ResourceLedger};
 pub use memsize::DeepSize;
 pub use registry::{LabelSet, MetricsRegistry};
 pub use ring::Ring;
 pub use slo::{SloConfig, SloReport, SloTracker, WindowBurn};
-pub use span::{CompletedTrace, SpanRecord, TraceContext};
+pub use span::{CompletedTrace, ProbeStats, SpanFacts};
 pub use tracer::{Tracer, TracerConfig};
