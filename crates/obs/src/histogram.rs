@@ -54,11 +54,6 @@ impl Histogram {
         Histogram::new(LATENCY_BUCKETS)
     }
 
-    /// The finite bucket upper bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
     /// Record one observation.
     pub fn observe(&self, value: f64) {
         let ix = self

@@ -30,11 +30,6 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Maximum number of retained entries.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Number of entries currently retained.
     pub fn len(&self) -> usize {
         self.cursor.load(Ordering::Acquire).min(self.slots.len())
@@ -131,8 +126,8 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped() {
         let ring = Ring::new(0);
-        assert_eq!(ring.capacity(), 1);
         ring.push(Arc::new(7u32));
+        ring.push(Arc::new(8u32));
         assert_eq!(ring.recent(5).len(), 1);
     }
 
