@@ -3,8 +3,9 @@
 //! The paper's text indexer runs "at scheduled intervals" offline and the
 //! search service loads what it produced; this codec is that boundary. A
 //! file is the published snapshot as it sits in memory: a header, then
-//! every segment's [`Columns`] little-endian and in a fixed order, with
-//! the overlay bitset that was published beside them and a checksum.
+//! every segment's `Columns` little-endian and in a fixed order, with the
+//! overlay bitset that was published beside them — the segment's only
+//! record of its tombstones — and a checksum.
 //!
 //! ```text
 //! file    := "SCHMRIDX" version:u32 segments:u32 segment*
@@ -12,8 +13,8 @@
 //! body    := docs lists postings positions blocks term_bytes overlay_words   (u32 each)
 //!            field_starts:u32[5]
 //!            max_tf_norm:f64[lists] block_max:f64[blocks]
-//!            ids:u64[docs] baked_dead:u64[⌈docs/64⌉] overlay:u64[overlay_words]
-//!            term_offsets list_offsets block_offsets :u32[lists+1]  live_df:u32[lists]
+//!            ids:u64[docs] overlay:u64[overlay_words]
+//!            term_offsets list_offsets block_offsets :u32[lists+1]
 //!            posting_docs:u32[postings] pos_offsets:u32[postings+1] positions:u32[positions]
 //!            fwd_offsets:u32[docs+1] fwd_lists:u32[postings] field_lengths:u32[4·docs]
 //!            term_bytes:u8[term_bytes] zero padding to a multiple of 8
@@ -21,7 +22,7 @@
 //!
 //! Wide columns come first, so every column is naturally aligned in the
 //! file. Loading reads each column into one allocation, verifies the
-//! checksum and then the structure ([`FlatSegment::checked`]), and
+//! checksum and then the structure (`FlatSegment::checked`), and
 //! publishes the same segments with the same overlays: nothing is decoded
 //! per posting and nothing is rebuilt.
 
@@ -37,7 +38,7 @@ use crate::memory::Index;
 use crate::segment::{Columns, FlatSegment, SealedSegment};
 
 const MAGIC: &[u8; 8] = b"SCHMRIDX";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Errors raised while decoding an index file.
 #[derive(Debug)]
@@ -97,7 +98,7 @@ fn write_segment(out: &mut Vec<u8>, c: &Columns, overlay: &[u64]) {
     out.extend_from_slice(&[0; 8]);
     let counts = [
         c.ids.len(),
-        c.live_df.len(),
+        c.list_count(),
         c.posting_docs.len(),
         c.positions.len(),
         c.block_max.len(),
@@ -110,13 +111,11 @@ fn write_segment(out: &mut Vec<u8>, c: &Columns, overlay: &[u64]) {
     put(out, &c.max_tf_norm, f64::to_le_bytes);
     put(out, &c.block_max, f64::to_le_bytes);
     put(out, &c.ids, |id: SchemaId| id.0.to_le_bytes());
-    put(out, &c.baked_dead, u64::to_le_bytes);
     put(out, overlay, u64::to_le_bytes);
     for column in [
         &c.term_offsets,
         &c.list_offsets,
         &c.block_offsets,
-        &c.live_df,
         &c.posting_docs,
         &c.pos_offsets,
         &c.positions,
@@ -209,7 +208,6 @@ fn read_segment(file: &mut Reader<'_>) -> Result<SealedSegment, CodecError> {
     let max_tf_norm = r.column(lists, f64::from_le_bytes)?;
     let block_max = r.column(blocks, f64::from_le_bytes)?;
     let ids = r.column(docs, |b| SchemaId(u64::from_le_bytes(b)))?;
-    let baked_dead = r.column(docs.div_ceil(64), u64::from_le_bytes)?;
     let overlay = r.column(overlay_words, u64::from_le_bytes)?;
     let mut u32s = |rows| r.column(rows, u32::from_le_bytes);
     let cols = Columns {
@@ -217,11 +215,9 @@ fn read_segment(file: &mut Reader<'_>) -> Result<SealedSegment, CodecError> {
         max_tf_norm,
         block_max,
         ids,
-        baked_dead,
         term_offsets: u32s(lists + 1)?,
         list_offsets: u32s(lists + 1)?,
         block_offsets: u32s(lists + 1)?,
-        live_df: u32s(lists)?,
         posting_docs: u32s(postings)?,
         pos_offsets: u32s(postings + 1)?,
         positions: u32s(positions)?,

@@ -2,11 +2,11 @@
 //!
 //! The checksum catches accidents; what it cannot catch is a file written
 //! wrong in the first place. Each case here takes the columns of a small
-//! multi-segment index with baked and overlay tombstones, breaks exactly
-//! one structural fact, writes the file with a matching checksum and
-//! expects a typed refusal. A second property overwrites an arbitrary cell
-//! and requires that whatever still loads can be searched, churned and
-//! merged without a panic.
+//! multi-segment index with tombstones in sealed segments and in the head,
+//! breaks exactly one structural fact, writes the file with a matching
+//! checksum and expects a typed refusal. A second property overwrites an
+//! arbitrary cell and requires that whatever still loads can be searched,
+//! churned and merged without a panic.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -15,7 +15,6 @@ use proptest::sample::select;
 use super::*;
 use crate::document::OwnedDocument;
 use crate::search::SearchOptions;
-use crate::segment::bit;
 
 const WORDS: [&str; 6] = ["patient", "height", "ward", "order", "total", "gender"];
 const IDS: u64 = 12;
@@ -34,7 +33,7 @@ fn arb_docs() -> impl Strategy<Value = Vec<OwnedDocument>> {
 }
 
 /// Every segment's columns and overlay bits. Ids repeat, so replacements
-/// leave overlay tombstones on sealed segments and baked ones in the head.
+/// leave tombstones on sealed segments and in the head.
 fn segments_of(docs: &[OwnedDocument]) -> Vec<(Columns, Vec<u64>)> {
     let index = Index::new().with_seal_threshold(5);
     for doc in docs {
@@ -67,7 +66,7 @@ fn break_one(
     kind: usize,
     at: usize,
 ) -> Option<&'static str> {
-    let (docs, lists, postings) = (c.ids.len(), c.live_df.len(), c.posting_docs.len());
+    let (docs, lists, postings) = (c.ids.len(), c.list_count(), c.posting_docs.len());
     let rows = |c: &Columns, l: usize| c.list_offsets[l] as usize..c.list_offsets[l + 1] as usize;
     let list = at % lists;
     Some(match kind {
@@ -123,21 +122,13 @@ fn break_one(
             "unsorted terms"
         }
         9 => {
-            c.live_df[list] += 1;
-            "live df over-stated"
-        }
-        10 => {
-            c.live_df[list] = c.live_df[list].checked_sub(1)?;
-            "live df under-stated"
-        }
-        11 => {
             (lists >= 2).then_some(())?;
             let entry = at % postings;
             c.fwd_lists[entry] =
                 (c.fwd_lists[entry] + 1 + (at % (lists - 1)) as u32) % lists as u32;
             "forward index names the wrong list"
         }
-        12 => {
+        10 => {
             let p = (0..postings)
                 .map(|i| (at + i) % postings)
                 .find(|&p| c.pos_offsets[p + 1] - c.pos_offsets[p] >= 2)?;
@@ -145,20 +136,11 @@ fn break_one(
             c.positions.swap(first, first + 1);
             "descending positions"
         }
-        13 => {
-            let ord = if at.is_multiple_of(2) {
-                (0..docs).find(|&d| bit(&c.baked_dead, d))?
-            } else {
-                docs + at % 3
-            };
+        11 => {
+            let ord = docs + at % 3;
             overlay.resize(overlay.len().max(ord / 64 + 1), 0);
             overlay[ord / 64] |= 1 << (ord % 64);
-            "overlay names a document that is not live"
-        }
-        14 => {
-            (docs % 64 != 0).then_some(())?;
-            c.baked_dead[docs / 64] |= 1 << (docs % 64);
-            "tombstone past the last document"
+            "overlay names a document past the last"
         }
         _ => {
             c.field_starts[1 + at % Field::COUNT] = lists as u32 + 1;
@@ -167,7 +149,7 @@ fn break_one(
     })
 }
 
-const KINDS: usize = 16;
+const KINDS: usize = 13;
 
 /// Search, inspect, churn and merge a loaded index: none of it may panic.
 fn exercise(index: &Index) {
@@ -224,7 +206,7 @@ proptest! {
     #[test]
     fn whatever_loads_after_an_overwritten_cell_can_be_used(
         docs in arb_docs(),
-        column in 0usize..13,
+        column in 0usize..11,
         at in 0usize..1 << 20,
         value in 0u32..40,
     ) {
@@ -240,24 +222,22 @@ proptest! {
             0 => cell(&mut c.term_offsets),
             1 => cell(&mut c.list_offsets),
             2 => cell(&mut c.block_offsets),
-            3 => cell(&mut c.live_df),
-            4 => cell(&mut c.posting_docs),
-            5 => cell(&mut c.pos_offsets),
-            6 => cell(&mut c.positions),
-            7 => cell(&mut c.fwd_offsets),
-            8 => cell(&mut c.fwd_lists),
-            9 => cell(&mut c.field_lengths),
-            10 => {
+            3 => cell(&mut c.posting_docs),
+            4 => cell(&mut c.pos_offsets),
+            5 => cell(&mut c.positions),
+            6 => cell(&mut c.fwd_offsets),
+            7 => cell(&mut c.fwd_lists),
+            8 => cell(&mut c.field_lengths),
+            9 => {
                 let ord = at % c.ids.len();
                 c.ids[ord] = SchemaId(u64::from(value) % IDS);
             }
-            11 => c.baked_dead[0] ^= 1 << (value % 8),
             _ => {
                 overlay.resize(1, 0);
                 overlay[0] ^= 1 << (value % 8);
             }
         }
-        if column == 6 && value % 2 == 0 {
+        if column == 5 && value % 2 == 0 {
             // The far end of the position range, where `+ 1` would wrap.
             let last = c.pos_offsets[1 + at % (c.pos_offsets.len() - 1)] as usize - 1;
             c.positions[last] = u32::MAX;

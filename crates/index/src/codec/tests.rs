@@ -73,6 +73,35 @@ fn segmented_index_round_trips_through_the_flat_format() {
     }
     assert!(after.segments.iter().any(|s| s.live.dead_docs > 0));
     assert_same_bits(&decoded, &monolith, &["patient", "height"]);
+
+    // A head that holds tombstones, three ways: published as the head,
+    // sealed on reaching the threshold, and read back from a file.
+    let build = |threshold| {
+        let index = Index::new().with_seal_threshold(threshold);
+        for i in 0..6u64 {
+            index.add(doc(i, &format!("schema{i}"), &["patient", "patient.height"]).view());
+        }
+        index.remove(SchemaId(1));
+        index.add(doc(4, "ward", &["patient", "bed"]).view());
+        index
+    };
+    let (head, sealed) = (build(8), build(7));
+    let last = |index: &Index| index.snapshot().segments.last().cloned().unwrap();
+    let published = last(&head);
+    assert_eq!(published.live.dead_docs, 2);
+    for other in [last(&sealed), last(&decode(&encode(&head)).unwrap())] {
+        assert_eq!(other.data.columns(), published.data.columns());
+        assert_eq!(other.live.bits(), published.live.bits());
+        assert_eq!(other.live_docs(), published.live_docs());
+        for list in 0..published.data.list_count() as u32 {
+            assert_eq!(other.live_df(list), published.live_df(list));
+        }
+    }
+    // One more document starts a second segment only beside a sealed one.
+    for (index, segments) in [(&head, 1), (&sealed, 2)] {
+        index.add(doc(9, "ward", &["bed"]).view());
+        assert_eq!(index.segment_count(), segments);
+    }
 }
 
 #[test]
@@ -126,8 +155,11 @@ fn a_save_that_fails_half_way_leaves_the_previous_file() {
 fn foreign_and_older_files_are_rejected_by_name() {
     assert!(matches!(decode(b"NOTANIDX0000"), Err(CodecError::BadMagic)));
     let mut data = encode(&sample_index()).to_vec();
-    data[8] = 1;
-    assert!(matches!(decode(&data), Err(CodecError::BadVersion(1))));
+    for older in [1, 2] {
+        data[8] = older;
+        let refused = decode(&data);
+        assert!(matches!(refused, Err(CodecError::BadVersion(v)) if v == u32::from(older)));
+    }
     assert!(matches!(decode(b"SCHM"), Err(CodecError::Corrupt(_))));
 }
 

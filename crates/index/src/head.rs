@@ -1,18 +1,19 @@
 //! The mutable head: the one place postings exist in a growable form.
 //!
 //! The writer appends analyzed documents into a [`HeadBuilder`] and
-//! tombstones its slots in place (*baked* flags). Nothing ever searches
-//! it: `freeze` copies it into the flat columns of a sealed segment, term
-//! table sorted, and that copy is what a snapshot publishes and what
-//! sealing keeps.
+//! tombstones its slots by setting a bit. Nothing ever searches it:
+//! `freeze` copies it into the flat columns of a sealed segment, term
+//! table sorted, with those bits as the segment's overlay, and that copy
+//! is what a snapshot publishes and what sealing keeps.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use schemr_model::SchemaId;
 
 use crate::field::Field;
 use crate::postings::GrowingList;
-use crate::segment::{bit, Columns, FlatSegment};
+use crate::segment::{bit, Columns, FlatSegment, SealedSegment};
 use crate::session::{AnalyzedDoc, Interner, RowTable};
 use crate::DocOrd;
 
@@ -99,18 +100,15 @@ impl HeadBuilder {
         }
         self.dead[ord / 64] |= 1u64 << (ord % 64);
         self.live_docs -= 1;
-        let start = ord.checked_sub(1).map_or(0, |prev| self.fwd_ends[prev]);
-        for &row in &self.fwd_lists[start as usize..self.fwd_ends[ord] as usize] {
-            self.lists[row as usize].live -= 1;
-        }
         Some(true)
     }
 
-    /// Copy the head into a sealed segment's columns. Every column is
-    /// allocated once at its final size (a pass over the lists adds the
-    /// sizes up), so the cost is a few block copies a list — nothing per
-    /// posting.
-    pub(crate) fn freeze(&self) -> FlatSegment {
+    /// Copy the head into a sealed segment's columns, its dead slots the
+    /// segment's overlay. Every column is allocated once at its final size
+    /// (a pass over the lists adds the sizes up), so the cost is a few
+    /// block copies a list — nothing per posting — plus a forward-row walk
+    /// per dead slot.
+    pub(crate) fn freeze(&self) -> SealedSegment {
         let lists = self.lists.len();
         let total = |len: fn(&GrowingList) -> usize| self.lists.iter().map(len).sum();
         let mut cols = Columns::with_capacity(
@@ -127,21 +125,20 @@ impl HeadBuilder {
         );
         cols.ids.extend_from_slice(&self.ids);
         cols.field_lengths.extend_from_slice(&self.field_lengths);
-        cols.baked_dead.extend_from_slice(&self.dead);
         let mut sealed_id = vec![0u32; lists];
         for (field_ord, dict) in self.dict.iter().enumerate() {
             for (term, &row) in dict {
-                sealed_id[row as usize] = cols.live_df.len() as u32;
+                sealed_id[row as usize] = cols.list_count() as u32;
                 cols.push_list(term.as_bytes(), &self.lists[row as usize]);
             }
-            cols.field_starts[field_ord + 1] = cols.live_df.len() as u32;
+            cols.field_starts[field_ord + 1] = cols.list_count() as u32;
         }
         // A document's keys arrive in (field, term) order, which is the
         // sealed id order: its renamed entries stay ascending.
         cols.fwd_offsets.extend_from_slice(&self.fwd_ends);
         cols.fwd_lists
             .extend(self.fwd_lists.iter().map(|&row| sealed_id[row as usize]));
-        FlatSegment::trusted(cols)
+        SealedSegment::with_tombstones(Arc::new(FlatSegment::trusted(cols)), &self.dead)
     }
 }
 
@@ -178,7 +175,7 @@ mod tests {
     }
 
     #[test]
-    fn freeze_sorts_the_term_table_and_bakes_tombstones() {
+    fn freeze_sorts_the_term_table_and_carries_tombstones_as_overlay_bits() {
         let mut pusher = Pusher {
             head: HeadBuilder::default(),
             terms: Interner::new(),
@@ -196,7 +193,8 @@ mod tests {
         let head = &mut pusher.head;
         assert_eq!((head.doc_count(), head.live_docs()), (3, 2));
 
-        let frozen = head.freeze();
+        let mut sealed = head.freeze();
+        let frozen = &sealed.data;
         let (alpha, zeta) = (
             frozen.find(Field::Title, "alpha").unwrap(),
             frozen.find(Field::Title, "zeta").unwrap(),
@@ -207,15 +205,17 @@ mod tests {
         assert_eq!(frozen.list(zeta).positions(1), [1]);
         assert_eq!(frozen.lists_of(1), [alpha, zeta]);
         assert_eq!(frozen.lists_of(2), [alpha]);
-        // Slot 0 (the old id 1) was tombstoned: zeta lost a live posting.
-        assert!(frozen.is_baked_dead(0) && !frozen.is_baked_dead(2));
-        assert_eq!(frozen.columns().live_df, [2, 1]);
-        assert_eq!(frozen.live_docs(), 2);
         assert_eq!(frozen.ord_of(SchemaId(1)), Some(2), "the newest copy");
         assert_eq!(frozen.columns().validate(), Ok(()));
+        // Slot 0 (the old id 1) was tombstoned: zeta lost a live posting.
+        assert!(sealed.is_dead(0) && !sealed.is_dead(2));
+        assert_eq!(sealed.live_count(), 2);
+        let published = sealed.published();
+        assert_eq!((published.live_df(alpha), published.live_df(zeta)), (2, 1));
         // The newest copy is the one a later tombstone finds.
         assert_eq!(head.tombstone(SchemaId(1)), Some(true));
         assert_eq!(head.tombstone(SchemaId(1)), Some(false));
-        assert_eq!(head.freeze().columns().live_df, [1, 1]);
+        let published = head.freeze().published();
+        assert_eq!((published.live_df(alpha), published.live_df(zeta)), (1, 1));
     }
 }

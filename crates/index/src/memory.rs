@@ -48,9 +48,7 @@ use crate::field::Field;
 use crate::head::HeadBuilder;
 use crate::metrics::IndexMetrics;
 use crate::search::{idf_weight, impact, search_postings, Hit, ProbeStats, SearchOptions};
-use crate::segment::{
-    compact, empty_overlay, late_tombstones, FlatSegment, SealedSegment, Segment,
-};
+use crate::segment::{compact, late_tombstones, FlatSegment, SealedSegment, Segment};
 use crate::session::{Analyzed, AnalyzedDoc, Batch, Interner, RowTable, Session};
 use crate::snapshot::IndexSnapshot;
 
@@ -151,11 +149,10 @@ impl Writer {
     }
 
     /// Freeze the head into a sealed segment and start a fresh one.
-    /// Head-internal tombstones ride along as baked flags.
+    /// Head tombstones ride along as the segment's overlay.
     fn seal(&mut self) {
         let head = std::mem::take(&mut self.head);
-        self.sealed
-            .push(SealedSegment::new(Arc::new(head.freeze())));
+        self.sealed.push(head.freeze());
     }
 
     fn total_docs(&self) -> usize {
@@ -287,19 +284,14 @@ impl Index {
     /// unchanged); the head is frozen into a flat segment of its own, a
     /// few block copies a list, bounded by the seal threshold.
     fn publish(&self, w: &mut Writer) {
+        let mut head = (w.head.doc_count() > 0).then(|| w.head.freeze());
         let mut segments = Vec::with_capacity(w.sealed.len() + 1);
-        for sealed in &mut w.sealed {
-            segments.push(Segment {
-                data: sealed.data.clone(),
-                live: sealed.overlay(),
-            });
-        }
-        if w.head.doc_count() > 0 {
-            segments.push(Segment {
-                data: Arc::new(w.head.freeze()),
-                live: empty_overlay(),
-            });
-        }
+        segments.extend(
+            w.sealed
+                .iter_mut()
+                .chain(&mut head)
+                .map(SealedSegment::published),
+        );
         let live_docs = segments.iter().map(Segment::live_docs).sum();
         let total_docs = segments.iter().map(|s| s.data.doc_count()).sum();
         let fresh = Arc::new(IndexSnapshot {
@@ -637,7 +629,7 @@ impl Index {
             }
         }
         let docs_before: usize = victims.iter().map(|(_, d, _)| d.doc_count()).sum();
-        let mut merged = SealedSegment::new(Arc::new(compacted));
+        let mut merged = SealedSegment::with_tombstones(Arc::new(compacted), &[]);
         // Re-apply tombstones that raced the off-lock compaction.
         for (slot, data, captured_bits) in &victims {
             for ord in late_tombstones(captured_bits, w.sealed[*slot].dead_bits()) {

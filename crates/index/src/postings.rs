@@ -1,19 +1,20 @@
 //! Postings lists: per-term document occurrences with positions.
 //!
-//! A list exists in two forms. [`List`] is the read side: borrowed slices
+//! A list exists in two forms. `List` is the read side: borrowed slices
 //! of a sealed segment's flat columns, which is all Phase 1, the merger,
-//! the statistics and the codec ever see. [`GrowingList`] is the write
+//! the statistics and the codec ever see. `GrowingList` is the write
 //! side: the same columns as growing vectors, held only by the head
 //! builder until it is frozen into a sealed segment.
 //!
-//! A list's **live document frequency** — the postings whose document is
-//! not tombstoned — is kept beside it, so the scorer never rescans
-//! postings against the tombstone table to compute df. Both forms carry
-//! **impact upper bounds** for
-//! WAND/MaxScore pruning: the largest `√tf/√field_len` over the whole list
-//! and per 64-posting block. Bounds grow as postings are appended;
-//! tombstoning leaves them stale-high (still a valid upper bound, merely
-//! loose), and a merge rebuilds them tight over live postings.
+//! A list's document frequency is its posting count. Its **live**
+//! document frequency is that count less the postings of tombstoned
+//! documents, which the segment's overlay counts per list, so the scorer
+//! never rescans postings against the tombstones to compute df. Both
+//! forms carry **impact upper bounds** for WAND/MaxScore pruning: the
+//! largest `√tf/√field_len` over the whole list and per 64-posting block.
+//! Bounds grow as postings are appended; tombstoning leaves them
+//! stale-high (still a valid upper bound, merely loose), and a merge
+//! rebuilds them tight over live postings.
 
 use std::ops::Range;
 
@@ -134,15 +135,13 @@ pub(crate) struct GrowingList {
     /// `ends[i]` is one past posting `i`'s last entry in `positions`.
     pub ends: Vec<u32>,
     pub positions: Vec<u32>,
-    pub live: u32,
     pub max_tf_norm: f64,
     pub block_max: Vec<f64>,
 }
 
 impl GrowingList {
     /// Append `doc`'s posting: its ascending `positions` in a field of
-    /// `field_len` tokens. Documents arrive in ascending ordinal order and
-    /// the one being written is live, so the live df grows with the list.
+    /// `field_len` tokens. Documents arrive in ascending ordinal order.
     pub fn push(&mut self, doc: DocOrd, positions: &[u32], field_len: u32) {
         debug_assert!(self.docs.last().is_none_or(|&last| last < doc));
         let norm = tf_norm(positions.len() as u32, field_len);
@@ -155,7 +154,6 @@ impl GrowingList {
         self.docs.push(doc);
         self.positions.extend_from_slice(positions);
         self.ends.push(self.positions.len() as u32);
-        self.live += 1;
     }
 }
 
@@ -186,7 +184,6 @@ mod tests {
         let mut offsets = Vec::new();
         let list = view(&pl, &mut offsets);
         assert_eq!(list.doc_freq(), 3);
-        assert_eq!(pl.live, 3);
         assert_eq!(list.docs, [0, 2, 7]);
         assert_eq!(list.positions(0), [1, 5]);
         assert_eq!(list.positions(2), [3, 4, 9]);

@@ -4,7 +4,7 @@
 //!
 //! ## Segmented scanning
 //!
-//! The scorer runs over an immutable [`IndexSnapshot`] — no lock is held
+//! The scorer runs over an immutable `IndexSnapshot` — no lock is held
 //! anywhere in this module. Segments are scanned sequentially; inside each
 //! segment the query's list portions are processed in the *global*
 //! deterministic order (strongest `boost · idf` term first), and idf is

@@ -10,16 +10,17 @@
 //! been checked (or that this crate built itself), together with the one
 //! thing derived from it: the id → ordinal map.
 //!
-//! Documents tombstoned **after** a segment seals are recorded in a
-//! copy-on-write [`LiveOverlay`] next to the frozen data, so a tombstone
-//! costs O(overlay), never a segment rebuild. A [`Segment`] pairs one
+//! A tombstone is recorded one way only: as a bit of a copy-on-write
+//! [`LiveOverlay`] next to the frozen data, whether it was set while the
+//! segment was the head or after it sealed, so a tombstone costs
+//! O(overlay), never a segment rebuild. A [`Segment`] pairs one
 //! `FlatSegment` with the overlay that was current when its snapshot was
 //! published: the pair is immutable, so a search holding it can never
 //! observe a torn state.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use schemr_model::SchemaId;
 
@@ -58,8 +59,6 @@ pub(crate) struct Columns {
     pub list_offsets: Vec<u32>,
     /// List `l`'s block bounds are `block_max[block_offsets[l]..block_offsets[l + 1]]`.
     pub block_offsets: Vec<u32>,
-    /// Per list: postings whose document is not baked-dead.
-    pub live_df: Vec<u32>,
     /// Per list: the largest `√tf/√field_len` of any posting.
     pub max_tf_norm: Vec<f64>,
     /// Per posting: the document ordinal, strictly ascending within a list.
@@ -71,15 +70,13 @@ pub(crate) struct Columns {
     pub block_max: Vec<f64>,
     /// Forward index: document `d` has a posting in exactly the lists
     /// `fwd_lists[fwd_offsets[d]..fwd_offsets[d + 1]]`, so a tombstone
-    /// adjusts the live df of those lists and no others.
+    /// counts against those lists and no others.
     pub fwd_offsets: Vec<u32>,
     pub fwd_lists: Vec<u32>,
-    /// Document table: external id, per-field token counts (row-major,
-    /// [`Field::COUNT`] a document), and the *baked* tombstones — those
-    /// applied while the segment was still the mutable head.
+    /// Document table: external id and per-field token counts
+    /// (row-major, [`Field::COUNT`] a document).
     pub ids: Vec<SchemaId>,
     pub field_lengths: Vec<u32>,
-    pub baked_dead: Vec<u64>,
 }
 
 impl Columns {
@@ -104,7 +101,6 @@ impl Columns {
             term_bytes: Vec::with_capacity(term_bytes),
             list_offsets: offsets(lists),
             block_offsets: offsets(lists),
-            live_df: Vec::with_capacity(lists),
             max_tf_norm: Vec::with_capacity(lists),
             posting_docs: Vec::with_capacity(postings),
             pos_offsets: offsets(postings),
@@ -114,7 +110,6 @@ impl Columns {
             fwd_lists: Vec::with_capacity(postings),
             ids: Vec::with_capacity(docs),
             field_lengths: Vec::with_capacity(docs * Field::COUNT),
-            baked_dead: Vec::with_capacity(docs.div_ceil(64)),
         }
     }
 
@@ -130,17 +125,12 @@ impl Columns {
         self.block_max.extend_from_slice(&list.block_max);
         self.list_offsets.push(self.posting_docs.len() as u32);
         self.block_offsets.push(self.block_max.len() as u32);
-        self.live_df.push(list.live);
         self.max_tf_norm.push(list.max_tf_norm);
     }
 
-    /// Append a live document to the document table.
-    fn push_doc(&mut self, id: SchemaId, field_lengths: &[u32]) {
-        if self.ids.len().is_multiple_of(64) {
-            self.baked_dead.push(0);
-        }
-        self.ids.push(id);
-        self.field_lengths.extend_from_slice(field_lengths);
+    /// Rows of the term table.
+    pub(crate) fn list_count(&self) -> usize {
+        self.term_offsets.len() - 1
     }
 
     pub(crate) fn term(&self, list: usize) -> &[u8] {
@@ -152,18 +142,16 @@ impl Columns {
     /// panic, an underflowing df or a bound that prunes a real hit.
     pub(crate) fn validate(&self) -> Result<(), &'static str> {
         let docs = self.ids.len();
-        let lists = self.live_df.len();
+        let lists = self.max_tf_norm.len();
         let postings = self.posting_docs.len();
         if docs > u32::MAX as usize
             || self.term_offsets.len() != lists + 1
             || self.list_offsets.len() != lists + 1
             || self.block_offsets.len() != lists + 1
-            || self.max_tf_norm.len() != lists
             || self.pos_offsets.len() != postings + 1
             || self.fwd_offsets.len() != docs + 1
             || self.fwd_lists.len() != postings
             || self.field_lengths.len() != docs * Field::COUNT
-            || self.baked_dead.len() != docs.div_ceil(64)
         {
             return Err("column lengths disagree");
         }
@@ -175,9 +163,6 @@ impl Columns {
             && spans(&self.field_starts, lists))
         {
             return Err("offsets out of bounds or not monotone");
-        }
-        if !docs.is_multiple_of(64) && self.baked_dead[docs / 64] >> (docs % 64) != 0 {
-            return Err("tombstone bit past the last document");
         }
         for field_ord in 0..Field::COUNT {
             let rows =
@@ -228,7 +213,6 @@ impl Columns {
         if !max.is_finite() || !blocks.iter().all(|b| b.is_finite() && *b <= max) {
             return Err("impact bound not finite or above its list's");
         }
-        let mut live = 0u32;
         let mut previous = None;
         for row in rows.clone() {
             let doc = self.posting_docs[row];
@@ -247,10 +231,6 @@ impl Columns {
             {
                 return Err("impact bound below a posting's");
             }
-            live += u32::from(!bit(&self.baked_dead, doc as usize));
-        }
-        if live != self.live_df[list] {
-            return Err("live df disagrees with the tombstones");
         }
         Ok(())
     }
@@ -263,7 +243,6 @@ impl Columns {
             + self.term_bytes.len()
             + size_of_val(&self.list_offsets[..])
             + size_of_val(&self.block_offsets[..])
-            + size_of_val(&self.live_df[..])
             + size_of_val(&self.max_tf_norm[..])
             + size_of_val(&self.posting_docs[..])
             + size_of_val(&self.pos_offsets[..])
@@ -273,7 +252,6 @@ impl Columns {
             + size_of_val(&self.fwd_lists[..])
             + size_of_val(&self.ids[..])
             + size_of_val(&self.field_lengths[..])
-            + size_of_val(&self.baked_dead[..])
     }
 }
 
@@ -284,7 +262,6 @@ pub(crate) struct FlatSegment {
     cols: Columns,
     /// The newest slot of each id — the only one that can be live.
     by_id: HashMap<SchemaId, DocOrd>,
-    live_docs: usize,
 }
 
 impl FlatSegment {
@@ -307,16 +284,7 @@ impl FlatSegment {
             .enumerate()
             .map(|(ord, &id)| (id, ord as DocOrd))
             .collect();
-        let dead: usize = cols
-            .baked_dead
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum();
-        FlatSegment {
-            live_docs: cols.ids.len() - dead,
-            by_id,
-            cols,
-        }
+        FlatSegment { by_id, cols }
     }
 
     pub(crate) fn columns(&self) -> &Columns {
@@ -328,14 +296,8 @@ impl FlatSegment {
         self.cols.ids.len()
     }
 
-    /// Documents that are live by the baked flags; an overlay's
-    /// `dead_docs` is subtracted on top for the true live count.
-    pub(crate) fn live_docs(&self) -> usize {
-        self.live_docs
-    }
-
     pub(crate) fn list_count(&self) -> usize {
-        self.cols.live_df.len()
+        self.cols.list_count()
     }
 
     #[inline]
@@ -346,11 +308,6 @@ impl FlatSegment {
     #[inline]
     pub(crate) fn field_len(&self, ord: DocOrd, field_ord: usize) -> u32 {
         self.cols.field_lengths[ord as usize * Field::COUNT + field_ord]
-    }
-
-    #[inline]
-    pub(crate) fn is_baked_dead(&self, ord: DocOrd) -> bool {
-        bit(&self.cols.baked_dead, ord as usize)
     }
 
     /// The slot that holds `id`'s newest copy, live or not.
@@ -411,12 +368,11 @@ impl FlatSegment {
     }
 }
 
-/// Tombstones applied to a segment *after* it sealed, published
-/// copy-on-write alongside the frozen data. `dead_df` mirrors the head's
-/// incremental live-df maintenance: per list id, how many of the list's
-/// postings point at overlay-dead documents, so the scorer's live df is
-/// `list live df − overlay dead df` without a postings rescan. It is empty
-/// until the first tombstone and one entry a list afterwards.
+/// A segment's tombstones, published copy-on-write alongside the frozen
+/// data. `dead_df` is, per list id, how many of the list's postings point
+/// at dead documents, so the scorer's live df is `posting count − dead df`
+/// without a postings rescan. It is empty until the first tombstone and
+/// one entry a list afterwards.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LiveOverlay {
     bits: Vec<u64>,
@@ -443,16 +399,6 @@ impl LiveOverlay {
     }
 }
 
-/// The process-wide empty overlay, shared by every head segment and every
-/// freshly merged segment — publishing never allocates for the common
-/// "no post-seal tombstones" case.
-pub(crate) fn empty_overlay() -> Arc<LiveOverlay> {
-    static EMPTY: std::sync::OnceLock<Arc<LiveOverlay>> = std::sync::OnceLock::new();
-    EMPTY
-        .get_or_init(|| Arc::new(LiveOverlay::default()))
-        .clone()
-}
-
 /// One immutable segment as a snapshot sees it: frozen data plus the
 /// overlay current at publish time.
 #[derive(Debug, Clone)]
@@ -462,21 +408,23 @@ pub(crate) struct Segment {
 }
 
 impl Segment {
-    /// Is the document at `ord` deleted, by baked flag or overlay?
+    /// Is the document at `ord` deleted?
     #[inline]
     pub(crate) fn is_deleted(&self, ord: DocOrd) -> bool {
-        self.data.is_baked_dead(ord) || (self.live.dead_docs > 0 && self.live.is_dead(ord))
+        self.live.is_dead(ord)
     }
 
-    /// The scorer's live document frequency for list `id` of this segment.
+    /// The scorer's live document frequency for list `id` of this segment:
+    /// its posting count less the postings of dead documents.
     #[inline]
     pub(crate) fn live_df(&self, id: u32) -> usize {
-        (self.data.columns().live_df[id as usize] - self.live.dead_df(id)) as usize
+        let rows = &self.data.columns().list_offsets[id as usize..id as usize + 2];
+        (rows[1] - rows[0] - self.live.dead_df(id)) as usize
     }
 
-    /// Live documents in this segment (baked live minus overlay dead).
+    /// Live documents in this segment.
     pub(crate) fn live_docs(&self) -> usize {
-        self.data.live_docs() - self.live.dead_docs
+        self.data.doc_count() - self.live.dead_docs
     }
 }
 
@@ -492,34 +440,37 @@ pub(crate) struct SealedSegment {
 }
 
 impl SealedSegment {
-    pub(crate) fn new(data: Arc<FlatSegment>) -> Self {
-        SealedSegment {
+    /// `data` with the documents `bits` names tombstoned, each counted
+    /// against the lists its forward row names: the one way a bitset
+    /// becomes an overlay, for a frozen head, a merge's output and a loaded
+    /// segment alike. Every bit must name a document of `data`.
+    pub(crate) fn with_tombstones(data: Arc<FlatSegment>, bits: &[u64]) -> Self {
+        let mut segment = SealedSegment {
             data,
             master: LiveOverlay::default(),
             cached: None,
+        };
+        for ord in late_tombstones(&[], bits) {
+            segment.tombstone(ord);
         }
+        segment
     }
 
     /// A segment read back with the overlay bitset it was saved with (the
-    /// codec load path): the bits must name live documents of `data`.
+    /// codec load path): the bits must name documents of `data`.
     pub(crate) fn restored(data: Arc<FlatSegment>, bits: &[u64]) -> Result<Self, &'static str> {
         let docs = data.doc_count();
         let in_range = bits.len() <= docs.div_ceil(64)
             && (bits.len() * 64 <= docs || bits[docs / 64] >> (docs % 64) == 0);
-        let baked = &data.columns().baked_dead;
-        if !in_range || bits.iter().zip(baked).any(|(o, b)| o & b != 0) {
-            return Err("overlay tombstones a document that is not live");
+        if !in_range {
+            return Err("overlay names a document past the last");
         }
-        let mut segment = SealedSegment::new(data);
-        for ord in late_tombstones(&[], bits) {
-            segment.tombstone(ord);
-        }
-        Ok(segment)
+        Ok(Self::with_tombstones(data, bits))
     }
 
-    /// Is `ord` dead (baked flag or overlay bit)?
+    /// Is `ord` dead?
     pub(crate) fn is_dead(&self, ord: DocOrd) -> bool {
-        self.data.is_baked_dead(ord) || self.master.is_dead(ord)
+        self.master.is_dead(ord)
     }
 
     /// Tombstone a (currently live) document: set the overlay bit and
@@ -547,9 +498,9 @@ impl SealedSegment {
         &self.master.bits
     }
 
-    /// Live documents (baked live minus overlay dead).
+    /// Live documents.
     pub(crate) fn live_count(&self) -> usize {
-        self.data.live_docs() - self.master.dead_docs
+        self.data.doc_count() - self.master.dead_docs
     }
 
     /// Total document slots including tombstones.
@@ -564,12 +515,25 @@ impl SealedSegment {
             return o.clone();
         }
         let o = if self.master.dead_docs == 0 {
-            empty_overlay()
+            // One process-wide empty overlay, shared by every segment
+            // without a tombstone: publishing those never allocates.
+            static EMPTY: OnceLock<Arc<LiveOverlay>> = OnceLock::new();
+            EMPTY
+                .get_or_init(|| Arc::new(LiveOverlay::default()))
+                .clone()
         } else {
             Arc::new(self.master.clone())
         };
         self.cached = Some(o.clone());
         o
+    }
+
+    /// This segment as a snapshot publishes it.
+    pub(crate) fn published(&mut self) -> Segment {
+        Segment {
+            data: self.data.clone(),
+            live: self.overlay(),
+        }
     }
 }
 
@@ -587,7 +551,7 @@ pub(crate) fn compact(parts: &[(Arc<FlatSegment>, Vec<u64>)]) -> FlatSegment {
     let total = |len: fn(&Columns) -> usize| parts.iter().map(|(p, _)| len(p.columns())).sum();
     let mut out = Columns::with_capacity(
         total(|c| c.ids.len()),
-        total(|c| c.live_df.len()),
+        total(Columns::list_count),
         total(|c| c.posting_docs.len()),
         total(|c| c.positions.len()),
         total(|c| c.block_max.len()),
@@ -597,12 +561,13 @@ pub(crate) fn compact(parts: &[(Arc<FlatSegment>, Vec<u64>)]) -> FlatSegment {
     for (data, dead) in parts {
         let remap = (0..data.doc_count() as DocOrd)
             .map(|ord| {
-                if data.is_baked_dead(ord) || bit(dead, ord as usize) {
+                if bit(dead, ord as usize) {
                     return None;
                 }
-                let c = data.columns();
                 let lengths = ord as usize * Field::COUNT..(ord as usize + 1) * Field::COUNT;
-                out.push_doc(data.id(ord), &c.field_lengths[lengths]);
+                out.ids.push(data.id(ord));
+                out.field_lengths
+                    .extend_from_slice(&data.columns().field_lengths[lengths]);
                 Some(out.ids.len() as DocOrd - 1)
             })
             .collect();
@@ -639,11 +604,11 @@ pub(crate) fn compact(parts: &[(Arc<FlatSegment>, Vec<u64>)]) -> FlatSegment {
                 continue;
             }
             for (pi, id) in lists {
-                new_list[pi][id as usize] = out.live_df.len() as u32;
+                new_list[pi][id as usize] = out.list_count() as u32;
             }
             out.push_list(term, &merged_list);
         }
-        out.field_starts[field_ord + 1] = out.live_df.len() as u32;
+        out.field_starts[field_ord + 1] = out.list_count() as u32;
     }
     // A live document keeps every one of its postings, so each of its
     // lists survived and its forward-index entries carry over renamed.
@@ -699,12 +664,12 @@ mod tests {
             };
             head.push(&doc, &terms, &mut rows);
         }
-        Arc::new(head.freeze())
+        head.freeze().data
     }
 
     #[test]
     fn overlay_tombstone_updates_dead_df_and_bits() {
-        let mut seg = SealedSegment::new(segment_with(&[1, 2, 3]));
+        let mut seg = SealedSegment::with_tombstones(segment_with(&[1, 2, 3]), &[]);
         let t = seg.data.find(Field::Title, "t").expect("the one list");
         assert!(seg.data.find(Field::Title, "missing").is_none());
         assert!(seg.data.find(Field::Elements, "t").is_none());
@@ -726,7 +691,7 @@ mod tests {
 
     #[test]
     fn overlay_arc_is_cached_until_the_next_tombstone() {
-        let mut seg = SealedSegment::new(segment_with(&[1, 2]));
+        let mut seg = SealedSegment::with_tombstones(segment_with(&[1, 2]), &[]);
         let a = seg.overlay();
         let b = seg.overlay();
         assert!(Arc::ptr_eq(&a, &b));
@@ -752,12 +717,10 @@ mod tests {
         let dead = vec![1u64 << 1]; // kill ordinal 1 (id 20)
         let out = compact(&[(data, dead)]);
         assert_eq!(out.doc_count(), 2);
-        assert_eq!(out.live_docs(), 2);
         assert_eq!(out.id(0), SchemaId(10));
         assert_eq!(out.id(1), SchemaId(30));
         let t = out.find(Field::Title, "t").unwrap();
         assert_eq!(out.list(t).docs, [0, 1]);
-        assert_eq!(out.columns().live_df[t as usize], 2);
         assert_eq!(out.ord_of(SchemaId(30)), Some(1));
         assert_eq!(out.lists_of(1), [t]);
     }

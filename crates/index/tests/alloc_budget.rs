@@ -58,8 +58,8 @@ fn doc_over(id: u64, elements: usize, words: u64) -> OwnedDocument {
         .with_docs([format!("{} in {}", word(4), word(5))])
 }
 
-/// `segments` sealed segments of 128 documents plus a head, with overlay
-/// and baked tombstones.
+/// `segments` sealed segments of 128 documents plus a head, with
+/// tombstones in both.
 fn index_of(segments: u64, elements: usize) -> Index {
     let index = Index::new().with_seal_threshold(128);
     let docs: Vec<OwnedDocument> = (0..segments * 128 + 40)

@@ -1,6 +1,7 @@
 //! Damaged index files are refused with a typed error, never a panic and
 //! never a wrong answer: every truncation and every single-bit flip of a
-//! small multi-segment index with baked and overlay tombstones.
+//! small multi-segment index with tombstones in sealed segments and in
+//! the head.
 //!
 //! (Files with a *valid* checksum over broken structure are built in
 //! `src/codec/hostile.rs`, which can reach the column writer.)
@@ -21,8 +22,8 @@ fn doc(id: u64, title: &str, elements: &[&str]) -> OwnedDocument {
         .with_docs(["height in cm"])
 }
 
-/// Three sealed segments and a head; overlay tombstones on the first
-/// segment (a removal and a replacement), a baked one in the head.
+/// Three sealed segments and a head; tombstones on the first segment (a
+/// removal and a replacement) and one in the head.
 fn fixture() -> Index {
     let index = Index::new().with_seal_threshold(3);
     for id in 0..11 {

@@ -9,7 +9,7 @@
 //! * **per distinct word** — the engine's [`Lexicon`] interns each
 //!   analyzed candidate word under a dense [`WordId`] and builds its
 //!   all-gram set then and only then;
-//! * **per (candidate, distinct analyzer)** — [`element_words`] is the
+//! * **per (candidate, distinct analyzer)** — `element_words` is the
 //!   one pass over a candidate's element names: the streaming analyzer
 //!   hands each term to the lexicon as a `&str`, a whole schema resolves
 //!   under one read view, and only a word the lexicon has never seen

@@ -27,7 +27,7 @@
 //! count (the coefficients depend only on the count, so every kernel
 //! preserves bitwise-identical scores):
 //!
-//! * **galloping** — when one side is ≥ [`GALLOP_RATIO`]× larger, walk the
+//! * **galloping** — when one side is ≥ `GALLOP_RATIO`× larger, walk the
 //!   small side and exponentially probe + binary-search the large side:
 //!   O(|small| · log |large|) beats the linear merge on asymmetric pairs,
 //!   with or without SIMD.
