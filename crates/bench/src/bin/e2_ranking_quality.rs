@@ -11,6 +11,8 @@
 //! * `token-only` — ensemble reduced to exact-token matching,
 //! * `no-struct`  — full ensemble but structural penalties disabled.
 //!
+//! Exits non-zero unless `full` beats `tfidf` on all four metrics.
+//!
 //! Run with `cargo run --release -p schemr-bench --bin e2_ranking_quality`.
 
 use schemr_bench::{variants, Table, Testbed};
@@ -50,7 +52,8 @@ fn main() {
 
     // Full pipeline.
     let bed = Testbed::build(&corpus);
-    push("full", bed.evaluate(&workload, 10));
+    let full = bed.evaluate(&workload, 10);
+    push("full", full);
 
     // Phase-1-only TF/IDF baseline (same index, coarse ranking).
     let coarse = bed.evaluate_with(&workload, 10, |q| bed.run_query_coarse(q, 10));
@@ -63,11 +66,6 @@ fn main() {
     // Exact-token-only ensemble.
     bed.engine.set_ensemble(variants::token_only_ensemble());
     push("token-only ensemble", bed.evaluate(&workload, 10));
-
-    // Standard ensemble + similarity-flooding structural matcher.
-    bed.engine.set_ensemble(variants::flooding_ensemble());
-    push("+flooding ensemble", bed.evaluate(&workload, 10));
-    bed.engine.set_ensemble(variants::standard_ensemble());
 
     // Structural penalties off.
     let flat = Testbed::build_with_config(&corpus, variants::no_structure());
@@ -82,4 +80,25 @@ fn main() {
          penalties are near-neutral here; E4 isolates where they matter\n\
          (scattered-distractor discrimination)."
     );
+
+    // The paper's claim: Phase 2+3 beat plain document search.
+    let behind: Vec<&str> = [
+        ("P@10", full.p_at_10, coarse.p_at_10),
+        ("MRR", full.mrr, coarse.mrr),
+        ("NDCG@10", full.ndcg_at_10, coarse.ndcg_at_10),
+        ("MAP", full.map, coarse.map),
+    ]
+    .into_iter()
+    .filter(|&(_, f, t)| f <= t)
+    .map(|(metric, _, _)| metric)
+    .collect();
+    if behind.is_empty() {
+        println!("\nPASS: full beats the phase-1 TF/IDF baseline on every metric");
+    } else {
+        println!(
+            "\nFAIL: full does not beat the phase-1 TF/IDF baseline on {}",
+            behind.join(", ")
+        );
+        std::process::exit(1);
+    }
 }

@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use schemr_bench::{variants, Table, Testbed};
+use schemr_bench::{Table, Testbed};
 use schemr_codebook::CodebookMatcher;
 use schemr_collab::{CommunityRanker, CommunityStore};
 use schemr_corpus::{Corpus, CorpusConfig, PerturbConfig, Workload, WorkloadConfig};
@@ -153,7 +153,7 @@ fn codebook(quick: bool) {
         e
     };
     for (name, ensemble) in [
-        ("name + context", variants::standard_ensemble()),
+        ("name + context", Ensemble::standard()),
         ("name + context + codebook@0.25", with_codebook()),
     ] {
         bed.engine.set_ensemble(ensemble);

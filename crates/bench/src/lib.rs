@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use schemr::{EngineConfig, SchemrEngine, SearchRequest, TightnessConfig};
 use schemr_corpus::{Corpus, GeneratedQuery, RankingMetrics, Workload};
-use schemr_match::{ContextMatcher, Ensemble, NameMatcher, TokenMatcher};
+use schemr_match::{Ensemble, NameMatcher, TokenMatcher};
 use schemr_model::SchemaId;
 use schemr_repo::Repository;
 
@@ -157,21 +157,6 @@ pub mod variants {
     pub fn token_only_ensemble() -> Ensemble {
         let mut e = Ensemble::empty();
         e.push(Box::new(TokenMatcher::new()), 1.0);
-        e
-    }
-
-    /// The standard name + context ensemble.
-    pub fn standard_ensemble() -> Ensemble {
-        let mut e = Ensemble::empty();
-        e.push(Box::new(NameMatcher::new()), 1.0);
-        e.push(Box::new(ContextMatcher::new()), 1.0);
-        e
-    }
-
-    /// Standard ensemble plus the similarity-flooding structural matcher.
-    pub fn flooding_ensemble() -> Ensemble {
-        let mut e = standard_ensemble();
-        e.push(Box::new(schemr_match::FloodingMatcher::new()), 0.5);
         e
     }
 }

@@ -87,7 +87,9 @@ impl Matcher for CodebookMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use schemr_match::{Ensemble, MatchScratch};
     use schemr_model::{DataType, SchemaBuilder};
+    use schemr_text::Lexicon;
 
     /// The codebook matcher reads no artifacts: empty ones are its own.
     fn score(terms: &[QueryTerm], q: &QueryGraph, candidate: &Schema) -> SimilarityMatrix {
@@ -97,7 +99,7 @@ mod tests {
             q,
             &PreparedSchema::default(),
             candidate,
-            &mut ScoreScratch::new(&schemr_text::Lexicon::new()),
+            &mut ScoreScratch::new(&Lexicon::new()),
         )
     }
 
@@ -122,6 +124,60 @@ mod tests {
         // And the name matcher indeed misses it.
         let nm = schemr_match::NameMatcher::new();
         assert!(nm.similarity("dob", "born") < 0.5);
+    }
+
+    /// e9's ensemble, through the production combine path: where the
+    /// codebook abstains, a cell is the standard ensemble's; where it
+    /// fires, the weighted combination with abstention of every matcher's
+    /// own matrix.
+    #[test]
+    fn abstaining_codebook_goes_through_the_ensemble_combine() {
+        fn run(e: &Ensemble, terms: &[QueryTerm], q: &QueryGraph, c: &Schema) -> SimilarityMatrix {
+            let lexicon = Lexicon::new();
+            let equery = e.prepare_query(terms, q);
+            let pcand = e.prepare(c, &lexicon);
+            let mut scratch = MatchScratch::new(&equery, &lexicon);
+            e.run(terms, q, &pcand, c, &mut scratch, false).matrix
+        }
+        let (q, terms) = keyword_terms(&["dob"]);
+        let candidate = SchemaBuilder::new("c")
+            .entity("person", |e| e.attr("born", DataType::Date))
+            .build_unchecked();
+        let mut with_codebook = Ensemble::standard();
+        with_codebook.push(Box::new(CodebookMatcher::new()), 0.25);
+        let combined = run(&with_codebook, &terms, &q, &candidate);
+        let standard = run(&Ensemble::standard(), &terms, &q, &candidate);
+
+        let per = with_codebook.individual(&terms, &q, &candidate);
+        let names: Vec<_> = per.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, ["name", "context", "codebook"]);
+        let members: Vec<(&SimilarityMatrix, f64, bool)> = per
+            .iter()
+            .zip(with_codebook.weights())
+            .zip([false, false, true])
+            .map(|(((_, m), w), abstains)| (m, w, abstains))
+            .collect();
+        let reference = SimilarityMatrix::combine_with_abstention(&members);
+        let codebook = &per[2].1;
+
+        let (mut silent, mut fired) = (0, 0);
+        for r in 0..combined.rows() {
+            for c in 0..combined.cols() {
+                let expected = if codebook.get(r, c) == 0.0 {
+                    silent += 1;
+                    standard.get(r, c)
+                } else {
+                    fired += 1;
+                    reference.get(r, c)
+                };
+                assert_eq!(
+                    combined.get(r, c).to_bits(),
+                    expected.to_bits(),
+                    "cell ({r},{c})"
+                );
+            }
+        }
+        assert!(silent > 0 && fired > 0, "silent {silent}, fired {fired}");
     }
 
     #[test]

@@ -378,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn standard_ensemble_has_name_and_context() {
+    fn standard_has_name_and_context() {
         let e = Ensemble::standard();
         assert_eq!(e.matcher_names(), ["name", "context"]);
         assert_eq!(e.weights(), [1.0, 1.0]);

@@ -21,8 +21,7 @@
 //! * [`TokenMatcher`] — exact normalized-token overlap (the baseline the
 //!   n-gram matcher is evaluated against in experiment E3),
 //! * [`EditDistanceMatcher`] — Levenshtein similarity, a second ensemble
-//!   member,
-//! * [`TypeMatcher`] — data-type compatibility for fragment queries.
+//!   member.
 //!
 //! Scoring has one path: [`Matcher::score_into`] over the artifacts of
 //! [`prepare`] — word ids in the engine's [`schemr_text::Lexicon`], from
@@ -44,18 +43,15 @@
 pub mod context;
 pub mod edit;
 pub mod ensemble;
-pub mod flooding;
 pub mod learner;
 pub mod matrix;
 pub mod name;
 pub mod prepare;
 pub mod token;
-pub mod typematch;
 
 pub use context::ContextMatcher;
 pub use edit::EditDistanceMatcher;
 pub use ensemble::{Ensemble, EnsembleRun};
-pub use flooding::FloodingMatcher;
 pub use matrix::SimilarityMatrix;
 pub use name::NameMatcher;
 pub use prepare::{
@@ -63,7 +59,6 @@ pub use prepare::{
     PreparedSchema, QueryWords, ScoreScratch,
 };
 pub use token::TokenMatcher;
-pub use typematch::TypeMatcher;
 
 use schemr_model::{QueryGraph, QueryTerm, Schema};
 use schemr_text::{Analyzer, WordId};
@@ -81,9 +76,9 @@ pub trait Matcher: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Whether a zero cell from this matcher means "no opinion" rather
-    /// than "dissimilar". Sparse, high-precision matchers (data-type /
-    /// codebook agreement) return true so their silence does not dilute
-    /// the dense matchers in the weighted combination.
+    /// than "dissimilar". Sparse, high-precision matchers (the codebook
+    /// crate's semantic-type agreement) return true so their silence does
+    /// not dilute the dense matchers in the weighted combination.
     fn abstains(&self) -> bool {
         false
     }

@@ -135,8 +135,8 @@ impl SimilarityMatrix {
     /// Weighted combination with *abstention*: matchers flagged as
     /// abstaining contribute a cell to neither numerator nor denominator
     /// when their value there is zero. Sparse, high-precision matchers
-    /// (data-type or codebook agreement) use this so their "don't know"
-    /// cells do not dilute the dense matchers.
+    /// (codebook agreement) use this so their "don't know" cells do not
+    /// dilute the dense matchers.
     ///
     /// Cells where every matcher abstains (or only zero-weight matchers
     /// fire) are zero.

@@ -81,7 +81,7 @@ impl std::fmt::Display for ElementKind {
 /// Logical data type of an attribute.
 ///
 /// Parsers map concrete SQL / XSD types onto this small lattice; the
-/// data-type matcher scores pairs by compatibility within it.
+/// codebook matcher reads it to recognize an attribute's semantic type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DataType {
     Integer,
@@ -99,8 +99,8 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// All concrete variants, in a stable order (used by the type matcher's
-    /// compatibility matrix and by the corpus generator).
+    /// All variants, in a stable order (used by the wire codecs and by
+    /// the tests' generators).
     pub const ALL: [DataType; 10] = [
         DataType::Integer,
         DataType::Real,
