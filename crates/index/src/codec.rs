@@ -10,21 +10,25 @@
 //! ```text
 //! file    := "SCHMRIDX" version:u32 segments:u32 segment*
 //! segment := len:u64 body checksum:u64      (len = bytes of body, a multiple of 8)
-//! body    := docs lists postings positions blocks term_bytes overlay_words   (u32 each)
+//! body    := docs lists postings occurrences blocks block_bytes fwd_bytes
+//!            term_bytes overlay_words                             (u32 each)
 //!            field_starts:u32[5]
 //!            max_tf_norm:f64[lists] block_max:f64[blocks]
 //!            ids:u64[docs] overlay:u64[overlay_words]
 //!            term_offsets list_offsets block_offsets :u32[lists+1]
-//!            posting_docs:u32[postings] pos_offsets:u32[postings+1] positions:u32[positions]
-//!            fwd_offsets:u32[docs+1] fwd_lists:u32[postings] field_lengths:u32[4·docs]
-//!            term_bytes:u8[term_bytes] zero padding to a multiple of 8
+//!            block_first:u32[blocks] block_starts:u32[blocks+1]
+//!            fwd_offsets fwd_starts :u32[docs+1] field_lengths:u32[4·docs]
+//!            term_bytes:u8[term_bytes] blocks:u8[block_bytes] fwd:u8[fwd_bytes]
+//!            zero padding to a multiple of 8
 //! ```
 //!
-//! Wide columns come first, so every column is naturally aligned in the
-//! file. Loading reads each column into one allocation, verifies the
-//! checksum and then the structure (`FlatSegment::checked`), and
-//! publishes the same segments with the same overlays: nothing is decoded
-//! per posting and nothing is rebuilt.
+//! The postings are block-coded ([`crate::postings`]) and the forward
+//! index is a delta run a document, so the columns are what they are in
+//! memory. Wide columns come first, so every column is naturally aligned
+//! in the file. Loading reads each column into one allocation, verifies
+//! the checksum and then the structure (`FlatSegment::checked`, which
+//! decodes every block and forward row once to check it), and publishes
+//! the same segments with the same overlays: nothing is rebuilt.
 
 use std::fs::File;
 use std::io::Write;
@@ -38,7 +42,7 @@ use crate::memory::Index;
 use crate::segment::{Columns, FlatSegment, SealedSegment};
 
 const MAGIC: &[u8; 8] = b"SCHMRIDX";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// Errors raised while decoding an index file.
 #[derive(Debug)]
@@ -99,9 +103,11 @@ fn write_segment(out: &mut Vec<u8>, c: &Columns, overlay: &[u64]) {
     let counts = [
         c.ids.len(),
         c.list_count(),
-        c.posting_docs.len(),
-        c.positions.len(),
+        c.postings(),
+        c.occurrences as usize,
         c.block_max.len(),
+        c.blocks.len(),
+        c.fwd_bytes.len(),
         c.term_bytes.len(),
         overlay.len(),
     ]
@@ -116,16 +122,17 @@ fn write_segment(out: &mut Vec<u8>, c: &Columns, overlay: &[u64]) {
         &c.term_offsets,
         &c.list_offsets,
         &c.block_offsets,
-        &c.posting_docs,
-        &c.pos_offsets,
-        &c.positions,
+        &c.block_first,
+        &c.block_starts,
         &c.fwd_offsets,
-        &c.fwd_lists,
+        &c.fwd_starts,
         &c.field_lengths,
     ] {
         put(out, column, u32::to_le_bytes);
     }
     out.extend_from_slice(&c.term_bytes);
+    out.extend_from_slice(&c.blocks);
+    out.extend_from_slice(&c.fwd_bytes);
     // The header is 16 bytes and every segment a multiple of 8.
     out.resize(out.len().next_multiple_of(8), 0);
     let body = len_at + 8;
@@ -199,8 +206,9 @@ fn read_segment(file: &mut Reader<'_>) -> Result<SealedSegment, CodecError> {
     let mut r = Reader(body);
     // Counts are u32 in the file; as u64 no sum or product below overflows.
     let mut count = || r.u32().map(u64::from);
-    let (docs, lists, postings) = (count()?, count()?, count()?);
-    let (positions, blocks, term_bytes, overlay_words) = (count()?, count()?, count()?, count()?);
+    let (docs, lists, postings, occurrences) = (count()?, count()?, count()?, count()?);
+    let (blocks, block_bytes, fwd_bytes) = (count()?, count()?, count()?);
+    let (term_bytes, overlay_words) = (count()?, count()?);
     let mut field_starts = [0u32; Field::COUNT + 1];
     for start in &mut field_starts {
         *start = r.u32()?;
@@ -215,21 +223,26 @@ fn read_segment(file: &mut Reader<'_>) -> Result<SealedSegment, CodecError> {
         max_tf_norm,
         block_max,
         ids,
+        occurrences: occurrences as u32,
         term_offsets: u32s(lists + 1)?,
         list_offsets: u32s(lists + 1)?,
         block_offsets: u32s(lists + 1)?,
-        posting_docs: u32s(postings)?,
-        pos_offsets: u32s(postings + 1)?,
-        positions: u32s(positions)?,
+        block_first: u32s(blocks)?,
+        block_starts: u32s(blocks + 1)?,
         fwd_offsets: u32s(docs + 1)?,
-        fwd_lists: u32s(postings)?,
+        fwd_starts: u32s(docs + 1)?,
         field_lengths: u32s(docs * Field::COUNT as u64)?,
         term_bytes: r.take(term_bytes)?.to_vec(),
+        blocks: r.take(block_bytes)?.to_vec(),
+        fwd_bytes: r.take(fwd_bytes)?.to_vec(),
     };
     if r.0.len() >= 8 || r.0.iter().any(|&b| b != 0) {
         return Err(CodecError::Corrupt(
             "segment length disagrees with its counts",
         ));
+    }
+    if cols.list_offsets.last() != Some(&(postings as u32)) {
+        return Err(CodecError::Corrupt("column lengths disagree"));
     }
     let data = FlatSegment::checked(cols).map_err(CodecError::Corrupt)?;
     SealedSegment::restored(Arc::new(data), &overlay).map_err(CodecError::Corrupt)

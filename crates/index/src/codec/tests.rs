@@ -155,7 +155,7 @@ fn a_save_that_fails_half_way_leaves_the_previous_file() {
 fn foreign_and_older_files_are_rejected_by_name() {
     assert!(matches!(decode(b"NOTANIDX0000"), Err(CodecError::BadMagic)));
     let mut data = encode(&sample_index()).to_vec();
-    for older in [1, 2] {
+    for older in [1, 2, 3] {
         data[8] = older;
         let refused = decode(&data);
         assert!(matches!(refused, Err(CodecError::BadVersion(v)) if v == u32::from(older)));

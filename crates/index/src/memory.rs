@@ -47,6 +47,7 @@ use crate::document::IndexDocument;
 use crate::field::Field;
 use crate::head::HeadBuilder;
 use crate::metrics::IndexMetrics;
+use crate::postings::BlockBuf;
 use crate::search::{idf_weight, impact, search_postings, Hit, ProbeStats, SearchOptions};
 use crate::segment::{compact, late_tombstones, FlatSegment, SealedSegment, Segment};
 use crate::session::{Analyzed, AnalyzedDoc, Batch, Interner, RowTable, Session};
@@ -151,7 +152,7 @@ impl Writer {
     /// Freeze the head into a sealed segment and start a fresh one.
     /// Head tombstones ride along as the segment's overlay.
     fn seal(&mut self) {
-        let head = std::mem::take(&mut self.head);
+        let mut head = std::mem::take(&mut self.head);
         self.sealed.push(head.freeze());
     }
 
@@ -684,6 +685,7 @@ impl Index {
         let snap = self.snapshot();
         let n_docs = snap.live_docs as f64;
         let mut lists: Vec<PostingsListStats> = Vec::new();
+        let mut buf = BlockBuf::default();
         for field_ord in 0..Field::COUNT {
             let field = Field::from_ordinal(field_ord as u8).unwrap_or(Field::Elements);
             for (term, portions) in snap.merged_terms(field_ord) {
@@ -698,15 +700,20 @@ impl Index {
                 };
                 let doc_freq: usize = portion_lists().map(|(_, list)| list.doc_freq()).sum();
                 let idf = idf_weight(live_df, n_docs);
-                let max_impact = portion_lists()
-                    .flat_map(|(seg, list)| {
-                        list.postings(0..list.doc_freq())
-                            .filter(|&(doc, _)| !seg.is_deleted(doc))
-                            .map(move |(doc, tf)| {
-                                impact(field, tf, idf, seg.data.field_len(doc, field_ord))
-                            })
-                    })
-                    .fold(0.0f64, f64::max);
+                let mut max_impact = 0.0f64;
+                for (seg, list) in portion_lists() {
+                    let mut cursor = list.cursor(&mut buf);
+                    for b in 0..list.block_count() {
+                        cursor.load(b);
+                        let (docs, tfs) = cursor.postings();
+                        for (&doc, &tf) in docs.iter().zip(tfs) {
+                            if !seg.is_deleted(doc) {
+                                let field_len = seg.data.field_len(doc, field_ord);
+                                max_impact = max_impact.max(impact(field, tf, idf, field_len));
+                            }
+                        }
+                    }
+                }
                 let stored_bound = portion_lists()
                     .map(|(_, list)| list.max_impact_bound(field.boost(), idf))
                     .fold(0.0f64, f64::max);
@@ -1268,12 +1275,13 @@ mod tests {
             let ord = ord as crate::DocOrd;
             let mut held: [Vec<(String, u32)>; Field::COUNT] = Default::default();
             let mut keys = Vec::new();
-            for &list in head.lists_of(ord) {
+            for list in head.lists_of(ord) {
                 let field = (0..Field::COUNT)
                     .find(|&f| head.field_lists(f).contains(&list))
                     .expect("every list belongs to a field");
-                let (term, postings) = (head.term(list), head.list(list));
-                let posting = postings.find(ord).expect("a forward key has a posting");
+                let (term, mut buf) = (head.term(list), BlockBuf::default());
+                let mut postings = head.list(list).cursor(&mut buf);
+                let posting = postings.seek(ord).expect("a forward key has a posting");
                 let positions = postings.positions(posting).iter();
                 held[field].extend(positions.map(|&p| (term.to_string(), p)));
                 keys.push((field, term));
@@ -1288,9 +1296,9 @@ mod tests {
             }
         }
         // No list mentions a document its keys do not name.
-        let postings = head.columns().posting_docs.len();
+        let postings = head.columns().postings();
         let keys: usize = (0..docs.len())
-            .map(|ord| head.lists_of(ord as crate::DocOrd).len())
+            .map(|ord| head.lists_of(ord as crate::DocOrd).count())
             .sum();
         assert_eq!(postings, keys);
     }

@@ -59,12 +59,13 @@
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use schemr_model::SchemaId;
 
 use crate::field::Field;
 use crate::metrics::IndexMetrics;
-use crate::postings::List;
+use crate::postings::{BlockBuf, List};
 use crate::segment::Segment;
 use crate::snapshot::IndexSnapshot;
 
@@ -165,7 +166,8 @@ impl Ord for HeapEntry {
 
 /// Per-thread scratch buffers for the scoring loop, reused across queries
 /// (and across the segments of one query — `begin` is called once per
-/// segment, so accumulators are segment-ordinal-indexed).
+/// segment, so accumulators are segment-ordinal-indexed). A warm search
+/// allocates what it returns and a few buffers a query, none a segment.
 ///
 /// Accumulators are dense, ordinal-indexed arrays instead of hash maps:
 /// every access is a direct index, and "clearing" between queries is an
@@ -195,6 +197,12 @@ struct Scratch {
     /// Surviving candidate ordinals, sorted ascending — the documents a
     /// suppressed block still has to probe for.
     cands: Vec<u32>,
+    /// The query's portions, each query list's a run of them.
+    portions: Vec<Portion>,
+    plan: SegmentPlan,
+    /// The block decoders: the scanned list's, and in the proximity walk
+    /// the second list's.
+    blocks: [BlockBuf; 2],
     stamp: u64,
 }
 
@@ -259,22 +267,98 @@ fn has_adjacent(a: &[u32], b: &[u32]) -> bool {
 }
 
 /// One (term, field) query list with its global idf and the per-segment
-/// portions that hold live postings for it.
-struct QueryList<'a> {
+/// portions that hold live postings for it: `Scratch::portions[portions]`,
+/// in segment order.
+struct QueryList {
     term_idx: usize,
     field: Field,
     idf: f64,
-    /// `(segment index, portion)` for every segment where the list has
-    /// live postings, in segment order.
-    portions: Vec<(usize, List<'a>)>,
+    portions: Range<usize>,
+}
+
+/// List `id` of segment `seg`, a portion of a query list.
+#[derive(Clone, Copy)]
+struct Portion {
+    seg: usize,
+    id: u32,
 }
 
 /// One portion of a query list inside the segment currently being
-/// scanned, with its slacked per-segment impact upper bound.
-struct SegList<'a, 'b> {
-    list: &'b QueryList<'a>,
-    pl: List<'a>,
+/// scanned — query list `list`'s, the segment's list `id` — with its
+/// slacked per-segment impact upper bound.
+#[derive(Clone, Copy)]
+struct SegList {
+    list: usize,
+    id: u32,
     bound: f64,
+}
+
+/// The segment being scanned: its portions in the global list order and
+/// the per-position bounds over them.
+#[derive(Default)]
+struct SegmentPlan {
+    lists: Vec<SegList>,
+    /// `suffix[i]`: upper bound on what this segment's portions `i..` can
+    /// still add to any one document's score. Per-segment — a document
+    /// can only gain from lists in its own segment, so this is tighter
+    /// than any global sum while staying a valid bound.
+    suffix: Vec<f64>,
+    /// `distinct_from[i]`: how many distinct query terms still have a
+    /// portion in this segment at position `i` or later. A document first
+    /// touched at portion `i` appears in no earlier portion, and every
+    /// term it matches has at least one live portion here, so its final
+    /// matched count — and with coordination on, its coordination factor
+    /// — is capped by this value. Scaling admission bounds by it is what
+    /// lets pruning fire on multi-term coordinated queries at all: the
+    /// floor is a *coordinated* score, so comparing it against
+    /// uncoordinated impact sums would leave a factor-of-`total_terms`
+    /// gap no bound could ever close.
+    distinct_from: Vec<usize>,
+    /// Per distinct term: seen while filling `distinct_from`.
+    seen: Vec<bool>,
+}
+
+impl SegmentPlan {
+    /// Plan segment `si`: keep the portions `lists` have there, in order,
+    /// and fill the bounds over them.
+    fn fill(
+        &mut self,
+        si: usize,
+        seg: &Segment,
+        lists: &[QueryList],
+        portions: &[Portion],
+        total_terms: usize,
+    ) {
+        self.lists.clear();
+        self.lists
+            .extend(lists.iter().enumerate().filter_map(|(list, l)| {
+                portions[l.portions.clone()]
+                    .iter()
+                    .find(|p| p.seg == si)
+                    .map(|p| SegList {
+                        list,
+                        id: p.id,
+                        bound: l.pl_bound(&seg.data.list(p.id)),
+                    })
+            }));
+        let n = self.lists.len();
+        self.suffix.clear();
+        self.suffix.resize(n + 1, 0.0);
+        self.distinct_from.clear();
+        self.distinct_from.resize(n + 1, 0);
+        self.seen.clear();
+        self.seen.resize(total_terms, false);
+        let mut count = 0usize;
+        for i in (0..n).rev() {
+            let term = lists[self.lists[i].list].term_idx;
+            self.suffix[i] = self.suffix[i + 1] + self.lists[i].bound;
+            if !self.seen[term] {
+                self.seen[term] = true;
+                count += 1;
+            }
+            self.distinct_from[i] = count;
+        }
+    }
 }
 
 /// Recompute the pruning floor θ at a list boundary: the top-n-th largest
@@ -389,83 +473,87 @@ pub(crate) fn search_postings(
     metrics.terms_looked_up.add(distinct.len() as u64);
     // Accumulated locally and published once — the scan loop stays free
     // of atomic traffic.
-    let mut postings_scanned = 0u64;
-    let mut pruned_postings = 0u64;
-    let mut pruned_lists = 0usize;
+    let mut stats = ProbeStats {
+        distinct_terms: distinct.len(),
+        ..ProbeStats::default()
+    };
 
     let n_docs = snap.live_docs as f64;
     let total_terms = distinct.len();
 
-    // Gather the query's (term, field) lists with their live portions.
-    // Each lookup is a binary search of a segment's term table in place.
-    // df is corpus-wide (summed across segments) so idf is content-
-    // determined; a portion whose segment-live df is zero holds only
-    // tombstoned postings and is dropped here, exactly as a monolith
-    // drops a df-0 list.
-    let mut lists: Vec<QueryList<'_>> = Vec::new();
-    for (term_idx, term) in distinct.iter().enumerate() {
-        for field in Field::ALL {
-            let mut portions: Vec<(usize, List<'_>)> = Vec::new();
-            let mut df = 0usize;
-            for (si, seg) in snap.segments.iter().enumerate() {
-                let Some(id) = seg.data.find(field, term) else {
-                    continue;
-                };
-                // Live document frequency, maintained incrementally by
-                // the writers — no tombstone rescan per query.
-                let live = seg.live_df(id);
-                if live == 0 {
+    let mut hits = SCRATCH.with(|cell| {
+        let scratch = &mut *cell.borrow_mut();
+        // Gather the query's (term, field) lists with their live portions.
+        // Each lookup is a binary search of a segment's term table in
+        // place. df is corpus-wide (summed across segments) so idf is
+        // content-determined; a portion whose segment-live df is zero
+        // holds only tombstoned postings and is dropped here, exactly as
+        // a monolith drops a df-0 list.
+        scratch.portions.clear();
+        let mut lists: Vec<QueryList> = Vec::new();
+        for (term_idx, term) in distinct.iter().enumerate() {
+            for field in Field::ALL {
+                let first = scratch.portions.len();
+                let mut df = 0usize;
+                for (seg, segment) in snap.segments.iter().enumerate() {
+                    let Some(id) = segment.data.find(field, term) else {
+                        continue;
+                    };
+                    // Live document frequency, maintained incrementally
+                    // by the writers — no tombstone rescan per query.
+                    let live = segment.live_df(id);
+                    if live == 0 {
+                        continue;
+                    }
+                    df += live;
+                    scratch.portions.push(Portion { seg, id });
+                }
+                if df == 0 {
                     continue;
                 }
-                df += live;
-                portions.push((si, seg.data.list(id)));
+                lists.push(QueryList {
+                    term_idx,
+                    field,
+                    idf: idf_weight(df, n_docs),
+                    portions: first..scratch.portions.len(),
+                });
             }
-            if df == 0 {
-                continue;
+        }
+        // Process lists term-major — every field list of a term adjacent
+        // — with terms ordered by their strongest `boost · idf`
+        // descending (ties broken by term, then field within a term; all
+        // deterministic).
+        //
+        // Term-major is a correctness requirement: the matched-term
+        // counter uses one stamp per document, which only stays exact
+        // while a term's lists are processed consecutively (an
+        // intervening term's list would reset the stamp and double-count
+        // the first term, inflating the coordination factor past 1).
+        //
+        // Priority order is what makes pruning effective: rare,
+        // high-impact terms build the top-n floor early so long
+        // common-term lists are prunable by the time they come up.
+        // `boost · idf` tracks the bound's magnitude but depends only on
+        // live content (live df, live doc count), never on physical index
+        // state, so per-document accumulation sequences — and therefore
+        // result bit patterns — are identical between the pruned and
+        // exhaustive modes and across churned, sealed, merged, and
+        // freshly loaded copies of the same corpus, which ordering by the
+        // stale-high stored bounds could not guarantee.
+        let mut term_prio = vec![0.0f64; total_terms];
+        for l in &lists {
+            let p = l.field.boost() * l.idf;
+            if p > term_prio[l.term_idx] {
+                term_prio[l.term_idx] = p;
             }
-            lists.push(QueryList {
-                term_idx,
-                field,
-                idf: idf_weight(df, n_docs),
-                portions,
-            });
         }
-    }
-    // Process lists term-major — every field list of a term adjacent —
-    // with terms ordered by their strongest `boost · idf` descending
-    // (ties broken by term, then field within a term; all deterministic).
-    //
-    // Term-major is a correctness requirement: the matched-term counter
-    // uses one stamp per document, which only stays exact while a term's
-    // lists are processed consecutively (an intervening term's list would
-    // reset the stamp and double-count the first term, inflating the
-    // coordination factor past 1).
-    //
-    // Priority order is what makes pruning effective: rare, high-impact
-    // terms build the top-n floor early so long common-term lists are
-    // prunable by the time they come up. `boost · idf` tracks the bound's
-    // magnitude but depends only on live content (live df, live doc
-    // count), never on physical index state, so per-document accumulation
-    // sequences — and therefore result bit patterns — are identical
-    // between the pruned and exhaustive modes and across churned,
-    // sealed, merged, and freshly loaded copies of the same corpus, which
-    // ordering by the stale-high stored bounds could not guarantee.
-    let mut term_prio = vec![0.0f64; total_terms];
-    for l in &lists {
-        let p = l.field.boost() * l.idf;
-        if p > term_prio[l.term_idx] {
-            term_prio[l.term_idx] = p;
-        }
-    }
-    lists.sort_by(|a, b| {
-        term_prio[b.term_idx]
-            .total_cmp(&term_prio[a.term_idx])
-            .then_with(|| distinct[a.term_idx].cmp(distinct[b.term_idx]))
-            .then_with(|| a.field.ordinal().cmp(&b.field.ordinal()))
-    });
+        lists.sort_by(|a, b| {
+            term_prio[b.term_idx]
+                .total_cmp(&term_prio[a.term_idx])
+                .then_with(|| distinct[a.term_idx].cmp(distinct[b.term_idx]))
+                .then_with(|| a.field.ordinal().cmp(&b.field.ordinal()))
+        });
 
-    let mut hits = SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
         // The cross-segment top-n heap: hits survive from one segment to
         // the next, so the floor a later segment starts from is the real
         // global floor, not a per-segment restart.
@@ -475,41 +563,27 @@ pub(crate) fn search_postings(
                 .saturating_add(1)
                 .min(snap.total_docs.saturating_add(1)),
         );
-
+        let mut plan = std::mem::take(&mut scratch.plan);
         for (si, seg) in snap.segments.iter().enumerate() {
             if seg.live_docs() == 0 {
                 continue;
             }
-            // This segment's portions, in the global list order.
-            let seg_lists: Vec<SegList<'_, '_>> = lists
-                .iter()
-                .filter_map(|l| {
-                    l.portions
-                        .iter()
-                        .find(|&&(s, _)| s == si)
-                        .map(|&(_, pl)| SegList {
-                            list: l,
-                            pl,
-                            bound: l.pl_bound(&pl),
-                        })
-                })
-                .collect();
-            if seg_lists.is_empty() {
+            plan.fill(si, seg, &lists, &scratch.portions, total_terms);
+            if plan.lists.is_empty() {
                 continue;
             }
             scan_segment(
                 seg,
-                &seg_lists,
+                &lists,
+                &plan,
                 terms,
                 options,
-                total_terms,
-                &mut scratch,
+                scratch,
                 &mut carried,
-                &mut postings_scanned,
-                &mut pruned_postings,
-                &mut pruned_lists,
+                &mut stats,
             );
         }
+        scratch.plan = plan;
 
         carried
             .into_iter()
@@ -521,22 +595,14 @@ pub(crate) fn search_postings(
             .collect::<Vec<Hit>>()
     });
     hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
-    metrics.postings_scanned.add(postings_scanned);
+    metrics.postings_scanned.add(stats.postings_scanned);
     metrics.candidates_returned.add(hits.len() as u64);
-    metrics.lists_pruned.add(pruned_lists as u64);
-    metrics.postings_pruned.add(pruned_postings);
-    (
-        hits,
-        ProbeStats {
-            distinct_terms: total_terms,
-            postings_scanned,
-            pruned_lists,
-            pruned_postings,
-        },
-    )
+    metrics.lists_pruned.add(stats.pruned_lists as u64);
+    metrics.postings_pruned.add(stats.pruned_postings);
+    (hits, stats)
 }
 
-impl QueryList<'_> {
+impl QueryList {
     /// The slacked impact upper bound of one of this list's portions.
     fn pl_bound(&self, pl: &List<'_>) -> f64 {
         pl.max_impact_bound(self.field.boost(), self.idf) * BOUND_SLACK
@@ -545,52 +611,22 @@ impl QueryList<'_> {
 
 /// Scan one segment: score its portions in global list order, apply the
 /// proximity walk, and fold survivors into the carried cross-segment
-/// top-n heap.
+/// top-n heap. Scan work and pruning go to `stats`.
 #[allow(clippy::too_many_arguments)]
 fn scan_segment(
     seg: &Segment,
-    seg_lists: &[SegList<'_, '_>],
+    lists: &[QueryList],
+    plan: &SegmentPlan,
     terms: &[String],
     options: &SearchOptions,
-    total_terms: usize,
     scratch: &mut Scratch,
     carried: &mut BinaryHeap<HeapEntry>,
-    postings_scanned: &mut u64,
-    pruned_postings: &mut u64,
-    pruned_lists: &mut usize,
+    stats: &mut ProbeStats,
 ) {
     let data = &*seg.data;
+    let total_terms = stats.distinct_terms;
+    let (suffix, distinct_from) = (&plan.suffix, &plan.distinct_from);
 
-    // suffix[i]: upper bound on what this segment's portions i.. can
-    // still add to any one document's score. Per-segment — a document
-    // can only gain from lists in its own segment, so this is tighter
-    // than any global sum while staying a valid bound.
-    let mut suffix = vec![0.0f64; seg_lists.len() + 1];
-    for i in (0..seg_lists.len()).rev() {
-        suffix[i] = suffix[i + 1] + seg_lists[i].bound;
-    }
-    // distinct_from[i]: how many distinct query terms still have a
-    // portion in this segment at position i or later. A document first
-    // touched at portion i appears in no earlier portion, and every term
-    // it matches has at least one live portion here, so its final matched
-    // count — and with coordination on, its coordination factor — is
-    // capped by this value. Scaling admission bounds by it is what lets
-    // pruning fire on multi-term coordinated queries at all: the floor is
-    // a *coordinated* score, so comparing it against uncoordinated impact
-    // sums would leave a factor-of-`total_terms` gap no bound could ever
-    // close.
-    let mut distinct_from = vec![0usize; seg_lists.len() + 1];
-    {
-        let mut seen = vec![false; total_terms];
-        let mut count = 0usize;
-        for i in (0..seg_lists.len()).rev() {
-            if !seen[seg_lists[i].list.term_idx] {
-                seen[seg_lists[i].list.term_idx] = true;
-                count += 1;
-            }
-            distinct_from[i] = count;
-        }
-    }
     // Maximum attainable proximity credit for any single document in this
     // segment: one adjacency bonus per adjacent distinct query-term pair
     // per field where both lists have live postings *here*. The proximity
@@ -620,7 +656,7 @@ fn scan_segment(
     // off. With carried hits from earlier segments the floor activates
     // before this segment's very first portion.
     let mut floor = f64::NEG_INFINITY;
-    for (li, sl) in seg_lists.iter().enumerate() {
+    for (li, sl) in plan.lists.iter().enumerate() {
         if options.prune && (li > 0 || !carried.is_empty()) {
             floor = refresh_floor(
                 scratch,
@@ -632,7 +668,8 @@ fn scan_segment(
                 carried,
             );
         }
-        let l = sl.list;
+        let l = &lists[sl.list];
+        let pl = data.list(sl.id);
         let t_stamp = scratch.term_ids[l.term_idx];
         let Scratch {
             score,
@@ -641,110 +678,99 @@ fn scan_segment(
             term_stamp,
             touched,
             cands,
+            blocks: [buf, _],
             ..
         } = &mut *scratch;
+        let mut cursor = pl.cursor(buf);
         let field_ord = l.field.ordinal() as usize;
-        let mut visited = 0u64;
-        if floor == f64::NEG_INFINITY {
-            visited += sl.pl.doc_freq() as u64;
-            for (doc, tf) in sl.pl.postings(0..sl.pl.doc_freq()) {
-                if seg.is_deleted(doc) {
-                    continue;
-                }
-                let o = doc as usize;
-                if doc_stamp[o] != q_stamp {
-                    doc_stamp[o] = q_stamp;
-                    score[o] = 0.0;
-                    matched[o] = 0;
-                    touched.push(doc);
-                }
-                score[o] += impact(l.field, tf, l.idf, data.field_len(doc, field_ord));
-                if term_stamp[o] != t_stamp {
-                    term_stamp[o] = t_stamp;
-                    matched[o] += 1;
-                }
-            }
+        let boost = l.field.boost();
+        // Best coordination factor any document *first seen here* can
+        // reach: it matches at most the distinct terms with a portion at
+        // or after this position.
+        let admit_scale = if options.coordination {
+            distinct_from[li] as f64 / total_terms as f64
         } else {
-            let boost = l.field.boost();
-            // Best coordination factor any document *first seen here*
-            // can reach: it matches at most the distinct terms with a
-            // portion at or after this position.
-            let admit_scale = if options.coordination {
-                distinct_from[li] as f64 / total_terms as f64
-            } else {
-                1.0
-            };
-            // If even the whole-portion bound cannot reach the floor, no
-            // block of it can admit new documents.
-            let list_admits = (sl.bound + suffix[li + 1] + prox_bound) * admit_scale >= floor;
-            let mut ci = 0usize;
-            for b in 0..sl.pl.block_count() {
-                let blk = sl.pl.block(b);
-                let blk_docs = &sl.pl.docs[blk.clone()];
-                let first = blk_docs[0];
-                let last = blk_docs[blk_docs.len() - 1];
-                while ci < cands.len() && cands[ci] < first {
-                    ci += 1;
-                }
-                let admits = list_admits
-                    && (sl.pl.block_impact_bound(b, boost, l.idf) * BOUND_SLACK
+            1.0
+        };
+        // If even the whole-portion bound cannot reach the floor, no
+        // block of it can admit new documents.
+        let list_admits = (sl.bound + suffix[li + 1] + prox_bound) * admit_scale >= floor;
+        let mut visited = 0u64;
+        let mut ci = 0usize;
+        for b in 0..pl.block_count() {
+            let admits = floor == f64::NEG_INFINITY
+                || list_admits
+                    && (pl.block_impact_bound(b, boost, l.idf) * BOUND_SLACK
                         + suffix[li + 1]
                         + prox_bound)
                         * admit_scale
                         >= floor;
-                if admits {
-                    // The block might hold a document able to reach the
-                    // top n: scan it in full.
-                    visited += blk.len() as u64;
-                    for (doc, tf) in sl.pl.postings(blk) {
-                        if seg.is_deleted(doc) {
-                            continue;
-                        }
-                        let o = doc as usize;
-                        if doc_stamp[o] != q_stamp {
-                            doc_stamp[o] = q_stamp;
-                            score[o] = 0.0;
-                            matched[o] = 0;
-                            touched.push(doc);
-                        }
-                        score[o] += impact(l.field, tf, l.idf, data.field_len(doc, field_ord));
+            if admits {
+                // The block might hold a document able to reach the top
+                // n (or there is no floor yet): scan it in full.
+                cursor.load(b);
+                let (docs, tfs) = cursor.postings();
+                visited += docs.len() as u64;
+                for (&doc, &tf) in docs.iter().zip(tfs) {
+                    if seg.is_deleted(doc) {
+                        continue;
+                    }
+                    let o = doc as usize;
+                    if doc_stamp[o] != q_stamp {
+                        doc_stamp[o] = q_stamp;
+                        score[o] = 0.0;
+                        matched[o] = 0;
+                        touched.push(doc);
+                    }
+                    score[o] += impact(l.field, tf, l.idf, data.field_len(doc, field_ord));
+                    if term_stamp[o] != t_stamp {
+                        term_stamp[o] = t_stamp;
+                        matched[o] += 1;
+                    }
+                }
+                continue;
+            }
+            // The block cannot admit new documents — only surviving
+            // candidates need their scores kept exact, and they are
+            // probed by binary search. The skip rows say which
+            // candidates can fall in the block; it is decoded only if
+            // one does.
+            let first = pl.block_first(b);
+            while ci < cands.len() && cands[ci] < first {
+                ci += 1;
+            }
+            let next = (b + 1 < pl.block_count()).then(|| pl.block_first(b + 1));
+            let mut probes = 0u64;
+            if ci < cands.len() && next.is_none_or(|next| cands[ci] < next) {
+                cursor.load(b);
+                let blk_docs = cursor.docs();
+                let last = blk_docs[blk_docs.len() - 1];
+                while ci < cands.len() && cands[ci] <= last {
+                    if let Ok(pos) = blk_docs.binary_search(&cands[ci]) {
+                        let o = cands[ci] as usize;
+                        debug_assert_eq!(doc_stamp[o], q_stamp);
+                        score[o] += impact(
+                            l.field,
+                            cursor.tf(pos),
+                            l.idf,
+                            data.field_len(cands[ci], field_ord),
+                        );
                         if term_stamp[o] != t_stamp {
                             term_stamp[o] = t_stamp;
                             matched[o] += 1;
                         }
                     }
-                } else {
-                    // The block cannot admit new documents — only
-                    // surviving candidates need their scores kept exact,
-                    // and they are probed by binary search.
-                    let mut probes = 0u64;
-                    while ci < cands.len() && cands[ci] <= last {
-                        if let Ok(pos) = blk_docs.binary_search(&cands[ci]) {
-                            let o = cands[ci] as usize;
-                            debug_assert_eq!(doc_stamp[o], q_stamp);
-                            score[o] += impact(
-                                l.field,
-                                sl.pl.term_freq(blk.start + pos),
-                                l.idf,
-                                data.field_len(cands[ci], field_ord),
-                            );
-                            if term_stamp[o] != t_stamp {
-                                term_stamp[o] = t_stamp;
-                                matched[o] += 1;
-                            }
-                        }
-                        probes += 1;
-                        ci += 1;
-                    }
-                    visited += probes;
-                    *pruned_postings += (blk_docs.len() as u64).saturating_sub(probes);
+                    probes += 1;
+                    ci += 1;
                 }
             }
-            if visited == 0 {
-                *pruned_lists += 1;
-            }
+            visited += probes;
+            stats.pruned_postings += (pl.block(b).len() as u64).saturating_sub(probes);
         }
-        *postings_scanned += visited;
+        if floor != f64::NEG_INFINITY && visited == 0 {
+            stats.pruned_lists += 1;
+        }
+        stats.postings_scanned += visited;
     }
 
     // Proximity bonus: consecutive query terms adjacent in a field — the
@@ -778,6 +804,7 @@ fn scan_segment(
             score,
             doc_stamp,
             cands,
+            blocks: [buf_a, buf_b],
             ..
         } = &mut *scratch;
         for pair in terms.windows(2) {
@@ -795,56 +822,71 @@ fn scan_segment(
                     continue;
                 }
                 let (pa, pb) = (data.list(ia), data.list(ib));
+                let (mut ca, mut cb) = (pa.cursor(buf_a), pb.cursor(buf_b));
                 // Probing beats the lockstep walk only while the
                 // candidate set is smaller than the lists; both paths
                 // credit each document identically, so this is purely a
                 // cost choice.
                 if probe && 2 * cands.len() < pa.doc_freq() + pb.doc_freq() {
-                    // Binary-search each surviving candidate in both
-                    // lists; each probe pair is counted as scan work, the
+                    // Look each surviving candidate up in both lists;
+                    // each probe pair is counted as scan work, the
                     // postings the lockstep walk would have visited are
                     // counted as pruned.
                     let mut probes = 0u64;
                     for &d in cands.iter() {
                         probes += 2;
-                        let (Some(i), Some(j)) = (pa.find(d), pb.find(d)) else {
+                        let (Some(i), Some(j)) = (ca.seek(d), cb.seek(d)) else {
                             continue;
                         };
                         if seg.is_deleted(d) {
                             continue;
                         }
-                        if has_adjacent(pa.positions(i), pb.positions(j)) {
+                        if has_adjacent(ca.positions(i), cb.positions(j)) {
                             let ord = d as usize;
                             if doc_stamp[ord] == q_stamp {
                                 score[ord] += options.proximity_weight * field.boost();
                             }
                         }
                     }
-                    *postings_scanned += probes;
-                    *pruned_postings +=
+                    stats.postings_scanned += probes;
+                    stats.pruned_postings +=
                         ((pa.doc_freq() + pb.doc_freq()) as u64).saturating_sub(probes);
                     continue;
                 }
                 // Walk the (sorted) postings in lockstep, counting every
                 // posting the walk visits — this traversal is real scan
-                // work and shows up in `postings_scanned`.
-                let mut i = 0usize;
-                for (j, &doc) in pb.docs.iter().enumerate() {
-                    *postings_scanned += 1;
-                    while i < pa.docs.len() && pa.docs[i] < doc {
-                        i += 1;
-                        *postings_scanned += 1;
-                    }
-                    if i == pa.docs.len() {
-                        break;
-                    }
-                    if pa.docs[i] != doc || seg.is_deleted(doc) {
-                        continue;
-                    }
-                    if has_adjacent(pa.positions(i), pb.positions(j)) {
-                        let ord = doc as usize;
-                        if doc_stamp[ord] == q_stamp {
-                            score[ord] += options.proximity_weight * field.boost();
+                // work and shows up in `postings_scanned`. `a` is at
+                // posting `i` of its block `a_block`.
+                let (mut a_block, mut i) = (0, 0);
+                ca.load(0);
+                'walk: for b_block in 0..pb.block_count() {
+                    cb.load(b_block);
+                    for j in 0..cb.docs().len() {
+                        let doc = cb.docs()[j];
+                        stats.postings_scanned += 1;
+                        loop {
+                            if i == ca.docs().len() {
+                                a_block += 1;
+                                if a_block == pa.block_count() {
+                                    break 'walk;
+                                }
+                                ca.load(a_block);
+                                i = 0;
+                            }
+                            if ca.docs()[i] >= doc {
+                                break;
+                            }
+                            i += 1;
+                            stats.postings_scanned += 1;
+                        }
+                        if ca.docs()[i] != doc || seg.is_deleted(doc) {
+                            continue;
+                        }
+                        if has_adjacent(ca.positions(i), cb.positions(j)) {
+                            let ord = doc as usize;
+                            if doc_stamp[ord] == q_stamp {
+                                score[ord] += options.proximity_weight * field.boost();
+                            }
                         }
                     }
                 }

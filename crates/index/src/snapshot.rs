@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use crate::field::Field;
 use crate::memory::IndexStats;
-use crate::segment::Segment;
+use crate::segment::{Columns, Segment};
 
 /// One immutable published state: the sealed segments plus (as its last
 /// element, when non-empty) the head, frozen into a flat segment like them.
@@ -61,8 +61,8 @@ impl IndexSnapshot {
             live_docs: self.live_docs,
             total_docs: self.total_docs,
             distinct_terms,
-            postings: columns().map(|c| c.posting_docs.len()).sum(),
-            occurrences: columns().map(|c| c.positions.len() as u64).sum(),
+            postings: columns().map(Columns::postings).sum(),
+            occurrences: columns().map(|c| u64::from(c.occurrences)).sum(),
         }
     }
 
@@ -78,9 +78,13 @@ impl IndexSnapshot {
         self.segments.iter().map(bytes).sum()
     }
 
-    /// Heap bytes across all segments (each counted once; the writer's
-    /// master copies are the same `Arc`s, not duplicates).
+    /// Heap bytes across all segments, their overlays included (each
+    /// counted once; the writer's copies are the same `Arc`s, not
+    /// duplicates).
     pub(crate) fn deep_bytes(&self) -> usize {
-        self.segments.iter().map(|s| s.data.deep_bytes()).sum()
+        self.segments
+            .iter()
+            .map(|s| s.data.deep_bytes() + s.live.heap_bytes())
+            .sum()
     }
 }

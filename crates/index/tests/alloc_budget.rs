@@ -13,7 +13,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use schemr_index::{codec, Index, IndexChange, OwnedDocument};
+use schemr_index::{codec, Index, IndexChange, OwnedDocument, SearchOptions};
 use schemr_model::SchemaId;
 use schemr_obs::alloc::{
     process_alloc_count, thread_alloc_bytes, thread_alloc_count, CountingAlloc,
@@ -220,5 +220,43 @@ fn a_cold_two_document_apply_allocates_a_small_constant() {
     assert!(
         allocations <= HEAD_COLD + 24,
         "{allocations} allocations for a cold two-document apply"
+    );
+}
+
+/// What a warm search may allocate over 30 segments beyond the same
+/// search over one: the per-segment plan, bounds and block decoders live
+/// in the thread's scratch, so nothing is paid a segment (0 measured;
+/// the per-segment buffers this replaced cost ≈7 a segment and search).
+const SEGMENTS_EXTRA: u64 = 4;
+
+#[test]
+fn a_warm_search_allocates_per_search_not_per_segment() {
+    let _alone = alone();
+    let docs: Vec<OwnedDocument> = (0..30 * 64).map(|id| doc_over(id, 12, 97)).collect();
+    let build = |threshold| {
+        let index = Index::new().with_seal_threshold(threshold);
+        index.apply(docs.iter().map(|d| IndexChange::Put(d.view())));
+        index
+    };
+    let (many, one) = (build(64), build(usize::MAX));
+    assert_eq!((many.segment_count(), one.segment_count()), (30, 1));
+    let queries = [
+        vec!["w1", "w2", "w3"],
+        vec!["w5", "w17", "w40", "w41"],
+        vec!["w8"],
+    ];
+    let options = SearchOptions::default();
+    let searches = |index: &Index| {
+        for query in &queries {
+            assert!(!index.search(query, &options).is_empty());
+        }
+    };
+    searches(&many);
+    searches(&one);
+    let (_, over_many, _) = counted(|| searches(&many));
+    let (_, over_one, _) = counted(|| searches(&one));
+    assert!(
+        over_many <= over_one + SEGMENTS_EXTRA,
+        "{over_many} allocations over 30 segments, {over_one} over one"
     );
 }
