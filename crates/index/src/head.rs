@@ -2,23 +2,26 @@
 //!
 //! The writer appends analyzed documents into a [`HeadBuilder`] and
 //! tombstones its slots by setting a bit. Nothing ever searches it:
-//! `freeze` copies it into the flat columns of a sealed segment, term
-//! table sorted, with those bits as the segment's overlay, and that copy
-//! is what a snapshot publishes and what sealing keeps.
+//! `freeze` encodes it into the flat columns of a sealed segment, term
+//! table sorted, with those bits as the segment's overlay, and that
+//! segment is what a snapshot publishes and what sealing keeps.
 
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Range;
 use std::sync::Arc;
 
 use schemr_model::SchemaId;
 
 use crate::field::Field;
-use crate::postings::{packed_len, width_of, GrowingList, BLOCK_POSTINGS};
+use crate::postings::{packed_len, width_of, GrowingList};
 use crate::segment::{bit, Columns, FlatSegment, SealedSegment};
 use crate::session::{AnalyzedDoc, Interner, RowTable};
 use crate::DocOrd;
 
-/// The head segment under construction.
+/// The head segment under construction. It only appends, and each
+/// freeze encodes all of it afresh, at a cost in proportion to what it
+/// holds: the seal threshold bounds that, and a built or loaded index
+/// starts with an empty head, so the head holds only what was written
+/// since.
 #[derive(Debug, Default)]
 pub(crate) struct HeadBuilder {
     /// Per field: term → row of `lists`. Rows are in first-seen order;
@@ -36,23 +39,6 @@ pub(crate) struct HeadBuilder {
     live_docs: usize,
     /// Bytes of the dictionary's terms.
     term_bytes: usize,
-    last: Option<LastFreeze>,
-    /// A freeze's renamed forward rows and their run widths, kept for the
-    /// next freeze to reuse.
-    renamed: Vec<u32>,
-    row_widths: Vec<u8>,
-}
-
-/// What the head's last freeze built, for the next one to copy from. The
-/// head only appends, so a list with no posting since encodes to the same
-/// bytes, and so does an earlier document's forward row while no list has
-/// moved: a publish encodes what changed and copies the rest, as the
-/// segment it replaces holds it.
-#[derive(Debug)]
-struct LastFreeze {
-    data: Arc<FlatSegment>,
-    /// The list each row of `lists` became.
-    sealed_id: Vec<u32>,
 }
 
 impl HeadBuilder {
@@ -125,140 +111,61 @@ impl HeadBuilder {
     }
 
     /// Encode the head into a sealed segment's columns, its dead slots the
-    /// segment's overlay, copying from the last freeze what has not
-    /// changed since. Every column is allocated once at its final size (a
-    /// pass over the lists and the forward rows adds the sizes up), and
+    /// segment's overlay. Every column is allocated once at its final size
+    /// (a pass over the lists and the forward rows adds the sizes up), and
     /// nothing is allocated per list or per posting; a dead slot costs a
     /// forward-row walk.
-    pub(crate) fn freeze(&mut self) -> SealedSegment {
+    pub(crate) fn freeze(&self) -> SealedSegment {
         let lists = self.lists.len();
         // The lists in (field, term) order are the sealed ids.
         let mut sealed_id = vec![0u32; lists];
         for (id, &row) in self.dict.iter().flat_map(|d| d.values()).enumerate() {
             sealed_id[row as usize] = id as u32;
         }
-        let previous = self.last.take();
-        let last = previous
-            .as_ref()
-            .map(|l| (l.data.columns(), &l.sealed_id[..]));
-        // What the last freeze encoded of row `row`'s list that still
-        // holds: its list there and how many of its blocks — all of them
-        // if it has had no posting since, else the ones that were full,
-        // as appending touches only the last block.
-        let reusable = |row: usize| {
-            let (cols, ids) = last?;
-            let id = *ids.get(row)? as usize;
-            let was = (cols.list_offsets[id + 1] - cols.list_offsets[id]) as usize;
-            let blocks = if was == self.lists[row].docs.len() {
-                was.div_ceil(BLOCK_POSTINGS)
-            } else {
-                was / BLOCK_POSTINGS
-            };
-            (blocks > 0).then_some((cols, id, blocks))
-        };
-        // Documents whose forward rows carry over: all the last freeze held,
-        // unless a new term moved a list.
-        let (kept_rows, kept_bytes) = match last {
-            Some((cols, ids)) if sealed_id.starts_with(ids) => {
-                (cols.ids.len(), cols.fwd_starts[cols.ids.len()] as usize)
-            }
-            _ => (0, 0),
-        };
         let docs = self.ids.len();
-        // The rows to encode, renamed — a document's keys arrive in
-        // (field, term) order, which is the sealed id order, so its
-        // renamed entries stay ascending — and each one's run width, in one
-        // pass.
-        let first = kept_rows.checked_sub(1).map_or(0, |d| self.fwd_ends[d]) as usize;
-        self.renamed.clear();
-        self.row_widths.clear();
-        let mut row_bytes = kept_bytes;
-        let mut start = first;
-        for &end in &self.fwd_ends[kept_rows..] {
+        // The forward rows renamed — a document's keys arrive in
+        // (field, term) order, which is the sealed id order, so its renamed
+        // entries stay ascending — and each one's run width, in one pass.
+        let mut renamed = Vec::with_capacity(self.fwd_lists.len());
+        let mut row_widths = Vec::with_capacity(docs);
+        let mut row_bytes = 0;
+        let mut start = 0;
+        for &end in &self.fwd_ends {
             // The codes: the first id, then each distance less 1.
             let (mut codes, mut next) = (0, 0);
-            self.renamed
-                .extend(self.fwd_lists[start..end as usize].iter().map(|&row| {
-                    let id = sealed_id[row as usize];
-                    codes |= id - next;
-                    next = id + 1;
-                    id
-                }));
+            renamed.extend(self.fwd_lists[start..end as usize].iter().map(|&row| {
+                let id = sealed_id[row as usize];
+                codes |= id - next;
+                next = id + 1;
+                id
+            }));
             let width = width_of(codes);
-            self.row_widths.push(width as u8);
+            row_widths.push(width);
             row_bytes += 1 + packed_len(end as usize - start, width);
             start = end as usize;
         }
-        let block_bytes = (0..lists)
-            .map(|row| match reusable(row) {
-                Some((cols, id, blocks)) => {
-                    cols.block_bytes(id, blocks).len() + self.lists[row].encoded_len(blocks)
-                }
-                None => self.lists[row].encoded_len(0),
-            })
-            .sum();
         let mut cols = Columns::with_capacity(
             docs,
             lists,
             self.lists.iter().map(|l| l.block_max.len()).sum(),
-            block_bytes,
+            self.lists.iter().map(GrowingList::encoded_len).sum(),
             row_bytes,
             self.term_bytes,
         );
         cols.ids.extend_from_slice(&self.ids);
         cols.field_lengths.extend_from_slice(&self.field_lengths);
         for (field_ord, dict) in self.dict.iter().enumerate() {
-            // Lists with no posting since, consecutive there as here, are
-            // copied a run at a time: the run's lists there, and their
-            // positions.
-            let mut run: Option<(&Columns, Range<usize>, u32)> = None;
             for (term, &row) in dict {
-                let list = &self.lists[row as usize];
-                let positions = list.positions.len() as u32;
-                match reusable(row as usize) {
-                    Some((from, id, blocks)) if blocks == list.block_max.len() => match &mut run {
-                        Some((_, ids, sum)) if ids.end == id => {
-                            ids.end += 1;
-                            *sum += positions;
-                        }
-                        _ => {
-                            if let Some((from, ids, sum)) = run.take() {
-                                cols.copy_lists(from, ids, sum);
-                            }
-                            run = Some((from, id..id + 1, positions));
-                        }
-                    },
-                    reuse => {
-                        if let Some((from, ids, sum)) = run.take() {
-                            cols.copy_lists(from, ids, sum);
-                        }
-                        cols.push_list(term.as_bytes(), list, reuse);
-                    }
-                }
-            }
-            if let Some((from, ids, sum)) = run {
-                cols.copy_lists(from, ids, sum);
+                cols.push_list(term.as_bytes(), &self.lists[row as usize]);
             }
             cols.field_starts[field_ord + 1] = cols.list_count() as u32;
         }
-        if let Some((from, _)) = last.filter(|_| kept_rows > 0) {
-            cols.copy_rows(from, kept_rows);
-        }
         let mut start = 0;
-        for (&end, &width) in self.fwd_ends[kept_rows..].iter().zip(&self.row_widths) {
-            let end = end as usize - first;
-            cols.push_row(&self.renamed[start..end], width.into());
-            start = end;
+        for (&end, &width) in self.fwd_ends.iter().zip(&row_widths) {
+            cols.push_row(&renamed[start..end as usize], width);
+            start = end as usize;
         }
-        let data = Arc::new(match &previous {
-            Some(previous) => FlatSegment::trusted_after(cols, &previous.data),
-            None => FlatSegment::trusted(cols),
-        });
-        self.last = Some(LastFreeze {
-            data: data.clone(),
-            sealed_id,
-        });
-        SealedSegment::with_tombstones(data, &self.dead)
+        SealedSegment::with_tombstones(Arc::new(FlatSegment::trusted(cols)), &self.dead)
     }
 }
 
@@ -293,44 +200,6 @@ mod tests {
                 first_position: 0,
             };
             self.head.push(&doc, &self.terms, &mut self.rows);
-        }
-    }
-
-    fn pusher() -> Pusher {
-        let mut pusher = Pusher {
-            head: HeadBuilder::default(),
-            terms: Interner::new(),
-            rows: RowTable::new(),
-        };
-        pusher.rows.next_head();
-        pusher
-    }
-
-    #[test]
-    fn a_freeze_that_copies_from_the_last_equals_one_that_encodes_all() {
-        // Documents 0–69 give "gamma" a full block; the last three bring
-        // nothing new, then a new first term, then a new last term.
-        let docs: Vec<(u64, Vec<&str>)> = (0..70)
-            .map(|id| (id, vec!["beta", "gamma"]))
-            .chain([
-                (70, vec!["gamma"]),
-                (71, vec!["alpha", "beta"]),
-                (72, vec!["delta"]),
-            ])
-            .collect();
-        let mut every = pusher();
-        for (id, terms) in &docs {
-            every.push(*id, terms);
-            let frozen = every.head.freeze();
-            let mut fresh = pusher();
-            docs.iter()
-                .take_while(|(other, _)| other <= id)
-                .for_each(|(id, terms)| fresh.push(*id, terms));
-            assert_eq!(
-                frozen.data.columns(),
-                fresh.head.freeze().data.columns(),
-                "after document {id}"
-            );
         }
     }
 

@@ -152,8 +152,7 @@ impl Writer {
     /// Freeze the head into a sealed segment and start a fresh one.
     /// Head tombstones ride along as the segment's overlay.
     fn seal(&mut self) {
-        let mut head = std::mem::take(&mut self.head);
-        self.sealed.push(head.freeze());
+        self.sealed.push(std::mem::take(&mut self.head).freeze());
     }
 
     fn total_docs(&self) -> usize {
@@ -226,8 +225,8 @@ impl Index {
         self.published.read().clone()
     }
 
-    /// The head seal threshold — the batch size at which a bulk load's
-    /// every publish finds the head just sealed.
+    /// The head seal threshold — the batch size a bulk load cuts its
+    /// documents into, each batch one sealed segment.
     pub fn seal_threshold(&self) -> usize {
         self.seal_threshold
     }
@@ -282,8 +281,8 @@ impl Index {
 
     /// Build and swap in a fresh snapshot from the writer's state. Sealed
     /// segments are republished as `Arc` clones (overlays cached while
-    /// unchanged); the head is frozen into a flat segment of its own, a
-    /// few block copies a list, bounded by the seal threshold.
+    /// unchanged); the head is frozen into a flat segment of its own, its
+    /// cost bounded by the seal threshold.
     fn publish(&self, w: &mut Writer) {
         let mut head = (w.head.doc_count() > 0).then(|| w.head.freeze());
         let mut segments = Vec::with_capacity(w.sealed.len() + 1);
@@ -340,14 +339,15 @@ impl Index {
     }
 
     /// Put `docs` into a fresh index a seal threshold's worth a batch, so
-    /// that each full batch becomes one sealed segment and a partial last
-    /// one stays the head. Up to `analysers` scoped threads each analyze
-    /// every `analysers`-th batch in a session of their own, while this
-    /// thread commits the batches in order and hands each session back to
-    /// its analyser once its batch is in. Segments, revision, published
+    /// that each batch, a partial last one included, becomes one sealed
+    /// segment and the head is left empty, as a load of the index's file
+    /// leaves it. Up to `analysers` scoped threads each analyze every
+    /// `analysers`-th batch in a session of their own, while this thread
+    /// commits the batches in order and hands each session back to its
+    /// analyser once its batch is in. Segments, revision, published
     /// snapshot and file are therefore those of [`Session::apply`] called
-    /// on each batch in turn; with one analyser (or one batch) that is
-    /// what runs, on this thread, and nothing is spawned.
+    /// on each batch in turn, then a seal; with one analyser (or one
+    /// batch) that is what runs, on this thread, and nothing is spawned.
     ///
     /// What outlives the build — the head's lists, the frozen segments,
     /// each published snapshot — is allocated here, on the calling thread;
@@ -369,50 +369,58 @@ impl Index {
         let document = &document;
         let puts =
             move |batch: &'d [T]| batch.iter().map(move |doc| IndexChange::Put(document(doc)));
-        if analysers == 1 {
+        let took_effect = if analysers == 1 {
             let mut session = self.session();
-            return batches().map(|batch| session.apply(puts(batch))).sum();
+            batches().map(|batch| session.apply(puts(batch))).sum()
+        } else {
+            std::thread::scope(|scope| {
+                let (mut handles, hand_offs): (Vec<_>, Vec<_>) = (0..analysers)
+                    .map(|first| {
+                        let (analyzed, ready) = mpsc::sync_channel::<Session<'_>>(1);
+                        let (give_back, returned) = mpsc::sync_channel::<Session<'_>>(1);
+                        let mine = batches().skip(first).step_by(analysers);
+                        let handle = scope.spawn(move || {
+                            let mut session = self.session();
+                            for batch in mine {
+                                session.analyze_batch(puts(batch));
+                                // Either side hangs up only while unwinding.
+                                if analyzed.send(session).is_err() {
+                                    return;
+                                }
+                                match returned.recv() {
+                                    Ok(back) => session = back,
+                                    Err(_) => return,
+                                }
+                            }
+                        });
+                        (handle, (ready, give_back))
+                    })
+                    .unzip();
+                let mut took_effect = 0;
+                for analyser in (0..analysers).cycle().take(batch_count) {
+                    let (ready, give_back) = &hand_offs[analyser];
+                    let Ok(mut session) = ready.recv() else {
+                        // The analyser dropped its sender without a batch: it
+                        // panicked. Re-raise its panic rather than wait.
+                        let handle = handles.swap_remove(analyser);
+                        let panic = handle.join().expect_err("an analyser quit early");
+                        std::panic::resume_unwind(panic)
+                    };
+                    took_effect += session.commit();
+                    // After its last batch too: a session is freed on the
+                    // thread that allocated it.
+                    let _ = give_back.send(session);
+                }
+                took_effect
+            })
+        };
+        // The last batch sealed too, as a load of the file leaves it.
+        let mut w = self.writer.lock();
+        if w.head.doc_count() > 0 {
+            w.seal();
+            self.publish(&mut w);
         }
-        std::thread::scope(|scope| {
-            let (mut handles, hand_offs): (Vec<_>, Vec<_>) = (0..analysers)
-                .map(|first| {
-                    let (analyzed, ready) = mpsc::sync_channel::<Session<'_>>(1);
-                    let (give_back, returned) = mpsc::sync_channel::<Session<'_>>(1);
-                    let mine = batches().skip(first).step_by(analysers);
-                    let handle = scope.spawn(move || {
-                        let mut session = self.session();
-                        for batch in mine {
-                            session.analyze_batch(puts(batch));
-                            // Either side hangs up only while unwinding.
-                            if analyzed.send(session).is_err() {
-                                return;
-                            }
-                            match returned.recv() {
-                                Ok(back) => session = back,
-                                Err(_) => return,
-                            }
-                        }
-                    });
-                    (handle, (ready, give_back))
-                })
-                .unzip();
-            let mut took_effect = 0;
-            for analyser in (0..analysers).cycle().take(batch_count) {
-                let (ready, give_back) = &hand_offs[analyser];
-                let Ok(mut session) = ready.recv() else {
-                    // The analyser dropped its sender without a batch: it
-                    // panicked. Re-raise its panic rather than wait.
-                    let handle = handles.swap_remove(analyser);
-                    let panic = handle.join().expect_err("an analyser quit early");
-                    std::panic::resume_unwind(panic)
-                };
-                took_effect += session.commit();
-                // After its last batch too: a session is freed on the
-                // thread that allocated it.
-                let _ = give_back.send(session);
-            }
-            took_effect
-        })
+        took_effect
     }
 
     /// The name and the prose pipeline, in that order.

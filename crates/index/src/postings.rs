@@ -638,10 +638,9 @@ impl GrowingList {
         ]
     }
 
-    /// Bytes [`GrowingList::encode`] appends to the block stream from
-    /// block `from` on.
-    pub(crate) fn encoded_len(&self, from: usize) -> usize {
-        (from..self.block_codes.len())
+    /// Bytes [`GrowingList::encode`] appends to the block stream.
+    pub(crate) fn encoded_len(&self) -> usize {
+        (0..self.block_codes.len())
             .map(|b| {
                 let rows = self.block(b);
                 let positions = (self.ends[rows.end - 1] - self.start(rows.start)) as usize;
@@ -654,17 +653,15 @@ impl GrowingList {
             .sum()
     }
 
-    /// Append this list's blocks from block `from` on: each one's first
-    /// document to `first_docs`, its bytes to `stream` and where they end
-    /// to `starts`.
+    /// Append this list's blocks: each one's first document to
+    /// `first_docs`, its bytes to `stream` and where they end to `starts`.
     pub(crate) fn encode(
         &self,
-        from: usize,
         first_docs: &mut Vec<DocOrd>,
         starts: &mut Vec<u32>,
         stream: &mut Vec<u8>,
     ) {
-        for b in from..self.block_codes.len() {
+        for b in 0..self.block_codes.len() {
             let rows = self.block(b);
             let [wd, wt, wp] = self.widths(b);
             first_docs.push(self.docs[rows.start]);
@@ -698,7 +695,7 @@ impl GrowingList {
     #[cfg(test)]
     fn thawed(&self) -> GrowingList {
         let (mut first_docs, mut starts, mut stream) = (Vec::new(), vec![0], Vec::new());
-        self.encode(0, &mut first_docs, &mut starts, &mut stream);
+        self.encode(&mut first_docs, &mut starts, &mut stream);
         let list = List::new(
             self.docs.len(),
             &first_docs,
@@ -735,8 +732,8 @@ mod tests {
     /// `list`'s block columns, as a freeze writes them.
     fn sealed(list: &GrowingList) -> (Vec<DocOrd>, Vec<u32>, Vec<u8>) {
         let (mut first_docs, mut starts, mut stream) = (Vec::new(), vec![0], Vec::new());
-        list.encode(0, &mut first_docs, &mut starts, &mut stream);
-        assert_eq!(stream.len(), list.encoded_len(0));
+        list.encode(&mut first_docs, &mut starts, &mut stream);
+        assert_eq!(stream.len(), list.encoded_len());
         (first_docs, starts, stream)
     }
 

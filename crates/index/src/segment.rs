@@ -38,12 +38,6 @@ pub(crate) fn bit(bits: &[u64], ord: usize) -> bool {
         .is_some_and(|w| w & (1u64 << (ord % 64)) != 0)
 }
 
-/// Continue the offsets column `to` with the spans `from` cuts.
-fn extend_offsets(to: &mut Vec<u32>, from: &[u32]) {
-    let (was, now) = (from[0], *to.last().expect("starts at 0"));
-    to.extend(from[1..].iter().map(|&end| end - was + now));
-}
-
 /// `offsets` cuts `0..end` into consecutive, possibly empty spans.
 fn spans(offsets: &[u32], end: usize) -> bool {
     offsets.first() == Some(&0)
@@ -132,25 +126,11 @@ impl Columns {
     }
 
     /// Append `list` as the next row of the term table, its postings
-    /// encoded into blocks — the first of them, given `encoded`, copied:
-    /// that many blocks of list `id` of columns that encoded this same
-    /// list before, when it held at least the postings those blocks do.
-    pub(crate) fn push_list(
-        &mut self,
-        term: &[u8],
-        list: &GrowingList,
-        encoded: Option<(&Columns, usize, usize)>,
-    ) {
+    /// encoded into blocks.
+    pub(crate) fn push_list(&mut self, term: &[u8], list: &GrowingList) {
         self.term_bytes.extend_from_slice(term);
         self.term_offsets.push(self.term_bytes.len() as u32);
-        let mut from_block = 0;
-        if let Some((from, id, copied)) = encoded {
-            let blocks = from.block_offsets[id] as usize..from.block_offsets[id] as usize + copied;
-            self.copy_blocks(from, blocks);
-            from_block = copied;
-        }
         list.encode(
-            from_block,
             &mut self.block_first,
             &mut self.block_starts,
             &mut self.blocks,
@@ -161,65 +141,6 @@ impl Columns {
         self.block_offsets.push(self.block_max.len() as u32);
         self.max_tf_norm.push(list.max_tf_norm);
         self.occurrences += list.positions.len() as u32;
-    }
-
-    /// Append lists `ids` of `from`, which encoded these same lists over
-    /// the same documents, as the next rows of the term table: one copy a
-    /// column. They hold `occurrences` positions.
-    pub(crate) fn copy_lists(&mut self, from: &Columns, ids: Range<usize>, occurrences: u32) {
-        let terms = from.term_offsets[ids.start] as usize..from.term_offsets[ids.end] as usize;
-        self.term_bytes.extend_from_slice(&from.term_bytes[terms]);
-        extend_offsets(
-            &mut self.term_offsets,
-            &from.term_offsets[ids.start..=ids.end],
-        );
-        extend_offsets(
-            &mut self.list_offsets,
-            &from.list_offsets[ids.start..=ids.end],
-        );
-        extend_offsets(
-            &mut self.block_offsets,
-            &from.block_offsets[ids.start..=ids.end],
-        );
-        self.max_tf_norm
-            .extend_from_slice(&from.max_tf_norm[ids.clone()]);
-        let blocks = from.block_offsets[ids.start] as usize..from.block_offsets[ids.end] as usize;
-        self.block_max
-            .extend_from_slice(&from.block_max[blocks.clone()]);
-        self.copy_blocks(from, blocks);
-        self.occurrences += occurrences;
-    }
-
-    /// Append blocks `blocks` of `from`: their bytes and skip rows less
-    /// the bounds.
-    fn copy_blocks(&mut self, from: &Columns, blocks: Range<usize>) {
-        let bytes =
-            from.block_starts[blocks.start] as usize..from.block_starts[blocks.end] as usize;
-        self.blocks.extend_from_slice(&from.blocks[bytes]);
-        self.block_first
-            .extend_from_slice(&from.block_first[blocks.clone()]);
-        extend_offsets(
-            &mut self.block_starts,
-            &from.block_starts[blocks.start..=blocks.end],
-        );
-    }
-
-    /// The bytes of list `id`'s first `blocks` blocks.
-    pub(crate) fn block_bytes(&self, id: usize, blocks: usize) -> &[u8] {
-        let first = self.block_offsets[id] as usize;
-        &self.blocks[self.block_starts[first] as usize..self.block_starts[first + blocks] as usize]
-    }
-
-    /// Copy the forward rows of `from`'s first `docs` documents, as the
-    /// first rows.
-    pub(crate) fn copy_rows(&mut self, from: &Columns, docs: usize) {
-        debug_assert_eq!(self.fwd_offsets.len(), 1);
-        self.fwd_offsets
-            .extend_from_slice(&from.fwd_offsets[1..=docs]);
-        self.fwd_starts
-            .extend_from_slice(&from.fwd_starts[1..=docs]);
-        self.fwd_bytes
-            .extend_from_slice(&from.fwd_bytes[..from.fwd_starts[docs] as usize]);
     }
 
     /// Append the next document's forward row: the ids of its lists,
@@ -438,29 +359,6 @@ impl FlatSegment {
     pub(crate) fn trusted(cols: Columns) -> Self {
         debug_assert_eq!(cols.validate(), Ok(()));
         Self::derive(cols)
-    }
-
-    /// [`FlatSegment::trusted`] for columns whose first documents are all
-    /// of `earlier`'s (a head frozen again after a few appends): the new
-    /// documents are placed into `earlier`'s id order, not sorted with it.
-    pub(crate) fn trusted_after(cols: Columns, earlier: &FlatSegment) -> Self {
-        debug_assert_eq!(cols.validate(), Ok(()));
-        debug_assert!(cols.ids.starts_with(&earlier.cols.ids));
-        let (old, docs) = (earlier.doc_count(), cols.ids.len());
-        // Each insert moves up to the whole order: past a few new
-        // documents, one sort costs less.
-        if docs - old > 16 {
-            return Self::derive(cols);
-        }
-        let key = |ord: DocOrd| (cols.ids[ord as usize], ord);
-        let mut by_id = Vec::with_capacity(docs);
-        by_id.extend_from_slice(&earlier.by_id);
-        for ord in old as DocOrd..docs as DocOrd {
-            let at = by_id.partition_point(|&other| key(other) < key(ord));
-            by_id.insert(at, ord);
-        }
-        debug_assert!(by_id.is_sorted_by_key(|&ord| key(ord)));
-        FlatSegment { by_id, cols }
     }
 
     fn derive(cols: Columns) -> Self {
@@ -792,7 +690,7 @@ pub(crate) fn compact(parts: &[(Arc<FlatSegment>, Vec<u64>)]) -> FlatSegment {
             for (pi, id) in lists {
                 new_list[pi][id as usize] = out.list_count() as u32;
             }
-            out.push_list(term, &merged_list, None);
+            out.push_list(term, &merged_list);
         }
         out.field_starts[field_ord + 1] = out.list_count() as u32;
     }
