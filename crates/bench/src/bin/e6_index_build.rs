@@ -126,7 +126,7 @@ fn main() {
          the file is as large as the resident index and loads an order of magnitude\n\
          faster than it builds; incremental batches cost milliseconds regardless of\n\
          corpus size — why the paper's scheduled-interval indexer is viable. (Past 8\n\
-         segments the first tick after a bulk build also compacts them: ~60 ms of\n\
+         segments the first tick after a bulk build also compacts them: 50–80 ms of\n\
          the 30,000 row's batch.)"
     );
 }

@@ -13,11 +13,12 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use schemr::{SchemrEngine, SearchRequest};
+use schemr::{IndexScheduler, SchemrEngine, SearchRequest};
 use schemr_corpus::workload::{Workload, WorkloadConfig};
 use schemr_corpus::{Corpus, CorpusConfig};
 use schemr_index::{codec, Index, IndexChange, IndexDocument};
-use schemr_repo::Repository;
+use schemr_model::SchemaId;
+use schemr_repo::{Repository, StoredSchema};
 
 const QUERIES: usize = 24;
 
@@ -193,6 +194,79 @@ fn the_index_file_is_pinned() {
     assert_eq!(
         (bytes.len(), fnv1a(&bytes)),
         (469_904, 0x4bd9_c68f_a782_8d2d)
+    );
+}
+
+/// The index a merge leaves: 2,000 schemas, seed 5, sealed at 400 (five
+/// segments), then schemas replaced and deleted across all five, so the
+/// merge compacts five parts, each with tombstones. Pinned by length and
+/// digest: a merge re-cuts every surviving list into blocks, re-codes
+/// them at their new widths and renames the forward rows, and none of
+/// that may change the file unless the format does.
+#[test]
+fn the_merged_index_file_is_pinned() {
+    let (_, repo) = repository(2_000, 5);
+    let stored = repo.snapshot();
+    // `id`'s document with `content`'s title, summary and schema.
+    fn document(id: SchemaId, content: &StoredSchema) -> IndexDocument<'_> {
+        IndexDocument {
+            id,
+            title: &content.metadata.title,
+            summary: &content.metadata.summary,
+            schema: &content.schema,
+        }
+    }
+    let index = Index::new().with_seal_threshold(400);
+    index.bulk_load(&stored, Index::bulk_analysers(), |s| {
+        document(s.metadata.id, s)
+    });
+    assert_eq!(index.segment_count(), 5);
+    let replaced = (0..stored.len()).step_by(97).map(|i| {
+        let content = &stored[(i * 7 + 3) % stored.len()];
+        IndexChange::Put(document(stored[i].metadata.id, content))
+    });
+    let deleted = (50..stored.len())
+        .step_by(131)
+        .map(|i| IndexChange::Delete(stored[i].metadata.id));
+    let changes: Vec<IndexChange<'_>> = replaced.chain(deleted).collect();
+    assert_eq!(index.apply(changes.iter().copied()), changes.len());
+    let outcome = index
+        .merge(0.001)
+        .expect("every sealed segment holds tombstones");
+    assert_eq!((outcome.segments_before, outcome.segments_after), (6, 2));
+    assert_eq!(outcome.docs_reclaimed, changes.len());
+    let bytes = codec::encode(&index);
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (447_544, 0x93eb_f055_cd6b_788a)
+    );
+}
+
+/// [`the_merged_index_file_is_pinned`] at the benchmark's scale: 30,000
+/// schemas, seed 1, built by `reindex_full` (30 sealed segments), 300
+/// schemas replaced, then one scheduler tick, whose merge compacts the 30
+/// because they are more than the index keeps. Pinned by length and
+/// digest. CI runs it with the other `--ignored` tests.
+#[test]
+#[ignore]
+fn the_paper_scale_merged_file_is_pinned() {
+    let (corpus, repo) = repository(30_000, 1);
+    let engine = Arc::new(SchemrEngine::new(repo.clone()));
+    engine.reindex_full();
+    let stored = repo.snapshot();
+    for (i, replacement) in corpus.schemas.iter().rev().take(300).enumerate() {
+        repo.update(stored[i * 97].metadata.id, replacement.schema.clone())
+            .expect("a generated schema replaces a stored one");
+    }
+    let scheduler = IndexScheduler::new(engine.clone());
+    assert_eq!(scheduler.tick(), 300);
+    assert_eq!(scheduler.merge_count(), 1);
+    let file = TempFile::new("merged-paper-scale");
+    engine.save_index(&file.0).expect("save_index");
+    let bytes = saved(&file.0);
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (5_761_024, 0x79c1_2053_fa9c_4735)
     );
 }
 

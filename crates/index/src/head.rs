@@ -12,24 +12,50 @@ use std::sync::Arc;
 use schemr_model::SchemaId;
 
 use crate::field::Field;
-use crate::postings::{packed_len, width_of, GrowingList};
-use crate::segment::{bit, Columns, FlatSegment, SealedSegment};
+use crate::postings::{packed_len, push_codes, tf_norm, width_of, BLOCK_POSTINGS};
+use crate::segment::{bit, Columns, FlatSegment, ListWriter, SealedSegment};
 use crate::session::{AnalyzedDoc, Interner, RowTable};
 use crate::DocOrd;
+
+/// One posting of the head, kept in arrival order: what a freeze needs of
+/// it besides its list, its impact norm computed once.
+#[derive(Debug, Clone, Copy)]
+struct HeadPosting {
+    doc: DocOrd,
+    tf: u32,
+    /// Its position codes are `codes[codes_at..codes_at + tf]` of the
+    /// head's.
+    codes_at: u32,
+    /// The OR of those codes.
+    codes_or: u32,
+    /// `tf_norm(tf, field_len)`.
+    norm: f64,
+}
 
 /// The head segment under construction. It only appends, and each
 /// freeze encodes all of it afresh, at a cost in proportion to what it
 /// holds: the seal threshold bounds that, and a built or loaded index
 /// starts with an empty head, so the head holds only what was written
 /// since.
+///
+/// Its postings are flat: one record each in arrival order — document by
+/// document, a document's in (field, term) order — beside one run of
+/// position codes, so a new term costs the head its dictionary entry and
+/// a counter, not a vector of its own. Posting `p` is in row
+/// `fwd_lists[p]`.
 #[derive(Debug, Default)]
 pub(crate) struct HeadBuilder {
-    /// Per field: term → row of `lists`. Rows are in first-seen order;
-    /// `freeze` renumbers them in term order.
+    /// Per field: term → row. Rows are in first-seen order; `freeze`
+    /// renumbers them in term order.
     dict: [BTreeMap<String, u32>; Field::COUNT],
-    lists: Vec<GrowingList>,
-    /// Forward index over rows of `lists`, cut like [`Columns::fwd_offsets`]
-    /// less the leading 0.
+    /// Per row the dictionary has handed out: its postings.
+    dfs: Vec<u32>,
+    postings: Vec<HeadPosting>,
+    /// Every posting's position codes, as the block stream stores them:
+    /// its first position, then each next one's distance − 1.
+    codes: Vec<u32>,
+    /// Forward index over rows, cut like [`Columns::fwd_offsets`] less
+    /// the leading 0.
     fwd_ends: Vec<u32>,
     fwd_lists: Vec<u32>,
     ids: Vec<SchemaId>,
@@ -66,11 +92,11 @@ impl HeadBuilder {
                 let row = match dict.get(term) {
                     Some(&row) => row,
                     None => {
-                        let row = u32::try_from(self.lists.len())
+                        let row = u32::try_from(self.dfs.len())
                             .expect("a head holds fewer than 2^32 lists");
+                        self.dfs.push(0);
                         dict.insert(term.to_string(), row);
                         self.term_bytes += term.len();
-                        self.lists.push(GrowingList::default());
                         row
                     }
                 };
@@ -78,12 +104,19 @@ impl HeadBuilder {
                 row
             });
             let end = key.positions_end as usize;
-            self.lists[row as usize].push(
-                ord,
-                &doc.positions[start..end],
-                doc.field_lengths[key.field()],
-            );
+            let codes_at =
+                u32::try_from(self.codes.len()).expect("a head holds fewer than 2^32 positions");
+            let codes_or = push_codes(&mut self.codes, &doc.positions[start..end]);
+            let tf = (end - start) as u32;
+            self.postings.push(HeadPosting {
+                doc: ord,
+                tf,
+                codes_at,
+                codes_or,
+                norm: tf_norm(tf, doc.field_lengths[key.field()]),
+            });
             self.fwd_lists.push(row);
+            self.dfs[row as usize] += 1;
             start = end;
         }
         self.fwd_ends.push(self.fwd_lists.len() as u32);
@@ -111,12 +144,32 @@ impl HeadBuilder {
     }
 
     /// Encode the head into a sealed segment's columns, its dead slots the
-    /// segment's overlay. Every column is allocated once at its final size
-    /// (a pass over the lists and the forward rows adds the sizes up), and
-    /// nothing is allocated per list or per posting; a dead slot costs a
-    /// forward-row walk.
+    /// segment's overlay.
+    ///
+    /// One counting sort over the forward rows groups the postings by
+    /// list, documents ascending within each; then every list, in term
+    /// order, goes through the [`ListWriter`] a merge writes with. Every
+    /// column but the block stream is allocated once at its final size;
+    /// the stream grows as it is written and is trimmed after (room
+    /// reserved at a bound and trimmed kept ~1 MiB of a bulk build
+    /// resident). Nothing is allocated per list or per posting; a dead
+    /// slot costs a forward-row walk.
     pub(crate) fn freeze(&self) -> SealedSegment {
-        let lists = self.lists.len();
+        let lists = self.dfs.len();
+        // The counting sort: row `r`'s postings are `order[ends[r − 1]..
+        // ends[r]]`, in arrival order, which is document order.
+        let mut ends = self.dfs.clone();
+        let (mut blocks, mut sum) = (0, 0);
+        for end in &mut ends {
+            blocks += (*end as usize).div_ceil(BLOCK_POSTINGS);
+            (*end, sum) = (sum, sum + *end);
+        }
+        let mut order = vec![0u32; self.postings.len()];
+        for (p, &row) in self.fwd_lists.iter().enumerate() {
+            let end = &mut ends[row as usize];
+            order[*end as usize] = p as u32;
+            *end += 1;
+        }
         // The lists in (field, term) order are the sealed ids.
         let mut sealed_id = vec![0u32; lists];
         for (id, &row) in self.dict.iter().flat_map(|d| d.values()).enumerate() {
@@ -144,22 +197,30 @@ impl HeadBuilder {
             row_bytes += 1 + packed_len(end as usize - start, width);
             start = end as usize;
         }
-        let mut cols = Columns::with_capacity(
-            docs,
-            lists,
-            self.lists.iter().map(|l| l.block_max.len()).sum(),
-            self.lists.iter().map(GrowingList::encoded_len).sum(),
-            row_bytes,
-            self.term_bytes,
-        );
+        let mut cols = Columns::with_capacity(docs, lists, blocks, 0, row_bytes, self.term_bytes);
         cols.ids.extend_from_slice(&self.ids);
         cols.field_lengths.extend_from_slice(&self.field_lengths);
+        let mut writer = ListWriter::new();
         for (field_ord, dict) in self.dict.iter().enumerate() {
             for (term, &row) in dict {
-                cols.push_list(term.as_bytes(), &self.lists[row as usize]);
+                let start = row.checked_sub(1).map_or(0, |r| ends[r as usize]);
+                for &p in &order[start as usize..ends[row as usize] as usize] {
+                    let posting = &self.postings[p as usize];
+                    let at = posting.codes_at as usize;
+                    let codes = &self.codes[at..at + posting.tf as usize];
+                    writer.push(
+                        &mut cols,
+                        posting.doc,
+                        codes,
+                        posting.codes_or,
+                        posting.norm,
+                    );
+                }
+                writer.finish(&mut cols, term.as_bytes());
             }
             cols.field_starts[field_ord + 1] = cols.list_count() as u32;
         }
+        cols.blocks.shrink_to_fit();
         let mut start = 0;
         for (&end, &width) in self.fwd_ends.iter().zip(&row_widths) {
             cols.push_row(&renamed[start..end as usize], width);

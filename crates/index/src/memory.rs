@@ -59,10 +59,12 @@ use crate::snapshot::IndexSnapshot;
 /// typical corpus spans only a handful of segments.
 const DEFAULT_SEAL_THRESHOLD: usize = 1024;
 
-/// Most threads a bulk load analyzes on. Measured on 30,000 schemas, a
-/// build's analysis is ≈0.19 s and its locked half ≈0.105 s (head pushes
-/// 0.085, freezes 0.02): two analysers already outpace the one thread
-/// that commits, so a third would only wait on it.
+/// Most threads a bulk load analyzes on. Measured on 30,000 schemas
+/// (2 vCPUs, ten builds), a build's analysis is 0.25–0.37 s summed over
+/// its two analysers and its locked half 0.09–0.13 s (head pushes
+/// 0.05–0.07, seal freezes 0.04–0.06): each analyser's half already
+/// takes longer than the one thread that commits, and a third analyser
+/// would only share the same two cores.
 const BULK_ANALYSERS: usize = 2;
 
 /// Sealed-segment count past which a maintenance merge compacts even
@@ -71,7 +73,7 @@ const BULK_ANALYSERS: usize = 2;
 /// of its own. Measured on 30,000 schemas (400 queries in the paper's mix,
 /// seeds 1–2): Phase 1 is ≈1.06 ms over the 30 segments a bulk build
 /// leaves, 0.73–0.83 ms over 8 and 0.62–0.63 ms over 1, and compacting
-/// the 30 takes ≈60 ms off-lock.
+/// the 30 takes 50–80 ms off-lock (medians 66–69 ms over seven builds).
 const MAX_SEGMENTS: usize = 8;
 
 /// Identifies one exact state of one index instance: which in-memory index
@@ -346,10 +348,12 @@ impl Index {
     /// commits the batches in order and hands each session back to its
     /// analyser once its batch is in. Segments, revision, published
     /// snapshot and file are therefore those of [`Session::apply`] called
-    /// on each batch in turn, then a seal; with one analyser (or one
-    /// batch) that is what runs, on this thread, and nothing is spawned.
+    /// on each batch in turn, except that the last batch's commit seals
+    /// the head before it publishes, so that batch is frozen once; with
+    /// one analyser (or one batch) that is what runs, on this thread, and
+    /// nothing is spawned.
     ///
-    /// What outlives the build — the head's lists, the frozen segments,
+    /// What outlives the build — the head's postings, the frozen segments,
     /// each published snapshot — is allocated here, on the calling thread;
     /// an analyser allocates only its session. Segments built on the
     /// analysers instead landed in their threads' malloc arenas and cost
@@ -369,9 +373,17 @@ impl Index {
         let document = &document;
         let puts =
             move |batch: &'d [T]| batch.iter().map(move |doc| IndexChange::Put(document(doc)));
+        // The last batch's commit seals the head, so the head is left
+        // empty, as a load of the file leaves it.
+        let last = |batch: usize| batch + 1 == batch_count;
         let took_effect = if analysers == 1 {
             let mut session = self.session();
-            batches().map(|batch| session.apply(puts(batch))).sum()
+            let mut took_effect = 0;
+            for (i, batch) in batches().enumerate() {
+                session.analyze_batch(puts(batch));
+                took_effect += session.commit(last(i));
+            }
+            took_effect
         } else {
             std::thread::scope(|scope| {
                 let (mut handles, hand_offs): (Vec<_>, Vec<_>) = (0..analysers)
@@ -397,7 +409,7 @@ impl Index {
                     })
                     .unzip();
                 let mut took_effect = 0;
-                for analyser in (0..analysers).cycle().take(batch_count) {
+                for (i, analyser) in (0..analysers).cycle().take(batch_count).enumerate() {
                     let (ready, give_back) = &hand_offs[analyser];
                     let Ok(mut session) = ready.recv() else {
                         // The analyser dropped its sender without a batch: it
@@ -406,7 +418,7 @@ impl Index {
                         let panic = handle.join().expect_err("an analyser quit early");
                         std::panic::resume_unwind(panic)
                     };
-                    took_effect += session.commit();
+                    took_effect += session.commit(last(i));
                     // After its last batch too: a session is freed on the
                     // thread that allocated it.
                     let _ = give_back.send(session);
@@ -414,12 +426,6 @@ impl Index {
                 took_effect
             })
         };
-        // The last batch sealed too, as a load of the file leaves it.
-        let mut w = self.writer.lock();
-        if w.head.doc_count() > 0 {
-            w.seal();
-            self.publish(&mut w);
-        }
         took_effect
     }
 
@@ -429,9 +435,16 @@ impl Index {
     }
 
     /// The locked half of [`Index::apply`]: run an analyzed batch under
-    /// one writer-lock hold and publish once. `rows` is the session's, and
-    /// holds rows of this lock hold's current head only.
-    pub(crate) fn commit(&self, batch: &Batch, terms: &Interner, rows: &mut RowTable) -> usize {
+    /// one writer-lock hold and publish once; with `seal`, seal the head
+    /// before that publish. `rows` is the session's, and holds rows of
+    /// this lock hold's current head only.
+    pub(crate) fn commit(
+        &self,
+        batch: &Batch,
+        terms: &Interner,
+        rows: &mut RowTable,
+        seal: bool,
+    ) -> usize {
         let mut w = self.writer.lock();
         let before = w.epoch;
         rows.next_head();
@@ -450,6 +463,9 @@ impl Index {
                     }
                 }
             }
+        }
+        if seal && w.head.doc_count() > 0 {
+            w.seal();
         }
         let took_effect = (w.epoch - before) as usize;
         if took_effect > 0 {

@@ -1,10 +1,11 @@
 //! Postings lists: per-term document occurrences with positions.
 //!
-//! A list exists in two forms. `List` is the read side: borrowed slices
-//! of a sealed segment's block-coded columns, which is all Phase 1, the
-//! merger, the statistics and the codec ever see. `GrowingList` is the
-//! write side: plain growing vectors, held only by the head builder until
-//! a freeze encodes it into a sealed segment.
+//! A list exists in one form, `List`: borrowed slices of a sealed
+//! segment's block-coded columns, which is all Phase 1, the merger, the
+//! statistics and the codec ever see. A freeze and a merge both write
+//! lists through the segment's list writer, which gathers a block's
+//! postings and hands them to `encode_block`, the one writer of the
+//! block layout.
 //!
 //! ## Block coding
 //!
@@ -79,18 +80,14 @@ pub(crate) fn packed_len(count: usize, width: u32) -> usize {
     (count * width as usize).div_ceil(8)
 }
 
-/// Append `values` to `out` through a [`Packer`]. Returns how many values
-/// were written.
+/// Append `values` to `out` through a [`Packer`].
 #[cfg(test)]
-pub(crate) fn pack(out: &mut Vec<u8>, width: u32, values: impl IntoIterator<Item = u32>) -> usize {
+pub(crate) fn pack(out: &mut Vec<u8>, width: u32, values: impl IntoIterator<Item = u32>) {
     let mut packer = Packer::new(out, width);
-    let mut count = 0;
     for value in values {
         packer.put(value);
-        count += 1;
     }
     packer.finish();
-    count
 }
 
 /// Appends values to a byte vector, each in `width` bits (0–32), least
@@ -299,14 +296,18 @@ pub(crate) struct BlockBuf {
     tfs_at: usize,
     positions_at: usize,
     widths: [u32; 2],
-    /// The term frequencies and, posting `i`'s positions being codes
-    /// `ends[i]..ends[i + 1]` of the position stream, their running sums:
-    /// decoded on first use.
+    /// The term frequencies, decoded on first use.
     tfs_ready: bool,
     tfs: [u32; BLOCK_POSTINGS],
+    /// Posting `i`'s positions are codes `ends[i]..ends[i + 1]` of the
+    /// position stream: the term frequencies' running sums, made on first
+    /// use — a scan that reads no positions never pays for them.
+    ends_ready: bool,
     ends: [u32; BLOCK_POSTINGS + 1],
     /// The positions of the posting last asked for.
     positions: Vec<u32>,
+    /// The loaded block's position codes, when asked for all at once.
+    codes: Vec<u32>,
 }
 
 impl Default for BlockBuf {
@@ -320,8 +321,10 @@ impl Default for BlockBuf {
             widths: [0; 2],
             tfs_ready: false,
             tfs: [0; BLOCK_POSTINGS],
+            ends_ready: false,
             ends: [0; BLOCK_POSTINGS + 1],
             positions: Vec::new(),
+            codes: Vec::new(),
         }
     }
 }
@@ -370,6 +373,7 @@ impl Cursor<'_, '_> {
         buf.positions_at = buf.tfs_at + packed_len(n, wt);
         buf.widths = [wt, wp];
         buf.tfs_ready = false;
+        buf.ends_ready = false;
         buf.len = n;
         buf.block = Some(b);
     }
@@ -392,9 +396,8 @@ impl Cursor<'_, '_> {
                 0,
                 &mut buf.tfs[..n],
             );
-            for i in 0..n {
-                buf.tfs[i] = buf.tfs[i].wrapping_add(1);
-                buf.ends[i + 1] = buf.ends[i].wrapping_add(buf.tfs[i]);
+            for tf in &mut buf.tfs[..n] {
+                *tf = tf.wrapping_add(1);
             }
             buf.tfs_ready = true;
         }
@@ -421,9 +424,23 @@ impl Cursor<'_, '_> {
         self.docs().binary_search(&doc).ok()
     }
 
+    /// Where each of the loaded block's postings' position codes end, the
+    /// first starting at 0.
+    fn ends(&mut self) -> &[u32] {
+        self.postings();
+        let buf = &mut *self.buf;
+        if !buf.ends_ready {
+            for i in 0..buf.len {
+                buf.ends[i + 1] = buf.ends[i].wrapping_add(buf.tfs[i]);
+            }
+            buf.ends_ready = true;
+        }
+        &buf.ends[..=buf.len]
+    }
+
     /// Posting `i` of the loaded block: its positions, ascending.
     pub fn positions(&mut self, i: usize) -> &[u32] {
-        self.postings();
+        self.ends();
         let buf = &mut *self.buf;
         let src = &self.list.stream[buf.positions_at..];
         let codes = buf.ends[i] as usize..buf.ends[i + 1] as usize;
@@ -435,6 +452,26 @@ impl Cursor<'_, '_> {
             buf.positions.push(position);
         }
         &buf.positions
+    }
+
+    /// The loaded block's documents and position codes, every posting's
+    /// codes in one unpack: posting `i`'s are `codes[ends[i]..ends[i + 1]]`,
+    /// its first position, then each next one's distance − 1 — what
+    /// [`encode_block`] takes, so a merge moves them without adding them
+    /// up.
+    pub fn codes(&mut self) -> (&[DocOrd], &[u32], &[u32]) {
+        let count = *self.ends().last().expect("one entry more than postings") as usize;
+        let buf = &mut *self.buf;
+        if buf.codes.len() < count {
+            buf.codes.resize(count, 0);
+        }
+        let src = &self.list.stream[buf.positions_at..];
+        unpack(src, buf.widths[1], 0, &mut buf.codes[..count]);
+        (
+            &buf.docs[..buf.len],
+            &buf.ends[..=buf.len],
+            &buf.codes[..count],
+        )
     }
 
     /// [`Cursor::load`] for a block read from a file, checking what
@@ -550,176 +587,78 @@ pub(crate) fn check_run(run: &[u8], count: usize) -> Result<(), &'static str> {
     }
 }
 
-/// A list the head builder is still appending to: plain growing vectors
-/// (plus the block bounds and, per block, the bitwise OR of each stream's
-/// codes, which is all a freeze needs to size and write the block), not
-/// a vector per posting. A freeze encodes it into blocks; nothing reads it
-/// before.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub(crate) struct GrowingList {
-    pub(crate) docs: Vec<DocOrd>,
-    /// `ends[i]` is one past posting `i`'s last entry in `positions`.
-    pub(crate) ends: Vec<u32>,
-    pub(crate) positions: Vec<u32>,
-    pub(crate) max_tf_norm: f64,
-    pub(crate) block_max: Vec<f64>,
-    /// Per block: the OR of its document gaps, of its tf − 1 values and
-    /// of its position codes — their widest's width is the stream's.
-    block_codes: Vec<[u32; 3]>,
+/// The OR of each of a block's three streams' codes: its document gaps,
+/// its tf − 1 values and its position codes. The widest code of each
+/// stream is its width.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct BlockCodes {
+    gaps: u32,
+    tfs: u32,
+    positions: u32,
 }
 
-impl GrowingList {
-    /// Append `doc`'s posting: its ascending `positions` in a field of
-    /// `field_len` tokens. Documents arrive in ascending ordinal order.
-    pub fn push(&mut self, doc: u32, positions: &[u32], field_len: u32) {
-        debug_assert!(self.docs.last().is_none_or(|&last| last < doc));
-        debug_assert!(!positions.is_empty() && positions.is_sorted_by(|a, b| a < b));
-        let norm = tf_norm(positions.len() as u32, field_len);
-        if self.docs.len().is_multiple_of(BLOCK_POSTINGS) {
-            self.block_max.push(0.0);
-        }
-        let block = self.block_max.last_mut().expect("pushed above");
-        *block = block.max(norm);
-        self.max_tf_norm = self.max_tf_norm.max(norm);
-        self.append(doc, positions);
+impl BlockCodes {
+    /// Take a posting: its gap to the posting before it less 1 (0 for a
+    /// block's first), its tf and the OR of its position codes.
+    #[inline]
+    pub fn add(&mut self, gap: u32, tf: u32, codes: u32) {
+        self.gaps |= gap;
+        self.tfs |= tf - 1;
+        self.positions |= codes;
     }
 
-    /// Append a posting's data and its codes, bounds aside.
-    fn append(&mut self, doc: DocOrd, positions: &[u32]) {
-        let gap = match self.docs.len() % BLOCK_POSTINGS {
-            0 => {
-                self.block_codes.push([0; 3]);
-                0
-            }
-            _ => doc - self.docs.last().expect("mid-block") - 1,
-        };
-        let position_codes = positions
-            .windows(2)
-            .fold(positions[0], |bits, w| bits | (w[1] - w[0] - 1));
-        let codes = self.block_codes.last_mut().expect("pushed above");
-        codes[0] |= gap;
-        codes[1] |= positions.len() as u32 - 1;
-        codes[2] |= position_codes;
-        self.docs.push(doc);
-        self.positions.extend_from_slice(positions);
-        self.ends.push(self.positions.len() as u32);
-    }
-
-    /// Empty again, keeping what the vectors hold room for.
-    pub(crate) fn clear(&mut self) {
-        self.docs.clear();
-        self.ends.clear();
-        self.positions.clear();
-        self.max_tf_norm = 0.0;
-        self.block_max.clear();
-        self.block_codes.clear();
-    }
-
-    fn block(&self, b: usize) -> Range<usize> {
-        b * BLOCK_POSTINGS..((b + 1) * BLOCK_POSTINGS).min(self.docs.len())
-    }
-
-    fn start(&self, i: usize) -> u32 {
-        i.checked_sub(1).map_or(0, |before| self.ends[before])
-    }
-
-    /// Posting `i`'s positions.
-    fn positions(&self, i: usize) -> &[u32] {
-        &self.positions[self.start(i) as usize..self.ends[i] as usize]
-    }
-
-    /// Block `b`'s stream widths: documents, tf − 1, positions.
-    fn widths(&self, b: usize) -> [u32; 3] {
-        let [gaps, tfs, positions] = self.block_codes[b];
+    /// The block's stream widths: documents, tf − 1, positions.
+    pub fn widths(&self) -> [u32; 3] {
         [
-            width_of(gaps),
-            width_of(tfs),
-            position_width(positions, tfs),
+            width_of(self.gaps),
+            width_of(self.tfs),
+            position_width(self.positions, self.tfs),
         ]
     }
+}
 
-    /// Bytes [`GrowingList::encode`] appends to the block stream.
-    pub(crate) fn encoded_len(&self) -> usize {
-        (0..self.block_codes.len())
-            .map(|b| {
-                let rows = self.block(b);
-                let positions = (self.ends[rows.end - 1] - self.start(rows.start)) as usize;
-                let [wd, wt, wp] = self.widths(b);
-                BLOCK_HEADER
-                    + packed_len(rows.len() - 1, wd)
-                    + packed_len(rows.len(), wt)
-                    + packed_len(positions, wp)
-            })
-            .sum()
-    }
+/// The position codes of ascending `positions`: the first, then each
+/// distance − 1, appended to `out`. Returns their OR.
+pub(crate) fn push_codes(out: &mut Vec<u32>, positions: &[u32]) -> u32 {
+    debug_assert!(!positions.is_empty() && positions.is_sorted_by(|a, b| a < b));
+    let mut or = positions[0];
+    out.push(or);
+    out.extend(positions.windows(2).map(|w| {
+        let code = w[1] - w[0] - 1;
+        or |= code;
+        code
+    }));
+    or
+}
 
-    /// Append this list's blocks: each one's first document to
-    /// `first_docs`, its bytes to `stream` and where they end to `starts`.
-    pub(crate) fn encode(
-        &self,
-        first_docs: &mut Vec<DocOrd>,
-        starts: &mut Vec<u32>,
-        stream: &mut Vec<u8>,
-    ) {
-        for b in 0..self.block_codes.len() {
-            let rows = self.block(b);
-            let [wd, wt, wp] = self.widths(b);
-            first_docs.push(self.docs[rows.start]);
-            stream.extend([wd, wt, wp].map(|width| width as u8));
-            let mut gaps = Packer::new(stream, wd);
-            for w in self.docs[rows.clone()].windows(2) {
-                gaps.put(w[1] - w[0] - 1);
-            }
-            gaps.finish();
-            let mut tfs = Packer::new(stream, wt);
-            for i in rows.clone() {
-                tfs.put(self.ends[i] - self.start(i) - 1);
-            }
-            tfs.finish();
-            let mut positions = Packer::new(stream, wp);
-            for i in rows {
-                let posting = self.positions(i);
-                positions.put(posting[0]);
-                for w in posting.windows(2) {
-                    positions.put(w[1] - w[0] - 1);
-                }
-            }
-            positions.finish();
-            starts.push(stream.len() as u32);
-        }
+/// Append one block to `stream` at `widths`, the [`BlockCodes::widths`]
+/// of its postings: `docs`, ascending, posting `i`'s position codes being
+/// `codes[ends[i]..ends[i + 1]]` (`ends` one entry longer than `docs`,
+/// starting at 0). The one writer of the layout this module describes.
+pub(crate) fn encode_block(
+    stream: &mut Vec<u8>,
+    widths: [u32; 3],
+    docs: &[DocOrd],
+    ends: &[u32],
+    codes: &[u32],
+) {
+    let [wd, wt, wp] = widths;
+    stream.extend(widths.map(|width| width as u8));
+    let mut gaps = Packer::new(stream, wd);
+    for w in docs.windows(2) {
+        gaps.put(w[1] - w[0] - 1);
     }
-
-    /// This list frozen into blocks and read back through the block
-    /// decoder, its stored bounds carried over: equal to the list itself,
-    /// which the coder oracle below holds it to.
-    #[cfg(test)]
-    fn thawed(&self) -> GrowingList {
-        let (mut first_docs, mut starts, mut stream) = (Vec::new(), vec![0], Vec::new());
-        self.encode(&mut first_docs, &mut starts, &mut stream);
-        let list = List::new(
-            self.docs.len(),
-            &first_docs,
-            &starts,
-            &stream,
-            self.max_tf_norm,
-            &self.block_max,
-        );
-        let mut out = GrowingList {
-            max_tf_norm: list.max_tf_norm,
-            block_max: list.block_max.to_vec(),
-            ..GrowingList::default()
-        };
-        let mut buf = BlockBuf::default();
-        let mut cursor = list.cursor(&mut buf);
-        for b in 0..list.block_count() {
-            cursor.load(b);
-            for i in 0..cursor.docs().len() {
-                let doc = cursor.docs()[i];
-                out.append(doc, cursor.positions(i));
-            }
-        }
-        out
+    gaps.finish();
+    let mut tfs = Packer::new(stream, wt);
+    for w in ends.windows(2) {
+        tfs.put(w[1] - w[0] - 1);
     }
+    tfs.finish();
+    let mut positions = Packer::new(stream, wp);
+    for &code in codes {
+        positions.put(code);
+    }
+    positions.finish();
 }
 
 #[cfg(test)]
@@ -728,34 +667,76 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::segment::{Columns, ListWriter};
 
-    /// `list`'s block columns, as a freeze writes them.
-    fn sealed(list: &GrowingList) -> (Vec<DocOrd>, Vec<u32>, Vec<u8>) {
-        let (mut first_docs, mut starts, mut stream) = (Vec::new(), vec![0], Vec::new());
-        list.encode(&mut first_docs, &mut starts, &mut stream);
-        assert_eq!(stream.len(), list.encoded_len());
-        (first_docs, starts, stream)
+    /// One posting as a test writes it: document, positions, field length.
+    type Posting = (DocOrd, Vec<u32>, u32);
+
+    /// Columns holding `postings` (ascending documents) as their one list,
+    /// written through the [`ListWriter`] a freeze and a merge write every
+    /// list through, each posting's bound its `tf_norm`.
+    fn sealed(postings: &[Posting]) -> Columns {
+        let mut cols = Columns::with_capacity(0, 1, 0, 0, 0, 0);
+        let (mut writer, mut codes) = (ListWriter::new(), Vec::new());
+        for (doc, positions, field_len) in postings {
+            codes.clear();
+            let or = push_codes(&mut codes, positions);
+            let norm = tf_norm(positions.len() as u32, *field_len);
+            writer.push(&mut cols, *doc, &codes, or, norm);
+        }
+        assert_eq!(writer.finish(&mut cols, b"t"), !postings.is_empty());
+        cols
     }
 
-    fn view<'a>(list: &'a GrowingList, cols: &'a (Vec<DocOrd>, Vec<u32>, Vec<u8>)) -> List<'a> {
-        List::new(
-            list.docs.len(),
-            &cols.0,
-            &cols.1,
-            &cols.2,
-            list.max_tf_norm,
-            &list.block_max,
-        )
+    /// The list [`sealed`] wrote.
+    fn list(cols: &Columns) -> List<'_> {
+        if cols.list_count() == 0 {
+            return List::new(0, &[], &[0], &[], 0.0, &[]);
+        }
+        cols.list(0)
+    }
+
+    /// Every posting of `list` read back through a cursor: its document
+    /// and positions, the positions read one posting at a time and, from
+    /// the block's codes read all at once, again.
+    fn thawed(list: List<'_>) -> Vec<(DocOrd, Vec<u32>)> {
+        let (mut buf, mut out) = (BlockBuf::default(), Vec::new());
+        let mut cursor = list.cursor(&mut buf);
+        for b in 0..list.block_count() {
+            cursor.load(b);
+            let (_, ends, codes) = cursor.codes();
+            let from_codes: Vec<Vec<u32>> = ends
+                .windows(2)
+                .map(|w| {
+                    let mut position = 0;
+                    (w[0]..w[1])
+                        .map(|c| {
+                            let code = codes[c as usize];
+                            position = if c == w[0] { code } else { position + code + 1 };
+                            position
+                        })
+                        .collect()
+                })
+                .collect();
+            for (i, positions) in from_codes.into_iter().enumerate() {
+                assert_eq!(cursor.positions(i), positions);
+                assert_eq!(cursor.tf(i) as usize, positions.len());
+                out.push((cursor.docs()[i], positions));
+            }
+        }
+        out
+    }
+
+    /// The postings a test wrote, less their field lengths.
+    fn written(postings: &[Posting]) -> Vec<(DocOrd, Vec<u32>)> {
+        postings.iter().map(|(d, p, _)| (*d, p.clone())).collect()
     }
 
     #[test]
     fn postings_keep_their_positions_in_document_order() {
-        let mut pl = GrowingList::default();
-        pl.push(0, &[1, 5], 4);
-        pl.push(2, &[0], 4);
-        pl.push(7, &[3, 4, 9], 4);
-        let cols = sealed(&pl);
-        let list = view(&pl, &cols);
+        let postings = [(0, vec![1, 5], 4), (2, vec![0], 4), (7, vec![3, 4, 9], 4)];
+        let sealed = sealed(&postings);
+        let list = list(&sealed);
         assert_eq!(list.doc_freq(), 3);
         let mut buf = BlockBuf::default();
         let mut cursor = list.cursor(&mut buf);
@@ -764,21 +745,25 @@ mod tests {
         assert_eq!(cursor.postings().1, [2, 1, 3]);
         assert_eq!(cursor.positions(0), [1, 5]);
         assert_eq!(cursor.positions(2), [3, 4, 9]);
+        let (docs, ends, codes) = cursor.codes();
+        assert_eq!(
+            (docs, ends, codes),
+            (&[0, 2, 7][..], &[0, 2, 3, 6][..], &[1, 3, 0, 3, 0, 4][..])
+        );
         assert_eq!(cursor.seek(2), Some(1));
         assert_eq!(cursor.seek(1), None);
         // Gaps 1 and 4 in 3 bits, tf − 1 in 2, positions 1 3 0 3 0 4 in 3:
         // three width bytes and 1 + 1 + 3 packed ones, and a 16-byte skip
         // row.
-        assert_eq!(cols.2.len(), 8);
+        assert_eq!(sealed.blocks.len(), 8);
         assert_eq!(list.approx_bytes(), 8 + 4 + 4 + 8);
-        assert_eq!(pl.thawed(), pl);
+        assert_eq!(thawed(list), written(&postings));
     }
 
     #[test]
     fn empty_list() {
-        let pl = GrowingList::default();
-        let cols = sealed(&pl);
-        let list = view(&pl, &cols);
+        let sealed = sealed(&[]);
+        let list = list(&sealed);
         assert_eq!(list.doc_freq(), 0);
         assert_eq!(list.approx_bytes(), 0);
         assert!(list.cursor(&mut BlockBuf::default()).seek(0).is_none());
@@ -788,13 +773,12 @@ mod tests {
 
     #[test]
     fn bounds_track_the_best_posting() {
-        let mut pl = GrowingList::default();
-        pl.push(0, &[0], 16); // tf 1, len 16 → 1/4
-        assert!((pl.max_tf_norm - 0.25).abs() < 1e-12);
-        pl.push(1, &[0, 1], 4); // tf 2, len 4 → √2/2
+        // tf 1 in a field of 16 → 1/4; tf 2 in one of 4 → √2/2.
+        let quarter = sealed(&[(0, vec![0], 16)]);
+        assert!((list(&quarter).max_tf_norm - 0.25).abs() < 1e-12);
+        let sealed = sealed(&[(0, vec![0], 16), (1, vec![0, 1], 4)]);
         let expect = (2.0f64).sqrt() / 2.0;
-        let cols = sealed(&pl);
-        let list = view(&pl, &cols);
+        let list = list(&sealed);
         assert!((list.max_impact_bound(1.0, 1.0) - expect).abs() < 1e-12);
         // Boost and idf multiply straight through.
         assert!((list.max_impact_bound(2.0, 3.0) - 6.0 * expect).abs() < 1e-12);
@@ -802,14 +786,13 @@ mod tests {
 
     #[test]
     fn blocks_partition_postings_with_local_bounds() {
-        let mut pl = GrowingList::default();
-        for d in 0..(BLOCK_POSTINGS as u32 + 10) {
-            pl.push(d * 3, &[0], 4);
-        }
+        let mut postings: Vec<Posting> = (0..BLOCK_POSTINGS as u32 + 10)
+            .map(|d| (d * 3, vec![0], 4))
+            .collect();
         // The best posting lands in the second block: tf 2.
-        pl.push(BLOCK_POSTINGS as u32 * 3 + 40, &[0, 1], 4);
-        let cols = sealed(&pl);
-        let list = view(&pl, &cols);
+        postings.push((BLOCK_POSTINGS as u32 * 3 + 40, vec![0, 1], 4));
+        let sealed = sealed(&postings);
+        let list = list(&sealed);
         assert_eq!(list.block_count(), 2);
         assert_eq!(list.block(0).len(), BLOCK_POSTINGS);
         assert_eq!(list.block(1).len(), 11);
@@ -836,46 +819,36 @@ mod tests {
         }
         assert_eq!(cursor.seek(BLOCK_POSTINGS as u32 * 3 + 40), Some(10));
         assert_eq!(cursor.positions(10), [0, 1]);
-        assert_eq!(pl.thawed(), pl);
+        assert_eq!(thawed(list), written(&postings));
     }
 
     #[test]
     fn a_checked_load_refuses_what_a_block_cannot_hold() {
-        let mut pl = GrowingList::default();
-        pl.push(3, &[2, 9], 4);
-        pl.push(8, &[1], 4);
-        let cols = sealed(&pl);
-        let refused = |cols: &(Vec<DocOrd>, Vec<u32>, Vec<u8>), docs| {
-            view(&pl, cols)
+        let sealed = sealed(&[(3, vec![2, 9], 4), (8, vec![1], 4)]);
+        let load = |sealed: &Columns, docs| {
+            list(sealed)
                 .cursor(&mut BlockBuf::default())
                 .load_checked(0, docs)
-                .unwrap_err()
         };
+        assert_eq!(load(&sealed, 9), Ok(3));
         assert_eq!(
-            view(&pl, &cols)
-                .cursor(&mut BlockBuf::default())
-                .load_checked(0, 9),
-            Ok(3)
+            load(&sealed, 8),
+            Err("a gap runs a document ordinal past the document count")
         );
-        assert_eq!(
-            refused(&cols, 8),
-            "a gap runs a document ordinal past the document count"
-        );
-        let mut wide = cols.clone();
-        wide.2[2] = 33;
-        assert_eq!(refused(&wide, 9), "block width past 32 bits");
-        let mut long = cols.clone();
-        long.2.push(0);
-        long.1[1] += 1;
-        assert_eq!(refused(&long, 9), STREAM_LENGTH);
+        let mut wide = sealed.clone();
+        wide.blocks[2] = 33;
+        assert_eq!(load(&wide, 9), Err("block width past 32 bits"));
+        let mut long = sealed.clone();
+        long.blocks.push(0);
+        long.block_starts[1] += 1;
+        assert_eq!(load(&long, 9), Err(STREAM_LENGTH));
         // Documents 3 and 4, the second of 2³² − 2 positions at width 0:
         // the widths and the byte length agree, and nothing pays for them.
-        let mut free = vec![0, 32, 0, 0, 0, 0, 0];
-        free.extend((u32::MAX - 2).to_le_bytes());
-        assert_eq!(
-            refused(&(vec![3], vec![0, free.len() as u32], free), 9),
-            FREE_POSITIONS
-        );
+        let mut free = sealed.clone();
+        free.blocks = vec![0, 32, 0, 0, 0, 0, 0];
+        free.blocks.extend((u32::MAX - 2).to_le_bytes());
+        free.block_starts = vec![0, free.blocks.len() as u32];
+        assert_eq!(load(&free, 9), Err(FREE_POSITIONS));
     }
 
     #[test]
@@ -940,22 +913,31 @@ mod tests {
                 .map(|&v| (u64::from(v) & ((1u64 << width) - 1)) as u32)
                 .collect();
             let mut bytes = Vec::new();
-            prop_assert_eq!(pack(&mut bytes, width, values.iter().copied()), values.len());
+            pack(&mut bytes, width, values.iter().copied());
             prop_assert_eq!(bytes.len(), (values.len() * width as usize).div_ceil(8));
             let mut back = vec![u32::MAX; values.len()];
             unpack(&bytes, width, 0, &mut back);
             prop_assert_eq!(back, values);
         }
 
-        /// A list frozen into blocks decodes to exactly the list it came
-        /// from: documents, term frequencies, positions and block bounds.
+        /// A list written through the block encoder decodes to exactly
+        /// the list it came from: documents, term frequencies and
+        /// positions, read a posting at a time and a block's codes at
+        /// once; and every stored bound is its block's largest impact.
         #[test]
         fn a_frozen_list_decodes_to_the_list_it_came_from(postings in arb_postings()) {
-            let mut list = GrowingList::default();
-            for (doc, positions, field_len) in &postings {
-                list.push(*doc, positions, *field_len);
+            let sealed = sealed(&postings);
+            let list = list(&sealed);
+            prop_assert_eq!(thawed(list), written(&postings));
+            for (b, block) in postings.chunks(BLOCK_POSTINGS).enumerate() {
+                let best = block
+                    .iter()
+                    .map(|(_, positions, len)| tf_norm(positions.len() as u32, *len))
+                    .fold(0.0, f64::max);
+                prop_assert_eq!(list.block_max[b].to_bits(), best.to_bits());
             }
-            prop_assert_eq!(list.thawed(), list);
+            let best = list.block_max.iter().copied().fold(0.0, f64::max);
+            prop_assert_eq!(list.max_tf_norm.to_bits(), best.to_bits());
         }
     }
 }

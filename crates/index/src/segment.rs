@@ -18,7 +18,8 @@
 //! published: the pair is immutable, so a search holding it can never
 //! observe a torn state.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -26,8 +27,8 @@ use schemr_model::SchemaId;
 
 use crate::field::Field;
 use crate::postings::{
-    check_run, push_run, read_run, run_value, run_width, tf_norm, BlockBuf, GrowingList, List,
-    BLOCK_POSTINGS,
+    check_run, encode_block, push_run, read_run, run_value, run_width, tf_norm, BlockBuf,
+    BlockCodes, List, BLOCK_POSTINGS,
 };
 use crate::DocOrd;
 
@@ -125,24 +126,6 @@ impl Columns {
         }
     }
 
-    /// Append `list` as the next row of the term table, its postings
-    /// encoded into blocks.
-    pub(crate) fn push_list(&mut self, term: &[u8], list: &GrowingList) {
-        self.term_bytes.extend_from_slice(term);
-        self.term_offsets.push(self.term_bytes.len() as u32);
-        list.encode(
-            &mut self.block_first,
-            &mut self.block_starts,
-            &mut self.blocks,
-        );
-        self.block_max.extend_from_slice(&list.block_max);
-        self.list_offsets
-            .push(self.postings() as u32 + list.docs.len() as u32);
-        self.block_offsets.push(self.block_max.len() as u32);
-        self.max_tf_norm.push(list.max_tf_norm);
-        self.occurrences += list.positions.len() as u32;
-    }
-
     /// Append the next document's forward row: the ids of its lists,
     /// ascending, at their [`run_width`].
     pub(crate) fn push_row(&mut self, lists: &[u32], width: u32) {
@@ -168,7 +151,7 @@ impl Columns {
 
     /// List `l` over the block columns.
     #[inline]
-    fn list(&self, l: usize) -> List<'_> {
+    pub(crate) fn list(&self, l: usize) -> List<'_> {
         let blocks = self.block_offsets[l] as usize..self.block_offsets[l + 1] as usize;
         List::new(
             (self.list_offsets[l + 1] - self.list_offsets[l]) as usize,
@@ -611,6 +594,108 @@ impl SealedSegment {
     }
 }
 
+/// Writes lists into a segment's columns a posting at a time, each
+/// posting given as its document, its position codes, their OR and its
+/// `tf_norm`: how a freeze and a merge both write theirs. It stages up to
+/// [`BLOCK_POSTINGS`] postings, their codes copied, and writes each full
+/// block through [`encode_block`], so a list is cut into blocks, sized
+/// and bounded one way whoever writes it.
+pub(crate) struct ListWriter {
+    len: usize,
+    docs: [DocOrd; BLOCK_POSTINGS],
+    /// Posting `i`'s codes are `codes[ends[i]..ends[i + 1]]`.
+    ends: [u32; BLOCK_POSTINGS + 1],
+    codes: Vec<u32>,
+    summary: BlockCodes,
+    bound: f64,
+    /// The list so far: its postings and its largest bound.
+    postings: usize,
+    max: f64,
+}
+
+impl ListWriter {
+    pub(crate) fn new() -> Self {
+        ListWriter {
+            len: 0,
+            docs: [0; BLOCK_POSTINGS],
+            ends: [0; BLOCK_POSTINGS + 1],
+            codes: Vec::new(),
+            summary: BlockCodes::default(),
+            bound: 0.0,
+            postings: 0,
+            max: 0.0,
+        }
+    }
+
+    /// Append `doc`'s posting, above the list's last document, to the
+    /// list being written into `cols`: its position codes, `codes_or`
+    /// their OR, and its `tf_norm`.
+    #[inline]
+    pub(crate) fn push(
+        &mut self,
+        cols: &mut Columns,
+        doc: DocOrd,
+        codes: &[u32],
+        codes_or: u32,
+        norm: f64,
+    ) {
+        let gap = match self.len {
+            0 => 0,
+            len => doc - self.docs[len - 1] - 1,
+        };
+        self.codes.extend(codes.iter().copied());
+        self.summary.add(gap, codes.len() as u32, codes_or);
+        self.bound = self.bound.max(norm);
+        self.docs[self.len] = doc;
+        self.len += 1;
+        self.ends[self.len] = self.codes.len() as u32;
+        if self.len == BLOCK_POSTINGS {
+            self.flush(cols);
+        }
+    }
+
+    /// Write the staged postings as the next block of `cols`.
+    fn flush(&mut self, cols: &mut Columns) {
+        let docs = &self.docs[..self.len];
+        cols.block_first.push(docs[0]);
+        cols.block_max.push(self.bound);
+        let widths = self.summary.widths();
+        encode_block(
+            &mut cols.blocks,
+            widths,
+            docs,
+            &self.ends[..=self.len],
+            &self.codes,
+        );
+        cols.block_starts.push(cols.blocks.len() as u32);
+        cols.occurrences += self.codes.len() as u32;
+        self.postings += self.len;
+        self.max = self.max.max(self.bound);
+        (self.len, self.summary, self.bound) = (0, BlockCodes::default(), 0.0);
+        self.codes.clear();
+    }
+
+    /// Close the list as the next row of `cols`' term table, under
+    /// `term`, and start the next one. A list with no postings writes
+    /// nothing: returns whether there was one.
+    pub(crate) fn finish(&mut self, cols: &mut Columns, term: &[u8]) -> bool {
+        if self.len > 0 {
+            self.flush(cols);
+        }
+        if self.postings == 0 {
+            return false;
+        }
+        cols.term_bytes.extend_from_slice(term);
+        cols.term_offsets.push(cols.term_bytes.len() as u32);
+        cols.list_offsets
+            .push((cols.postings() + self.postings) as u32);
+        cols.block_offsets.push(cols.block_max.len() as u32);
+        cols.max_tf_norm.push(self.max);
+        (self.postings, self.max) = (0, 0.0);
+        true
+    }
+}
+
 /// Compact a list of segments (with their dead bitsets) into one fresh,
 /// fully-live segment with tight impact bounds.
 ///
@@ -619,6 +704,10 @@ impl SealedSegment {
 /// same f64 additions in the exact same order afterwards — compaction is
 /// bitwise invisible to search, the invariant the segmented-vs-monolithic
 /// oracle asserts across merges.
+///
+/// Postings move as their blocks store them: each input block's position
+/// codes come out in one unpack, and each live posting's codes go into
+/// its output block as they are, never added up into positions.
 pub(crate) fn compact(parts: &[(Arc<FlatSegment>, Vec<u64>)]) -> FlatSegment {
     // Room for everything the parts hold. Lists re-cut into blocks and
     // re-coded at new widths can come out a little longer or shorter; the
@@ -632,76 +721,93 @@ pub(crate) fn compact(parts: &[(Arc<FlatSegment>, Vec<u64>)]) -> FlatSegment {
         total(|c| c.fwd_bytes.len()),
         total(|c| c.term_bytes.len()),
     );
-    let mut remaps: Vec<Vec<Option<DocOrd>>> = Vec::with_capacity(parts.len());
+    // Per part, where its documents and its lists start in `remap` and
+    // `new_list`: the ordinal each document gets (`None` when dead) and
+    // the id each list gets.
+    let mut bases = Vec::with_capacity(parts.len());
+    let mut remap = Vec::with_capacity(total(|c| c.ids.len()));
+    let mut lists = 0;
     for (data, dead) in parts {
-        let remap = (0..data.doc_count() as DocOrd)
-            .map(|ord| {
-                if bit(dead, ord as usize) {
-                    return None;
-                }
-                let lengths = ord as usize * Field::COUNT..(ord as usize + 1) * Field::COUNT;
-                out.ids.push(data.id(ord));
-                out.field_lengths
-                    .extend_from_slice(&data.columns().field_lengths[lengths]);
-                Some(out.ids.len() as DocOrd - 1)
-            })
-            .collect();
-        remaps.push(remap);
+        bases.push((remap.len(), lists));
+        lists += data.list_count();
+        remap.extend((0..data.doc_count() as DocOrd).map(|ord| {
+            if bit(dead, ord as usize) {
+                return None;
+            }
+            let lengths = ord as usize * Field::COUNT..(ord as usize + 1) * Field::COUNT;
+            out.ids.push(data.id(ord));
+            out.field_lengths
+                .extend_from_slice(&data.columns().field_lengths[lengths]);
+            Some(out.ids.len() as DocOrd - 1)
+        }));
     }
-    // Where each part's lists went, for the forward index.
-    let mut new_list: Vec<Vec<u32>> = parts
-        .iter()
-        .map(|(data, _)| vec![u32::MAX; data.list_count()])
-        .collect();
-    // One list to gather each output list's live postings in, and one
-    // block to decode into, for the whole compaction.
-    let mut merged_list = GrowingList::default();
+    let mut new_list = vec![u32::MAX; lists];
+    // Each part's next row of the field's term table, smallest term on
+    // top and a term's parts in input order; the parts of the term being
+    // written; one list writer and one block to decode into: all for the
+    // whole compaction.
+    let mut next: BinaryHeap<Reverse<(&[u8], usize, u32)>> = BinaryHeap::with_capacity(parts.len());
+    let mut group = Vec::with_capacity(parts.len());
+    let mut writer = ListWriter::new();
     let mut buf = BlockBuf::default();
     for field_ord in 0..Field::COUNT {
-        // Merge the parts' term tables in term order; within one output
-        // list, parts contribute in input order, so remapped ordinals are
-        // strictly ascending and the bounds come out tight.
-        let mut merged: BTreeMap<&[u8], Vec<(usize, u32)>> = BTreeMap::new();
+        // The parts' term tables are each sorted, so walking them in step
+        // visits the terms in order, and within one output list remapped
+        // ordinals are strictly ascending and the bounds come out tight.
         for (pi, (data, _)) in parts.iter().enumerate() {
-            for id in data.field_lists(field_ord) {
-                let term = data.columns().term(id as usize);
-                merged.entry(term).or_default().push((pi, id));
+            let field = data.field_lists(field_ord);
+            if !field.is_empty() {
+                next.push(Reverse((
+                    data.columns().term(field.start as usize),
+                    pi,
+                    field.start,
+                )));
             }
         }
-        for (term, lists) in merged {
-            merged_list.clear();
-            for &(pi, id) in &lists {
-                let list = parts[pi].0.list(id);
-                let mut cursor = list.cursor(&mut buf);
-                for b in 0..list.block_count() {
-                    cursor.load(b);
-                    for i in 0..cursor.docs().len() {
-                        if let Some(ord) = remaps[pi][cursor.docs()[i] as usize] {
-                            let field_len =
-                                out.field_lengths[ord as usize * Field::COUNT + field_ord];
-                            merged_list.push(ord, cursor.positions(i), field_len);
-                        }
-                    }
+        while let Some(Reverse((term, pi, id))) = next.pop() {
+            let data = &parts[pi].0;
+            if id + 1 < data.field_lists(field_ord).end {
+                next.push(Reverse((data.columns().term(id as usize + 1), pi, id + 1)));
+            }
+            group.push((pi, id));
+            let (doc_base, _) = bases[pi];
+            let list = data.list(id);
+            let mut cursor = list.cursor(&mut buf);
+            for b in 0..list.block_count() {
+                cursor.load(b);
+                let (docs, ends, codes) = cursor.codes();
+                for (i, &doc) in docs.iter().enumerate() {
+                    let Some(ord) = remap[doc_base + doc as usize] else {
+                        continue;
+                    };
+                    let codes = &codes[ends[i] as usize..ends[i + 1] as usize];
+                    let field_len = out.field_lengths[ord as usize * Field::COUNT + field_ord];
+                    let norm = tf_norm(codes.len() as u32, field_len);
+                    let or = codes.iter().fold(0, |or, &code| or | code);
+                    writer.push(&mut out, ord, codes, or, norm);
                 }
             }
-            if merged_list.docs.is_empty() {
+            if next.peek().is_some_and(|Reverse(top)| top.0 == term) {
                 continue;
             }
-            for (pi, id) in lists {
-                new_list[pi][id as usize] = out.list_count() as u32;
+            let id = out.list_count() as u32;
+            if writer.finish(&mut out, term) {
+                for &(pi, list) in &group {
+                    new_list[bases[pi].1 + list as usize] = id;
+                }
             }
-            out.push_list(term, &merged_list);
+            group.clear();
         }
         out.field_starts[field_ord + 1] = out.list_count() as u32;
     }
     // A live document keeps every one of its postings, so each of its
     // lists survived and its forward-index entries carry over renamed.
     let mut row = Vec::new();
-    for (pi, (data, _)) in parts.iter().enumerate() {
+    for ((data, _), &(doc_base, list_base)) in parts.iter().zip(&bases) {
         for ord in 0..data.doc_count() as DocOrd {
-            if remaps[pi][ord as usize].is_some() {
+            if remap[doc_base + ord as usize].is_some() {
                 row.clear();
-                row.extend(data.lists_of(ord).map(|l| new_list[pi][l as usize]));
+                row.extend(data.lists_of(ord).map(|l| new_list[list_base + l as usize]));
                 out.push_row(&row, run_width(&row));
             }
         }

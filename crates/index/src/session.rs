@@ -476,7 +476,7 @@ impl<'i> Session<'i> {
     /// is taken, one lock hold, one publish.
     pub fn apply<'a>(&mut self, changes: impl IntoIterator<Item = IndexChange<'a>>) -> usize {
         self.analyze_batch(changes);
-        self.commit()
+        self.commit(false)
     }
 
     /// The off-lock half of [`Session::apply`]: analyze `changes` into
@@ -498,9 +498,11 @@ impl<'i> Session<'i> {
     }
 
     /// The locked half of [`Session::apply`]: commit the analyzed batch
-    /// under one writer-lock hold and publish once.
-    pub(crate) fn commit(&mut self) -> usize {
-        self.index.commit(&self.batch, &self.terms, &mut self.rows)
+    /// under one writer-lock hold and publish once, with `seal` sealing
+    /// the head first.
+    pub(crate) fn commit(&mut self, seal: bool) -> usize {
+        self.index
+            .commit(&self.batch, &self.terms, &mut self.rows, seal)
     }
 
     /// Analyze a document into the batch: its distinct `(field, term)`

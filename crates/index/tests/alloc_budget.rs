@@ -3,7 +3,8 @@
 //! nothing per posting, and the index's reported size is what a load asks
 //! the allocator for. And what the write session promises it: a warm one
 //! allocates nothing per document or occurrence, a cold one a small
-//! constant. And what a pipelined bulk load promises: its analysers cost a
+//! constant. And what a bulk load promises: a head costs a constant and
+//! its dictionary entries, nothing per postings list, and its analysers a
 //! constant each, nothing a batch.
 //!
 //! This file is its own test binary, so the counting `#[global_allocator]`
@@ -152,11 +153,11 @@ fn a_warm_session_allocates_nothing_per_document_or_occurrence() {
     let _alone = alone();
     // A session that has seen the vocabulary and sized its batch buffers
     // adds 1,024 more documents to a head that already holds 1,024. What
-    // is left to allocate is the head's growth — each of its ≈50 lists'
-    // columns doubling once — and one publish (≈200 in all): nothing per
-    // document, where the three `Vec`s a document of the path before the
-    // session read 3,284 here, and no more for documents five times the
-    // size.
+    // is left to allocate is the head's growth — its flat posting columns
+    // doubling once — and one publish (56 in all; ≈200 when each of the
+    // head's ≈50 lists had columns of its own): nothing per document,
+    // where the three `Vec`s a document of the path before the session
+    // read 3,284 here, and no more for documents five times the size.
     for elements in [12, 60] {
         let index = Index::new().with_seal_threshold(4096);
         let docs: Vec<OwnedDocument> = (0..2048).map(|id| doc_over(id, elements, 13)).collect();
@@ -199,6 +200,40 @@ fn a_pipelined_build_allocates_the_serial_builds_plus_its_analysers() {
     assert!(
         caller + PER_ANALYSER >= serial,
         "the calling thread allocated {caller} of {pipelined}, {serial} building alone"
+    );
+}
+
+/// What a serial bulk build may allocate a head beyond its lists: its
+/// flat posting columns growing, its freeze and publish, its share of
+/// the write session's tables.
+const PER_HEAD: u64 = 320;
+/// And a distinct `(field, term)` of a head: its dictionary entry, the
+/// term's `String` and a share of a tree node. The build below reads
+/// 8,928 allocations in all, ≈1.3 a list; five growing vectors a list
+/// read 61,600 (≈9.1).
+const PER_LIST: u64 = 2;
+
+#[test]
+fn a_bulk_build_allocates_per_head_not_per_postings_list() {
+    // 2,000 documents over a 211-word vocabulary in eight heads of 250:
+    // each head holds several hundred lists, so anything paid a list
+    // outweighs what is paid a head.
+    let _alone = alone();
+    let docs: Vec<OwnedDocument> = (0..2_000).map(|id| doc(id, 24)).collect();
+    const THRESHOLD: usize = 250;
+    let (heads, lists) = docs
+        .chunks(THRESHOLD)
+        .fold((0, 0), |(heads, lists), batch| {
+            let head = Index::new();
+            head.apply(batch.iter().map(|d| IndexChange::Put(d.view())));
+            (heads + 1, lists + head.stats().distinct_terms as u64)
+        });
+    let index = Index::new().with_seal_threshold(THRESHOLD);
+    let (_, allocations, _) = counted(|| index.bulk_load(&docs, 1, OwnedDocument::view));
+    assert_eq!(index.segment_count() as u64, heads);
+    assert!(
+        allocations <= PER_HEAD * heads + PER_LIST * lists,
+        "{allocations} allocations for {heads} heads of {lists} lists in all"
     );
 }
 
