@@ -14,7 +14,7 @@ use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use schemr_index::{
     codec, Index, IndexChange, IndexDocument, IndexRevision, IndexStats, ProbeStats, SearchOptions,
 };
-use schemr_match::{Ensemble, EnsembleQuery, MatchScratch, PreparedCandidate};
+use schemr_match::{Ensemble, EnsembleQuery, MatchScratch, PrepareScratch, PreparedCandidate};
 use schemr_model::{QueryGraph, QueryTerm, SchemaId};
 use schemr_obs::{
     CpuProbeDepth, DeepSize, EventResult, Histogram, LedgerProbe, MetricsRegistry, ResourceLedger,
@@ -442,8 +442,10 @@ impl SchemrEngine {
     }
 
     /// Resolve the prepared match artifacts for `stored` through the
-    /// state's artifact cache, building and admitting them on a miss.
-    /// Returns the artifacts and whether the lookup was a hit.
+    /// state's artifact cache, building and admitting them on a miss —
+    /// in `scratch`'s buffers, so a miss allocates the bundle it caches
+    /// and little else. Returns the artifacts and whether the lookup was
+    /// a hit.
     /// Concurrent searches may race on a cold entry; both build the same
     /// deterministic bundle and the second put replaces the first, so the
     /// race costs work but never correctness.
@@ -457,6 +459,7 @@ impl SchemrEngine {
         &self,
         state: &Arc<Phase2State>,
         stored: &StoredSchema,
+        scratch: &mut PrepareScratch,
     ) -> (Arc<PreparedCandidate>, bool) {
         let Phase2State {
             matchers,
@@ -467,7 +470,11 @@ impl SchemrEngine {
         if let Some(artifacts) = cache.get(id, revision) {
             return (artifacts, true);
         }
-        let artifacts = Arc::new(matchers.ensemble.prepare(&stored.schema, lexicon));
+        let artifacts = Arc::new(
+            matchers
+                .ensemble
+                .prepare_into(&stored.schema, lexicon, scratch),
+        );
         let lexicon_bytes = lexicon.heap_bytes();
         if lexicon_bytes > self.config.match_artifact_cache_bytes {
             // Replace the engine's state only if it is still this one: a
@@ -491,10 +498,11 @@ impl SchemrEngine {
     /// each candidate's artifacts, run the ensemble, and score
     /// tightness-of-fit on the combined matrix it produced. One scratch
     /// serves the whole loop: what one candidate's scoring worked out
-    /// about a word pair, the next candidate's reads, and the matrices
-    /// and tightness tables one candidate filled, the next refills. What
-    /// a candidate leaves behind goes to flat arenas, so the loop
-    /// allocates per search, not per candidate.
+    /// about a word pair, the next candidate's reads, and the matrices,
+    /// the prepare buffers of an artifact miss and the tightness tables
+    /// one candidate filled, the next refills. What a candidate leaves
+    /// behind goes to flat arenas, so the loop allocates per search, not
+    /// per candidate — apart from the bundle a miss caches.
     fn match_candidates(
         &self,
         p2: &Phase2<'_>,
@@ -518,9 +526,10 @@ impl SchemrEngine {
             artifact_misses: 0,
         };
         let mut scratch = MatchScratch::new(p2.equery, &p2.state.lexicon);
+        let mut prepare = PrepareScratch::default();
         let mut tightness = TightnessScratch::default();
         for (_, stored) in cands {
-            let (artifacts, was_hit) = self.prepared_for(p2.state, stored);
+            let (artifacts, was_hit) = self.prepared_for(p2.state, stored, &mut prepare);
             if was_hit {
                 done.artifact_hits += 1;
             } else {
@@ -1682,9 +1691,10 @@ mod tests {
 
         // The held state's lookups, prepares and puts stay in the held
         // state, whatever they find there.
+        let mut scratch = PrepareScratch::default();
         for stored in repo.snapshot() {
             for _ in 0..2 {
-                let (artifacts, _) = engine.prepared_for(&held, &stored);
+                let (artifacts, _) = engine.prepared_for(&held, &stored, &mut scratch);
                 let (id, revision) = (stored.metadata.id, stored.metadata.revision);
                 held.artifacts.put(id, revision, artifacts, 0);
             }

@@ -14,7 +14,12 @@
 //!   [`WARM_TRACED_SEARCH_CEILING`] times and at most [`TRACING_EXTRA`]
 //!   more than the untraced one;
 //! * a warm [`Ensemble::run_into`] plus tightness-of-fit over a second
-//!   candidate of the same shape allocates nothing at all.
+//!   candidate of the same shape allocates nothing at all;
+//! * a warm-scratch [`Ensemble::prepare_into`] of a second candidate on a
+//!   warm lexicon allocates only the bundle it returns;
+//! * a search whose every candidate misses the artifact cache, every word
+//!   already in the lexicon, allocates at most [`PER_MISS`] (8) times a
+//!   miss, amortised: 200 misses at most 150 × 8 + 16 more than 50.
 //!
 //! This file is its own test binary, so the counting `#[global_allocator]`
 //! reaches nothing else. The engine budgets count the whole process, so an
@@ -26,7 +31,7 @@ use std::time::Duration;
 
 use schemr::tightness::{tightness_of_fit_in, TightnessScratch};
 use schemr::{EngineConfig, MatchedElement, SchemrEngine, SearchRequest, TightnessConfig};
-use schemr_match::{Ensemble, MatchScratch};
+use schemr_match::{Ensemble, MatchScratch, PrepareScratch};
 use schemr_model::{DataType, QueryGraph, Schema, SchemaBuilder};
 use schemr_obs::alloc::{process_alloc_count, thread_alloc_count, CountingAlloc};
 use schemr_obs::TracerConfig;
@@ -67,6 +72,13 @@ const WARM_TRACED_SEARCH_CEILING: u64 = 127;
 /// the result and strength lists, the matcher walls and the retained
 /// trace itself, each one allocation, and a few to spare.
 const TRACING_EXTRA: u64 = 16;
+
+/// What an artifact miss may allocate, amortised, when the lexicon knows
+/// every word: the `Arc` the bundle is shared through, its `per_matcher`
+/// list, two exact-size lists per matcher of the standard pair, and the
+/// cache's B-tree filing now and then. Before a miss prepared in one
+/// scratch per search it took ≈31.
+const PER_MISS: u64 = 8;
 
 /// Attribute names the schemas draw from, so candidates differ in shape
 /// and in the words the matchers meet.
@@ -236,4 +248,99 @@ fn a_warm_run_into_and_tightness_allocate_nothing_for_a_second_candidate() {
     assert_eq!(warm.to_bits(), again.to_bits());
     assert_eq!(both_matched, 2 * first_matched);
     assert_eq!(strengths.len(), 2 * ensemble.len());
+}
+
+#[test]
+fn a_warm_scratch_prepare_into_allocates_only_the_bundle() {
+    let _alone = alone();
+    let ensemble = Ensemble::standard();
+    let lexicon = Lexicon::new();
+    // The scratch grows on the widest candidate; the second, narrower and
+    // of other words, finds every buffer big enough.
+    let (widest, second) = (candidate("widest", WORDS.len()), {
+        SchemaBuilder::new("second")
+            .entity("visit", |mut e| {
+                for word in &WORDS[6..] {
+                    e = e.attr(*word, DataType::Text);
+                }
+                e
+            })
+            .build_unchecked()
+    });
+    let fresh = ensemble.prepare(&second, &lexicon); // interns its words
+    let mut scratch = PrepareScratch::default();
+    ensemble.prepare_into(&widest, &lexicon, &mut scratch);
+    let words = lexicon.len();
+    let before = thread_alloc_count();
+    let bundle = ensemble.prepare_into(&second, &lexicon, &mut scratch);
+    let allocations = thread_alloc_count() - before;
+    // `per_matcher`, then the name matcher's words and the context
+    // matcher's neighborhoods, each an items and an ends list.
+    assert_eq!(
+        allocations,
+        1 + 2 * ensemble.len() as u64,
+        "the bundle alone"
+    );
+    assert_eq!(lexicon.len(), words, "a warm lexicon: lookups only");
+    assert_eq!(
+        bundle, fresh,
+        "a reused scratch prepares what fresh buffers do"
+    );
+    assert_eq!(bundle.bytes, fresh.bytes);
+}
+
+/// Process-wide allocations of one search whose `top_candidates`
+/// candidates all miss the artifact cache while the lexicon knows their
+/// every word, and the misses it counted: a warm engine whose schemas were
+/// each updated to the same content, which bumps every revision, then
+/// reindexed incrementally.
+fn all_miss_search_allocations(top_candidates: usize) -> (u64, u64) {
+    let repo = repository();
+    let engine = SchemrEngine::with_config(
+        repo.clone(),
+        EngineConfig {
+            top_candidates,
+            trace: TracerConfig::disabled(),
+            ..EngineConfig::default()
+        },
+    );
+    engine.reindex_full();
+    let request = SearchRequest::keywords(["patient", "height", "gender", "diagnosis"]);
+    for _ in 0..3 {
+        engine.search_detailed(&request).unwrap();
+    }
+    for stored in repo.snapshot() {
+        repo.update(stored.metadata.id, stored.schema.clone())
+            .expect("an unchanged schema validates");
+    }
+    assert_eq!(engine.reindex_incremental(), 260);
+    let words = engine.memory_report().lexicon_words;
+    let misses = engine.metrics().match_artifact_cache_misses.get();
+    let before = process_alloc_count();
+    let response = engine.search_detailed(&request).unwrap();
+    let allocations = process_alloc_count() - before;
+    assert_eq!(response.candidates_evaluated, top_candidates);
+    assert_eq!(
+        engine.memory_report().lexicon_words,
+        words,
+        "every word known"
+    );
+    let misses = engine.metrics().match_artifact_cache_misses.get() - misses;
+    (allocations, misses)
+}
+
+#[test]
+fn an_artifact_miss_allocates_its_bundle_and_little_else() {
+    let _alone = alone();
+    let (few, few_misses) = all_miss_search_allocations(50);
+    let (many, many_misses) = all_miss_search_allocations(200);
+    assert_eq!(
+        (few_misses, many_misses),
+        (50, 200),
+        "every candidate misses"
+    );
+    assert!(
+        many <= few + 150 * PER_MISS + PER_EXTRA_CANDIDATES,
+        "{few} allocations over 50 misses, {many} over 200"
+    );
 }

@@ -20,7 +20,10 @@ use schemr_text::gramset::scalar_merge;
 use schemr_text::{AnalyzeScratch, Analyzer, WordId};
 
 use crate::matrix::SimilarityMatrix;
-use crate::prepare::{FlatLists, PreparedQuery, PreparedSchema, ScoreScratch};
+use crate::prepare::{
+    FlatLists, PrepareScratch, PreparedQuery, PreparedSchema, QueryContexts, ScoreScratch,
+    WordArena,
+};
 use crate::{Matcher, NOT_PREPARED_HERE};
 
 /// Neighbor-term-set context matcher.
@@ -89,88 +92,129 @@ impl ContextMatcher {
             .all(|t| t.fragment.is_none() || t.element.is_none())
     }
 
-    /// Per query term, the distinct analyzed words of its neighborhood in
-    /// its fragment, as strings: the query side is never interned. Each
-    /// fragment's names are analyzed once, whatever the number of terms
-    /// that point into it.
-    fn query_contexts(&self, terms: &[QueryTerm], query: &QueryGraph) -> Vec<Option<Vec<String>>> {
-        let mut per_fragment: Vec<Option<FlatLists<String>>> = vec![None; query.fragments().len()];
-        terms
+    /// The query side: every distinct analyzed word of the fragments'
+    /// element names once, as a string of the query's own — it is never
+    /// interned — and each fragment element's neighborhood as a set of
+    /// those words' indices. Each fragment's names are analyzed once, into
+    /// one list; a term's neighborhood is one of the lists derived from
+    /// it, shared by every term that points at the same element.
+    fn query_contexts(&self, terms: &[QueryTerm], query: &QueryGraph) -> QueryContexts {
+        let mut words = WordArena::default();
+        let mut names: FlatLists<u32> = FlatLists::default();
+        let mut analyze = AnalyzeScratch::default();
+        let mut hoods = Neighborhoods::default();
+        // Each fragment's first list in `hoods.lists`.
+        let mut first = Vec::with_capacity(query.fragments().len());
+        for fragment in query.fragments() {
+            names.clear();
+            for id in fragment.ids() {
+                self.analyzer
+                    .analyze_with(fragment.element(id).name, &mut analyze, |w| {
+                        let ix = words.position(w).unwrap_or_else(|| words.push(w));
+                        names.push_item(ix);
+                    });
+                names.end_list();
+            }
+            first.push(hoods.lists.len());
+            hoods.push_schema(fragment, &names);
+        }
+        let terms = terms
             .iter()
             .map(|t| match (t.fragment, t.element) {
-                (Some(frag_ix), Some(el)) => {
-                    let fragment = &query.fragments()[frag_ix];
-                    let sets = per_fragment[frag_ix].get_or_insert_with(|| {
-                        let mut words = FlatLists::with_capacity(fragment.len());
-                        let mut scratch = AnalyzeScratch::default();
-                        for id in fragment.ids() {
-                            let name = &fragment.element(id).name;
-                            self.analyzer.analyze_with(name, &mut scratch, |w| {
-                                words.push_item(w.to_string())
-                            });
-                            words.end_list();
-                        }
-                        neighborhoods(fragment, &words)
-                    });
-                    let words = sets.get(el.index());
-                    (!words.is_empty()).then(|| words.to_vec())
-                }
+                (Some(frag_ix), Some(el)) => Some(
+                    u32::try_from(first[frag_ix] + el.index())
+                        .expect("a query's fragments hold fewer than 2^32 elements"),
+                ),
                 _ => None, // keywords have no context
             })
-            .collect()
+            .collect();
+        QueryContexts {
+            words,
+            neighborhoods: hoods.lists,
+            terms,
+        }
     }
 }
 
-/// Every element's neighborhood as a sorted distinct word set, from the
-/// words of each element name (`words.get(i)` for element *i*): the union
-/// of its parent's, its siblings' and its children's words — the
-/// element's own name is excluded, the name matcher covers it. One pass
-/// buckets the elements by parent, so no name is analyzed, and no child
-/// list scanned for, more than once.
-fn neighborhoods<T: Ord + Clone>(schema: &Schema, words: &FlatLists<T>) -> FlatLists<T> {
-    let n = schema.len();
-    // Counting sort of the elements by parent: `kids[starts[p]..starts[p + 1]]`
-    // are p's children, in id order.
-    let mut starts = vec![0usize; n + 1];
-    for el in schema.elements() {
-        if let Some(p) = el.parent {
-            starts[p.index() + 1] += 1;
-        }
-    }
-    for p in 0..n {
-        starts[p + 1] += starts[p];
-    }
-    let mut kids = vec![0usize; starts[n]];
-    let mut next = starts.clone();
-    for (i, el) in schema.elements().enumerate() {
-        if let Some(p) = el.parent {
-            kids[next[p.index()]] = i;
-            next[p.index()] += 1;
-        }
-    }
-    let children = |p: usize| &kids[starts[p]..starts[p + 1]];
+/// What deriving neighborhoods works in: the counting-sort tables that
+/// bucket a schema's elements by parent, the set being gathered, and the
+/// lists derived. Kept in a [`PrepareScratch`] on the candidate side, so
+/// a warm prepare reuses every table.
+#[derive(Debug)]
+pub(crate) struct Neighborhoods<T> {
+    starts: Vec<usize>,
+    kids: Vec<usize>,
+    next: Vec<usize>,
+    set: Vec<T>,
+    /// The neighborhoods derived so far, one list per element.
+    pub(crate) lists: FlatLists<T>,
+}
 
-    let mut sets = FlatLists::with_capacity(n);
-    let mut set: Vec<T> = Vec::new();
-    for (i, el) in schema.elements().enumerate() {
-        set.clear();
-        if let Some(p) = el.parent {
-            set.extend_from_slice(words.get(p.index()));
-            for &sibling in children(p.index()) {
-                if sibling != i {
-                    set.extend_from_slice(words.get(sibling));
-                }
+impl<T> Default for Neighborhoods<T> {
+    fn default() -> Self {
+        Neighborhoods {
+            starts: Vec::new(),
+            kids: Vec::new(),
+            next: Vec::new(),
+            set: Vec::new(),
+            lists: FlatLists::default(),
+        }
+    }
+}
+
+impl<T: Ord + Copy> Neighborhoods<T> {
+    /// Append every element's neighborhood to `lists` as a sorted
+    /// distinct word set, from the words of each element name
+    /// (`words.get(i)` for element *i*): the union of its parent's, its
+    /// siblings' and its children's words — the element's own name is
+    /// excluded, the name matcher covers it. One pass buckets the elements
+    /// by parent, so no name is analyzed, and no child list scanned for,
+    /// more than once.
+    pub(crate) fn push_schema(&mut self, schema: &Schema, words: &FlatLists<T>) {
+        let n = schema.len();
+        // Counting sort of the elements by parent:
+        // `kids[starts[p]..starts[p + 1]]` are p's children, in id order.
+        let starts = &mut self.starts;
+        starts.clear();
+        starts.resize(n + 1, 0);
+        for el in schema.elements() {
+            if let Some(p) = el.parent {
+                starts[p.index() + 1] += 1;
             }
         }
-        for &child in children(i) {
-            set.extend_from_slice(words.get(child));
+        for p in 0..n {
+            starts[p + 1] += starts[p];
         }
-        set.sort_unstable();
-        set.dedup();
-        sets.push(set.iter().cloned());
+        self.kids.clear();
+        self.kids.resize(starts[n], 0);
+        self.next.clear();
+        self.next.extend_from_slice(starts);
+        for (i, el) in schema.elements().enumerate() {
+            if let Some(p) = el.parent {
+                self.kids[self.next[p.index()]] = i;
+                self.next[p.index()] += 1;
+            }
+        }
+        let (starts, kids, set) = (&self.starts, &self.kids, &mut self.set);
+        let children = |p: usize| &kids[starts[p]..starts[p + 1]];
+        for (i, el) in schema.elements().enumerate() {
+            set.clear();
+            if let Some(p) = el.parent {
+                set.extend_from_slice(words.get(p.index()));
+                for &sibling in children(p.index()) {
+                    if sibling != i {
+                        set.extend_from_slice(words.get(sibling));
+                    }
+                }
+            }
+            for &child in children(i) {
+                set.extend_from_slice(words.get(child));
+            }
+            set.sort_unstable();
+            set.dedup();
+            self.lists.push(set.iter().copied());
+        }
     }
-    sets.shrink_to_fit();
-    sets
 }
 
 impl Matcher for ContextMatcher {
@@ -182,9 +226,17 @@ impl Matcher for ContextMatcher {
         Some(&self.analyzer)
     }
 
-    fn prepare(&self, schema: &Schema, words: &FlatLists<WordId>) -> PreparedSchema {
+    fn prepare(
+        &self,
+        schema: &Schema,
+        words: &FlatLists<WordId>,
+        scratch: &mut PrepareScratch,
+    ) -> PreparedSchema {
+        let hoods = &mut scratch.neighborhoods;
+        hoods.lists.clear();
+        hoods.push_schema(schema, words);
         PreparedSchema {
-            neighborhoods: Some(neighborhoods(schema, words)),
+            neighborhoods: Some(hoods.lists.exact_copy()),
             ..PreparedSchema::default()
         }
     }
@@ -212,7 +264,7 @@ impl Matcher for ContextMatcher {
         if Self::no_fragment_terms(terms) {
             return;
         }
-        let term_contexts = prepared_query
+        let query_contexts = prepared_query
             .term_contexts
             .as_ref()
             .expect(NOT_PREPARED_HERE);
@@ -220,30 +272,28 @@ impl Matcher for ContextMatcher {
         // The query's neighborhood words as ids, looked up — never
         // interned — in the candidates' lexicon. A word the lexicon does
         // not know is in no candidate neighborhood prepared so far; it
-        // may be interned later, so the ids are resolved again whenever
-        // the lexicon has grown.
+        // may be interned later, so the ids are resolved again, in the
+        // same buffer, whenever the lexicon has grown.
         let lexicon = scratch.lexicon().read();
         if scratch.contexts_resolved_at != Some(lexicon.len()) {
-            scratch.contexts = term_contexts
-                .iter()
-                .map(|ctx| {
-                    let mut ids: Vec<WordId> = ctx
-                        .iter()
-                        .flatten()
-                        .filter_map(|w| lexicon.lookup(w))
-                        .collect();
-                    ids.sort_unstable();
-                    ids
-                })
-                .collect();
+            scratch.contexts.clear();
+            for row in 0..query_contexts.terms.len() {
+                for &word in query_contexts.term(row) {
+                    if let Some(id) = lexicon.lookup(query_contexts.words.get(word)) {
+                        scratch.contexts.push_item(id);
+                    }
+                }
+                scratch.contexts.end_sorted_list();
+            }
             scratch.contexts_resolved_at = Some(lexicon.len());
         }
         drop(lexicon);
-        for (row, query_ctx) in term_contexts.iter().enumerate() {
-            let Some(query_ctx) = query_ctx else {
+        for row in 0..query_contexts.terms.len() {
+            let query_ctx = query_contexts.term(row);
+            if query_ctx.is_empty() {
                 continue; // keyword or empty neighborhood
-            };
-            let query_ids = &scratch.contexts[row];
+            }
+            let query_ids = scratch.contexts.get(row);
             for (col, ctx) in cand_ctx.iter().enumerate() {
                 // Dice over word ids, arithmetic-identical to the
                 // reference `set_similarity`: equal ids are equal words,

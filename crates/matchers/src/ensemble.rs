@@ -14,7 +14,7 @@ use crate::context::ContextMatcher;
 use crate::matrix::SimilarityMatrix;
 use crate::name::NameMatcher;
 use crate::prepare::{
-    element_words, EnsembleQuery, FlatLists, MatchScratch, PreparedCandidate, ScoreScratch,
+    EnsembleQuery, FlatLists, MatchScratch, PrepareScratch, PreparedCandidate, ScoreScratch,
 };
 use crate::Matcher;
 
@@ -132,25 +132,46 @@ impl Ensemble {
     /// interning the candidate's words in `lexicon`. The engine caches
     /// the result per (schema id, repository revision, lexicon).
     ///
-    /// The element names are analyzed once per distinct analyzer, not once
-    /// per matcher: each pass's words go to every matcher that shares it.
+    /// [`Ensemble::prepare_into`] on fresh buffers.
     pub fn prepare(&self, schema: &Schema, lexicon: &Lexicon) -> PreparedCandidate {
-        let words: Vec<FlatLists<_>> = self
-            .passes
-            .iter()
-            .map(|&first| {
-                let analyzer = self.matchers[first].0.analyzer();
-                element_words(analyzer.expect("a pass has an analyzer"), schema, lexicon)
-            })
-            .collect();
+        self.prepare_into(schema, lexicon, &mut PrepareScratch::default())
+    }
+
+    /// [`Ensemble::prepare`] working in `scratch`'s buffers: the element
+    /// names are analyzed once per distinct analyzer, not once per
+    /// matcher, into the scratch, and each pass's words go to every
+    /// matcher that shares it; each matcher writes its lists into the
+    /// bundle once, at their exact size. A scratch that has prepared a
+    /// candidate before allocates nothing more than the bundle (and the
+    /// lexicon, for a word it has never met); the bundle is the same
+    /// whatever the scratch held.
+    pub fn prepare_into(
+        &self,
+        schema: &Schema,
+        lexicon: &Lexicon,
+        scratch: &mut PrepareScratch,
+    ) -> PreparedCandidate {
+        // The passes' words leave the scratch while the matchers read
+        // them, so each matcher can be handed the rest of it as `&mut`;
+        // they go back, buffers and all, at the end.
+        let mut words = std::mem::take(&mut scratch.passes);
+        words.resize_with(self.passes.len(), FlatLists::default);
+        for (&first, words) in self.passes.iter().zip(&mut words) {
+            let analyzer = self.matchers[first].0.analyzer();
+            scratch.element_words(
+                analyzer.expect("a pass has an analyzer"),
+                schema,
+                lexicon,
+                words,
+            );
+        }
         let no_words = FlatLists::default();
-        PreparedCandidate::new(
-            self.matchers
-                .iter()
-                .zip(&self.pass_of)
-                .map(|((m, _), pass)| m.prepare(schema, pass.map_or(&no_words, |p| &words[p])))
-                .collect(),
-        )
+        let mut per_matcher = Vec::with_capacity(self.matchers.len());
+        for ((m, _), pass) in self.matchers.iter().zip(&self.pass_of) {
+            per_matcher.push(m.prepare(schema, pass.map_or(&no_words, |p| &words[p]), scratch));
+        }
+        scratch.passes = words;
+        PreparedCandidate::new(per_matcher)
     }
 
     /// Score every matcher into its matrix of `scratch`, adding each

@@ -55,8 +55,8 @@ pub use ensemble::{Ensemble, EnsembleRun};
 pub use matrix::SimilarityMatrix;
 pub use name::NameMatcher;
 pub use prepare::{
-    prepare_alone, EnsembleQuery, FlatLists, MatchScratch, PreparedCandidate, PreparedQuery,
-    PreparedSchema, QueryWords, ScoreScratch,
+    prepare_alone, EnsembleQuery, FlatLists, MatchScratch, PrepareScratch, PreparedCandidate,
+    PreparedQuery, PreparedSchema, QueryContexts, QueryWords, ScoreScratch,
 };
 pub use token::TokenMatcher;
 
@@ -98,13 +98,21 @@ pub trait Matcher: Send + Sync {
     /// name's words as analyzed by [`Matcher::analyzer`] and interned in
     /// the lexicon the candidate will be scored in (no list at all for a
     /// matcher that names no analyzer); the pass that made it is the only
-    /// place a lexicon is written. Candidate schemas are immutable
-    /// between repository revisions, so the engine caches the result per
-    /// (schema id, revision, lexicon) and feeds it back through
+    /// place a lexicon is written. `scratch` holds the buffers a matcher
+    /// builds its lists in before it copies them into the artifact at
+    /// their exact size — it changes what a call allocates, never what it
+    /// returns. Candidate schemas are immutable between repository
+    /// revisions, so the engine caches the result per (schema id,
+    /// revision, lexicon) and feeds it back through
     /// [`Matcher::score_into`]. The default returns an empty artifact — a
     /// valid artifact for a matcher that reads only the schema itself.
-    fn prepare(&self, schema: &Schema, words: &FlatLists<WordId>) -> PreparedSchema {
-        let _ = (schema, words);
+    fn prepare(
+        &self,
+        schema: &Schema,
+        words: &FlatLists<WordId>,
+        scratch: &mut PrepareScratch,
+    ) -> PreparedSchema {
+        let _ = (schema, words, scratch);
         PreparedSchema::default()
     }
 

@@ -16,7 +16,8 @@ use schemr_text::{AnalyzeScratch, Analyzer, GramSet, LexiconReader, WordId};
 
 use crate::matrix::SimilarityMatrix;
 use crate::prepare::{
-    FlatLists, PairMemo, PreparedQuery, PreparedSchema, QueryWords, ScoreScratch,
+    FlatLists, PairMemo, PrepareScratch, PreparedQuery, PreparedSchema, QueryWords, ScoreScratch,
+    WordArena,
 };
 use crate::{Matcher, NOT_PREPARED_HERE};
 
@@ -115,19 +116,18 @@ impl NameMatcher {
     /// term texts once, with its all-gram set, and per term the indices
     /// of its words. Query words are never interned in the lexicon.
     fn query_words(&self, terms: &[QueryTerm]) -> QueryWords {
-        let mut distinct: Vec<String> = Vec::new();
+        let mut distinct = WordArena::default();
         let mut grams: Vec<GramSet> = Vec::new();
         let mut lists = FlatLists::with_capacity(terms.len());
         let mut scratch = AnalyzeScratch::default();
         for term in terms {
             self.analyzer
                 .analyze_with(&term.text, &mut scratch, |word| {
-                    let ix = distinct.iter().position(|d| d == word).unwrap_or_else(|| {
+                    let ix = distinct.position(word).unwrap_or_else(|| {
                         grams.push(GramSet::all_grams(word));
-                        distinct.push(word.to_string());
-                        distinct.len() - 1
+                        distinct.push(word)
                     });
-                    lists.push_item(ix as u32);
+                    lists.push_item(ix);
                 });
             lists.end_list();
         }
@@ -203,9 +203,14 @@ impl Matcher for NameMatcher {
         Some(&self.analyzer)
     }
 
-    fn prepare(&self, _schema: &Schema, words: &FlatLists<WordId>) -> PreparedSchema {
+    fn prepare(
+        &self,
+        _schema: &Schema,
+        words: &FlatLists<WordId>,
+        _scratch: &mut PrepareScratch,
+    ) -> PreparedSchema {
         PreparedSchema {
-            name_words: Some(words.clone()),
+            name_words: Some(words.exact_copy()),
             ..PreparedSchema::default()
         }
     }

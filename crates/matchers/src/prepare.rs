@@ -24,7 +24,13 @@
 //!   [`PreparedCandidate`] bundles one per matcher and is what the
 //!   engine's revision-keyed artifact cache stores. It carries no gram
 //!   set of its own, and its ids are meaningful only in the lexicon it
-//!   was prepared against;
+//!   was prepared against. The pass and the matchers work in a
+//!   [`PrepareScratch`] — the analyzer's buffers, the resolved ids, the
+//!   missed words in one string arena, the neighborhoods' counting-sort
+//!   tables — that the engine keeps for a whole search, and each matcher
+//!   copies its lists into the bundle once, at their exact size: against
+//!   a warm lexicon a prepare allocates the bundle and nothing else (5
+//!   allocations for the standard pair, where fresh buffers took ≈28);
 //! * **per (query word, candidate word)** — a [`MatchScratch`] holds each
 //!   matcher's memo of word-pair similarities, filled on first use while
 //!   a run of candidates is scored, so a cell of the similarity matrix is
@@ -34,7 +40,8 @@
 //! Query-side artifacts ([`PreparedQuery`], bundled as
 //! [`EnsembleQuery`]) are built once per search, through the same
 //! streaming analyzer, and never touch the lexicon: query text arrives
-//! from a socket and must not grow it.
+//! from a socket and must not grow it. Their distinct words are kept in
+//! one string arena each, not a `String` a word.
 //!
 //! A matcher that reads only the schema itself leaves its artifact
 //! structs empty: an empty artifact is a valid artifact, and there is no
@@ -43,6 +50,7 @@
 use schemr_model::{QueryGraph, QueryTerm, Schema};
 use schemr_text::{AnalyzeScratch, Analyzer, GramSet, Lexicon, WordId};
 
+use crate::context::Neighborhoods;
 use crate::matrix::SimilarityMatrix;
 use crate::Matcher;
 
@@ -93,6 +101,16 @@ impl<T> FlatLists<T> {
             .push(u32::try_from(self.items.len()).expect("a schema's word lists fit in u32"));
     }
 
+    /// [`FlatLists::end_list`], sorting the list's items first.
+    pub(crate) fn end_sorted_list(&mut self)
+    where
+        T: Ord,
+    {
+        let start = self.ends.last().map_or(0, |&end| end as usize);
+        self.items[start..].sort_unstable();
+        self.end_list();
+    }
+
     /// Number of lists.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -114,17 +132,67 @@ impl<T> FlatLists<T> {
         (0..self.len()).map(|i| self.get(i))
     }
 
-    /// Release growth slack, so [`FlatLists::heap_bytes`] is what stays
+    /// Drop every list, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+        self.ends.clear();
+    }
+
+    /// A copy with no growth slack — two allocations, each exactly the
+    /// size of what it holds — so [`FlatLists::heap_bytes`] is what stays
     /// resident in a byte-budgeted cache.
-    pub fn shrink_to_fit(&mut self) {
-        self.items.shrink_to_fit();
-        self.ends.shrink_to_fit();
+    pub(crate) fn exact_copy(&self) -> FlatLists<T>
+    where
+        T: Clone,
+    {
+        FlatLists {
+            items: self.items.to_vec(),
+            ends: self.ends.to_vec(),
+        }
     }
 
     /// Approximate heap footprint.
     pub fn heap_bytes(&self) -> usize {
         self.items.capacity() * std::mem::size_of::<T>()
             + self.ends.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Strings stored end to end in one buffer: word *i* is
+/// `text[ends[i - 1]..ends[i]]`. One allocation pair for a run of words
+/// where a `String` each would take one a word.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WordArena {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl WordArena {
+    /// Append `word`; returns its index.
+    pub(crate) fn push(&mut self, word: &str) -> u32 {
+        self.text.push_str(word);
+        self.ends
+            .push(u32::try_from(self.text.len()).expect("a word arena fits in u32"));
+        u32::try_from(self.ends.len() - 1).expect("a word arena fits in u32")
+    }
+
+    /// Word `i`.
+    pub(crate) fn get(&self, i: u32) -> &str {
+        let i = i as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// The index of the first word equal to `word`.
+    pub(crate) fn position(&self, word: &str) -> Option<u32> {
+        // `push` keeps the count in u32.
+        (0..self.ends.len() as u32).find(|&i| self.get(i) == word)
+    }
+
+    /// Drop every word, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
     }
 }
 
@@ -139,15 +207,39 @@ pub struct QueryWords {
     pub terms: FlatLists<u32>,
 }
 
+/// The context matcher's query side: each distinct analyzed word of the
+/// fragments' element names once, every fragment element's neighborhood
+/// as a set of those words' indices in one flat list, and per term which
+/// of those neighborhoods is its own — terms share them, nothing is
+/// copied per term. Read only by the context matcher.
+#[derive(Debug, Clone, Default)]
+pub struct QueryContexts {
+    /// The distinct words, in first-seen order.
+    pub(crate) words: WordArena,
+    /// Every fragment element's neighborhood, sorted distinct indices
+    /// into `words`; the fragments' elements end to end.
+    pub(crate) neighborhoods: FlatLists<u32>,
+    /// Per query term, its list in `neighborhoods` — `None` for
+    /// keywords, which carry no context.
+    pub(crate) terms: Vec<Option<u32>>,
+}
+
+impl QueryContexts {
+    /// Query term `i`'s neighborhood as indices of distinct words; empty
+    /// for a keyword.
+    pub(crate) fn term(&self, i: usize) -> &[u32] {
+        self.terms[i].map_or(&[], |list| self.neighborhoods.get(list as usize))
+    }
+}
+
 /// Query-side artifacts for one matcher, built once per search.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedQuery {
     /// The analyzed words of the term texts (name matcher).
     pub term_words: Option<QueryWords>,
-    /// Per query term, the distinct analyzed words of its neighborhood —
-    /// `None` for keywords, which carry no context, and for empty
-    /// neighborhoods (context matcher).
-    pub term_contexts: Option<Vec<Option<Vec<String>>>>,
+    /// Per query term, the distinct analyzed words of its neighborhood
+    /// (context matcher).
+    pub term_contexts: Option<QueryContexts>,
     /// Per query term, the exact analyzed-token id set (token matcher).
     pub term_tokens: Option<Vec<GramSet>>,
 }
@@ -179,61 +271,92 @@ impl PreparedSchema {
     }
 }
 
-/// Analyze every element name of `schema` once and intern its words:
-/// list *i* holds element *i*'s words, in order and with repeats.
-///
-/// The whole schema resolves under one read view of the lexicon — a
-/// corpus repeats its vocabulary, so against a warm lexicon every word is
-/// a lookup. Only the words that view did not know go through
-/// [`Lexicon::intern`], after the view is dropped: interning takes the
-/// write lock.
-pub(crate) fn element_words(
-    analyzer: &Analyzer,
-    schema: &Schema,
-    lexicon: &Lexicon,
-) -> FlatLists<WordId> {
-    let mut scratch = AnalyzeScratch::default();
-    // Every word of every name, `None` where the lexicon had not met it;
-    // `missed` remembers which word that was.
-    let mut resolved: FlatLists<Option<WordId>> = FlatLists::with_capacity(schema.len());
-    let mut missed: Vec<(usize, Box<str>)> = Vec::new();
-    {
-        let known = lexicon.read();
-        for el in schema.elements() {
-            analyzer.analyze_with(el.name, &mut scratch, |word| {
-                let id = known.lookup(word);
-                if id.is_none() {
-                    missed.push((resolved.items.len(), word.into()));
-                }
-                resolved.push_item(id);
-            });
-            resolved.end_list();
+/// Every buffer a candidate prepare works in: the streaming analyzer's,
+/// the analyzer passes' word lists and what they resolve through, and
+/// what a matcher builds its lists in before it copies them out at their
+/// exact size. Owned by whoever prepares a run of candidates — the engine
+/// keeps one per search — and handed down as `&mut` through
+/// [`crate::Ensemble::prepare_into`] and [`Matcher::prepare`], so a warm
+/// prepare allocates only the artifacts it returns. What a scratch
+/// already holds changes how much a prepare allocates, never a bit of
+/// what it returns.
+#[derive(Debug, Default)]
+pub struct PrepareScratch {
+    /// The streaming analyzer's buffers.
+    pub(crate) analyze: AnalyzeScratch,
+    /// The pass being run: every word of every name, `None` where the
+    /// lexicon's read view had not met it.
+    resolved: Vec<Option<WordId>>,
+    /// The words that view missed, and where in `resolved` each goes.
+    missed: WordArena,
+    missed_at: Vec<usize>,
+    /// Per analyzer pass of an ensemble, the words it resolved.
+    pub(crate) passes: Vec<FlatLists<WordId>>,
+    /// The context matcher's counting-sort tables and the neighborhoods
+    /// it derives.
+    pub(crate) neighborhoods: Neighborhoods<WordId>,
+}
+
+impl PrepareScratch {
+    /// Analyze every element name of `schema` once and intern its words
+    /// into `words`: list *i* holds element *i*'s words, in order and with
+    /// repeats.
+    ///
+    /// The whole schema resolves under one read view of the lexicon — a
+    /// corpus repeats its vocabulary, so against a warm lexicon every word
+    /// is a lookup. Only the words that view did not know go through
+    /// [`Lexicon::intern`], after the view is dropped: interning takes the
+    /// write lock.
+    pub(crate) fn element_words(
+        &mut self,
+        analyzer: &Analyzer,
+        schema: &Schema,
+        lexicon: &Lexicon,
+        words: &mut FlatLists<WordId>,
+    ) {
+        words.clear();
+        self.resolved.clear();
+        self.missed.clear();
+        self.missed_at.clear();
+        {
+            let known = lexicon.read();
+            for el in schema.elements() {
+                analyzer.analyze_with(el.name, &mut self.analyze, |word| {
+                    let id = known.lookup(word);
+                    if id.is_none() {
+                        self.missed_at.push(self.resolved.len());
+                        self.missed.push(word);
+                    }
+                    self.resolved.push(id);
+                });
+                words.ends.push(
+                    u32::try_from(self.resolved.len()).expect("a schema's word lists fit in u32"),
+                );
+            }
         }
+        for (word, &at) in (0..).zip(&self.missed_at) {
+            self.resolved[at] = Some(lexicon.intern(self.missed.get(word)));
+        }
+        words.items.extend(
+            self.resolved
+                .iter()
+                .map(|id| id.expect("every word the view missed was interned")),
+        );
     }
-    for (at, word) in missed {
-        resolved.items[at] = Some(lexicon.intern(&word));
-    }
-    let mut words = FlatLists {
-        items: resolved
-            .items
-            .into_iter()
-            .map(|id| id.expect("every word the view missed was interned"))
-            .collect(),
-        ends: resolved.ends,
-    };
-    words.shrink_to_fit();
-    words
 }
 
 /// One matcher's candidate artifacts prepared without an ensemble: the
-/// pass of its own analyzer (if it names one), then [`Matcher::prepare`].
-/// What [`crate::Ensemble::prepare`] must equal for every matcher however
-/// it shares passes, and how a matcher is driven on its own.
+/// pass of its own analyzer (if it names one), then [`Matcher::prepare`],
+/// on fresh buffers. What [`crate::Ensemble::prepare`] must equal for
+/// every matcher however it shares passes and scratches, and how a matcher
+/// is driven on its own.
 pub fn prepare_alone(matcher: &dyn Matcher, schema: &Schema, lexicon: &Lexicon) -> PreparedSchema {
-    match matcher.analyzer() {
-        Some(analyzer) => matcher.prepare(schema, &element_words(analyzer, schema, lexicon)),
-        None => matcher.prepare(schema, &FlatLists::default()),
+    let mut scratch = PrepareScratch::default();
+    let mut words = FlatLists::default();
+    if let Some(analyzer) = matcher.analyzer() {
+        scratch.element_words(analyzer, schema, lexicon, &mut words);
     }
+    matcher.prepare(schema, &words, &mut scratch)
 }
 
 /// The ensemble-level bundle of prepared candidate artifacts: one
@@ -358,10 +481,11 @@ pub struct ScoreScratch<'a> {
     lexicon: &'a Lexicon,
     /// Word-pair similarities (name matcher).
     pub(crate) pairs: PairMemo,
-    /// Per query term, the neighborhood words resolved to sorted ids
-    /// (context matcher), and the lexicon size they were resolved at —
-    /// a word unknown then may have been interned since.
-    pub(crate) contexts: Vec<Vec<WordId>>,
+    /// Per query term, the neighborhood words resolved to sorted ids, one
+    /// flat list refilled in place (context matcher), and the lexicon
+    /// size they were resolved at — a word unknown then may have been
+    /// interned since.
+    pub(crate) contexts: FlatLists<WordId>,
     pub(crate) contexts_resolved_at: Option<usize>,
     /// Reused per element: the memo rows of its words.
     pub(crate) rows: Vec<usize>,
@@ -373,7 +497,7 @@ impl<'a> ScoreScratch<'a> {
         ScoreScratch {
             lexicon,
             pairs: PairMemo::default(),
-            contexts: Vec::new(),
+            contexts: FlatLists::default(),
             contexts_resolved_at: None,
             rows: Vec::new(),
         }
@@ -426,6 +550,13 @@ impl<'a> MatchScratch<'a> {
 mod tests {
     use super::*;
 
+    /// One pass on fresh buffers.
+    fn element_words(analyzer: &Analyzer, schema: &Schema, lexicon: &Lexicon) -> FlatLists<WordId> {
+        let mut words = FlatLists::default();
+        PrepareScratch::default().element_words(analyzer, schema, lexicon, &mut words);
+        words
+    }
+
     #[test]
     fn flat_lists_round_trip_including_empty_lists() {
         let mut lists = FlatLists::with_capacity(3);
@@ -437,8 +568,32 @@ mod tests {
         assert!(lists.get(1).is_empty());
         assert_eq!(lists.get(2), [7]);
         assert_eq!(lists.iter().map(<[u32]>::len).sum::<usize>(), 4);
-        lists.shrink_to_fit();
-        assert_eq!(lists.heap_bytes(), 4 * 4 + 3 * 4);
+        let copy = lists.exact_copy();
+        assert_eq!(copy, lists);
+        assert_eq!(copy.heap_bytes(), 4 * 4 + 3 * 4, "no growth slack");
+        lists.clear();
+        assert!(lists.is_empty());
+        lists.push_item(9);
+        lists.push_item(3);
+        lists.end_sorted_list();
+        assert_eq!(lists.get(0), [3, 9]);
+    }
+
+    #[test]
+    fn a_word_arena_finds_each_word_it_holds() {
+        let mut arena = WordArena::default();
+        assert_eq!(arena.push("größe"), 0);
+        assert_eq!(arena.push(""), 1);
+        assert_eq!(arena.push("gr"), 2);
+        assert_eq!(
+            (arena.get(0), arena.get(1), arena.get(2)),
+            ("größe", "", "gr")
+        );
+        assert_eq!(arena.position("gr"), Some(2));
+        assert_eq!(arena.position(""), Some(1));
+        assert_eq!(arena.position("ö"), None);
+        arena.clear();
+        assert_eq!(arena.position("gr"), None);
     }
 
     #[test]
@@ -482,11 +637,19 @@ mod tests {
             assert_eq!(list, expected);
         }
         assert_eq!(reader.len(), 5, "patient height date of birth");
-        assert_eq!(
-            words.heap_bytes(),
-            6 * std::mem::size_of::<WordId>() + 4 * std::mem::size_of::<u32>(),
-            "no growth slack stays resident"
-        );
+        drop(reader);
+        // A scratch that ran a longer pass first leaves nothing behind.
+        let mut scratch = PrepareScratch::default();
+        let mut reused = FlatLists::default();
+        let longer = SchemaBuilder::new("t")
+            .entity("visit", |e| {
+                e.attr("visit_date", DataType::Date)
+                    .attr("zz_unknown_word", DataType::Text)
+            })
+            .build_unchecked();
+        scratch.element_words(&analyzer, &longer, &lexicon, &mut reused);
+        scratch.element_words(&analyzer, &schema, &lexicon, &mut reused);
+        assert_eq!(reused, words);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use schemr_text::gramset::hash_term;
 use schemr_text::{AnalyzeScratch, Analyzer, GramSet, WordId};
 
 use crate::matrix::SimilarityMatrix;
-use crate::prepare::{FlatLists, PreparedQuery, PreparedSchema, ScoreScratch};
+use crate::prepare::{FlatLists, PrepareScratch, PreparedQuery, PreparedSchema, ScoreScratch};
 use crate::{Matcher, NOT_PREPARED_HERE};
 
 /// Exact normalized-token Jaccard matcher.
@@ -51,9 +51,12 @@ impl TokenMatcher {
     }
 
     /// The signature of each of `names`, through one analyzer scratch.
-    fn signatures<'a>(&self, names: impl Iterator<Item = &'a str>) -> Vec<GramSet> {
-        let mut scratch = AnalyzeScratch::default();
-        names.map(|n| self.signature(n, &mut scratch)).collect()
+    fn signatures<'a>(
+        &self,
+        names: impl Iterator<Item = &'a str>,
+        scratch: &mut AnalyzeScratch,
+    ) -> Vec<GramSet> {
+        names.map(|n| self.signature(n, scratch)).collect()
     }
 
     /// Jaccard similarity of exact token sets, over `HashSet<String>` —
@@ -79,16 +82,26 @@ impl Matcher for TokenMatcher {
 
     /// Exact tokens are hashed, not interned: this matcher names no
     /// analyzer and builds its artifact from the schema alone.
-    fn prepare(&self, schema: &Schema, _words: &FlatLists<WordId>) -> PreparedSchema {
+    fn prepare(
+        &self,
+        schema: &Schema,
+        _words: &FlatLists<WordId>,
+        scratch: &mut PrepareScratch,
+    ) -> PreparedSchema {
         PreparedSchema {
-            tokens: Some(self.signatures(schema.elements().map(|el| el.name))),
+            tokens: Some(
+                self.signatures(schema.elements().map(|el| el.name), &mut scratch.analyze),
+            ),
             ..PreparedSchema::default()
         }
     }
 
     fn prepare_query(&self, terms: &[QueryTerm], _query: &QueryGraph) -> PreparedQuery {
         PreparedQuery {
-            term_tokens: Some(self.signatures(terms.iter().map(|t| t.text.as_str()))),
+            term_tokens: Some(self.signatures(
+                terms.iter().map(|t| t.text.as_str()),
+                &mut AnalyzeScratch::default(),
+            )),
             ..PreparedQuery::default()
         }
     }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use schemr_match::name::NameMatcherConfig;
 use schemr_match::{
     prepare_alone, ContextMatcher, EditDistanceMatcher, Ensemble, MatchScratch, Matcher,
-    NameMatcher, PreparedCandidate, ScoreScratch, SimilarityMatrix, TokenMatcher,
+    NameMatcher, PrepareScratch, PreparedCandidate, ScoreScratch, SimilarityMatrix, TokenMatcher,
 };
 use schemr_model::{DataType, ElementKind, QueryGraph, QueryTerm, Schema, SchemaBuilder};
 use schemr_text::{Analyzer, AnalyzerConfig, Lexicon};
@@ -106,6 +106,14 @@ fn two_analyzer_matchers() -> Vec<Box<dyn Matcher>> {
         )),
         Box::new(TokenMatcher::new()),
         Box::new(EditDistanceMatcher::new()),
+    ]
+}
+
+/// The standard ensemble's pair, one analyzer pass between them.
+fn standard_matchers() -> Vec<Box<dyn Matcher>> {
+    vec![
+        Box::new(NameMatcher::new()),
+        Box::new(ContextMatcher::new()),
     ]
 }
 
@@ -470,6 +478,57 @@ proptest! {
                         through_ensemble[ix].1.get(r, c).to_bits(), reference.to_bits(),
                         "matcher {} cell ({},{})", ix, r, c
                     );
+                }
+            }
+        }
+    }
+    /// One scratch prepares a run of candidates of varying size, first
+    /// against a cold lexicon and then again, in reverse, once it is warm
+    /// and other words were interned in between: every bundle is what
+    /// `Ensemble::prepare` builds on fresh buffers, and each artifact what
+    /// its matcher prepares alone — the same lists, word ids and bytes.
+    #[test]
+    fn a_reused_prepare_scratch_prepares_what_fresh_buffers_do(
+        schemas in proptest::collection::vec(
+            (proptest::collection::vec(arb_pooled_name(), 1..9), ".{0,10}"),
+            1..6,
+        ),
+        interned in proptest::collection::vec(arb_name(), 0..4),
+    ) {
+        let candidates: Vec<Schema> = schemas
+            .iter()
+            .enumerate()
+            .map(|(i, (pooled, wild))| {
+                let mut names = pooled.clone();
+                names.push(wild.clone());
+                flat_schema(&format!("cand{i}"), &names)
+            })
+            .collect();
+        for matchers in [standard_matchers as fn() -> _, two_analyzer_matchers] {
+            let ensemble = ensemble_of(matchers());
+            let lexicon = Lexicon::new();
+            let mut scratch = PrepareScratch::default();
+            for round in 0..2 {
+                let run: Vec<&Schema> = if round == 0 {
+                    candidates.iter().collect()
+                } else {
+                    candidates.iter().rev().collect()
+                };
+                for candidate in run {
+                    let reused = ensemble.prepare_into(candidate, &lexicon, &mut scratch);
+                    let fresh = ensemble.prepare(candidate, &lexicon);
+                    prop_assert_eq!(&reused, &fresh);
+                    let alone = PreparedCandidate::new(
+                        matchers()
+                            .iter()
+                            .map(|m| prepare_alone(m.as_ref(), candidate, &lexicon))
+                            .collect(),
+                    );
+                    prop_assert_eq!(&reused, &alone);
+                    prop_assert_eq!(reused.bytes, alone.bytes);
+                }
+                for word in &interned {
+                    lexicon.intern(word);
                 }
             }
         }
