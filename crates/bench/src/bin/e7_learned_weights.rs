@@ -16,7 +16,9 @@
 use schemr_bench::{Table, Testbed};
 use schemr_corpus::{Corpus, CorpusConfig, Workload, WorkloadConfig};
 use schemr_match::learner::{TrainingExample, WeightLearner};
-use schemr_match::{ContextMatcher, EditDistanceMatcher, Ensemble, NameMatcher, TokenMatcher};
+use schemr_match::{
+    ContextMatcher, EditDistanceMatcher, Ensemble, NameMatcher, PrepareScratch, TokenMatcher,
+};
 
 fn wide_ensemble() -> Ensemble {
     let mut e = Ensemble::empty();
@@ -73,8 +75,10 @@ fn main() {
     let ensemble = wide_ensemble();
     let matcher_names = ensemble.matcher_names();
 
-    // Build the simulated search-history training set.
+    // Build the simulated search-history training set, every pair's
+    // candidate prepared in one scratch.
     let mut examples: Vec<TrainingExample> = Vec::new();
+    let mut prepare = PrepareScratch::default();
     for q in &train.queries {
         let request = Testbed::to_request(q, 10);
         let graph = request.query_graph();
@@ -90,7 +94,7 @@ fn main() {
                 .get(hit.id)
                 .expect("indexed schemas exist");
             let features: Vec<f64> = ensemble
-                .individual(&terms, &graph, &stored.schema)
+                .individual(&terms, &graph, &stored.schema, &mut prepare)
                 .iter()
                 .map(|(_, m)| matrix_feature(m))
                 .collect();

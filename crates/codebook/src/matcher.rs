@@ -148,7 +148,8 @@ mod tests {
         let combined = run(&with_codebook, &terms, &q, &candidate);
         let standard = run(&Ensemble::standard(), &terms, &q, &candidate);
 
-        let per = with_codebook.individual(&terms, &q, &candidate);
+        let mut prepare = schemr_match::PrepareScratch::default();
+        let per = with_codebook.individual(&terms, &q, &candidate, &mut prepare);
         let names: Vec<_> = per.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["name", "context", "codebook"]);
         let members: Vec<(&SimilarityMatrix, f64, bool)> = per

@@ -12,13 +12,13 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use schemr_index::{
-    codec, Index, IndexChange, IndexDocument, IndexRevision, IndexStats, ProbeStats, SearchOptions,
+    codec, Index, IndexChange, IndexDocument, IndexRevision, IndexStats, SearchOptions,
 };
 use schemr_match::{Ensemble, EnsembleQuery, MatchScratch, PrepareScratch, PreparedCandidate};
 use schemr_model::{QueryGraph, QueryTerm, SchemaId};
 use schemr_obs::{
-    CpuProbeDepth, DeepSize, EventResult, Histogram, LedgerProbe, MetricsRegistry, ResourceLedger,
-    SearchEvent, SpanFacts, Tracer, TracerConfig,
+    DeepSize, EventResult, Histogram, LedgerProbe, MetricsRegistry, ResourceLedger, SearchEvent,
+    SpanFacts, Tracer, TracerConfig,
 };
 use schemr_repo::{ChangeKind, Repository, StoredSchema};
 use schemr_text::Lexicon;
@@ -159,9 +159,6 @@ pub struct SchemrEngine {
     phase2: RwLock<Arc<Phase2State>>,
     metrics: EngineMetrics,
     tracer: Tracer,
-    /// How deeply traced searches read the thread-CPU clock, from the
-    /// clock-call cost measured once, at construction — not per query.
-    cpu_depth: CpuProbeDepth,
 }
 
 impl SchemrEngine {
@@ -203,7 +200,6 @@ impl SchemrEngine {
             phase2: RwLock::new(Arc::new(phase2)),
             metrics,
             tracer,
-            cpu_depth: CpuProbeDepth::measured(),
         }
     }
 
@@ -399,9 +395,8 @@ impl SchemrEngine {
     }
 
     /// Phase 1 over the query's flattened terms, through the candidate
-    /// cache. Also returns the index probe's work: `None` when the cache
-    /// answered.
-    fn candidates_for(&self, terms: &[QueryTerm]) -> (Vec<schemr_index::Hit>, Option<ProbeStats>) {
+    /// cache. Also returns whether the cache answered.
+    fn candidates_for(&self, terms: &[QueryTerm]) -> (Vec<schemr_index::Hit>, bool) {
         let options = SearchOptions {
             top_n: self.config.top_candidates,
             coordination: self.config.coordination,
@@ -414,15 +409,15 @@ impl SchemrEngine {
         // the entry's true state, which makes a stale hit impossible and
         // at worst turns a usable entry into a miss.
         if let Some(hits) = self.candidate_cache.get(&key, index.revision()) {
-            return (hits, None);
+            return (hits, true);
         }
         // The versioned search reads the revision and the postings under
         // one lock hold, so the entry is stamped with exactly the state
         // that produced it — the invariant the cache's correctness rests
         // on.
-        let (hits, revision, probe) = index.search_terms_versioned(&key.0, &options);
+        let (hits, revision) = index.search_terms_versioned(&key.0, &options);
         self.candidate_cache.put(key, revision, hits.clone());
-        (hits, Some(probe))
+        (hits, false)
     }
 
     /// The Phase 2 state a search reads from start to end. With a zero
@@ -444,8 +439,7 @@ impl SchemrEngine {
     /// Resolve the prepared match artifacts for `stored` through the
     /// state's artifact cache, building and admitting them on a miss —
     /// in `scratch`'s buffers, so a miss allocates the bundle it caches
-    /// and little else. Returns the artifacts and whether the lookup was
-    /// a hit.
+    /// and little else.
     /// Concurrent searches may race on a cold entry; both build the same
     /// deterministic bundle and the second put replaces the first, so the
     /// race costs work but never correctness.
@@ -460,7 +454,7 @@ impl SchemrEngine {
         state: &Arc<Phase2State>,
         stored: &StoredSchema,
         scratch: &mut PrepareScratch,
-    ) -> (Arc<PreparedCandidate>, bool) {
+    ) -> Arc<PreparedCandidate> {
         let Phase2State {
             matchers,
             lexicon,
@@ -468,7 +462,7 @@ impl SchemrEngine {
         } = &**state;
         let (id, revision) = (stored.metadata.id, stored.metadata.revision);
         if let Some(artifacts) = cache.get(id, revision) {
-            return (artifacts, true);
+            return artifacts;
         }
         let artifacts = Arc::new(
             matchers
@@ -491,7 +485,7 @@ impl SchemrEngine {
             m.match_artifact_cache_bytes_inserted.add(admitted as u64);
             m.match_artifact_cache_bytes_evicted.add(evicted as u64);
         }
-        (artifacts, false)
+        artifacts
     }
 
     /// Phase 2 over every candidate, on the request's thread: resolve
@@ -522,19 +516,12 @@ impl SchemrEngine {
             matchers,
             matcher_wall: vec![Duration::ZERO; matchers],
             tightness_wall: Duration::ZERO,
-            artifact_hits: 0,
-            artifact_misses: 0,
         };
         let mut scratch = MatchScratch::new(p2.equery, &p2.state.lexicon);
         let mut prepare = PrepareScratch::default();
         let mut tightness = TightnessScratch::default();
         for (_, stored) in cands {
-            let (artifacts, was_hit) = self.prepared_for(p2.state, stored, &mut prepare);
-            if was_hit {
-                done.artifact_hits += 1;
-            } else {
-                done.artifact_misses += 1;
-            }
+            let artifacts = self.prepared_for(p2.state, stored, &mut prepare);
             let combined = p2.state.matchers.ensemble.run_into(
                 p2.terms,
                 p2.graph,
@@ -598,18 +585,18 @@ impl SchemrEngine {
         // query text and Phase 2's matrix rows all read it.
         let terms = graph.terms();
         // Request tracing: when disabled, `begin` is a single branch and
-        // no boundary reads the ledger. Where the thread-CPU clock is a
-        // trapped syscall (tens of µs a read), only the first and last
-        // boundaries read it and the phases carry allocations alone.
+        // the ledger is never read. When enabled, the ledger is read once
+        // before the search's first clock reading and once after its
+        // last; the phase boundaries read the clock alone.
         let event = self.tracer.begin(request.trace_id.as_deref());
         let traced = event.is_some();
-        let deep_cpu = self.cpu_depth == CpuProbeDepth::Full;
-        let start = Mark::first(traced);
+        let probe = traced.then(LedgerProbe::start);
+        let start = Instant::now();
 
         // Phase 1: candidate extraction.
-        let (hits, probe) = self.candidates_for(&terms);
+        let (hits, candidate_cache_hit) = self.candidates_for(&terms);
         let candidates_from_index = hits.len();
-        let extracted = Mark::now(traced, deep_cpu);
+        let extracted = Instant::now();
 
         // Phase 2: matcher ensemble over the candidates, all of it in the
         // one state read here.
@@ -629,7 +616,7 @@ impl SchemrEngine {
             with_strengths: traced,
         };
         let done = self.match_candidates(&phase2, &candidates);
-        let matched = Mark::now(traced, deep_cpu);
+        let matched = Instant::now();
 
         // Phase 3: final ranking. Tightness-of-fit itself ran inside
         // `match_candidates`; `report` charges its wall to this phase,
@@ -673,13 +660,15 @@ impl SchemrEngine {
                 row
             })
             .collect();
-        let ranked = Mark::now(traced, true);
+        let ranked = Instant::now();
+        let ledger = probe.map(|probe| probe.delta());
 
         let record = SearchRecord {
             request,
             terms: &terms,
             marks: [start, extracted, matched, ranked],
-            probe,
+            ledger,
+            candidate_cache_hit,
             candidates_from_index,
             phase2: &state,
             done: &done,
@@ -691,8 +680,8 @@ impl SchemrEngine {
     /// Turn what a search recorded into everything it reports: the phase
     /// timings, the registry's counters and histograms, the explain
     /// trace and, when traced, the search's event and span facts. This is
-    /// the one place a search reads its ledger, so every reader sees one
-    /// split: tightness-of-fit runs inside the matching loop but is
+    /// the one place a search's timings are split, so every reader sees
+    /// one split: tightness-of-fit runs inside the matching loop but is
     /// charged to Phase 3, in the timings and the trace alike.
     fn report(
         &self,
@@ -703,9 +692,9 @@ impl SchemrEngine {
         let [start, extracted, matched, ranked] = s.marks;
         let evaluated = s.done.scores.len();
         let tightness = s.done.tightness_wall;
-        let t1 = extracted.at - start.at;
-        let t2 = (matched.at - extracted.at).saturating_sub(tightness);
-        let t3 = ranked.at - matched.at + tightness;
+        let t1 = extracted - start;
+        let t2 = (matched - extracted).saturating_sub(tightness);
+        let t3 = ranked - matched + tightness;
         // Record the phase work into the registry on every search (not just
         // when the caller keeps the timings).
         let m = &self.metrics;
@@ -735,9 +724,9 @@ impl SchemrEngine {
                 .collect(),
         });
 
-        let ledger = start.spent_until(&ranked);
         let trace_id = event.map(|begun| {
             let us = |d: Duration| d.as_micros() as u64;
+            let ledger = s.ledger.unwrap_or_default();
             let mut strengths = Vec::with_capacity(s.origins.len() * matchers.names.len());
             for &at in s.origins {
                 strengths.extend_from_slice(s.done.strengths(at));
@@ -764,17 +753,7 @@ impl SchemrEngine {
             };
             let facts = SpanFacts {
                 queue_wait_us: s.request.queue_wait.map(us),
-                probe: s.probe,
-                artifacts: s
-                    .phase2
-                    .artifacts
-                    .enabled()
-                    .then_some((s.done.artifact_hits, s.done.artifact_misses)),
-                phase_ledger: [
-                    start.spent_until(&extracted),
-                    extracted.spent_until(&matched),
-                    matched.spent_until(&ranked),
-                ],
+                candidate_cache_hit: s.candidate_cache_hit,
                 matcher_us: s.done.matcher_wall.iter().map(|&wall| us(wall)).collect(),
             };
             self.tracer.finish(event, facts).event.trace_id.clone()
@@ -789,7 +768,7 @@ impl SchemrEngine {
             },
             candidates_evaluated: evaluated,
             trace,
-            ledger: trace_id.is_some().then_some(ledger),
+            ledger: s.ledger,
             trace_id,
         }
     }
@@ -806,45 +785,6 @@ fn index_document(stored: &StoredSchema) -> IndexDocument<'_> {
     }
 }
 
-/// One phase boundary of a search: a reading of the monotonic clock
-/// and, when the search is traced, of the thread's ledger.
-#[derive(Clone, Copy)]
-struct Mark {
-    at: Instant,
-    ledger: Option<LedgerProbe>,
-}
-
-impl Mark {
-    /// The search's first boundary: the ledger (with the CPU clock) is
-    /// read before the clock, so its cost stays out of Phase 1.
-    fn first(traced: bool) -> Mark {
-        let ledger = traced.then(LedgerProbe::start);
-        Mark {
-            at: Instant::now(),
-            ledger,
-        }
-    }
-
-    /// A later boundary: the clock, then the ledger when `traced`, whose
-    /// CPU clock is read only when `cpu` is set.
-    fn now(traced: bool, cpu: bool) -> Mark {
-        let at = Instant::now();
-        Mark {
-            at,
-            ledger: traced.then(|| LedgerProbe::start_with_cpu(cpu)),
-        }
-    }
-
-    /// What the thread spent from this boundary to `later`; zero when
-    /// untraced.
-    fn spent_until(&self, later: &Mark) -> ResourceLedger {
-        match (&self.ledger, &later.ledger) {
-            (Some(a), Some(b)) => a.until(b),
-            _ => ResourceLedger::default(),
-        }
-    }
-}
-
 /// Everything one search did, phase by phase: what
 /// [`SchemrEngine::report`] turns into timings, metrics, the explain
 /// trace and the span tree.
@@ -852,9 +792,12 @@ struct SearchRecord<'a> {
     request: &'a SearchRequest,
     terms: &'a [QueryTerm],
     /// The search's start and the end of each of its three phases.
-    marks: [Mark; 4],
-    /// The index probe's work; `None` when the candidate cache answered.
-    probe: Option<ProbeStats>,
+    marks: [Instant; 4],
+    /// What the search cost its thread, start to end; `None` when
+    /// untraced.
+    ledger: Option<ResourceLedger>,
+    /// Whether the candidate cache answered Phase 1.
+    candidate_cache_hit: bool,
     candidates_from_index: usize,
     phase2: &'a Phase2State,
     done: &'a Matched,
@@ -945,8 +888,6 @@ struct Matched {
     /// matching/scoring split keeps its meaning — Phase 2 = matchers,
     /// Phase 3 = tightness + assembly.
     tightness_wall: Duration,
-    artifact_hits: u64,
-    artifact_misses: u64,
 }
 
 impl Matched {
@@ -1334,9 +1275,10 @@ mod tests {
             .map(|(n, _)| n)
             .collect();
         assert_eq!(matchers, ["matcher:name", "matcher:context"]);
-        // Phase 1 annotated with index probe stats.
+        // Phase 1 says whether the candidate cache answered it.
         let p1 = child(&root, "candidate_extraction");
-        assert!(p1.get("attrs").unwrap().get("postings_scanned").is_some());
+        let outcome = p1.get("attrs").unwrap().get("candidate_cache");
+        assert_eq!(outcome.and_then(Json::as_str), Some("miss"));
         // Results carry per-matcher strengths for the event log.
         assert!(!trace.event.results.is_empty());
         assert_eq!(&trace.event.matchers[..], ["name", "context"]);
@@ -1531,23 +1473,27 @@ mod tests {
     }
 
     #[test]
-    fn matching_spans_report_the_artifact_cache_outcome() {
+    fn each_search_counts_its_artifact_cache_outcome() {
         let engine = SchemrEngine::new(clinic_repo());
         engine.reindex_full();
-        let misses = |trace_id: &str| -> u64 {
-            engine
-                .search_detailed(&SearchRequest::keywords(["gender"]).with_trace_id(trace_id))
-                .unwrap();
-            let root = rendered_root(&engine, trace_id);
-            let attrs = child(&root, "matching").get("attrs").unwrap();
-            let misses = attrs.get("artifact_misses").and_then(Json::as_str);
-            misses
-                .expect("the matching span carries artifact_misses")
-                .parse()
-                .unwrap()
+        let m = engine.metrics();
+        // One search's (hits, misses): the deltas of the registry's
+        // artifact-cache counters across it.
+        let outcome = || {
+            let before = (
+                m.match_artifact_cache_hits.get(),
+                m.match_artifact_cache_misses.get(),
+            );
+            engine.search(&SearchRequest::keywords(["gender"])).unwrap();
+            (
+                m.match_artifact_cache_hits.get() - before.0,
+                m.match_artifact_cache_misses.get() - before.1,
+            )
         };
-        assert!(misses("art-cold") > 0);
-        assert_eq!(misses("art-warm"), 0);
+        let (hits, misses) = outcome();
+        assert!(misses > 0);
+        assert_eq!(hits, 0);
+        assert_eq!(outcome(), (misses, 0), "the warm search hits every bundle");
     }
 
     /// Fifteen schemas that all reach Phase 2 for `patient archive`:
@@ -1694,7 +1640,7 @@ mod tests {
         let mut scratch = PrepareScratch::default();
         for stored in repo.snapshot() {
             for _ in 0..2 {
-                let (artifacts, _) = engine.prepared_for(&held, &stored, &mut scratch);
+                let artifacts = engine.prepared_for(&held, &stored, &mut scratch);
                 let (id, revision) = (stored.metadata.id, stored.metadata.revision);
                 held.artifacts.put(id, revision, artifacts, 0);
             }

@@ -19,7 +19,9 @@
 //!   warm lexicon allocates only the bundle it returns;
 //! * a search whose every candidate misses the artifact cache, every word
 //!   already in the lexicon, allocates at most [`PER_MISS`] (8) times a
-//!   miss, amortised: 200 misses at most 150 × 8 + 16 more than 50.
+//!   miss, amortised: 200 misses at most 150 × 8 + 16 more than 50;
+//! * a traced warm search's ledger counts some allocations, and no more
+//!   than its thread made across the whole `search_detailed` call.
 //!
 //! This file is its own test binary, so the counting `#[global_allocator]`
 //! reaches nothing else. The engine budgets count the whole process, so an
@@ -127,9 +129,15 @@ fn repository() -> Arc<Repository> {
     repo
 }
 
-/// Process-wide allocations of one warm search on an engine that sends
-/// `top_candidates` candidates to Phase 2.
-fn warm_search_allocations(repo: &Arc<Repository>, top_candidates: usize, traced: bool) -> u64 {
+/// The query every engine budget runs.
+fn request() -> SearchRequest {
+    SearchRequest::keywords(["patient", "height", "gender", "diagnosis"])
+}
+
+/// An engine that sends `top_candidates` candidates to Phase 2, warm:
+/// the candidate cache, the artifact cache, the lexicon and the trace
+/// ring have met [`request`].
+fn warm_engine(repo: &Arc<Repository>, top_candidates: usize, traced: bool) -> SchemrEngine {
     let trace = if traced {
         // Nothing a debug build takes may land a search in the slowlog.
         TracerConfig {
@@ -148,17 +156,42 @@ fn warm_search_allocations(repo: &Arc<Repository>, top_candidates: usize, traced
         },
     );
     engine.reindex_full();
-    let request = SearchRequest::keywords(["patient", "height", "gender", "diagnosis"]);
-    // Warm: the candidate cache, the artifact cache, the lexicon and the
-    // trace ring have met this search.
     for _ in 0..3 {
-        engine.search_detailed(&request).unwrap();
+        engine.search_detailed(&request()).unwrap();
     }
+    engine
+}
+
+/// Process-wide allocations of one warm search on an engine that sends
+/// `top_candidates` candidates to Phase 2.
+fn warm_search_allocations(repo: &Arc<Repository>, top_candidates: usize, traced: bool) -> u64 {
+    let engine = warm_engine(repo, top_candidates, traced);
+    let request = request();
     let before = process_alloc_count();
     let response = engine.search_detailed(&request).unwrap();
     let allocations = process_alloc_count() - before;
     assert_eq!(response.candidates_evaluated, top_candidates);
     allocations
+}
+
+#[test]
+fn a_traced_search_ledger_counts_its_threads_allocations() {
+    let _alone = alone();
+    let engine = warm_engine(&repository(), 50, true);
+    let request = request();
+    let before = thread_alloc_count();
+    let response = engine.search_detailed(&request).unwrap();
+    let allocations = thread_alloc_count() - before;
+    let ledger = response.ledger.expect("a traced search reports its ledger");
+    // The ledger is read inside the call, after the search's first clock
+    // reading and before the trace is filed: some of the call's
+    // allocations, never more than all of them.
+    assert!(ledger.alloc_count > 0, "{ledger:?}");
+    assert!(
+        ledger.alloc_count <= allocations,
+        "ledger {} allocations, the call {allocations}",
+        ledger.alloc_count
+    );
 }
 
 #[test]
@@ -305,7 +338,7 @@ fn all_miss_search_allocations(top_candidates: usize) -> (u64, u64) {
         },
     );
     engine.reindex_full();
-    let request = SearchRequest::keywords(["patient", "height", "gender", "diagnosis"]);
+    let request = request();
     for _ in 0..3 {
         engine.search_detailed(&request).unwrap();
     }

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use schemr::{EngineConfig, SchemrEngine, SearchRequest};
 use schemr_corpus::{Corpus, CorpusConfig};
-use schemr_match::{Ensemble, NameMatcher, TokenMatcher};
+use schemr_match::{Ensemble, NameMatcher, PrepareScratch, TokenMatcher};
 use schemr_model::{DataType, QueryGraph, SchemaBuilder, SchemaId};
 use schemr_repo::Repository;
 use schemr_text::{Analyzer, Lexicon};
@@ -72,6 +72,7 @@ fn matrices_equal_their_scalar_references_bitwise() {
     let mut ensemble = Ensemble::standard();
     ensemble.push(Box::new(TokenMatcher::new()), 0.5);
     let (name, token) = (NameMatcher::new(), TokenMatcher::new());
+    let mut prepare = PrepareScratch::default();
 
     for i in (0..n).step_by(4) {
         // A mixed query: one keyword plus a schema fragment, so the
@@ -84,7 +85,7 @@ fn matrices_equal_their_scalar_references_bitwise() {
         // plenty.
         for j in (0..n).step_by(6) {
             let candidate = &corpus.schemas[j].schema;
-            let per = ensemble.individual(&terms, &q, candidate);
+            let per = ensemble.individual(&terms, &q, candidate, &mut prepare);
             assert_eq!((per[0].0, per[2].0), ("name", "token"));
             for (r, term) in terms.iter().enumerate() {
                 for (c, el) in candidate.ids().enumerate() {

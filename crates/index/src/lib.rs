@@ -49,7 +49,7 @@ pub use memory::{
     PostingsListStats,
 };
 pub use metrics::IndexMetrics;
-pub use search::{Hit, ProbeStats, SearchOptions};
+pub use search::{Hit, SearchOptions};
 pub use session::Session;
 
 /// Internal dense document ordinal (position in insertion order).

@@ -48,7 +48,7 @@ use crate::field::Field;
 use crate::head::HeadBuilder;
 use crate::metrics::IndexMetrics;
 use crate::postings::BlockBuf;
-use crate::search::{idf_weight, impact, search_postings, Hit, ProbeStats, SearchOptions};
+use crate::search::{idf_weight, impact, search_postings, Hit, SearchOptions};
 use crate::segment::{compact, late_tombstones, FlatSegment, SealedSegment, Segment};
 use crate::session::{Analyzed, AnalyzedDoc, Batch, Interner, RowTable, Session};
 use crate::snapshot::IndexSnapshot;
@@ -538,7 +538,7 @@ impl Index {
     }
 
     /// [`Index::search_terms`], also returning the [`IndexRevision`] the
-    /// results were computed against and how much work the probe did.
+    /// results were computed against.
     /// The snapshot carries its epoch, so the pair is consistent by
     /// construction even while writers, sealers, and mergers run
     /// concurrently — no lock is held during the scan. This is the safe
@@ -547,14 +547,14 @@ impl Index {
         &self,
         terms: &[String],
         options: &SearchOptions,
-    ) -> (Vec<Hit>, IndexRevision, ProbeStats) {
+    ) -> (Vec<Hit>, IndexRevision) {
         let snap = self.snapshot();
         let revision = IndexRevision {
             instance: self.instance,
             mutations: snap.epoch,
         };
-        let (hits, stats) = search_postings(&snap, terms, options, &self.metrics);
-        (hits, revision, stats)
+        let hits = search_postings(&snap, terms, options, &self.metrics);
+        (hits, revision)
     }
 
     /// Index statistics.

@@ -122,9 +122,21 @@ pub struct Hit {
     pub matched_terms: usize,
 }
 
-/// How much work one Phase 1 probe did: the trace view's
-/// `candidate_extraction` facts, so the type lives with that view.
-pub use schemr_obs::ProbeStats;
+/// How much work one Phase 1 probe did: accumulated locally over the
+/// scan, so the scan loop stays free of atomic traffic, and published to
+/// [`IndexMetrics`] once.
+#[derive(Default)]
+struct ProbeStats {
+    /// Distinct analyzed query terms probed.
+    distinct_terms: usize,
+    /// Postings entries scanned across all term/field lookups.
+    postings_scanned: u64,
+    /// Query list portions the pruner skipped entirely (no posting
+    /// visited).
+    pruned_lists: usize,
+    /// Posting entries the pruner proved irrelevant and never visited.
+    pruned_postings: u64,
+}
 
 /// Min-heap entry for top-n selection (reverse ordering on score). Carries
 /// the matched-term count along so building a hit never needs a side
@@ -461,9 +473,9 @@ pub(crate) fn search_postings(
     terms: &[String],
     options: &SearchOptions,
     metrics: &IndexMetrics,
-) -> (Vec<Hit>, ProbeStats) {
+) -> Vec<Hit> {
     if terms.is_empty() || snap.live_docs == 0 || options.top_n == 0 {
-        return (Vec::new(), ProbeStats::default());
+        return Vec::new();
     }
     // Distinct terms: a query repeating a word is one semantic term both
     // for scoring and for the coordination denominator.
@@ -471,8 +483,6 @@ pub(crate) fn search_postings(
     distinct.sort();
     distinct.dedup();
     metrics.terms_looked_up.add(distinct.len() as u64);
-    // Accumulated locally and published once — the scan loop stays free
-    // of atomic traffic.
     let mut stats = ProbeStats {
         distinct_terms: distinct.len(),
         ..ProbeStats::default()
@@ -599,7 +609,7 @@ pub(crate) fn search_postings(
     metrics.candidates_returned.add(hits.len() as u64);
     metrics.lists_pruned.add(stats.pruned_lists as u64);
     metrics.postings_pruned.add(stats.pruned_postings);
-    (hits, stats)
+    hits
 }
 
 impl QueryList {

@@ -134,7 +134,7 @@ fn concurrent_reads_are_bitwise_consistent_with_their_epoch() {
                 let finished = done.load(Ordering::Relaxed);
                 let q = qi % queries.len();
                 qi += 1;
-                let (hits, revision, _) = index.search_terms_versioned(&queries[q], &options);
+                let (hits, revision) = index.search_terms_versioned(&queries[q], &options);
                 if seen.insert((revision.mutations, q)) {
                     observations.push(Observation {
                         mutations: revision.mutations,

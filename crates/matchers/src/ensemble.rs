@@ -302,19 +302,21 @@ impl Ensemble {
         }
     }
 
-    /// Run every matcher, on artifacts prepared here in a lexicon of
-    /// their own, and return the individual matrices (the learner's
-    /// feature extraction path): [`Ensemble::run_into`]'s per-matcher
-    /// matrices, named.
+    /// Run every matcher, on artifacts prepared here — in `scratch`'s
+    /// buffers, into a lexicon of their own — and return the individual
+    /// matrices (the learner's feature extraction path):
+    /// [`Ensemble::run_into`]'s per-matcher matrices, named. A caller
+    /// that scores many pairs passes one scratch to all of them.
     pub fn individual(
         &self,
         terms: &[QueryTerm],
         query: &QueryGraph,
         candidate: &Schema,
+        scratch: &mut PrepareScratch,
     ) -> Vec<(&'static str, SimilarityMatrix)> {
         let lexicon = Lexicon::new();
         let equery = self.prepare_query(terms, query);
-        let pcand = self.prepare(candidate, &lexicon);
+        let pcand = self.prepare_into(candidate, &lexicon, scratch);
         let mut scratch = MatchScratch::new(&equery, &lexicon);
         let mut wall = vec![Duration::ZERO; self.matchers.len()];
         self.run_into(
@@ -469,7 +471,7 @@ mod tests {
     fn individual_returns_one_matrix_per_matcher() {
         let (q, terms, candidate) = query_and_candidate();
         let e = four_matcher_ensemble();
-        let per = e.individual(&terms, &q, &candidate);
+        let per = e.individual(&terms, &q, &candidate, &mut PrepareScratch::default());
         let names: Vec<_> = per.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["name", "context", "token", "edit"]);
         // `run` combines exactly these matrices.

@@ -278,7 +278,7 @@ proptest! {
                 false,
             )
             .matrix;
-        let members = ensemble.individual(&terms, &q, &candidate);
+        let members = ensemble.individual(&terms, &q, &candidate, &mut PrepareScratch::default());
         for r in 0..combined.rows() {
             for c in 0..combined.cols() {
                 let max_member = members
@@ -446,7 +446,8 @@ proptest! {
         names.push(wild);
         let candidate = flat_schema("cand", &names);
         let ensemble = ensemble_of(two_analyzer_matchers());
-        let through_ensemble = ensemble.individual(&terms, &q, &candidate);
+        let through_ensemble =
+            ensemble.individual(&terms, &q, &candidate, &mut PrepareScratch::default());
         let matchers = two_analyzer_matchers();
         for (m, (name, matrix)) in matchers.iter().zip(&through_ensemble) {
             prop_assert_eq!(m.name(), *name);

@@ -85,7 +85,7 @@ pub struct SearchEvent {
     pub matchers: Arc<[String]>,
     /// Per result, one strength per matcher, results one after another.
     pub strengths: Vec<f64>,
-    /// Scheduled CPU time across the search's threads, µs (ledger;
+    /// Scheduled CPU time on the thread that ran the search, µs (ledger;
     /// 0 in records written before the ledger existed).
     pub cpu_us: u64,
     /// Allocation events attributed to the search (ledger).

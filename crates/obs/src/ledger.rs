@@ -4,11 +4,10 @@
 //! cost?" in units the latency histograms cannot: CPU time actually
 //! scheduled (as opposed to wall time spent queued or blocked) and
 //! allocator traffic. A search runs on one thread, which takes a
-//! [`LedgerProbe`] reading at its start and at each phase boundary; the
-//! difference of two readings ([`LedgerProbe::until`]) is what the span
-//! between them cost. The whole search's ledger travels with the trace —
-//! into the root span's annotations, the JSONL event log, and the
-//! `X-Schemr-Cost` response header.
+//! [`LedgerProbe`] reading at its start and reads its
+//! [`delta`](LedgerProbe::delta) once, at its end. That one ledger
+//! travels with the trace — into the trace header's `ledger`, the JSONL
+//! event log, and the `X-Schemr-Cost` response header.
 //!
 //! CPU time comes from `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` — a
 //! direct `extern "C"` call into the libc that std already links, so the
@@ -51,54 +50,6 @@ pub fn thread_cpu_us() -> u64 {
     }
 }
 
-/// Wall cost of one `thread_cpu_us()` call on this machine, measured
-/// once per process. On bare metal the thread-CPU clock is a few hundred
-/// nanoseconds; under syscall-intercepting sandboxes (gVisor, qemu-user,
-/// some seccomp setups) it is tens of microseconds because it can never
-/// be a vDSO read. Probing policy keys off this so per-query accounting
-/// stays cheap everywhere instead of fast on the developer's laptop and
-/// 10% of a query in production sandboxes.
-pub fn thread_clock_cost() -> std::time::Duration {
-    static COST: std::sync::OnceLock<std::time::Duration> = std::sync::OnceLock::new();
-    *COST.get_or_init(|| {
-        const CALLS: u32 = 16;
-        let start = std::time::Instant::now();
-        for _ in 0..CALLS {
-            std::hint::black_box(thread_cpu_us());
-        }
-        start.elapsed() / CALLS
-    })
-}
-
-/// How deeply a query reads the thread-CPU clock. Allocation counters
-/// are thread-local cell reads and are always collected; only the clock
-/// — a real syscall — is rationed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CpuProbeDepth {
-    /// Clock reads at the root and at every phase boundary — complete
-    /// attribution.
-    Full,
-    /// Clock reads at the root only (2 per query). Phase spans still
-    /// carry allocation deltas, but their `cpu_us` stays 0.
-    RootOnly,
-}
-
-impl CpuProbeDepth {
-    /// Per-call cost under which [`Self::measured`] picks `Full`.
-    pub const FULL_BUDGET: std::time::Duration = std::time::Duration::from_micros(3);
-
-    /// The depth this machine affords: `Full` when a clock read costs at
-    /// most [`Self::FULL_BUDGET`] ([`thread_clock_cost`]), otherwise
-    /// `RootOnly`.
-    pub fn measured() -> CpuProbeDepth {
-        if thread_clock_cost() <= Self::FULL_BUDGET {
-            CpuProbeDepth::Full
-        } else {
-            CpuProbeDepth::RootOnly
-        }
-    }
-}
-
 /// What one search cost on the thread that ran it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceLedger {
@@ -130,26 +81,16 @@ impl ResourceLedger {
 /// end yields that thread's contribution to the request ledger.
 #[derive(Debug, Clone, Copy)]
 pub struct LedgerProbe {
-    /// `None` when this probe was opened without CPU accounting — the
-    /// delta's `cpu_us` is then 0 by construction, not "really fast".
-    cpu_us: Option<u64>,
+    cpu_us: u64,
     alloc_count: u64,
     alloc_bytes: u64,
 }
 
 impl LedgerProbe {
-    /// Snapshot the calling thread's counters, including the CPU clock.
+    /// Snapshot the calling thread's counters.
     pub fn start() -> LedgerProbe {
-        Self::start_with_cpu(true)
-    }
-
-    /// Snapshot the calling thread's counters; read the CPU clock only
-    /// when `cpu` is set. Allocation counters are always read — they are
-    /// plain thread-local loads, orders of magnitude cheaper than the
-    /// clock syscall that [`CpuProbeDepth`] rations.
-    pub fn start_with_cpu(cpu: bool) -> LedgerProbe {
         LedgerProbe {
-            cpu_us: cpu.then(thread_cpu_us),
+            cpu_us: thread_cpu_us(),
             alloc_count: thread_alloc_count(),
             alloc_bytes: thread_alloc_bytes(),
         }
@@ -158,19 +99,11 @@ impl LedgerProbe {
     /// Resources the calling thread spent since [`LedgerProbe::start`].
     /// Must be read on the same thread that started the probe.
     pub fn delta(&self) -> ResourceLedger {
-        self.until(&LedgerProbe::start_with_cpu(self.cpu_us.is_some()))
-    }
-
-    /// Resources spent between this reading and a `later` one taken on
-    /// the same thread. `cpu_us` is 0 unless both read the CPU clock.
-    pub fn until(&self, later: &LedgerProbe) -> ResourceLedger {
+        let now = LedgerProbe::start();
         ResourceLedger {
-            cpu_us: match (self.cpu_us, later.cpu_us) {
-                (Some(start), Some(end)) => end.saturating_sub(start),
-                _ => 0,
-            },
-            alloc_count: later.alloc_count.saturating_sub(self.alloc_count),
-            alloc_bytes: later.alloc_bytes.saturating_sub(self.alloc_bytes),
+            cpu_us: now.cpu_us.saturating_sub(self.cpu_us),
+            alloc_count: now.alloc_count.saturating_sub(self.alloc_count),
+            alloc_bytes: now.alloc_bytes.saturating_sub(self.alloc_bytes),
         }
     }
 }
@@ -240,32 +173,5 @@ mod tests {
         let p = LedgerProbe::start();
         let d = p.delta();
         assert!(d.cpu_us < 1_000_000, "fresh probe delta is small: {d:?}");
-    }
-
-    #[test]
-    fn cpu_free_probe_reads_zero_cpu() {
-        let p = LedgerProbe::start_with_cpu(false);
-        let mut acc = 0u64;
-        for i in 0..1_000_000u64 {
-            acc = acc.wrapping_mul(31).wrapping_add(i);
-        }
-        std::hint::black_box(acc);
-        assert_eq!(p.delta().cpu_us, 0, "no clock read, no cpu delta");
-        // Between two readings, the clock counts only if both read it.
-        let end = LedgerProbe::start_with_cpu(false);
-        assert_eq!(LedgerProbe::start().until(&end).cpu_us, 0);
-        assert_eq!(end.until(&LedgerProbe::start()).cpu_us, 0);
-    }
-
-    #[test]
-    fn measured_depth_follows_the_clock_cost() {
-        let expected = if thread_clock_cost() <= CpuProbeDepth::FULL_BUDGET {
-            CpuProbeDepth::Full
-        } else {
-            CpuProbeDepth::RootOnly
-        };
-        assert_eq!(CpuProbeDepth::measured(), expected);
-        // The calibration itself is memoized and consistent.
-        assert_eq!(thread_clock_cost(), thread_clock_cost());
     }
 }

@@ -18,7 +18,7 @@
 //! per-request layer:
 //!
 //! * [`CompletedTrace`] — a request's [`SearchEvent`] plus the few
-//!   numbers only its span view adds ([`SpanFacts`]); the span tree is
+//!   facts only its span view adds ([`SpanFacts`]); the span tree is
 //!   written from those on read, so a span's duration is the number
 //!   every other reader of that phase reports,
 //! * [`Tracer`] — monotonic trace IDs, a bounded [`Ring`] of recent
@@ -63,10 +63,10 @@ pub use eventlog::{
     read_events_at, EventLog, EventResult, SchemaId, SearchEvent, EVENT_SCHEMA_VERSION, PHASES,
 };
 pub use histogram::{Histogram, HistogramSnapshot, LATENCY_BUCKETS};
-pub use ledger::{thread_clock_cost, thread_cpu_us, CpuProbeDepth, LedgerProbe, ResourceLedger};
+pub use ledger::{thread_cpu_us, LedgerProbe, ResourceLedger};
 pub use memsize::DeepSize;
 pub use registry::{LabelSet, MetricsRegistry};
 pub use ring::Ring;
 pub use slo::{SloConfig, SloReport, SloTracker, WindowBurn};
-pub use span::{CompletedTrace, ProbeStats, SpanFacts};
+pub use span::{CompletedTrace, SpanFacts};
 pub use tracer::{Tracer, TracerConfig};

@@ -1,7 +1,7 @@
 //! A finished search's trace, and its span tree rendered on read.
 //!
 //! A trace is the search's [`SearchEvent`] — the record the event log
-//! appends — plus [`SpanFacts`], the few numbers only the span view adds.
+//! appends — plus [`SpanFacts`], the few facts only the span view adds.
 //! The span tree's shape never varies: a `search` root, the three
 //! [`PHASES`] laid end to end under it, and one `matcher:<name>` span per
 //! matcher under `matching`. So nothing stores a tree: `/debug/traces/{id}`
@@ -11,36 +11,16 @@ use std::fmt::Write as _;
 
 use crate::eventlog::{SearchEvent, PHASES};
 use crate::json;
-use crate::ledger::ResourceLedger;
 use crate::memsize::DeepSize;
 
-/// How much work one Phase 1 index probe did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProbeStats {
-    /// Distinct analyzed query terms probed.
-    pub distinct_terms: usize,
-    /// Postings entries scanned across all term/field lookups.
-    pub postings_scanned: u64,
-    /// Query list portions the pruner skipped entirely (no posting
-    /// visited).
-    pub pruned_lists: usize,
-    /// Posting entries the pruner proved irrelevant and never visited.
-    pub pruned_postings: u64,
-}
-
-/// What a trace's span view says beyond its [`SearchEvent`]: all numbers.
+/// What a trace's span view says beyond its [`SearchEvent`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanFacts {
     /// How long the request waited for a worker, µs; `None` when the
     /// search did not come through the server's queue.
     pub queue_wait_us: Option<u64>,
-    /// Phase 1's index probe; `None` when the candidate cache answered.
-    pub probe: Option<ProbeStats>,
-    /// Phase 2's artifact-cache `(hits, misses)`; `None` when the cache
-    /// is off.
-    pub artifacts: Option<(u64, u64)>,
-    /// What the thread spent in each of [`PHASES`].
-    pub phase_ledger: [ResourceLedger; 3],
+    /// Whether the candidate cache answered Phase 1.
+    pub candidate_cache_hit: bool,
     /// Each matcher's wall over the candidates, µs, in the event's
     /// `matchers` order.
     pub matcher_us: Vec<u64>,
@@ -54,8 +34,7 @@ pub struct CompletedTrace {
     /// Trace id, start time, query, candidate counts, per-phase and total
     /// durations, top-k results and the ledger.
     pub event: SearchEvent,
-    /// Queue wait, probe, artifact cache, per-phase ledgers and matcher
-    /// walls.
+    /// Queue wait, the candidate-cache outcome and matcher walls.
     pub facts: SpanFacts,
 }
 
@@ -111,29 +90,12 @@ impl CompletedTrace {
         let [extraction_us, matching_us, tightness_us] = e.phase_us;
 
         let mut span = Span::open(&mut out, PHASES[0], 0, extraction_us);
-        match &f.probe {
-            None => span.attr("candidate_cache", "hit"),
-            Some(probe) => {
-                span.attr("distinct_terms", probe.distinct_terms);
-                span.attr("postings_scanned", probe.postings_scanned);
-                if probe.pruned_lists > 0 || probe.pruned_postings > 0 {
-                    span.attr("pruned_lists", probe.pruned_lists);
-                    span.attr("pruned_postings", probe.pruned_postings);
-                }
-                span.attr("candidate_cache", "miss");
-            }
-        }
-        span.ledger(&f.phase_ledger[0]);
+        let outcome = if f.candidate_cache_hit { "hit" } else { "miss" };
+        span.attr("candidate_cache", outcome);
         span.end(false);
 
         out.push(',');
-        let mut span = Span::open(&mut out, PHASES[1], extraction_us, matching_us);
-        if let Some((hits, misses)) = f.artifacts {
-            span.attr("artifact_hits", hits);
-            span.attr("artifact_misses", misses);
-        }
-        span.ledger(&f.phase_ledger[1]);
-        span.end(true);
+        Span::open(&mut out, PHASES[1], extraction_us, matching_us).end(true);
         let mut at = extraction_us;
         for (i, (name, &wall)) in e.matchers.iter().zip(&f.matcher_us).enumerate() {
             let comma = if i > 0 { "," } else { "" };
@@ -147,9 +109,7 @@ impl CompletedTrace {
         out.push_str("]},");
 
         let start_us = extraction_us + matching_us;
-        let mut span = Span::open(&mut out, PHASES[2], start_us, tightness_us);
-        span.ledger(&f.phase_ledger[2]);
-        span.end(false);
+        Span::open(&mut out, PHASES[2], start_us, tightness_us).end(false);
         out.push_str("]}]}");
         out
     }
@@ -176,20 +136,6 @@ impl<'a> Span<'a> {
         let open = if self.attrs { "," } else { ",\"attrs\":{" };
         let _ = write!(self.out, "{open}\"{key}\":\"{value}\"");
         self.attrs = true;
-    }
-
-    /// A phase's resource delta, zero fields skipped: `cpu_us` is 0 when
-    /// the probe depth withheld the clock from the phase, the allocation
-    /// counters when no counting allocator is installed, and an explicit
-    /// 0 would read as a measurement when it is an absence.
-    fn ledger(&mut self, ledger: &ResourceLedger) {
-        if ledger.cpu_us > 0 {
-            self.attr("cpu_us", ledger.cpu_us);
-        }
-        if ledger.alloc_count > 0 || ledger.alloc_bytes > 0 {
-            self.attr("alloc_count", ledger.alloc_count);
-            self.attr("alloc_bytes", ledger.alloc_bytes);
-        }
     }
 
     /// Close `attrs`, then the span or, with `children`, open its
@@ -235,6 +181,7 @@ mod tests {
     #[test]
     fn a_cache_hit_renders_the_phases_and_matchers_end_to_end() {
         let text = trace(SpanFacts {
+            candidate_cache_hit: true,
             matcher_us: vec![120, 30],
             ..SpanFacts::default()
         })
@@ -259,29 +206,17 @@ mod tests {
     }
 
     #[test]
-    fn a_miss_annotates_the_probe_and_only_non_zero_ledgers() {
-        let ledger = |cpu_us, alloc_count, alloc_bytes| ResourceLedger {
-            cpu_us,
-            alloc_count,
-            alloc_bytes,
-        };
+    fn a_miss_and_a_queue_wait_annotate_their_spans() {
         let text = trace(SpanFacts {
             queue_wait_us: Some(12),
-            probe: Some(ProbeStats {
-                distinct_terms: 2,
-                postings_scanned: 40,
-                pruned_lists: 1,
-                pruned_postings: 9,
-            }),
-            artifacts: Some((3, 1)),
-            phase_ledger: [ledger(5, 0, 0), ledger(0, 4, 256), ledger(0, 0, 0)],
             matcher_us: vec![1, 2],
+            ..SpanFacts::default()
         })
         .to_json();
         for fragment in [
             r#""dur_us":551,"attrs":{"queue_wait_us":"12"},"children""#,
-            r#""attrs":{"distinct_terms":"2","postings_scanned":"40","pruned_lists":"1","pruned_postings":"9","candidate_cache":"miss","cpu_us":"5"}}"#,
-            r#""attrs":{"artifact_hits":"3","artifact_misses":"1","alloc_count":"4","alloc_bytes":"256"},"children""#,
+            r#""dur_us":100,"attrs":{"candidate_cache":"miss"}},"#,
+            r#"{"name":"matching","start_us":100,"dur_us":400,"children""#,
             r#"{"name":"tightness_scoring","start_us":500,"dur_us":50}"#,
         ] {
             assert!(text.contains(fragment), "{fragment} in {text}");
