@@ -49,9 +49,9 @@ use std::time::{Duration, Instant};
 
 // The shared counting allocator from `obs::alloc` — the
 // allocations-per-query proxy the `--phase2` report uses, and the same
-// type the per-query ledger reads when a server opts in via the
-// `obs-alloc` feature. One relaxed atomic add per allocation — cheap
-// enough to leave on for every mode.
+// type the per-query ledger reads (`schemr-cli` installs it too). One
+// relaxed atomic add per allocation — cheap enough to leave on for every
+// mode.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 

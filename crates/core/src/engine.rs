@@ -29,6 +29,9 @@ use crate::request::SearchRequest;
 use crate::result::{MatcherTiming, PhaseTimings, SearchResponse, SearchResult, SearchTrace};
 use crate::tightness::{tightness_of_fit_in, MatchedElement, TightnessConfig, TightnessScratch};
 
+/// Result-list length when the request doesn't set one.
+const DEFAULT_LIMIT: usize = 10;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -40,8 +43,6 @@ pub struct EngineConfig {
     pub proximity_weight: f64,
     /// Phase 3 parameters.
     pub tightness: TightnessConfig,
-    /// Default result-list length when the request doesn't set one.
-    pub default_limit: usize,
     /// Request-tracing configuration (trace ring, slowlog, event log).
     pub trace: TracerConfig,
     /// Capacity of the revision-keyed Phase 1 candidate cache (entries).
@@ -74,7 +75,6 @@ impl Default for EngineConfig {
             coordination: true,
             proximity_weight: 0.25,
             tightness: TightnessConfig::default(),
-            default_limit: 10,
             trace: TracerConfig::default(),
             candidate_cache_entries: 512,
             match_artifact_cache_bytes: 8 * 1024 * 1024,
@@ -558,9 +558,6 @@ impl SchemrEngine {
     /// their published snapshots throughout, and the new layout lands with
     /// a single pointer swap.
     pub fn maybe_merge(&self, threshold: f64) -> bool {
-        if threshold <= 0.0 {
-            return false;
-        }
         // Runs on every scheduler tick: `merge` looks at the writer's
         // per-segment counts and returns at once when neither rule holds,
         // or when a concurrent merge beat this one to the segments.
@@ -643,7 +640,7 @@ impl SchemrEngine {
             })
             .collect();
         ranked.sort_by(|a, b| rank_order(&a.0, &b.0));
-        ranked.truncate(request.limit.unwrap_or(self.config.default_limit));
+        ranked.truncate(request.limit.unwrap_or(DEFAULT_LIMIT));
         // Each surviving row's candidate position, for the event log's
         // per-matcher strengths.
         let mut origins: Vec<usize> = Vec::new();

@@ -23,7 +23,6 @@ pub struct IndexScheduler {
     ticks: AtomicU64,
     applied: AtomicU64,
     merges: AtomicU64,
-    merge_threshold: f64,
 }
 
 impl IndexScheduler {
@@ -35,15 +34,7 @@ impl IndexScheduler {
             ticks: AtomicU64::new(0),
             applied: AtomicU64::new(0),
             merges: AtomicU64::new(0),
-            merge_threshold: DEFAULT_MERGE_THRESHOLD,
         }
-    }
-
-    /// Override the tombstone ratio that triggers a background merge.
-    /// `0` disables scheduled merging entirely.
-    pub fn with_merge_threshold(mut self, threshold: f64) -> Self {
-        self.merge_threshold = threshold;
-        self
     }
 
     /// One scheduling tick: apply pending repository changes, then merge
@@ -56,7 +47,7 @@ impl IndexScheduler {
         let applied = self.engine.reindex_incremental();
         self.ticks.fetch_add(1, Ordering::Relaxed);
         self.applied.fetch_add(applied as u64, Ordering::Relaxed);
-        if self.engine.maybe_merge(self.merge_threshold) {
+        if self.engine.maybe_merge(DEFAULT_MERGE_THRESHOLD) {
             self.merges.fetch_add(1, Ordering::Relaxed);
         }
         applied
@@ -187,7 +178,7 @@ mod tests {
         }
         let engine = Arc::new(SchemrEngine::new(repo.clone()));
         engine.reindex_full();
-        let scheduler = IndexScheduler::new(engine.clone()).with_merge_threshold(0.5);
+        let scheduler = IndexScheduler::new(engine.clone());
         // One deletion: 1/5 tombstoned, below threshold — no merge.
         repo.remove(ids[0]).unwrap();
         scheduler.tick();
@@ -216,26 +207,6 @@ mod tests {
         // Steady state: nothing left to reclaim, no further merges.
         scheduler.tick();
         assert_eq!(scheduler.merge_count(), 1);
-    }
-
-    #[test]
-    fn zero_threshold_disables_scheduled_merge() {
-        let engine = engine();
-        let id = import_str(
-            engine.repository(),
-            "gone",
-            "",
-            "CREATE TABLE gone (x INT, y INT, z INT, w INT)",
-        )
-        .unwrap();
-        let scheduler = IndexScheduler::new(engine.clone()).with_merge_threshold(0.0);
-        scheduler.tick();
-        engine.repository().remove(id).unwrap();
-        scheduler.tick();
-        assert_eq!(scheduler.merge_count(), 0);
-        // seed + gone slots remain; the tombstone was not reclaimed.
-        assert_eq!(engine.index_stats().total_docs, 2);
-        assert_eq!(engine.index_stats().live_docs, 1);
     }
 
     #[test]

@@ -190,7 +190,7 @@ fn one_tick_applies_the_whole_journal_as_one_batch() {
     let (repo, ids) = build_repo(&corpus);
     let engine = Arc::new(SchemrEngine::new(repo.clone()));
     engine.reindex_full();
-    let scheduler = IndexScheduler::new(engine.clone()).with_merge_threshold(0.0);
+    let scheduler = IndexScheduler::new(engine.clone());
     let queries: Vec<SearchRequest> = (0..corpus.schemas.len())
         .step_by(3)
         .map(|i| query_for(&corpus, i))

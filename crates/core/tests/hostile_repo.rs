@@ -197,6 +197,26 @@ fn names_and_docs_must_be_strings() {
 }
 
 #[test]
+fn journal_revisions_must_strictly_ascend() {
+    let repo = small_repo();
+    let id = repo.snapshot()[0].metadata.id;
+    repo.remove(id).unwrap();
+    let journal = |put: u64, delete: u64| {
+        let id = id.0;
+        format!("\"journal\":[{{\"revision\":{put},\"id\":{id},\"kind\":\"Put\"}},{{\"revision\":{delete},\"id\":{id},\"kind\":\"Delete\"}}]")
+    };
+    let dump = persist::to_json(&repo);
+    assert!(dump.contains(&journal(1, 2)), "{dump}");
+    persist::from_json(&dump).unwrap();
+    // Out of order, or one revision twice.
+    for (put, delete) in [(2, 1), (1, 1)] {
+        let hostile = dump.replace(&journal(1, 2), &journal(put, delete));
+        let message = format_error(&hostile);
+        assert!(message.contains("do not strictly ascend"), "{message}");
+    }
+}
+
+#[test]
 fn a_dump_truncated_at_any_length_is_an_error() {
     let dump = persist::to_json(&small_repo());
     for len in 0..dump.len() {

@@ -35,6 +35,7 @@
 //! they are bitwise invisible to search — so revision-keyed caches stay
 //! warm across them.
 
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -708,64 +709,67 @@ impl Index {
     pub fn introspect(&self, top_lists: usize) -> IndexIntrospection {
         let snap = self.snapshot();
         let n_docs = snap.live_docs as f64;
-        let mut lists: Vec<PostingsListStats> = Vec::new();
-        let mut buf = BlockBuf::default();
+        // Rank every list by its sort key alone (live df descending, then
+        // term, then field); only the kept ones are decoded for their
+        // `max_impact`.
+        let mut ranked = Vec::new();
         for field_ord in 0..Field::COUNT {
-            let field = Field::from_ordinal(field_ord as u8).unwrap_or(Field::Elements);
             for (term, portions) in snap.merged_terms(field_ord) {
                 let live_df: usize = portions
                     .iter()
                     .map(|&(si, id)| snap.segments[si].live_df(id))
                     .sum();
-                let portion_lists = || {
-                    portions
-                        .iter()
-                        .map(|&(si, id)| (&snap.segments[si], snap.segments[si].data.list(id)))
-                };
-                let doc_freq: usize = portion_lists().map(|(_, list)| list.doc_freq()).sum();
-                let idf = idf_weight(live_df, n_docs);
-                let mut max_impact = 0.0f64;
-                for (seg, list) in portion_lists() {
-                    let mut cursor = list.cursor(&mut buf);
-                    for b in 0..list.block_count() {
-                        cursor.load(b);
-                        let (docs, tfs) = cursor.postings();
-                        for (&doc, &tf) in docs.iter().zip(tfs) {
-                            if !seg.is_deleted(doc) {
-                                let field_len = seg.data.field_len(doc, field_ord);
-                                max_impact = max_impact.max(impact(field, tf, idf, field_len));
-                            }
+                ranked.push((Reverse(live_df), term, field_ord, portions));
+            }
+        }
+        let distinct_terms = ranked.len();
+        ranked.sort_by(|a, b| (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)));
+        ranked.truncate(top_lists);
+        let mut buf = BlockBuf::default();
+        let mut lists: Vec<PostingsListStats> = Vec::with_capacity(ranked.len());
+        for (Reverse(live_df), term, field_ord, portions) in ranked {
+            let field = Field::from_ordinal(field_ord as u8).unwrap_or(Field::Elements);
+            let portion_lists = || {
+                portions
+                    .iter()
+                    .map(|&(si, id)| (&snap.segments[si], snap.segments[si].data.list(id)))
+            };
+            let doc_freq: usize = portion_lists().map(|(_, list)| list.doc_freq()).sum();
+            let idf = idf_weight(live_df, n_docs);
+            let mut max_impact = 0.0f64;
+            for (seg, list) in portion_lists() {
+                let mut cursor = list.cursor(&mut buf);
+                for b in 0..list.block_count() {
+                    cursor.load(b);
+                    let (docs, tfs) = cursor.postings();
+                    for (&doc, &tf) in docs.iter().zip(tfs) {
+                        if !seg.is_deleted(doc) {
+                            let field_len = seg.data.field_len(doc, field_ord);
+                            max_impact = max_impact.max(impact(field, tf, idf, field_len));
                         }
                     }
                 }
-                let stored_bound = portion_lists()
-                    .map(|(_, list)| list.max_impact_bound(field.boost(), idf))
-                    .fold(0.0f64, f64::max);
-                let tombstone_ratio = if doc_freq == 0 {
-                    0.0
-                } else {
-                    (doc_freq - live_df) as f64 / doc_freq as f64
-                };
-                lists.push(PostingsListStats {
-                    field,
-                    term: term.to_string(),
-                    doc_freq,
-                    live_doc_freq: live_df,
-                    tombstone_ratio,
-                    approx_bytes: portion_lists().map(|(_, list)| list.approx_bytes()).sum(),
-                    max_impact,
-                    stored_bound,
-                });
             }
+            let stored_bound = portion_lists()
+                .map(|(_, list)| list.max_impact_bound(field.boost(), idf))
+                .fold(0.0f64, f64::max);
+            let tombstone_ratio = if doc_freq == 0 {
+                0.0
+            } else {
+                (doc_freq - live_df) as f64 / doc_freq as f64
+            };
+            lists.push(PostingsListStats {
+                field,
+                term: term.to_string(),
+                doc_freq,
+                live_doc_freq: live_df,
+                tombstone_ratio,
+                approx_bytes: portion_lists().map(|(_, list)| list.approx_bytes()).sum(),
+                max_impact,
+                stored_bound,
+            });
         }
-        lists.sort_by(|a, b| {
-            b.live_doc_freq
-                .cmp(&a.live_doc_freq)
-                .then_with(|| a.term.cmp(&b.term))
-                .then_with(|| a.field.ordinal().cmp(&b.field.ordinal()))
-        });
-        lists.truncate(top_lists);
-        let stats = snap.stats();
+        let stats = snap.stats_with(distinct_terms);
         let tombstone_ratio = if stats.total_docs == 0 {
             0.0
         } else {
@@ -1002,6 +1006,23 @@ mod tests {
             .find(|l| l.term == "order" && l.field == Field::Elements)
             .expect("df-1 elements list present");
         assert!(order.max_impact > heaviest.max_impact);
+    }
+
+    #[test]
+    fn a_one_list_report_is_the_full_report_cut_to_its_first_list() {
+        // Lists split across segments, tombstones, a term in two fields.
+        let index = Index::new().with_seal_threshold(2);
+        index.add(OwnedDocument::new(1, "clinic", ["patient", "patient.height"]).view());
+        index.add(OwnedDocument::new(2, "hospital", ["patient", "ward"]).view());
+        index.add(OwnedDocument::new(3, "patient", ["order", "ward"]).view());
+        index.add(OwnedDocument::new(4, "ward", ["patient", "bed"]).view());
+        index.add(OwnedDocument::new(2, "hospital", ["ward"]).view());
+        index.remove(SchemaId(3));
+        let mut full = index.introspect(usize::MAX);
+        assert!(full.segments > 1 && full.tombstone_ratio > 0.0);
+        assert_eq!(full.stats, index.stats());
+        full.top_lists.truncate(1);
+        assert_eq!(index.introspect(1), full);
     }
 
     #[test]

@@ -56,6 +56,12 @@ impl IndexSnapshot {
         let distinct_terms = (0..Field::COUNT)
             .map(|field_ord| self.merged_terms(field_ord).len())
             .sum();
+        self.stats_with(distinct_terms)
+    }
+
+    /// [`stats`](Self::stats), for a caller that has already walked the
+    /// merged dictionary and counted its `distinct_terms`.
+    pub(crate) fn stats_with(&self, distinct_terms: usize) -> IndexStats {
         let columns = || self.segments.iter().map(|seg| seg.data.columns());
         IndexStats {
             live_docs: self.live_docs,

@@ -21,32 +21,14 @@ use crate::prepare::{
 };
 use crate::{Matcher, NOT_PREPARED_HERE};
 
-/// Name matcher configuration.
-#[derive(Debug, Clone)]
-pub struct NameMatcherConfig {
-    /// Mix between Dice (structure-balanced) and overlap (containment-
-    /// friendly) coefficients: `score = (1-α)·dice + α·overlap`.
-    /// α > 0 is what makes abbreviations (`pat` ⊂ `patient`) score well.
-    pub overlap_alpha: f64,
-    /// Names are multi-word after tokenization; word-level best-alignment
-    /// scores are averaged over the side with fewer words when true
-    /// (`max`-style), over the query side when false.
-    pub symmetric: bool,
-}
-
-impl Default for NameMatcherConfig {
-    fn default() -> Self {
-        NameMatcherConfig {
-            overlap_alpha: 0.4,
-            symmetric: true,
-        }
-    }
-}
+/// Mix between Dice (structure-balanced) and overlap (containment-
+/// friendly) coefficients: `score = (1-α)·dice + α·overlap`. α > 0 is
+/// what makes abbreviations (`pat` ⊂ `patient`) score well.
+const OVERLAP_ALPHA: f64 = 0.4;
 
 /// The all-n-gram name matcher.
 pub struct NameMatcher {
     analyzer: Analyzer,
-    config: NameMatcherConfig,
 }
 
 impl Default for NameMatcher {
@@ -60,13 +42,12 @@ impl NameMatcher {
     pub fn new() -> Self {
         NameMatcher {
             analyzer: Analyzer::for_names(),
-            config: NameMatcherConfig::default(),
         }
     }
 
-    /// Custom analyzer/config (ablations use [`Analyzer::plain`]).
-    pub fn with(analyzer: Analyzer, config: NameMatcherConfig) -> Self {
-        NameMatcher { analyzer, config }
+    /// Custom analyzer (ablations use [`Analyzer::plain`]).
+    pub fn with(analyzer: Analyzer) -> Self {
+        NameMatcher { analyzer }
     }
 
     /// Decompose a raw name into per-word all-n-gram sets.
@@ -85,8 +66,7 @@ impl NameMatcher {
             return 0.0;
         }
         let word_pair = |x: &HashSet<String>, y: &HashSet<String>| -> f64 {
-            let alpha = self.config.overlap_alpha;
-            (1.0 - alpha) * dice(x, y) + alpha * overlap(x, y)
+            (1.0 - OVERLAP_ALPHA) * dice(x, y) + OVERLAP_ALPHA * overlap(x, y)
         };
         let side = |from: &[HashSet<String>], to: &[HashSet<String>]| -> f64 {
             let total: f64 = from
@@ -95,13 +75,9 @@ impl NameMatcher {
                 .sum();
             total / from.len() as f64
         };
-        if self.config.symmetric {
-            // Average the two directions so extra words on either side
-            // dilute equally.
-            (side(a, b) + side(b, a)) / 2.0
-        } else {
-            side(a, b)
-        }
+        // Average the two directions so extra words on either side dilute
+        // equally.
+        (side(a, b) + side(b, a)) / 2.0
     }
 
     /// Public scalar entry point: similarity of two raw names in `[0,1]`,
@@ -142,8 +118,7 @@ impl NameMatcher {
     /// [`NameMatcher::name_similarity`], and symmetric in its arguments
     /// bit for bit (both coefficients are).
     fn word_pair_prepared(&self, x: &GramSet, y: &GramSet) -> f64 {
-        let alpha = self.config.overlap_alpha;
-        (1.0 - alpha) * x.dice(y) + alpha * x.overlap(y)
+        (1.0 - OVERLAP_ALPHA) * x.dice(y) + OVERLAP_ALPHA * x.overlap(y)
     }
 
     /// The scoring kernel: greedy best word alignment of one query term
@@ -179,9 +154,6 @@ impl NameMatcher {
             forward += best;
         }
         let forward = forward / term.len() as f64;
-        if !self.config.symmetric {
-            return forward;
-        }
         let mut backward = 0.0;
         for j in 0..element.len() {
             let mut best = 0.0f64;
@@ -294,7 +266,7 @@ mod tests {
         // Dictionary expansion makes pat_ht ≈ patient height …
         assert!(m.similarity("pat_ht", "patient_height") > 0.9);
         // … and raw truncations still score well through n-gram overlap.
-        let plain = NameMatcher::with(Analyzer::plain(), NameMatcherConfig::default());
+        let plain = NameMatcher::with(Analyzer::plain());
         let s = plain.similarity("descr", "description");
         assert!(s > 0.5, "truncation should score well, got {s}");
     }

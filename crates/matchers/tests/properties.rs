@@ -1,7 +1,6 @@
 //! Property-based tests for the matcher ensemble.
 
 use proptest::prelude::*;
-use schemr_match::name::NameMatcherConfig;
 use schemr_match::{
     prepare_alone, ContextMatcher, EditDistanceMatcher, Ensemble, MatchScratch, Matcher,
     NameMatcher, PrepareScratch, PreparedCandidate, ScoreScratch, SimilarityMatrix, TokenMatcher,
@@ -100,10 +99,7 @@ fn two_analyzer_matchers() -> Vec<Box<dyn Matcher>> {
     vec![
         Box::new(NameMatcher::new()),
         Box::new(ContextMatcher::new()),
-        Box::new(NameMatcher::with(
-            Analyzer::plain(),
-            NameMatcherConfig::default(),
-        )),
+        Box::new(NameMatcher::with(Analyzer::plain())),
         Box::new(TokenMatcher::new()),
         Box::new(EditDistanceMatcher::new()),
     ]
@@ -316,7 +312,7 @@ proptest! {
         let q = QueryGraph::new();
         let matchers = [
             NameMatcher::new(),
-            NameMatcher::with(Analyzer::new(AnalyzerConfig::default()), NameMatcherConfig::default()),
+            NameMatcher::with(Analyzer::new(AnalyzerConfig::default())),
         ];
         for m in &matchers {
             let pq = m.prepare_query(&terms, &q);
@@ -463,7 +459,7 @@ proptest! {
             assert_same_bits(matrix, &alone);
         }
         let name = NameMatcher::new();
-        let plain_name = NameMatcher::with(Analyzer::plain(), NameMatcherConfig::default());
+        let plain_name = NameMatcher::with(Analyzer::plain());
         let token = TokenMatcher::new();
         for (r, term) in terms.iter().enumerate() {
             for (c, id) in candidate.ids().enumerate() {

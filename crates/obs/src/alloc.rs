@@ -2,18 +2,15 @@
 //!
 //! Wraps [`std::alloc::System`] and counts allocation events and bytes,
 //! both process-wide and per thread. The per-thread counters are what the
-//! per-query resource ledger reads: a search that runs on one request
-//! thread (plus scoped Phase 2 workers, each probing its own counters)
-//! can attribute allocator traffic to itself even while other requests
-//! run concurrently.
+//! per-query resource ledger reads: a search runs on one request thread,
+//! so it can attribute allocator traffic to itself even while other
+//! requests run concurrently.
 //!
 //! The type lives here — below every other crate — so there is a single
-//! source of truth, but *installing* it is the embedder's choice:
-//!
-//! * the e1 bench binary declares `#[global_allocator] static A:
-//!   CountingAlloc = CountingAlloc;` itself (as it always has), and
-//! * building `schemr-obs` with the `obs-alloc` feature installs it for
-//!   the whole process of whatever links the crate.
+//! source of truth, but *installing* it is the binary's choice: each
+//! binary that reads the counters (`schemr-cli`, the e1 bench, the
+//! benchmark) declares `#[global_allocator] static A: CountingAlloc =
+//! CountingAlloc;` itself.
 //!
 //! When no counting allocator is installed the counters simply stay at
 //! zero and ledger allocation fields read 0 — observability never
@@ -96,48 +93,4 @@ pub fn thread_alloc_count() -> u64 {
 /// Bytes requested from the allocator on the calling thread.
 pub fn thread_alloc_bytes() -> u64 {
     THREAD_BYTES.try_with(Cell::get).unwrap_or(0)
-}
-
-/// With the `obs-alloc` feature, install the counting allocator for the
-/// whole process.
-#[cfg(feature = "obs-alloc")]
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_are_monotonic() {
-        let (c0, b0) = (process_alloc_count(), process_alloc_bytes());
-        let v: Vec<u8> = Vec::with_capacity(4096);
-        drop(v);
-        let (c1, b1) = (process_alloc_count(), process_alloc_bytes());
-        assert!(c1 >= c0);
-        assert!(b1 >= b0);
-        // With the allocator installed (`--features obs-alloc`) the Vec
-        // above must have been counted.
-        if cfg!(feature = "obs-alloc") {
-            assert!(c1 > c0, "installed allocator must count events");
-            assert!(b1 - b0 >= 4096, "installed allocator must count bytes");
-        }
-    }
-
-    #[test]
-    fn thread_counters_are_thread_local() {
-        let before = thread_alloc_count();
-        let other = std::thread::spawn(|| {
-            let _v: Vec<u8> = Vec::with_capacity(1024);
-            thread_alloc_count()
-        })
-        .join()
-        .unwrap();
-        if cfg!(feature = "obs-alloc") {
-            assert!(other > 0, "spawned thread saw its own allocations");
-        }
-        // Another thread's traffic never shows up on this thread's
-        // counter retroactively (it may have grown from our own work).
-        assert!(thread_alloc_count() >= before);
-    }
 }

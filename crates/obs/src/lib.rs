@@ -32,7 +32,8 @@
 //!
 //! * [`ResourceLedger`] / [`LedgerProbe`] — per-query CPU time (via
 //!   `CLOCK_THREAD_CPUTIME_ID`) and allocator traffic (via the
-//!   [`alloc::CountingAlloc`] counting allocator, feature `obs-alloc`),
+//!   [`alloc::CountingAlloc`] counting allocator, which a binary
+//!   installs as its global allocator),
 //! * [`SloTracker`] — rolling 5m/1h latency- and error-budget burn
 //!   rates against configurable objectives.
 //!

@@ -55,8 +55,9 @@ pub(crate) struct Family {
 /// `(name, labels)` pair creates the series, later calls return the same
 /// `Arc`. Registration takes a write lock; the returned handles are
 /// lock-free, so hot paths should hold onto their `Arc`s. Re-looking a
-/// handle up per event is also fine for request-rate work (a read lock
-/// plus two map probes).
+/// handle up per event is also fine for request-rate work: with the
+/// labels given in sorted order, it is a read lock, a map probe and a
+/// scan of the family's series, and allocates nothing.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     pub(crate) families: RwLock<BTreeMap<String, Family>>,
@@ -78,6 +79,9 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics if `name` is already registered as a histogram.
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
+        if let Some(Series::Counter(c)) = self.find(name, labels) {
+            return c;
+        }
         let set = label_set(labels);
         let mut families = self.families.write().expect("metrics lock");
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
@@ -118,6 +122,9 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         bounds: &[f64],
     ) -> Arc<Histogram> {
+        if let Some(Series::Histogram(h)) = self.find(name, labels) {
+            return h;
+        }
         let set = label_set(labels);
         let mut families = self.families.write().expect("metrics lock");
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
@@ -141,10 +148,29 @@ impl MetricsRegistry {
         }
     }
 
+    /// The series registered under `name` and `labels`, under the read
+    /// lock. Labels in sorted order are compared as borrowed `&str`s
+    /// against each of the family's series (a family's label values come
+    /// from small fixed sets, so it has a handful); others are sorted into
+    /// an owned key for a map probe.
+    fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<Series> {
+        let families = self.families.read().expect("metrics lock");
+        let series = &families.get(name)?.series;
+        if !labels.is_sorted() {
+            return series.get(&label_set(labels)).cloned();
+        }
+        series
+            .iter()
+            .find(|(set, _)| {
+                let set = set.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                set.eq(labels.iter().copied())
+            })
+            .map(|(_, s)| s.clone())
+    }
+
     /// Current value of a counter series, if registered.
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        let families = self.families.read().expect("metrics lock");
-        match families.get(name)?.series.get(&label_set(labels))? {
+        match self.find(name, labels)? {
             Series::Counter(c) => Some(c.get()),
             Series::Histogram(_) => None,
         }
@@ -156,8 +182,7 @@ impl MetricsRegistry {
         name: &str,
         labels: &[(&str, &str)],
     ) -> Option<HistogramSnapshot> {
-        let families = self.families.read().expect("metrics lock");
-        match families.get(name)?.series.get(&label_set(labels))? {
+        match self.find(name, labels)? {
             Series::Histogram(h) => Some(h.snapshot()),
             Series::Counter(_) => None,
         }

@@ -24,6 +24,12 @@ use crate::eventlog::{EventLog, SearchEvent};
 use crate::ring::Ring;
 use crate::span::{CompletedTrace, SpanFacts};
 
+/// How many slow traces `/debug/slowlog` retains.
+const SLOWLOG_CAPACITY: usize = 64;
+
+/// Size bound for the active event-log file before rotation.
+const EVENT_LOG_MAX_BYTES: u64 = 8 << 20;
+
 /// Configuration for a [`Tracer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TracerConfig {
@@ -31,14 +37,10 @@ pub struct TracerConfig {
     pub enabled: bool,
     /// How many completed traces `/debug/traces` retains.
     pub ring_capacity: usize,
-    /// How many slow traces `/debug/slowlog` retains.
-    pub slowlog_capacity: usize,
     /// Searches at or above this duration enter the slowlog.
     pub slow_threshold: Duration,
     /// Where to append the JSONL event log (`None` disables it).
     pub event_log_path: Option<PathBuf>,
-    /// Size bound for the active event-log file before rotation.
-    pub event_log_max_bytes: u64,
 }
 
 impl Default for TracerConfig {
@@ -46,10 +48,8 @@ impl Default for TracerConfig {
         TracerConfig {
             enabled: true,
             ring_capacity: 128,
-            slowlog_capacity: 64,
             slow_threshold: Duration::from_millis(250),
             event_log_path: None,
-            event_log_max_bytes: 8 << 20,
         }
     }
 }
@@ -80,7 +80,7 @@ impl Tracer {
     /// observability must never take the search path down.
     pub fn new(config: TracerConfig) -> Tracer {
         let event_log = config.event_log_path.as_ref().and_then(|path| {
-            match EventLog::open(path, config.event_log_max_bytes) {
+            match EventLog::open(path, EVENT_LOG_MAX_BYTES) {
                 Ok(log) => Some(log),
                 Err(err) => {
                     eprintln!("schemr-trace: cannot open event log {path:?}: {err}");
@@ -90,7 +90,7 @@ impl Tracer {
         });
         Tracer {
             ring: Ring::new(config.ring_capacity),
-            slow: Ring::new(config.slowlog_capacity),
+            slow: Ring::new(SLOWLOG_CAPACITY),
             seq: AtomicU64::new(0),
             event_log,
             config,

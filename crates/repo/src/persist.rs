@@ -116,7 +116,15 @@ pub fn from_json(json: &str) -> Result<Repository, PersistError> {
                 Ok(())
             })?,
             "journal" => r.array(|r| {
-                st.journal.push(read_change(r)?);
+                let change = read_change(r)?;
+                if st
+                    .journal
+                    .last()
+                    .is_some_and(|last| change.revision <= last.revision)
+                {
+                    return Err(r.error("journal revisions do not strictly ascend"));
+                }
+                st.journal.push(change);
                 Ok(())
             })?,
             "next_id" => st.next_id = r.u64()?,

@@ -109,6 +109,9 @@ pub(crate) struct RepoState {
     /// Shared, so reads hand out a reference count, not a deep copy;
     /// writers replace or copy-on-write an entry.
     pub schemas: BTreeMap<u64, Arc<StoredSchema>>,
+    /// In strictly ascending revision order (each change bumps the
+    /// revision; `persist::from_json` refuses any other order), so
+    /// [`Repository::changes_since`] finds its start by binary search.
     pub journal: Vec<ChangeEvent>,
     pub next_id: u64,
     pub revision: u64,
@@ -286,13 +289,9 @@ impl Repository {
     /// Journal entries with revision strictly greater than `since` — the
     /// incremental re-index feed.
     pub fn changes_since(&self, since: u64) -> Vec<ChangeEvent> {
-        self.state
-            .read()
-            .journal
-            .iter()
-            .filter(|e| e.revision > since)
-            .copied()
-            .collect()
+        let st = self.state.read();
+        let start = st.journal.partition_point(|e| e.revision <= since);
+        st.journal[start..].to_vec()
     }
 
     /// Drop journal entries at or below `upto` (after the indexer consumed
@@ -389,6 +388,34 @@ mod tests {
         repo.truncate_journal(mid);
         assert_eq!(repo.changes_since(0).len(), 1);
         assert_eq!(repo.changes_since(mid).len(), 1);
+    }
+
+    #[test]
+    fn changes_since_equals_the_linear_filter_at_every_revision() {
+        let repo = Repository::new();
+        let a = repo.insert("a", "", sample()).unwrap();
+        let b = repo.insert("b", "", sample()).unwrap();
+        repo.update(a, sample()).unwrap();
+        repo.annotate(b, "described", "here").unwrap();
+        repo.remove(a).unwrap();
+        let c = repo.insert("c", "", sample()).unwrap();
+        repo.update(c, sample()).unwrap();
+        // A failed update bumps the revision without a journal entry.
+        assert!(repo.update(a, sample()).is_err());
+        repo.remove(b).unwrap();
+        let restored = crate::persist::from_json(&crate::persist::to_json(&repo)).unwrap();
+        for r in [&repo, &restored] {
+            let journal = r.state.read().journal.clone();
+            assert_eq!(journal.len(), 8);
+            for since in 0..=r.revision() + 1 {
+                let linear: Vec<ChangeEvent> = journal
+                    .iter()
+                    .filter(|e| e.revision > since)
+                    .copied()
+                    .collect();
+                assert_eq!(r.changes_since(since), linear, "since {since}");
+            }
+        }
     }
 
     #[test]

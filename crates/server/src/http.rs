@@ -387,6 +387,9 @@ pub fn read_request(reader: &mut impl BufRead, limits: &HttpLimits) -> Result<Re
     })
 }
 
+/// The `Retry-After` value (seconds) on a shed connection's 503.
+pub const RETRY_AFTER_SECS: u32 = 1;
+
 /// An HTTP response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -476,14 +479,15 @@ impl Response {
         }
     }
 
-    /// 503 + `Retry-After` — the admission queue is full and this
-    /// connection is being shed instead of queued without bound.
-    pub fn overloaded(retry_after_secs: u32) -> Self {
+    /// 503 + `Retry-After` ([`RETRY_AFTER_SECS`]) — the admission queue
+    /// is full and this connection is being shed instead of queued
+    /// without bound.
+    pub fn overloaded() -> Self {
         Response {
             status: 503,
             content_type: "text/plain",
             body: "server saturated, retry later".to_string(),
-            headers: vec![("Retry-After".to_string(), retry_after_secs.to_string())],
+            headers: vec![("Retry-After".to_string(), RETRY_AFTER_SECS.to_string())],
         }
     }
 
@@ -795,10 +799,10 @@ mod tests {
     #[test]
     fn overloaded_response_carries_retry_after() {
         let mut buf = Vec::new();
-        Response::overloaded(2).write_to(&mut buf).unwrap();
+        Response::overloaded().write_to(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
-        assert!(text.contains("Retry-After: 2\r\n"), "{text}");
+        assert!(text.contains("Retry-After: 1\r\n"), "{text}");
     }
 
     #[test]

@@ -39,15 +39,13 @@ pub struct ServerConfig {
     /// Worker threads handling connections.
     pub workers: usize,
     /// Socket read timeout — a client that stalls mid-request gets a 408
-    /// instead of parking a worker forever. `None` disables the timeout.
-    pub read_timeout: Option<Duration>,
-    /// Socket write timeout for the response. `None` disables it.
-    pub write_timeout: Option<Duration>,
+    /// instead of parking a worker forever.
+    pub read_timeout: Duration,
     /// Hard caps on request parsing (request line, headers, body).
     pub http_limits: HttpLimits,
     /// How long a keep-alive connection may sit between requests before
-    /// the server closes it. `None` keeps idle connections forever.
-    pub idle_timeout: Option<Duration>,
+    /// the server closes it.
+    pub idle_timeout: Duration,
     /// Requests served per connection before the server closes it
     /// (`Connection: close` on the last one). Bounds how long one client
     /// can monopolize a worker; minimum effective value is 1.
@@ -60,8 +58,6 @@ pub struct ServerConfig {
     /// How long [`SchemrServer::shutdown`] waits for in-flight requests
     /// before giving up on stragglers.
     pub drain_deadline: Duration,
-    /// The `Retry-After` value (seconds) on shed responses.
-    pub retry_after_secs: u32,
     /// Service-level objectives for the burn-rate tracker
     /// (`GET /debug/slo`; folds into `/healthz` as `degraded`).
     pub slo: SloConfig,
@@ -72,14 +68,12 @@ impl Default for ServerConfig {
         ServerConfig {
             bind: "127.0.0.1:0".to_string(),
             workers: 4,
-            read_timeout: Some(Duration::from_secs(10)),
-            write_timeout: Some(Duration::from_secs(10)),
+            read_timeout: Duration::from_secs(10),
             http_limits: HttpLimits::default(),
-            idle_timeout: Some(Duration::from_secs(10)),
+            idle_timeout: Duration::from_secs(10),
             keepalive_requests: 64,
             max_queue: 128,
             drain_deadline: Duration::from_secs(5),
-            retry_after_secs: 1,
             slo: SloConfig::default(),
         }
     }
@@ -200,7 +194,6 @@ impl SchemrServer {
         let engine2 = engine.clone();
         let metrics2 = metrics.clone();
         let slo2 = slo.clone();
-        let retry_after = config.retry_after_secs;
         let accept_thread = std::thread::spawn(move || {
             for stream in listener.incoming() {
                 if stop2.load(Ordering::Relaxed) {
@@ -212,9 +205,7 @@ impl SchemrServer {
                     enqueued: Instant::now(),
                 }) {
                     Ok(()) => metrics2.queue_enqueued.inc(),
-                    Err(TrySendError::Full(pending)) => {
-                        shed(pending, retry_after, &engine2, &metrics2, &slo2)
-                    }
+                    Err(TrySendError::Full(pending)) => shed(pending, &engine2, &metrics2, &slo2),
                     Err(TrySendError::Disconnected(_)) => break,
                 }
             }
@@ -298,13 +289,7 @@ impl Drop for SchemrServer {
 /// Reject a connection the queue has no room for: `503 + Retry-After`,
 /// written from the accept thread under a short write timeout so a slow
 /// peer cannot stall accepting.
-fn shed(
-    pending: Pending,
-    retry_after_secs: u32,
-    engine: &SchemrEngine,
-    m: &HttpMetrics,
-    slo: &SloTracker,
-) {
+fn shed(pending: Pending, engine: &SchemrEngine, m: &HttpMetrics, slo: &SloTracker) {
     m.shed.inc();
     // Shed connections spend time in admission too (between accept and
     // the failed try_send); without this observation the queue-wait
@@ -313,7 +298,7 @@ fn shed(
     let queue_wait = pending.enqueued.elapsed();
     m.queue_wait.observe_duration(queue_wait);
     let started = Instant::now();
-    let response = Response::overloaded(retry_after_secs);
+    let response = Response::overloaded();
     record_request(engine.metrics_registry(), "shed", &response, started, slo);
     let mut stream = pending.stream;
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
@@ -329,6 +314,9 @@ enum Wake {
     Close,
 }
 
+/// Socket write timeout for a response.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// How long one read of a parked keep-alive wait blocks before the wait
 /// looks at the drain flag again.
 const PARK_SLICE: Duration = Duration::from_millis(25);
@@ -343,25 +331,22 @@ const PARK_SLICE: Duration = Duration::from_millis(25);
 /// and never touches the socket.
 fn wait_for_request(
     reader: &mut BufReader<TcpStream>,
-    idle_timeout: Option<Duration>,
+    idle_timeout: Duration,
     stop: &AtomicBool,
 ) -> Wake {
     // Pipelined bytes already buffered are a request in flight.
     if !reader.buffer().is_empty() {
         return Wake::Bytes;
     }
-    let deadline = idle_timeout.map(|d| Instant::now() + d);
+    let deadline = Instant::now() + idle_timeout;
     loop {
         let draining = stop.load(Ordering::Relaxed);
-        let slice = match deadline {
-            Some(d) => match d
-                .checked_duration_since(Instant::now())
-                .filter(|b| !b.is_zero())
-            {
-                Some(left) => left.min(PARK_SLICE),
-                None => return Wake::Close, // idle budget exhausted
-            },
-            None => PARK_SLICE,
+        let slice = match deadline
+            .checked_duration_since(Instant::now())
+            .filter(|b| !b.is_zero())
+        {
+            Some(left) => left.min(PARK_SLICE),
+            None => return Wake::Close, // idle budget exhausted
         };
         if reader.get_ref().set_read_timeout(Some(slice)).is_err() {
             return Wake::Close;
@@ -400,7 +385,7 @@ fn serve_connection(
     stop: &AtomicBool,
     slo: &SloTracker,
 ) {
-    let _ = stream.set_write_timeout(config.write_timeout);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     // The peer address gates the operator-only `/debug/*` endpoints to
     // loopback clients.
     let peer = stream.peer_addr().ok();
@@ -419,7 +404,7 @@ fn serve_connection(
         // thread indefinitely.
         if reader
             .get_ref()
-            .set_read_timeout(config.read_timeout)
+            .set_read_timeout(Some(config.read_timeout))
             .is_err()
         {
             break;
@@ -813,7 +798,7 @@ pub(crate) mod tests {
         // was set closed the connection unread, dropping a request whose
         // first bytes had already arrived.
         let stop = AtomicBool::new(true);
-        let idle_budget = Some(Duration::from_secs(60));
+        let idle_budget = Duration::from_secs(60);
         let (mut client, served) = socket_pair();
         client.write_all(b"GET /half").unwrap();
         assert_eq!(served.peek(&mut [0u8; 1]).unwrap(), 1);
@@ -1065,7 +1050,7 @@ pub(crate) mod tests {
         let server = SchemrServer::start(
             engine(),
             ServerConfig {
-                read_timeout: Some(Duration::from_millis(200)),
+                read_timeout: Duration::from_millis(200),
                 ..Default::default()
             },
         )

@@ -73,7 +73,7 @@ fn slowloris_partial_request_line_gets_408() {
     let server = SchemrServer::start(
         engine(),
         ServerConfig {
-            read_timeout: Some(Duration::from_millis(200)),
+            read_timeout: Duration::from_millis(200),
             ..Default::default()
         },
     )
@@ -221,8 +221,7 @@ fn saturated_queue_sheds_with_503_and_retry_after() {
         ServerConfig {
             workers: 1,
             max_queue: 1,
-            read_timeout: Some(Duration::from_secs(3)),
-            retry_after_secs: 7,
+            read_timeout: Duration::from_secs(3),
             ..Default::default()
         },
     )
@@ -243,7 +242,8 @@ fn saturated_queue_sheds_with_503_and_retry_after() {
     let mut extra = TcpStream::connect(addr).unwrap();
     let (status, head, _) = read_response(&mut extra);
     assert_eq!(status, 503, "{head}");
-    assert!(head.contains("Retry-After: 7\r\n"), "{head}");
+    let retry_after = format!("Retry-After: {}\r\n", schemr_server::http::RETRY_AFTER_SECS);
+    assert!(head.contains(&retry_after), "{head}");
 
     // Release the worker; the pinned and the queued connection both
     // complete normally.
@@ -283,7 +283,7 @@ fn shed_connections_are_accounted_in_queue_wait() {
         ServerConfig {
             workers: 1,
             max_queue: 1,
-            read_timeout: Some(Duration::from_secs(3)),
+            read_timeout: Duration::from_secs(3),
             ..Default::default()
         },
     )
@@ -369,7 +369,7 @@ fn only_searches_reach_the_trace_ring_and_the_event_log() {
         ServerConfig {
             workers: 1,
             max_queue: 1,
-            read_timeout: Some(Duration::from_millis(800)),
+            read_timeout: Duration::from_millis(800),
             ..Default::default()
         },
     )
@@ -432,7 +432,7 @@ fn drain_completes_in_flight_requests_and_refuses_new_connections() {
         engine(),
         ServerConfig {
             workers: 2,
-            read_timeout: Some(Duration::from_secs(3)),
+            read_timeout: Duration::from_secs(3),
             drain_deadline: Duration::from_secs(5),
             ..Default::default()
         },
@@ -501,7 +501,7 @@ fn drain_wakes_parked_keepalive_connections_immediately() {
     let server = SchemrServer::start(
         engine(),
         ServerConfig {
-            idle_timeout: Some(Duration::from_secs(60)),
+            idle_timeout: Duration::from_secs(60),
             drain_deadline: Duration::from_secs(10),
             ..Default::default()
         },
@@ -542,7 +542,7 @@ fn idle_budget_resets_between_keepalive_requests() {
     let server = SchemrServer::start(
         engine(),
         ServerConfig {
-            idle_timeout: Some(Duration::from_millis(400)),
+            idle_timeout: Duration::from_millis(400),
             ..Default::default()
         },
     )
@@ -572,7 +572,7 @@ fn idle_keepalive_connections_are_closed_and_do_not_block_drain() {
     let server = SchemrServer::start(
         engine(),
         ServerConfig {
-            idle_timeout: Some(Duration::from_millis(150)),
+            idle_timeout: Duration::from_millis(150),
             drain_deadline: Duration::from_secs(2),
             ..Default::default()
         },

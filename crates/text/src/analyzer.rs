@@ -35,8 +35,6 @@ pub struct AnalyzerConfig {
     pub stem: bool,
     /// Expand abbreviations through the dictionary.
     pub expand_abbreviations: bool,
-    /// Minimum token length kept (after expansion); 1 keeps everything.
-    pub min_token_len: usize,
 }
 
 impl Default for AnalyzerConfig {
@@ -45,7 +43,6 @@ impl Default for AnalyzerConfig {
             remove_stopwords: true,
             stem: true,
             expand_abbreviations: true,
-            min_token_len: 1,
         }
     }
 }
@@ -105,7 +102,6 @@ impl Analyzer {
             remove_stopwords: false,
             stem: false,
             expand_abbreviations: false,
-            min_token_len: 1,
         })
         .with_abbreviations(AbbreviationDict::empty())
     }
@@ -143,7 +139,7 @@ impl Analyzer {
             } else {
                 word
             };
-            if term.chars().count() >= self.config.min_token_len {
+            if !term.is_empty() {
                 emit(term);
             }
         };
@@ -226,23 +222,6 @@ mod tests {
         assert_eq!(a.analyze("patients"), a.analyze("patient"));
     }
 
-    fn min_len_two() -> Analyzer {
-        Analyzer::new(AnalyzerConfig {
-            remove_stopwords: false,
-            stem: false,
-            expand_abbreviations: false,
-            min_token_len: 2,
-        })
-        .with_abbreviations(AbbreviationDict::empty())
-    }
-
-    #[test]
-    fn min_token_len_filters_short_terms() {
-        assert_eq!(min_len_two().analyze("a_bb_ccc"), vec!["bb", "ccc"]);
-        // Length is counted in characters, not bytes.
-        assert_eq!(min_len_two().analyze("ß_患者"), vec!["患者"]);
-    }
-
     #[test]
     fn empty_input_yields_no_terms() {
         assert!(Analyzer::for_documents().analyze("").is_empty());
@@ -275,14 +254,12 @@ mod tests {
         );
     }
 
-    /// The four pipelines the property tests run: the three the system
-    /// uses and one that filters by length.
-    fn pipelines() -> [Analyzer; 4] {
+    /// The three pipelines the system uses, which the property tests run.
+    fn pipelines() -> [Analyzer; 3] {
         [
             Analyzer::for_names(),
             Analyzer::for_documents(),
             Analyzer::plain(),
-            min_len_two(),
         ]
     }
 

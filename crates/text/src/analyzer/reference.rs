@@ -120,7 +120,7 @@ pub(crate) fn analyze(analyzer: &Analyzer, input: &str) -> Vec<String> {
                 continue;
             }
             let term = if analyzer.config.stem { stem(&w) } else { w };
-            if term.chars().count() >= analyzer.config.min_token_len {
+            if !term.is_empty() {
                 out.push(term);
             }
         }

@@ -7,38 +7,26 @@ use schemr_parse::xml::escape;
 use crate::color::{ramp_color, type_color};
 use crate::layout::Layout;
 
+/// Node circle radius.
+const NODE_RADIUS: f64 = 14.0;
+
+/// Canvas padding around the layout bounds.
+const PADDING: f64 = 60.0;
+
 /// SVG rendering options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SvgOptions {
-    /// Node circle radius.
-    pub node_radius: f64,
-    /// Canvas padding around the layout bounds.
-    pub padding: f64,
     /// Per-element match scores; matched nodes get a similarity halo.
     pub scores: Vec<MatchedElement>,
-    /// Draw element labels.
-    pub labels: bool,
-}
-
-impl Default for SvgOptions {
-    fn default() -> Self {
-        SvgOptions {
-            node_radius: 14.0,
-            padding: 60.0,
-            scores: Vec::new(),
-            labels: true,
-        }
-    }
 }
 
 /// Render a layout of `schema` to an SVG document string.
 pub fn render_svg(schema: &Schema, layout: &Layout, options: &SvgOptions) -> String {
     let (minx, miny, maxx, maxy) = layout.bounds();
-    let pad = options.padding;
-    let width = (maxx - minx) + 2.0 * pad;
-    let height = (maxy - miny) + 2.0 * pad;
-    let tx = |x: f64| x - minx + pad;
-    let ty = |y: f64| y - miny + pad;
+    let width = (maxx - minx) + 2.0 * PADDING;
+    let height = (maxy - miny) + 2.0 * PADDING;
+    let tx = |x: f64| x - minx + PADDING;
+    let ty = |y: f64| y - miny + PADDING;
 
     let mut out = String::with_capacity(2048);
     out.push_str(&format!(
@@ -82,7 +70,7 @@ pub fn render_svg(schema: &Schema, layout: &Layout, options: &SvgOptions) -> Str
                 "  <circle cx=\"{:.1}\" cy=\"{:.1}\" r=\"{:.1}\" fill=\"{}\"/>\n",
                 tx(n.x),
                 ty(n.y),
-                options.node_radius + 6.0,
+                NODE_RADIUS + 6.0,
                 ramp_color(s).hex()
             ));
         }
@@ -90,17 +78,15 @@ pub fn render_svg(schema: &Schema, layout: &Layout, options: &SvgOptions) -> Str
             "  <circle cx=\"{:.1}\" cy=\"{:.1}\" r=\"{:.1}\" fill=\"{}\" stroke=\"#555555\"/>\n",
             tx(n.x),
             ty(n.y),
-            options.node_radius,
+            NODE_RADIUS,
             type_color(el.kind).hex()
         ));
-        if options.labels {
-            out.push_str(&format!(
-                "  <text x=\"{:.1}\" y=\"{:.1}\" font-size=\"11\" text-anchor=\"middle\" font-family=\"sans-serif\">{}</text>\n",
-                tx(n.x),
-                ty(n.y) + options.node_radius + 12.0,
-                escape(el.name)
-            ));
-        }
+        out.push_str(&format!(
+            "  <text x=\"{:.1}\" y=\"{:.1}\" font-size=\"11\" text-anchor=\"middle\" font-family=\"sans-serif\">{}</text>\n",
+            tx(n.x),
+            ty(n.y) + NODE_RADIUS + 12.0,
+            escape(el.name)
+        ));
     }
     out.push_str("</svg>\n");
     out
@@ -146,7 +132,6 @@ mod tests {
                     score: 0.9,
                     class: DistanceClass::SameEntity,
                 }],
-                ..Default::default()
             },
         );
         // One extra circle: the halo.
@@ -159,21 +144,6 @@ mod tests {
         let layout = tree_layout(&s, &s.roots(), 3);
         let svg = render_svg(&s, &layout, &SvgOptions::default());
         assert!(schemr_parse::xml::XmlParser::parse_all(&svg).is_ok());
-    }
-
-    #[test]
-    fn labels_can_be_disabled() {
-        let s = clinic();
-        let layout = tree_layout(&s, &s.roots(), 3);
-        let svg = render_svg(
-            &s,
-            &layout,
-            &SvgOptions {
-                labels: false,
-                ..Default::default()
-            },
-        );
-        assert!(!svg.contains("<text"));
     }
 
     #[test]

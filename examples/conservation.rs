@@ -119,7 +119,6 @@ fn main() {
             &layout,
             &SvgOptions {
                 scores: results[0].matches.clone(),
-                ..Default::default()
             },
         );
         std::fs::write(out_dir.join(name), svg).unwrap();

@@ -70,7 +70,6 @@ fn main() {
                 &layout,
                 &SvgOptions {
                     scores: result.matches.clone(),
-                    ..Default::default()
                 },
             );
             let path = out_dir.join(format!("result{}_{}_{}.svg", i + 1, result.title, view));
