@@ -2,10 +2,11 @@
 //!
 //! The paper's text indexer runs "at scheduled intervals" offline and the
 //! search service loads what it produced; this codec is that boundary. A
-//! file is the published snapshot as it sits in memory: a header, then
-//! every segment's `Columns` little-endian and in a fixed order, with the
-//! overlay bitset that was published beside them — the segment's only
-//! record of its tombstones — and a checksum.
+//! file is the index's segments as they sit in memory — the sealed ones,
+//! then the head frozen whole as sealing freezes it: a header, then every
+//! segment's `Columns` little-endian and in a fixed order, with its
+//! overlay bitset beside them — the segment's only record of its
+//! tombstones — and a checksum.
 //!
 //! ```text
 //! file    := "SCHMRIDX" version:u32 segments:u32 segment*
@@ -142,15 +143,20 @@ fn write_segment(out: &mut Vec<u8>, c: &Columns, overlay: &[u64]) {
     out.extend_from_slice(&sum.to_le_bytes());
 }
 
-/// Serialize the index to a byte buffer. Reads the published snapshot —
-/// concurrent searches and writers are unaffected.
+/// Serialize the index to a byte buffer: its sealed segments, then its
+/// head frozen whole, as sealing would freeze it. Writers wait only for
+/// that freeze; concurrent searches are unaffected.
 pub fn encode(index: &Index) -> Vec<u8> {
-    let snap = index.snapshot();
-    let mut out = Vec::with_capacity(16 + snap.deep_bytes() + 128 * snap.segments.len());
+    let segments = index.durable_segments();
+    let bytes: usize = segments
+        .iter()
+        .map(|s| s.data.deep_bytes() + s.live.heap_bytes() + 128)
+        .sum();
+    let mut out = Vec::with_capacity(16 + bytes);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(snap.segments.len() as u32).to_le_bytes());
-    for seg in &snap.segments {
+    out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
+    for seg in &segments {
         write_segment(&mut out, seg.data.columns(), seg.live.bits());
     }
     out

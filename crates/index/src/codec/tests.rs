@@ -74,8 +74,8 @@ fn segmented_index_round_trips_through_the_flat_format() {
     assert!(after.segments.iter().any(|s| s.live.dead_docs > 0));
     assert_same_bits(&decoded, &monolith, &["patient", "height"]);
 
-    // A head that holds tombstones, three ways: published as the head,
-    // sealed on reaching the threshold, and read back from a file.
+    // A head that holds tombstones, three ways: sealed on reaching the
+    // threshold, read back from a file, and published as runs.
     let build = |threshold| {
         let index = Index::new().with_seal_threshold(threshold);
         for i in 0..6u64 {
@@ -87,16 +87,32 @@ fn segmented_index_round_trips_through_the_flat_format() {
     };
     let (head, sealed) = (build(8), build(7));
     let last = |index: &Index| index.snapshot().segments.last().cloned().unwrap();
-    let published = last(&head);
-    assert_eq!(published.live.dead_docs, 2);
-    for other in [last(&sealed), last(&decode(&encode(&head)).unwrap())] {
-        assert_eq!(other.data.columns(), published.data.columns());
-        assert_eq!(other.live.bits(), published.live.bits());
-        assert_eq!(other.live_docs(), published.live_docs());
-        for list in 0..published.data.list_count() as u32 {
-            assert_eq!(other.live_df(list), published.live_df(list));
-        }
+    let frozen = last(&sealed);
+    assert_eq!(frozen.live.dead_docs, 2);
+    let restored = last(&decode(&encode(&head)).unwrap());
+    assert_eq!(restored.data.columns(), frozen.data.columns());
+    assert_eq!(restored.live.bits(), frozen.live.bits());
+    assert_eq!(restored.live_docs(), frozen.live_docs());
+    for list in 0..frozen.data.list_count() as u32 {
+        assert_eq!(restored.live_df(list), frozen.live_df(list));
     }
+    // The runs hold the same documents in the same order, the same ones
+    // dead: a tombstone reached the run that held its document.
+    let slots = |segments: &[crate::segment::Segment]| -> Vec<(SchemaId, bool)> {
+        segments
+            .iter()
+            .flat_map(|seg| {
+                (0..seg.data.doc_count() as u32).map(|ord| (seg.data.id(ord), seg.is_deleted(ord)))
+            })
+            .collect()
+    };
+    let published = head.snapshot();
+    assert!(published.head_runs > 1, "seven one-document commits");
+    assert_eq!(published.segments.len(), published.head_runs);
+    assert_eq!(
+        slots(&published.segments),
+        slots(std::slice::from_ref(&frozen))
+    );
     // One more document starts a second segment only beside a sealed one.
     for (index, segments) in [(&head, 1), (&sealed, 2)] {
         index.add(doc(9, "ward", &["bed"]).view());

@@ -1,12 +1,15 @@
 //! The mutable head: the one place postings exist in a growable form.
 //!
 //! The writer appends analyzed documents into a [`HeadBuilder`] and
-//! tombstones its slots by setting a bit. Nothing ever searches it:
-//! `freeze` encodes it into the flat columns of a sealed segment, term
-//! table sorted, with those bits as the segment's overlay, and that
-//! segment is what a snapshot publishes and what sealing keeps.
+//! tombstones its slots by setting a bit. Nothing ever searches the
+//! builder: it is published as *runs*, segments frozen from it over
+//! consecutive document ranges, and sealed by freezing all of it. Both go
+//! through one freeze, of a document range, that encodes the range into
+//! the flat columns of a sealed segment, term table sorted, with the
+//! range's dead bits as the segment's overlay.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use schemr_model::SchemaId;
@@ -16,6 +19,9 @@ use crate::postings::{packed_len, push_codes, tf_norm, width_of, BLOCK_POSTINGS}
 use crate::segment::{bit, Columns, FlatSegment, ListWriter, SealedSegment};
 use crate::session::{AnalyzedDoc, Interner, RowTable};
 use crate::DocOrd;
+
+/// A row no freeze in progress has named.
+const UNNAMED: u32 = u32::MAX;
 
 /// One posting of the head, kept in arrival order: what a freeze needs of
 /// it besides its list, its impact norm computed once.
@@ -32,24 +38,49 @@ struct HeadPosting {
     norm: f64,
 }
 
-/// The head segment under construction. It only appends, and each
-/// freeze encodes all of it afresh, at a cost in proportion to what it
-/// holds: the seal threshold bounds that, and a built or loaded index
-/// starts with an empty head, so the head holds only what was written
-/// since.
+/// The head's documents from `start` on, frozen: as many as its segment
+/// holds.
+#[derive(Debug)]
+struct Run {
+    start: usize,
+    segment: SealedSegment,
+}
+
+impl Run {
+    fn len(&self) -> usize {
+        self.segment.total_count()
+    }
+}
+
+/// The head segment under construction. It only appends; the seal
+/// threshold bounds what it holds, and a built or loaded index starts
+/// with an empty head, so it holds only what was written since.
+///
+/// It is published as a stack of runs, oldest first, that together cover
+/// every document pushed before the last [`HeadBuilder::freeze_new`]: a
+/// binary counter, in which each run holds more documents than all newer
+/// runs together, so a head of `n` documents is at most ⌊log2 n⌋ + 1
+/// runs. A commit freezes only what it added, merged with the newer runs
+/// it outgrows, from the builder; each document is frozen again
+/// O(log n) times before its head seals, not once a commit. Sealing
+/// freezes the whole head, as it always has, so a sealed segment never
+/// depends on how the runs were cut.
 ///
 /// Its postings are flat: one record each in arrival order — document by
 /// document, a document's in (field, term) order — beside one run of
 /// position codes, so a new term costs the head its dictionary entry and
-/// a counter, not a vector of its own. Posting `p` is in row
+/// a scratch slot, not a vector of its own. Posting `p` is in row
 /// `fwd_lists[p]`.
 #[derive(Debug, Default)]
 pub(crate) struct HeadBuilder {
-    /// Per field: term → row. Rows are in first-seen order; `freeze`
-    /// renumbers them in term order.
-    dict: [BTreeMap<String, u32>; Field::COUNT],
-    /// Per row the dictionary has handed out: its postings.
-    dfs: Vec<u32>,
+    /// `(field, term)` → row, in first-seen order. Row `r`'s key is the
+    /// field's ordinal as one byte, then the term, so keys sort in
+    /// (field, term) order; a freeze sorts the rows it touches by them.
+    dict: Interner,
+    /// Per row: its list id in the freeze under way, or [`UNNAMED`].
+    named: Vec<u32>,
+    /// A key being looked up.
+    key: String,
     postings: Vec<HeadPosting>,
     /// Every posting's position codes, as the block stream stores them:
     /// its first position, then each next one's distance − 1.
@@ -63,8 +94,7 @@ pub(crate) struct HeadBuilder {
     dead: Vec<u64>,
     by_id: HashMap<SchemaId, DocOrd>,
     live_docs: usize,
-    /// Bytes of the dictionary's terms.
-    term_bytes: usize,
+    runs: Vec<Run>,
 }
 
 impl HeadBuilder {
@@ -78,28 +108,21 @@ impl HeadBuilder {
     }
 
     /// Append an analyzed document, its keys' terms named by id in
-    /// `terms`. The head's dictionary is searched by `&str` only for a
-    /// key `rows` does not hold yet — once per term and head in a batch,
-    /// not once per posting — and only a term the head has not met is
-    /// copied into it.
+    /// `terms`. The head's dictionary is searched by text only for a key
+    /// `rows` does not hold yet — once per term and head in a batch, not
+    /// once per posting.
     pub(crate) fn push(&mut self, doc: &AnalyzedDoc<'_>, terms: &Interner, rows: &mut RowTable) {
         let ord = self.ids.len() as DocOrd;
         let mut start = doc.first_position as usize;
         for key in doc.keys {
             let row = rows.get(*key).unwrap_or_else(|| {
-                let term = terms.text(key.term());
-                let dict = &mut self.dict[key.field()];
-                let row = match dict.get(term) {
-                    Some(&row) => row,
-                    None => {
-                        let row = u32::try_from(self.dfs.len())
-                            .expect("a head holds fewer than 2^32 lists");
-                        self.dfs.push(0);
-                        dict.insert(term.to_string(), row);
-                        self.term_bytes += term.len();
-                        row
-                    }
-                };
+                self.key.clear();
+                self.key.push(char::from(key.field() as u8));
+                self.key.push_str(terms.text(key.term()));
+                let (row, new) = self.dict.intern(&self.key);
+                if new {
+                    self.named.push(UNNAMED);
+                }
                 rows.set(*key, row);
                 row
             });
@@ -116,7 +139,6 @@ impl HeadBuilder {
                 norm: tf_norm(tf, doc.field_lengths[key.field()]),
             });
             self.fwd_lists.push(row);
-            self.dfs[row as usize] += 1;
             start = end;
         }
         self.fwd_ends.push(self.fwd_lists.len() as u32);
@@ -129,10 +151,10 @@ impl HeadBuilder {
         self.live_docs += 1;
     }
 
-    /// Tombstone the head's copy of `id`: `None` when the head never held
-    /// the id, otherwise whether a live copy was there to kill. The head
-    /// holds an id's newest copy, so `Some(false)` means it is gone
-    /// everywhere.
+    /// Tombstone the head's copy of `id`, in the builder and in the run
+    /// that holds it: `None` when the head never held the id, otherwise
+    /// whether a live copy was there to kill. The head holds an id's
+    /// newest copy, so `Some(false)` means it is gone everywhere.
     pub(crate) fn tombstone(&mut self, id: SchemaId) -> Option<bool> {
         let ord = *self.by_id.get(&id)? as usize;
         if bit(&self.dead, ord) {
@@ -140,54 +162,114 @@ impl HeadBuilder {
         }
         self.dead[ord / 64] |= 1u64 << (ord % 64);
         self.live_docs -= 1;
+        // Runs cover the head from document 0 on, so the last one to
+        // start at or before `ord` holds it, if any does yet.
+        let holder = self.runs.partition_point(|run| run.start <= ord);
+        if let Some(run) = holder.checked_sub(1).map(|r| &mut self.runs[r]) {
+            if ord - run.start < run.len() {
+                run.segment.tombstone((ord - run.start) as DocOrd);
+            }
+        }
         Some(true)
     }
 
-    /// Encode the head into a sealed segment's columns, its dead slots the
-    /// segment's overlay.
-    ///
-    /// One counting sort over the forward rows groups the postings by
-    /// list, documents ascending within each; then every list, in term
-    /// order, goes through the [`ListWriter`] a merge writes with. Every
-    /// column but the block stream is allocated once at its final size;
-    /// the stream grows as it is written and is trimmed after (room
-    /// reserved at a bound and trimmed kept ~1 MiB of a bulk build
-    /// resident). Nothing is allocated per list or per posting; a dead
-    /// slot costs a forward-row walk.
-    pub(crate) fn freeze(&self) -> SealedSegment {
-        let lists = self.dfs.len();
-        // The counting sort: row `r`'s postings are `order[ends[r − 1]..
-        // ends[r]]`, in arrival order, which is document order.
-        let mut ends = self.dfs.clone();
-        let (mut blocks, mut sum) = (0, 0);
-        for end in &mut ends {
-            blocks += (*end as usize).div_ceil(BLOCK_POSTINGS);
-            (*end, sum) = (sum, sum + *end);
+    /// Freeze the documents pushed since the newest run into one run,
+    /// together with every run from the oldest one that holds no more
+    /// documents than all the runs after it and the new documents: the
+    /// binary counter's carry, as one freeze from the builder.
+    pub(crate) fn freeze_new(&mut self) {
+        let end = self.doc_count();
+        let covered = self.runs.last().map_or(0, |run| run.start + run.len());
+        if covered == end {
+            return;
         }
-        let mut order = vec![0u32; self.postings.len()];
-        for (p, &row) in self.fwd_lists.iter().enumerate() {
-            let end = &mut ends[row as usize];
+        // Walking from the newest run back, `newer` is what the runs after
+        // this one hold, the new documents included.
+        let (mut newer, mut keep) = (end - covered, self.runs.len());
+        for (r, run) in self.runs.iter().enumerate().rev() {
+            if run.len() <= newer {
+                keep = r;
+            }
+            newer += run.len();
+        }
+        let start = self.runs.get(keep).map_or(covered, |run| run.start);
+        self.runs.truncate(keep);
+        let segment = self.freeze(start..end);
+        self.runs.push(Run { start, segment });
+    }
+
+    /// The runs a snapshot publishes, oldest first.
+    pub(crate) fn runs(&mut self) -> impl ExactSizeIterator<Item = &mut SealedSegment> {
+        self.runs.iter_mut().map(|run| &mut run.segment)
+    }
+
+    /// The whole head as one sealed segment: what sealing keeps and what
+    /// a saved file stores.
+    pub(crate) fn freeze_all(&mut self) -> SealedSegment {
+        self.freeze(0..self.doc_count())
+    }
+
+    /// Where document `doc`'s postings start.
+    fn postings_of(&self, doc: usize) -> usize {
+        doc.checked_sub(1).map_or(0, |d| self.fwd_ends[d] as usize)
+    }
+
+    /// Encode documents `docs` into a sealed segment's columns, ordinals
+    /// counted from the range's start, its dead slots the segment's
+    /// overlay.
+    ///
+    /// The range's postings name the rows it touches; only those are
+    /// sorted into (field, term) order, which is their list ids. One
+    /// counting sort over the range's forward rows then groups its
+    /// postings by list, documents ascending within each, and every list
+    /// goes through the [`ListWriter`] a merge writes with. Every column
+    /// but the block stream is allocated once at its final size; the
+    /// stream grows as it is written and is trimmed after (room reserved
+    /// at a bound and trimmed kept ~1 MiB of a bulk build resident).
+    /// Nothing is allocated per list or per posting.
+    fn freeze(&mut self, docs: Range<usize>) -> SealedSegment {
+        let postings = self.postings_of(docs.start)..self.postings_of(docs.end);
+        // The rows the range touches, each with its posting count.
+        let mut lists: Vec<(u32, u32)> = Vec::new();
+        for &row in &self.fwd_lists[postings.clone()] {
+            let named = &mut self.named[row as usize];
+            if *named == UNNAMED {
+                *named = lists.len() as u32;
+                lists.push((row, 0));
+            }
+            lists[*named as usize].1 += 1;
+        }
+        let dict = &self.dict;
+        lists.sort_unstable_by(|a, b| dict.bytes(a.0).cmp(dict.bytes(b.0)));
+        // The counting sort: list `l`'s postings are `order[ends[l − 1]..
+        // ends[l]]`, in arrival order, which is document order.
+        let mut ends = Vec::with_capacity(lists.len());
+        let (mut blocks, mut sum, mut term_bytes) = (0, 0, 0);
+        for (id, &(row, df)) in lists.iter().enumerate() {
+            self.named[row as usize] = id as u32;
+            blocks += (df as usize).div_ceil(BLOCK_POSTINGS);
+            term_bytes += dict.bytes(row).len() - 1;
+            ends.push(sum);
+            sum += df;
+        }
+        let mut order = vec![0u32; postings.len()];
+        for p in postings.clone() {
+            let end = &mut ends[self.named[self.fwd_lists[p] as usize] as usize];
             order[*end as usize] = p as u32;
             *end += 1;
         }
-        // The lists in (field, term) order are the sealed ids.
-        let mut sealed_id = vec![0u32; lists];
-        for (id, &row) in self.dict.iter().flat_map(|d| d.values()).enumerate() {
-            sealed_id[row as usize] = id as u32;
-        }
-        let docs = self.ids.len();
         // The forward rows renamed — a document's keys arrive in
-        // (field, term) order, which is the sealed id order, so its renamed
+        // (field, term) order, which is the list id order, so its renamed
         // entries stay ascending — and each one's run width, in one pass.
-        let mut renamed = Vec::with_capacity(self.fwd_lists.len());
-        let mut row_widths = Vec::with_capacity(docs);
+        let mut renamed = Vec::with_capacity(postings.len());
+        let mut row_widths = Vec::with_capacity(docs.len());
         let mut row_bytes = 0;
-        let mut start = 0;
-        for &end in &self.fwd_ends {
+        let mut start = postings.start;
+        for &end in &self.fwd_ends[docs.clone()] {
             // The codes: the first id, then each distance less 1.
             let (mut codes, mut next) = (0, 0);
             renamed.extend(self.fwd_lists[start..end as usize].iter().map(|&row| {
-                let id = sealed_id[row as usize];
+                let id = self.named[row as usize];
                 codes |= id - next;
                 next = id + 1;
                 id
@@ -197,36 +279,52 @@ impl HeadBuilder {
             row_bytes += 1 + packed_len(end as usize - start, width);
             start = end as usize;
         }
-        let mut cols = Columns::with_capacity(docs, lists, blocks, 0, row_bytes, self.term_bytes);
-        cols.ids.extend_from_slice(&self.ids);
-        cols.field_lengths.extend_from_slice(&self.field_lengths);
+        let mut cols =
+            Columns::with_capacity(docs.len(), lists.len(), blocks, 0, row_bytes, term_bytes);
+        cols.ids.extend_from_slice(&self.ids[docs.clone()]);
+        cols.field_lengths.extend_from_slice(
+            &self.field_lengths[docs.start * Field::COUNT..docs.end * Field::COUNT],
+        );
+        let base = docs.start as DocOrd;
         let mut writer = ListWriter::new();
-        for (field_ord, dict) in self.dict.iter().enumerate() {
-            for (term, &row) in dict {
-                let start = row.checked_sub(1).map_or(0, |r| ends[r as usize]);
-                for &p in &order[start as usize..ends[row as usize] as usize] {
-                    let posting = &self.postings[p as usize];
-                    let at = posting.codes_at as usize;
-                    let codes = &self.codes[at..at + posting.tf as usize];
-                    writer.push(
-                        &mut cols,
-                        posting.doc,
-                        codes,
-                        posting.codes_or,
-                        posting.norm,
-                    );
-                }
-                writer.finish(&mut cols, term.as_bytes());
+        let mut start = 0;
+        for (&(row, _), &end) in lists.iter().zip(&ends) {
+            for &p in &order[start as usize..end as usize] {
+                let posting = &self.postings[p as usize];
+                let at = posting.codes_at as usize;
+                let codes = &self.codes[at..at + posting.tf as usize];
+                writer.push(
+                    &mut cols,
+                    posting.doc - base,
+                    codes,
+                    posting.codes_or,
+                    posting.norm,
+                );
             }
-            cols.field_starts[field_ord + 1] = cols.list_count() as u32;
+            writer.finish(&mut cols, &dict.bytes(row)[1..]);
+            start = end;
+        }
+        for field_ord in 0..Field::COUNT {
+            cols.field_starts[field_ord + 1] = lists
+                .partition_point(|&(row, _)| usize::from(dict.bytes(row)[0]) <= field_ord)
+                as u32;
         }
         cols.blocks.shrink_to_fit();
         let mut start = 0;
-        for (&end, &width) in self.fwd_ends.iter().zip(&row_widths) {
-            cols.push_row(&renamed[start..end as usize], width);
-            start = end as usize;
+        for (&end, &width) in self.fwd_ends[docs.clone()].iter().zip(&row_widths) {
+            let end = end as usize - postings.start;
+            cols.push_row(&renamed[start..end], width);
+            start = end;
         }
-        SealedSegment::with_tombstones(Arc::new(FlatSegment::trusted(cols)), &self.dead)
+        for &(row, _) in &lists {
+            self.named[row as usize] = UNNAMED;
+        }
+        let mut dead = vec![0u64; docs.len().div_ceil(64)];
+        for ord in docs.clone().filter(|&ord| bit(&self.dead, ord)) {
+            let at = ord - docs.start;
+            dead[at / 64] |= 1u64 << (at % 64);
+        }
+        SealedSegment::with_tombstones(Arc::new(FlatSegment::trusted(cols)), &dead)
     }
 }
 
@@ -283,7 +381,7 @@ mod tests {
         let head = &mut pusher.head;
         assert_eq!((head.doc_count(), head.live_docs()), (3, 2));
 
-        let mut sealed = head.freeze();
+        let mut sealed = head.freeze_all();
         let frozen = &sealed.data;
         let (alpha, zeta) = (
             frozen.find(Field::Title, "alpha").unwrap(),
@@ -308,7 +406,7 @@ mod tests {
         // The newest copy is the one a later tombstone finds.
         assert_eq!(head.tombstone(SchemaId(1)), Some(true));
         assert_eq!(head.tombstone(SchemaId(1)), Some(false));
-        let published = head.freeze().published();
+        let published = head.freeze_all().published();
         assert_eq!((published.live_df(alpha), published.live_df(zeta)), (1, 1));
     }
 }

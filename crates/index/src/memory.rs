@@ -8,12 +8,15 @@
 //! it through one function: [`Index::apply`] takes a batch of
 //! [`IndexChange`]s, analyzes the documents off-lock (in a write
 //! [`Session`], which is where the analysis lives), applies the changes
-//! in order under one lock hold, and then *publishes* once: builds a
-//! fresh immutable [`IndexSnapshot`] (sealed `Arc`s are reused; the head
-//! builder is frozen into a flat segment, bounded by the seal threshold)
-//! and swaps it into place. A batch in which nothing took effect publishes
-//! nothing. When the head reaches the seal threshold its frozen form
-//! joins the sealed segments and a fresh builder starts.
+//! in order under one lock hold, freezes the documents it added into the
+//! head's newest run (merged with the newer runs it outgrows,
+//! binary-counter style, see [`HeadBuilder`]), and then *publishes* once:
+//! builds a fresh immutable [`IndexSnapshot`] of `Arc` clones of the
+//! sealed segments and the runs, and swaps it into place. So a commit
+//! costs what it adds, not what the head holds. A batch in which nothing
+//! took effect publishes nothing. When the head reaches the seal threshold
+//! it is frozen whole into one segment that joins the sealed ones, and a
+//! fresh builder starts.
 //!
 //! A fresh index filled in bulk goes through [`Index::bulk_load`]: the
 //! same commits in the same order, a sealed segment each, while later
@@ -152,10 +155,12 @@ impl Writer {
         self.epoch += 1;
     }
 
-    /// Freeze the head into a sealed segment and start a fresh one.
-    /// Head tombstones ride along as the segment's overlay.
+    /// Freeze the whole head into a sealed segment and start a fresh one;
+    /// its runs go with it. Head tombstones ride along as the segment's
+    /// overlay.
     fn seal(&mut self) {
-        self.sealed.push(std::mem::take(&mut self.head).freeze());
+        self.sealed
+            .push(std::mem::take(&mut self.head).freeze_all());
     }
 
     fn total_docs(&self) -> usize {
@@ -277,29 +282,41 @@ impl Index {
         &self.metrics
     }
 
-    /// Number of segments in the published snapshot (sealed + head).
+    /// Number of segments in the published snapshot: the sealed ones, and
+    /// the head as one however many runs it is published in — what a save
+    /// and a load leave.
     pub fn segment_count(&self) -> usize {
-        self.published.read().segments.len()
+        let snap = self.published.read();
+        snap.segments.len() - snap.head_runs + usize::from(snap.head_runs > 0)
     }
 
-    /// Build and swap in a fresh snapshot from the writer's state. Sealed
-    /// segments are republished as `Arc` clones (overlays cached while
-    /// unchanged); the head is frozen into a flat segment of its own, its
-    /// cost bounded by the seal threshold.
+    /// Build and swap in a fresh snapshot from the writer's state. It
+    /// freezes nothing: sealed segments and the head's runs are
+    /// republished as `Arc` clones (overlays cached while unchanged).
     fn publish(&self, w: &mut Writer) {
-        let mut head = (w.head.doc_count() > 0).then(|| w.head.freeze());
-        let mut segments = Vec::with_capacity(w.sealed.len() + 1);
+        let Writer {
+            head,
+            sealed,
+            epoch,
+        } = w;
+        debug_assert_eq!(
+            head.runs().map(|run| run.total_count()).sum::<usize>(),
+            head.doc_count(),
+            "the runs cover the head"
+        );
+        let mut segments = Vec::with_capacity(sealed.len() + head.runs().len());
         segments.extend(
-            w.sealed
+            sealed
                 .iter_mut()
-                .chain(&mut head)
+                .chain(head.runs())
                 .map(SealedSegment::published),
         );
         let live_docs = segments.iter().map(Segment::live_docs).sum();
         let total_docs = segments.iter().map(|s| s.data.doc_count()).sum();
         let fresh = Arc::new(IndexSnapshot {
+            head_runs: segments.len() - sealed.len(),
             segments,
-            epoch: w.epoch,
+            epoch: *epoch,
             live_docs,
             total_docs,
         });
@@ -470,9 +487,24 @@ impl Index {
         }
         let took_effect = (w.epoch - before) as usize;
         if took_effect > 0 {
+            w.head.freeze_new();
             self.publish(&mut w);
         }
         took_effect
+    }
+
+    /// The segments a file stores: the sealed ones, then the head frozen
+    /// whole, as sealing it would freeze it, so that a saved file does not
+    /// depend on how the head's runs were cut. Holds the writer lock for
+    /// that one freeze, bounded by the seal threshold.
+    pub(crate) fn durable_segments(&self) -> Vec<Segment> {
+        let mut w = self.writer.lock();
+        let mut head = (w.head.doc_count() > 0).then(|| w.head.freeze_all());
+        w.sealed
+            .iter_mut()
+            .chain(&mut head)
+            .map(SealedSegment::published)
+            .collect()
     }
 
     /// Add (or replace) one document: a one-element [`Index::apply`].
@@ -822,7 +854,8 @@ pub struct IndexIntrospection {
     pub revision: u64,
     /// Fraction of document slots that are tombstones.
     pub tombstone_ratio: f64,
-    /// Segments in the published snapshot (sealed + head).
+    /// Segments in the published snapshot: the sealed ones and each of
+    /// the head's runs.
     pub segments: usize,
     /// Estimated heap bytes across all postings lists.
     pub postings_bytes: usize,
@@ -1383,8 +1416,8 @@ mod tests {
                 session.apply([IndexChange::Put(doc.view())]);
             }
             drop(session);
-            let head = &one_session.snapshot().segments[0].data;
-            check_head_against_the_reference(head, &docs, &names, &prose);
+            let head = one_session.writer.lock().head.freeze_all().data;
+            check_head_against_the_reference(&head, &docs, &names, &prose);
 
             let fresh_sessions = index_over();
             for doc in &docs {

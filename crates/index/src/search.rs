@@ -328,7 +328,19 @@ struct SegmentPlan {
     distinct_from: Vec<usize>,
     /// Per distinct term: seen while filling `distinct_from`.
     seen: Vec<bool>,
+    /// Per distinct term and field: the segment's list id when the
+    /// segment holds a live posting of it, else [`NO_LIST`]. The proximity
+    /// walk reads its pairs' lists here instead of searching the term
+    /// table again for each pair; an all-tombstoned list is absent, as it
+    /// can yield no live adjacency.
+    live: Vec<[u32; Field::COUNT]>,
+    /// The query's adjacent pairs of distinct terms, as term indices, in
+    /// query order: the same for every segment of a query.
+    pairs: Vec<(usize, usize)>,
 }
+
+/// No list of the term in the field, in [`SegmentPlan::live`].
+const NO_LIST: u32 = u32::MAX;
 
 impl SegmentPlan {
     /// Plan segment `si`: keep the portions `lists` have there, in order,
@@ -360,6 +372,12 @@ impl SegmentPlan {
         self.distinct_from.resize(n + 1, 0);
         self.seen.clear();
         self.seen.resize(total_terms, false);
+        self.live.clear();
+        self.live.resize(total_terms, [NO_LIST; Field::COUNT]);
+        for sl in &self.lists {
+            let l = &lists[sl.list];
+            self.live[l.term_idx][l.field.ordinal() as usize] = sl.id;
+        }
         let mut count = 0usize;
         for i in (0..n).rev() {
             let term = lists[self.lists[i].list].term_idx;
@@ -370,6 +388,11 @@ impl SegmentPlan {
             }
             self.distinct_from[i] = count;
         }
+    }
+
+    /// The segment's live list of distinct term `term` in `field`.
+    fn live_list(&self, term: usize, field: Field) -> Option<u32> {
+        Some(self.live[term][field.ordinal() as usize]).filter(|&id| id != NO_LIST)
     }
 }
 
@@ -574,6 +597,18 @@ pub(crate) fn search_postings(
                 .min(snap.total_docs.saturating_add(1)),
         );
         let mut plan = std::mem::take(&mut scratch.plan);
+        let term_idx = |term: &String| {
+            distinct
+                .binary_search(&term)
+                .expect("every query term is one of the distinct ones")
+        };
+        plan.pairs.clear();
+        plan.pairs.extend(
+            terms
+                .windows(2)
+                .filter(|pair| pair[0] != pair[1])
+                .map(|pair| (term_idx(&pair[0]), term_idx(&pair[1]))),
+        );
         for (si, seg) in snap.segments.iter().enumerate() {
             if seg.live_docs() == 0 {
                 continue;
@@ -586,7 +621,6 @@ pub(crate) fn search_postings(
                 seg,
                 &lists,
                 &plan,
-                terms,
                 options,
                 scratch,
                 &mut carried,
@@ -622,12 +656,10 @@ impl QueryList {
 /// Scan one segment: score its portions in global list order, apply the
 /// proximity walk, and fold survivors into the carried cross-segment
 /// top-n heap. Scan work and pruning go to `stats`.
-#[allow(clippy::too_many_arguments)]
 fn scan_segment(
     seg: &Segment,
     lists: &[QueryList],
     plan: &SegmentPlan,
-    terms: &[String],
     options: &SearchOptions,
     scratch: &mut Scratch,
     carried: &mut BinaryHeap<HeapEntry>,
@@ -642,16 +674,11 @@ fn scan_segment(
     // per field where both lists have live postings *here*. The proximity
     // bonus adds *after* the impact sum, so it must ride along in every
     // upper bound or pruning would silently reorder results.
-    let pair_alive =
-        |field: Field, t: &String| data.find(field, t).is_some_and(|id| seg.live_df(id) > 0);
     let mut prox_bound = 0.0f64;
     if options.proximity_weight > 0.0 {
-        for pair in terms.windows(2) {
-            if pair[0] == pair[1] {
-                continue;
-            }
+        for &(a, b) in &plan.pairs {
             for field in Field::ALL {
-                if pair_alive(field, &pair[0]) && pair_alive(field, &pair[1]) {
+                if plan.live_list(a, field).is_some() && plan.live_list(b, field).is_some() {
                     prox_bound += options.proximity_weight * field.boost();
                 }
             }
@@ -817,20 +844,12 @@ fn scan_segment(
             blocks: [buf_a, buf_b],
             ..
         } = &mut *scratch;
-        for pair in terms.windows(2) {
-            let (a, b) = (&pair[0], &pair[1]);
-            if a == b {
-                continue;
-            }
+        for &(a, b) in &plan.pairs {
             for field in Field::ALL {
-                let (Some(ia), Some(ib)) = (data.find(field, a), data.find(field, b)) else {
+                let (Some(ia), Some(ib)) = (plan.live_list(a, field), plan.live_list(b, field))
+                else {
                     continue;
                 };
-                // All-tombstoned portions cannot yield a live adjacency;
-                // walking them would only burn scan work under churn.
-                if seg.live_df(ia) == 0 || seg.live_df(ib) == 0 {
-                    continue;
-                }
                 let (pa, pb) = (data.list(ia), data.list(ib));
                 let (mut ca, mut cb) = (pa.cursor(buf_a), pb.cursor(buf_b));
                 // Probing beats the lockstep walk only while the

@@ -857,7 +857,7 @@ pub(crate) mod tests {
             };
             head.push(&doc, &terms, &mut rows);
         }
-        head.freeze().data
+        head.freeze_all().data
     }
 
     /// Every document of `list`, in order.

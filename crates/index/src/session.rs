@@ -81,6 +81,7 @@ fn offset(len: usize) -> u32 {
 /// Text → dense id in first-seen order: open addressing over one text
 /// arena, the 32-bit hash kept beside each entry so a probe compares
 /// bytes only on a hash match and growing never rehashes text.
+#[derive(Debug, Default)]
 pub(crate) struct Interner {
     hasher: RandomState,
     text: String,
@@ -93,13 +94,7 @@ pub(crate) struct Interner {
 
 impl Interner {
     pub(crate) fn new() -> Self {
-        Interner {
-            hasher: RandomState::new(),
-            text: String::new(),
-            ends: Vec::new(),
-            hashes: Vec::new(),
-            slots: Vec::new(),
-        }
+        Self::default()
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -112,7 +107,7 @@ impl Interner {
 
     /// [`Interner::text`] as bytes, which order and compare as the text
     /// does without a character-boundary check.
-    fn bytes(&self, id: u32) -> &[u8] {
+    pub(crate) fn bytes(&self, id: u32) -> &[u8] {
         &self.text.as_bytes()[self.span(id)]
     }
 

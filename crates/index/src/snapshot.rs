@@ -20,11 +20,13 @@ use crate::field::Field;
 use crate::memory::IndexStats;
 use crate::segment::{Columns, Segment};
 
-/// One immutable published state: the sealed segments plus (as its last
-/// element, when non-empty) the head, frozen into a flat segment like them.
+/// One immutable published state: the sealed segments, then the head's
+/// runs, each frozen into a flat segment like them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IndexSnapshot {
     pub segments: Vec<Segment>,
+    /// How many of `segments`, the last ones, are the head's runs.
+    pub head_runs: usize,
     /// Logical mutation count — the `mutations` half of the public
     /// [`crate::IndexRevision`].
     pub epoch: u64,

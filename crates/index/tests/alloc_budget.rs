@@ -126,7 +126,9 @@ fn a_load_allocates_what_stays_resident() {
 fn publishing_the_head_allocates_nothing_per_posting() {
     let _alone = alone();
     // One-document adds into a small head and into one ten times fuller:
-    // each analyzes, appends and publishes (a freeze of the whole head).
+    // each analyzes, appends, freezes what it added into the head's
+    // newest run and publishes (67 and 66 an add; 75 and 78 when every
+    // publish froze the whole head).
     let mut per_add = Vec::new();
     for head_docs in [50u64, 500] {
         let index = Index::new();
@@ -154,7 +156,7 @@ fn a_warm_session_allocates_nothing_per_document_or_occurrence() {
     // A session that has seen the vocabulary and sized its batch buffers
     // adds 1,024 more documents to a head that already holds 1,024. What
     // is left to allocate is the head's growth — its flat posting columns
-    // doubling once — and one publish (56 in all; ≈200 when each of the
+    // doubling once — and one publish (61 in all; ≈200 when each of the
     // head's ≈50 lists had columns of its own): nothing per document,
     // where the three `Vec`s a document of the path before the session
     // read 3,284 here, and no more for documents five times the size.
@@ -207,10 +209,11 @@ fn a_pipelined_build_allocates_the_serial_builds_plus_its_analysers() {
 /// flat posting columns growing, its freeze and publish, its share of
 /// the write session's tables.
 const PER_HEAD: u64 = 320;
-/// And a distinct `(field, term)` of a head: its dictionary entry, the
-/// term's `String` and a share of a tree node. The build below reads
-/// 8,928 allocations in all, ≈1.3 a list; five growing vectors a list
-/// read 61,600 (≈9.1).
+/// And a distinct `(field, term)` of a head: a share of its dictionary's
+/// text arena and tables growing. The build below reads 2,021
+/// allocations in all, ≈0.3 a list; a `BTreeMap` dictionary with a
+/// `String` a term read 8,928 (≈1.3), five growing vectors a list 61,600
+/// (≈9.1).
 const PER_LIST: u64 = 2;
 
 #[test]
@@ -242,7 +245,7 @@ fn a_cold_two_document_apply_allocates_a_small_constant() {
     let _alone = alone();
     // What a scheduler tick's batch pays for opening a session of its own:
     // the tables start at a small batch's size and do not grow in one
-    // (62 here). The path this replaced — three `Vec`s a document and a
+    // (69 here). The path this replaced — three `Vec`s a document and a
     // scratch arena — read 57; the session may cost at most 24 more.
     const HEAD_COLD: u64 = 57;
     let index = Index::new();

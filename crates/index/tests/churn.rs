@@ -393,3 +393,108 @@ fn postings_bytes_sums_every_list_of_a_churned_multi_segment_index() {
     assert_eq!(index.postings_bytes(), listed);
     assert_eq!(index.postings_bytes(), index.introspect(0).postings_bytes);
 }
+
+/// Every hit of every query as bits, pruned or exhaustive.
+fn ranked(index: &Index, prune: bool) -> Vec<Vec<(SchemaId, u64, usize)>> {
+    let options = SearchOptions {
+        top_n: 1_000,
+        prune,
+        ..Default::default()
+    };
+    QUERIES
+        .iter()
+        .map(|q| {
+            let hits = index.search(q, &options);
+            hits.iter()
+                .map(|h| (h.id, h.score.to_bits(), h.matched_terms))
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn a_head_in_runs_ranks_like_a_bulk_build_after_every_apply() {
+    // A seeded script of batches of one to four puts, replacements and
+    // deletes. The head is published as runs frozen from its builder, so
+    // every apply re-cuts them; after each one, what a search returns must
+    // be what a bulk build of the live documents returns, to the bit.
+    for threshold in [7, Index::new().seal_threshold()] {
+        let mut rng = Rng(0x2B1A_C0DE ^ threshold as u64);
+        let index = Index::new().with_seal_threshold(threshold);
+        let mut live: BTreeMap<u64, OwnedDocument> = BTreeMap::new();
+        let (mut puts, mut most_runs) = (0usize, 0usize);
+        for step in 0..300u32 {
+            let mut batch = Vec::new();
+            for _ in 0..1 + rng.below(4) {
+                let id = rng.below(64);
+                if rng.below(4) == 0 {
+                    batch.push((id, None));
+                } else {
+                    batch.push((id, Some(doc(id, &mut rng))));
+                }
+            }
+            let changes = batch.iter().map(|(id, put)| match put {
+                Some(d) => IndexChange::Put(d.view()),
+                None => IndexChange::Delete(SchemaId(*id)),
+            });
+            index.apply(changes);
+            for (id, put) in batch {
+                match put {
+                    Some(d) => {
+                        live.insert(id, d);
+                        puts += 1;
+                    }
+                    None => {
+                        live.remove(&id);
+                    }
+                }
+            }
+            let what = format!("threshold {threshold}, step {step}");
+            assert_eq!(index.len(), live.len(), "{what}");
+
+            let built = Index::new().with_seal_threshold(threshold);
+            let docs: Vec<&OwnedDocument> = live.values().collect();
+            built.bulk_load(&docs, 1, |d| d.view());
+            for prune in [true, false] {
+                assert_eq!(
+                    ranked(&index, prune),
+                    ranked(&built, prune),
+                    "{what}, prune {prune}"
+                );
+            }
+
+            // No merge runs here, so the head holds every put since the
+            // last seal, and is published as at most ⌊log2 n⌋ + 1 runs.
+            let head_docs = puts % threshold;
+            let sealed = index.segment_count() - usize::from(head_docs > 0);
+            let runs = index.introspect(0).segments - sealed;
+            let bound = match head_docs {
+                0 => 0,
+                n => n.ilog2() as usize + 1,
+            };
+            assert!(
+                runs <= bound,
+                "{what}: {runs} runs over {head_docs} documents"
+            );
+            assert_eq!(runs == 0, head_docs == 0, "{what}");
+            most_runs = most_runs.max(runs);
+
+            if step % 20 == 19 {
+                let bytes = schemr_index::codec::encode(&index);
+                let loaded = schemr_index::codec::decode(&bytes).unwrap();
+                assert_eq!(loaded.stats(), index.stats(), "{what}");
+                for prune in [true, false] {
+                    assert_eq!(
+                        ranked(&loaded, prune),
+                        ranked(&index, prune),
+                        "{what}: loaded, prune {prune}"
+                    );
+                }
+            }
+        }
+        assert!(
+            most_runs >= 2,
+            "threshold {threshold}: at most {most_runs} runs"
+        );
+    }
+}

@@ -1,8 +1,9 @@
 //! Concurrent readers vs. churn + seal + merge: the lock-free invariant.
 //!
-//! N searcher threads race a writer that puts, removes, seals (tiny
-//! threshold), and a merger that compacts continuously. Every result set
-//! a searcher observes is captured together with the snapshot's epoch
+//! N searcher threads race a writer that puts, removes, seals, and
+//! re-freezes the head's runs on every apply, and a merger that compacts
+//! continuously. Every result set a searcher observes is captured
+//! together with the snapshot's epoch
 //! (`search_terms_versioned` reads both from one `Arc` grab), and after
 //! the race each observation is replayed against a monolithic index
 //! built from exactly the documents live at that epoch — ids, order,
@@ -106,14 +107,28 @@ struct Observation {
 
 #[test]
 fn concurrent_reads_are_bitwise_consistent_with_their_epoch() {
+    // Tiny seal threshold: the writer seals every few puts, so searchers
+    // constantly cross segment boundaries mid-churn.
+    race(4, 0x57E5_5EED);
+}
+
+#[test]
+fn reads_racing_head_run_refreezes_are_bitwise_consistent_with_their_epoch() {
+    // A head of up to 64 documents, applied one at a time: every apply
+    // re-cuts its runs, merging the newest ones, between seals and merges.
+    race(64, 0x0B1A_2E75);
+}
+
+/// Race searchers against a writer that replays a script one change an
+/// apply under `seal_threshold`, and a merger; then check every result a
+/// searcher saw against a monolith of the documents live at its epoch.
+fn race(seal_threshold: usize, seed: u64) {
     const STEPS: usize = 2_500;
     const IDS: u64 = 48;
     const SEARCHERS: usize = 3;
 
-    let ops = Arc::new(script(STEPS, IDS, 0x57E5_5EED));
-    // Tiny seal threshold: the writer seals every few puts, so searchers
-    // constantly cross segment boundaries mid-churn.
-    let index = Arc::new(Index::new().with_seal_threshold(4));
+    let ops = Arc::new(script(STEPS, IDS, seed));
+    let index = Arc::new(Index::new().with_seal_threshold(seal_threshold));
     let done = Arc::new(AtomicBool::new(false));
     let options = SearchOptions {
         top_n: 10,
@@ -167,17 +182,26 @@ fn concurrent_reads_are_bitwise_consistent_with_their_epoch() {
     };
 
     // The writer replays the script with small pauses so searchers and
-    // the merger genuinely interleave with seals and publishes.
+    // the merger genuinely interleave with seals and publishes. It counts
+    // the publishes whose head was more than one run.
+    let mut split_heads = 0;
     for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Put(d) => index.add(d.view()),
             Op::Remove(id) => assert!(index.remove(SchemaId(*id)), "scripted remove {i}"),
+        }
+        // Segments beyond sealed + one head are extra runs. Counted in
+        // this order, a merge in between can only hide a split head.
+        let logical = index.segment_count();
+        if index.introspect(0).segments > logical {
+            split_heads += 1;
         }
         if i % 8 == 7 {
             std::thread::sleep(Duration::from_micros(300));
         }
     }
     done.store(true, Ordering::Relaxed);
+    assert!(split_heads > 0, "no publish split the head into runs");
 
     let merges = merger.join().unwrap();
     let observed: Vec<Vec<Observation>> =

@@ -176,16 +176,17 @@ impl Repository {
             return Err(RepositoryError::Invalid(errs));
         }
         schema.shrink_to_fit();
-        let mut st = self.state.write();
+        let mut guard = self.state.write();
+        let st = &mut *guard;
+        let stored = st
+            .schemas
+            .get_mut(&id.0)
+            .ok_or(RepositoryError::NotFound(id))?;
         st.revision += 1;
         let revision = st.revision;
         // Copy-on-write: readers holding the old `Arc` keep what they
         // read.
-        let entry = Arc::make_mut(
-            st.schemas
-                .get_mut(&id.0)
-                .ok_or(RepositoryError::NotFound(id))?,
-        );
+        let entry = Arc::make_mut(stored);
         entry.schema = schema;
         entry.metadata.revision = revision;
         st.journal.push(ChangeEvent {
@@ -203,14 +204,15 @@ impl Repository {
         description: impl Into<String>,
         source: impl Into<String>,
     ) -> Result<(), RepositoryError> {
-        let mut st = self.state.write();
+        let mut guard = self.state.write();
+        let st = &mut *guard;
+        let stored = st
+            .schemas
+            .get_mut(&id.0)
+            .ok_or(RepositoryError::NotFound(id))?;
         st.revision += 1;
         let revision = st.revision;
-        let entry = Arc::make_mut(
-            st.schemas
-                .get_mut(&id.0)
-                .ok_or(RepositoryError::NotFound(id))?,
-        );
+        let entry = Arc::make_mut(stored);
         entry.metadata.description = description.into();
         entry.metadata.source = source.into();
         entry.metadata.revision = revision;
@@ -400,13 +402,14 @@ mod tests {
         repo.remove(a).unwrap();
         let c = repo.insert("c", "", sample()).unwrap();
         repo.update(c, sample()).unwrap();
-        // A failed update bumps the revision without a journal entry.
+        // A failed update moves nothing, so the revisions leave no gap.
         assert!(repo.update(a, sample()).is_err());
         repo.remove(b).unwrap();
         let restored = crate::persist::from_json(&crate::persist::to_json(&repo)).unwrap();
         for r in [&repo, &restored] {
             let journal = r.state.read().journal.clone();
             assert_eq!(journal.len(), 8);
+            assert!(journal.iter().map(|e| e.revision).eq(1..=8));
             for since in 0..=r.revision() + 1 {
                 let linear: Vec<ChangeEvent> = journal
                     .iter()
@@ -416,6 +419,29 @@ mod tests {
                 assert_eq!(r.changes_since(since), linear, "since {since}");
             }
         }
+    }
+
+    #[test]
+    fn a_failed_update_or_annotate_changes_nothing() {
+        let repo = Repository::new();
+        let a = repo.insert("a", "", sample()).unwrap();
+        repo.update(a, sample()).unwrap();
+        let state = |r: &Repository| (r.revision(), r.state.read().journal.clone());
+        let before = state(&repo);
+        let changes: Vec<_> = (0..=before.0 + 1).map(|s| repo.changes_since(s)).collect();
+        let missing = SchemaId(a.0 + 1);
+        assert!(matches!(
+            repo.update(missing, sample()),
+            Err(RepositoryError::NotFound(id)) if id == missing
+        ));
+        assert!(matches!(
+            repo.annotate(missing, "described", "here"),
+            Err(RepositoryError::NotFound(id)) if id == missing
+        ));
+        assert_eq!(state(&repo), before);
+        let after: Vec<_> = (0..=before.0 + 1).map(|s| repo.changes_since(s)).collect();
+        assert_eq!(after, changes);
+        assert_eq!(repo.get(a).unwrap().metadata.revision, before.0);
     }
 
     #[test]
